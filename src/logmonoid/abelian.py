@@ -8,7 +8,7 @@ coordinates are kept reduced to [0, d_i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import snf
 
@@ -152,21 +152,32 @@ def group_quotient(g: AbelianGroup, elements: Sequence[Elt]) -> tuple[AbelianGro
     return q, project
 
 
+class GroupSpan:
+    """The subgroup of g spanned by gens, compiled once: one Smith form of the
+    cover matrix [lifted gens | torsion relations] answers every solve."""
+
+    def __init__(self, g: AbelianGroup, gens: Sequence[Elt]):
+        self.group = g
+        self.count = len(gens)
+        cols = [g.lift(e) for e in gens] + g.cover_relations()
+        a = snf.as_matrix([[col[i] for col in cols] for i in range(g.cover_dim)])
+        self.smith = snf.SmithForm(a, len(cols))
+
+    def coefficients(self, target: Elt) -> Optional[tuple[int, ...]]:
+        """Integer c with sum c_i gens_i = target in g, or None."""
+        sol = self.smith.solve(self.group.lift(target))
+        return None if sol is None else sol[: self.count]
+
+    def relations(self) -> list[tuple[int, ...]]:
+        """Generating set of {c in Z^k : sum c_i gens_i = 0 in g}."""
+        return [v[: self.count] for v in self.smith.kernel_basis()]
+
+
 def solve_in_group(g: AbelianGroup, gens: Sequence[Elt], target: Elt):
     """Integer coefficients c with sum c_i gens_i = target in g, or None."""
-    k = len(gens)
-    cols = [g.lift(e) for e in gens] + g.cover_relations()
-    a = snf.as_matrix([[col[i] for col in cols] for i in range(g.cover_dim)])
-    sol = snf.solve_integer(a, g.lift(target))
-    if sol is None:
-        return None
-    return tuple(sol[:k])
+    return GroupSpan(g, gens).coefficients(target)
 
 
 def relation_lattice(g: AbelianGroup, gens: Sequence[Elt]) -> list[tuple[int, ...]]:
     """Generating set of {c in Z^k : sum c_i gens_i = 0 in g}."""
-    k = len(gens)
-    cols = [g.lift(e) for e in gens] + g.cover_relations()
-    a = snf.as_matrix([[col[i] for col in cols] for i in range(g.cover_dim)])
-    full = snf.kernel_basis(a)
-    return [tuple(v[:k]) for v in full]
+    return GroupSpan(g, gens).relations()

@@ -32,15 +32,14 @@ from .errors import BudgetExceeded, HypothesisError, ParseError
 @dataclass(frozen=True)
 class RunConfig:
     prime: int = 5
-    truncation: int = 12
     weight_bound: int = 10
     output_format: str = "text"
 
     def __post_init__(self):
         if self.prime < 2 or any(self.prime % q == 0 for q in range(2, int(self.prime ** 0.5) + 1)):
             raise ValueError(f"--prime must be a prime number, got {self.prime}")
-        if self.truncation <= 0 or self.weight_bound <= 0:
-            raise ValueError("bounds must be positive")
+        if self.weight_bound <= 0:
+            raise ValueError("--weight-bound must be positive")
         if self.output_format not in ("json", "text"):
             raise ValueError("format must be json or text")
 
@@ -212,7 +211,7 @@ def cmd_connection(args, config: RunConfig) -> dict:
             raise ParseError("homotopy needs a --sigma document with two elements (xi, xi')")
         xi, xi_p = sigma.elements[0], sigma.elements[1]
         emb = module.embedding
-        ball = mc._sharp_ball(module.monoid, module.weighting.values, min(4, config.weight_bound))
+        ball = module.monoid.index.weighted(module.weighting.values).upto(min(4, config.weight_bound))
         forms = []
         import itertools as it
 
@@ -246,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations with fine monoids, polyannulus series and log connections.",
     )
     parser.add_argument("--prime", type=int, default=5, help="prime for p-adic norms (default 5)")
-    parser.add_argument("--truncation", type=int, default=12, help="series truncation order")
     parser.add_argument("--weight-bound", type=int, default=10, help="search bound for enumerations")
     parser.add_argument("--format", choices=("json", "text"), default="text", dest="output_format")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -276,7 +274,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(args.prime, args.truncation, args.weight_bound, args.output_format)
+        config = RunConfig(args.prime, args.weight_bound, args.output_format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

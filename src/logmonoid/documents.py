@@ -80,7 +80,7 @@ class MonoidContext:
     def render_element(self, g: Elt) -> dict:
         out = {"free": list(g[0]), "torsion": list(g[1])}
         if self.ambient_generators is not None:
-            coeffs = solve_in_group(self.monoid.gp, self.monoid.generators, g)
+            coeffs = self.monoid.index.span.coefficients(g)
             if coeffs is not None:
                 dim = len(self.ambient_generators[0])
                 amb = [0] * dim

@@ -65,6 +65,14 @@ class NonCommutingResidues(HypothesisError):
     """The constant terms of the connection matrices do not commute."""
 
 
+class NotIntegrable(HypothesisError):
+    """The connection fails the integrability identity, so it cannot be sheared."""
+
+
+class NonConstantModel(HypothesisError):
+    """An operation defined on constant (U_I-type) modules got a non-constant one."""
+
+
 class SingularSylvester(HypothesisError):
     """A Sylvester solve in the shearing recursion is singular (NI hypothesis violated)."""
 

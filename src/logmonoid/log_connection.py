@@ -18,11 +18,13 @@ from .errors import (
     DenominatorVanishes,
     IrrationalExponent,
     NonCommutingResidues,
+    NonConstantModel,
+    NotIntegrable,
     NotSemiSaturated,
     SingularSylvester,
     ZeroProjection,
 )
-from .monoid_core import Face, FineMonoid, _sharp_ball, facets, is_semi_saturated, is_sharp, membership
+from .monoid_core import Face, FineMonoid, facets, is_semi_saturated, is_sharp, membership
 from .qlin import (
     INF,
     QMatrix,
@@ -530,7 +532,7 @@ def shear(
     if not is_sharp(m):
         raise ValueError("shearing requires a sharp monoid")
     if not validate_integrability(e):
-        raise ValueError("connection is not integrable; shearing undefined")
+        raise NotIntegrable("connection is not integrable; shearing undefined")
     t = e.truncation if truncation is None else min(truncation, e.truncation)
     w = e.weighting
     emb = e.embedding
@@ -543,10 +545,9 @@ def shear(
         per_matrix_eigs.append(sorted(set(eigs)))
         eigendata.append((eigs, pmat, pinv, nil))
 
-    ball = _sharp_ball(m, w.values, t)
-    keys = sorted(
-        (k for k in ball if not m.gp.is_zero(k)), key=lambda k: (ball[k], k)
-    )
+    index = m.index.weighted(w.values)
+    ball = index.ball(t)
+    keys = index.upto(t)[1:]  # every element of weight 1..t; 0 is the only one of weight 0
     coords = {k: emb.coords(k) for k in keys}
     _check_ni_coordinatewise(per_matrix_eigs)
 
@@ -613,11 +614,13 @@ def shear(
             )
             zi = max(worst, Fraction(0))
             wmin = zi if wmin is None else min(wmin, zi)
+        # key - prev has weight 1..t and M is sharp, so it lies in M exactly
+        # when it lies in the ball
         best_prev = Fraction(0)
         for prev in keys:
             if ball[prev] >= ball[key]:
                 break
-            if prev in logz and membership(m, m.gp.sub(key, prev)):
+            if prev in logz and m.gp.sub(key, prev) in ball:
                 best_prev = max(best_prev, logz[prev])
         logz[key] = wmin + best_prev
         bound = e_exp * logz[key] + 2 * ball[key] * log_c + qa * ball[key]
@@ -938,7 +941,7 @@ def dl_constant_term(f: TruncatedSeries, l: int, embedding: Embedding) -> Trunca
 
 def _require_constant_model(e: LogNablaModule) -> tuple[QMatrix, ...]:
     if not smat_is_constant_all(e):
-        raise ValueError("D_l projections require a constant (U_I-type) module")
+        raise NonConstantModel("D_l projections require a constant (U_I-type) module")
     return residue(e)
 
 

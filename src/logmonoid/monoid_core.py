@@ -11,15 +11,18 @@ element of the monoid, which is always a unit).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import cone as _cone
-from .abelian import AbelianGroup, Elt, group_quotient, quotient_presented, relation_lattice, solve_in_group
+from . import snf as _snf
+from .abelian import AbelianGroup, Elt, GroupSpan, group_quotient, quotient_presented, relation_lattice, solve_in_group
 from .errors import (
     NoPositiveFunctional,
+    NotInGroupSpan,
     NotSubmonoid,
     NotSurjective,
     TorsionTarget,
@@ -44,6 +47,11 @@ class FineMonoid:
 
     def element(self, free, torsion=()) -> Elt:
         return self.gp.element(free, torsion)
+
+    @cached_property
+    def index(self) -> "MonoidIndex":
+        """Derived data, computed on demand at most once and freed with the monoid."""
+        return MonoidIndex(self)
 
     def __repr__(self):
         return f"FineMonoid(rank={self.gp.free_rank}, torsion={self.gp.torsion_invariants}, gens={len(self.generators)})"
@@ -71,22 +79,29 @@ class MonoidHom:
         if len(self.images) != len(self.source.generators):
             raise ValueError("one image per source generator required")
         tg = self.target.gp
-        for rel in relation_lattice(self.source.gp, self.source.generators):
+        for rel in self.source.index.span.relations():
             acc = tg.zero()
             for c, im in zip(rel, self.images):
                 acc = tg.add(acc, tg.scale(c, im))
             if not tg.is_zero(acc):
                 raise ValueError("images do not respect the source presentation")
 
+    @cached_property
+    def _smith_images(self) -> _snf.IntMatrix:
+        """Cover coordinates of the images of the Smith basis vectors of the
+        source generators: column j is sum_i v[i][j] * lift(images[i])."""
+        v = self.source.index.span.smith.v
+        lifts = [self.target.gp.lift(im) for im in self.images]
+        return tuple(
+            tuple(sum(v[i][j] * lift[r] for i, lift in enumerate(lifts)) for j in range(len(v)))
+            for r in range(self.target.gp.cover_dim)
+        )
+
     def gp_apply(self, x: Elt) -> Elt:
-        coeffs = solve_in_group(self.source.gp, self.source.generators, x)
-        if coeffs is None:
+        y = self.source.index.span.smith.smith_coordinates(self.source.gp.lift(x))
+        if y is None:
             raise ValueError("element outside the source group")
-        tg = self.target.gp
-        acc = tg.zero()
-        for c, im in zip(coeffs, self.images):
-            acc = tg.add(acc, tg.scale(c, im))
-        return acc
+        return self.target.gp.from_cover(_snf.mat_vec(self._smith_images, y))
 
     def __call__(self, x: Elt) -> Elt:
         return self.gp_apply(x)
@@ -157,9 +172,170 @@ def _free_vectors(m: FineMonoid) -> list[QVector]:
     return [qvec(g[0]) for g in m.generators]
 
 
-@lru_cache(maxsize=None)
+class MonoidIndex:
+    """What the queries on one fine monoid derive from it, each computed at
+    most once.  The monoid owns its index (`FineMonoid.index`), so the index
+    is freed with it; every entry is a function of the monoid alone, so no
+    answer depends on which queries came first."""
+
+    def __init__(self, m: FineMonoid):
+        self.monoid = m
+        self._weighted: dict[tuple[int, ...], WeightedIndex] = {}
+        self.faces: dict[int, tuple[Face, ...]] = {}  # by ray cap
+
+    @cached_property
+    def span(self) -> GroupSpan:
+        """The generators inside gp, with one Smith form for every solve."""
+        return GroupSpan(self.monoid.gp, self.monoid.generators)
+
+    @cached_property
+    def unit_indices(self) -> frozenset[int]:
+        return frozenset(_cone.lineality_indices(_free_vectors(self.monoid)))
+
+    @cached_property
+    def sharp(self) -> tuple[FineMonoid, "MonoidHom"]:
+        """M / M* together with the projection homomorphism."""
+        m = self.monoid
+        unit_gens = [m.generators[i] for i in sorted(self.unit_indices)]
+        q, project = group_quotient(m.gp, unit_gens)
+        images = tuple(project(g) for g in m.generators)
+        mbar = FineMonoid(q, images, m.weighting)
+        return mbar, MonoidHom(m, mbar, images)
+
+    @cached_property
+    def default_values(self) -> tuple[int, ...]:
+        m = self.monoid
+        if m.weighting is not None:
+            return m.weighting
+        mbar = self.sharp[0]
+        vecs = [qvec(g[0]) for g in mbar.generators]
+        zero_set = [i for i, g in enumerate(mbar.generators) if mbar.gp.is_zero(g)]
+        positive_set = [i for i in range(len(vecs)) if i not in zero_set]
+        lam = _cone.support_functional(vecs, zero_set, positive_set, mbar.gp.free_rank)
+        if lam is None:
+            raise NoPositiveFunctional("sharp quotient admits no positive functional")
+        den = math.lcm(*(x.denominator for x in lam))
+        lam_int = [int(x * den) for x in lam]
+        return tuple(sum(c * x for c, x in zip(lam_int, g[0])) for g in mbar.generators)
+
+    def weighted(self, values: tuple[int, ...]) -> "WeightedIndex":
+        """The index of the weighting with these generator values."""
+        found = self._weighted.get(values)
+        if found is None:
+            found = self._weighted[values] = WeightedIndex(self, values)
+        return found
+
+
+class WeightedIndex:
+    """One weighting h of a fine monoid, compiled.
+
+    h is kept as integer numerators over one denominator.  On a sharp monoid
+    the ball of elements of weight <= bound is grown level by level in
+    place; `h` memoizes (h, h+, |h|) per element, searched in the ball of
+    the sharp quotient."""
+
+    def __init__(self, index: MonoidIndex, values: tuple[int, ...]):
+        m = index.monoid
+        lam = qsolve(qmat([[Fraction(x) for x in g[0]] for g in m.generators]), qvec(values))
+        if lam is None:
+            raise ValueError("weights are not induced by a group homomorphism")
+        self.index = index
+        self.values = values
+        self.functional: QVector = lam
+        self.denominator = math.lcm(*(x.denominator for x in lam))
+        self.numerators = tuple(int(x * self.denominator) for x in lam)
+        self._levels: list[list[Elt]] = []  # elements of weight exactly w
+        self._ball: dict[Elt, int] = {}
+        self._gens: Optional[list[tuple[Elt, int]]] = None
+        self._h: dict[Elt, tuple[int, int, int]] = {}
+
+    def weight(self, g: Elt) -> Fraction:
+        """Group extension h(g) = lam * free(g); integral on the span of M."""
+        return Fraction(sum(a * b for a, b in zip(self.numerators, g[0])), self.denominator)
+
+    # -- the ball (sharp monoids) ------------------------------------------
+    def _grow(self, bound: int) -> None:
+        m = self.index.monoid
+        gp = m.gp
+        if self._gens is None:
+            gens: dict[Elt, int] = {}
+            for g, w in zip(m.generators, self.values):
+                if gp.is_zero(g):
+                    continue
+                if w <= 0:
+                    raise ValueError("nonzero generator with non-positive weight in a sharp monoid")
+                gens.setdefault(g, w)
+            self._gens = list(gens.items())
+            self._levels.append([gp.zero()])
+            self._ball[gp.zero()] = 0
+        levels, ball = self._levels, self._ball
+        # an element of weight w > 0 is g + e with e of weight w - h(g)
+        for w in range(len(levels), bound + 1):
+            level = []
+            for g, wg in self._gens:
+                if wg > w:
+                    continue
+                for e in levels[w - wg]:
+                    cand = gp.add(e, g)
+                    if cand not in ball:
+                        ball[cand] = w
+                        level.append(cand)
+            levels.append(level)
+
+    def ball(self, bound: int) -> dict[Elt, int]:
+        """Every element of weight <= bound mapped to its weight, plus the
+        heavier ones earlier queries reached.  The index's own dict: read it,
+        do not modify it."""
+        if bound >= len(self._levels):
+            self._grow(bound)
+        return self._ball
+
+    def level(self, w: int) -> list[Elt]:
+        """The elements of weight exactly w."""
+        self.ball(w)
+        return self._levels[w]
+
+    def upto(self, bound: int) -> list[Elt]:
+        """The elements of weight <= bound, ordered by (weight, element)."""
+        self.ball(bound)
+        return [e for level in self._levels[: bound + 1] for e in sorted(level)]
+
+    def contains(self, g: Elt) -> bool:
+        """g in M, for a sharp monoid: look g up in the ball of its weight."""
+        num = sum(a * b for a, b in zip(self.numerators, g[0]))
+        if num < 0 or num % self.denominator:
+            return False
+        return g in self.ball(num // self.denominator)
+
+    # -- h, h+ and |h| -----------------------------------------------------
+    def h(self, g: Elt) -> tuple[int, int, int]:
+        """(h(g), h+(g), |h|(g)) with h+(g) = min{h(y) : y in M, y - g in M}."""
+        found = self._h.get(g)
+        if found is None:
+            found = self._h[g] = self._h_triple(g)
+        return found
+
+    def _h_triple(self, g: Elt) -> tuple[int, int, int]:
+        coeffs = self.index.span.coefficients(g)
+        if coeffs is None:
+            raise NotInGroupSpan("element outside the group generated by the monoid")
+        hg = sum(c * v for c, v in zip(coeffs, self.values))
+        # y = sum of the positive part of g is a candidate, so h+ <= seed
+        seed = sum(c * v for c, v in zip(coeffs, self.values) if c > 0)
+        mbar, project = self.index.sharp
+        bar = mbar.index.weighted(self.values)
+        gbar = project.gp_apply(g)
+        sub = mbar.gp.sub
+        best = seed
+        for w in range(max(hg, 0), seed):
+            if any(bar.contains(sub(y, gbar)) for y in bar.level(w)):
+                best = w
+                break
+        return hg, best, 2 * best - hg
+
+
 def unit_generator_indices(m: FineMonoid) -> frozenset[int]:
-    return frozenset(_cone.lineality_indices(_free_vectors(m)))
+    return m.index.unit_indices
 
 
 def units(m: FineMonoid) -> list[Elt]:
@@ -176,127 +352,38 @@ def is_sharp(m: FineMonoid) -> bool:
     return all(m.gp.is_zero(m.generators[i]) for i in unit_generator_indices(m))
 
 
-@lru_cache(maxsize=None)
 def sharp_quotient(m: FineMonoid) -> tuple[FineMonoid, MonoidHom]:
     """M / M* together with the projection homomorphism."""
-    unit_gens = [m.generators[i] for i in sorted(unit_generator_indices(m))]
-    q, project = group_quotient(m.gp, unit_gens)
-    images = tuple(project(g) for g in m.generators)
-    w = None
-    if m.weighting is not None:
-        w = m.weighting
-    quotient_monoid = FineMonoid(q, images, w)
-    hom = MonoidHom(m, quotient_monoid, images)
-    return quotient_monoid, hom
+    return m.index.sharp
 
 
-@lru_cache(maxsize=None)
 def default_weighting(m: FineMonoid) -> tuple[int, ...]:
     """Integer weights h(g_i), zero exactly on units.
 
     Every fine monoid admits one: take an integral interior point of the
     dual cone of the sharp quotient and pull it back."""
-    if m.weighting is not None:
-        return m.weighting
-    mbar, proj = sharp_quotient(m)
-    vecs = [qvec(g[0]) for g in mbar.generators]
-    zero_set = [i for i, g in enumerate(mbar.generators) if mbar.gp.is_zero(g)]
-    positive_set = [i for i in range(len(vecs)) if i not in zero_set]
-    lam = _cone.support_functional(vecs, zero_set, positive_set, mbar.gp.free_rank)
-    if lam is None:
-        raise NoPositiveFunctional("sharp quotient admits no positive functional")
-    den = 1
-    for x in lam:
-        den = den * x.denominator // _gcd(den, x.denominator)
-    lam_int = [x * den for x in lam]
-    values = []
-    for g in mbar.generators:
-        v = sum((lam_int[i] * g[0][i] for i in range(len(lam_int))), Fraction(0))
-        values.append(int(v))
-    return tuple(values)
+    return m.index.default_values
 
 
-def _gcd(a: int, b: int) -> int:
-    from math import gcd
-    return gcd(a, b)
-
-
-@lru_cache(maxsize=None)
 def weighting_functional(m: FineMonoid, values: tuple[int, ...]) -> QVector:
     """Rational lam on gp free coordinates with lam*free(g_i) = values[i]."""
-    rows = [[Fraction(x) for x in g[0]] for g in m.generators]
-    a = qmat(rows)
-    sol = qsolve(a, qvec(values))
-    if sol is None:
-        raise ValueError("weights are not induced by a group homomorphism")
-    return sol
+    return m.index.weighted(values).functional
 
 
 def weight_of(m: FineMonoid, values: tuple[int, ...], g: Elt) -> Fraction:
     """Group extension h(g) = lam * free(g); integral on gp."""
-    lam = weighting_functional(m, values)
-    return sum((lam[i] * g[0][i] for i in range(len(lam))), Fraction(0))
+    return m.index.weighted(values).weight(g)
 
 
 # ---------------------------------------------------------------------------
 # membership by weight-bounded search
 # ---------------------------------------------------------------------------
 
-_BALL_CACHE: dict = {}
-
-
-def _sharp_ball(m: FineMonoid, values: tuple[int, ...], bound: int) -> dict[Elt, int]:
-    """All elements of a sharp monoid with weight <= bound, mapped to their weight."""
-    key = (m, values)
-    cached = _BALL_CACHE.get(key)
-    if cached is not None and cached[0] >= bound:
-        if cached[0] == bound:
-            return cached[1]
-        return {e: w for e, w in cached[1].items() if w <= bound}
-    gens = []
-    seen = set()
-    for g, w in zip(m.generators, values):
-        if m.gp.is_zero(g):
-            continue
-        if w <= 0:
-            raise ValueError("nonzero generator with non-positive weight in a sharp monoid")
-        if g in seen:
-            continue
-        seen.add(g)
-        gens.append((g, w))
-    elements: dict[Elt, int] = {m.gp.zero(): 0}
-    frontier = [m.gp.zero()]
-    # weights are determined by the functional, so a plain BFS by levels works
-    for _ in range(bound):
-        new = []
-        for e in frontier:
-            we = elements[e]
-            for g, w in gens:
-                if we + w > bound:
-                    continue
-                cand = m.gp.add(e, g)
-                if cand not in elements:
-                    elements[cand] = we + w
-                    new.append(cand)
-        frontier = new
-        if not frontier:
-            break
-    _BALL_CACHE[key] = (bound, elements)
-    return elements
-
-
 def membership(m: FineMonoid, g: Elt) -> bool:
     """Decide g in M by weight-bounded search in the sharp quotient."""
-    values = default_weighting(m)
-    mbar, proj = sharp_quotient(m)
-    gbar = proj(g)
-    if mbar.gp.is_zero(gbar):
-        return True
-    w = weight_of(mbar, values, gbar)
-    if w < 0 or w.denominator != 1:
-        return False
-    ball = _sharp_ball(mbar, values, int(w))
-    return gbar in ball
+    idx = m.index
+    mbar, project = idx.sharp
+    return mbar.index.weighted(idx.default_values).contains(project.gp_apply(g))
 
 
 def divides(m: FineMonoid, a: Elt, b: Elt) -> bool:
@@ -308,7 +395,6 @@ def divides(m: FineMonoid, a: Elt, b: Elt) -> bool:
 # faces
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def faces(m: FineMonoid, cap: int = 16) -> tuple[Face, ...]:
     """All faces, each as the subset of generators it contains.
 
@@ -316,6 +402,13 @@ def faces(m: FineMonoid, cap: int = 16) -> tuple[Face, ...]:
     and is >= 1 on the remaining generators; every face arises this way and
     equals the submonoid generated by its generator subset.
     """
+    found = m.index.faces.get(cap)
+    if found is None:
+        found = m.index.faces[cap] = _enumerate_faces(m, cap)
+    return found
+
+
+def _enumerate_faces(m: FineMonoid, cap: int) -> tuple[Face, ...]:
     n = len(m.generators)
     vecs = _free_vectors(m)
     # generators sharing a free part always lie in the same face support
@@ -395,14 +488,11 @@ def is_semi_saturated(m: FineMonoid) -> bool:
 # ---------------------------------------------------------------------------
 
 def _saturation_witnesses(m: FineMonoid, weight_bound: int) -> list[Elt]:
-    values = default_weighting(m)
-    ball = _sharp_ball(m, values, weight_bound * weight_bound)
+    ball = m.index.weighted(default_weighting(m))
     witnesses = []
     seen = set()
     for n in range(2, weight_bound + 1):
-        for elt, w in ball.items():
-            if w > n * weight_bound:
-                continue
+        for elt in ball.upto(n * weight_bound):
             for g in _divide_element(m.gp, elt, n):
                 if g in seen:
                     continue

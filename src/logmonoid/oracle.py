@@ -30,9 +30,7 @@ class EnumerationBudget:
 
 def _weight_map(m: FineMonoid):
     values = _weights(m)
-    from .monoid_core import weighting_functional
-
-    lam = weighting_functional(m, values)
+    lam = qsolve(qmat([[Fraction(x) for x in g[0]] for g in m.generators]), qvec(values))
 
     def weight(g: Elt) -> Fraction:
         return sum((lam[i] * g[0][i] for i in range(len(lam))), Fraction(0))
@@ -148,14 +146,13 @@ def brute_shear_order(e, k: int):
     """Solve the full order-<= k shear system at once (all equations, all i),
     without the single-index selection trick.  Returns {m: B_m}."""
     from .log_connection import smat_coefficient
-    from .monoid_core import _sharp_ball
 
     m = e.monoid
-    w = e.weighting
     emb = e.embedding
     n = e.rank
-    ball = _sharp_ball(m, w.values, k)
-    keys = sorted((key for key in ball if not m.gp.is_zero(key)), key=lambda key: (ball[key], key))
+    _, weight = _weight_map(m)
+    ball = enumerate_monoid(m, EnumerationBudget(k))
+    keys = sorted((key for key in ball if not m.gp.is_zero(key)), key=lambda key: (weight(key), key))
     index = {key: idx for idx, key in enumerate(keys)}
     nun = len(keys) * n * n
     a0 = [smat_coefficient(e.matrices[i], m.gp.zero()) for i in range(emb.r)]

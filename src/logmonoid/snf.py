@@ -128,44 +128,55 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """A particular integer solution x of a*x = b, or None.
+class SmithForm:
+    """The Smith form u*a*v = d of one matrix, kept to answer many solves."""
 
-    Deterministic: the solution with zero coordinates along the kernel
-    directions of the Smith basis (lexicographically-first lift).
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if rows == 0:
-        return tuple([0] * cols)
-    d, u, v = smith_normal_form(a)
-    c = mat_vec(u, tuple(b))
-    y = [0] * cols
-    r = min(rows, cols)
-    for i in range(rows):
-        di = d[i][i] if i < r else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
+    def __init__(self, a: IntMatrix, cols: Optional[int] = None):
+        rows = len(a)
+        self.cols = len(a[0]) if rows else (cols or 0)
+        if rows:
+            d, self.u, self.v = smith_normal_form(a)
         else:
-            if c[i] % di != 0:
+            d, self.u, self.v = (), (), identity(self.cols)
+        r = min(rows, self.cols)
+        self.diagonal = tuple(d[i][i] if i < r else 0 for i in range(rows))
+        self.rank = sum(1 for x in self.diagonal if x != 0)
+
+    def solve(self, b: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """A particular integer solution x of a*x = b, or None.
+
+        Deterministic: the solution with zero coordinates along the kernel
+        directions of the Smith basis (lexicographically-first lift).
+        """
+        y = self.smith_coordinates(b)
+        return None if y is None else mat_vec(self.v, y)
+
+    def smith_coordinates(self, b: Sequence[int]) -> Optional[list[int]]:
+        """y with a*(v*y) = b and y zero past the rank, or None."""
+        c = mat_vec(self.u, tuple(b))
+        y = [0] * self.cols
+        for i, (ci, di) in enumerate(zip(c, self.diagonal)):
+            if di == 0:
+                if ci != 0:
+                    return None
+            elif ci % di != 0:
                 return None
-            y[i] = c[i] // di
-    return mat_vec(v, y)
+            else:
+                y[i] = ci // di
+        return y
+
+    def kernel_basis(self) -> list[tuple[int, ...]]:
+        """Basis of the integer kernel {x : a*x = 0} (columns of v past the rank)."""
+        return [
+            tuple(self.v[i][j] for i in range(self.cols)) for j in range(self.rank, self.cols)
+        ]
+
+
+def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """A particular integer solution x of a*x = b, or None (see SmithForm.solve)."""
+    return SmithForm(a).solve(b)
 
 
 def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {x : a*x = 0} (columns of v past the rank)."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if rows == 0:
-        return [tuple(1 if i == j else 0 for i in range(cols)) for j in range(cols)]
-    d, _u, v = smith_normal_form(a)
-    rank = 0
-    for i in range(min(rows, cols)):
-        if d[i][i] != 0:
-            rank += 1
-    basis = []
-    for j in range(rank, cols):
-        basis.append(tuple(v[i][j] for i in range(cols)))
-    return basis
+    """Basis of the integer kernel {x : a*x = 0}."""
+    return SmithForm(a).kernel_basis()

@@ -9,27 +9,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .abelian import Elt
 from .errors import (
     NonInvertibleConstantTerm,
-    NotInGroupSpan,
     SaturationIncomplete,
 )
 from .monoid_core import (
     FineMonoid,
-    _sharp_ball,
     default_weighting as _default_values,
     membership,
     saturation_bounded,
-    sharp_quotient,
-    unit_generator_indices,
-    weight_of,
-    weighting_functional,
 )
-from .abelian import solve_in_group
 from .qlin import INF, padic_valuation, qvec
 
 DEFAULT_PRIME = 5
@@ -48,15 +40,15 @@ class Weighting:
             raise ValueError("one weight per generator required")
         if any(v < 0 for v in self.values):
             raise ValueError("weights must be non-negative")
-        weighting_functional(m, self.values)  # raises if not a homomorphism
-        units_idx = unit_generator_indices(m)
+        m.index.weighted(self.values)  # raises if not a homomorphism
+        units_idx = m.index.unit_indices
         for i, v in enumerate(self.values):
             if (v == 0) != (i in units_idx):
                 raise ValueError("weights must vanish exactly on unit generators")
 
     def __call__(self, g: Elt) -> Fraction:
         """Group extension of h (integral on gp, may be negative off M)."""
-        return weight_of(self.monoid, self.values, g)
+        return self.monoid.index.weighted(self.values).weight(g)
 
 
 def default_weighting(m: FineMonoid) -> Weighting:
@@ -117,40 +109,18 @@ class Radius:
 # h+, h-, |h|
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _h_plus_cached(m: FineMonoid, values: tuple[int, ...], g: Elt) -> int:
-    coeffs = solve_in_group(m.gp, m.generators, g)
-    if coeffs is None:
-        raise NotInGroupSpan("element outside the group generated by the monoid")
-    seed = sum(c * v for c, v in zip(coeffs, values) if c > 0)
-    mbar, proj = sharp_quotient(m)
-    gbar = proj(g)
-    ball = _sharp_ball(mbar, values, int(seed))
-    best = None
-    for y, w in ball.items():
-        if w > seed or (best is not None and w >= best):
-            continue
-        if membership(mbar, mbar.gp.sub(y, gbar)):
-            best = w
-    if best is None:
-        best = int(seed)
-    return best
-
-
 def h_plus(m: FineMonoid, h: Weighting, g: Elt) -> int:
     """min{h(y) : y in M, y - g in M} by weight-ordered search."""
-    return _h_plus_cached(m, h.values, g)
+    return m.index.weighted(h.values).h(g)[1]
 
 
 def h_minus(m: FineMonoid, h: Weighting, g: Elt) -> int:
-    hp = h_plus(m, h, g)
-    ext = h(g)
-    assert ext.denominator == 1
-    return hp - int(ext)
+    hg, hp, _ = m.index.weighted(h.values).h(g)
+    return hp - hg
 
 
 def h_abs(m: FineMonoid, h: Weighting, g: Elt) -> int:
-    return 2 * h_plus(m, h, g) - int(h(g))
+    return m.index.weighted(h.values).h(g)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +163,20 @@ def series(
     validate: bool = True,
 ) -> TruncatedSeries:
     items = coefficients.items() if isinstance(coefficients, dict) else coefficients
+    h = monoid.index.weighted(weighting.values).h
     kept = []
     for k, c in items:
         c = Fraction(c)
         if c == 0:
             continue
-        if h_abs(monoid, weighting, k) > truncation:
+        hk, hp, habs = h(k)
+        if habs > truncation:
             continue
-        if validate and not annulus and h_minus(monoid, weighting, k) > 0:
+        if validate and not annulus and hp > hk:
             raise ValueError("disk series cannot carry terms with h^-(m) > 0")
-        kept.append((k, c))
-    kept.sort(key=lambda t: (h_abs(monoid, weighting, t[0]), t[0]))
-    return TruncatedSeries(monoid, weighting, tuple(kept), truncation, annulus)
+        kept.append((habs, k, c))
+    kept.sort(key=lambda t: t[:2])
+    return TruncatedSeries(monoid, weighting, tuple((k, c) for _, k, c in kept), truncation, annulus)
 
 
 def constant_series(monoid, weighting, c, truncation, annulus=False) -> TruncatedSeries:
@@ -246,11 +218,12 @@ def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     _check_compatible(f, g)
     t = min(f.truncation, g.truncation)
     out: dict[Elt, Fraction] = {}
-    gp = f.monoid.gp
+    add = f.monoid.gp.add
+    h = f.monoid.index.weighted(f.weighting.values).h
     for k1, c1 in f.terms:
         for k2, c2 in g.terms:
-            k = gp.add(k1, k2)
-            if h_abs(f.monoid, f.weighting, k) > t:
+            k = add(k1, k2)
+            if h(k)[2] > t:
                 continue
             out[k] = out.get(k, Fraction(0)) + c1 * c2
     return series(f.monoid, f.weighting, out, t, f.annulus or g.annulus, validate=False)
@@ -365,12 +338,10 @@ class ValuationPoint:
     log_values: tuple[object, ...]  # Fraction or INF
 
     def __post_init__(self):
-        from .abelian import relation_lattice
-
         m = self.monoid
         if len(self.log_values) != len(m.generators):
             raise ValueError("one valuation per generator required")
-        for rel in relation_lattice(m.gp, m.generators):
+        for rel in m.index.span.relations():
             lhs = _inf_sum((c, v) for c, v in zip(rel, self.log_values) if c > 0)
             rhs = _inf_sum((-c, v) for c, v in zip(rel, self.log_values) if c < 0)
             if (lhs is INF) != (rhs is INF):
@@ -456,7 +427,7 @@ def saturation_invariance_check(
     # (m is sharp by the saturation precondition, so the ball lives in m's own coordinates)
     gp = m.gp
     s = gp.zero()
-    ball = _sharp_ball(m, _default_values(m), weight_bound * weight_bound)
+    ball = m.index.weighted(_default_values(m)).upto(weight_bound * weight_bound)
     for g in sat.generators:
         if membership(m, g):
             continue
@@ -468,7 +439,7 @@ def saturation_invariance_check(
         if n_g is None:
             raise SaturationIncomplete("no multiple of a saturation generator found in M")
         mprime = None
-        for y, w in sorted(ball.items(), key=lambda kv: (kv[1], kv[0])):
+        for y in ball:
             if membership(m, gp.add(g, y)):
                 mprime = y
                 break
@@ -479,7 +450,7 @@ def saturation_invariance_check(
 
     # h+ comparison on a grid of group elements
     small = min(weight_bound, 4)
-    sat_ball = list(_sharp_ball(sat, sat.weighting, small).keys())
+    sat_ball = sat.index.weighted(sat.weighting).upto(small)
     seen = set()
     for x in sat_ball:
         for y in sat_ball:

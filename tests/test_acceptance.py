@@ -252,7 +252,7 @@ def test_criterion_07_homotopy(n2):
     """nabla_F phi + phi nabla_F = id - g1 g2 on all tracked forms for three
     NI pairs (xi, xi')."""
     emb = lc.facet_embedding(n2)
-    ball = mc._sharp_ball(n2, ws.default_weighting(n2).values, 4)
+    ball = n2.index.weighted(ws.default_weighting(n2).values).upto(4)
     forms = []
     for key in sorted(ball):
         for size in range(emb.r + 1):

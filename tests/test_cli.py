@@ -145,6 +145,33 @@ def test_exit_code_hypothesis_violation(capsys, tmp_path):
     assert "NI" in err
 
 
+def test_exit_code_shear_not_integrable(capsys, tmp_path):
+    # d_0 A^1 - d_1 A^0 + [A^0, A^1] = -t^(0,1) N with N nilpotent, not zero
+    doc = {
+        "monoid": {"generators": 2, "relations": []},
+        "embedding": [[1, 0], [0, 1]],
+        "rank": 2,
+        "truncation": 3,
+        "matrices": [
+            {"i": 0, "terms": [{"m": {"free": [0, 1]}, "entries": [["0", "1"], ["0", "0"]]}]},
+            {"i": 1, "terms": []},
+        ],
+    }
+    path = tmp_path / "non_integrable.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "connection", "shear", path)
+    assert code == 4
+    assert out == ""
+    assert "not integrable" in err and "Traceback" not in err
+
+
+def test_exit_code_dl_non_constant(capsys):
+    code, out, err = run(capsys, "connection", "dl", DATA / "rank2_connection.json", "--l", "4")
+    assert code == 4
+    assert out == ""
+    assert "constant" in err and "Traceback" not in err
+
+
 def test_exit_code_budget(capsys, tmp_path):
     # a wide free monoid at a large weight bound trips the enumeration budget
     doc = {"generators": 1, "relations": []}

@@ -459,7 +459,7 @@ def test_dl_projection_agrees_with_limit_at_large_l(n2):
 # -- homotopy ---------------------------------------------------------------------------------
 
 def _all_forms(n2, emb, bound=3):
-    ball = mc._sharp_ball(n2, ws.default_weighting(n2).values, bound)
+    ball = n2.index.weighted(ws.default_weighting(n2).values).upto(bound)
     forms = []
     for key in sorted(ball):
         for size in range(emb.r + 1):
