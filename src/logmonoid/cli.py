@@ -229,6 +229,10 @@ def cmd_connection(args, config: RunConfig) -> dict:
     if sub == "logconv":
         radius = parse_radius(args.radius) if args.radius else ws.Radius.p_power(1)
         eta = parse_radius(args.eta) if args.eta else ws.Radius.p_power(Fraction(1, 2))
+        if radius.is_zero:
+            raise ParseError("--radius must be a rational exponent q (radius p^-q), not zero")
+        if eta.is_zero or eta.value_exponent() <= 0:
+            raise ParseError("--eta must be a positive rational exponent q (eta = p^-q in (0,1))")
         verdict = lc.log_convergence_check(module, radius, eta, args.depth, config.prime)
         return {
             "radius_log": render_rational(radius.value_exponent()),

@@ -69,6 +69,18 @@ class NotIntegrable(HypothesisError):
     """The connection fails the integrability identity, so it cannot be sheared."""
 
 
+class NotSharp(HypothesisError):
+    """The monoid has nonzero units where a sharp monoid is required."""
+
+
+class NotDiskModule(HypothesisError):
+    """An operation defined on disk or point modules got an annulus module."""
+
+
+class NotMonoidSupported(HypothesisError):
+    """A connection matrix carries a term outside M where M-supported matrices are required."""
+
+
 class NonConstantModel(HypothesisError):
     """An operation defined on constant (U_I-type) modules got a non-constant one."""
 

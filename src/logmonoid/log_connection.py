@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -19,7 +20,10 @@ from .errors import (
     IrrationalExponent,
     NonCommutingResidues,
     NonConstantModel,
+    NotDiskModule,
     NotIntegrable,
+    NotMonoidSupported,
+    NotSharp,
     NotSemiSaturated,
     SingularSylvester,
     ZeroProjection,
@@ -266,6 +270,29 @@ def smat_is_constant(a: SeriesMatrix) -> bool:
 # the module type
 # ---------------------------------------------------------------------------
 
+def _integrability_brackets(e: "LogNablaModule"):
+    """Yield (label, bracket) for every bracket integrability requires to vanish."""
+    r = e.embedding.r
+    for i in range(r):
+        for j in range(i + 1, r):
+            yield ("connection", i, j), smat_add(
+                smat_sub(
+                    smat_partial(e.matrices[j], e.embedding, i),
+                    smat_partial(e.matrices[i], e.embedding, j),
+                ),
+                smat_sub(
+                    smat_mul(e.matrices[i], e.matrices[j]),
+                    smat_mul(e.matrices[j], e.matrices[i]),
+                ),
+            )
+    for k, d in enumerate(e.base_matrices or ()):
+        for i in range(r):
+            yield ("base", k, i), smat_add(
+                smat_partial(d, e.embedding, i),
+                smat_sub(smat_mul(e.matrices[i], d), smat_mul(d, e.matrices[i])),
+            )
+
+
 @dataclass(frozen=True)
 class LogNablaModule:
     rank: int
@@ -295,55 +322,27 @@ class LogNablaModule:
     def truncation(self) -> int:
         return self.matrices[0][0][0].truncation
 
+    @cached_property
+    def integrability_defect(self):
+        """None when every bracket vanishes up to truncation; otherwise the
+        first failing ("connection", i, j, key) for [d_i + A^i, d_j + A^j] or
+        ("base", k, i, key) for [d_i + A^i, D_k], key its least nonzero term."""
+        for label, lhs in _integrability_brackets(self):
+            keys = smat_keys(lhs)
+            if keys:
+                return label + (min(keys),)
+        return None
+
 
 def validate_integrability(e: LogNablaModule) -> bool:
-    """[d_i + A^i, d_j + A^j] = 0 coefficientwise up to truncation."""
-    r = e.embedding.r
-    for i in range(r):
-        for j in range(i + 1, r):
-            lhs = smat_add(
-                smat_sub(
-                    smat_partial(e.matrices[j], e.embedding, i),
-                    smat_partial(e.matrices[i], e.embedding, j),
-                ),
-                smat_sub(
-                    smat_mul(e.matrices[i], e.matrices[j]),
-                    smat_mul(e.matrices[j], e.matrices[i]),
-                ),
-            )
-            if not smat_is_zero(lhs):
-                return False
-    if e.base_matrices is not None:
-        for d in e.base_matrices:
-            for i in range(r):
-                lhs = smat_add(
-                    smat_partial(d, e.embedding, i),
-                    smat_sub(smat_mul(e.matrices[i], d), smat_mul(d, e.matrices[i])),
-                )
-                if not smat_is_zero(lhs):
-                    return False
-    return True
+    """[d_i + A^i, d_j + A^j] = 0 and [d_i + A^i, D] = 0 coefficientwise up to
+    truncation; decided once per module."""
+    return e.integrability_defect is None
 
 
 def integrability_defect(e: LogNablaModule):
-    """First failing (i, j, key) triple, or None."""
-    r = e.embedding.r
-    for i in range(r):
-        for j in range(i + 1, r):
-            lhs = smat_add(
-                smat_sub(
-                    smat_partial(e.matrices[j], e.embedding, i),
-                    smat_partial(e.matrices[i], e.embedding, j),
-                ),
-                smat_sub(
-                    smat_mul(e.matrices[i], e.matrices[j]),
-                    smat_mul(e.matrices[j], e.matrices[i]),
-                ),
-            )
-            for key in sorted(smat_keys(lhs)):
-                if any(x.coeff(key) != 0 for row in lhs for x in row):
-                    return (i, j, key)
-    return None
+    """First failing ("connection", i, j, key) or ("base", k, i, key), or None."""
+    return e.integrability_defect
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +517,32 @@ def _eigenbasis_data(a: QMatrix):
     return eigs, pmat, pinv, nil
 
 
+def _shear_hypotheses(e: LogNablaModule) -> tuple[tuple[QMatrix, ...], list]:
+    """Check what shearing needs beyond a disk or point interval -- a sharp
+    monoid, integrability, commuting residues with rational eigenvalues and
+    locally (NI-D) -- and return the residues with their eigenbasis data."""
+    if not is_sharp(e.monoid):
+        raise NotSharp("shearing requires a sharp monoid")
+    if not validate_integrability(e):
+        raise NotIntegrable("connection is not integrable; shearing undefined")
+    res = residue(e)
+    eigendata = [_eigenbasis_data(a0) for a0 in res]
+    _check_ni_coordinatewise([sorted(set(eigs)) for eigs, *_ in eigendata])
+    return res, eigendata
+
+
+def _sparse_coefficients(a: SeriesMatrix, keys) -> dict[Elt, QMatrix]:
+    """The nonzero coefficient matrices of a at the given keys."""
+    n = len(a)
+    out: dict[Elt, list[list[Fraction]]] = {}
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            for k, c in x.terms:
+                if k in keys:
+                    out.setdefault(k, [[Fraction(0)] * n for _ in range(n)])[i][j] = c
+    return {k: tuple(map(tuple, mat)) for k, mat in out.items()}
+
+
 def shear(
     e: LogNablaModule,
     truncation: Optional[int] = None,
@@ -527,44 +552,30 @@ def shear(
     """Gauge B with B_0 = I solving A^i B + d_i B = B A^i_0 for every i,
     plus the inverse, the norm-bound report and the constant base model."""
     if e.interval_kind == "annulus":
-        raise ValueError("shear acts on disk or point modules; annuli go through twist_reduce")
+        raise NotDiskModule("shear acts on disk or point modules; annuli go through twist_reduce")
+    a0s, eigendata = _shear_hypotheses(e)
+    per_matrix_eigs = [sorted(set(eigs)) for eigs, *_ in eigendata]
     m = e.monoid
-    if not is_sharp(m):
-        raise ValueError("shearing requires a sharp monoid")
-    if not validate_integrability(e):
-        raise NotIntegrable("connection is not integrable; shearing undefined")
     t = e.truncation if truncation is None else min(truncation, e.truncation)
     w = e.weighting
     emb = e.embedding
     n = e.rank
-    res = residue(e)
-    per_matrix_eigs = []
-    eigendata = []
-    for a0 in res:
-        eigs, pmat, pinv, nil = _eigenbasis_data(a0)
-        per_matrix_eigs.append(sorted(set(eigs)))
-        eigendata.append((eigs, pmat, pinv, nil))
 
     index = m.index.weighted(w.values)
     ball = index.ball(t)
     keys = index.upto(t)[1:]  # every element of weight 1..t; 0 is the only one of weight 0
     coords = {k: emb.coords(k) for k in keys}
-    _check_ni_coordinatewise(per_matrix_eigs)
-
-    acoeff = [{k: smat_coefficient(e.matrices[i], k) for k in keys} for i in range(emb.r)]
+    acoeff = [_sparse_coefficients(a, coords) for a in e.matrices]
     zero_elt = m.gp.zero()
-    a0s = res
 
     bmats: dict[Elt, QMatrix] = {zero_elt: qidentity(n)}
     for key in keys:
+        rhs = [_convolution_rhs(ac, bmats, key, m, n) for ac in acoeff]
         i0 = next(i for i in range(emb.r) if coords[key][i] != 0)
-        rhs = _convolution_rhs(acoeff[i0], bmats, key, m, n)
-        bm = _solve_sylvester(a0s[i0], Fraction(coords[key][i0]), rhs, n)
+        bm = _solve_sylvester(a0s[i0], Fraction(coords[key][i0]), rhs[i0], n)
         # integrability forces the single-index solution to satisfy all directions
         for i in range(emb.r):
-            lhs = qmat_add_scaled(a0s[i], bm, Fraction(coords[key][i]))
-            check = qmat_sub(lhs, _convolution_rhs(acoeff[i], bmats, key, m, n))
-            if not _is_zero_qmat(check):
+            if qmat_add_scaled(a0s[i], bm, Fraction(coords[key][i])) != rhs[i]:
                 raise AssertionError("shear recursion violates the all-directions identity")
         bmats[key] = bm
 
@@ -592,11 +603,9 @@ def shear(
             _log_norm(nil, p), Fraction(0)
         )
         log_c = max(log_c, cand)
-    for i in range(emb.r):
-        for key in keys:
-            la = matrix_valuation(acoeff[i][key], p)
-            if la is not INF:
-                log_c = max(log_c, Fraction(-la) - qa * ball[key])
+    for ac in acoeff:
+        for key, amat in ac.items():
+            log_c = max(log_c, Fraction(-matrix_valuation(amat, p)) - qa * ball[key])
 
     # Z_m chain DP and the bound records
     logz: dict[Elt, Fraction] = {}
@@ -671,10 +680,9 @@ def qmat_add_scaled(a0: QMatrix, bm: QMatrix, mi: Fraction) -> QMatrix:
 
 
 def _convolution_rhs(acoeffs: dict, bmats: dict, key: Elt, m: FineMonoid, n: int) -> QMatrix:
+    """-sum A_{m'} B_{key - m'} over the nonzero coefficients A_{m'}, m' != 0."""
     acc = _zero_qmat(n)
     for kp, amat in acoeffs.items():
-        if m.gp.is_zero(kp):
-            continue
         rest = m.gp.sub(key, kp)
         bm = bmats.get(rest)
         if bm is None:
@@ -842,16 +850,13 @@ def _block_filtration_ranks(decomp: ResidueDecomposition, res: Sequence[QMatrix]
     return tuple(ranks)
 
 
-def is_sigma_unipotent(
-    e: LogNablaModule,
-    sigma: ExponentSet,
-    face: Face,
-    truncation: Optional[int] = None,
-) -> UnipotenceReport:
+def is_sigma_unipotent(e: LogNablaModule, sigma: ExponentSet, face: Face) -> UnipotenceReport:
     """Sigma-unipotence along a face: sheared exponents, projected to
     (M/F)^gp tensor Q, must match images of Sigma (modulo the quotient
     lattice on annuli, exactly on disks/points).
 
+    The shearing gauge has B_0 = I, so the sheared constant model is the
+    residue; a non-constant module must pass shear's hypothesis checks.
     Annulus modules must be M-supported; the twist-reduce normalization is
     realized by the modulo-lattice comparison of the exponent images.
     """
@@ -862,11 +867,7 @@ def is_sigma_unipotent(
     else:
         if e.interval_kind == "annulus":
             _require_monoid_support(e)
-        sheared = shear(
-            e if e.interval_kind != "annulus" else replace(e, interval_kind="disk"),
-            truncation,
-        )
-        model = sheared.constant_model
+        model, _eigendata = _shear_hypotheses(e)
     decomp = _decomposition_from_model(model, e.embedding, e.rank)
     proj, _d_f = _face_projection_matrix(e.monoid, face)
     modulo = e.interval_kind == "annulus"
@@ -896,7 +897,7 @@ def _require_monoid_support(e: LogNablaModule) -> None:
     for a in e.matrices:
         for key in smat_keys(a):
             if not membership(m, key):
-                raise ValueError(
+                raise NotMonoidSupported(
                     "unipotence decision needs M-supported matrices; twist away "
                     "negative-weight terms first"
                 )
@@ -1224,7 +1225,7 @@ def log_convergence_check(
     """Bounded eta-nullity of P_k = (1/k!) prod_i prod_{j<k_i} (d_i - j) on the
     basis sections: no eta-weighted Gauss norm may exceed the |k| = 0 baseline."""
     if e.interval_kind not in ("disk", "point"):
-        raise ValueError("log-convergence is defined on disks")
+        raise NotDiskModule("log-convergence is defined on disks and points")
     if eta.is_zero or eta.value_exponent() <= 0:
         raise ValueError("eta must lie in (0,1) as a p-power")
     from .weighted_series import gauss_norm

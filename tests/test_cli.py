@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from logmonoid.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -203,3 +205,42 @@ def test_selftest_detects_corruption():
 
     results = selftest.run(5, corrupt=True)
     assert any(not ok for _, ok, _ in results)
+
+
+DOCUMENTS = sorted(DATA.glob("*.json"))
+SIGMAS = [d for d in DOCUMENTS if d.name.startswith("sigma")]
+
+
+@pytest.mark.parametrize("doc", DOCUMENTS, ids=[d.name for d in DOCUMENTS])
+def test_every_fixture_exits_with_a_documented_code(capsys, doc):
+    """Every subcommand on every fixture returns 0, 2, 3 or 4; none raises."""
+    argvs = [["monoid-analyze", doc]]
+    for sub in ("exponents", "shear", "homotopy", "logconv", "dl", "unipotent"):
+        for sigma in SIGMAS:
+            argv = ["connection", sub, doc, "--sigma", sigma]
+            argvs.append(argv + ["--all-faces"] if sub == "unipotent" else argv)
+    failures = []
+    for argv in argvs:
+        try:
+            code, _, err = run(capsys, "--format", "json", *argv)
+        except Exception as exc:  # an exception escaping main is the failure
+            failures.append((argv[:2], repr(exc)))
+            continue
+        if code not in (0, 2, 3, 4) or "Traceback" in err:
+            failures.append((argv[:2], code, err))
+    assert not failures
+
+
+def test_exit_codes_on_the_connection_path(capsys):
+    annulus = DATA / "vertex_counterexample.json"
+    code, out, err = run(capsys, "connection", "shear", annulus)
+    assert (code, out) == (4, "")
+    assert "disk or point" in err
+    code, out, err = run(capsys, "connection", "logconv", annulus)
+    assert (code, out) == (4, "")
+    assert "disks" in err
+    disk = DATA / "n2_sigma_pair_connection.json"
+    for flag, value in (("--eta", "0"), ("--eta", "zero"), ("--radius", "zero")):
+        code, out, err = run(capsys, "connection", "logconv", disk, flag, value)
+        assert (code, out) == (2, "")
+        assert flag in err

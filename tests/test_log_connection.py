@@ -2,10 +2,13 @@
 D_l operators, the homotopy identity and log-convergence."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from logmonoid import documents
 from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
 from logmonoid import oracle as orc
@@ -13,10 +16,14 @@ from logmonoid import weighted_series as ws
 from logmonoid.errors import (
     DenominatorVanishes,
     IrrationalExponent,
+    NotDiskModule,
+    NotIntegrable,
+    NotMonoidSupported,
     NotSemiSaturated,
+    NotSharp,
     SingularSylvester,
 )
-from logmonoid.qlin import qmat, qmat_mul, qinverse
+from logmonoid.qlin import qmat, qmat_mul, qmat_vec, qinverse
 
 from conftest import build_module, build_series, gauge_built_module
 
@@ -564,3 +571,166 @@ def test_shear_randomized_planted_gauges():
         assert all(r.ok for r in sr.bound_report)
         checked += 1
     assert checked == 6
+
+
+# -- one shear per module -------------------------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+
+
+def _connection_fixtures():
+    """(name, module) for every connection document and conftest-built module."""
+    out = []
+    for path in sorted(DATA.glob("*.json")):
+        doc = documents.load_json(str(path))
+        if "matrices" in doc:
+            out.append((path.name, documents.parse_connection(doc)[1]))
+    n1, n2, m_even = mc.free_monoid(1), mc.free_monoid(2), mc.from_presentation(3, [((1, 0, 1), (0, 2, 0))])
+    out.append(("rank2_n", _rank2_n_module(8)))
+    c1 = ((F(0), F(0)), (F(0), F(1, 2)))
+    c2 = ((F(1, 3), F(0)), (F(0), F(1, 3)))
+    out.append(("n2_planted", gauge_built_module(
+        n2, [c1, c2], {(1, 0): ((0, 1), (0, 0)), (1, 1): ((0, 0), (F(1, 2), 0))}, 2, 6)[0]))
+    jordan = ((F(0), F(0), F(0)), (F(0), F(1, 2), F(1)), (F(0), F(0), F(1, 2)))
+    out.append(("n1_jordan", gauge_built_module(
+        n1, [jordan], {(1,): ((0, 1, 0), (0, 0, 0), (1, 0, 0)), (2,): ((0, 0, 2), (0, 0, 0), (0, 0, 0))},
+        3, 6)[0]))
+    out.append(("n1_base", gauge_built_module(
+        n1, [c1], {(1,): ((0, 1), (0, 0))}, 2, 6, base_model=[((F(1), F(0)), (F(0), F(2)))])[0]))
+    g1, g2 = m_even.generators[0][0], m_even.generators[1][0]
+    planted = gauge_built_module(
+        m_even, [c1, c2], {g1: ((0, 1), (0, 0)), g2: ((0, 0), (F(2, 3), 0))}, 2, 4)[0]
+    out.append(("m_even_planted", planted))
+    out.append(("m_even_planted_annulus", replace(planted, interval_kind="annulus")))
+    return out
+
+
+CONNECTION_FIXTURES = _connection_fixtures()
+
+
+def _sheared_model(e):
+    disk = replace(e, interval_kind="disk") if e.interval_kind == "annulus" else e
+    return lc.shear(disk).constant_model
+
+
+@pytest.mark.parametrize("name,e", CONNECTION_FIXTURES, ids=[n for n, _ in CONNECTION_FIXTURES])
+def test_shear_constant_model_is_the_residue(name, e):
+    assert _sheared_model(e) == lc.residue(e)
+
+
+def _unipotence_by_shearing(e, sigma, face):
+    """Reference verdict: shear the module, then decompose its constant model."""
+    model = lc.residue(e) if lc.smat_is_constant_all(e) else _sheared_model(e)
+    decomp = lc._decomposition_from_model(model, e.embedding, e.rank)
+    proj, _ = lc._face_projection_matrix(e.monoid, face)
+    images = tuple(qmat_vec(proj, xi) for xi in decomp.exponents)
+    sigma_images = [qmat_vec(proj, s) for s in sigma.elements]
+    modulo = e.interval_kind == "annulus"
+    verdict = all(any(lc._vectors_match(x, s, modulo) for s in sigma_images) for x in images)
+    return verdict, images, lc._block_filtration_ranks(decomp, model), decomp.exponent_set(e.monoid)
+
+
+@pytest.mark.parametrize("name,e", CONNECTION_FIXTURES, ids=[n for n, _ in CONNECTION_FIXTURES])
+def test_unipotence_matches_shear_then_decompose(name, e):
+    zero = tuple(F(0) for _ in range(e.monoid.gp.free_rank))
+    sigmas = [lc.exponents(e).exponent_set(e.monoid), lc.ExponentSet(e.monoid, (zero,))]
+    compared = 0
+    for sigma in sigmas:
+        if not lc.check_sd(sigma):
+            continue
+        for f in mc.faces(e.monoid):
+            rep = lc.is_sigma_unipotent(e, sigma, f)
+            got = (rep.verdict, rep.face_images, rep.filtration_ranks, rep.sheared_exponents)
+            assert got == _unipotence_by_shearing(e, sigma, f)
+            compared += 1
+    assert compared >= len(mc.faces(e.monoid))
+
+
+def _torsion_unit_module():
+    """Rank 1 over <x, y | 2x = 0>: x is a nonzero unit, so M is not sharp."""
+    m = mc.from_presentation(2, [((2, 0), (0, 0))])
+    return build_module(m, [{(0,): ((F(1, 2),),), (1,): ((1,),)}], 1, 4,
+                        embedding=lc.Embedding(m, ((1,),)))
+
+
+def _hypothesis_breaking_modules():
+    n1, n2 = mc.free_monoid(1), mc.free_monoid(2)
+    return [
+        ("not_integrable", build_module(n2, [{(1, 0): ((0, 1), (0, 0))}, {}], 2, 3)),
+        # integrability at weight 0 already forces the residues to commute
+        ("non_commuting", build_module(
+            n2, [{(0, 0): ((0, 1), (0, 0)), (1, 0): ((1, 0), (0, 0))}, {(0, 0): ((0, 0), (1, 0))}], 2, 3)),
+        ("ni_violated", build_module(n1, [{(0,): ((0, 0), (0, 1)), (1,): ((0, 1), (0, 0))}], 2, 6)),
+        ("irrational", build_module(n1, [{(0,): ((0, 2), (1, 0)), (1,): ((1, 0), (0, 0))}], 2, 4)),
+        ("not_sharp", _torsion_unit_module()),
+    ]
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("not_integrable", NotIntegrable),
+    ("non_commuting", NotIntegrable),
+    ("ni_violated", SingularSylvester),
+    ("irrational", IrrationalExponent),
+    ("not_sharp", NotSharp),
+])
+def test_unipotence_raises_what_shear_raises(name, expected):
+    e = dict(_hypothesis_breaking_modules())[name]
+    with pytest.raises(expected):
+        lc.shear(e)
+    zero = tuple(F(0) for _ in range(e.monoid.gp.free_rank))
+    sigma = lc.ExponentSet(e.monoid, (zero,))
+    for f in mc.faces(e.monoid):
+        with pytest.raises(expected):
+            lc.is_sigma_unipotent(e, sigma, f)
+
+
+def test_shear_rejects_annulus_module():
+    e = dict(CONNECTION_FIXTURES)["m_even_planted_annulus"]
+    with pytest.raises(NotDiskModule):
+        lc.shear(e)
+
+
+def test_unipotence_needs_monoid_support(n2):
+    e = build_module(n2, [{(0, 0): ((F(1, 2),),), ((-1, 1), ()): ((1,),)}, {}], 1, 4, kind="annulus")
+    sigma = lc.ExponentSet(n2, ((F(1, 2), F(0)),))
+    with pytest.raises(NotMonoidSupported):
+        lc.is_sigma_unipotent(e, sigma, mc.faces(n2)[0])
+
+
+# -- integrability is decided once per module -----------------------------------------------------
+
+def test_integrability_is_decided_once(monkeypatch, n2):
+    calls = []
+    series_mul = lc.series_mul
+    monkeypatch.setattr(lc, "series_mul", lambda f, g: calls.append(1) or series_mul(f, g))
+    c1 = ((F(0), F(0)), (F(0), F(1, 2)))
+    c2 = ((F(1, 3), F(0)), (F(0), F(1, 3)))
+    e = gauge_built_module(n2, [c1, c2], {(1, 0): ((0, 1), (0, 0))}, 2, 4)[0]
+    calls.clear()
+    assert lc.validate_integrability(e)
+    first = len(calls)
+    assert first > 0
+    assert lc.validate_integrability(e)
+    assert lc.integrability_defect(e) is None
+    assert len(calls) == first
+
+
+def test_integrability_of_a_replaced_copy_is_its_own(n2):
+    c1 = ((F(0), F(0)), (F(0), F(1, 2)))
+    c2 = ((F(1, 3), F(0)), (F(0), F(1, 3)))
+    e = gauge_built_module(n2, [c1, c2], {(1, 0): ((0, 1), (0, 0))}, 2, 4)[0]
+    assert lc.validate_integrability(e)
+    # t^(1,0) N in A^0 leaves -d_1 (t^(1,0) N) = -t^(1,0) N in the bracket
+    perturbed = build_module(n2, [{(1, 0): ((0, 1), (0, 0))}, {}], 2, e.truncation).matrices[0]
+    e2 = replace(e, matrices=(lc.smat_add(e.matrices[0], perturbed), e.matrices[1]))
+    assert not lc.validate_integrability(e2)
+    assert lc.integrability_defect(e2)[:3] == ("connection", 0, 1)
+    assert lc.validate_integrability(e)
+
+
+def test_integrability_defect_reports_base_matrices(n1):
+    c = ((F(0), F(0)), (F(0), F(1, 2)))
+    e = build_module(n1, [{(0,): c, (1,): ((0, 1), (0, 0))}], 2, 4,
+                     base_terms=[{(0,): ((0, 1), (0, 0))}])
+    assert lc.integrability_defect(e) == ("base", 0, 0, n1.gp.zero())
+    assert not lc.validate_integrability(e)
