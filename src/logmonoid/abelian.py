@@ -62,9 +62,6 @@ class AbelianGroup:
     def is_zero(self, x: Elt) -> bool:
         return all(a == 0 for a in x[0]) and all(a == 0 for a in x[1])
 
-    def is_torsion(self, x: Elt) -> bool:
-        return all(a == 0 for a in x[0])
-
     def torsion_generators(self) -> list[Elt]:
         out = []
         for i in range(len(self.torsion_invariants)):

@@ -71,10 +71,6 @@ def _render(report: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _describe_element(ctx: MonoidContext, g) -> dict:
-    return ctx.render_element(g)
-
-
 def _describe_vector(v) -> list[str]:
     return [render_rational(x) for x in v]
 
@@ -90,9 +86,9 @@ def cmd_monoid_analyze(path: str, config: RunConfig) -> dict:
             "free_rank": m.gp.free_rank,
             "torsion": list(m.gp.torsion_invariants),
         },
-        "generators": [_describe_element(ctx, g) for g in m.generators],
+        "generators": [ctx.render_element(g) for g in m.generators],
         "weighting": list(ctx.weighting.values),
-        "units": [_describe_element(ctx, u) for u in mc.units(m)],
+        "units": [ctx.render_element(u) for u in mc.units(m)],
         "sharp": sharp,
         "faces": [sorted(f.generator_indices) for f in faces],
         "facets": [sorted(f.generator_indices) for f in facets],
@@ -129,7 +125,7 @@ def cmd_connection(args, config: RunConfig) -> dict:
         for key in sorted(lc.smat_keys(result.gauge)):
             gauge_terms.append(
                 {
-                    "m": _describe_element(ctx, key),
+                    "m": ctx.render_element(key),
                     "entries": [
                         [render_rational(x.coeff(key)) for x in row]
                         for row in result.gauge
@@ -138,7 +134,7 @@ def cmd_connection(args, config: RunConfig) -> dict:
             )
         bounds = [
             {
-                "m": _describe_element(ctx, r.key),
+                "m": ctx.render_element(r.key),
                 "weight": r.weight,
                 "log_norm": "-inf" if r.actual is None else render_rational(r.actual),
                 "log_bound": render_rational(r.bound),

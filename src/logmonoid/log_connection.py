@@ -333,16 +333,46 @@ class LogNablaModule:
                 return label + (min(keys),)
         return None
 
+    # the residue analysis depends on the module alone: computed at most once,
+    # freed with the module; a failing step raises again on the next read
+
+    @cached_property
+    def residues(self) -> tuple[QMatrix, ...]:
+        """Constant terms A^i_0, validated to commute pairwise."""
+        mats = tuple(smat_constant_term(a) for a in self.matrices)
+        for a, b in itertools.combinations(mats, 2):
+            if qmat_mul(a, b) != qmat_mul(b, a):
+                raise NonCommutingResidues("constant terms of the connection do not commute")
+        return mats
+
+    @cached_property
+    def decomposition(self) -> "ResidueDecomposition":
+        return _decomposition_from_model(self.residues, self.embedding, self.rank)
+
+    @cached_property
+    def eigenbasis_data(self) -> tuple:
+        """Shear's per-residue (eigenvalues, P, P^{-1}, nilpotent part)."""
+        return tuple(_eigenbasis_data(a) for a in self.residues)
+
+    @cached_property
+    def filtration_ranks(self) -> tuple[int, ...]:
+        return _block_filtration_ranks(self.decomposition, self.residues)
+
+    @cached_property
+    def nilpotency_indices(self) -> tuple[tuple[int, ...], ...]:
+        """Per block of the decomposition and per residue, the nilpotency
+        index of the residue's nilpotent part on the block."""
+        d = self.decomposition
+        return tuple(
+            tuple(_nilpotent_part(a, basis, x)[1] for a, x in zip(self.residues, eigs))
+            for eigs, basis in zip(d.eigentuples, d.blocks)
+        )
+
 
 def validate_integrability(e: LogNablaModule) -> bool:
     """[d_i + A^i, d_j + A^j] = 0 and [d_i + A^i, D] = 0 coefficientwise up to
     truncation; decided once per module."""
     return e.integrability_defect is None
-
-
-def integrability_defect(e: LogNablaModule):
-    """First failing ("connection", i, j, key) or ("base", k, i, key), or None."""
-    return e.integrability_defect
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +381,7 @@ def integrability_defect(e: LogNablaModule):
 
 def residue(e: LogNablaModule) -> tuple[QMatrix, ...]:
     """Constant terms A^i_0, validated to commute pairwise."""
-    mats = tuple(smat_constant_term(a) for a in e.matrices)
-    for a, b in itertools.combinations(mats, 2):
-        if qmat_mul(a, b) != qmat_mul(b, a):
-            raise NonCommutingResidues("constant terms of the connection do not commute")
-    return mats
+    return e.residues
 
 
 @dataclass(frozen=True)
@@ -435,7 +461,7 @@ def joint_decomposition(mats: Sequence[QMatrix], n: int) -> list[tuple[tuple[Fra
 
 def exponents(e: LogNablaModule) -> ResidueDecomposition:
     """Exponents xi_k in M^gp tensor Q with multiplicities and block witnesses."""
-    return _decomposition_from_model(residue(e), e.embedding, e.rank)
+    return e.decomposition
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +524,17 @@ def _is_zero_qmat(a: QMatrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
+def _nilpotent_part(a: QMatrix, basis: Sequence[QVector], xi: Fraction) -> tuple[QMatrix, int]:
+    """N = a - xi on span(basis), which a must leave invariant, and its
+    nilpotency index: the least k >= 1 with N^k = 0."""
+    nil = qmat_sub(_restrict(a, basis), qmat_scale(xi, qidentity(len(basis))))
+    index, power = 1, nil
+    while not _is_zero_qmat(power):
+        power = qmat_mul(power, nil)
+        index += 1
+    return nil, index
+
+
 def _eigenbasis_data(a: QMatrix):
     """(eigenvalues list, P, P^{-1}, nilpotent part in the eigenbasis)."""
     spaces = _generalized_eigenspaces(a)
@@ -517,7 +554,7 @@ def _eigenbasis_data(a: QMatrix):
     return eigs, pmat, pinv, nil
 
 
-def _shear_hypotheses(e: LogNablaModule) -> tuple[tuple[QMatrix, ...], list]:
+def _shear_hypotheses(e: LogNablaModule) -> tuple[tuple[QMatrix, ...], tuple]:
     """Check what shearing needs beyond a disk or point interval -- a sharp
     monoid, integrability, commuting residues with rational eigenvalues and
     locally (NI-D) -- and return the residues with their eigenbasis data."""
@@ -525,8 +562,8 @@ def _shear_hypotheses(e: LogNablaModule) -> tuple[tuple[QMatrix, ...], list]:
         raise NotSharp("shearing requires a sharp monoid")
     if not validate_integrability(e):
         raise NotIntegrable("connection is not integrable; shearing undefined")
-    res = residue(e)
-    eigendata = [_eigenbasis_data(a0) for a0 in res]
+    res = e.residues
+    eigendata = e.eigenbasis_data
     _check_ni_coordinatewise([sorted(set(eigs)) for eigs, *_ in eigendata])
     return res, eigendata
 
@@ -825,10 +862,7 @@ def _block_filtration_ranks(decomp: ResidueDecomposition, res: Sequence[QMatrix]
     r = len(res)
     for eigs, basis in zip(decomp.eigentuples, decomp.blocks):
         k = len(basis)
-        nils = []
-        for i in range(r):
-            sub = _restrict(res[i], basis)
-            nils.append(qmat_sub(sub, qmat_scale(eigs[i], qidentity(k))))
+        nils = [_nilpotent_part(a, basis, x)[0] for a, x in zip(res, eigs)]
         prev_dim = 0
         j = 1
         while prev_dim < k:
@@ -862,13 +896,11 @@ def is_sigma_unipotent(e: LogNablaModule, sigma: ExponentSet, face: Face) -> Uni
     """
     if not check_sd(sigma, "NI"):
         raise SingularSylvester("Sigma fails the (NI-D) facet condition")
-    if smat_is_constant_all(e):
-        model = residue(e)
-    else:
+    if not smat_is_constant_all(e):
         if e.interval_kind == "annulus":
             _require_monoid_support(e)
-        model, _eigendata = _shear_hypotheses(e)
-    decomp = _decomposition_from_model(model, e.embedding, e.rank)
+        _shear_hypotheses(e)
+    decomp = e.decomposition
     proj, _d_f = _face_projection_matrix(e.monoid, face)
     modulo = e.interval_kind == "annulus"
     images = tuple(qmat_vec(proj, qvec(xi)) for xi in decomp.exponents)
@@ -878,11 +910,10 @@ def is_sigma_unipotent(e: LogNablaModule, sigma: ExponentSet, face: Face) -> Uni
         if not any(_vectors_match(img, s, modulo) for s in sigma_images):
             verdict = False
             break
-    ranks = _block_filtration_ranks(decomp, model)
     return UnipotenceReport(
         verdict=verdict,
         sheared_exponents=decomp.exponent_set(e.monoid),
-        filtration_ranks=ranks,
+        filtration_ranks=e.filtration_ranks,
         offending_face=None if verdict else face,
         face_images=images,
     )
@@ -963,25 +994,17 @@ def default_projection_polynomials(e: LogNablaModule, target_block: int = 0) -> 
     """Q_i = (minimal polynomial of res_i) / (x - xi_{i,target}): the image of
     prod Q_i(res_i) lands in the xi_target eigenspace."""
     res = _require_constant_model(e)
-    decomp = exponents(e)
+    decomp = e.decomposition
     target = decomp.eigentuples[target_block]
     polys = []
-    for i, a in enumerate(res):
-        spaces = _generalized_eigenspaces(a)
-        # minimal polynomial exponent per eigenvalue: nilpotency index on the space
-        factors = []
-        for xi, vecs in spaces:
-            k = len(vecs)
-            sub = _restrict(a, vecs)
-            nil = qmat_sub(sub, qmat_scale(xi, qidentity(k)))
-            idx = 1
-            power = nil
-            while not _is_zero_qmat(power):
-                power = qmat_mul(power, nil)
-                idx += 1
-            factors.append((xi, idx))
+    for i in range(len(res)):
+        # minimal polynomial exponent per eigenvalue of res_i: its nilpotency
+        # index on the generalized eigenspace, the sum of the blocks sharing it
+        factors: dict[Fraction, int] = {}
+        for eigs, indices in zip(decomp.eigentuples, e.nilpotency_indices):
+            factors[eigs[i]] = max(factors.get(eigs[i], 1), indices[i])
         poly = [Fraction(1)]
-        for xi, idx in factors:
+        for xi, idx in factors.items():
             mult = idx - 1 if xi == target[i] else idx
             for _ in range(mult):
                 poly = _poly_mul(poly, [-xi, Fraction(1)])
@@ -1007,13 +1030,10 @@ def dl_projection(
     """The generization operator D_l applied termwise: on t^m w the operator
     d_i acts as res_i + m_i."""
     res = _require_constant_model(e)
-    decomp = exponents(e)
+    decomp = e.decomposition
     n = e.rank
     emb = e.embedding
-    q = max(
-        (_nilpotency_on_block(res, decomp, b) for b in range(len(decomp.blocks))),
-        default=1,
-    )
+    q = max((max(indices, default=1) for indices in e.nilpotency_indices), default=1)
     target = decomp.eigentuples[target_block]
     keys = set()
     for f in v:
@@ -1054,23 +1074,6 @@ def dl_projection(
     )
 
 
-def _nilpotency_on_block(res, decomp, block_index) -> int:
-    basis = decomp.blocks[block_index]
-    eigs = decomp.eigentuples[block_index]
-    k = len(basis)
-    best = 1
-    for i, a in enumerate(res):
-        sub = _restrict(a, basis)
-        nil = qmat_sub(sub, qmat_scale(eigs[i], qidentity(k)))
-        idx = 1
-        power = nil
-        while not _is_zero_qmat(power):
-            power = qmat_mul(power, nil)
-            idx += 1
-        best = max(best, idx)
-    return best
-
-
 def dl_limit(
     e: LogNablaModule,
     v: Sequence[TruncatedSeries],
@@ -1080,7 +1083,7 @@ def dl_limit(
     """prod_i Q_i(res_i)(v_0): the H^0_{xi_1} witness; asserts the projection
     stabilizes to it once l exceeds every tracked coordinate."""
     res = _require_constant_model(e)
-    decomp = exponents(e)
+    decomp = e.decomposition
     n = e.rank
     zero = e.monoid.gp.zero()
     v0 = qvec([f.coeff(zero) for f in v])

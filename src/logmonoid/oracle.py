@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from .abelian import Elt
 from .errors import BudgetExceeded, SingularSystem
@@ -40,6 +42,13 @@ def _weight_map(m: FineMonoid):
 
 def enumerate_monoid(m: FineMonoid, budget: EnumerationBudget) -> list[Elt]:
     """Every element with weight <= bound, by repeated generator addition."""
+    return sorted(_ball(m, budget))
+
+
+@lru_cache(maxsize=64)
+def _ball(m: FineMonoid, budget: EnumerationBudget) -> MappingProxyType:
+    """Read-only {element: weight} for the ball of enumerate_monoid,
+    enumerated once per (monoid, budget) however many probes read it."""
     values, weight = _weight_map(m)
     for g, v in zip(m.generators, values):
         if v == 0 and not m.gp.is_zero(g):
@@ -58,7 +67,7 @@ def enumerate_monoid(m: FineMonoid, budget: EnumerationBudget) -> list[Elt]:
                     changed = True
                     if len(elements) > budget.element_cap:
                         raise BudgetExceeded("element cap exceeded")
-    return sorted(elements)
+    return MappingProxyType({e: weight(e) for e in elements})
 
 
 def brute_membership(m: FineMonoid, g: Elt, budget: EnumerationBudget) -> bool:
@@ -66,7 +75,7 @@ def brute_membership(m: FineMonoid, g: Elt, budget: EnumerationBudget) -> bool:
     w = weight(g)
     if w > budget.weight_bound:
         raise BudgetExceeded("element weight exceeds the budget")
-    return g in enumerate_monoid(m, budget)
+    return g in _ball(m, budget)
 
 
 def _closure_in_ball(m: FineMonoid, gens, ball_set) -> set[Elt]:
@@ -127,16 +136,14 @@ def brute_h_plus(m: FineMonoid, g: Elt, budget: EnumerationBudget) -> int:
     big = EnumerationBudget(
         budget.weight_bound + max(0, -int(wg)), budget.element_cap
     )
-    ball_set = set(enumerate_monoid(m, big))
+    ball = _ball(m, big)
     best = None
-    for y in ball_set:
-        if weight(y) > budget.weight_bound:
+    for y, wy in ball.items():
+        if wy > budget.weight_bound:
             continue
-        diff = m.gp.sub(y, g)
-        if diff in ball_set:
-            wy = int(weight(y))
+        if m.gp.sub(y, g) in ball:
             if best is None or wy < best:
-                best = wy
+                best = int(wy)
     if best is None:
         raise BudgetExceeded("no decomposition found within the budget")
     return best

@@ -60,12 +60,6 @@ def qmat_scale(c: Fraction, a: QMatrix) -> QMatrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def qtranspose(a: QMatrix) -> QMatrix:
-    if not a:
-        return tuple()
-    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
-
-
 def _gauss(a: QMatrix, rhs: Optional[list[list[Fraction]]] = None):
     """Row-reduce a copy of `a` (and optional right-hand sides); return
     (reduced rows, rhs rows, pivot columns)."""

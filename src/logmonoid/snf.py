@@ -34,12 +34,6 @@ def mat_vec(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
 
 
-def transpose(a: IntMatrix) -> IntMatrix:
-    if not a:
-        return tuple()
-    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
-
-
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (d, u, v) with u*a*v = d diagonal, d_1 | d_2 | ..., u, v unimodular."""
     m = [list(row) for row in a]

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
 from logmonoid import weighted_series as ws
+# the connection builders live with the selftest registry, which uses them too
+from logmonoid.selftest import build_module, gauge_built_module  # noqa: F401
 
 
 @pytest.fixture(scope="session")
@@ -60,76 +61,3 @@ def build_series(monoid, weighting, terms, truncation, annulus=False):
             elt = monoid.element(key)
         coeffs[elt] = Fraction(c)
     return ws.series(monoid, weighting, coeffs, truncation, annulus=annulus)
-
-
-def build_module(monoid, matrix_terms, rank, truncation, embedding=None, kind="disk",
-                 base_terms=None):
-    """matrix_terms: list (per embedding coordinate) of {key: rank x rank rationals}."""
-    h = ws.default_weighting(monoid)
-    emb = embedding or lc.facet_embedding(monoid)
-    annulus = kind == "annulus"
-
-    def build(per_key):
-        rows = []
-        for i in range(rank):
-            row = []
-            for j in range(rank):
-                coeffs = {}
-                for key, mat in per_key.items():
-                    elt = monoid.element(key) if not (key and isinstance(key[0], tuple)) else monoid.gp.element(*key)
-                    v = Fraction(mat[i][j])
-                    if v:
-                        coeffs[elt] = v
-                row.append(ws.series(monoid, h, coeffs, truncation, annulus=annulus))
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    mats = tuple(build(per_key) for per_key in matrix_terms)
-    base = tuple(build(per_key) for per_key in base_terms) if base_terms else None
-    return lc.LogNablaModule(rank, emb, mats, base, kind)
-
-
-def smat_neumann_inverse(g):
-    """Inverse of a series matrix with constant term I (by Neumann series)."""
-    entry = g[0][0]
-    m, h, t = entry.monoid, entry.weighting, entry.truncation
-    n = len(g)
-    ident = lc.smat_from_rational(
-        m, h, tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)), t
-    )
-    nil = lc.smat_sub(ident, g)
-    acc = ident
-    power = ident
-    for _ in range(t):
-        power = lc.smat_mul(power, nil)
-        if lc.smat_is_zero(power):
-            break
-        acc = lc.smat_add(acc, power)
-    return acc
-
-
-def gauge_built_module(monoid, constant_model, gauge_terms, rank, truncation,
-                       base_model=None):
-    """U_I(constant_model) rewritten in the basis e*G: shear must invert G."""
-    h = ws.default_weighting(monoid)
-    emb = lc.facet_embedding(monoid)
-    u = lc.apply_ui(emb, h, constant_model, truncation,
-                    base_model=base_model)
-    g = _build_gauge(monoid, h, gauge_terms, rank, truncation)
-    g_inv = smat_neumann_inverse(g)
-    return lc.gauge_transform(u, g, g_inv), g, g_inv
-
-
-def _build_gauge(monoid, h, gauge_terms, rank, truncation):
-    rows = []
-    for i in range(rank):
-        row = []
-        for j in range(rank):
-            coeffs = {monoid.gp.zero(): Fraction(1)} if i == j else {}
-            for key, mat in gauge_terms.items():
-                v = Fraction(mat[i][j])
-                if v:
-                    coeffs[monoid.element(key)] = v
-            row.append(ws.series(monoid, h, coeffs, truncation))
-        rows.append(tuple(row))
-    return tuple(rows)

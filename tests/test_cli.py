@@ -1,10 +1,13 @@
 """The command-line interface: reports, determinism, exit codes."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from logmonoid import monoid_core as mc
+from logmonoid import selftest
 from logmonoid.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -189,22 +192,41 @@ def test_text_format_renders(capsys):
     assert "semi_saturated: True" in out
 
 
-def test_selftest_passes(capsys):
-    code, out, _ = run(capsys, "selftest")
-    assert code == 0
-    assert "FAIL" not in out
-
-
 def test_selftest_prime_7(capsys):
     code, out, _ = run(capsys, "--prime", "7", "selftest")
     assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        f"[PASS] {name}" for name in selftest.CHECKS
+    ]
 
 
-def test_selftest_detects_corruption():
-    from logmonoid import selftest
+def test_selftest_detects_corruption(capsys, monkeypatch):
+    """A wrong coefficient in the rank2-N shear fixture fails the shear entry,
+    and the command exits 1 with a [FAIL] line and no traceback."""
+    build = selftest._shear_fixtures
 
-    results = selftest.run(5, corrupt=True)
-    assert any(not ok for _, ok, _ in results)
+    def corrupted(truncation):
+        e = selftest.build_module(
+            mc.free_monoid(1), [{(0,): ((0, 0), (0, Fraction(1, 2))), (1,): ((0, 2), (0, 0))}],
+            2, truncation,
+        )
+        return [("rank2-N", e, None)] + build(truncation)[1:]
+
+    monkeypatch.setattr(selftest, "_shear_fixtures", corrupted)
+    monkeypatch.setattr(selftest, "CHECKS", {"04_shear_suite": selftest.CHECKS["04_shear_suite"]})
+    code, out, err = run(capsys, "selftest")
+    assert code == 1
+    assert out.startswith("[FAIL] 04_shear_suite: rank2-N: unexpected first-order gauge")
+    assert "Traceback" not in err
+
+
+def test_selftest_reports_a_crashing_check(capsys, monkeypatch):
+    def crash(prime):
+        raise ValueError(f"no data at p={prime}")
+
+    monkeypatch.setattr(selftest, "CHECKS", {"crash": crash})
+    code, out, err = run(capsys, "--prime", "3", "selftest")
+    assert (code, out, err) == (1, "[FAIL] crash: ValueError: no data at p=3\n", "")
 
 
 DOCUMENTS = sorted(DATA.glob("*.json"))

@@ -128,7 +128,7 @@ def test_integrability_failing_instance(n2):
     # A^1 = t^{(1,1)} E12, A^2 = 0: d_2 A^1 has a nonzero coefficient
     e = build_module(n2, [{(1, 1): ((0, 1), (0, 0))}, {}], 2, 6)
     assert not lc.validate_integrability(e)
-    assert lc.integrability_defect(e) is not None
+    assert e.integrability_defect is not None
 
 
 # -- residues and exponents ---------------------------------------------------------
@@ -711,7 +711,7 @@ def test_integrability_is_decided_once(monkeypatch, n2):
     first = len(calls)
     assert first > 0
     assert lc.validate_integrability(e)
-    assert lc.integrability_defect(e) is None
+    assert e.integrability_defect is None
     assert len(calls) == first
 
 
@@ -724,7 +724,7 @@ def test_integrability_of_a_replaced_copy_is_its_own(n2):
     perturbed = build_module(n2, [{(1, 0): ((0, 1), (0, 0))}, {}], 2, e.truncation).matrices[0]
     e2 = replace(e, matrices=(lc.smat_add(e.matrices[0], perturbed), e.matrices[1]))
     assert not lc.validate_integrability(e2)
-    assert lc.integrability_defect(e2)[:3] == ("connection", 0, 1)
+    assert e2.integrability_defect[:3] == ("connection", 0, 1)
     assert lc.validate_integrability(e)
 
 
@@ -732,5 +732,61 @@ def test_integrability_defect_reports_base_matrices(n1):
     c = ((F(0), F(0)), (F(0), F(1, 2)))
     e = build_module(n1, [{(0,): c, (1,): ((0, 1), (0, 0))}], 2, 4,
                      base_terms=[{(0,): ((0, 1), (0, 0))}])
-    assert lc.integrability_defect(e) == ("base", 0, 0, n1.gp.zero())
+    assert e.integrability_defect == ("base", 0, 0, n1.gp.zero())
     assert not lc.validate_integrability(e)
+
+
+# -- the residue analysis runs once per module ----------------------------------------------------
+
+def test_unipotence_analyses_the_module_once(monkeypatch):
+    """Every face after the first costs no eigenspace or filtration work."""
+    counts = {"eigenspaces": 0, "filtration": 0}
+    eigenspaces, filtration = lc._generalized_eigenspaces, lc._block_filtration_ranks
+
+    def count(key, fn):
+        return lambda *a: counts.__setitem__(key, counts[key] + 1) or fn(*a)
+
+    monkeypatch.setattr(lc, "_generalized_eigenspaces", count("eigenspaces", eigenspaces))
+    monkeypatch.setattr(lc, "_block_filtration_ranks", count("filtration", filtration))
+    e = dict(CONNECTION_FIXTURES)["m_even_planted"]
+    e = replace(e)  # a fresh copy, with nothing cached yet
+    sigma = lc.exponents(e).exponent_set(e.monoid)
+    faces = mc.faces(e.monoid)
+    reports = [lc.is_sigma_unipotent(e, sigma, faces[0])]
+    after_one = dict(counts)
+    assert after_one["eigenspaces"] > 0 and after_one["filtration"] == 1
+    reports += [lc.is_sigma_unipotent(e, sigma, f) for f in faces[1:]]
+    lc.shear(e)
+    assert counts == after_one
+    assert len(faces) == 4
+    assert all(r.filtration_ranks == reports[0].filtration_ranks for r in reports)
+
+
+def test_dl_operators_reuse_the_module_analysis(monkeypatch, n2):
+    calls = []
+    eigenspaces = lc._generalized_eigenspaces
+    monkeypatch.setattr(lc, "_generalized_eigenspaces", lambda a: calls.append(1) or eigenspaces(a))
+    emb = lc.facet_embedding(n2)
+    h = ws.default_weighting(n2)
+    e = lc.apply_ui(emb, h, [((0, 1), (0, 0)), ((F(1, 5), 0), (0, F(1, 5)))], 4)
+    lc.exponents(e)
+    first = len(calls)
+    v = (build_series(n2, h, {(0, 0): 1, (1, 0): 2}, 4), build_series(n2, h, {(0, 0): 5}, 4))
+    polys = lc.default_projection_polynomials(e)
+    lc.dl_projection(e, v, polys, 4)
+    assert lc.dl_limit(e, v, polys) == (F(5), F(0))
+    assert len(calls) == first
+
+
+def test_projection_polynomials_take_each_eigenvalue_over_all_its_blocks(n2):
+    """res_1 has eigenvalue 0 on two joint blocks, with nilpotency index 2 on
+    one and 1 on the other: its minimal polynomial is x^2, not x."""
+    emb = lc.facet_embedding(n2)
+    h = ws.default_weighting(n2)
+    res1 = ((0, 1, 0), (0, 0, 0), (0, 0, 0))
+    res2 = ((0, 0, 0), (0, 0, 0), (0, 0, F(1, 3)))
+    e = lc.apply_ui(emb, h, [res1, res2], 4)
+    assert lc.exponents(e).eigentuples == ((0, 0), (0, F(1, 3)))
+    # Q_i = (minimal polynomial of res_i) / (x - xi_{i,target}), ascending coefficients
+    assert lc.default_projection_polynomials(e, 0) == [[0, 1], [F(-1, 3), 1]]
+    assert lc.default_projection_polynomials(e, 1) == [[0, 1], [0, 1]]

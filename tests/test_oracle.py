@@ -48,6 +48,16 @@ def test_enumerate_element_cap(n2):
         orc.enumerate_monoid(n2, orc.EnumerationBudget(10, element_cap=5))
 
 
+def test_enumeration_hands_out_a_fresh_list(n2):
+    budget = orc.EnumerationBudget(3)
+    first = orc.enumerate_monoid(n2, budget)
+    first.clear()  # the caller owns its list
+    again = orc.enumerate_monoid(mc.free_monoid(2), budget)
+    assert len(again) == 10 and again == orc.enumerate_monoid(n2, budget)
+    assert orc.brute_membership(n2, n2.element((3, 0)), budget)
+    assert orc._ball.cache_info().maxsize is not None  # the only cache is bounded
+
+
 def test_brute_faces_counts(n2, m_even, nm1):
     assert len(orc.brute_faces(n2, orc.EnumerationBudget(4))) == 4
     assert len(orc.brute_faces(m_even, orc.EnumerationBudget(6))) == 4
