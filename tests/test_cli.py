@@ -192,6 +192,15 @@ def test_text_format_renders(capsys):
     assert "semi_saturated: True" in out
 
 
+def test_selftest_passes(capsys):
+    code, out, _ = run(capsys, "selftest")
+    assert code == 0
+    assert "FAIL" not in out
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        f"[PASS] {name}" for name in selftest.CHECKS
+    ]
+
+
 def test_selftest_prime_7(capsys):
     code, out, _ = run(capsys, "--prime", "7", "selftest")
     assert code == 0
