@@ -95,8 +95,7 @@ def cmd_monoid_analyze(path: str, config: RunConfig) -> dict:
         "semi_saturated": mc.is_semi_saturated(m),
     }
     if sharp:
-        verdict = mc.is_saturated_bounded(m, config.weight_bound)
-        report["saturated"] = "unknown" if verdict is None else verdict
+        report["saturated"] = mc.is_saturated_bounded(m)
     else:
         report["saturated"] = "not-applicable (monoid has units)"
     return report

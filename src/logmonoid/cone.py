@@ -1,20 +1,43 @@
-"""Exact rational cone computations.
+"""Exact cones, described by their facets.
 
-Feasibility questions (cone membership, interior dual vectors, face
-supports) are solved by a phase-1 simplex with Bland's rule over
-Fractions, so every answer is a certificate.  Hilbert bases are computed
-for pointed cones of rank <= 3 by fan triangulation plus fundamental
-parallelepiped enumeration.
+`Cone` takes integer vectors generating a cone in Q^dim and finds its
+facets once, by an integer double description of the dual cone
+{lam : lam*v >= 0 for every generator v} (Fukuda-Prodon, "Double
+description method revisited", 1996).  The extreme rays of the dual are
+the facet normals, one primitive integer vector per facet; the forms that
+vanish on every generator are kept as an integer basis.  Everything else
+is an integer dot product away:
+
+* a point lies in the cone iff every normal is >= 0 on it and every
+  vanishing form is 0 on it;
+* the faces, each as the set of generators it contains, are the whole set
+  and every intersection of facet supports (the generators a normal
+  vanishes on);
+* the lineality space holds the generators on which every normal vanishes.
+
+Hilbert bases of pointed cones, in any rank, come from a pulling
+triangulation read from the face lattice plus the lattice points of each
+simplicial cone's fundamental parallelepiped, listed from its Smith form
+(Bruns-Ichim, "Normaliz: algorithms for affine monoids and rational
+cones", J. Algebra 2010).
+
+A phase-1 simplex over Fractions with Bland's rule remains for questions
+about cones known only by generators: a functional positive on given
+vectors (the default weighting) and membership (verticality), each answer
+a certificate.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
-from .qlin import QVector, qmat, qrank, qsolve, qvec
+from . import snf as _snf
+from .qlin import QVector, qvec
 
 
 def simplex_feasible(
@@ -120,17 +143,6 @@ def support_functional(
     return tuple(sol[i] - sol[dim + i] for i in range(dim))
 
 
-def lineality_indices(rays: Sequence[QVector]) -> set[int]:
-    """Indices j with -rays[j] in cone(rays)."""
-    out = set()
-    for j, v in enumerate(rays):
-        if all(x == 0 for x in v):
-            out.add(j)
-        elif cone_member(rays, tuple(-x for x in v)) is not None:
-            out.add(j)
-    return out
-
-
 def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     g = 0
     for x in v:
@@ -140,143 +152,169 @@ def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
-def integer_ray(v: Sequence[Fraction]) -> tuple[int, ...]:
-    """Primitive integer vector on the ray through v."""
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return _primitive([int(x * den) for x in v])
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
-def extreme_rays(rays: Sequence[QVector]) -> list[QVector]:
-    """Inclusion-minimal generating subset of a pointed cone, primitive, deduplicated."""
-    prim: list[QVector] = []
-    for v in rays:
-        if all(x == 0 for x in v):
+def _double_description(
+    vectors: Sequence[tuple[int, ...]], dim: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """(extreme rays, lineality basis) of {lam in Q^dim : lam*v >= 0 for v in
+    vectors}, as primitive integer vectors, the rays taken modulo the lines.
+
+    The constraints are added one at a time.  A constraint that some line
+    does not vanish on turns that line into a ray and moves the rest onto
+    its hyperplane.  Otherwise the rays on its negative side are replaced by
+    the combinations of a positive and a negative ray that span an edge:
+    those whose common tight constraints no third ray is tight on.
+    """
+    lines = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+    rays: list[tuple[int, ...]] = []
+    tight: list[int] = []  # bit i set: the ray is 0 on vectors[i]
+    for i, a in enumerate(vectors):
+        bit = 1 << i
+        k = next((k for k, line in enumerate(lines) if _dot(a, line)), None)
+        if k is not None:
+            pivot = lines.pop(k)
+            s = _dot(a, pivot)
+            if s < 0:
+                pivot, s = tuple(-x for x in pivot), -s
+
+            def onto(w):
+                t = _dot(a, w)
+                return _primitive([s * x - t * y for x, y in zip(w, pivot)])
+
+            lines = [onto(line) for line in lines]
+            rays = [onto(r) for r in rays] + [pivot]
+            tight = [t | bit for t in tight] + [bit - 1]
             continue
-        pv = qvec(integer_ray(v))
-        if pv not in prim:
-            prim.append(pv)
-    out = []
-    for j, v in enumerate(prim):
-        others = [w for k, w in enumerate(prim) if k != j]
-        if cone_member(others, v) is None:
-            out.append(v)
-    return out
+        vals = [_dot(a, r) for r in rays]
+        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
+        new_tight = [t | bit if v == 0 else t for t, v in zip(tight, vals) if v >= 0]
+        for p, vp in enumerate(vals):
+            if vp <= 0:
+                continue
+            for n, vn in enumerate(vals):
+                if vn >= 0:
+                    continue
+                common = tight[p] & tight[n]
+                if any(t & common == common for j, t in enumerate(tight) if j != p and j != n):
+                    continue
+                new_rays.append(_primitive([vp * x - vn * y for x, y in zip(rays[n], rays[p])]))
+                new_tight.append(common | bit)
+        rays, tight = new_rays, new_tight
+    return rays, lines
 
 
-def _span_basis(rays: Sequence[QVector]) -> list[QVector]:
-    basis: list[QVector] = []
-    for v in rays:
-        cand = basis + [v]
-        if qrank(qmat(cand)) == len(cand):
-            basis.append(v)
-    return basis
+class Cone:
+    """cone(vectors) in Q^dim, described by its facets."""
+
+    def __init__(self, vectors: Sequence[Sequence[int]], dim: int):
+        self.vectors = tuple(tuple(int(x) for x in v) for v in vectors)
+        self.dim = dim
+        self.normals, self.lines = _double_description(self.vectors, dim)
+        self.supports = tuple(
+            frozenset(i for i, v in enumerate(self.vectors) if _dot(lam, v) == 0)
+            for lam in self.normals
+        )
+        self.lineality = frozenset(range(len(self.vectors))).intersection(*self.supports)
+
+    def faces(self) -> set[frozenset[int]]:
+        """Every face as the set of generators it contains."""
+        found = {frozenset(range(len(self.vectors)))}
+        todo = list(found)
+        while todo:
+            face = todo.pop()
+            for s in self.supports:
+                cut = face & s
+                if cut not in found:
+                    found.add(cut)
+                    todo.append(cut)
+        return found
+
+    def _facets_of(self, face: frozenset[int]) -> list[frozenset[int]]:
+        """The maximal faces strictly inside a face."""
+        cuts = {face & s for s in self.supports if not face <= s}
+        return [f for f in cuts if not any(f < g for g in cuts)]
+
+    @cached_property
+    def extreme(self) -> tuple[int, ...]:
+        """For a pointed cone: the first generator on each extreme ray."""
+        out, seen = [], set()
+        everything = frozenset(range(len(self.vectors)))
+        for i, v in enumerate(self.vectors):
+            ray = _primitive(v)
+            if i in self.lineality or ray in seen:
+                continue
+            seen.add(ray)
+            smallest = everything.intersection(*(s for s in self.supports if i in s))
+            if all(j in self.lineality or _primitive(self.vectors[j]) == ray for j in smallest):
+                out.append(i)
+        return tuple(out)
+
+    def triangulation(self) -> list[tuple[int, ...]]:
+        """A pulling triangulation of a pointed cone into simplicial cones,
+        each a tuple of indices from `extreme`: a face's first extreme ray is
+        coned over the triangulated facets of the face that miss it."""
+
+        def pull(face: frozenset[int], rank: int) -> list[tuple[int, ...]]:
+            rays = [i for i in self.extreme if i in face]
+            if len(rays) == rank:
+                return [tuple(rays)]
+            apex = rays[0]
+            return [
+                (apex,) + simplex
+                for facet in self._facets_of(face)
+                if apex not in facet
+                for simplex in pull(facet, rank - 1)
+            ]
+
+        return pull(frozenset(range(len(self.vectors))), self.dim - len(self.lines))
 
 
-def _coords_in(basis: list[QVector], v: QVector) -> QVector:
-    a = qmat([[basis[j][i] for j in range(len(basis))] for i in range(len(v))])
-    sol = qsolve(a, v)
-    if sol is None:
-        raise ValueError("vector outside span")
-    return sol
-
-
-def _angular_order(points: list[QVector]) -> list[int]:
-    """Order indices of planar points (convex position) counterclockwise."""
-    k = len(points)
-    cx = sum((p[0] for p in points), Fraction(0)) / k
-    cy = sum((p[1] for p in points), Fraction(0)) / k
-    rel = [(p[0] - cx, p[1] - cy) for p in points]
-
-    def half(p):
-        return 0 if (p[1] > 0 or (p[1] == 0 and p[0] > 0)) else 1
-
-    import functools
-
-    def cmp(i, j):
-        a, b = rel[i], rel[j]
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cr = a[0] * b[1] - a[1] * b[0]
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        return 0
-
-    return sorted(range(k), key=functools.cmp_to_key(cmp))
-
-
-def _triangulate(ext: list[tuple[int, ...]], rank: int) -> list[list[tuple[int, ...]]]:
-    """Split a pointed cone with extreme rays `ext` (rank <= 3) into simplicial cones."""
-    if len(ext) <= rank:
-        return [ext]
-    # rank 3 with >= 4 extreme rays: cut by a positive functional, sort the polygon
-    qext = [qvec(v) for v in ext]
-    lam = support_functional(qext, [], list(range(len(qext))), len(ext[0]))
-    if lam is None:
-        raise ValueError("cone is not pointed")
-    cut = []
-    for v in qext:
-        s = sum((lam[i] * v[i] for i in range(len(v))), Fraction(0))
-        cut.append(tuple(x / s for x in v))
-    span = _span_basis(qext)
-    plane_coords = [_coords_in(span, p) for p in cut]
-    # drop one coordinate to land in 2-dim: the affine plane has rank-2 direction space
-    dirs = [tuple(p[i] - plane_coords[0][i] for i in range(rank)) for p in plane_coords[1:]]
-    dbasis = _span_basis([qvec(d) for d in dirs])
-    planar = [qvec([Fraction(0)] * 2)] + [_coords_in(dbasis, qvec(d)) for d in dirs]
-    order = _angular_order([(p[0], p[1]) for p in planar])
-    ordered = [ext[i] for i in order]
-    return [[ordered[0], ordered[i], ordered[i + 1]] for i in range(1, len(ordered) - 1)]
-
-
-def _parallelepiped_points(cone_rays: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Integer points of {sum c_i v_i : 0 <= c_i <= 1} for independent integer rays."""
-    d = len(cone_rays[0])
-    k = len(cone_rays)
-    lo = [sum(min(0, v[i]) for v in cone_rays) for i in range(d)]
-    hi = [sum(max(0, v[i]) for v in cone_rays) for i in range(d)]
-    a = qmat([[Fraction(cone_rays[j][i]) for j in range(k)] for i in range(d)])
+def _parallelepiped_points(rays: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Lattice points of {sum c_j u_j : 0 <= c_j < 1} for linearly independent
+    integer rays u_j.  With s*A*t = D the Smith form of A = (u_1 ... u_k), they
+    are A * frac(t * (y / D)) for 0 <= y_i < D_i, one per class of the
+    lattice points of span(A) modulo A Z^k."""
+    d = len(rays[0])
+    k = len(rays)
+    diag, _s, t = _snf.smith_normal_form(tuple(tuple(u[i] for u in rays) for i in range(d)))
+    steps = [diag[i][i] for i in range(k)]
+    den = math.lcm(*steps)
     points = []
-    for cand in itertools.product(*[range(lo[i], hi[i] + 1) for i in range(d)]):
-        sol = qsolve(a, qvec(cand))
-        if sol is None:
-            continue
-        if all(0 <= c <= 1 for c in sol):
-            recon = [sum((sol[j] * cone_rays[j][i] for j in range(k)), Fraction(0)) for i in range(d)]
-            if all(Fraction(c) == r for c, r in zip(cand, recon)):
-                points.append(tuple(int(c) for c in cand))
+    for y in itertools.product(*(range(x) for x in steps)):
+        c = [sum(t[j][i] * y[i] * (den // steps[i]) for i in range(k)) % den for j in range(k)]
+        points.append(tuple(sum(cj * u[r] for cj, u in zip(c, rays)) // den for r in range(d)))
     return points
 
 
-def hilbert_basis(rays: Sequence[QVector], ambient_dim: int) -> list[tuple[int, ...]]:
-    """Hilbert basis of cone(rays) cap Z^ambient_dim for pointed cones of rank <= 3."""
-    ext_q = extreme_rays(rays)
-    if not ext_q:
+def hilbert_basis(cone: Cone) -> list[tuple[int, ...]]:
+    """Hilbert basis of a pointed cone cap Z^dim, sorted.
+
+    The candidates are the primitive extreme rays and the parallelepiped
+    points of a triangulation.  Taken by increasing total normal value, a
+    candidate c joins the basis unless c - b lies in the cone for a basis
+    element b found before it (no normal is larger on b than on c); a
+    reducible c always has such a b, of smaller total value."""
+    if not cone.extreme:
         return []
-    ext = [integer_ray(v) for v in ext_q]
-    rank = qrank(qmat([qvec(v) for v in ext]))
-    if rank > 3:
-        raise ValueError("hilbert basis limited to cone rank <= 3")
-    candidates: set[tuple[int, ...]] = set(ext)
-    for simplicial in _triangulate(ext, rank):
-        candidates.update(_parallelepiped_points(simplicial))
-    candidates.discard(tuple([0] * ambient_dim))
-    qrays = [qvec(v) for v in ext]
-    hb = []
-    cands = sorted(candidates)
-    for h in cands:
-        reducible = False
-        for c in cands:
-            if c == h:
-                continue
-            diff = tuple(Fraction(x - y) for x, y in zip(h, c))
-            if cone_member(qrays, diff) is not None:
-                reducible = True
-                break
-        if not reducible:
-            hb.append(h)
-    return hb
+    prim = {i: _primitive(cone.vectors[i]) for i in cone.extreme}
+    candidates = set(prim.values())
+    for simplex in cone.triangulation():
+        candidates.update(_parallelepiped_points([prim[i] for i in simplex]))
+    candidates.discard(tuple([0] * cone.dim))
+    values = {c: [_dot(lam, c) for lam in cone.normals] for c in candidates}
+    # each value vector packed into one integer, one field per normal with a
+    # spare top bit: c - b is in the cone iff (c + guards) - b borrows no guard
+    width = 1 + max(max(v) for v in values.values()).bit_length()
+    guards = sum(1 << (width * k + width - 1) for k in range(len(cone.normals)))
+    packed = {c: sum(x << (width * k) for k, x in enumerate(v)) for c, v in values.items()}
+    basis: list[tuple[int, ...]] = []
+    reducers: list[int] = []
+    for c in sorted(candidates, key=lambda c: (sum(values[c]), c)):
+        top = packed[c] | guards
+        if not any((top - b) & guards == guards for b in reducers):
+            basis.append(c)
+            reducers.append(packed[c])
+    return sorted(basis)

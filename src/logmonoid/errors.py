@@ -50,7 +50,7 @@ class NonInvertibleConstantTerm(HypothesisError):
 
 
 class SaturationIncomplete(HypothesisError):
-    """Saturation data is needed but could not be completed at the given rank/bound."""
+    """Saturation data is needed but could not be completed within the bound."""
 
 
 class NotSemiSaturated(HypothesisError):

@@ -14,7 +14,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .abelian import Elt, group_quotient
+from .abelian import Elt
 from .errors import (
     DenominatorVanishes,
     IrrationalExponent,
@@ -28,7 +28,7 @@ from .errors import (
     SingularSylvester,
     ZeroProjection,
 )
-from .monoid_core import Face, FineMonoid, facets, is_semi_saturated, is_sharp, membership
+from .monoid_core import Face, FineMonoid, face_quotient_group, is_semi_saturated, is_sharp, membership
 from .qlin import (
     INF,
     QMatrix,
@@ -104,28 +104,16 @@ class Embedding:
         return qmat_vec(inv, v)
 
 
-def _facet_functional(m: FineMonoid, face: Face) -> tuple[int, ...]:
-    """Row vector of gp^free -> (M/F)^gp = Z, sign-normalized onto N."""
-    q, project = group_quotient(m.gp, face.generators())
-    if q.free_rank != 1 or q.torsion_invariants:
+def _facet_rows(m: FineMonoid) -> list[tuple[int, ...]]:
+    """The row vectors gp^free -> (M/F)^gp = Z of the facets F, in facets(m)
+    order, sign-normalized onto N: the facets' primitive normals, read from
+    the index.  (M/F)^gp has rank 1 only when the generators span gp
+    rationally (the cone has no vanishing forms); on a semi-saturated monoid
+    it is then torsion-free, so the normal is the quotient map."""
+    normals = m.index.facet_normals
+    if normals and m.index.cone.lines:
         raise NotSemiSaturated("facet quotient group is not isomorphic to Z")
-    d = m.gp.free_rank
-    row = []
-    for k in range(d):
-        e = m.gp.element(tuple(1 if i == k else 0 for i in range(d)))
-        row.append(project(e)[0][0])
-    signs = set()
-    for g in m.generators:
-        v = sum(row[k] * g[0][k] for k in range(d))
-        if v > 0:
-            signs.add(1)
-        elif v < 0:
-            signs.add(-1)
-    if signs == {-1}:
-        row = [-x for x in row]
-    elif signs == {1, -1}:
-        raise NotSemiSaturated("facet functional has mixed signs on generators")
-    return tuple(row)
+    return list(normals.values())
 
 
 def facet_embedding(m: FineMonoid) -> Embedding:
@@ -134,7 +122,7 @@ def facet_embedding(m: FineMonoid) -> Embedding:
         raise NotSemiSaturated("facet embedding requires a sharp monoid")
     if not is_semi_saturated(m):
         raise NotSemiSaturated("facet embedding requires a semi-saturated monoid")
-    rows = [_facet_functional(m, f) for f in facets(m)]
+    rows = _facet_rows(m)
     d = m.gp.free_rank
     from .qlin import qrank
 
@@ -178,8 +166,7 @@ def check_sd(sigma: ExponentSet, s_class: str = "NI") -> bool:
     m = sigma.monoid
     if not is_semi_saturated(m):
         raise NotSemiSaturated("(S-D) check requires a semi-saturated monoid")
-    for f in facets(m):
-        row = _facet_functional(m, f)
+    for row in _facet_rows(m):
         images = [
             sum((Fraction(row[k]) * xi[k] for k in range(len(row))), Fraction(0))
             for xi in sigma.elements
@@ -843,7 +830,7 @@ class UnipotenceReport:
 
 
 def _face_projection_matrix(m: FineMonoid, face: Face) -> tuple[QMatrix, int]:
-    q, project = group_quotient(m.gp, face.generators())
+    q, project = face_quotient_group(m, face)
     d = m.gp.free_rank
     rows = []
     for i in range(q.free_rank):

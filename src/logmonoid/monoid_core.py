@@ -2,20 +2,20 @@
 
 A fine monoid is stored as the integral image of its generators inside the
 Grothendieck group (Smith-normalized), which makes integrality free and
-membership a weight-bounded lattice search.  Units are decided by rational
-cone membership: a generator g is a unit iff -free(g) lies in the rational
-cone of the generator free parts (clearing denominators produces a torsion
-element of the monoid, which is always a unit).
+membership a weight-bounded lattice search.  Faces, facets and units are
+read from the facets of the rational cone of the generator free parts
+(`cone.Cone`): a generator g is a unit iff free(g) lies in the lineality
+space of that cone (clearing denominators in -free(g) = sum c_i free(g_i)
+produces a torsion element of the monoid, which is always a unit).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import cone as _cone
 from . import snf as _snf
@@ -168,10 +168,6 @@ def free_monoid(n: int) -> FineMonoid:
 # units, sharpness, weightings
 # ---------------------------------------------------------------------------
 
-def _free_vectors(m: FineMonoid) -> list[QVector]:
-    return [qvec(g[0]) for g in m.generators]
-
-
 class MonoidIndex:
     """What the queries on one fine monoid derive from it, each computed at
     most once.  The monoid owns its index (`FineMonoid.index`), so the index
@@ -181,7 +177,7 @@ class MonoidIndex:
     def __init__(self, m: FineMonoid):
         self.monoid = m
         self._weighted: dict[tuple[int, ...], WeightedIndex] = {}
-        self.faces: dict[int, tuple[Face, ...]] = {}  # by ray cap
+        self._face_quotients: dict[frozenset[int], tuple[AbelianGroup, Callable[[Elt], Elt]]] = {}
 
     @cached_property
     def span(self) -> GroupSpan:
@@ -189,8 +185,40 @@ class MonoidIndex:
         return GroupSpan(self.monoid.gp, self.monoid.generators)
 
     @cached_property
+    def cone(self) -> _cone.Cone:
+        """The rational cone of the generator free parts, by its facets."""
+        m = self.monoid
+        return _cone.Cone([g[0] for g in m.generators], m.gp.free_rank)
+
+    @cached_property
     def unit_indices(self) -> frozenset[int]:
-        return frozenset(_cone.lineality_indices(_free_vectors(self.monoid)))
+        return self.cone.lineality
+
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        """Every face, ordered by (size, generator indices)."""
+        return tuple(Face(self.monoid, s) for s in sorted(self.cone.faces(), key=_face_key))
+
+    @cached_property
+    def facet_normals(self) -> dict[Face, tuple[int, ...]]:
+        """Each facet with its primitive integer normal on the gp free
+        coordinates (>= 0 on every generator, 0 exactly on the facet's), in
+        face order."""
+        pairs = sorted(zip(self.cone.supports, self.cone.normals), key=lambda p: _face_key(p[0]))
+        return {Face(self.monoid, s): lam for s, lam in pairs}
+
+    def face_quotient(self, face: Face) -> tuple[AbelianGroup, Callable[[Elt], Elt]]:
+        """(M/F)^gp = gp / F^gp with its projection."""
+        found = self._face_quotients.get(face.generator_indices)
+        if found is None:
+            found = self._face_quotients[face.generator_indices] = group_quotient(
+                self.monoid.gp, face.generators()
+            )
+        return found
+
+    @cached_property
+    def semi_saturated(self) -> bool:
+        return all(not self.face_quotient(f)[0].torsion_invariants for f in self.faces)
 
     @cached_property
     def sharp(self) -> tuple[FineMonoid, "MonoidHom"]:
@@ -395,56 +423,20 @@ def divides(m: FineMonoid, a: Elt, b: Elt) -> bool:
 # faces
 # ---------------------------------------------------------------------------
 
-def faces(m: FineMonoid, cap: int = 16) -> tuple[Face, ...]:
-    """All faces, each as the subset of generators it contains.
-
-    A subset T is a face support iff some rational functional vanishes on T
-    and is >= 1 on the remaining generators; every face arises this way and
-    equals the submonoid generated by its generator subset.
-    """
-    found = m.index.faces.get(cap)
-    if found is None:
-        found = m.index.faces[cap] = _enumerate_faces(m, cap)
-    return found
+def _face_key(support: frozenset[int]) -> tuple[int, tuple[int, ...]]:
+    return len(support), tuple(sorted(support))
 
 
-def _enumerate_faces(m: FineMonoid, cap: int) -> tuple[Face, ...]:
-    n = len(m.generators)
-    vecs = _free_vectors(m)
-    # generators sharing a free part always lie in the same face support
-    classes: dict[tuple, list[int]] = {}
-    for i, v in enumerate(vecs):
-        classes.setdefault(tuple(v), []).append(i)
-    forced = classes.pop(tuple(qvec([0] * m.gp.free_rank)), [])
-    keys = sorted(classes.keys())
-    if len(keys) > cap:
-        raise ValueError(f"face enumeration capped at {cap} distinct generator rays")
-    found: list[Face] = []
-    for r in range(len(keys) + 1):
-        for chosen in itertools.combinations(keys, r):
-            t_idx = set(forced)
-            for k in chosen:
-                t_idx.update(classes[k])
-            zero_set = sorted(t_idx)
-            positive_set = [i for i in range(n) if i not in t_idx]
-            lam = _cone.support_functional(vecs, zero_set, positive_set, m.gp.free_rank)
-            if lam is not None:
-                found.append(Face(m, frozenset(t_idx)))
-    found.sort(key=lambda f: (len(f.generator_indices), tuple(sorted(f.generator_indices))))
-    return tuple(found)
+def faces(m: FineMonoid) -> tuple[Face, ...]:
+    """All faces, each as the subset of generators it contains: all of them,
+    and every intersection of facet supports.  Every face equals the
+    submonoid generated by its generator subset."""
+    return m.index.faces
 
 
 def facets(m: FineMonoid) -> tuple[Face, ...]:
     """Maximal proper faces."""
-    all_faces = faces(m)
-    proper = [f for f in all_faces if f.generator_indices != frozenset(range(len(m.generators)))]
-    out = []
-    for f in proper:
-        if not any(
-            g is not f and f.generator_indices < g.generator_indices for g in proper
-        ):
-            out.append(f)
-    return tuple(out)
+    return tuple(m.index.facet_normals)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +454,9 @@ def quotient(m: FineMonoid, n_sub: Sequence[Elt]) -> tuple[FineMonoid, MonoidHom
     return result, MonoidHom(m, result, images)
 
 
-def face_quotient_group(m: FineMonoid, face: Face) -> tuple[AbelianGroup, object]:
+def face_quotient_group(m: FineMonoid, face: Face) -> tuple[AbelianGroup, Callable[[Elt], Elt]]:
     """(M/F)^gp = gp / F^gp with its projection (group level only)."""
-    return group_quotient(m.gp, face.generators())
+    return m.index.face_quotient(face)
 
 
 def localize(m: FineMonoid, face: Face) -> FineMonoid:
@@ -476,96 +468,37 @@ def localize(m: FineMonoid, face: Face) -> FineMonoid:
 def is_semi_saturated(m: FineMonoid) -> bool:
     """True iff (M/F)^gp is torsion-free for every face F (equivalent to the
     definition: na in M for n > 0 implies (nm+1)a in M for some m)."""
-    for f in faces(m):
-        q, _ = face_quotient_group(m, f)
-        if q.torsion_invariants:
-            return False
-    return True
+    return m.index.semi_saturated
 
 
 # ---------------------------------------------------------------------------
 # saturation
 # ---------------------------------------------------------------------------
 
-def _saturation_witnesses(m: FineMonoid, weight_bound: int) -> list[Elt]:
-    ball = m.index.weighted(default_weighting(m))
-    witnesses = []
-    seen = set()
-    for n in range(2, weight_bound + 1):
-        for elt in ball.upto(n * weight_bound):
-            for g in _divide_element(m.gp, elt, n):
-                if g in seen:
-                    continue
-                seen.add(g)
-                if not membership(m, g):
-                    witnesses.append(g)
-    return witnesses
-
-
-def _divide_element(gp: AbelianGroup, x: Elt, n: int) -> list[Elt]:
-    """All g with n*g = x."""
-    if any(f % n for f in x[0]):
-        return []
-    free = tuple(f // n for f in x[0])
-    options = []
-    for t, d in zip(x[1], gp.torsion_invariants):
-        sols = [c for c in range(d) if (n * c) % d == t]
-        if not sols:
-            return []
-        options.append(sols)
-    return [(free, tuple(combo)) for combo in itertools.product(*options)] if options else [(free, ())]
-
-
-def saturation_bounded(m: FineMonoid, weight_bound: int) -> tuple[FineMonoid, bool]:
-    """M^sat within the bound; exact (complete=True) when the cone rank is <= 3.
-
-    M^sat is the preimage of the rational cone under the free-part map, so
-    for rank <= 3 its generators are Hilbert basis lifts plus the torsion of gp.
-    """
+def saturation(m: FineMonoid) -> FineMonoid:
+    """M^sat, the preimage of the rational cone under the free-part map: its
+    generators are M's, the Hilbert basis lifts and the torsion of gp."""
     if not is_sharp(m):
-        raise ValueError("saturation_bounded requires a sharp monoid")
+        raise ValueError("saturation requires a sharp monoid")
     values = default_weighting(m)
-    vecs = _free_vectors(m)
-    rank = _cone_rank(vecs)
-    if rank <= 3:
-        hb = _cone.hilbert_basis(vecs, m.gp.free_rank)
-        new_gens = [ (tuple(z), tuple([0] * len(m.gp.torsion_invariants))) for z in hb ]
-        new_gens += m.gp.torsion_generators()
-        gens = list(m.generators)
-        for g in new_gens:
-            if g not in gens:
-                gens.append(g)
-        wvals = tuple(int(weight_of(m, values, g)) for g in gens)
-        return FineMonoid(m.gp, tuple(gens), wvals), True
+    zero_torsion = tuple([0] * len(m.gp.torsion_invariants))
     gens = list(m.generators)
-    for g in _saturation_witnesses(m, weight_bound):
+    for g in [(z, zero_torsion) for z in _cone.hilbert_basis(m.index.cone)] + m.gp.torsion_generators():
         if g not in gens:
             gens.append(g)
     wvals = tuple(int(weight_of(m, values, g)) for g in gens)
-    return FineMonoid(m.gp, tuple(gens), wvals), False
+    return FineMonoid(m.gp, tuple(gens), wvals)
 
 
-def is_saturated_bounded(m: FineMonoid, weight_bound: int) -> Optional[bool]:
-    """True / False / None (unknown beyond rank 3 without a witness)."""
+def is_saturated_bounded(m: FineMonoid, weight_bound: Optional[int] = None) -> bool:
+    """M = M^sat, decided exactly: gp is torsion-free and every Hilbert basis
+    element of the cone lies in M.  weight_bound is unused, as the answer is
+    exact; perfbench/workloads.py still passes one."""
     if not is_sharp(m):
         raise ValueError("is_saturated_bounded requires a sharp monoid")
-    vecs = _free_vectors(m)
-    if _cone_rank(vecs) <= 3:
-        if m.gp.torsion_invariants:
-            return False
-        hb = _cone.hilbert_basis(vecs, m.gp.free_rank)
-        for z in hb:
-            if not membership(m, (tuple(z), tuple([0] * len(m.gp.torsion_invariants)))):
-                return False
-        return True
-    if _saturation_witnesses(m, weight_bound):
+    if m.gp.torsion_invariants:
         return False
-    return None
-
-
-def _cone_rank(vecs: list[QVector]) -> int:
-    from .qlin import qrank
-    return qrank(qmat(vecs)) if vecs else 0
+    return all(membership(m, (z, ())) for z in _cone.hilbert_basis(m.index.cone))
 
 
 # ---------------------------------------------------------------------------

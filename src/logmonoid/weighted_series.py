@@ -20,7 +20,7 @@ from .monoid_core import (
     FineMonoid,
     default_weighting as _default_values,
     membership,
-    saturation_bounded,
+    saturation,
 )
 from .qlin import INF, padic_valuation, qvec
 
@@ -402,9 +402,7 @@ def saturation_invariance_check(
         raise ValueError("saturation invariance needs 0 < a")
     if not a <= b:
         raise ValueError("interval must satisfy a <= b")
-    sat, complete = saturation_bounded(m, weight_bound)
-    if not complete:
-        raise SaturationIncomplete("saturation is only exact for cone rank <= 3")
+    sat = saturation(m)
     h = Weighting(m, _default_values(m))
     hsat = Weighting(sat, sat.weighting)
 

@@ -48,6 +48,25 @@ def test_monoid_analyze_torsion(capsys):
     assert report["gp"]["torsion"] == [2]
 
 
+def test_monoid_analyze_twenty_rays(capsys):
+    """The cone over the moment-curve rays (i, i^2, 1), i < 20: 2k + 2 faces."""
+    code, out, err = run(capsys, "--format", "json", "monoid-analyze", DATA / "moment_curve_20.json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert len(report["faces"]) == 42 and len(report["facets"]) == 20
+    assert sorted(report["facets"]) == sorted([[i, i + 1] for i in range(19)] + [[0, 19]])
+    assert report["semi_saturated"] is False  # Z^3 / <e3, (19, 361, 0)> has torsion
+
+
+def test_monoid_analyze_rank4_saturation(capsys):
+    for name, saturated in (("pyramid_pentagon.json", False), ("pyramid_pentagon_saturated.json", True)):
+        code, out, _ = run(capsys, "--format", "json", "monoid-analyze", DATA / name)
+        assert code == 0
+        report = json.loads(out)
+        assert report["saturated"] is saturated and report["semi_saturated"] is True
+        assert len(report["faces"]) == 24 and len(report["facets"]) == 6
+
+
 def test_reports_are_byte_stable(capsys):
     runs = []
     for _ in range(2):

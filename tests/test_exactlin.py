@@ -140,19 +140,20 @@ def _lattice_points_in_cone(rays, bound):
 
 def test_hilbert_basis_simplicial_rank2():
     rays = [(1, 0), (1, 3)]
-    hb = cone.hilbert_basis([qlin.qvec(r) for r in rays], 2)
-    assert set(hb) == {(1, 0), (1, 1), (1, 2), (1, 3)}
+    hb = cone.hilbert_basis(cone.Cone(rays, 2))
+    assert hb == [(1, 0), (1, 1), (1, 2), (1, 3)]
 
 
 def test_hilbert_basis_square_cone():
     rays = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
-    hb = cone.hilbert_basis([qlin.qvec(r) for r in rays], 3)
-    assert set(hb) == set(rays)
+    hb = cone.hilbert_basis(cone.Cone(rays, 3))
+    assert hb == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
 
 
 def test_hilbert_basis_generates_cone_points():
     rays = [(2, 1), (1, 3)]
-    hb = cone.hilbert_basis([qlin.qvec(r) for r in rays], 2)
+    hb = cone.hilbert_basis(cone.Cone(rays, 2))
+    assert hb == [(1, 1), (1, 2), (1, 3), (2, 1)]
     pts = _lattice_points_in_cone(rays, 4)
     # every small cone point decomposes over the basis (greedy exhaustion)
     reachable = {(0, 0)}
@@ -169,14 +170,14 @@ def test_hilbert_basis_generates_cone_points():
 
 
 def test_hilbert_basis_pentagon_cone():
-    """Five extreme rays force the fan triangulation; the interior lattice
-    point at height 1 joins the basis."""
+    """Five extreme rays force a triangulation; the interior lattice point at
+    height 1 joins the basis."""
     rays = [(0, 0, 1), (1, 0, 1), (2, 1, 1), (1, 2, 1), (0, 1, 1)]
-    hb = cone.hilbert_basis([qlin.qvec(r) for r in rays], 3)
-    assert set(hb) == set(rays) | {(1, 1, 1)}
+    hb = cone.hilbert_basis(cone.Cone(rays, 3))
+    assert hb == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 2, 1), (2, 1, 1)]
 
 
 def test_extreme_rays_prune_redundant():
     rays = [(1, 0), (0, 1), (1, 1), (3, 1)]
-    ext = cone.extreme_rays([qlin.qvec(r) for r in rays])
-    assert sorted(tuple(int(x) for x in v) for v in ext) == [(0, 1), (1, 0)]
+    c = cone.Cone(rays, 2)
+    assert [c.vectors[i] for i in c.extreme] == [(1, 0), (0, 1)]

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from logmonoid import documents
+from logmonoid import snf
+from logmonoid.abelian import group_quotient
 from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
 from logmonoid import oracle as orc
@@ -28,6 +30,7 @@ from logmonoid.qlin import qmat, qmat_mul, qmat_vec, qinverse
 from conftest import build_module, build_series, gauge_built_module
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 def _ident_smat(module):
@@ -72,11 +75,38 @@ def test_facet_embedding_m_even(m_even):
     for g in m_even.generators:
         assert all(c >= 0 for c in emb.coords(g))
     # both facet functionals vanish on their facet and are positive outside
-    for f in mc.facets(m_even):
-        row = lc._facet_functional(m_even, f)
+    for f, row in m_even.index.facet_normals.items():
         for i, g in enumerate(m_even.generators):
             v = sum(row[k] * g[0][k] for k in range(len(row)))
             assert (v == 0) == (i in f.generator_indices)
+
+
+def _quotient_row(m, face):
+    """The map gp^free -> (M/F)^gp = Z given by the facet's group quotient
+    (one Smith form), sign-normalized to be >= 0 on the generators."""
+    q, project = group_quotient(m.gp, face.generators())
+    assert q.free_rank == 1 and not q.torsion_invariants
+    d = m.gp.free_rank
+    row = tuple(project(m.gp.element(tuple(int(i == k) for i in range(d))))[0][0] for k in range(d))
+    if any(sum(r * x for r, x in zip(row, g[0])) < 0 for g in m.generators):
+        row = tuple(-x for x in row)
+    return row
+
+
+def test_facet_normals_are_the_quotient_rows(n1, n2, n3, nm1, m_even):
+    """On every sharp semi-saturated fixture each facet's normal, read from
+    the index, is the row its group quotient gives."""
+    monoids = [n1, n2, n3, nm1[0], m_even]
+    for path in sorted(DATA.glob("*.json")):
+        doc = documents.load_json(path)
+        if "elements" not in doc:  # a monoid or connection document
+            monoids.append(documents.parse_monoid(doc.get("monoid", doc)).monoid)
+    fixtures = [m for m in monoids if mc.is_sharp(m) and mc.is_semi_saturated(m)]
+    assert len(fixtures) >= 11
+    for m in fixtures:
+        normals = m.index.facet_normals
+        assert list(normals) == list(mc.facets(m))
+        assert [_quotient_row(m, f) for f in normals] == list(normals.values())
 
 
 def test_facet_embedding_nm1(nm1):
@@ -88,6 +118,14 @@ def test_facet_embedding_nm1(nm1):
 def test_facet_embedding_rejects_torsion(torsion_monoid):
     with pytest.raises(NotSemiSaturated):
         lc.facet_embedding(torsion_monoid)
+
+
+def test_facet_embedding_needs_generators_spanning_gp():
+    """One generator in Z^2: its facet quotient Z^2 / <(1, 0)> is not Z."""
+    m = mc.FineMonoid(mc.AbelianGroup(2, ()), (((1, 0), ()),))
+    assert mc.is_sharp(m) and mc.is_semi_saturated(m)
+    with pytest.raises(NotSemiSaturated, match="not isomorphic to Z"):
+        lc.facet_embedding(m)
 
 
 # -- (S-D) ----------------------------------------------------------------------
@@ -575,8 +613,6 @@ def test_shear_randomized_planted_gauges():
 
 # -- one shear per module -------------------------------------------------------------------------
 
-DATA = Path(__file__).parent / "data"
-
 
 def _connection_fixtures():
     """(name, module) for every connection document and conftest-built module."""
@@ -760,6 +796,24 @@ def test_unipotence_analyses_the_module_once(monkeypatch):
     assert counts == after_one
     assert len(faces) == 4
     assert all(r.filtration_ranks == reports[0].filtration_ranks for r in reports)
+
+
+def test_unipotence_runs_no_smith_form_after_the_first_face(monkeypatch):
+    """Semi-saturatedness, the facet rows of (S-D) and the face projections
+    are read from the monoid's index after the first face."""
+    doc = documents.load_json(DATA / "vertex_counterexample.json")
+    ctx, e = documents.parse_connection(doc)  # a fresh monoid, nothing cached
+    sigma = documents.parse_sigma(ctx, documents.load_json(DATA / "sigma_zero.json"))
+    faces = mc.faces(e.monoid)
+    calls = []
+    smith = snf.smith_normal_form
+    monkeypatch.setattr(snf, "smith_normal_form", lambda a: calls.append(1) or smith(a))
+    lc.is_sigma_unipotent(e, sigma, faces[0])
+    assert calls
+    calls.clear()
+    for f in faces[1:]:
+        lc.is_sigma_unipotent(e, sigma, f)
+    assert len(faces) == 4 and not calls
 
 
 def test_dl_operators_reuse_the_module_analysis(monkeypatch, n2):

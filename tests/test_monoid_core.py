@@ -130,7 +130,7 @@ def test_faces_square_cone():
     assert len(mc.faces(sq)) == 10
     assert len(mc.facets(sq)) == 4
     assert mc.is_semi_saturated(sq)
-    assert mc.is_saturated_bounded(sq, 6) is True
+    assert mc.is_saturated_bounded(sq) is True
 
 
 def test_faces_collinear_generators():
@@ -139,9 +139,8 @@ def test_faces_collinear_generators():
     assert len(mc.faces(m)) == 8
     for f in mc.faces(m):
         assert (0 in f.generator_indices) == (1 in f.generator_indices)
-    assert mc.is_saturated_bounded(m, 8) is False
-    sat, complete = mc.saturation_bounded(m, 8)
-    assert complete
+    assert mc.is_saturated_bounded(m) is False
+    sat = mc.saturation(m)
     witness = conv(((1, 0, 0), ()))
     assert not mc.membership(m, witness)
     assert mc.membership(sat, witness)
@@ -222,7 +221,7 @@ def test_semi_saturated_suite(n1, nm1, m_even, torsion_monoid):
 def test_prop_1_2_properties(n1, n2, nm1, m_even, torsion_monoid):
     monoids = [n1, n2, nm1[0], m_even, torsion_monoid]
     for m in monoids:
-        sat = mc.is_saturated_bounded(m, 8)
+        sat = mc.is_saturated_bounded(m)
         if sat is True:
             assert mc.is_semi_saturated(m)  # saturated implies semi-saturated
         if mc.is_sharp(m) and mc.is_semi_saturated(m):
@@ -237,25 +236,23 @@ def test_prop_1_2_properties(n1, n2, nm1, m_even, torsion_monoid):
 
 def test_saturation_n_minus_one(nm1):
     m, conv = nm1
-    sat, complete = mc.saturation_bounded(m, 10)
-    assert complete
+    sat = mc.saturation(m)
     one = conv(((1,), ()))
     assert mc.membership(sat, one)  # saturation is all of N
-    assert mc.is_saturated_bounded(m, 10) is False
+    assert mc.is_saturated_bounded(m) is False
     # witness: g = 1 with 2g = 2 in M
     assert mc.membership(m, m.gp.scale(2, one))
 
 
 def test_saturation_free_and_even(n2, m_even):
-    assert mc.is_saturated_bounded(n2, 5) is True
-    assert mc.is_saturated_bounded(m_even, 10) is True
-    sat, complete = mc.saturation_bounded(m_even, 10)
-    assert complete
+    assert mc.is_saturated_bounded(n2) is True
+    assert mc.is_saturated_bounded(m_even) is True
+    sat = mc.saturation(m_even)
     assert set(sat.generators) == set(m_even.generators)
 
 
 def test_saturation_torsion_monoid(torsion_monoid):
-    assert mc.is_saturated_bounded(torsion_monoid, 8) is False
+    assert mc.is_saturated_bounded(torsion_monoid) is False
 
 
 # -- sections ----------------------------------------------------------------------

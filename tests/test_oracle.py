@@ -2,9 +2,11 @@
 fast paths across the fixture grid."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from logmonoid import cone, documents
 from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
 from logmonoid import oracle as orc
@@ -13,6 +15,7 @@ from logmonoid import weighted_series as ws
 from conftest import build_module
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 def test_budget_validation():
@@ -76,6 +79,39 @@ def test_faces_match_oracle_on_grid(n1, n2, nm1, m_even):
         }
         brute = set(orc.brute_faces(m, budget))
         assert fast == brute
+
+
+RANK4 = {  # tests/data document -> saturated
+    "pyramid_pentagon.json": False,
+    "pyramid_pentagon_saturated.json": True,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK4))
+def test_rank4_faces_membership_and_hilbert_basis_match_oracle(name):
+    """Pyramids over a lattice pentagon, with and without its interior point.
+    Faces are compared at weight 3, where the oracle needs 0.4-0.6 s (weight 6
+    takes about 30 s in rank 4); membership at the grid's weight 6."""
+    m = documents.parse_monoid(documents.load_json(DATA / name)).monoid
+    small = orc.EnumerationBudget(3)
+    ball = set(orc.enumerate_monoid(m, small))
+    fast = {frozenset(orc._closure_in_ball(m, f.generators(), ball)) for f in mc.faces(m)}
+    assert fast == set(orc.brute_faces(m, small)) and len(fast) == 24
+    budget = orc.EnumerationBudget(6)
+    ball = set(orc.enumerate_monoid(m, budget))
+    sample = sorted(ball)[:12]
+    for g in ball | {m.gp.sub(x, y) for x in sample for y in sample}:
+        if ws.default_weighting(m)(g) <= 6:
+            assert mc.membership(m, g) == (g in ball)
+    basis = cone.hilbert_basis(m.index.cone)
+    verdicts = [mc.membership(m, (z, ())) for z in basis]
+    for z, fast_in in zip(basis, verdicts):
+        weight = int(ws.default_weighting(m)((z, ())))
+        assert orc.brute_membership(m, (z, ()), orc.EnumerationBudget(weight)) == fast_in
+    assert verdicts.count(False) == (0 if RANK4[name] else 1)
+    assert mc.is_saturated_bounded(m) is RANK4[name]
+    sat = mc.saturation(m)
+    assert mc.is_saturated_bounded(sat) and all(mc.membership(sat, (z, ())) for z in basis)
 
 
 def test_brute_h_plus_examples(n2):
