@@ -221,6 +221,10 @@ def parse_connection(doc: dict) -> tuple[MonoidContext, LogNablaModule]:
         truncation = int(doc["truncation"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad connection document: {exc}") from exc
+    if rank < 1:
+        raise ParseError(f"rank must be at least 1, got {rank}")
+    if truncation < 0:
+        raise ParseError(f"truncation must be non-negative, got {truncation}")
     interval_kind = doc.get("interval_kind", "disk")
     if interval_kind not in ("disk", "annulus", "point"):
         raise ParseError("interval_kind must be disk, annulus or point")

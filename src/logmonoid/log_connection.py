@@ -491,35 +491,33 @@ def _check_ni_coordinatewise(decomp_per_matrix) -> None:
 
 
 def _ad_nilpotency(nilpotent: QMatrix) -> int:
-    """Smallest e >= 1 with ad(N)^e = 0 on matrix space."""
-    n = len(nilpotent)
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            basis.append(tuple(tuple(Fraction(1 if (r, c) == (i, j) else 0) for c in range(n)) for r in range(n)))
-    current = basis
-    e = 0
-    while any(not _is_zero_qmat(x) for x in current):
-        current = [qmat_sub(qmat_mul(nilpotent, x), qmat_mul(x, nilpotent)) for x in current]
-        e += 1
-        if e > 2 * n + 1:
-            raise AssertionError("ad operator failed to nilpotize")
-    return max(e, 1)
+    """Smallest e >= 1 with ad(N)^e = 0 on matrix space: 2k - 1 for k the
+    nilpotency index of N.  ad(N)^j X = sum_i (-1)^i C(j, i) N^(j-i) X N^i,
+    so j = 2k - 1 kills every term, while for j = 2k - 2 only
+    +-C(2k-2, k-1) N^(k-1) X N^(k-1) survives, nonzero for some X over Q."""
+    return 2 * _nilpotency_index(nilpotent) - 1
 
 
 def _is_zero_qmat(a: QMatrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-def _nilpotent_part(a: QMatrix, basis: Sequence[QVector], xi: Fraction) -> tuple[QMatrix, int]:
-    """N = a - xi on span(basis), which a must leave invariant, and its
-    nilpotency index: the least k >= 1 with N^k = 0."""
-    nil = qmat_sub(_restrict(a, basis), qmat_scale(xi, qidentity(len(basis))))
+def _nilpotency_index(nil: QMatrix) -> int:
+    """The least k >= 1 with nil^k = 0."""
     index, power = 1, nil
     while not _is_zero_qmat(power):
+        if index >= len(nil):
+            raise AssertionError("matrix is not nilpotent")
         power = qmat_mul(power, nil)
         index += 1
-    return nil, index
+    return index
+
+
+def _nilpotent_part(a: QMatrix, basis: Sequence[QVector], xi: Fraction) -> tuple[QMatrix, int]:
+    """N = a - xi on span(basis), which a must leave invariant, and its
+    nilpotency index."""
+    nil = qmat_sub(_restrict(a, basis), qmat_scale(xi, qidentity(len(basis))))
+    return nil, _nilpotency_index(nil)
 
 
 def _eigenbasis_data(a: QMatrix):
@@ -603,17 +601,12 @@ def shear(
                 raise AssertionError("shear recursion violates the all-directions identity")
         bmats[key] = bm
 
-    # inverse by the convolution identity sum B_{m'} B'_{m''} = delta_{m,0}
+    # inverse by the convolution identity sum B_{m'} B'_{m''} = delta_{m,0}:
+    # B'_m = -sum_{m' != 0} B_{m'} B'_{m - m'} for m != 0
     bprime: dict[Elt, QMatrix] = {zero_elt: qidentity(n)}
+    higher = {key: bmats[key] for key in keys}
     for key in keys:
-        acc = _zero_qmat(n)
-        for kp, bk in bmats.items():
-            if m.gp.is_zero(kp):
-                continue
-            rest = m.gp.sub(key, kp)
-            if rest in bprime:
-                acc = qmat_sub(acc, qmat_mul(bk, bprime[rest]))
-        bprime[key] = acc
+        bprime[key] = _convolution_rhs(higher, bprime, key, m, n)
 
     # bound constants (log-norm form, base p): e is the nilpotency index of the
     # commutator part g2; C bounds both the resolvent norms and |A^i_m| a^{h(m)}
@@ -633,6 +626,7 @@ def shear(
 
     # Z_m chain DP and the bound records
     logz: dict[Elt, Fraction] = {}
+    gens = [g for g in m.generators if not m.gp.is_zero(g)]
     records = []
     for key in keys:
         wmin = None
@@ -647,14 +641,11 @@ def shear(
             )
             zi = max(worst, Fraction(0))
             wmin = zi if wmin is None else min(wmin, zi)
-        # key - prev has weight 1..t and M is sharp, so it lies in M exactly
-        # when it lies in the ball
-        best_prev = Fraction(0)
-        for prev in keys:
-            if ball[prev] >= ball[key]:
-                break
-            if prev in logz and m.gp.sub(key, prev) in ball:
-                best_prev = max(best_prev, logz[prev])
+        # the chain max runs over the nonzero proper divisors of key; logz
+        # grows along divisibility (wmin >= 0), so it is reached at some
+        # key - g, g a generator: logz holds exactly the lighter nonzero
+        # elements of M
+        best_prev = max((logz.get(m.gp.sub(key, g), 0) for g in gens), default=0)
         logz[key] = wmin + best_prev
         bound = e_exp * logz[key] + 2 * ball[key] * log_c + qa * ball[key]
         v = matrix_valuation(bmats[key], p)
@@ -704,18 +695,21 @@ def qmat_add_scaled(a0: QMatrix, bm: QMatrix, mi: Fraction) -> QMatrix:
 
 
 def _convolution_rhs(acoeffs: dict, bmats: dict, key: Elt, m: FineMonoid, n: int) -> QMatrix:
-    """-sum A_{m'} B_{key - m'} over the nonzero coefficients A_{m'}, m' != 0."""
-    acc = _zero_qmat(n)
+    """-sum A_{m'} B_{key - m'} over the coefficients A_{m'}, m' != 0, whose
+    partner B_{key - m'} is known, as minus the one product
+    [A_{m'} | ...] [B_{key - m'}; ...]."""
+    left: list[list[Fraction]] = [[] for _ in range(n)]
+    right: list[tuple[Fraction, ...]] = []
     for kp, amat in acoeffs.items():
-        rest = m.gp.sub(key, kp)
-        bm = bmats.get(rest)
+        bm = bmats.get(m.gp.sub(key, kp))
         if bm is None:
             continue
-        prod = qmat_mul(amat, bm)
-        acc = tuple(
-            tuple(acc[i][j] - prod[i][j] for j in range(n)) for i in range(n)
-        )
-    return acc
+        for row, arow in zip(left, amat):
+            row.extend(arow)
+        right.extend(bm)
+    if not right:
+        return _zero_qmat(n)
+    return tuple(tuple(-x for x in row) for row in qmat_mul(left, right))
 
 
 def _solve_sylvester(a0: QMatrix, mi: Fraction, rhs: QMatrix, n: int) -> QMatrix:

@@ -217,6 +217,11 @@ class MonoidIndex:
         return found
 
     @cached_property
+    def hilbert_basis(self) -> tuple[tuple[int, ...], ...]:
+        """The Hilbert basis of the cone, on the gp free coordinates."""
+        return tuple(_cone.hilbert_basis(self.cone))
+
+    @cached_property
     def semi_saturated(self) -> bool:
         return all(not self.face_quotient(f)[0].torsion_invariants for f in self.faces)
 
@@ -483,7 +488,7 @@ def saturation(m: FineMonoid) -> FineMonoid:
     values = default_weighting(m)
     zero_torsion = tuple([0] * len(m.gp.torsion_invariants))
     gens = list(m.generators)
-    for g in [(z, zero_torsion) for z in _cone.hilbert_basis(m.index.cone)] + m.gp.torsion_generators():
+    for g in [(z, zero_torsion) for z in m.index.hilbert_basis] + m.gp.torsion_generators():
         if g not in gens:
             gens.append(g)
     wvals = tuple(int(weight_of(m, values, g)) for g in gens)
@@ -498,7 +503,7 @@ def is_saturated_bounded(m: FineMonoid, weight_bound: Optional[int] = None) -> b
         raise ValueError("is_saturated_bounded requires a sharp monoid")
     if m.gp.torsion_invariants:
         return False
-    return all(membership(m, (z, ())) for z in _cone.hilbert_basis(m.index.cone))
+    return all(membership(m, (z, ())) for z in m.index.hilbert_basis)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Matrices are tuples of tuples of Fractions (rows).  Includes the p-adic
-valuation helpers shared by the series and connection modules.
+Matrices are tuples of tuples of Fractions (rows) on the way in and out,
+integers inside: a product multiplies integer matrices over one denominator
+per factor, and solves share one integer elimination (`_gauss`) whose
+reduced row echelon form, being unique, gives the same Fractions.  Includes
+the p-adic valuation helpers shared by the series and connection modules.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -34,14 +38,20 @@ def qzeros(n: int, m: int) -> QMatrix:
     return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
 
 
+def over_lcm(a: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(integer rows, d) with a = rows / d, d the lcm of a's denominators."""
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
+
+
 def qmat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
     if not a or not b:
         return tuple(tuple() for _ in a)
-    cols = len(b[0])
-    return tuple(
-        tuple(sum((row[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(cols))
-        for row in a
-    )
+    ia, da = over_lcm(a)
+    ib, db = over_lcm(b)
+    den = da * db
+    cols = list(zip(*ib))
+    return tuple(tuple(Fraction(sum(map(operator.mul, row, col)), den) for col in cols) for row in ia)
 
 
 def qmat_vec(a: QMatrix, v: Sequence[Fraction]) -> QVector:
@@ -60,48 +70,46 @@ def qmat_scale(c: Fraction, a: QMatrix) -> QMatrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def _gauss(a: QMatrix, rhs: Optional[list[list[Fraction]]] = None):
-    """Row-reduce a copy of `a` (and optional right-hand sides); return
-    (reduced rows, rhs rows, pivot columns)."""
-    m = [list(row) for row in a]
-    r = [list(row) for row in rhs] if rhs is not None else None
+def _primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _gauss(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination of rows whose first ncols entries are the
+    matrix (pivots are sought there) and the rest right-hand sides.
+
+    Each row is scaled to integers and kept primitive (divided by the gcd
+    of its entries), so no Fraction is built.  Returns (rows, pivot columns): row i < len(pivots) is zero at
+    every other pivot column, and divided by its entry at pivots[i] it is
+    row i of the reduced row echelon form; the later rows are zero on the
+    first ncols entries."""
+    m = [_primitive(row) for row in over_lcm(rows)[0]]
     nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
-        sel = None
-        for i in range(row, nrows):
-            if m[i][col] != 0:
-                sel = i
-                break
+        sel = next((i for i in range(row, nrows) if m[i][col]), None)
         if sel is None:
             continue
         m[row], m[sel] = m[sel], m[row]
-        if r is not None:
-            r[row], r[sel] = r[sel], r[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        if r is not None:
-            r[row] = [x * inv for x in r[row]]
+        prow = m[row]
         for i in range(nrows):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[row])]
-                if r is not None:
-                    r[i] = [x - f * y for x, y in zip(r[i], r[row])]
+            if i != row and m[i][col]:
+                g = math.gcd(prow[col], m[i][col])
+                p, f = prow[col] // g, m[i][col] // g
+                m[i] = _primitive([p * x - f * y for x, y in zip(m[i], prow)])
         pivots.append(col)
         row += 1
         if row == nrows:
             break
-    return m, r, pivots
+    return m, pivots
 
 
 def qrank(a: QMatrix) -> int:
     if not a:
         return 0
-    _, _, pivots = _gauss(a)
-    return len(pivots)
+    return len(_gauss(a, len(a[0]))[1])
 
 
 def qsolve(a: QMatrix, b: Sequence[Fraction]) -> Optional[QVector]:
@@ -109,15 +117,13 @@ def qsolve(a: QMatrix, b: Sequence[Fraction]) -> Optional[QVector]:
 
     Deterministic: free variables are set to zero.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    m, r, pivots = _gauss(a, [[Fraction(x)] for x in b])
+    ncols = len(a[0]) if a else 0
+    m, pivots = _gauss([tuple(row) + (x,) for row, x in zip(a, b)], ncols)
+    if any(row[ncols] for row in m[len(pivots):]):
+        return None
     x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = r[i][0]
-    for i in range(len(pivots), nrows):
-        if r[i][0] != 0:
-            return None
+    for row, col in zip(m, pivots):
+        x[col] = Fraction(row[ncols], row[col])
     return tuple(x)
 
 
@@ -126,24 +132,24 @@ def qnullspace(a: QMatrix) -> list[QVector]:
     ncols = len(a[0]) if nrows else 0
     if nrows == 0:
         return [tuple(Fraction(1 if i == j else 0) for i in range(ncols)) for j in range(ncols)]
-    m, _, pivots = _gauss(a)
+    m, pivots = _gauss(a, ncols)
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
     for j in free:
         v = [Fraction(0)] * ncols
         v[j] = Fraction(1)
-        for i, col in enumerate(pivots):
-            v[col] = -m[i][j]
+        for row, col in zip(m, pivots):
+            v[col] = Fraction(-row[j], row[col])
         basis.append(tuple(v))
     return basis
 
 
 def qinverse(a: QMatrix) -> Optional[QMatrix]:
     n = len(a)
-    m, r, pivots = _gauss(a, [list(row) for row in qidentity(n)])
+    m, pivots = _gauss([tuple(row) + e for row, e in zip(a, qidentity(n))], n)
     if len(pivots) < n:
         return None
-    return tuple(tuple(row) for row in r)
+    return tuple(tuple(Fraction(x, row[col]) for x in row[n:]) for row, col in zip(m, pivots))
 
 
 def charpoly(a: QMatrix) -> list[Fraction]:

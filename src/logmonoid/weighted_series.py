@@ -22,7 +22,7 @@ from .monoid_core import (
     membership,
     saturation,
 )
-from .qlin import INF, padic_valuation, qvec
+from .qlin import INF, over_lcm, padic_valuation, qvec
 
 DEFAULT_PRIME = 5
 
@@ -217,16 +217,29 @@ def series_sub(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     _check_compatible(f, g)
     t = min(f.truncation, g.truncation)
-    out: dict[Elt, Fraction] = {}
     add = f.monoid.gp.add
     h = f.monoid.index.weighted(f.weighting.values).h
-    for k1, c1 in f.terms:
-        for k2, c2 in g.terms:
+    # each factor as integers over one denominator: one Fraction per output term
+    (left,), df = over_lcm([[c for _, c in f.terms]])
+    (nums,), dg = over_lcm([[c for _, c in g.terms]])
+    # h is additive and h <= |h|, so with g's terms in h order every pair
+    # after the first with h(k1) + h(k2) > t leaves the truncation too
+    right = sorted(((h(k)[0], k, c) for (k, _), c in zip(g.terms, nums)), key=lambda term: term[0])
+    out: dict[Elt, int] = {}
+    for (k1, _), c1 in zip(f.terms, left):
+        room = t - h(k1)[0]
+        for h2, k2, c2 in right:
+            if h2 > room:
+                break
             k = add(k1, k2)
             if h(k)[2] > t:
                 continue
-            out[k] = out.get(k, Fraction(0)) + c1 * c2
-    return series(f.monoid, f.weighting, out, t, f.annulus or g.annulus, validate=False)
+            out[k] = out.get(k, 0) + c1 * c2
+    den = df * dg
+    return series(
+        f.monoid, f.weighting, {k: Fraction(c, den) for k, c in out.items() if c}, t,
+        f.annulus or g.annulus, validate=False,
+    )
 
 
 def series_invert(f: TruncatedSeries) -> TruncatedSeries:

@@ -149,6 +149,18 @@ def test_exit_code_parse_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("field,value", [("rank", 0), ("truncation", -1)])
+def test_exit_code_bad_rank_or_truncation(capsys, tmp_path, field, value):
+    doc = json.loads((DATA / "n2_sigma_pair_connection.json").read_text())
+    doc[field] = value
+    path = tmp_path / f"bad_{field}.json"
+    path.write_text(json.dumps(doc))
+    for sub in ("exponents", "shear", "homotopy", "logconv", "dl", "unipotent"):
+        code, out, err = run(capsys, "connection", sub, path)
+        assert (code, out) == (2, ""), sub
+        assert field in err and "Traceback" not in err
+
+
 def test_exit_code_hypothesis_violation(capsys, tmp_path):
     doc = {
         "monoid": {"generators": 1, "relations": []},

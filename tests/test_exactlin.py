@@ -94,6 +94,164 @@ def test_qsolve_and_nullspace():
         assert qlin.qrank(a) + len(qlin.qnullspace(a)) == cols
 
 
+# -- the integer kernels against per-entry Fraction references ------------------
+
+def _ref_mat_mul(a, b):
+    if not a or not b:
+        return tuple(tuple() for _ in a)
+    return tuple(
+        tuple(sum((row[k] * b[k][j] for k in range(len(b))), F(0)) for j in range(len(b[0])))
+        for row in a
+    )
+
+
+def _ref_gauss(a, rhs=None):
+    """Gauss-Jordan over Fractions, one division per pivot row."""
+    m = [list(row) for row in a]
+    r = [list(row) for row in rhs] if rhs is not None else None
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots, row = [], 0
+    for col in range(ncols):
+        sel = next((i for i in range(row, nrows) if m[i][col] != 0), None)
+        if sel is None:
+            continue
+        m[row], m[sel] = m[sel], m[row]
+        if r is not None:
+            r[row], r[sel] = r[sel], r[row]
+        inv = 1 / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        if r is not None:
+            r[row] = [x * inv for x in r[row]]
+        for i in range(nrows):
+            if i != row and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[row])]
+                if r is not None:
+                    r[i] = [x - f * y for x, y in zip(r[i], r[row])]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return m, r, pivots
+
+
+def _ref_solve(a, b):
+    ncols = len(a[0]) if a else 0
+    m, r, pivots = _ref_gauss(a, [[F(x)] for x in b])
+    if any(r[i][0] != 0 for i in range(len(pivots), len(a))):
+        return None
+    x = [F(0)] * ncols
+    for i, col in enumerate(pivots):
+        x[col] = r[i][0]
+    return tuple(x)
+
+
+def _ref_nullspace(a):
+    ncols = len(a[0]) if a else 0
+    if not a:
+        return [tuple(F(1 if i == j else 0) for i in range(ncols)) for j in range(ncols)]
+    m, _, pivots = _ref_gauss(a)
+    basis = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        v = [F(0)] * ncols
+        v[j] = F(1)
+        for i, col in enumerate(pivots):
+            v[col] = -m[i][j]
+        basis.append(tuple(v))
+    return basis
+
+
+def _ref_inverse(a):
+    n = len(a)
+    _, r, pivots = _ref_gauss(a, qlin.qidentity(n))
+    return tuple(tuple(row) for row in r) if len(pivots) == n else None
+
+
+def _rational_matrix(rng, rows, cols, zero_rows=(), rank=None):
+    """Seeded small rationals; rows listed in zero_rows are zero, and with
+    rank given every row is a combination of the first `rank` rows."""
+    def entry():
+        return F(rng.randint(-7, 7), rng.choice((1, 1, 2, 3, 4, 6, 9)))
+
+    base = [[entry() for _ in range(cols)] for _ in range(rank if rank is not None else rows)]
+    out = []
+    for i in range(rows):
+        if i in zero_rows:
+            out.append([F(0)] * cols)
+        elif rank is None or i < rank:
+            out.append(base[i])
+        else:
+            coeffs = [entry() for _ in range(rank)]
+            out.append([sum((c * r[j] for c, r in zip(coeffs, base)), F(0)) for j in range(cols)])
+    return qlin.qmat(out)
+
+
+def _sylvester_system(rng, n):
+    """The n^2 x n^2 system of A0 X - X A0 + m X = RHS that shear solves,
+    for a triangular A0; m = 0 makes it singular."""
+    a0 = [[F(rng.randint(0, 2), 2) if i == j else (F(rng.randint(-3, 3), rng.randint(1, 3))
+                                                  if j > i else F(0)) for j in range(n)]
+          for i in range(n)]
+    mi = rng.choice((F(0), F(1), F(2), F(-1, 2)))
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [F(0)] * (n * n)
+            for k in range(n):
+                row[k * n + j] += a0[i][k]
+                row[i * n + k] -= a0[k][j]
+            row[i * n + j] += mi
+            rows.append(row)
+    return qlin.qmat(rows)
+
+
+def _kernel_grid():
+    """(a, b) pairs: empty, non-square, zero-row, rank-deficient, inconsistent
+    and Sylvester-shaped systems."""
+    rng = random.Random(20)
+    grid = [((), ()), (((),), (F(0),)), (((), ()), (F(0), F(1)))]
+    for _ in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        zero_rows = {i for i in range(rows) if rng.random() < 0.15}
+        rank = rng.choice((None, None, rng.randint(0, min(rows, cols))))
+        a = _rational_matrix(rng, rows, cols, zero_rows, rank)
+        x = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
+        consistent = qlin.qvec(sum((r * v for r, v in zip(row, x)), F(0)) for row in a)
+        arbitrary = qlin.qvec(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rows))
+        grid += [(a, consistent), (a, arbitrary)]
+    for n in (1, 2, 3):
+        for _ in range(4):
+            a = _sylvester_system(rng, n)
+            grid.append((a, qlin.qvec(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n * n))))
+    return grid
+
+
+def test_integer_kernels_match_fraction_references():
+    grid = _kernel_grid()
+    inconsistent = singular = 0
+    for a, b in grid:
+        sol = qlin.qsolve(a, b)
+        assert sol == _ref_solve(a, b)
+        inconsistent += sol is None
+        assert qlin.qnullspace(a) == _ref_nullspace(a)
+        assert qlin.qrank(a) == (len(_ref_gauss(a)[2]) if a else 0)
+        if a and len(a) == len(a[0]):
+            inv = qlin.qinverse(a)
+            assert inv == _ref_inverse(a)
+            singular += inv is None
+    assert inconsistent > 5 and singular > 5  # the grid reaches both outcomes
+
+
+def test_qmat_mul_matches_fraction_reference():
+    rng = random.Random(21)
+    shapes = [(0, 0, 0), (2, 0, 3), (1, 1, 1), (1, 3, 1), (3, 1, 2), (2, 3, 4), (3, 3, 3), (4, 2, 1)]
+    for rows, inner, cols in shapes + [tuple(rng.randint(1, 4) for _ in range(3)) for _ in range(30)]:
+        zero_rows = {i for i in range(rows) if rng.random() < 0.2}
+        a = _rational_matrix(rng, rows, inner, zero_rows)
+        b = _rational_matrix(rng, inner, cols)
+        assert qlin.qmat_mul(a, b) == _ref_mat_mul(a, b)
+
+
 def test_padic_valuation():
     assert qlin.padic_valuation(F(50), 5) == 2
     assert qlin.padic_valuation(F(3, 25), 5) == -2

@@ -2,13 +2,14 @@
 D_l operators, the homotopy identity and log-convergence."""
 
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from logmonoid import documents
+from logmonoid import documents, selftest
 from logmonoid import snf
 from logmonoid.abelian import group_quotient
 from logmonoid import log_connection as lc
@@ -25,7 +26,7 @@ from logmonoid.errors import (
     NotSharp,
     SingularSylvester,
 )
-from logmonoid.qlin import qmat, qmat_mul, qmat_vec, qinverse
+from logmonoid.qlin import padic_valuation, qinverse, qmat, qmat_mul, qmat_vec
 
 from conftest import build_module, build_series, gauge_built_module
 
@@ -844,3 +845,69 @@ def test_projection_polynomials_take_each_eigenvalue_over_all_its_blocks(n2):
     # Q_i = (minimal polynomial of res_i) / (x - xi_{i,target}), ascending coefficients
     assert lc.default_projection_polynomials(e, 0) == [[0, 1], [F(-1, 3), 1]]
     assert lc.default_projection_polynomials(e, 1) == [[0, 1], [0, 1]]
+
+
+def _ad_nilpotency_by_powers(nil):
+    """Apply ad(N) to every matrix unit until all of them vanish."""
+    n = len(nil)
+    current = [tuple(tuple(F(1 if (r, c) == (i, j) else 0) for c in range(n)) for r in range(n))
+               for i in range(n) for j in range(n)]
+    e = 0
+    while any(x != 0 for mat in current for row in mat for x in row):
+        current = [tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in
+                         zip(qmat_mul(nil, x), qmat_mul(x, nil))) for x in current]
+        e += 1
+    return max(e, 1)
+
+
+def test_ad_nilpotency_closed_form_matches_the_powers():
+    """e = 2k - 1 on conjugates P U P^-1 of strictly upper triangular U, n <= 4."""
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        u = [[F(rng.choice((0, rng.randint(1, 3))), rng.randint(1, 3)) if j > i else F(0)
+              for j in range(n)] for i in range(n)]
+        while True:
+            p = qmat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            p_inv = qinverse(p)
+            if p_inv is not None:
+                break
+        nil = qmat_mul(qmat_mul(p, qmat(u)), p_inv)
+        e = lc._ad_nilpotency(nil)
+        assert e == _ad_nilpotency_by_powers(nil)
+        seen.add(e)
+    assert seen == {1, 3, 5, 7}
+
+
+def _bound_report_by_walking_every_lighter_key(e, sr, p=5):
+    """The Z_m chain DP as a max over every nonzero proper divisor of m."""
+    m, t = e.monoid, e.truncation
+    index = m.index.weighted(e.weighting.values)
+    ball, keys = index.ball(t), index.upto(t)[1:]
+    eigs = [sorted(set(ev)) for ev, *_ in e.eigenbasis_data]
+    logz, out = {}, []
+    for key in keys:
+        coords = e.embedding.coords(key)
+        wmin = min(
+            max(max((F(padic_valuation(x - y - mi, p)) for x, y in itertools.product(ev, repeat=2)),
+                    default=F(0)), F(0))
+            for mi, ev in zip(coords, eigs) if mi != 0
+        )
+        best_prev = F(0)
+        for prev in keys:
+            if ball[prev] >= ball[key]:
+                break
+            if prev in logz and m.gp.sub(key, prev) in ball:
+                best_prev = max(best_prev, logz[prev])
+        logz[key] = wmin + best_prev
+        # radius one: the a^{-h(m)} term vanishes
+        out.append((key, sr.nilpotency_exponent * logz[key] + 2 * ball[key] * sr.norm_constant_log))
+    return out
+
+
+def test_bound_report_matches_the_walk_over_every_lighter_key():
+    for name, e, _ in selftest._shear_fixtures(12):
+        sr = lc.shear(e)
+        got = [(r.key, r.bound) for r in sr.bound_report]
+        assert got == _bound_report_by_walking_every_lighter_key(e, sr), name

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from logmonoid import cone
+from logmonoid import monoid_core as mc
 from logmonoid import oracle as orc
 from logmonoid import weighted_series as ws
 from logmonoid.errors import NonInvertibleConstantTerm
@@ -120,6 +122,46 @@ def test_xy_equals_z_squared(m_even):
     ty = ws.monomial(m_even, h, g3, 8)
     tz = ws.monomial(m_even, h, g2, 8)
     assert ws.series_equal(ws.series_mul(tx, ty), ws.series_mul(tz, tz))
+
+
+def _ref_series_mul(f, g):
+    """Every term pair, kept when |h| of the sum is within the truncation."""
+    t = min(f.truncation, g.truncation)
+    out = {}
+    for k1, c1 in f.terms:
+        for k2, c2 in g.terms:
+            k = f.monoid.gp.add(k1, k2)
+            if ws.h_abs(f.monoid, f.weighting, k) <= t:
+                out[k] = out.get(k, Fraction(0)) + c1 * c2
+    return ws.series(f.monoid, f.weighting, out, t, f.annulus or g.annulus, validate=False)
+
+
+def _random_series(rng, m, h, t, annulus):
+    """Seeded small rationals on part of the ball of weight <= t + 1 or, on
+    an annulus, on differences of its elements (negative h included)."""
+    ball = m.index.weighted(h.values).upto(t + 1) if mc.is_sharp(m) else [
+        m.gp.add(m.gp.scale(a, m.generators[0]), m.gp.scale(b, m.generators[2]))
+        for a in range(-2, 3) for b in range(t + 2)
+    ]
+    keys = {rng.choice(ball) for _ in range(12)}
+    if annulus:
+        keys |= {m.gp.sub(rng.choice(ball), rng.choice(ball)) for _ in range(12)}
+    coeffs = {k: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for k in keys}
+    return ws.series(m, h, coeffs, t, annulus=annulus)
+
+
+def test_series_mul_matches_every_pair_product(n1, n2, m_even):
+    """Disk and annulus series (negative-h terms), mixed truncations and a
+    monoid with units (Z x N) against the unpruned double loop."""
+    units, _ = mc.from_embedded([[1, 0], [-1, 0], [0, 1]])
+    rng = random.Random(5)
+    for m in (n1, n2, m_even, units):
+        h = ws.default_weighting(m)
+        for annulus in (False, True):
+            for _ in range(8):
+                f = _random_series(rng, m, h, rng.randint(0, 5), annulus)
+                g = _random_series(rng, m, h, rng.randint(0, 5), annulus and rng.random() < 0.7)
+                assert ws.series_mul(f, g) == _ref_series_mul(f, g)
 
 
 def test_invert_needs_unit_constant(n1):
@@ -288,6 +330,19 @@ def test_saturation_invariance_nm1(nm1):
     ]
     assert ws.saturation_invariance_check(m, ws.Radius.p_power(2), ws.Radius.p_power(1), pts)
     assert ws.saturation_invariance_check(m, ws.Radius.p_power(1), ws.Radius.one(), pts)
+
+
+def test_saturation_invariance_builds_the_hilbert_basis_once(monkeypatch):
+    calls = []
+    original = cone.hilbert_basis
+    monkeypatch.setattr(cone, "hilbert_basis", lambda c: calls.append(c) or original(c))
+    m = mc.from_embedded([[2], [3]])[0]  # N \ {1}, fresh so nothing is cached yet
+    pts = [ws.valuation_point(m, (Fraction(2), Fraction(3)))]
+    assert ws.saturation_invariance_check(m, ws.Radius.p_power(1), ws.Radius.one(), pts)
+    assert calls
+    calls.clear()
+    assert ws.saturation_invariance_check(m, ws.Radius.p_power(1), ws.Radius.one(), pts)
+    assert not calls
 
 
 def test_saturation_invariance_saturated_case(m_even):
