@@ -602,11 +602,11 @@ def shear(
         bmats[key] = bm
 
     # inverse by the convolution identity sum B_{m'} B'_{m''} = delta_{m,0}:
-    # B'_m = -sum_{m' != 0} B_{m'} B'_{m - m'} for m != 0
+    # B'_m = -sum_{m' != 0} B_{m'} B'_{m - m'} for m != 0; the m' = 0 term
+    # drops out because its partner B'_m is assigned only after the call
     bprime: dict[Elt, QMatrix] = {zero_elt: qidentity(n)}
-    higher = {key: bmats[key] for key in keys}
     for key in keys:
-        bprime[key] = _convolution_rhs(higher, bprime, key, m, n)
+        bprime[key] = _convolution_rhs(bmats, bprime, key, m, n)
 
     # bound constants (log-norm form, base p): e is the nilpotency index of the
     # commutator part g2; C bounds both the resolvent norms and |A^i_m| a^{h(m)}
@@ -695,8 +695,8 @@ def qmat_add_scaled(a0: QMatrix, bm: QMatrix, mi: Fraction) -> QMatrix:
 
 
 def _convolution_rhs(acoeffs: dict, bmats: dict, key: Elt, m: FineMonoid, n: int) -> QMatrix:
-    """-sum A_{m'} B_{key - m'} over the coefficients A_{m'}, m' != 0, whose
-    partner B_{key - m'} is known, as minus the one product
+    """-sum A_{m'} B_{key - m'} over the coefficients A_{m'} whose partner
+    B_{key - m'} is known, as minus the one product
     [A_{m'} | ...] [B_{key - m'}; ...]."""
     left: list[list[Fraction]] = [[] for _ in range(n)]
     right: list[tuple[Fraction, ...]] = []

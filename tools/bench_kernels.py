@@ -1,20 +1,19 @@
 """Microbenchmark of the exact kernels: microseconds per call.
 
-    python3 tools/bench_kernels.py [--seed N] [--repeats R]
+    python3 tools/bench_kernels.py
 
 Run from the root of a checkout; the program is imported from ./src.  Times
 `qlin.qmat_mul` on n x n matrices, `qlin.qsolve` on the n^2 x n^2 Sylvester
 systems that the shear recursion solves (A0 X - X A0 + m X = RHS), for
 n = 1, 2, 3, and `weighted_series.series_mul` on dense disk series over N^2
-truncated at T = 3..6.  Entries are seeded small rationals, the sizes the
-connection-ladder benchmark produces.  Each figure is the median over R
-repeats of a loop of at least 20 ms, in wall-clock microseconds per call;
-stdlib only.
+truncated at T = 3..6.  Entries are small rationals (numerators -9..9,
+denominators up to 6) from a fixed seed, so every run measures the same
+inputs.  Each figure is the median over REPEATS repeats of a loop of at
+least 20 ms, in wall-clock microseconds per call; stdlib only.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import random
 import statistics
@@ -28,6 +27,8 @@ from logmonoid import monoid_core as mc  # noqa: E402
 from logmonoid import weighted_series as ws  # noqa: E402
 from logmonoid.qlin import qmat, qmat_mul, qsolve, qvec  # noqa: E402
 
+SEED = 1
+REPEATS = 7
 DENOMINATORS = (1, 1, 2, 3, 5, 6)
 
 
@@ -63,7 +64,7 @@ def _series(rng: random.Random, m, h, t: int):
     return ws.series(m, h, {k: _rational(rng) for k in keys}, t)
 
 
-def _time(fn, repeats: int) -> float:
+def _time(fn) -> float:
     """Median microseconds per call of fn()."""
     loops = 1
     while True:
@@ -74,7 +75,7 @@ def _time(fn, repeats: int) -> float:
             break
         loops *= 2
     samples = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         for _ in range(loops):
             fn()
@@ -82,24 +83,20 @@ def _time(fn, repeats: int) -> float:
     return statistics.median(samples)
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--repeats", type=int, default=7)
-    args = ap.parse_args(argv)
-    rng = random.Random(args.seed)
+def main() -> int:
+    rng = random.Random(SEED)
     rows = []
     for n in (1, 2, 3):
         a, b = _matrix(rng, n), _matrix(rng, n)
-        rows.append((f"qmat_mul n={n}", _time(lambda: qmat_mul(a, b), args.repeats)))
+        rows.append((f"qmat_mul n={n}", _time(lambda: qmat_mul(a, b))))
     for n in (1, 2, 3):
         sa, sb = _sylvester(rng, n)
-        rows.append((f"qsolve sylvester n={n}", _time(lambda: qsolve(sa, sb), args.repeats)))
+        rows.append((f"qsolve sylvester n={n}", _time(lambda: qsolve(sa, sb))))
     n2 = mc.free_monoid(2)
     h = ws.default_weighting(n2)
     for t in (3, 4, 5, 6):
         f, g = _series(rng, n2, h, t), _series(rng, n2, h, t)
-        rows.append((f"series_mul N^2 disk T={t}", _time(lambda: ws.series_mul(f, g), args.repeats)))
+        rows.append((f"series_mul N^2 disk T={t}", _time(lambda: ws.series_mul(f, g))))
     for name, us in rows:
         print(f"{name:28s} {us:10.1f} us")
     return 0
