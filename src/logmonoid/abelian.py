@@ -7,6 +7,7 @@ coordinates are kept reduced to [0, d_i).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -39,19 +40,22 @@ class AbelianGroup:
         return (tuple([0] * self.free_rank), tuple([0] * len(self.torsion_invariants)))
 
     def add(self, x: Elt, y: Elt) -> Elt:
-        return (
-            tuple(a + b for a, b in zip(x[0], y[0])),
-            tuple((a + b) % d for a, b, d in zip(x[1], y[1], self.torsion_invariants)),
-        )
+        free = tuple(map(operator.add, x[0], y[0]))
+        if not self.torsion_invariants:
+            return (free, ())
+        return (free, tuple((a + b) % d for a, b, d in zip(x[1], y[1], self.torsion_invariants)))
 
     def neg(self, x: Elt) -> Elt:
-        return (
-            tuple(-a for a in x[0]),
-            tuple((-a) % d for a, d in zip(x[1], self.torsion_invariants)),
-        )
+        free = tuple(map(operator.neg, x[0]))
+        if not self.torsion_invariants:
+            return (free, ())
+        return (free, tuple(-a % d for a, d in zip(x[1], self.torsion_invariants)))
 
     def sub(self, x: Elt, y: Elt) -> Elt:
-        return self.add(x, self.neg(y))
+        free = tuple(map(operator.sub, x[0], y[0]))
+        if not self.torsion_invariants:
+            return (free, ())
+        return (free, tuple((a - b) % d for a, b, d in zip(x[1], y[1], self.torsion_invariants)))
 
     def scale(self, k: int, x: Elt) -> Elt:
         return (

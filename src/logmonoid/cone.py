@@ -21,10 +21,11 @@ simplicial cone's fundamental parallelepiped, listed from its Smith form
 (Bruns-Ichim, "Normaliz: algorithms for affine monoids and rational
 cones", J. Algebra 2010).
 
-A phase-1 simplex over Fractions with Bland's rule remains for questions
-about cones known only by generators: a functional positive on given
-vectors (the default weighting) and membership (verticality), each answer
-a certificate.
+A phase-1 simplex with Bland's rule remains for questions about cones
+known only by generators: a functional positive on given vectors (the
+default weighting) and membership (verticality), each answer a
+certificate.  Its tableau rows are primitive integer rows, so it pivots
+without Fractions and builds one Fraction per basic value at the end.
 """
 
 from __future__ import annotations
@@ -34,120 +35,110 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from numbers import Rational
 from typing import Optional, Sequence
 
 from . import snf as _snf
-from .qlin import QVector, qvec
+from .qlin import QVector
 
 
 def simplex_feasible(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+    a: Sequence[Sequence[Rational]], b: Sequence[Rational]
 ) -> Optional[list[Fraction]]:
-    """Find x >= 0 with a*x = b, or None.  Exact phase-1 simplex, Bland's rule."""
+    """Find x >= 0 with a*x = b, or None.  Exact phase-1 simplex, Bland's rule.
+
+    Each row of the tableau, the cost row too, is kept as a primitive
+    integer row, a positive multiple of the row of the rational tableau.
+    Signs and ratios of entries do not see a positive scale, so the pivots
+    are the rational tableau's, and a basic value is the row's right-hand
+    side over the row's entry in its basic column."""
     m = len(a)
     n = len(a[0]) if m else 0
-    if m == 0:
-        return [Fraction(0)] * n
-    rows = [[Fraction(x) for x in row] for row in a]
-    rhs = [Fraction(x) for x in b]
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
     total = n + m
-    tab = [
-        rows[i]
-        + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        + [rhs[i]]
-        for i in range(m)
-    ]
-    basis = [n + i for i in range(m)]
+    tab = []
+    for i, (row, rhs) in enumerate(zip(a, b)):
+        den = math.lcm(rhs.denominator, *(x.denominator for x in row))
+        sign = -1 if rhs < 0 else 1
+        ints = [sign * den // x.denominator * x.numerator for x in row] + [0] * (m + 1)
+        ints[n + i] = den
+        ints[total] = sign * den // rhs.denominator * rhs.numerator
+        tab.append(_primitive(ints))
     # phase-1 objective: minimize the sum of artificials
-    cost = [Fraction(0)] * (total + 1)
-    for i in range(m):
-        for j in range(total + 1):
-            cost[j] += tab[i][j]
+    scale = math.lcm(*(row[n + i] for i, row in enumerate(tab)))
+    cost = _primitive([sum(scale // row[n + i] * row[j] for i, row in enumerate(tab)) for j in range(total + 1)])
+    basis = list(range(n, total))
     while True:
-        enter = None
-        for j in range(n):  # Bland: first original variable with positive reduced cost
-            if cost[j] > 0:
-                enter = j
-                break
+        # Bland: first original variable with positive reduced cost
+        enter = next((j for j in range(n) if cost[j] > 0), None)
         if enter is None:
             break
         leave = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][total] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+        for i, row in enumerate(tab):
+            if row[enter] > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # d < 0 iff rhs_i / a_i < rhs_leave / a_leave, as both a > 0
+                d = row[total] * tab[leave][enter] - tab[leave][total] * row[enter]
+                if d < 0 or (d == 0 and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             break
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        pivot = tab[leave]
+        p = pivot[enter]
+        for i, row in enumerate(tab):
+            f = row[enter]
+            if i != leave and f:
+                tab[i] = _primitive([p * x - f * y for x, y in zip(row, pivot)])
         f = cost[enter]
-        cost = [x - f * y for x, y in zip(cost, tab[leave])]
+        cost = _primitive([p * x - f * y for x, y in zip(cost, pivot)])
         basis[leave] = enter
-    if cost[total] != 0:
+    if cost[total]:
         return None
     x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tab[i][total]
-        elif tab[i][total] != 0:
+    for row, j in zip(tab, basis):
+        if j < n:
+            x[j] = Fraction(row[total], row[j])
+        elif row[total]:
             return None
     return x
 
 
-def cone_member(rays: Sequence[QVector], target: Sequence[Fraction]) -> Optional[list[Fraction]]:
+def cone_member(rays: Sequence[Sequence[Rational]], target: Sequence[Rational]) -> Optional[list[Fraction]]:
     """Nonnegative rational coefficients expressing target in cone(rays), or None."""
-    target = qvec(target)
     if not rays:
-        return [] if all(x == 0 for x in target) else None
-    d = len(target)
-    a = [[rays[j][i] for j in range(len(rays))] for i in range(d)]
-    return simplex_feasible(a, list(target))
+        return [] if not any(target) else None
+    return simplex_feasible([[r[i] for r in rays] for i in range(len(target))], target)
 
 
 def support_functional(
-    vectors: Sequence[QVector],
+    vectors: Sequence[Sequence[Rational]],
     zero_set: Sequence[int],
     positive_set: Sequence[int],
     dim: int,
 ) -> Optional[QVector]:
     """Rational lam in Q^dim with lam*v = 0 on zero_set and lam*v >= 1 on positive_set."""
     npos = len(positive_set)
-    a: list[list[Fraction]] = []
-    b: list[Fraction] = []
+    a: list[list[Rational]] = []
     for idx in zero_set:
         v = vectors[idx]
-        a.append([Fraction(x) for x in v] + [Fraction(-x) for x in v] + [Fraction(0)] * npos)
-        b.append(Fraction(0))
+        a.append([*v, *(-x for x in v)] + [0] * npos)
     for k, idx in enumerate(positive_set):
         v = vectors[idx]
-        row = [Fraction(x) for x in v] + [Fraction(-x) for x in v] + [Fraction(0)] * npos
-        row[2 * dim + k] = Fraction(-1)
+        row = [*v, *(-x for x in v)] + [0] * npos
+        row[2 * dim + k] = -1
         a.append(row)
-        b.append(Fraction(1))
     if not a:
         return tuple(Fraction(0) for _ in range(dim))
-    sol = simplex_feasible(a, b)
+    sol = simplex_feasible(a, [0] * len(zero_set) + [1] * npos)
     if sol is None:
         return None
     return tuple(sol[i] - sol[dim + i] for i in range(dim))
 
 
 def _primitive(v: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g == 0:
+    g = gcd(*v)
+    if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
 

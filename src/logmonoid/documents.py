@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
-from .abelian import AbelianGroup, Elt, solve_in_group
+from .abelian import AbelianGroup, Elt, GroupSpan
 from .errors import ParseError
 from .log_connection import Embedding, ExponentSet, LogNablaModule, facet_embedding
 from .monoid_core import FineMonoid, from_embedded, from_presentation
@@ -52,6 +53,13 @@ class MonoidContext:
     ambient_generators: Optional[tuple[tuple[int, ...], ...]]
     ambient_torsion: tuple[int, ...]
 
+    @cached_property
+    def ambient_span(self) -> GroupSpan:
+        """The generators inside the ambient group, one Smith form for every
+        element parsed (embedded monoids only)."""
+        ambient = AbelianGroup(len(self.ambient_generators[0]), self.ambient_torsion)
+        return GroupSpan(ambient, [ambient.element(v) for v in self.ambient_generators])
+
     def parse_element(self, obj) -> Elt:
         if not isinstance(obj, dict) or "free" not in obj:
             raise ParseError(f"gp element must be {{'free': [...], 'torsion': [...]}}: {obj!r}")
@@ -62,13 +70,12 @@ class MonoidContext:
                 return self.monoid.gp.element(free, torsion)
             except ValueError as exc:
                 raise ParseError(str(exc)) from exc
-        ambient = AbelianGroup(len(self.ambient_generators[0]), self.ambient_torsion)
+        span = self.ambient_span
         try:
-            amb_elt = ambient.element(free, torsion)
+            amb_elt = span.group.element(free, torsion)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-        amb_gens = [ambient.element(v) for v in self.ambient_generators]
-        coeffs = solve_in_group(ambient, amb_gens, amb_elt)
+        coeffs = span.coefficients(amb_elt)
         if coeffs is None:
             raise ParseError("element lies outside the group generated by the monoid")
         gp = self.monoid.gp
@@ -199,7 +206,7 @@ def _embedding_from_rows(ctx: MonoidContext, rows) -> Embedding:
             new_row = []
             for k in range(d):
                 e = gp.element(tuple(1 if i == k else 0 for i in range(d)))
-                coeffs = solve_in_group(gp, ctx.monoid.generators, e)
+                coeffs = ctx.monoid.index.span.coefficients(e)
                 amb = [0] * dim
                 for c, v in zip(coeffs, ctx.ambient_generators):
                     for i in range(dim):

@@ -241,7 +241,7 @@ class MonoidIndex:
         if m.weighting is not None:
             return m.weighting
         mbar = self.sharp[0]
-        vecs = [qvec(g[0]) for g in mbar.generators]
+        vecs = [g[0] for g in mbar.generators]
         zero_set = [i for i, g in enumerate(mbar.generators) if mbar.gp.is_zero(g)]
         positive_set = [i for i in range(len(vecs)) if i not in zero_set]
         lam = _cone.support_functional(vecs, zero_set, positive_set, mbar.gp.free_rank)
@@ -650,8 +650,8 @@ def is_vertical(f: MonoidHom, search_bound: int = 6) -> Optional[bool]:
         if witnessed:
             verdicts.append(True)
             continue
-        rays = [qvec(im[0]) for im in f.images] + [qvec(tuple(-v for v in g[0])) for g in m.generators]
-        if _cone.cone_member(rays, qvec(tgt[0])) is None:
+        rays = [im[0] for im in f.images] + [tuple(-v for v in g[0]) for g in m.generators]
+        if _cone.cone_member(rays, tgt[0]) is None:
             return False
         verdicts.append(None)
     if all(v is True for v in verdicts):

@@ -66,7 +66,10 @@ def _ball(m: FineMonoid, budget: EnumerationBudget) -> MappingProxyType:
                     elements.add(cand)
                     changed = True
                     if len(elements) > budget.element_cap:
-                        raise BudgetExceeded("element cap exceeded")
+                        raise BudgetExceeded(
+                            f"element_cap={budget.element_cap} exceeded: {len(elements)} elements "
+                            f"of weight <= weight_bound={budget.weight_bound}"
+                        )
     return MappingProxyType({e: weight(e) for e in elements})
 
 
@@ -74,7 +77,7 @@ def brute_membership(m: FineMonoid, g: Elt, budget: EnumerationBudget) -> bool:
     _, weight = _weight_map(m)
     w = weight(g)
     if w > budget.weight_bound:
-        raise BudgetExceeded("element weight exceeds the budget")
+        raise BudgetExceeded(f"weight_bound={budget.weight_bound} is below the element's weight {w}")
     return g in _ball(m, budget)
 
 
@@ -145,7 +148,10 @@ def brute_h_plus(m: FineMonoid, g: Elt, budget: EnumerationBudget) -> int:
             if best is None or wy < best:
                 best = int(wy)
     if best is None:
-        raise BudgetExceeded("no decomposition found within the budget")
+        raise BudgetExceeded(
+            f"weight_bound={budget.weight_bound}: no y of weight <= {budget.weight_bound} with "
+            f"y - g in M, for g of weight {wg}"
+        )
     return best
 
 

@@ -7,6 +7,7 @@ encodes radius 0), so every norm comparison happens in valuation form.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -192,15 +193,20 @@ def _check_compatible(f: TruncatedSeries, g: TruncatedSeries):
         raise ValueError("series live on different weighted monoids")
 
 
-def series_add(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+def _termwise(op, f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    """f op g term by term, in one pass over g's terms."""
     _check_compatible(f, g)
     out = f.as_dict()
     for k, c in g.terms:
-        out[k] = out.get(k, Fraction(0)) + c
+        out[k] = op(out.get(k, 0), c)
     return series(
         f.monoid, f.weighting, out, min(f.truncation, g.truncation),
         f.annulus or g.annulus, validate=False,
     )
+
+
+def series_add(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    return _termwise(operator.add, f, g)
 
 
 def series_scale(c, f: TruncatedSeries) -> TruncatedSeries:
@@ -211,7 +217,7 @@ def series_scale(c, f: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_sub(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    return series_add(f, series_scale(-1, g))
+    return _termwise(operator.sub, f, g)
 
 
 def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:

@@ -7,6 +7,7 @@ import pytest
 from logmonoid import documents as docs
 from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
+from logmonoid import snf
 from logmonoid import weighted_series as ws
 from logmonoid.errors import (
     DenominatorVanishes,
@@ -121,3 +122,30 @@ def test_dl_zero_projection(n2):
     # Q_1 = (x - 1/3) annihilates the whole rank-1 module
     with pytest.raises(ZeroProjection):
         lc.dl_limit(e, v, [[F(-1, 3), F(1)], [F(1)]])
+
+
+def test_embedded_elements_share_one_smith_form(monkeypatch):
+    """Parsing an embedded connection document costs the same Smith forms
+    however many elements it names: one per monoid, none per element."""
+    def doc(points):
+        terms = [{"m": {"free": p}, "entries": [["1"]]} for p in points]
+        return {
+            "monoid": {"embedded_generators": [[2, 0], [1, 1], [0, 2]]},
+            "embedding": [[1, 0], [0, 1]],
+            "rank": 1,
+            "truncation": 8,
+            "interval_kind": "annulus",
+            "matrices": [{"i": 0, "terms": terms}, {"i": 1, "terms": terms}],
+        }
+
+    calls = []
+    smith = snf.smith_normal_form
+    monkeypatch.setattr(snf, "smith_normal_form", lambda a: calls.append(1) or smith(a))
+    short = [[0, 0], [2, 0], [1, 1], [0, 2]]
+    counts = []
+    for points in (short, short + [[4, 0], [3, 1], [2, 2], [1, 3]]):
+        calls.clear()
+        docs.parse_connection(doc(points))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+

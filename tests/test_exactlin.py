@@ -4,8 +4,9 @@ characteristic polynomials, simplex feasibility, Hilbert bases."""
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
-from logmonoid import cone, qlin, snf
+from logmonoid import cone, documents, qlin, snf
 
 F = Fraction
 
@@ -256,6 +257,129 @@ def test_padic_valuation():
     assert qlin.padic_valuation(F(50), 5) == 2
     assert qlin.padic_valuation(F(3, 25), 5) == -2
     assert qlin.padic_valuation(F(0), 5) is qlin.INF
+
+
+def _ref_simplex(a, b, seen=None):
+    """The phase-1 simplex on a Fraction tableau, Bland's rule, one division
+    per pivot row.  Counts ratio ties and artificials left basic at 0 in
+    `seen`."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if m == 0:
+        return [F(0)] * n
+    rows = [[F(x) for x in row] for row in a]
+    rhs = [F(x) for x in b]
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+    total = n + m
+    tab = [rows[i] + [F(int(j == i)) for j in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    cost = [sum((tab[i][j] for i in range(m)), F(0)) for j in range(total + 1)]
+    seen = {} if seen is None else seen
+    while True:
+        enter = next((j for j in range(n) if cost[j] > 0), None)
+        if enter is None:
+            break
+        leave = best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][total] / tab[i][enter]
+                if best is not None and ratio == best:
+                    seen["ties"] = seen.get("ties", 0) + 1
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            break
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        f = cost[enter]
+        cost = [x - f * y for x, y in zip(cost, tab[leave])]
+        basis[leave] = enter
+    if cost[total] != 0:
+        return None
+    x = [F(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][total]
+        elif tab[i][total] != 0:
+            return None
+        else:
+            seen["artificial_at_0"] = seen.get("artificial_at_0", 0) + 1
+    return x
+
+
+def _simplex_grid():
+    """(a, b): m = 0, integer and Fraction entries, negative right-hand
+    sides, planted solutions with many zeros (degenerate ratio ties),
+    repeated and summed rows (redundant), and arbitrary, often infeasible,
+    right-hand sides."""
+    rng = random.Random(17)
+    grid = [([], []), ([[]], [F(0)]), ([[]], [F(1)])]
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 7)
+        dens = rng.choice(((1,), (1, 1, 2, 3), (1, 2, 5, 6)))
+        a = [[F(rng.randint(-3, 3), rng.choice(dens)) for _ in range(n)] for _ in range(m)]
+        kind = rng.choice(("planted", "redundant", "arbitrary"))
+        if kind == "arbitrary":
+            b = [F(rng.randint(-4, 4), rng.choice(dens)) for _ in range(m)]
+        else:
+            x0 = [F(rng.randint(1, 3), rng.choice(dens)) if rng.random() < 0.4 else F(0) for _ in range(n)]
+            if kind == "redundant":
+                i, j = rng.randrange(m), rng.randrange(m)
+                a.append([p + q for p, q in zip(a[i], a[j])])
+                a.append([-p for p in a[i]])
+            b = [sum((p * q for p, q in zip(row, x0)), F(0)) for row in a]
+        grid.append((a, b))
+    return grid
+
+
+def test_simplex_matches_the_fraction_tableau():
+    seen = {}
+    feasible = infeasible = negative = 0
+    for a, b in _simplex_grid():
+        ref = _ref_simplex(a, b, seen)
+        assert cone.simplex_feasible(a, b) == ref, (a, b)
+        feasible += ref is not None
+        infeasible += ref is None
+        negative += any(v < 0 for v in b)
+    # a degenerate tie where leaving by the smaller basic index (Bland) and
+    # by the first row reach different vertices
+    a, b = [[1, -1, 0, -2, -1], [0, 2, 0, 1, -1], [0, 0, -2, 0, 2]], [-2, 1, 2]
+    assert cone.simplex_feasible(a, b) == _ref_simplex(a, b) == [3, 0, 0, 2, 1]
+    # the grid reaches every branch: both outcomes, flipped rows, ties and
+    # artificials that stay basic at 0 on redundant rows
+    assert min(feasible, infeasible, negative, seen["ties"], seen["artificial_at_0"]) > 20, (
+        feasible, infeasible, negative, seen)
+
+
+def test_support_functional_matches_the_fraction_tableau(monkeypatch):
+    """Every tests/data monoid: the default weighting's LP, and the LP of
+    each face of its sharp quotient, against the Fraction tableau."""
+    cases = []
+    for path in sorted((Path(__file__).parent / "data").glob("*.json")):
+        doc = documents.load_json(path)
+        if "elements" in doc:
+            continue
+        mbar = documents.parse_monoid(doc.get("monoid", doc)).monoid.index.sharp[0]
+        vecs = [g[0] for g in mbar.generators]
+        zero = [i for i, g in enumerate(mbar.generators) if mbar.gp.is_zero(g)]
+        supports = [zero]
+        if len(vecs) <= 8:  # the Fraction tableau takes ~0.1 s per LP on moment_curve_20
+            # every face, feasible, and every single generator, infeasible off the extreme rays
+            supports += [sorted(f) for f in mbar.index.cone.faces()] + [[i] for i in range(len(vecs))]
+        for t in supports:
+            rest = [i for i in range(len(vecs)) if i not in t]
+            cases.append((vecs, t, rest, mbar.gp.free_rank))
+    found = [cone.support_functional(*case) for case in cases]
+    monkeypatch.setattr(cone, "simplex_feasible", _ref_simplex)
+    assert found == [cone.support_functional(*case) for case in cases]
+    assert len(cases) > 20 and any(lam is None for lam in found)
 
 
 def test_simplex_soundness_randomized():

@@ -1,11 +1,13 @@
 """Structure theory of fine monoids: presentations, faces, quotients,
 sections, semi-saturatedness."""
 
+import random
+
 import pytest
 
 from logmonoid import monoid_core as mc
 from logmonoid import snf
-from logmonoid.abelian import relation_lattice
+from logmonoid.abelian import AbelianGroup, relation_lattice
 from logmonoid.errors import NotSubmonoid, NotSurjective, TorsionTarget
 
 
@@ -24,6 +26,34 @@ def test_torsion_presentation_2x_eq_2y(torsion_monoid):
     assert mc.is_sharp(m)
     # generators are (1, 0bar) and (1, 1bar) in some order
     assert sorted(m.generators) == [((1,), (0,)), ((1,), (1,))]
+
+
+def _ref_add(g, x, y):
+    return (
+        tuple(a + b for a, b in zip(x[0], y[0])),
+        tuple((a + b) % d for a, b, d in zip(x[1], y[1], g.torsion_invariants)),
+    )
+
+
+def _ref_neg(g, x):
+    return (tuple(-a for a in x[0]), tuple((-a) % d for a, d in zip(x[1], g.torsion_invariants)))
+
+
+def test_group_arithmetic_matches_the_tuple_definitions():
+    """add, neg and sub against the generic comprehensions, sub as x + (-y),
+    on seeded elements of Z^2, Z x Z/2 and Z/2 x Z/6."""
+    rng = random.Random(11)
+    for g in (AbelianGroup(2), AbelianGroup(1, (2,)), AbelianGroup(0, (2, 6))):
+        elts = [
+            g.element([rng.randint(-9, 9) for _ in range(g.free_rank)],
+                      [rng.randint(-9, 9) for _ in g.torsion_invariants])
+            for _ in range(12)
+        ]
+        for x in elts:
+            assert g.neg(x) == _ref_neg(g, x)
+            for y in elts:
+                assert g.add(x, y) == _ref_add(g, x, y)
+                assert g.sub(x, y) == _ref_add(g, x, _ref_neg(g, y))
 
 
 def test_m_even_presentation_matches_embedding(m_even):

@@ -47,8 +47,16 @@ def test_enumerate_m_even_bound4(m_even):
 
 
 def test_enumerate_element_cap(n2):
-    with pytest.raises(orc.BudgetExceeded):
+    with pytest.raises(orc.BudgetExceeded, match=r"element_cap=5 exceeded: 6 elements .* weight_bound=10"):
         orc.enumerate_monoid(n2, orc.EnumerationBudget(10, element_cap=5))
+
+
+def test_weight_budget_errors_name_the_bound_and_the_weight(n2):
+    far = n2.element((5, 0))
+    with pytest.raises(orc.BudgetExceeded, match="weight_bound=3 is below the element's weight 5"):
+        orc.brute_membership(n2, far, orc.EnumerationBudget(3))
+    with pytest.raises(orc.BudgetExceeded, match="weight_bound=3: .* g of weight 5"):
+        orc.brute_h_plus(n2, far, orc.EnumerationBudget(3))
 
 
 def test_enumeration_hands_out_a_fresh_list(n2):

@@ -164,6 +164,19 @@ def test_series_mul_matches_every_pair_product(n1, n2, m_even):
                 assert ws.series_mul(f, g) == _ref_series_mul(f, g)
 
 
+def test_series_sub_matches_adding_the_negation(n1, n2, m_even):
+    """One pass f - g against f + (-1)*g on disk and annulus series with
+    mixed truncations."""
+    rng = random.Random(6)
+    for m in (n1, n2, m_even):
+        h = ws.default_weighting(m)
+        for annulus in (False, True):
+            for _ in range(8):
+                f = _random_series(rng, m, h, rng.randint(0, 5), annulus)
+                g = _random_series(rng, m, h, rng.randint(0, 5), annulus and rng.random() < 0.7)
+                assert ws.series_sub(f, g) == ws.series_add(f, ws.series_scale(-1, g))
+
+
 def test_invert_needs_unit_constant(n1):
     h = ws.default_weighting(n1)
     f = build_series(n1, h, {(1,): 1}, 6)

@@ -5,9 +5,11 @@
 Run from the root of a checkout; the program is imported from ./src.  Times
 `qlin.qmat_mul` on n x n matrices, `qlin.qsolve` on the n^2 x n^2 Sylvester
 systems that the shear recursion solves (A0 X - X A0 + m X = RHS), for
-n = 1, 2, 3, and `weighted_series.series_mul` on dense disk series over N^2
-truncated at T = 3..6.  Entries are small rationals (numerators -9..9,
-denominators up to 6) from a fixed seed, so every run measures the same
+n = 1, 2, 3, `weighted_series.series_mul` on dense disk series over N^2
+truncated at T = 3..6, and `cone.simplex_feasible` on the default
+weighting's LP for k integer rays in Z^3 (k = 4, 6, 9: 2*3 + k columns, k
+rows).  Entries are small rationals (numerators -9..9, denominators up to
+6) or small integers from a fixed seed, so every run measures the same
 inputs.  Each figure is the median over REPEATS repeats of a loop of at
 least 20 ms, in wall-clock microseconds per call; stdlib only.
 """
@@ -23,6 +25,7 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
+from logmonoid import cone  # noqa: E402
 from logmonoid import monoid_core as mc  # noqa: E402
 from logmonoid import weighted_series as ws  # noqa: E402
 from logmonoid.qlin import qmat, qmat_mul, qsolve, qvec  # noqa: E402
@@ -64,6 +67,14 @@ def _series(rng: random.Random, m, h, t: int):
     return ws.series(m, h, {k: _rational(rng) for k in keys}, t)
 
 
+def _weighting_lp(rng: random.Random, k: int):
+    """support_functional's LP (lam*v >= 1 on every ray) for k rays of a
+    pointed cone in Z^3: lam = lam+ - lam-, one surplus column per ray."""
+    rays = [(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)]
+    a = [[*v, *(-x for x in v)] + [-int(j == i) for j in range(k)] for i, v in enumerate(rays)]
+    return a, [1] * k
+
+
 def _time(fn) -> float:
     """Median microseconds per call of fn()."""
     loops = 1
@@ -97,6 +108,9 @@ def main() -> int:
     for t in (3, 4, 5, 6):
         f, g = _series(rng, n2, h, t), _series(rng, n2, h, t)
         rows.append((f"series_mul N^2 disk T={t}", _time(lambda: ws.series_mul(f, g))))
+    for k in (4, 6, 9):
+        la, lb = _weighting_lp(rng, k)
+        rows.append((f"simplex_feasible rays={k}", _time(lambda: cone.simplex_feasible(la, lb))))
     for name, us in rows:
         print(f"{name:28s} {us:10.1f} us")
     return 0
