@@ -68,7 +68,6 @@ from .monoid_core import (
     sharp_quotient,
     units,
 )
-from .oracle import EnumerationBudget
 from .weighted_series import (
     Radius,
     TruncatedSeries,
@@ -90,3 +89,14 @@ from .weighted_series import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Resolve `EnumerationBudget` on first use, so that a process which
+    never touches the oracle (every CLI subcommand but selftest) does not
+    import it."""
+    if name == "EnumerationBudget":
+        from .oracle import EnumerationBudget
+
+        return EnumerationBudget
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

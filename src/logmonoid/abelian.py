@@ -8,25 +8,32 @@ coordinates are kept reduced to [0, d_i).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import snf
 
 Elt = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+# Records are NamedTuples.  One that validates its fields subclasses a
+# NamedTuple of them and checks in __new__ (a NamedTuple may not define
+# __new__ itself); `_replace` builds through tuple.__new__ and skips the check.
+class _AbelianGroupFields(NamedTuple):
     free_rank: int
     torsion_invariants: tuple[int, ...] = ()
 
-    def __post_init__(self):
+
+class AbelianGroup(_AbelianGroupFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for i, d in enumerate(self.torsion_invariants):
             if d < 2:
                 raise ValueError("torsion invariants must be >= 2")
             if i and d % self.torsion_invariants[i - 1] != 0:
                 raise ValueError("torsion invariants must form a divisibility chain")
+        return self
 
     # -- element helpers -------------------------------------------------
     def element(self, free: Sequence[int], torsion: Sequence[int] = ()) -> Elt:
@@ -100,8 +107,7 @@ class AbelianGroup:
         return (free, tor)
 
 
-@dataclass(frozen=True)
-class QuotientMap:
+class QuotientMap(NamedTuple):
     """Projection Z^n -> G computed from a Smith normal form."""
 
     source_dim: int

@@ -8,14 +8,14 @@ All numeric output is exact rationals.
 from __future__ import annotations
 
 import argparse
+import itertools as it
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import log_connection as lc
 from . import monoid_core as mc
-from . import selftest as st
 from . import weighted_series as ws
 from .documents import (
     MonoidContext,
@@ -29,19 +29,24 @@ from .documents import (
 from .errors import BudgetExceeded, HypothesisError, ParseError
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunConfigFields(NamedTuple):
     prime: int = 5
     weight_bound: int = 10
     output_format: str = "text"
 
-    def __post_init__(self):
+
+class RunConfig(_RunConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.prime < 2 or any(self.prime % q == 0 for q in range(2, int(self.prime ** 0.5) + 1)):
             raise ValueError(f"--prime must be a prime number, got {self.prime}")
         if self.weight_bound <= 0:
             raise ValueError("--weight-bound must be positive")
         if self.output_format not in ("json", "text"):
             raise ValueError("format must be json or text")
+        return self
 
 
 def _render(report: dict, fmt: str) -> str:
@@ -208,8 +213,6 @@ def cmd_connection(args, config: RunConfig) -> dict:
         emb = module.embedding
         ball = module.monoid.index.weighted(module.weighting.values).upto(min(4, config.weight_bound))
         forms = []
-        import itertools as it
-
         for key in sorted(ball):
             for size in range(0, min(emb.r, 2) + 1):
                 for wedge in it.combinations(range(emb.r), size):
@@ -283,7 +286,9 @@ def main(argv=None) -> int:
         elif args.command == "connection":
             report = cmd_connection(args, config)
         elif args.command == "selftest":
-            return st.main(config.prime)
+            from . import selftest
+
+            return selftest.main(config.prime)
         else:  # pragma: no cover
             parser.error("unknown command")
     except ParseError as exc:

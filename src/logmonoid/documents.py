@@ -11,12 +11,10 @@ Rationals are "a/b" strings, ints, or [num, den] pairs; never floats.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from .abelian import AbelianGroup, Elt, GroupSpan
+from .abelian import Elt
 from .errors import ParseError
 from .log_connection import Embedding, ExponentSet, LogNablaModule, facet_embedding
 from .monoid_core import FineMonoid, from_embedded, from_presentation
@@ -46,43 +44,23 @@ def render_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class MonoidContext:
+class MonoidContext(NamedTuple):
     monoid: FineMonoid
     weighting: Weighting
     ambient_generators: Optional[tuple[tuple[int, ...], ...]]
-    ambient_torsion: tuple[int, ...]
-
-    @cached_property
-    def ambient_span(self) -> GroupSpan:
-        """The generators inside the ambient group, one Smith form for every
-        element parsed (embedded monoids only)."""
-        ambient = AbelianGroup(len(self.ambient_generators[0]), self.ambient_torsion)
-        return GroupSpan(ambient, [ambient.element(v) for v in self.ambient_generators])
+    # (free, torsion) as written in the document -> gp element; for embedded
+    # monoids the converter of `from_embedded`, one Smith form for them all
+    convert: Callable[[tuple], Elt]
 
     def parse_element(self, obj) -> Elt:
         if not isinstance(obj, dict) or "free" not in obj:
             raise ParseError(f"gp element must be {{'free': [...], 'torsion': [...]}}: {obj!r}")
-        free = [int(x) for x in obj["free"]]
-        torsion = [int(x) for x in obj.get("torsion", [])]
-        if self.ambient_generators is None:
-            try:
-                return self.monoid.gp.element(free, torsion)
-            except ValueError as exc:
-                raise ParseError(str(exc)) from exc
-        span = self.ambient_span
+        free = tuple(int(x) for x in obj["free"])
+        torsion = tuple(int(x) for x in obj.get("torsion", []))
         try:
-            amb_elt = span.group.element(free, torsion)
+            return self.convert((free, torsion))
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-        coeffs = span.coefficients(amb_elt)
-        if coeffs is None:
-            raise ParseError("element lies outside the group generated by the monoid")
-        gp = self.monoid.gp
-        acc = gp.zero()
-        for c, g in zip(coeffs, self.monoid.generators):
-            acc = gp.add(acc, gp.scale(c, g))
-        return acc
 
     def render_element(self, g: Elt) -> dict:
         out = {"free": list(g[0]), "torsion": list(g[1])}
@@ -137,12 +115,12 @@ def parse_monoid(doc: dict) -> MonoidContext:
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad presentation: {exc}") from exc
         ambient = None
-        torsion: tuple[int, ...] = ()
+        convert = lambda x: monoid.gp.element(*x)
     elif "embedded_generators" in doc:
         try:
             vectors = [tuple(int(x) for x in v) for v in doc["embedded_generators"]]
             torsion = tuple(int(d) for d in doc.get("torsion", []))
-            monoid, _ = from_embedded(vectors, torsion)
+            monoid, convert = from_embedded(vectors, torsion)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad embedded generators: {exc}") from exc
         ambient = tuple(vectors)
@@ -155,7 +133,7 @@ def parse_monoid(doc: dict) -> MonoidContext:
             raise ParseError(f"bad weighting: {exc}") from exc
     else:
         w = default_weighting(monoid)
-    return MonoidContext(monoid, w, ambient, torsion)
+    return MonoidContext(monoid, w, ambient, convert)
 
 
 def parse_hom_images(ctx_target: MonoidContext, doc: dict) -> tuple[Elt, ...]:

@@ -9,10 +9,9 @@ and certifies the operator-norm bound of the gauge in valuation form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .abelian import Elt
 from .errors import (
@@ -70,12 +69,16 @@ SeriesMatrix = tuple[tuple[TruncatedSeries, ...], ...]
 # embeddings phi: (M^gp)^free -> Z^r
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Embedding:
+class _EmbeddingFields(NamedTuple):
     monoid: FineMonoid
     matrix: tuple[tuple[int, ...], ...]  # r rows of length free_rank
 
-    def __post_init__(self):
+
+class Embedding(_EmbeddingFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         d = self.monoid.gp.free_rank
         r = len(self.matrix)
         if any(len(row) != d for row in self.matrix):
@@ -85,6 +88,7 @@ class Embedding:
         for g in self.monoid.generators:
             if any(c < 0 for c in self.coords(g)):
                 raise ValueError("embedding must map the monoid into N^r")
+        return self
 
     @property
     def r(self) -> int:
@@ -143,18 +147,23 @@ def facet_embedding(m: FineMonoid) -> Embedding:
 # exponent sets and (S-D)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExponentSet:
-    """Finite set of rational vectors in M^gp tensor Q (free coordinates)."""
-
+class _ExponentSetFields(NamedTuple):
     monoid: FineMonoid
     elements: tuple[QVector, ...]
 
-    def __post_init__(self):
+
+class ExponentSet(_ExponentSetFields):
+    """Finite set of rational vectors in M^gp tensor Q (free coordinates)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         d = self.monoid.gp.free_rank
         for xi in self.elements:
             if len(xi) != d:
                 raise ValueError("exponent vector has wrong dimension")
+        return self
 
 
 def check_sd(sigma: ExponentSet, s_class: str = "NI") -> bool:
@@ -280,15 +289,19 @@ def _integrability_brackets(e: "LogNablaModule"):
             )
 
 
-@dataclass(frozen=True)
-class LogNablaModule:
+class _LogNablaModuleFields(NamedTuple):
     rank: int
     embedding: Embedding
     matrices: tuple[SeriesMatrix, ...]
     base_matrices: Optional[tuple[SeriesMatrix, ...]] = None
     interval_kind: str = "disk"
 
-    def __post_init__(self):
+
+class LogNablaModule(_LogNablaModuleFields):
+    # no __slots__: the instance dict holds the cached residue analysis
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.interval_kind not in ("disk", "annulus", "point"):
             raise ValueError("interval_kind must be disk, annulus or point")
         if len(self.matrices) != self.embedding.r:
@@ -296,6 +309,7 @@ class LogNablaModule:
         for a in self.matrices:
             if len(a) != self.rank or any(len(row) != self.rank for row in a):
                 raise ValueError("connection matrices must be rank x rank")
+        return self
 
     @property
     def monoid(self) -> FineMonoid:
@@ -371,8 +385,7 @@ def residue(e: LogNablaModule) -> tuple[QMatrix, ...]:
     return e.residues
 
 
-@dataclass(frozen=True)
-class ResidueDecomposition:
+class ResidueDecomposition(NamedTuple):
     """Joint generalized eigendecomposition of the commuting residues."""
 
     module_rank: int
@@ -455,8 +468,7 @@ def exponents(e: LogNablaModule) -> ResidueDecomposition:
 # shearing (order-by-order gauge to the constant model)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(NamedTuple):
     key: Elt
     weight: int
     actual: object  # -log_p |B_m| ... stored as log-norm exponent (Fraction or -INF)
@@ -467,8 +479,7 @@ class BoundRecord:
         return self.actual is None or self.actual <= self.bound
 
 
-@dataclass(frozen=True)
-class ShearResult:
+class ShearResult(NamedTuple):
     gauge: SeriesMatrix
     gauge_inverse: SeriesMatrix
     constant_model: tuple[QMatrix, ...]
@@ -791,7 +802,7 @@ def gauge_transform(e: LogNablaModule, b: SeriesMatrix, b_inv: SeriesMatrix) -> 
     base = None
     if e.base_matrices is not None:
         base = tuple(smat_mul(b_inv, smat_mul(d, b)) for d in e.base_matrices)
-    return replace(e, matrices=tuple(new), base_matrices=base)
+    return LogNablaModule(e.rank, e.embedding, tuple(new), base, e.interval_kind)
 
 
 def twist_reduce(embedding: Embedding, xi: QVector) -> tuple[QVector, Elt]:
@@ -814,8 +825,7 @@ def twist_reduce(embedding: Embedding, xi: QVector) -> tuple[QVector, Elt]:
 # unipotence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UnipotenceReport:
+class UnipotenceReport(NamedTuple):
     verdict: bool
     sheared_exponents: ExponentSet
     filtration_ranks: tuple[int, ...]
@@ -1101,8 +1111,7 @@ def dl_limit(
 LogForm = dict  # {(key, wedge index tuple): Fraction}
 
 
-@dataclass(frozen=True)
-class HomotopyReport:
+class HomotopyReport(NamedTuple):
     residuals: tuple[LogForm, ...]
 
     @property

@@ -12,14 +12,13 @@ produces a torsion element of the monoid, which is always a unit).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import cone as _cone
 from . import snf as _snf
-from .abelian import AbelianGroup, Elt, GroupSpan, group_quotient, quotient_presented, relation_lattice, solve_in_group
+from .abelian import AbelianGroup, Elt, GroupSpan, group_quotient, quotient_presented
 from .errors import (
     NoPositiveFunctional,
     NotInGroupSpan,
@@ -30,20 +29,33 @@ from .errors import (
 from .qlin import QVector, qmat, qsolve, qvec
 
 
-@dataclass(frozen=True)
 class FineMonoid:
-    """Finitely generated integral monoid inside its Grothendieck group."""
+    """Finitely generated integral monoid inside its Grothendieck group.
 
-    gp: AbelianGroup
-    generators: tuple[Elt, ...]
-    weighting: Optional[tuple[int, ...]] = None
+    A value: read-only fields, equal and hashed by (gp, generators,
+    weighting); the instance dict holds the cached `index`."""
 
-    def __post_init__(self):
-        for g in self.generators:
-            if len(g[0]) != self.gp.free_rank or len(g[1]) != len(self.gp.torsion_invariants):
+    __slots__ = ("gp", "generators", "weighting", "__dict__", "__weakref__")
+
+    def __init__(self, gp: AbelianGroup, generators: tuple[Elt, ...], weighting: Optional[tuple[int, ...]] = None):
+        for g in generators:
+            if len(g[0]) != gp.free_rank or len(g[1]) != len(gp.torsion_invariants):
                 raise ValueError("generator has wrong shape for gp")
-        if self.weighting is not None and len(self.weighting) != len(self.generators):
+        if weighting is not None and len(weighting) != len(generators):
             raise ValueError("weighting must assign a value to every generator")
+        for name, value in (("gp", gp), ("generators", generators), ("weighting", weighting)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of FineMonoid")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.gp, self.generators, self.weighting) == (other.gp, other.generators, other.weighting)
+
+    def __hash__(self):
+        return hash((self.gp, self.generators, self.weighting))
 
     def element(self, free, torsion=()) -> Elt:
         return self.gp.element(free, torsion)
@@ -57,8 +69,7 @@ class FineMonoid:
         return f"FineMonoid(rank={self.gp.free_rank}, torsion={self.gp.torsion_invariants}, gens={len(self.generators)})"
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     parent: FineMonoid
     generator_indices: frozenset[int]
 
@@ -69,13 +80,17 @@ class Face:
         return self.generator_indices != frozenset(range(len(self.parent.generators)))
 
 
-@dataclass(frozen=True)
-class MonoidHom:
+class _MonoidHomFields(NamedTuple):
     source: FineMonoid
     target: FineMonoid
     images: tuple[Elt, ...]
 
-    def __post_init__(self):
+
+class MonoidHom(_MonoidHomFields):
+    # no __slots__: the instance dict holds the cached _smith_images
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.images) != len(self.source.generators):
             raise ValueError("one image per source generator required")
         tg = self.target.gp
@@ -85,6 +100,7 @@ class MonoidHom:
                 acc = tg.add(acc, tg.scale(c, im))
             if not tg.is_zero(acc):
                 raise ValueError("images do not respect the source presentation")
+        return self
 
     @cached_property
     def _smith_images(self) -> _snf.IntMatrix:
@@ -107,8 +123,7 @@ class MonoidHom:
         return self.gp_apply(x)
 
 
-@dataclass(frozen=True)
-class SectionData:
+class SectionData(NamedTuple):
     hom: MonoidHom
     ntilde: FineMonoid
     section: MonoidHom
@@ -138,23 +153,23 @@ def from_embedded(vectors: Sequence[Sequence[int]], torsion: Sequence[int] = ())
     """Monoid generated by integer vectors inside Z^k + torsion.
 
     Returns (monoid, convert) where convert maps an ambient element (free
-    tuple, torsion tuple) to the normalized gp coordinates.
+    tuple, torsion tuple) to the normalized gp coordinates.  One Smith form
+    of the ambient generators gives the relations and answers every convert.
     """
     if not vectors:
         raise ValueError("at least one generator required")
     free_dim = len(vectors[0])
     ambient = AbelianGroup(free_dim, tuple(int(d) for d in torsion))
-    gens_ambient = [ambient.element(v[:free_dim], v[free_dim:]) for v in vectors]
-    rels = relation_lattice(ambient, gens_ambient)
-    g, qmap = quotient_presented(len(gens_ambient), rels)
-    gens = tuple(qmap(tuple(1 if i == j else 0 for i in range(len(gens_ambient)))) for j in range(len(gens_ambient)))
+    span = GroupSpan(ambient, [ambient.element(v[:free_dim], v[free_dim:]) for v in vectors])
+    g, qmap = quotient_presented(len(vectors), span.relations())
+    gens = tuple(qmap(tuple(1 if i == j else 0 for i in range(len(vectors)))) for j in range(len(vectors)))
     monoid = FineMonoid(g, gens)
 
     def convert(x) -> Elt:
         elt = ambient.element(x[0], x[1]) if isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], tuple) else ambient.element(x)
-        coeffs = solve_in_group(ambient, gens_ambient, elt)
+        coeffs = span.coefficients(elt)
         if coeffs is None:
-            raise ValueError("element outside the group generated by the monoid")
+            raise ValueError("element lies outside the group generated by the monoid")
         return qmap(coeffs)
 
     return monoid, convert

@@ -9,10 +9,10 @@ one global dense linear solve for the shear gauge.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .abelian import Elt
 from .errors import BudgetExceeded, SingularSystem
@@ -20,14 +20,19 @@ from .monoid_core import FineMonoid, default_weighting as _weights
 from .qlin import qmat, qnullspace, qsolve, qvec
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
+class _EnumerationBudgetFields(NamedTuple):
     weight_bound: int
     element_cap: int = 100000
 
-    def __post_init__(self):
+
+class EnumerationBudget(_EnumerationBudgetFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.weight_bound <= 0 or self.element_cap <= 0:
             raise ValueError("budget entries must be positive")
+        return self
 
 
 def _weight_map(m: FineMonoid):

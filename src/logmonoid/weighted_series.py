@@ -8,9 +8,8 @@ encodes radius 0), so every norm comparison happens in valuation form.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .abelian import Elt
 from .errors import (
@@ -28,14 +27,18 @@ from .qlin import INF, over_lcm, padic_valuation, qvec
 DEFAULT_PRIME = 5
 
 
-@dataclass(frozen=True)
-class Weighting:
-    """h: M -> N vanishing exactly on the units."""
-
+class _WeightingFields(NamedTuple):
     monoid: FineMonoid
     values: tuple[int, ...]
 
-    def __post_init__(self):
+
+class Weighting(_WeightingFields):
+    """h: M -> N vanishing exactly on the units."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         m = self.monoid
         if len(self.values) != len(m.generators):
             raise ValueError("one weight per generator required")
@@ -46,6 +49,7 @@ class Weighting:
         for i, v in enumerate(self.values):
             if (v == 0) != (i in units_idx):
                 raise ValueError("weights must vanish exactly on unit generators")
+        return self
 
     def __call__(self, g: Elt) -> Fraction:
         """Group extension of h (integral on gp, may be negative off M)."""
@@ -57,9 +61,9 @@ def default_weighting(m: FineMonoid) -> Weighting:
     return Weighting(m, _default_values(m))
 
 
-@dataclass(frozen=True)
-class Radius:
-    """The radius p^{-q}; q = None encodes radius 0."""
+class Radius(NamedTuple):
+    """The radius p^{-q}; q = None encodes radius 0.  All four orderings
+    are by radius, never the tuple order of q."""
 
     q: Optional[Fraction]
 
@@ -93,6 +97,12 @@ class Radius:
 
     def __lt__(self, other: "Radius") -> bool:
         return self <= other and self != other
+
+    def __ge__(self, other: "Radius") -> bool:
+        return other <= self
+
+    def __gt__(self, other: "Radius") -> bool:
+        return other < self
 
     def mix(self, other: "Radius", c: Fraction) -> "Radius":
         """self^c * other^(1-c) for 0 <= c <= 1."""
@@ -128,8 +138,7 @@ def h_abs(m: FineMonoid, h: Weighting, g: Elt) -> int:
 # truncated series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(NamedTuple):
     """Finitely supported coefficient map M^gp -> Q, exact up to |h| <= truncation."""
 
     monoid: FineMonoid
@@ -289,8 +298,7 @@ def series_equal(f: TruncatedSeries, g: TruncatedSeries) -> bool:
 # Gauss norms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormResult:
+class NormResult(NamedTuple):
     """Norm p^{-exponent}; exponent INF means the zero series."""
 
     exponent: object  # Fraction or INF
@@ -349,14 +357,18 @@ def _inf_sum(pairs) -> object:
     return acc
 
 
-@dataclass(frozen=True)
-class ValuationPoint:
-    """-log_p |t^g(x)| per generator; INF encodes t^g(x) = 0."""
-
+class _ValuationPointFields(NamedTuple):
     monoid: FineMonoid
     log_values: tuple[object, ...]  # Fraction or INF
 
-    def __post_init__(self):
+
+class ValuationPoint(_ValuationPointFields):
+    """-log_p |t^g(x)| per generator; INF encodes t^g(x) = 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         m = self.monoid
         if len(self.log_values) != len(m.generators):
             raise ValueError("one valuation per generator required")
@@ -367,6 +379,7 @@ class ValuationPoint:
                 raise ValueError("valuations inconsistent with a monoid relation")
             if lhs is not INF and lhs != rhs:
                 raise ValueError("valuations inconsistent with a monoid relation")
+        return self
 
 
 def valuation_point(m: FineMonoid, values: Sequence) -> ValuationPoint:

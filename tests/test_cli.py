@@ -1,6 +1,9 @@
 """The command-line interface: reports, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from logmonoid import selftest
 from logmonoid.cli import main
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -209,7 +213,8 @@ def test_exit_code_dl_non_constant(capsys):
 
 
 def test_exit_code_budget(capsys, tmp_path):
-    # a wide free monoid at a large weight bound trips the enumeration budget
+    # no CLI path raises BudgetExceeded, so exit 3 cannot be reached: a small
+    # --weight-bound is accepted and a run on N exits 0
     doc = {"generators": 1, "relations": []}
     path = tmp_path / "n.json"
     path.write_text(json.dumps(doc))
@@ -306,3 +311,28 @@ def test_exit_codes_on_the_connection_path(capsys):
         code, out, err = run(capsys, "connection", "logconv", disk, flag, value)
         assert (code, out) == (2, "")
         assert flag in err
+
+
+def test_cli_process_imports_only_what_it_runs():
+    """Importing the CLI loads neither dataclasses (nor the inspect it pulls
+    in) nor the oracle and selftest, which only `selftest` runs; the package
+    still answers for `EnumerationBudget`.  -S keeps site-packages .pth
+    files out of sys.modules."""
+    code = (
+        "import logmonoid.cli, sys; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'random', 'logmonoid.oracle', "
+        "'logmonoid.selftest') if m in sys.modules)); "
+        "import logmonoid; print(logmonoid.EnumerationBudget(3))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.splitlines() == ["[]", "EnumerationBudget(weight_bound=3, element_cap=100000)"]
+
+
+def test_package_attribute_errors_name_the_attribute():
+    import logmonoid
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        logmonoid.no_such_name

@@ -149,3 +149,26 @@ def test_embedded_elements_share_one_smith_form(monkeypatch):
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
+
+def test_embedded_document_smith_forms_its_generators_once(monkeypatch):
+    """One span of the ambient generators serves the relation lattice and
+    every element: a document and one element cost three Smith forms (the
+    ambient generators, the presented quotient, the monoid's own span), and
+    `convert` costs none."""
+    calls = []
+    smith = snf.smith_normal_form
+    monkeypatch.setattr(snf, "smith_normal_form", lambda a: calls.append(a) or smith(a))
+    gens = [[2, 0], [1, 1], [0, 2]]
+    ctx = docs.parse_monoid({"embedded_generators": gens})
+    assert ctx.parse_element({"free": [1, 1]}) == ctx.monoid.generators[1]
+    assert len(calls) == 3
+    assert calls.count(((2, 1, 0), (0, 1, 2))) == 1
+
+    m, convert = mc.from_embedded(gens)
+    calls.clear()
+    assert convert(((4, 2), ())) == m.gp.add(m.gp.scale(2, m.generators[0]), m.generators[2])
+    assert convert(((0, 0), ())) == m.gp.zero()
+    with pytest.raises(ValueError, match="outside the group"):
+        convert(((1, 0), ()))
+    assert calls == []
+

@@ -3,7 +3,6 @@ D_l operators, the homotopy identity and log-convergence."""
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -638,7 +637,7 @@ def _connection_fixtures():
     planted = gauge_built_module(
         m_even, [c1, c2], {g1: ((0, 1), (0, 0)), g2: ((0, 0), (F(2, 3), 0))}, 2, 4)[0]
     out.append(("m_even_planted", planted))
-    out.append(("m_even_planted_annulus", replace(planted, interval_kind="annulus")))
+    out.append(("m_even_planted_annulus", planted._replace(interval_kind="annulus")))
     return out
 
 
@@ -646,7 +645,7 @@ CONNECTION_FIXTURES = _connection_fixtures()
 
 
 def _sheared_model(e):
-    disk = replace(e, interval_kind="disk") if e.interval_kind == "annulus" else e
+    disk = e._replace(interval_kind="disk") if e.interval_kind == "annulus" else e
     return lc.shear(disk).constant_model
 
 
@@ -759,7 +758,7 @@ def test_integrability_of_a_replaced_copy_is_its_own(n2):
     assert lc.validate_integrability(e)
     # t^(1,0) N in A^0 leaves -d_1 (t^(1,0) N) = -t^(1,0) N in the bracket
     perturbed = build_module(n2, [{(1, 0): ((0, 1), (0, 0))}, {}], 2, e.truncation).matrices[0]
-    e2 = replace(e, matrices=(lc.smat_add(e.matrices[0], perturbed), e.matrices[1]))
+    e2 = e._replace(matrices=(lc.smat_add(e.matrices[0], perturbed), e.matrices[1]))
     assert not lc.validate_integrability(e2)
     assert e2.integrability_defect[:3] == ("connection", 0, 1)
     assert lc.validate_integrability(e)
@@ -786,7 +785,7 @@ def test_unipotence_analyses_the_module_once(monkeypatch):
     monkeypatch.setattr(lc, "_generalized_eigenspaces", count("eigenspaces", eigenspaces))
     monkeypatch.setattr(lc, "_block_filtration_ranks", count("filtration", filtration))
     e = dict(CONNECTION_FIXTURES)["m_even_planted"]
-    e = replace(e)  # a fresh copy, with nothing cached yet
+    e = e._replace()  # a fresh copy, with nothing cached yet
     sigma = lc.exponents(e).exponent_set(e.monoid)
     faces = mc.faces(e.monoid)
     reports = [lc.is_sigma_unipotent(e, sigma, faces[0])]
