@@ -9,8 +9,10 @@ and certifies the operator-norm bound of the gauge in valuation form.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 from fractions import Fraction
+from operator import add, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .abelian import Elt
@@ -33,7 +35,9 @@ from .qlin import (
     QMatrix,
     QVector,
     charpoly,
+    inverse_over_lcm,
     matrix_valuation,
+    over_lcm,
     padic_valuation,
     qidentity,
     qinverse,
@@ -44,6 +48,7 @@ from .qlin import (
     qmat_sub,
     qmat_vec,
     qnullspace,
+    qrank,
     qsolve,
     qvec,
     rational_roots,
@@ -53,11 +58,12 @@ from .weighted_series import (
     Radius,
     TruncatedSeries,
     Weighting,
+    _check_compatible,
     constant_series,
+    gauss_norm,
     series,
     series_add,
     series_equal,
-    series_mul,
     series_scale,
     series_sub,
 )
@@ -128,8 +134,6 @@ def facet_embedding(m: FineMonoid) -> Embedding:
         raise NotSemiSaturated("facet embedding requires a semi-saturated monoid")
     rows = _facet_rows(m)
     d = m.gp.free_rank
-    from .qlin import qrank
-
     if qrank(qmat(rows)) != d:
         raise NotSemiSaturated("facet functionals do not span the dual space")
     while len(rows) > d:
@@ -210,21 +214,64 @@ def smat_sub(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
     return tuple(tuple(series_sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
+def _int_coefficients(a: SeriesMatrix) -> tuple[dict[Elt, list[list[int]]], int]:
+    """a as one map key -> integer coefficient matrix over one denominator d
+    (the coefficient of a at key is the matrix over d); no matrix is zero."""
+    den = math.lcm(*(c.denominator for row in a for x in row for _, c in x.terms))
+    out: dict[Elt, list[list[int]]] = {}
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            for k, c in x.terms:
+                out.setdefault(k, [[0] * len(row) for _ in a])[i][j] = c.numerator * (den // c.denominator)
+    return out, den
+
+
 def smat_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    n = len(a)
-    inner = len(b)
-    cols = len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(cols):
-            acc = None
-            for k in range(inner):
-                term = series_mul(a[i][k], b[k][j])
-                acc = term if acc is None else series_add(acc, term)
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    """a b as one convolution of integer coefficient matrices over key pairs.
+    Entry (i, j) keeps the least truncation and any annulus flag among the
+    a[i][k], b[k][j], as the sum of their series products would."""
+    f = a[0][0]
+    _check_compatible(f, b[0][0])
+    cols = range(len(b[0]))
+    trunc = [[min(min(x.truncation, b[k][j].truncation) for k, x in enumerate(row)) for j in cols] for row in a]
+    ann = [[any(x.annulus or b[k][j].annulus for k, x in enumerate(row)) for j in cols] for row in a]
+    t = max(map(max, trunc))
+    ia, da = _int_coefficients(a)
+    ib, db = _int_coefficients(b)
+    plus = f.monoid.gp.add
+    h = f.monoid.index.weighted(f.weighting.values).h
+    # as in series_mul: h is additive and h <= |h|, so with b's keys in h
+    # order every pair after the first with h(k1) + h(k2) > t leaves it too
+    right = sorted(((h(k)[0], k, tuple(zip(*mat))) for k, mat in ib.items()), key=lambda term: term[0])
+    out: dict[Elt, list[int]] = {}
+    for k1, ma in ia.items():
+        room = t - h(k1)[0]
+        for h2, k2, mb in right:
+            if h2 > room:
+                break
+            k = plus(k1, k2)
+            if h(k)[2] > t:
+                continue
+            prod = [sum(map(mul, ra, cb)) for ra in ma for cb in mb]
+            acc = out.get(k)
+            out[k] = prod if acc is None else list(map(add, acc, prod))
+    den = da * db
+    return _smat_from_coeffs(f.monoid, f.weighting, {k: (c, den) for k, c in out.items()}, trunc, ann)
+
+
+def _smat_from_coeffs(m, w, coeffs: dict, trunc, ann) -> SeriesMatrix:
+    """The series matrix with coefficient x / d at each key of {key: (x, d)},
+    x a row-major integer matrix, whose entry (i, j) is truncated at
+    trunc[i][j] and is an annulus series if ann[i][j]."""
+    cols = len(trunc[0])
+    return tuple(
+        tuple(
+            series(m, w, {k: Fraction(x[i * cols + j], d) for k, (x, d) in coeffs.items() if x[i * cols + j]},
+                   tr, an, validate=False)
+            for j, (tr, an) in enumerate(zip(row_t, row_a))
+        )
+        for i, (row_t, row_a) in enumerate(zip(trunc, ann))
+    )
 
 
 def smat_is_zero(a: SeriesMatrix) -> bool:
@@ -564,18 +611,6 @@ def _shear_hypotheses(e: LogNablaModule) -> tuple[tuple[QMatrix, ...], tuple]:
     return res, eigendata
 
 
-def _sparse_coefficients(a: SeriesMatrix, keys) -> dict[Elt, QMatrix]:
-    """The nonzero coefficient matrices of a at the given keys."""
-    n = len(a)
-    out: dict[Elt, list[list[Fraction]]] = {}
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            for k, c in x.terms:
-                if k in keys:
-                    out.setdefault(k, [[Fraction(0)] * n for _ in range(n)])[i][j] = c
-    return {k: tuple(map(tuple, mat)) for k, mat in out.items()}
-
-
 def shear(
     e: LogNablaModule,
     truncation: Optional[int] = None,
@@ -598,26 +633,50 @@ def shear(
     ball = index.ball(t)
     keys = index.upto(t)[1:]  # every element of weight 1..t; 0 is the only one of weight 0
     coords = {k: emb.coords(k) for k in keys}
-    acoeff = [_sparse_coefficients(a, coords) for a in e.matrices]
-    zero_elt = m.gp.zero()
+    sub = m.gp.sub
+    # every coefficient is a row-major integer matrix over its denominator;
+    # A^i keeps its terms of weight 1..t, and B, B' only their nonzero terms
+    acoeff = [({k: [v for row in mat for v in row] for k, mat in coeffs.items() if k in coords}, den)
+              for coeffs, den in map(_int_coefficients, e.matrices)]
+    akeys = list(dict.fromkeys(k for ac, _ in acoeff for k in ac))
+    ident = tuple(int(i == j) for i in range(n) for j in range(n))
+    ops: dict = {}  # (i, m_i) -> the Sylvester operator of direction i, integer rows over one denominator
+    inverses: dict = {}  # (i, m_i) -> its inverse, the same way: one per direction and coordinate
 
-    bmats: dict[Elt, QMatrix] = {zero_elt: qidentity(n)}
+    bmats = {m.gp.zero(): (ident, 1)}
     for key in keys:
-        rhs = [_convolution_rhs(ac, bmats, key, m, n) for ac in acoeff]
-        i0 = next(i for i in range(emb.r) if coords[key][i] != 0)
-        bm = _solve_sylvester(a0s[i0], Fraction(coords[key][i0]), rhs[i0], n)
-        # integrability forces the single-index solution to satisfy all directions
+        # each partner key - m' once, shared by every direction
+        partners = [(kp, bmats[q]) for kp in akeys if (q := sub(key, kp)) in bmats]
+        if not partners:
+            continue
+        rhs = [_neg_convolution([((ac[kp], da), b) for kp, b in partners if kp in ac], n)
+               for ac, da in acoeff]
+        mk = coords[key]
         for i in range(emb.r):
-            if qmat_add_scaled(a0s[i], bm, Fraction(coords[key][i])) != rhs[i]:
+            if (i, mk[i]) not in ops:
+                ops[i, mk[i]] = _sylvester(*over_lcm(a0s[i]), mk[i])
+        i0 = next(i for i in range(emb.r) if mk[i] != 0)
+        if (i0, mk[i0]) not in inverses:
+            inverses[i0, mk[i0]] = _sylvester_inverse(*ops[i0, mk[i0]])
+        bm, dm = _sylvester_solve(inverses[i0, mk[i0]], rhs[i0])
+        # integrability forces the single-index solution to satisfy all
+        # directions: op(B_m) = rhs, cross-multiplied
+        for i, (ri, di) in enumerate(rhs):
+            op, dop = ops[i, mk[i]]
+            if any(sum(map(mul, row, bm)) * di != x * dop * dm for row, x in zip(op, ri)):
                 raise AssertionError("shear recursion violates the all-directions identity")
-        bmats[key] = bm
+        if any(bm):
+            bmats[key] = (bm, dm)
 
     # inverse by the convolution identity sum B_{m'} B'_{m''} = delta_{m,0}:
     # B'_m = -sum_{m' != 0} B_{m'} B'_{m - m'} for m != 0; the m' = 0 term
-    # drops out because its partner B'_m is assigned only after the call
-    bprime: dict[Elt, QMatrix] = {zero_elt: qidentity(n)}
+    # drops out because its partner B'_m is assigned only after the sum
+    bprime = {m.gp.zero(): (ident, 1)}
     for key in keys:
-        bprime[key] = _convolution_rhs(bmats, bprime, key, m, n)
+        pairs = [(b, bprime[q]) for kp, b in bmats.items() if (q := sub(key, kp)) in bprime]
+        bp = _reduced(*_neg_convolution(pairs, n))
+        if any(bp[0]):
+            bprime[key] = bp
 
     # bound constants (log-norm form, base p): e is the nilpotency index of the
     # commutator part g2; C bounds both the resolvent norms and |A^i_m| a^{h(m)}
@@ -631,9 +690,9 @@ def shear(
             _log_norm(nil, p), Fraction(0)
         )
         log_c = max(log_c, cand)
-    for ac in acoeff:
+    for ac, da in acoeff:
         for key, amat in ac.items():
-            log_c = max(log_c, Fraction(-matrix_valuation(amat, p)) - qa * ball[key])
+            log_c = max(log_c, Fraction(-_valuation(amat, da, p)) - qa * ball[key])
 
     # Z_m chain DP and the bound records
     logz: dict[Elt, Fraction] = {}
@@ -659,12 +718,12 @@ def shear(
         best_prev = max((logz.get(m.gp.sub(key, g), 0) for g in gens), default=0)
         logz[key] = wmin + best_prev
         bound = e_exp * logz[key] + 2 * ball[key] * log_c + qa * ball[key]
-        v = matrix_valuation(bmats[key], p)
-        actual = None if v is INF else Fraction(-v)
+        actual = Fraction(-_valuation(*bmats[key], p)) if key in bmats else None
         records.append(BoundRecord(key, ball[key], actual, bound))
 
-    gauge = _smat_from_coeffs(m, w, bmats, t, n)
-    gauge_inv = _smat_from_coeffs(m, w, bprime, t, n)
+    full = [[t] * n] * n, [[False] * n] * n
+    gauge = _smat_from_coeffs(m, w, bmats, *full)
+    gauge_inv = _smat_from_coeffs(m, w, bprime, *full)
 
     constant_base = None
     if e.base_matrices is not None:
@@ -696,61 +755,53 @@ def _zero_qmat(n: int) -> QMatrix:
     return tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
 
 
-def qmat_add_scaled(a0: QMatrix, bm: QMatrix, mi: Fraction) -> QMatrix:
-    """A0*Bm - Bm*A0 + mi*Bm."""
-    comm = qmat_sub(qmat_mul(a0, bm), qmat_mul(bm, a0))
-    return tuple(
-        tuple(comm[i][j] + mi * bm[i][j] for j in range(len(bm)))
-        for i in range(len(bm))
-    )
+def _valuation(x: Sequence[int], den: int, p: int):
+    """v_p of the nonzero matrix x / den, x integer."""
+    return matrix_valuation((x,), p) - padic_valuation(den, p)
 
 
-def _convolution_rhs(acoeffs: dict, bmats: dict, key: Elt, m: FineMonoid, n: int) -> QMatrix:
-    """-sum A_{m'} B_{key - m'} over the coefficients A_{m'} whose partner
-    B_{key - m'} is known, as minus the one product
-    [A_{m'} | ...] [B_{key - m'}; ...]."""
-    left: list[list[Fraction]] = [[] for _ in range(n)]
-    right: list[tuple[Fraction, ...]] = []
-    for kp, amat in acoeffs.items():
-        bm = bmats.get(m.gp.sub(key, kp))
-        if bm is None:
-            continue
-        for row, arow in zip(left, amat):
-            row.extend(arow)
-        right.extend(bm)
-    if not right:
-        return _zero_qmat(n)
-    return tuple(tuple(-x for x in row) for row in qmat_mul(left, right))
+def _reduced(x: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    g = math.gcd(den, *x)
+    return tuple(v // g for v in x), den // g
 
 
-def _solve_sylvester(a0: QMatrix, mi: Fraction, rhs: QMatrix, n: int) -> QMatrix:
-    """(A0 X - X A0 + mi X) = rhs as an n^2 linear system."""
-    rows = []
-    target = []
-    for i in range(n):
-        for j in range(n):
-            row = [Fraction(0)] * (n * n)
-            for k in range(n):
-                row[k * n + j] += a0[i][k]
-                row[i * n + k] -= a0[k][j]
-            row[i * n + j] += mi
-            rows.append(row)
-            target.append(rhs[i][j])
-    sol = qsolve(qmat(rows), qvec(target))
-    if sol is None:
+def _neg_convolution(pairs, n: int) -> tuple[list[int], int]:
+    """-sum X Y over pairs ((X, dx), (Y, dy)) of row-major integer n x n
+    matrices over their denominators, as one stacked integer product
+    [X | ...] [Y; ...] over the lcm of the dx dy."""
+    den = math.lcm(*(dx * dy for (_, dx), (_, dy) in pairs))
+    left: list[list[int]] = [[] for _ in range(n)]
+    right: list[list[int]] = [[] for _ in range(n)]
+    for (x, dx), (y, dy) in pairs:
+        s = den // (dx * dy)
+        for r, row in enumerate(left):
+            row.extend([v * s for v in x[r * n : r * n + n]] if s > 1 else x[r * n : r * n + n])
+        for c, col in enumerate(right):
+            col.extend(y[c::n])
+    return [-sum(map(mul, row, col)) for row in left for col in right], den
+
+
+def _sylvester(a0: list[list[int]], d: int, mi: int) -> tuple[list[list[int]], int]:
+    """X -> A0 X - X A0 + mi X on row-major vec(X) for A0 = a0 / d, as
+    n^2 x n^2 integer rows over the denominator d."""
+    ix = range(len(a0))
+    # row (i, j), column (k, l): the coefficient of X_kl in (A0 X - X A0 + mi X)_ij, times d
+    return [[a0[i][k] * (l == j) - a0[l][j] * (k == i) + mi * d * (k == i and l == j) for k in ix for l in ix]
+            for i in ix for j in ix], d
+
+
+def _sylvester_inverse(rows: list[list[int]], d: int) -> tuple[list[list[int]], int]:
+    """The inverse of the operator rows / d, the same way."""
+    inv = inverse_over_lcm(rows)
+    if inv is None:
         raise SingularSylvester("Sylvester solve singular: NI hypothesis violated")
-    return tuple(tuple(sol[i * n + j] for j in range(n)) for i in range(n))
+    return [[x * d for x in row] for row in inv[0]], inv[1]
 
 
-def _smat_from_coeffs(m, w, coeffs: dict, t: int, n: int) -> SeriesMatrix:
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = {k: mat[i][j] for k, mat in coeffs.items() if mat[i][j] != 0}
-            row.append(series(m, w, entry, t, annulus=False, validate=False))
-        out.append(tuple(row))
-    return tuple(out)
+def _sylvester_solve(inverse, rhs) -> tuple[tuple[int, ...], int]:
+    """The B_m with S B_m = rhs, from S^-1 = (rows, d) and rhs = (x, dx)."""
+    (rows, d), (x, dx) = inverse, rhs
+    return _reduced([sum(map(mul, row, x)) for row in rows], d * dx)
 
 
 # ---------------------------------------------------------------------------
@@ -1194,18 +1245,9 @@ def _merge(a: LogForm, b: LogForm) -> LogForm:
 # ---------------------------------------------------------------------------
 
 def _apply_partial(e: LogNablaModule, i: int, v: Sequence[TruncatedSeries]) -> tuple[TruncatedSeries, ...]:
-    """(d_i + A^i) applied to a section vector."""
-    emb = e.embedding
-    n = e.rank
-    out = []
-    for comp in range(n):
-        f = v[comp]
-        coeffs = {k: Fraction(emb.coords(k)[i]) * c for k, c in f.terms}
-        acc = series(f.monoid, f.weighting, coeffs, f.truncation, f.annulus, validate=False)
-        for j in range(n):
-            acc = series_add(acc, series_mul(e.matrices[i][comp][j], v[j]))
-        out.append(acc)
-    return tuple(out)
+    """(d_i + A^i) applied to a section vector, as an n x 1 column."""
+    col = tuple((f,) for f in v)
+    return tuple(row[0] for row in smat_add(smat_partial(col, e.embedding, i), smat_mul(e.matrices[i], col)))
 
 
 def log_convergence_check(
@@ -1221,8 +1263,6 @@ def log_convergence_check(
         raise NotDiskModule("log-convergence is defined on disks and points")
     if eta.is_zero or eta.value_exponent() <= 0:
         raise ValueError("eta must lie in (0,1) as a p-power")
-    from .weighted_series import gauss_norm
-
     q_eta = eta.value_exponent()
     n = e.rank
     m, w, t = e.monoid, e.weighting, e.truncation

@@ -566,7 +566,6 @@ def section(f: MonoidHom, search_bound: int = 8) -> SectionData:
     d_m = m.gp.free_rank
     d_n = n.gp.free_rank
     # matrix of f^gp restricted to free parts: image of free basis vectors of N^gp
-    from . import snf as _snf
     basis_images = []
     for k in range(d_n):
         e = n.gp.element(tuple(1 if i == k else 0 for i in range(d_n)))
@@ -616,7 +615,6 @@ def _verify_section(data: SectionData, search_bound: int) -> None:
         if f.gp_apply(s.gp_apply(g)) != g:
             raise AssertionError("section identity f o s = id fails")
     # splitting: s(free basis of M^gp) + kernel basis spans N^gp
-    from . import snf as _snf
     cols = []
     for k in range(m.gp.free_rank):
         e = m.gp.element(tuple(1 if i == k else 0 for i in range(m.gp.free_rank)))

@@ -144,12 +144,21 @@ def qnullspace(a: QMatrix) -> list[QVector]:
     return basis
 
 
-def qinverse(a: QMatrix) -> Optional[QMatrix]:
+def inverse_over_lcm(a: Sequence[Sequence]) -> Optional[tuple[list[list[int]], int]]:
+    """(integer rows, d) with a^-1 = rows / d, or None if a is singular."""
     n = len(a)
-    m, pivots = _gauss([tuple(row) + e for row, e in zip(a, qidentity(n))], n)
+    m, pivots = _gauss([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)], n)
     if len(pivots) < n:
         return None
-    return tuple(tuple(Fraction(x, row[col]) for x in row[n:]) for row, col in zip(m, pivots))
+    den = math.lcm(*(row[col] for row, col in zip(m, pivots)))
+    return [[x * (den // row[col]) for x in row[n:]] for row, col in zip(m, pivots)], den
+
+
+def qinverse(a: QMatrix) -> Optional[QMatrix]:
+    inv = inverse_over_lcm(a)
+    if inv is None:
+        return None
+    return tuple(tuple(Fraction(x, inv[1]) for x in row) for row in inv[0])
 
 
 def charpoly(a: QMatrix) -> list[Fraction]:

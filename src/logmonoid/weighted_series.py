@@ -22,7 +22,7 @@ from .monoid_core import (
     membership,
     saturation,
 )
-from .qlin import INF, over_lcm, padic_valuation, qvec
+from .qlin import INF, over_lcm, padic_valuation, qmat, qsolve, qvec
 
 DEFAULT_PRIME = 5
 
@@ -176,7 +176,8 @@ def series(
     h = monoid.index.weighted(weighting.values).h
     kept = []
     for k, c in items:
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
         if c == 0:
             continue
         hk, hp, habs = h(k)
@@ -496,8 +497,6 @@ def saturation_invariance_check(
 
 
 def _valuation_functional(m: FineMonoid, x: ValuationPoint):
-    from .qlin import qmat, qsolve
-
     rows = [[Fraction(v) for v in g[0]] for g in m.generators]
     sol = qsolve(qmat(rows), qvec([Fraction(v) for v in x.log_values]))
     if sol is None:

@@ -25,7 +25,9 @@ from logmonoid.errors import (
     NotSharp,
     SingularSylvester,
 )
-from logmonoid.qlin import padic_valuation, qinverse, qmat, qmat_mul, qmat_vec
+from logmonoid.qlin import (
+    INF, matrix_valuation, padic_valuation, qidentity, qinverse, qmat, qmat_mul, qmat_sub, qmat_vec, qsolve, qvec,
+)
 
 from conftest import build_module, build_series, gauge_built_module
 
@@ -737,8 +739,8 @@ def test_unipotence_needs_monoid_support(n2):
 
 def test_integrability_is_decided_once(monkeypatch, n2):
     calls = []
-    series_mul = lc.series_mul
-    monkeypatch.setattr(lc, "series_mul", lambda f, g: calls.append(1) or series_mul(f, g))
+    smat_mul = lc.smat_mul
+    monkeypatch.setattr(lc, "smat_mul", lambda a, b: calls.append(1) or smat_mul(a, b))
     c1 = ((F(0), F(0)), (F(0), F(1, 2)))
     c2 = ((F(1, 3), F(0)), (F(0), F(1, 3)))
     e = gauge_built_module(n2, [c1, c2], {(1, 0): ((0, 1), (0, 0))}, 2, 4)[0]
@@ -910,3 +912,179 @@ def test_bound_report_matches_the_walk_over_every_lighter_key():
         sr = lc.shear(e)
         got = [(r.key, r.bound) for r in sr.bound_report]
         assert got == _bound_report_by_walking_every_lighter_key(e, sr), name
+
+
+# -- the integer coefficient kernels ---------------------------------------------------------------
+
+def _smat_mul_by_series(a, b):
+    """Entry (i, j) as the sum over k of series_mul(a[i][k], b[k][j])."""
+    out = []
+    for row in a:
+        new_row = []
+        for j in range(len(b[0])):
+            acc = None
+            for k, x in enumerate(row):
+                term = ws.series_mul(x, b[k][j])
+                acc = term if acc is None else ws.series_add(acc, term)
+            new_row.append(acc)
+        out.append(tuple(new_row))
+    return tuple(out)
+
+
+def test_smat_mul_matches_the_sum_of_series_products(n2, m_even):
+    """Seeded grid: square n = 1..3 and n x 1 columns, zero entries, terms
+    that cancel, mixed truncations and mixed annulus flags."""
+    rng = random.Random(21)
+    seen = set()
+    for m in (n2, m_even):
+        h = ws.default_weighting(m)
+        index = m.index.weighted(h.values)
+        ball = index.upto(4)
+        diffs = [m.gp.sub(x, y) for x in ball for y in ball]
+
+        def entry(t, annulus):
+            if rng.random() < 0.2:
+                return ws.series(m, h, {}, t, annulus=annulus)
+            keys = {rng.choice(diffs if annulus else ball) for _ in range(rng.randint(1, 5))}
+            return ws.series(m, h, {k: F(rng.randint(-4, 4), rng.randint(1, 3)) for k in keys},
+                             t, annulus=annulus)
+
+        for case in range(90):
+            n, cols = rng.randint(1, 3), rng.choice((None, 1))
+            cols = n if cols is None else cols
+            flags = [rng.random() < 0.3 for _ in range(2 * n * n)] if case % 3 else [False] * (2 * n * n)
+            truncs = [rng.randint(2, 5) for _ in flags] if case % 2 else [4] * len(flags)
+            a = tuple(tuple(entry(truncs[i * n + k], flags[i * n + k]) for k in range(n)) for i in range(n))
+            b = [[entry(truncs[n * n + k * n + j], flags[n * n + k * n + j]) for j in range(cols)]
+                 for k in range(n)]
+            if n > 1 and case % 4 == 0:
+                # b's second row is minus its first and a's second column its first: every
+                # pair of products cancels up to the truncation
+                a = tuple((row[0], row[0], *row[2:]) for row in a)
+                b[1] = [ws.series_scale(-1, x) for x in b[0]]
+            b = tuple(map(tuple, b))
+            got, want = lc.smat_mul(a, b), _smat_mul_by_series(a, b)
+            assert got == want, (case, n, cols)
+            seen.add(f"n={n}")
+            entries = [x for row in a + b for x in row]
+            seen |= {"column"} if cols == 1 and n > 1 else set()
+            seen |= {"zero entry"} if any(x.is_zero() for x in entries) else set()
+            seen |= {"mixed truncation"} if len({x.truncation for x in entries}) > 1 else set()
+            seen |= {"mixed annulus"} if len({x.annulus for x in entries}) > 1 else set()
+            for i, row in enumerate(want):
+                for j, x in enumerate(row):
+                    terms = {k for kk, y in enumerate(a[i]) for k, _ in ws.series_mul(y, b[kk][j]).terms
+                             if index.h(k)[2] <= x.truncation}
+                    if terms - {k for k, _ in x.terms}:
+                        seen.add("cancelled term")
+    assert seen == {"n=1", "n=2", "n=3", "column", "zero entry", "mixed truncation",
+                    "mixed annulus", "cancelled term"}
+
+
+def _shear_by_rational_recursion(e):
+    """Gauge, inverse and bound report by per-key Fraction solves: the recursion
+    that the integer coefficient matrices and cached Sylvester inverses replaced."""
+    a0s, eigendata = lc._shear_hypotheses(e)
+    m, t, n, emb, p = e.monoid, e.truncation, e.rank, e.embedding, 5
+    index = m.index.weighted(e.weighting.values)
+    ball, keys = index.ball(t), index.upto(t)[1:]
+    coords = {k: emb.coords(k) for k in keys}
+    acoeff = []
+    for a in e.matrices:
+        out = {}
+        for i, row in enumerate(a):
+            for j, x in enumerate(row):
+                for k, c in x.terms:
+                    if k in coords:
+                        out.setdefault(k, [[F(0)] * n for _ in range(n)])[i][j] = c
+        acoeff.append({k: tuple(map(tuple, mat)) for k, mat in out.items()})
+
+    def convolution(left, right, key):
+        acc = tuple(tuple(F(0) for _ in range(n)) for _ in range(n))
+        for kp, x in left.items():
+            y = right.get(m.gp.sub(key, kp))
+            if y is not None:
+                acc = qmat_sub(acc, qmat_mul(x, y))
+        return acc
+
+    def sylvester(a0, mi, bm):
+        return qmat_sub(qmat_sub(qmat_mul(a0, bm), qmat_mul(bm, a0)),
+                        tuple(tuple(-mi * x for x in row) for row in bm))
+
+    bmats = {m.gp.zero(): qidentity(n)}
+    for key in keys:
+        rhs = [convolution(ac, bmats, key) for ac in acoeff]
+        i0 = next(i for i in range(emb.r) if coords[key][i] != 0)
+        rows, target = [], []
+        for i in range(n):
+            for j in range(n):
+                row = [F(0)] * (n * n)
+                for k in range(n):
+                    row[k * n + j] += a0s[i0][i][k]
+                    row[i * n + k] -= a0s[i0][k][j]
+                row[i * n + j] += coords[key][i0]
+                rows.append(row)
+                target.append(rhs[i0][i][j])
+        sol = qsolve(qmat(rows), qvec(target))
+        bm = tuple(tuple(sol[i * n + j] for j in range(n)) for i in range(n))
+        assert all(sylvester(a0s[i], coords[key][i], bm) == rhs[i] for i in range(emb.r))
+        bmats[key] = bm
+    bprime = {m.gp.zero(): qidentity(n)}
+    for key in keys:
+        bprime[key] = convolution(bmats, bprime, key)
+
+    e_exp = max([1] + [lc._ad_nilpotency(nil) for *_, nil in eigendata])
+    log_c = F(0)
+    for _eigs, pmat, pinv, nil in eigendata:
+        log_c = max(log_c, 2 * (lc._log_norm(pmat, p) + lc._log_norm(pinv, p))
+                    + (e_exp - 1) * max(lc._log_norm(nil, p), F(0)))
+    for ac in acoeff:
+        for key, amat in ac.items():  # radius one: the a^{h(m)} factor is 1
+            log_c = max(log_c, F(-matrix_valuation(amat, p)))
+    eigs = [sorted(set(ev)) for ev, *_ in eigendata]
+    gens = [g for g in m.generators if not m.gp.is_zero(g)]
+    logz, records = {}, []
+    for key in keys:
+        wmin = min(
+            max(max((F(padic_valuation(x - y - mi, p)) for x, y in itertools.product(ev, repeat=2)),
+                    default=F(0)), F(0))
+            for mi, ev in zip(coords[key], eigs) if mi != 0
+        )
+        logz[key] = wmin + max((logz.get(m.gp.sub(key, g), 0) for g in gens), default=0)
+        v = matrix_valuation(bmats[key], p)
+        records.append(lc.BoundRecord(key, ball[key], None if v is INF else F(-v),
+                                      e_exp * logz[key] + 2 * ball[key] * log_c))
+
+    def smat(coeffs):
+        return tuple(
+            tuple(ws.series(m, e.weighting, {k: mat[i][j] for k, mat in coeffs.items()}, t,
+                            validate=False) for j in range(n))
+            for i in range(n)
+        )
+
+    return smat(bmats), smat(bprime), tuple(records)
+
+
+def test_shear_matches_the_rational_recursion():
+    for t in range(2, 9):
+        for name, e, _ in selftest._shear_fixtures(t):
+            sr = lc.shear(e)
+            assert (sr.gauge, sr.gauge_inverse, sr.bound_report) == _shear_by_rational_recursion(e), (name, t)
+
+
+def test_shear_inverts_each_sylvester_operator_once(monkeypatch):
+    """One inverse per direction and coordinate that a solve uses; on these
+    fixtures every coordinate is at most the weight, so at most r t of them."""
+    calls = []
+    inverse = lc._sylvester_inverse
+    monkeypatch.setattr(lc, "_sylvester_inverse", lambda *op: calls.append(repr(op)) or inverse(*op))
+    solves = inverted = 0
+    for t in (4, 8):
+        for name, e, _ in selftest._shear_fixtures(t):
+            calls.clear()
+            lc.shear(e)
+            assert 0 < len(calls) <= e.embedding.r * t, name
+            assert len(set(calls)) == len(calls), name
+            solves += len(e.monoid.index.weighted(e.weighting.values).upto(t)) - 1
+            inverted += len(calls)
+    assert inverted < solves / 2

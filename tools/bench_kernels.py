@@ -3,12 +3,14 @@
     python3 tools/bench_kernels.py
 
 Run from the root of a checkout; the program is imported from ./src.  Times
-`qlin.qmat_mul` on n x n matrices, `qlin.qsolve` on the n^2 x n^2 Sylvester
-systems that the shear recursion solves (A0 X - X A0 + m X = RHS), for
-n = 1, 2, 3, `weighted_series.series_mul` on dense disk series over N^2
-truncated at T = 3..6, and `cone.simplex_feasible` on the default
-weighting's LP for k integer rays in Z^3 (k = 4, 6, 9: 2*3 + k columns, k
-rows).  Entries are small rationals (numerators -9..9, denominators up to
+`qlin.qmat_mul` on n x n matrices and the shear recursion's per-key
+Sylvester solve (A0 X - X A0 + m X = RHS: the integer product of the
+operator's cached inverse with the RHS, then the gcd reduction), for
+n = 1, 2, 3; `weighted_series.series_mul` on dense disk series over N^2
+truncated at T = 3..6; `cone.simplex_feasible` on the default weighting's
+LP for k integer rays in Z^3 (k = 4, 6, 9: 2*3 + k columns, k rows); and
+`log_connection.smat_mul` on n x n matrices of those series for n = 2, 3 at
+T = 4, 6.  Entries are small rationals (numerators -9..9, denominators up to
 6) or small integers from a fixed seed, so every run measures the same
 inputs.  Each figure is the median over REPEATS repeats of a loop of at
 least 20 ms, in wall-clock microseconds per call; stdlib only.
@@ -26,9 +28,10 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from logmonoid import cone  # noqa: E402
+from logmonoid import log_connection as lc  # noqa: E402
 from logmonoid import monoid_core as mc  # noqa: E402
 from logmonoid import weighted_series as ws  # noqa: E402
-from logmonoid.qlin import qmat, qmat_mul, qsolve, qvec  # noqa: E402
+from logmonoid.qlin import over_lcm, qmat, qmat_mul  # noqa: E402
 
 SEED = 1
 REPEATS = 7
@@ -44,22 +47,14 @@ def _matrix(rng: random.Random, n: int):
 
 
 def _sylvester(rng: random.Random, n: int):
-    """The shear's n^2 x n^2 system for an upper triangular A0 with
-    eigenvalues 0, 1/2, 1/3 (no integer differences) and m = 1."""
+    """The shear's cached inverse of the Sylvester operator for an upper
+    triangular A0 with eigenvalues 0, 1/2, 1/3 (no integer differences) and
+    m = 1, and a right-hand side, both as integers over one denominator."""
     eigs = (Fraction(0), Fraction(1, 2), Fraction(1, 3))
     a0 = [[eigs[i] if i == j else (_rational(rng) if j > i else Fraction(0))
            for j in range(n)] for i in range(n)]
-    rows, target = [], []
-    for i in range(n):
-        for j in range(n):
-            row = [Fraction(0)] * (n * n)
-            for k in range(n):
-                row[k * n + j] += a0[i][k]
-                row[i * n + k] -= a0[k][j]
-            row[i * n + j] += 1
-            rows.append(row)
-            target.append(_rational(rng))
-    return qmat(rows), qvec(target)
+    (rhs,), den = over_lcm([[_rational(rng) for _ in range(n * n)]])
+    return lc._sylvester_inverse(*lc._sylvester(*over_lcm(a0), 1)), (rhs, den)
 
 
 def _series(rng: random.Random, m, h, t: int):
@@ -101,8 +96,8 @@ def main() -> int:
         a, b = _matrix(rng, n), _matrix(rng, n)
         rows.append((f"qmat_mul n={n}", _time(lambda: qmat_mul(a, b))))
     for n in (1, 2, 3):
-        sa, sb = _sylvester(rng, n)
-        rows.append((f"qsolve sylvester n={n}", _time(lambda: qsolve(sa, sb))))
+        inv, rhs = _sylvester(rng, n)
+        rows.append((f"sylvester solve n={n}", _time(lambda: lc._sylvester_solve(inv, rhs))))
     n2 = mc.free_monoid(2)
     h = ws.default_weighting(n2)
     for t in (3, 4, 5, 6):
@@ -111,6 +106,10 @@ def main() -> int:
     for k in (4, 6, 9):
         la, lb = _weighting_lp(rng, k)
         rows.append((f"simplex_feasible rays={k}", _time(lambda: cone.simplex_feasible(la, lb))))
+    for n in (2, 3):
+        for t in (4, 6):
+            a, b = (tuple(tuple(_series(rng, n2, h, t) for _ in range(n)) for _ in range(n)) for _ in range(2))
+            rows.append((f"smat_mul n={n} N^2 T={t}", _time(lambda: lc.smat_mul(a, b))))
     for name, us in rows:
         print(f"{name:28s} {us:10.1f} us")
     return 0
