@@ -231,6 +231,8 @@ def cmd_connection(args, config: RunConfig) -> dict:
             raise ParseError("--radius must be a rational exponent q (radius p^-q), not zero")
         if eta.is_zero or eta.value_exponent() <= 0:
             raise ParseError("--eta must be a positive rational exponent q (eta = p^-q in (0,1))")
+        if args.depth < 1:
+            raise ParseError(f"--depth must be at least 1, got {args.depth}")
         verdict = lc.log_convergence_check(module, radius, eta, args.depth, config.prime)
         return {
             "radius_log": render_rational(radius.value_exponent()),

@@ -60,11 +60,9 @@ from .weighted_series import (
     Weighting,
     _check_compatible,
     constant_series,
-    gauss_norm,
     series,
     series_add,
     series_equal,
-    series_scale,
     series_sub,
 )
 
@@ -214,49 +212,63 @@ def smat_sub(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
     return tuple(tuple(series_sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def _int_coefficients(a: SeriesMatrix) -> tuple[dict[Elt, list[list[int]]], int]:
-    """a as one map key -> integer coefficient matrix over one denominator d
-    (the coefficient of a at key is the matrix over d); no matrix is zero."""
+def _int_coefficients(a: SeriesMatrix) -> tuple[dict[Elt, list[int]], int]:
+    """a as one coefficient map: key -> row-major integer matrix over one
+    denominator d (a's coefficient at key, times d); no matrix is zero."""
     den = math.lcm(*(c.denominator for row in a for x in row for _, c in x.terms))
-    out: dict[Elt, list[list[int]]] = {}
+    cols = len(a[0])
+    out: dict[Elt, list[int]] = {}
     for i, row in enumerate(a):
         for j, x in enumerate(row):
             for k, c in x.terms:
-                out.setdefault(k, [[0] * len(row) for _ in a])[i][j] = c.numerator * (den // c.denominator)
+                out.setdefault(k, [0] * (len(a) * cols))[i * cols + j] = c.numerator * (den // c.denominator)
     return out, den
 
 
-def smat_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    """a b as one convolution of integer coefficient matrices over key pairs.
-    Entry (i, j) keeps the least truncation and any annulus flag among the
-    a[i][k], b[k][j], as the sum of their series products would."""
-    f = a[0][0]
-    _check_compatible(f, b[0][0])
-    cols = range(len(b[0]))
-    trunc = [[min(min(x.truncation, b[k][j].truncation) for k, x in enumerate(row)) for j in cols] for row in a]
-    ann = [[any(x.annulus or b[k][j].annulus for k, x in enumerate(row)) for j in cols] for row in a]
-    t = max(map(max, trunc))
-    ia, da = _int_coefficients(a)
-    ib, db = _int_coefficients(b)
-    plus = f.monoid.gp.add
-    h = f.monoid.index.weighted(f.weighting.values).h
+def _map_mul(m: FineMonoid, w: Weighting, t: int, a: dict, b: dict, cols: int) -> dict[Elt, list[int]]:
+    """The product of two coefficient maps, b's matrices with `cols` columns,
+    kept at the keys with |h| <= t: one integer matrix product per pair of
+    keys, the numerators over the product of the two denominators."""
+    if not a or not b:
+        return {}
+    plus = m.gp.add
+    h = m.index.weighted(w.values).h
     # as in series_mul: h is additive and h <= |h|, so with b's keys in h
     # order every pair after the first with h(k1) + h(k2) > t leaves it too
-    right = sorted(((h(k)[0], k, tuple(zip(*mat))) for k, mat in ib.items()), key=lambda term: term[0])
+    right = sorted(((h(k)[0], k, [x[j::cols] for j in range(cols)]) for k, x in b.items()), key=lambda term: term[0])
+    inner = len(right[0][2][0])
     out: dict[Elt, list[int]] = {}
-    for k1, ma in ia.items():
+    for k1, x in a.items():
         room = t - h(k1)[0]
-        for h2, k2, mb in right:
+        rows = [x[r : r + inner] for r in range(0, len(x), inner)]
+        for h2, k2, cb in right:
             if h2 > room:
                 break
             k = plus(k1, k2)
             if h(k)[2] > t:
                 continue
-            prod = [sum(map(mul, ra, cb)) for ra in ma for cb in mb]
-            acc = out.get(k)
-            out[k] = prod if acc is None else list(map(add, acc, prod))
-    den = da * db
-    return _smat_from_coeffs(f.monoid, f.weighting, {k: (c, den) for k, c in out.items()}, trunc, ann)
+            _add_into(out, k, [sum(map(mul, ra, c)) for ra in rows for c in cb])
+    return out
+
+
+def _add_into(acc: dict, key: Elt, x: list[int]) -> None:
+    """acc[key] += x, for the fresh list x."""
+    y = acc.get(key)
+    acc[key] = x if y is None else list(map(add, y, x))
+
+
+def smat_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
+    """a b as one product of coefficient maps.  Entry (i, j) keeps the least
+    truncation and any annulus flag among the a[i][k], b[k][j], as the sum
+    of their series products would."""
+    f = a[0][0]
+    _check_compatible(f, b[0][0])
+    cols = range(len(b[0]))
+    trunc = [[min(min(x.truncation, b[k][j].truncation) for k, x in enumerate(row)) for j in cols] for row in a]
+    ann = [[any(x.annulus or b[k][j].annulus for k, x in enumerate(row)) for j in cols] for row in a]
+    (ia, da), (ib, db) = _int_coefficients(a), _int_coefficients(b)
+    out = _map_mul(f.monoid, f.weighting, max(map(max, trunc)), ia, ib, len(b[0]))
+    return _smat_from_coeffs(f.monoid, f.weighting, {k: (c, da * db) for k, c in out.items()}, trunc, ann)
 
 
 def _smat_from_coeffs(m, w, coeffs: dict, trunc, ann) -> SeriesMatrix:
@@ -304,36 +316,22 @@ def smat_partial(a: SeriesMatrix, emb: Embedding, i: int) -> SeriesMatrix:
     return tuple(out)
 
 
-def smat_is_constant(a: SeriesMatrix) -> bool:
-    gp_zero = a[0][0].monoid.gp.zero()
-    return all(all(k == gp_zero for k, _ in x.terms) for row in a for x in row)
-
-
 # ---------------------------------------------------------------------------
 # the module type
 # ---------------------------------------------------------------------------
 
-def _integrability_brackets(e: "LogNablaModule"):
-    """Yield (label, bracket) for every bracket integrability requires to vanish."""
-    r = e.embedding.r
-    for i in range(r):
-        for j in range(i + 1, r):
-            yield ("connection", i, j), smat_add(
-                smat_sub(
-                    smat_partial(e.matrices[j], e.embedding, i),
-                    smat_partial(e.matrices[i], e.embedding, j),
-                ),
-                smat_sub(
-                    smat_mul(e.matrices[i], e.matrices[j]),
-                    smat_mul(e.matrices[j], e.matrices[i]),
-                ),
-            )
-    for k, d in enumerate(e.base_matrices or ()):
-        for i in range(r):
-            yield ("base", k, i), smat_add(
-                smat_partial(d, e.embedding, i),
-                smat_sub(smat_mul(e.matrices[i], d), smat_mul(d, e.matrices[i])),
-            )
+def _least_bracket_key(e: "LogNablaModule", x: dict, y: dict, partials) -> Optional[Elt]:
+    """The least key at which [X, Y] + sum c d_l(Z) over partials (Z, c, l)
+    is nonzero, or None: X, Y and the Z are coefficient maps, and c scales Z
+    to the denominator of X Y."""
+    args = (e.monoid, e.weighting, e.truncation)
+    acc = _map_mul(*args, x, y, e.rank)
+    for k, z in _map_mul(*args, y, x, e.rank).items():
+        _add_into(acc, k, [-v for v in z])
+    for z, c, l in partials:
+        for k, mat in z.items():
+            _add_into(acc, k, [c * e.embedding.coords(k)[l] * v for v in mat])
+    return min((k for k, mat in acc.items() if any(mat)), default=None)
 
 
 class _LogNablaModuleFields(NamedTuple):
@@ -356,6 +354,9 @@ class LogNablaModule(_LogNablaModuleFields):
         for a in self.matrices:
             if len(a) != self.rank or any(len(row) != self.rank for row in a):
                 raise ValueError("connection matrices must be rank x rank")
+        entries = (x for a in itertools.chain(self.matrices, self.base_matrices or ()) for row in a for x in row)
+        if len({(x.truncation, x.annulus) for x in entries}) > 1:
+            raise ValueError("every matrix entry must share one truncation and annulus flag")
         return self
 
     @property
@@ -370,15 +371,35 @@ class LogNablaModule(_LogNablaModuleFields):
     def truncation(self) -> int:
         return self.matrices[0][0][0].truncation
 
+    # the integer forms of A^i and of the base matrices, converted once per
+    # module: (coefficient map, denominator) each; read them, do not modify
+
+    @cached_property
+    def coefficient_maps(self) -> tuple[tuple[dict[Elt, list[int]], int], ...]:
+        return tuple(map(_int_coefficients, self.matrices))
+
+    @cached_property
+    def base_coefficient_maps(self) -> tuple[tuple[dict[Elt, list[int]], int], ...]:
+        return tuple(map(_int_coefficients, self.base_matrices or ()))
+
     @cached_property
     def integrability_defect(self):
         """None when every bracket vanishes up to truncation; otherwise the
         first failing ("connection", i, j, key) for [d_i + A^i, d_j + A^j] or
-        ("base", k, i, key) for [d_i + A^i, D_k], key its least nonzero term."""
-        for label, lhs in _integrability_brackets(self):
-            keys = smat_keys(lhs)
-            if keys:
-                return label + (min(keys),)
+        ("base", k, i, key) for [d_i + A^i, D_k], key its least nonzero term.
+        Each bracket is evaluated on the coefficient maps: over d_i d_j,
+        m_i d_i A^j_m - m_j d_j A^i_m + (A^i A^j - A^j A^i)_m."""
+        maps = self.coefficient_maps
+        for i, j in itertools.combinations(range(self.embedding.r), 2):
+            (ai, di), (aj, dj) = maps[i], maps[j]
+            key = _least_bracket_key(self, ai, aj, ((aj, di, i), (ai, -dj, j)))
+            if key is not None:
+                return ("connection", i, j, key)
+        for k, (d, _) in enumerate(self.base_coefficient_maps):
+            for i, (ai, di) in enumerate(maps):
+                key = _least_bracket_key(self, ai, d, ((d, di, i),))
+                if key is not None:
+                    return ("base", k, i, key)
         return None
 
     # the residue analysis depends on the module alone: computed at most once,
@@ -636,12 +657,12 @@ def shear(
     sub = m.gp.sub
     # every coefficient is a row-major integer matrix over its denominator;
     # A^i keeps its terms of weight 1..t, and B, B' only their nonzero terms
-    acoeff = [({k: [v for row in mat for v in row] for k, mat in coeffs.items() if k in coords}, den)
-              for coeffs, den in map(_int_coefficients, e.matrices)]
+    acoeff = [({k: x for k, x in coeffs.items() if k in coords}, den) for coeffs, den in e.coefficient_maps]
     akeys = list(dict.fromkeys(k for ac, _ in acoeff for k in ac))
     ident = tuple(int(i == j) for i in range(n) for j in range(n))
     ops: dict = {}  # (i, m_i) -> the Sylvester operator of direction i, integer rows over one denominator
     inverses: dict = {}  # (i, m_i) -> its inverse, the same way: one per direction and coordinate
+    worst: dict = {}  # (i, m_i) -> max(0, v_p(x - y - m_i) over eigenvalue pairs of A^i_0)
 
     bmats = {m.gp.zero(): (ident, 1)}
     for key in keys:
@@ -704,12 +725,10 @@ def shear(
             mi = coords[key][i]
             if mi == 0:
                 continue
-            worst = max(
-                (Fraction(padic_valuation(x - y - mi, p))
-                 for x, y in itertools.product(per_matrix_eigs[i], repeat=2)),
-                default=Fraction(0),
-            )
-            zi = max(worst, Fraction(0))
+            if (i, mi) not in worst:
+                worst[i, mi] = max([Fraction(0)] + [Fraction(padic_valuation(x - y - mi, p))
+                                                    for x, y in itertools.product(per_matrix_eigs[i], repeat=2)])
+            zi = worst[i, mi]
             wmin = zi if wmin is None else min(wmin, zi)
         # the chain max runs over the nonzero proper divisors of key; logz
         # grows along divisibility (wmin >= 0), so it is reached at some
@@ -727,12 +746,15 @@ def shear(
 
     constant_base = None
     if e.base_matrices is not None:
+        (bm, db), (bp, dp) = _int_coefficients(gauge), _int_coefficients(gauge_inv)
+        zero = m.gp.zero()
         transformed = []
-        for d in e.base_matrices:
-            db = smat_mul(gauge_inv, smat_mul(d, gauge))
-            if not smat_is_constant(db):
+        for d, dd in e.base_coefficient_maps:
+            prod = _map_mul(m, w, t, bp, _map_mul(m, w, t, d, bm, n), n)
+            if any(any(x) for k, x in prod.items() if k != zero):
                 raise AssertionError("base matrices fail to become constant after the gauge")
-            transformed.append(smat_constant_term(db))
+            x, den = prod.get(zero, [0] * (n * n)), dp * dd * db
+            transformed.append(tuple(tuple(Fraction(v, den) for v in x[r * n : r * n + n]) for r in range(n)))
         constant_base = tuple(transformed)
 
     return ShearResult(
@@ -962,7 +984,8 @@ def is_sigma_unipotent(e: LogNablaModule, sigma: ExponentSet, face: Face) -> Uni
 
 
 def smat_is_constant_all(e: LogNablaModule) -> bool:
-    return all(smat_is_constant(a) for a in e.matrices)
+    zero = e.monoid.gp.zero()
+    return all(k == zero for coeffs, _ in e.coefficient_maps for k in coeffs)
 
 
 def _require_monoid_support(e: LogNablaModule) -> None:
@@ -1244,12 +1267,6 @@ def _merge(a: LogForm, b: LogForm) -> LogForm:
 # log-convergence (transfer hypothesis), bounded verdict
 # ---------------------------------------------------------------------------
 
-def _apply_partial(e: LogNablaModule, i: int, v: Sequence[TruncatedSeries]) -> tuple[TruncatedSeries, ...]:
-    """(d_i + A^i) applied to a section vector, as an n x 1 column."""
-    col = tuple((f,) for f in v)
-    return tuple(row[0] for row in smat_add(smat_partial(col, e.embedding, i), smat_mul(e.matrices[i], col)))
-
-
 def log_convergence_check(
     e: LogNablaModule,
     a_prime: Radius,
@@ -1258,59 +1275,35 @@ def log_convergence_check(
     p: int = DEFAULT_PRIME,
 ) -> bool:
     """Bounded eta-nullity of P_k = (1/k!) prod_i prod_{j<k_i} (d_i - j) on the
-    basis sections: no eta-weighted Gauss norm may exceed the |k| = 0 baseline."""
+    basis sections: no eta-weighted Gauss norm may exceed the |k| = 0 baseline.
+    A section is an integer column {key: [x]} over a denominator d, with
+    Gauss valuation min v_p(x) - v_p(d) + q h(key) at radius a' = p^-q."""
     if e.interval_kind not in ("disk", "point"):
         raise NotDiskModule("log-convergence is defined on disks and points")
     if eta.is_zero or eta.value_exponent() <= 0:
         raise ValueError("eta must lie in (0,1) as a p-power")
-    q_eta = eta.value_exponent()
-    n = e.rank
-    m, w, t = e.monoid, e.weighting, e.truncation
-    basis = []
+    q, q_eta = a_prime.value_exponent(), eta.value_exponent()
+    m, w, t, n = e.monoid, e.weighting, e.truncation, e.rank
+    h = m.index.weighted(w.values).h
     for comp in range(n):
-        vec = [constant_series(m, w, 1 if j == comp else 0, t) for j in range(n)]
-        basis.append(tuple(vec))
-
-    def vec_valuation(vec) -> object:
-        v = INF
-        for f in vec:
-            nr = gauss_norm(f, a_prime, p) if f.terms else None
-            if nr is not None and nr.exponent is not INF and nr.exponent < v:
-                v = nr.exponent
-        return v
-
-    for v in basis:
-        base_val = vec_valuation(v)
-        if base_val is INF:
-            continue
-        # enumerate multi-indices k with 1 <= |k| <= depth; the factors
-        # (d_i - j) for different directions commute by integrability
-        frontier = {tuple([0] * e.embedding.r): v}
+        # e_comp has valuation 0, the baseline; enumerate multi-indices k with
+        # 1 <= |k| <= depth, the factors (d_i - j) for different directions
+        # commuting by integrability
+        frontier = {(0,) * e.embedding.r: ({m.gp.zero(): [int(j == comp) for j in range(n)]}, 1)}
         for level in range(1, depth + 1):
             new = {}
-            for k, vec in frontier.items():
-                for i in range(e.embedding.r):
-                    kk = list(k)
-                    kk[i] += 1
-                    kk = tuple(kk)
+            for k, (col, den) in frontier.items():
+                for i, (ai, di) in enumerate(e.coefficient_maps):
+                    kk = k[:i] + (k[i] + 1,) + k[i + 1 :]
                     if kk in new:
                         continue
-                    shifted = _apply_partial(e, i, vec)
-                    shifted = tuple(
-                        series_sub(f, series_scale(Fraction(k[i]), g))
-                        for f, g in zip(shifted, vec)
-                    )
-                    new[kk] = shifted
+                    out = _map_mul(m, w, t, ai, col, 1)  # (d_i + A^i - k_i) col, over di den
+                    for key, x in col.items():
+                        _add_into(out, key, [di * (e.embedding.coords(key)[i] - k[i]) * v for v in x])
+                    new[kk] = ({key: x for key, x in out.items() if any(x)}, di * den)
             frontier = new
-            for k, vec in frontier.items():
-                fact = Fraction(1)
-                for ki in k:
-                    for x in range(1, ki + 1):
-                        fact *= x
-                scaled = tuple(series_scale(Fraction(1) / fact, f) for f in vec)
-                val = vec_valuation(scaled)
-                if val is INF:
-                    continue
-                if val + level * q_eta < base_val:
+            for k, (col, den) in frontier.items():
+                val = min((matrix_valuation((x,), p) + q * h(key)[0] for key, x in col.items()), default=INF)
+                if val - padic_valuation(den * math.prod(map(math.factorial, k)), p) + level * q_eta < 0:
                     return False
     return True

@@ -307,7 +307,8 @@ def test_exit_codes_on_the_connection_path(capsys):
     assert (code, out) == (4, "")
     assert "disks" in err
     disk = DATA / "n2_sigma_pair_connection.json"
-    for flag, value in (("--eta", "0"), ("--eta", "zero"), ("--radius", "zero")):
+    for flag, value in (("--eta", "0"), ("--eta", "zero"), ("--radius", "zero"), ("--depth", "0"),
+                        ("--depth", "-3")):
         code, out, err = run(capsys, "connection", "logconv", disk, flag, value)
         assert (code, out) == (2, "")
         assert flag in err

@@ -2,6 +2,7 @@
 D_l operators, the homotopy identity and log-convergence."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -575,6 +576,17 @@ def test_log_convergence_false_instance(n1):
     assert not lc.log_convergence_check(e, ws.Radius.p_power(1), ws.Radius.p_power(F(1, 2)), 8)
 
 
+def test_log_convergence_counts_the_shifts_and_the_factorial(n1):
+    """At eta = p^-1/10: for the residue 1/2, P_5 e = C(1/2, 5) e is 5-adically
+    integral; for d + t, P_5 e carries t^5 / 5!, of valuation -1."""
+    h, emb = ws.default_weighting(n1), lc.facet_embedding(n1)
+    one, eta = ws.Radius.one(), ws.Radius.p_power(F(1, 10))
+    assert lc.log_convergence_check(lc.apply_ui(emb, h, [((F(1, 2),),)], 6), one, eta, 5)
+    e = build_module(n1, [{(1,): ((1,),)}], 1, 6)
+    assert lc.log_convergence_check(e, one, eta, 4)
+    assert not lc.log_convergence_check(e, one, eta, 5)
+
+
 def test_shear_randomized_planted_gauges():
     """Seeded sweep: random commuting constant models with NI-safe rational
     eigenvalues, random planted gauges; shear must recover the inverse."""
@@ -739,8 +751,8 @@ def test_unipotence_needs_monoid_support(n2):
 
 def test_integrability_is_decided_once(monkeypatch, n2):
     calls = []
-    smat_mul = lc.smat_mul
-    monkeypatch.setattr(lc, "smat_mul", lambda a, b: calls.append(1) or smat_mul(a, b))
+    map_mul = lc._map_mul
+    monkeypatch.setattr(lc, "_map_mul", lambda *args: calls.append(1) or map_mul(*args))
     c1 = ((F(0), F(0)), (F(0), F(1, 2)))
     c2 = ((F(1, 3), F(0)), (F(0), F(1, 3)))
     e = gauge_built_module(n2, [c1, c2], {(1, 0): ((0, 1), (0, 0))}, 2, 4)[0]
@@ -772,6 +784,25 @@ def test_integrability_defect_reports_base_matrices(n1):
                      base_terms=[{(0,): ((0, 1), (0, 0))}])
     assert e.integrability_defect == ("base", 0, 0, n1.gp.zero())
     assert not lc.validate_integrability(e)
+
+
+def test_each_matrix_is_converted_once_per_module(monkeypatch, n1):
+    """Integrability, shear and logconv read one coefficient map per
+    connection and base matrix, converted on first use (the shear converts
+    its own gauge only to move base matrices)."""
+    calls = []
+    convert = lc._int_coefficients
+    monkeypatch.setattr(lc, "_int_coefficients", lambda a: calls.append(id(a)) or convert(a))
+    c = ((F(0), F(0)), (F(0), F(1, 2)))
+    with_base = gauge_built_module(n1, [c], {(1,): ((0, 1), (0, 0))}, 2, 6, base_model=[((1, 0), (0, 2))])[0]
+    for e in [with_base] + [e for _, e, _ in selftest._shear_fixtures(5)]:
+        calls.clear()
+        assert lc.validate_integrability(e)
+        lc.shear(e)
+        for depth in (2, 3):
+            lc.log_convergence_check(e, ws.Radius.one(), ws.Radius.p_power(F(1, 2)), depth)
+        ids = sorted(map(id, e.matrices + (e.base_matrices or ())))
+        assert sorted(c for c in calls if c in ids) == ids
 
 
 # -- the residue analysis runs once per module ----------------------------------------------------
@@ -979,6 +1010,116 @@ def test_smat_mul_matches_the_sum_of_series_products(n2, m_even):
                         seen.add("cancelled term")
     assert seen == {"n=1", "n=2", "n=3", "column", "zero entry", "mixed truncation",
                     "mixed annulus", "cancelled term"}
+
+
+def _integrability_defect_by_series(e):
+    """The first failing bracket and its least key from series matrices: the
+    evaluation that the coefficient maps replaced."""
+    r, mul = e.embedding.r, _smat_mul_by_series
+
+    def partial(a, i):
+        return lc.smat_partial(a, e.embedding, i)
+
+    brackets = [(("connection", i, j), lc.smat_add(
+        lc.smat_sub(partial(e.matrices[j], i), partial(e.matrices[i], j)),
+        lc.smat_sub(mul(e.matrices[i], e.matrices[j]), mul(e.matrices[j], e.matrices[i]))))
+        for i, j in itertools.combinations(range(r), 2)]
+    brackets += [(("base", k, i), lc.smat_add(partial(d, i), lc.smat_sub(mul(e.matrices[i], d), mul(d, e.matrices[i]))))
+                 for k, d in enumerate(e.base_matrices or ()) for i in range(r)]
+    for label, lhs in brackets:
+        keys = lc.smat_keys(lhs)
+        if keys:
+            return label + (min(keys),)
+    return None
+
+
+def _log_convergence_by_series(e, a_prime, eta, depth, p=5):
+    """The P_k frontier on vectors of series with Gauss norms: the evaluation
+    that the integer columns replaced."""
+    m, w, t, n, r = e.monoid, e.weighting, e.truncation, e.rank, e.embedding.r
+
+    def valuation(vec):
+        return min((ws.gauss_norm(f, a_prime, p).exponent for f in vec if f.terms), default=INF)
+
+    for comp in range(n):
+        v = tuple(ws.constant_series(m, w, int(j == comp), t) for j in range(n))
+        base = valuation(v)
+        frontier = {(0,) * r: v}
+        for level in range(1, depth + 1):
+            new = {}
+            for k, vec in frontier.items():
+                for i in range(r):
+                    kk = k[:i] + (k[i] + 1,) + k[i + 1:]
+                    if kk in new:
+                        continue
+                    col = tuple((f,) for f in vec)
+                    applied = lc.smat_add(lc.smat_partial(col, e.embedding, i), _smat_mul_by_series(e.matrices[i], col))
+                    new[kk] = tuple(ws.series_sub(row[0], ws.series_scale(k[i], g)) for row, g in zip(applied, vec))
+            frontier = new
+            for k, vec in frontier.items():
+                val = valuation(tuple(ws.series_scale(F(1, math.prod(map(math.factorial, k))), f) for f in vec))
+                if val is not INF and val + level * eta.value_exponent() < base:
+                    return False
+    return True
+
+
+def _grid_modules(rng, m, n, t):
+    """An integrable module (a gauge-built diagonal model, with a commuting
+    diagonal base matrix or none), its copies with one term added to A^0 or
+    to the base matrix, and an annulus module with terms off M."""
+    ball = m.index.weighted(ws.default_weighting(m).values).upto(t)
+
+    def mat(diagonal=False):
+        return tuple(tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 3, 5, 25)))
+                           if a == b or not diagonal and rng.random() < 0.5 else F(0) for b in range(n))
+                     for a in range(n))
+
+    base = [mat(diagonal=True)] if rng.random() < 0.5 else None
+    gauge = {rng.choice(ball[1:])[0]: mat() for _ in range(rng.randint(1, 3))}
+    e = gauge_built_module(m, [mat(diagonal=True) for _ in range(2)], gauge, n, t, base_model=base)[0]
+    out = [e]
+    for which in ("matrices", "base_matrices")[: 1 + (base is not None)]:
+        term = selftest._series_matrix(m, e.weighting, {rng.choice(ball[1:])[0]: mat()}, n, t)
+        mats = getattr(e, which)
+        out.append(e._replace(**{which: (lc.smat_add(mats[0], term), *mats[1:])}))
+    diffs = [m.gp.sub(x, y) for x in ball for y in ball]
+    return out + [build_module(m, [{rng.choice(diffs): mat() for _ in range(3)} for _ in range(2)], n, t,
+                               kind="annulus")]
+
+
+def test_integrability_and_log_convergence_match_the_series_evaluation(n2, m_even):
+    """Seeded grid over N^2 and M_even, n = 1..3: integrable modules with and
+    without base matrices, copies made non-integrable by one term and annulus
+    modules; logconv at a' in {0, 1/2, 1, 2}, eta in {1/5, 1/3, 1/2} and
+    depth 1..4, and the shear's constant base model."""
+    rng = random.Random(10)
+    seen = set()
+    for case in range(36):
+        m, n, t = (n2, m_even)[case % 2], case % 3 + 1, rng.choice((2, 3, 4))
+        for e in _grid_modules(rng, m, n, t):
+            defect = e.integrability_defect
+            assert defect == _integrability_defect_by_series(e), case
+            seen.add(f"{e.interval_kind} {defect[0] if defect else 'integrable'}")
+            if e.interval_kind == "annulus":
+                continue
+            for _ in range(2):
+                a, eta, depth = rng.choice((0, F(1, 2), 1, 2)), rng.choice((F(1, 5), F(1, 3), F(1, 2))), rng.randint(1, 4)
+                args = (e, ws.Radius.p_power(a), ws.Radius.p_power(eta), depth)
+                verdict = lc.log_convergence_check(*args)
+                assert verdict == _log_convergence_by_series(*args), (case, a, eta, depth)
+                seen |= {verdict, f"a'={a}", f"eta={eta}", f"depth={depth}"}
+            if e.base_matrices and defect is None:
+                try:
+                    sr = lc.shear(e)
+                except SingularSylvester:  # the random model broke NI
+                    continue
+                moved = [_smat_mul_by_series(sr.gauge_inverse, _smat_mul_by_series(d, sr.gauge)) for d in e.base_matrices]
+                assert all(k == m.gp.zero() for d in moved for row in d for x in row for k, _ in x.terms)
+                assert sr.constant_base_model == tuple(map(lc.smat_constant_term, moved)), case
+                seen.add("base model")
+    assert seen == {"disk integrable", "disk connection", "disk base", "annulus connection", "base model",
+                    True, False, "a'=0", "a'=1/2", "a'=1", "a'=2", "eta=1/5", "eta=1/3", "eta=1/2",
+                    "depth=1", "depth=2", "depth=3", "depth=4"}
 
 
 def _shear_by_rational_recursion(e):

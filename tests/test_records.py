@@ -85,6 +85,14 @@ def test_fine_monoid_differs_from_a_tuple_of_its_fields(records):
     assert m != mc.FineMonoid(m.gp, m.generators, (1, 2))
 
 
+def _retruncated(a, annulus=False):
+    """The series matrix a with its entry (0, 0) truncated one lower, or
+    made an annulus series."""
+    x = a[0][0]
+    x = x._replace(annulus=True) if annulus else x._replace(truncation=x.truncation - 1)
+    return ((x, *a[0][1:]), *a[1:])
+
+
 def _checks(n1, n2, m_even, e):
     """(constructor call, message) for every check a record runs when built."""
     one = n1.element((1,))
@@ -114,6 +122,10 @@ def _checks(n1, n2, m_even, e):
         (lambda: lc.LogNablaModule(e.rank, e.embedding, e.matrices, None, "ring"), "interval_kind"),
         (lambda: lc.LogNablaModule(e.rank, e.embedding, e.matrices[:1]), "one matrix per"),
         (lambda: lc.LogNablaModule(e.rank + 1, e.embedding, e.matrices), "rank x rank"),
+        (lambda: lc.LogNablaModule(e.rank, e.embedding, e.matrices, (_retruncated(e.matrices[0]),)),
+         "one truncation and annulus flag"),
+        (lambda: lc.LogNablaModule(e.rank, e.embedding, (_retruncated(e.matrices[0], annulus=True),
+                                                          *e.matrices[1:])), "one truncation and annulus flag"),
     ]
 
 

@@ -10,7 +10,12 @@ n = 1, 2, 3; `weighted_series.series_mul` on dense disk series over N^2
 truncated at T = 3..6; `cone.simplex_feasible` on the default weighting's
 LP for k integer rays in Z^3 (k = 4, 6, 9: 2*3 + k columns, k rows); and
 `log_connection.smat_mul` on n x n matrices of those series for n = 2, 3 at
-T = 4, 6.  Entries are small rationals (numerators -9..9, denominators up to
+T = 4, 6; and, on an integrable rank-n module over N^2 truncated at T (a
+diagonal constant model rewritten by a gauge I + G, G dense up to weight T)
+for n = 2, 3 and T = 4, 6, `validate_integrability` and
+`log_convergence_check` at depth 2 and 4 (radius 1, eta = p^-1/2), each call
+on a fresh copy of the module, so its integer coefficient maps are built
+inside the timing.  Entries are small rationals (numerators -9..9, denominators up to
 6) or small integers from a fixed seed, so every run measures the same
 inputs.  Each figure is the median over REPEATS repeats of a loop of at
 least 20 ms, in wall-clock microseconds per call; stdlib only.
@@ -30,6 +35,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 from logmonoid import cone  # noqa: E402
 from logmonoid import log_connection as lc  # noqa: E402
 from logmonoid import monoid_core as mc  # noqa: E402
+from logmonoid import selftest  # noqa: E402
 from logmonoid import weighted_series as ws  # noqa: E402
 from logmonoid.qlin import over_lcm, qmat, qmat_mul  # noqa: E402
 
@@ -60,6 +66,19 @@ def _sylvester(rng: random.Random, n: int):
 def _series(rng: random.Random, m, h, t: int):
     keys = m.index.weighted(h.values).upto(t)
     return ws.series(m, h, {k: _rational(rng) for k in keys}, t)
+
+
+def _module(rng: random.Random, m, n: int, t: int):
+    """An integrable rank-n module over m: diag(0, 1/2, 1/3) and diag(1/3,
+    1/3, 1/3) (cut to n) in the basis e (I + G).  No denominator is divisible
+    by 5, so every P_k is 5-adically integral and log_convergence_check runs
+    its whole frontier."""
+    diagonals = ((0, Fraction(1, 2), Fraction(1, 3))[:n], (Fraction(1, 3),) * n)
+    model = [[[x if i == j else 0 for j in range(n)] for i, x in enumerate(diag)] for diag in diagonals]
+    keys = m.index.weighted(ws.default_weighting(m).values).upto(t)[1:]
+    gauge = {k[0]: [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(n)]
+             for k in keys}
+    return selftest.gauge_built_module(m, model, gauge, n, t)[0]
 
 
 def _weighting_lp(rng: random.Random, k: int):
@@ -110,8 +129,17 @@ def main() -> int:
         for t in (4, 6):
             a, b = (tuple(tuple(_series(rng, n2, h, t) for _ in range(n)) for _ in range(n)) for _ in range(2))
             rows.append((f"smat_mul n={n} N^2 T={t}", _time(lambda: lc.smat_mul(a, b))))
+    one, eta = ws.Radius.one(), ws.Radius.p_power(Fraction(1, 2))
+    for n in (2, 3):
+        for t in (4, 6):
+            e = _module(rng, n2, n, t)
+            rows.append((f"validate_integrability n={n} N^2 T={t}",
+                         _time(lambda: lc.validate_integrability(e._replace()))))
+            for depth in (2, 4):
+                rows.append((f"log_convergence_check depth={depth} n={n} N^2 T={t}",
+                             _time(lambda: lc.log_convergence_check(e._replace(), one, eta, depth))))
     for name, us in rows:
-        print(f"{name:28s} {us:10.1f} us")
+        print(f"{name:42s} {us:10.1f} us")
     return 0
 
 
