@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
+from operator import mul
 from typing import Callable, NamedTuple, Optional
 
 from .abelian import Elt
 from .errors import ParseError
 from .log_connection import Embedding, ExponentSet, LogNablaModule, facet_embedding
 from .monoid_core import FineMonoid, from_embedded, from_presentation
-from .qlin import qmat, qsolve, qvec
+from .qlin import over_lcm, qmat_mul, solve_map
 from .weighted_series import Radius, TruncatedSeries, Weighting, default_weighting, series
 
 
@@ -51,6 +53,11 @@ class MonoidContext(NamedTuple):
     # (free, torsion) as written in the document -> gp element; for embedded
     # monoids the converter of `from_embedded`, one Smith form for them all
     convert: Callable[[tuple], Elt]
+    # for embedded monoids, ambient -> M^gp tensor Q as integer (rows, d,
+    # checks): v lies in the span of the generators iff every check row is
+    # orthogonal to it, and then maps to rows * v / d; one solve for them
+    # all, on the first call
+    exponent_map: Optional[Callable[[], tuple[list[list[int]], int, list[list[int]]]]] = None
 
     def parse_element(self, obj) -> Elt:
         if not isinstance(obj, dict) or "free" not in obj:
@@ -87,18 +94,11 @@ class MonoidContext(NamedTuple):
         dim = len(self.ambient_generators[0])
         if len(vals) != dim:
             raise ParseError(f"exponent vector must have ambient length {dim}")
-        cols = qmat(
-            [[Fraction(self.ambient_generators[j][i]) for j in range(len(self.ambient_generators))]
-             for i in range(dim)]
-        )
-        coeffs = qsolve(cols, qvec(vals))
-        if coeffs is None:
+        rows, den, checks = self.exponent_map()
+        (vec,), dv = over_lcm([vals])
+        if any(sum(map(mul, row, vec)) for row in checks):
             raise ParseError("exponent vector outside M^gp tensor Q")
-        acc = [Fraction(0)] * d
-        for c, g in zip(coeffs, self.monoid.generators):
-            for i in range(d):
-                acc[i] += c * Fraction(g[0][i])
-        return tuple(acc)
+        return tuple(Fraction(sum(map(mul, row, vec)), den * dv) for row in rows)
 
 
 def parse_monoid(doc: dict) -> MonoidContext:
@@ -114,7 +114,7 @@ def parse_monoid(doc: dict) -> MonoidContext:
             monoid = from_presentation(n, relations)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad presentation: {exc}") from exc
-        ambient = None
+        ambient = exponent_map = None
         convert = lambda x: monoid.gp.element(*x)
     elif "embedded_generators" in doc:
         try:
@@ -124,6 +124,13 @@ def parse_monoid(doc: dict) -> MonoidContext:
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad embedded generators: {exc}") from exc
         ambient = tuple(vectors)
+
+        @cache
+        def exponent_map():
+            # solve for the generator coefficients, then sum the generators' gp coordinates
+            to_coeffs, checks = solve_map([[v[i] for v in vectors] for i in range(len(vectors[0]))])
+            gens = [[g[0][i] for g in monoid.generators] for i in range(monoid.gp.free_rank)]
+            return (*over_lcm(qmat_mul(gens, to_coeffs)), checks)
     else:
         raise ParseError("monoid document needs 'generators' or 'embedded_generators'")
     if "weighting" in doc:
@@ -133,7 +140,7 @@ def parse_monoid(doc: dict) -> MonoidContext:
             raise ParseError(f"bad weighting: {exc}") from exc
     else:
         w = default_weighting(monoid)
-    return MonoidContext(monoid, w, ambient, convert)
+    return MonoidContext(monoid, w, ambient, convert, exponent_map)
 
 
 def parse_hom_images(ctx_target: MonoidContext, doc: dict) -> tuple[Elt, ...]:
@@ -168,8 +175,16 @@ def parse_series(ctx: MonoidContext, doc: dict, annulus: bool = False) -> Trunca
 def _embedding_from_rows(ctx: MonoidContext, rows) -> Embedding:
     d = ctx.monoid.gp.free_rank
     out_rows = []
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ParseError(f"bad embedding: rows must be lists of integers, got {rows!r}")
     for row in rows:
-        row = [int(x) for x in row]
+        try:
+            ints = [int(x) for x in row]
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad embedding: {exc}") from exc
+        if any(v != x for v, x in zip(ints, row) if not isinstance(x, str)):
+            raise ParseError(f"bad embedding: entries must be integers, got {row!r}")
+        row = ints
         if ctx.ambient_generators is None:
             if len(row) != d:
                 raise ParseError(f"embedding rows must have length {d}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from operator import add, mul
 from typing import NamedTuple, Optional, Sequence
@@ -34,7 +34,8 @@ from .qlin import (
     INF,
     QMatrix,
     QVector,
-    charpoly,
+    int_charpoly,
+    integer_roots,
     inverse_over_lcm,
     matrix_valuation,
     over_lcm,
@@ -49,9 +50,7 @@ from .qlin import (
     qmat_vec,
     qnullspace,
     qrank,
-    qsolve,
     qvec,
-    rational_roots,
 )
 from .weighted_series import (
     DEFAULT_PRIME,
@@ -157,7 +156,7 @@ class _ExponentSetFields(NamedTuple):
 class ExponentSet(_ExponentSetFields):
     """Finite set of rational vectors in M^gp tensor Q (free coordinates)."""
 
-    __slots__ = ()
+    # no __slots__: the instance dict holds the cached (S-D) verdict
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -167,6 +166,21 @@ class ExponentSet(_ExponentSetFields):
                 raise ValueError("exponent vector has wrong dimension")
         return self
 
+    @cached_property
+    def satisfies_sd(self) -> bool:
+        """(S-D) via facets, decided once per set: with the elements as
+        integer vectors over one denominator d, two facet images differ by a
+        nonzero integer iff they are distinct and congruent modulo d."""
+        m = self.monoid
+        if not is_semi_saturated(m):
+            raise NotSemiSaturated("(S-D) check requires a semi-saturated monoid")
+        vecs, d = over_lcm(self.elements)
+        for row in _facet_rows(m):
+            images = {sum(map(mul, row, v)) for v in vecs}
+            if len({x % d for x in images}) < len(images):
+                return False
+        return True
+
 
 def check_sd(sigma: ExponentSet, s_class: str = "NI") -> bool:
     """Global (S-D) via facets: all pairwise differences of the facet images
@@ -174,19 +188,7 @@ def check_sd(sigma: ExponentSet, s_class: str = "NI") -> bool:
     and non-Liouville, so NI and NI_and_NL coincide here."""
     if s_class not in ("NI", "NI_and_NL"):
         raise ValueError("s_class must be 'NI' or 'NI_and_NL'")
-    m = sigma.monoid
-    if not is_semi_saturated(m):
-        raise NotSemiSaturated("(S-D) check requires a semi-saturated monoid")
-    for row in _facet_rows(m):
-        images = [
-            sum((Fraction(row[k]) * xi[k] for k in range(len(row))), Fraction(0))
-            for xi in sigma.elements
-        ]
-        for x, y in itertools.product(images, repeat=2):
-            diff = x - y
-            if diff != 0 and diff.denominator == 1:
-                return False
-    return True
+    return sigma.satisfies_sd
 
 
 # ---------------------------------------------------------------------------
@@ -415,27 +417,57 @@ class LogNablaModule(_LogNablaModuleFields):
         return mats
 
     @cached_property
+    def residue_spectra(self) -> tuple[list, ...]:
+        """Per residue, its spectrum: what `_residue_spectrum` returns."""
+        return tuple(_residue_spectrum(a) for a in self.residues)
+
+    @cached_property
     def decomposition(self) -> "ResidueDecomposition":
-        return _decomposition_from_model(self.residues, self.embedding, self.rank)
+        blocks = joint_decomposition(self.residue_spectra, self.rank)
+        inv = qinverse(qmat(self.embedding.matrix))
+        return ResidueDecomposition(
+            self.rank,
+            tuple(eigs for eigs, _ in blocks),
+            tuple(qmat_vec(inv, eigs) for eigs, _ in blocks),
+            tuple(tuple(b) for _, b in blocks),
+        )
 
     @cached_property
     def eigenbasis_data(self) -> tuple:
         """Shear's per-residue (eigenvalues, P, P^{-1}, nilpotent part)."""
-        return tuple(_eigenbasis_data(a) for a in self.residues)
+        return tuple(map(_eigenbasis_data, self.residues, self.residue_spectra))
+
+    @cached_property
+    def block_nilpotents(self) -> tuple[tuple[QMatrix, ...], ...]:
+        """Per block of the decomposition and per residue, the residue's
+        nilpotent part on the block, in the block's basis."""
+        d = self.decomposition
+        return tuple(
+            tuple(_nilpotent_part(a, basis, x) for a, x in zip(self.residues, eigs))
+            for eigs, basis in zip(d.eigentuples, d.blocks)
+        )
 
     @cached_property
     def filtration_ranks(self) -> tuple[int, ...]:
-        return _block_filtration_ranks(self.decomposition, self.residues)
+        return _block_filtration_ranks(self.decomposition, self.block_nilpotents)
 
     @cached_property
     def nilpotency_indices(self) -> tuple[tuple[int, ...], ...]:
         """Per block of the decomposition and per residue, the nilpotency
         index of the residue's nilpotent part on the block."""
-        d = self.decomposition
-        return tuple(
-            tuple(_nilpotent_part(a, basis, x)[1] for a, x in zip(self.residues, eigs))
-            for eigs, basis in zip(d.eigentuples, d.blocks)
-        )
+        return tuple(tuple(map(_nilpotency_index, nils)) for nils in self.block_nilpotents)
+
+    @cached_property
+    def sheared_exponents(self) -> ExponentSet:
+        """The exponent set of the sheared constant model.  The shearing
+        gauge has B_0 = I, so that model is the residue; a non-constant
+        module must pass shear's hypothesis checks, and on an annulus be
+        M-supported."""
+        if not smat_is_constant_all(self):
+            if self.interval_kind == "annulus":
+                _require_monoid_support(self)
+            _shear_hypotheses(self)
+        return self.decomposition.exponent_set(self.monoid)
 
 
 def validate_integrability(e: LogNablaModule) -> bool:
@@ -473,55 +505,43 @@ class ResidueDecomposition(NamedTuple):
         return ExponentSet(monoid, tuple(uniq))
 
 
-def _restrict(a: QMatrix, basis: Sequence[QVector]) -> QMatrix:
-    """Matrix of a on span(basis) in the given basis (requires invariance)."""
-    n = len(basis[0])
-    k = len(basis)
-    bmat = qmat([[basis[j][i] for j in range(k)] for i in range(n)])
-    cols = []
-    for b in basis:
-        img = qmat_vec(a, b)
-        sol = qsolve(bmat, img)
-        if sol is None:
-            raise NonCommutingResidues("subspace is not invariant under a residue")
-        cols.append(sol)
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-
-
-def _generalized_eigenspaces(a: QMatrix) -> list[tuple[Fraction, list[QVector]]]:
-    n = len(a)
-    roots = rational_roots(charpoly(a))
-    if roots is None or sum(m for _, m in roots) != n:
+def _residue_spectrum(a: QMatrix) -> list[tuple[Fraction, list[list[int]], list[QVector]]]:
+    """Per eigenvalue xi of a, ascending: (xi, (a - xi)^mult scaled to integer
+    rows, the null-space basis of that power, which is the generalized
+    eigenspace).  The eigenvalues are y / d for the integer roots y of the
+    characteristic polynomial of the integer rows b = d a."""
+    b, d = over_lcm(a)
+    roots = integer_roots(int_charpoly(b))
+    if roots is None:
         raise IrrationalExponent("characteristic polynomial does not split over Q")
     out = []
-    for xi, _mult in roots:
-        shifted = qmat_sub(a, qmat_scale(xi, qidentity(n)))
-        power = qidentity(n)
-        for _ in range(n):
-            power = qmat_mul(power, shifted)
-        null = qnullspace(power)
-        out.append((xi, [qvec(v) for v in null]))
+    for y, mult in roots:
+        shifted = [[x - y * (i == j) for j, x in enumerate(row)] for i, row in enumerate(b)]
+        power = shifted
+        for _ in range(mult - 1):
+            power = [[sum(map(mul, row, col)) for col in zip(*shifted)] for row in power]
+        out.append((Fraction(y, d), power, qnullspace(power)))
     return out
 
 
-def joint_decomposition(mats: Sequence[QMatrix], n: int) -> list[tuple[tuple[Fraction, ...], list[QVector]]]:
-    """Blocks of the common generalized eigendecomposition of commuting matrices."""
-    blocks: list[tuple[tuple[Fraction, ...], list[QVector]]] = [
-        ((), [qvec([1 if i == j else 0 for i in range(n)]) for j in range(n)])
-    ]
-    for a in mats:
+def joint_decomposition(spectra: Sequence[list], n: int) -> list[tuple[tuple[Fraction, ...], list[QVector]]]:
+    """Blocks of the common generalized eigendecomposition of commuting
+    matrices, from their spectra: a block B meets V_xi(A) in B w for w in the
+    null space of (A - xi)^mult B, which equals B (A|B - xi)^mult."""
+    if not spectra:
+        return [((), [qvec([1 if i == j else 0 for i in range(n)]) for j in range(n)])]
+    blocks = [((xi,), basis) for xi, _, basis in spectra[0]]
+    for spectrum in spectra[1:]:
         new = []
         for eigs, basis in blocks:
-            sub = _restrict(a, basis)
-            for xi, null in _generalized_eigenspaces(sub):
-                vectors = []
-                for w in null:
-                    vec = tuple(
-                        sum((w[j] * basis[j][i] for j in range(len(basis))), Fraction(0))
-                        for i in range(n)
-                    )
-                    vectors.append(vec)
-                new.append((eigs + (xi,), vectors))
+            cols = tuple(zip(*basis))
+            for xi, power, _ in spectrum:
+                vectors = [
+                    tuple(sum((w[j] * v[i] for j, v in enumerate(basis)), Fraction(0)) for i in range(n))
+                    for w in qnullspace(qmat_mul(power, cols))
+                ]
+                if vectors:
+                    new.append((eigs + (xi,), vectors))
         blocks = new
     blocks.sort(key=lambda t: t[0])
     return blocks
@@ -592,19 +612,21 @@ def _nilpotency_index(nil: QMatrix) -> int:
     return index
 
 
-def _nilpotent_part(a: QMatrix, basis: Sequence[QVector], xi: Fraction) -> tuple[QMatrix, int]:
-    """N = a - xi on span(basis), which a must leave invariant, and its
-    nilpotency index."""
-    nil = qmat_sub(_restrict(a, basis), qmat_scale(xi, qidentity(len(basis))))
-    return nil, _nilpotency_index(nil)
+def _nilpotent_part(a: QMatrix, basis: Sequence[QVector], xi: Fraction) -> QMatrix:
+    """N = a - xi on span(basis), which a leaves invariant, in that basis.
+    A block's basis is the identity at some coordinates (a null-space basis
+    is, and so is B w for B and w such bases), so N is (a - xi) B read at
+    those coordinates."""
+    rows = list(zip(*basis))
+    image = qmat_mul(qmat_sub(a, qmat_scale(xi, qidentity(len(a)))), rows)
+    return tuple(image[rows.index(tuple(int(i == j) for i in range(len(basis))))] for j in range(len(basis)))
 
 
-def _eigenbasis_data(a: QMatrix):
+def _eigenbasis_data(a: QMatrix, spectrum: list):
     """(eigenvalues list, P, P^{-1}, nilpotent part in the eigenbasis)."""
-    spaces = _generalized_eigenspaces(a)
     cols: list[QVector] = []
     eigs: list[Fraction] = []
-    for xi, vecs in spaces:
+    for xi, _, vecs in spectrum:
         for v in vecs:
             cols.append(v)
             eigs.append(xi)
@@ -906,39 +928,26 @@ class UnipotenceReport(NamedTuple):
     face_images: tuple[QVector, ...]
 
 
-def _face_projection_matrix(m: FineMonoid, face: Face) -> tuple[QMatrix, int]:
+def _face_projection(m: FineMonoid, face: Face) -> list[tuple[int, ...]]:
+    """The integer rows of gp^free -> (M/F)^gp free."""
     q, project = face_quotient_group(m, face)
     d = m.gp.free_rank
-    rows = []
-    for i in range(q.free_rank):
-        row = []
-        for k in range(d):
-            e = m.gp.element(tuple(1 if x == k else 0 for x in range(d)))
-            row.append(Fraction(project(e)[0][i]))
-        rows.append(tuple(row))
-    return tuple(rows), q.free_rank
+    cols = [project(m.gp.element(tuple(int(x == k) for x in range(d))))[0] for k in range(d)]
+    return [tuple(col[i] for col in cols) for i in range(q.free_rank)]
 
 
-def _block_filtration_ranks(decomp: ResidueDecomposition, res: Sequence[QMatrix]) -> tuple[int, ...]:
+def _block_filtration_ranks(decomp: ResidueDecomposition, nilpotents) -> tuple[int, ...]:
     """Ranks of the successive quotients of the canonical filtration: within a
-    block, U_j = common kernel of all degree-j products of the nilpotent parts."""
+    block, U_j = common kernel of all degree-j products of the nilpotent parts
+    (which commute, so one product per multiset of factors)."""
     ranks = []
-    r = len(res)
-    for eigs, basis in zip(decomp.eigentuples, decomp.blocks):
-        k = len(basis)
-        nils = [_nilpotent_part(a, basis, x)[0] for a, x in zip(res, eigs)]
+    for k, nils in zip(decomp.multiplicities, nilpotents):
         prev_dim = 0
         j = 1
         while prev_dim < k:
-            # common kernel of all products of j nilpotent factors
-            rows = []
-            for combo in itertools.product(range(r), repeat=j):
-                prod = qidentity(k)
-                for i in combo:
-                    prod = qmat_mul(prod, nils[i])
-                rows.extend(prod)
-            null = qnullspace(qmat(rows)) if rows else []
-            dim = len(null) if rows else k
+            rows = [row for combo in itertools.combinations_with_replacement(nils, j)
+                    for row in reduce(qmat_mul, combo)]
+            dim = k - qrank(rows) if rows else k
             if dim > prev_dim:
                 ranks.append(dim - prev_dim)
                 prev_dim = dim
@@ -956,30 +965,26 @@ def is_sigma_unipotent(e: LogNablaModule, sigma: ExponentSet, face: Face) -> Uni
     The shearing gauge has B_0 = I, so the sheared constant model is the
     residue; a non-constant module must pass shear's hypothesis checks.
     Annulus modules must be M-supported; the twist-reduce normalization is
-    realized by the modulo-lattice comparison of the exponent images.
+    realized by the modulo-lattice comparison of the exponent images, which
+    are integer vectors over one denominator d until the report.
     """
     if not check_sd(sigma, "NI"):
         raise SingularSylvester("Sigma fails the (NI-D) facet condition")
-    if not smat_is_constant_all(e):
-        if e.interval_kind == "annulus":
-            _require_monoid_support(e)
-        _shear_hypotheses(e)
-    decomp = e.decomposition
-    proj, _d_f = _face_projection_matrix(e.monoid, face)
-    modulo = e.interval_kind == "annulus"
-    images = tuple(qmat_vec(proj, qvec(xi)) for xi in decomp.exponents)
-    sigma_images = [qmat_vec(proj, qvec(s)) for s in sigma.elements]
-    verdict = True
-    for img in images:
-        if not any(_vectors_match(img, s, modulo) for s in sigma_images):
-            verdict = False
-            break
+    sheared = e.sheared_exponents
+    exps = e.decomposition.exponents
+    vecs, d = over_lcm(exps + sigma.elements)
+    proj = _face_projection(e.monoid, face)
+    images = [tuple(sum(map(mul, row, v)) for row in proj) for v in vecs]
+    own = images[: len(exps)]
+    # on annuli the images are compared modulo the quotient lattice, d Z^k here
+    key = (lambda v: tuple(x % d for x in v)) if e.interval_kind == "annulus" else tuple
+    verdict = set(map(key, own)) <= set(map(key, images[len(exps):]))
     return UnipotenceReport(
         verdict=verdict,
-        sheared_exponents=decomp.exponent_set(e.monoid),
+        sheared_exponents=sheared,
         filtration_ranks=e.filtration_ranks,
         offending_face=None if verdict else face,
-        face_images=images,
+        face_images=tuple(tuple(Fraction(x, d) for x in img) for img in own),
     )
 
 
@@ -997,24 +1002,6 @@ def _require_monoid_support(e: LogNablaModule) -> None:
                     "unipotence decision needs M-supported matrices; twist away "
                     "negative-weight terms first"
                 )
-
-
-def _decomposition_from_model(
-    model: Sequence[QMatrix], embedding: Embedding, rank: int
-) -> ResidueDecomposition:
-    blocks = joint_decomposition(model, rank)
-    eigentuples = tuple(eigs for eigs, _ in blocks)
-    exps = tuple(embedding.inverse_coords(qvec(eigs)) for eigs, _ in blocks)
-    bases = tuple(tuple(b) for _, b in blocks)
-    return ResidueDecomposition(rank, eigentuples, exps, bases)
-
-
-def _vectors_match(a: QVector, b: QVector, modulo_lattice: bool) -> bool:
-    if len(a) != len(b):
-        return False
-    if modulo_lattice:
-        return all((x - y).denominator == 1 for x, y in zip(a, b))
-    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -1277,11 +1264,14 @@ def log_convergence_check(
     """Bounded eta-nullity of P_k = (1/k!) prod_i prod_{j<k_i} (d_i - j) on the
     basis sections: no eta-weighted Gauss norm may exceed the |k| = 0 baseline.
     A section is an integer column {key: [x]} over a denominator d, with
-    Gauss valuation min v_p(x) - v_p(d) + q h(key) at radius a' = p^-q."""
+    Gauss valuation min v_p(x) - v_p(d) + q h(key) at radius a' = p^-q.
+    P_k is computed along one path to k, so the module must be integrable."""
     if e.interval_kind not in ("disk", "point"):
         raise NotDiskModule("log-convergence is defined on disks and points")
     if eta.is_zero or eta.value_exponent() <= 0:
         raise ValueError("eta must lie in (0,1) as a p-power")
+    if not validate_integrability(e):
+        raise NotIntegrable("connection is not integrable; log-convergence undefined")
     q, q_eta = a_prime.value_exponent(), eta.value_exponent()
     m, w, t, n = e.monoid, e.weighting, e.truncation, e.rank
     h = m.index.weighted(w.values).h

@@ -34,10 +34,6 @@ def qidentity(n: int) -> QMatrix:
     )
 
 
-def qzeros(n: int, m: int) -> QMatrix:
-    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
-
-
 def over_lcm(a: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """(integer rows, d) with a = rows / d, d the lcm of a's denominators."""
     den = math.lcm(*(x.denominator for row in a for x in row))
@@ -127,6 +123,19 @@ def qsolve(a: QMatrix, b: Sequence[Fraction]) -> Optional[QVector]:
     return tuple(x)
 
 
+def solve_map(a: Sequence[Sequence]) -> tuple[QMatrix, list[list[int]]]:
+    """(S, K) for the systems a*x = b: one is solvable iff K*b = 0, and then
+    S*b is the solution qsolve(a, b) returns.  One elimination of [a | I]
+    serves every b: its rows are [R | E] with E*a = R, so E*b is the last
+    column of the reduced row echelon form of [a | b]."""
+    n, ncols = len(a), len(a[0])
+    m, pivots = _gauss([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)], ncols)
+    s = [(Fraction(0),) * n] * ncols
+    for row, col in zip(m, pivots):
+        s[col] = tuple(Fraction(x, row[col]) for x in row[ncols:])
+    return tuple(s), [row[ncols:] for row in m[len(pivots):]]
+
+
 def qnullspace(a: QMatrix) -> list[QVector]:
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
@@ -161,93 +170,78 @@ def qinverse(a: QMatrix) -> Optional[QMatrix]:
     return tuple(tuple(Fraction(x, inv[1]) for x in row) for row in inv[0])
 
 
-def charpoly(a: QMatrix) -> list[Fraction]:
-    """Coefficients [c_0, ..., c_n] of det(x*I - a) = sum c_k x^k (Faddeev-LeVerrier)."""
-    n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = qzeros(n, n)
-    c = Fraction(1)
+def int_charpoly(b: Sequence[Sequence[int]]) -> list[int]:
+    """Coefficients [c_0, ..., c_n] of det(x*I - b) for an integer matrix b
+    (Faddeev-LeVerrier: M_k = b M_(k-1) + c_(n-k+1) I, c_(n-k) = -tr(b M_k)/k,
+    every division exact since the c_k are integers)."""
+    n = len(b)
+    coeffs = [0] * n + [1]
+    m = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
-        m = qmat_mul(a, m)
-        m = tuple(
-            tuple(m[i][j] + (c if i == j else 0) for j in range(n)) for i in range(n)
-        )
-        am = qmat_mul(a, m)
-        tr = sum((am[i][i] for i in range(n)), Fraction(0))
-        c = -tr / k
-        coeffs[n - k] = c
+        c = coeffs[n - k + 1]
+        m = [[sum(map(operator.mul, row, col)) + c * (i == j) for j, col in enumerate(zip(*m))]
+             for i, row in enumerate(b)]
+        coeffs[n - k] = -sum(sum(map(operator.mul, row, col)) for row, col in zip(b, zip(*m))) // k
     return coeffs
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def charpoly(a: QMatrix) -> list[Fraction]:
+    """Coefficients [c_0, ..., c_n] of det(x*I - a) = sum c_k x^k: for
+    a = b / d with b integer, c_k(a) = c_k(b) / d^(n-k)."""
+    b, d = over_lcm(a)
+    return [Fraction(c, d ** (len(b) - k)) for k, c in enumerate(int_charpoly(b))]
+
+
+def integer_roots(poly: Sequence[int]) -> Optional[list[tuple[int, int]]]:
+    """All roots with multiplicity, ascending, of a monic integer polynomial
+    [c_0, ..., c_n], or None if it does not split over Q.  Its rational roots
+    are integers, and once the roots 0 are split off each divides c_0.  The
+    candidates +-q, +-c_0/q are tried for q = 1, 2, ... by integer Horner
+    evaluation, which also gives the quotient by (y - root).  Every root
+    below q is then split off, so while the quotient has degree >= 2 and
+    splits, q^2 <= |c_0| of the quotient; a linear quotient is its root."""
+    zeros = next(k for k, c in enumerate(poly) if c)
+    roots = {0: zeros} if zeros else {}
+    poly = list(poly[zeros:])
+    q = 0
+    while len(poly) > 2:
+        const = abs(poly[0])
+        q = next((k for k in range(q + 1, math.isqrt(const) + 1) if const % k == 0), None)
+        if q is None:
+            break
+        for y in (q, -q, const // q, -const // q):
+            while len(poly) > 1:
+                acc, quotient = 0, []
+                for c in reversed(poly):
+                    acc = acc * y + c
+                    quotient.append(acc)
+                if quotient.pop():
+                    break
+                poly = quotient[::-1]
+                roots[y] = roots.get(y, 0) + 1
+    if len(poly) == 2:
+        roots[-poly[0]] = roots.get(-poly[0], 0) + 1
+        poly = poly[1:]
+    return sorted(roots.items()) if len(poly) == 1 else None
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> Optional[list[tuple[Fraction, int]]]:
     """All roots with multiplicity of a polynomial, or None if it does not
-    split over Q.  coeffs = [c_0, ..., c_n]."""
+    split over Q.  coeffs = [c_0, ..., c_n].  The roots are y / d for the
+    integer roots y of the monic integer polynomial in y = d*x, d grown
+    from 1 just enough that every monic c_k d^(n-k) is an integer."""
     poly = [Fraction(x) for x in coeffs]
     while poly and poly[-1] == 0:
         poly.pop()
     if not poly:
         raise ValueError("zero polynomial")
-    roots: dict[Fraction, int] = {}
-    # strip powers of x
-    while poly[0] == 0:
-        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-        poly = poly[1:]
-    while len(poly) > 1:
-        # integer-clear
-        denlcm = 1
-        for c in poly:
-            denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
-        ipoly = [int(c * denlcm) for c in poly]
-        g = 0
-        for c in ipoly:
-            g = math.gcd(g, c)
-        if g > 1:
-            ipoly = [c // g for c in ipoly]
-        lead, const = ipoly[-1], ipoly[0]
-        if const == 0:
-            roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-            poly = poly[1:]
-            continue
-        found = None
-        for q in _divisors(lead):
-            for p in _divisors(const):
-                for sgn in (1, -1):
-                    cand = Fraction(sgn * p, q)
-                    val = Fraction(0)
-                    for c in reversed(poly):
-                        val = val * cand + c
-                    if val == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return None
-        # synthetic division: p(x) = (x - r) q(x), q_k = p_{k+1} + r*q_{k+1}
-        n = len(poly) - 1
-        q = [Fraction(0)] * n
-        q[n - 1] = poly[n]
-        for k in range(n - 2, -1, -1):
-            q[k] = poly[k + 1] + found * q[k + 1]
-        poly = q
-        roots[found] = roots.get(found, 0) + 1
-    return sorted(roots.items())
+    monic = [c / poly[-1] for c in poly]
+    n, d = len(monic) - 1, 1
+    for k in range(n - 1, -1, -1):
+        den = monic[k].denominator
+        d *= den // math.gcd(den, d ** (n - k))
+    roots = integer_roots([int(c * d ** (n - k)) for k, c in enumerate(monic)])
+    return None if roots is None else [(Fraction(y, d), k) for y, k in roots]
 
 
 def padic_valuation(x: Fraction, p: int):

@@ -153,7 +153,8 @@ def test_exit_code_parse_error(capsys, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("field,value", [("rank", 0), ("truncation", -1)])
+@pytest.mark.parametrize("field,value", [("rank", 0), ("truncation", -1), ("embedding", "x"),
+                                         ("embedding", [[1, "a"], [0, 1]]), ("embedding", [[1, 2.5], [0, 1]])])
 def test_exit_code_bad_rank_or_truncation(capsys, tmp_path, field, value):
     doc = json.loads((DATA / "n2_sigma_pair_connection.json").read_text())
     doc[field] = value
@@ -203,6 +204,23 @@ def test_exit_code_shear_not_integrable(capsys, tmp_path):
     assert code == 4
     assert out == ""
     assert "not integrable" in err and "Traceback" not in err
+
+
+def test_exit_code_logconv_not_integrable(capsys, tmp_path):
+    # the single term t^(0,1) (1/5) E_12 in A^0 leaves d_1 A^0 in the bracket
+    doc = {
+        "monoid": {"generators": 2, "relations": []},
+        "embedding": [[1, 0], [0, 1]],
+        "rank": 2,
+        "truncation": 3,
+        "matrices": [{"i": 0, "terms": [{"m": {"free": [0, 1]}, "entries": [["0", "1/5"], ["0", "0"]]}]}],
+    }
+    path = tmp_path / "non_integrable.json"
+    path.write_text(json.dumps(doc))
+    for sub in ("shear", "logconv"):
+        code, out, err = run(capsys, "connection", sub, path, "--depth", "2")
+        assert (code, out) == (4, ""), sub
+        assert "not integrable" in err and "Traceback" not in err
 
 
 def test_exit_code_dl_non_constant(capsys):

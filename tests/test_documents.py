@@ -1,5 +1,6 @@
 """Document parsing round trips and the error surface of the typed kernels."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
 from logmonoid import snf
 from logmonoid import weighted_series as ws
+from logmonoid.qlin import qmat, qsolve
 from logmonoid.errors import (
     DenominatorVanishes,
     NonCommutingResidues,
@@ -83,6 +85,48 @@ def test_sigma_document_ambient_coordinates():
     ctx_plane = docs.parse_monoid({"embedded_generators": [[1, 0, 0], [0, 1, 0]]})
     with pytest.raises(ParseError):
         docs.parse_sigma(ctx_plane, {"elements": [["0", "0", "1"]]})
+
+
+def _exponent_vector_by_solve(ctx, vals):
+    """The ambient vector as a combination of the generators, one solve per
+    vector, then summed on the generators' gp coordinates."""
+    gens = ctx.ambient_generators
+    coeffs = qsolve(qmat([[g[i] for g in gens] for i in range(len(gens[0]))]), vals)
+    if coeffs is None:
+        return None
+    d = ctx.monoid.gp.free_rank
+    return tuple(sum((c * g[0][i] for c, g in zip(coeffs, ctx.monoid.generators)), F(0)) for i in range(d))
+
+
+def test_exponent_vectors_convert_through_one_map(monkeypatch):
+    """Seeded vectors on embedded monoids of full and partial rank, torsion
+    among them: the map, built on the first vector, gives what a solve per
+    vector gave; a monoid that parses no vector builds none."""
+    rng = random.Random(5)
+    calls = []
+    solve_map = docs.solve_map
+    monkeypatch.setattr(docs, "solve_map", lambda a: calls.append(1) or solve_map(a))
+    monoids = [[[2, 0], [1, 1], [0, 2]], [[2], [3]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]],
+               [[1, 2, 0], [0, 3, 1], [1, 5, 1], [2, 1, 1]], [[2, 4], [1, 2], [3, 6]]]
+    seen = set()
+    for gens in monoids:
+        calls.clear()
+        ctx = docs.parse_monoid({"embedded_generators": gens, "torsion": [2] if len(gens[0]) == 1 else []})
+        assert not calls
+        for _ in range(20):
+            vals = tuple(F(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in gens[0])
+            if rng.random() < 0.5:  # a combination of the generators
+                coeffs = [F(rng.randint(-3, 3), rng.choice((1, 4))) for _ in gens]
+                vals = tuple(sum((c * g[i] for c, g in zip(coeffs, gens)), F(0)) for i in range(len(gens[0])))
+            expected = _exponent_vector_by_solve(ctx, vals)
+            seen.add(expected is None)
+            if expected is None:
+                with pytest.raises(ParseError, match="outside"):
+                    ctx.parse_exponent_vector([str(x) for x in vals])
+            else:
+                assert ctx.parse_exponent_vector([str(x) for x in vals]) == expected
+        assert len(calls) == 1
+    assert seen == {True, False}
 
 
 def test_embedding_validation(n1):

@@ -2,6 +2,7 @@
 characteristic polynomials, simplex feasibility, Hilbert bases."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -241,6 +242,17 @@ def test_integer_kernels_match_fraction_references():
             assert inv == _ref_inverse(a)
             singular += inv is None
     assert inconsistent > 5 and singular > 5  # the grid reaches both outcomes
+
+
+def test_solve_map_answers_every_right_hand_side_as_qsolve():
+    for a, b in _kernel_grid():
+        if not a:
+            continue
+        to_solution, checks = qlin.solve_map(a)
+        sol = qlin.qsolve(a, b)
+        assert any(sum(map(operator.mul, row, b)) for row in checks) == (sol is None)
+        if sol is not None:
+            assert tuple(sum(map(operator.mul, row, b), F(0)) for row in to_solution) == sol
 
 
 def test_qmat_mul_matches_fraction_reference():

@@ -27,9 +27,10 @@ from logmonoid.errors import (
     SingularSylvester,
 )
 from logmonoid.qlin import (
-    INF, matrix_valuation, padic_valuation, qidentity, qinverse, qmat, qmat_mul, qmat_sub, qmat_vec, qsolve, qvec,
+    INF, matrix_valuation, padic_valuation, qidentity, qinverse, qmat, qmat_mul, qmat_sub, qsolve, qvec,
 )
 
+import fraction_reference
 from conftest import build_module, build_series, gauge_built_module
 
 F = Fraction
@@ -587,6 +588,23 @@ def test_log_convergence_counts_the_shifts_and_the_factorial(n1):
     assert not lc.log_convergence_check(e, one, eta, 5)
 
 
+def test_log_convergence_refuses_a_non_integrable_module(n2, monkeypatch):
+    """t^(0,1) (1/5) E_12 in A^0 alone leaves d_1 A^0 in the bracket: logconv
+    refuses the module as the shear does, from the cached integrability
+    verdict, whatever the order of the directions."""
+    e = build_module(n2, [{(0, 1): ((0, F(1, 5)), (0, 0))}, {}], 2, 3, embedding=lc.Embedding(n2, ((1, 0), (0, 1))))
+    assert e.integrability_defect == ("connection", 0, 1, n2.gp.element((0, 1)))
+    swapped = e._replace(embedding=lc.Embedding(n2, ((0, 1), (1, 0))), matrices=e.matrices[::-1])
+    for module in (e, swapped):
+        with pytest.raises(NotIntegrable):
+            lc.shear(module)
+    monkeypatch.setattr(lc, "_map_mul", None)  # the verdicts are cached: no product runs
+    for module in (e, swapped):
+        for depth in (1, 2, 3):
+            with pytest.raises(NotIntegrable):
+                lc.log_convergence_check(module, ws.Radius.one(), ws.Radius.p_power(F(1, 2)), depth)
+
+
 def test_shear_randomized_planted_gauges():
     """Seeded sweep: random commuting constant models with NI-safe rational
     eigenvalues, random planted gauges; shear must recover the inverse."""
@@ -669,15 +687,12 @@ def test_shear_constant_model_is_the_residue(name, e):
 
 
 def _unipotence_by_shearing(e, sigma, face):
-    """Reference verdict: shear the module, then decompose its constant model."""
+    """Reference verdict: shear the module, then decompose its constant model
+    with the Fraction code."""
     model = lc.residue(e) if lc.smat_is_constant_all(e) else _sheared_model(e)
-    decomp = lc._decomposition_from_model(model, e.embedding, e.rank)
-    proj, _ = lc._face_projection_matrix(e.monoid, face)
-    images = tuple(qmat_vec(proj, xi) for xi in decomp.exponents)
-    sigma_images = [qmat_vec(proj, s) for s in sigma.elements]
-    modulo = e.interval_kind == "annulus"
-    verdict = all(any(lc._vectors_match(x, s, modulo) for s in sigma_images) for x in images)
-    return verdict, images, lc._block_filtration_ranks(decomp, model), decomp.exponent_set(e.monoid)
+    decomp = fraction_reference.decomposition(model, e.embedding, e.rank)
+    verdict, images = fraction_reference.unipotence(decomp, sigma, face, e.interval_kind == "annulus")
+    return verdict, images, fraction_reference.filtration_ranks(decomp, model), decomp.exponent_set(e.monoid)
 
 
 @pytest.mark.parametrize("name,e", CONNECTION_FIXTURES, ids=[n for n, _ in CONNECTION_FIXTURES])
@@ -807,28 +822,38 @@ def test_each_matrix_is_converted_once_per_module(monkeypatch, n1):
 
 # -- the residue analysis runs once per module ----------------------------------------------------
 
-def test_unipotence_analyses_the_module_once(monkeypatch):
-    """Every face after the first costs no eigenspace or filtration work."""
-    counts = {"eigenspaces": 0, "filtration": 0}
-    eigenspaces, filtration = lc._generalized_eigenspaces, lc._block_filtration_ranks
+def test_unipotence_analyses_the_module_once(monkeypatch, n2):
+    """Exponents, shear, every face and (on a constant module) the D_l
+    operators compute each residue's spectrum exactly once, and the
+    filtration and Sigma's (S-D) verdict once."""
+    fixtures = dict(CONNECTION_FIXTURES)
+    modules = [fixtures[name]._replace() for name in ("m_even_planted", "n2_planted", "n1_jordan")]
+    h = ws.default_weighting(n2)  # fresh copies above and a new module here: nothing cached yet
+    modules.append(lc.apply_ui(lc.facet_embedding(n2), h, [((0, 1), (0, 0)), ((F(1, 5), 0), (0, F(1, 5)))], 4))
+    counts = {}
+    spectrum, filtration, facet_rows = lc._residue_spectrum, lc._block_filtration_ranks, lc._facet_rows
 
     def count(key, fn):
-        return lambda *a: counts.__setitem__(key, counts[key] + 1) or fn(*a)
+        return lambda *a: counts.__setitem__(key, counts.get(key, 0) + 1) or fn(*a)
 
-    monkeypatch.setattr(lc, "_generalized_eigenspaces", count("eigenspaces", eigenspaces))
+    monkeypatch.setattr(lc, "_residue_spectrum", count("spectrum", spectrum))
     monkeypatch.setattr(lc, "_block_filtration_ranks", count("filtration", filtration))
-    e = dict(CONNECTION_FIXTURES)["m_even_planted"]
-    e = e._replace()  # a fresh copy, with nothing cached yet
-    sigma = lc.exponents(e).exponent_set(e.monoid)
-    faces = mc.faces(e.monoid)
-    reports = [lc.is_sigma_unipotent(e, sigma, faces[0])]
-    after_one = dict(counts)
-    assert after_one["eigenspaces"] > 0 and after_one["filtration"] == 1
-    reports += [lc.is_sigma_unipotent(e, sigma, f) for f in faces[1:]]
-    lc.shear(e)
-    assert counts == after_one
-    assert len(faces) == 4
-    assert all(r.filtration_ranks == reports[0].filtration_ranks for r in reports)
+    monkeypatch.setattr(lc, "_facet_rows", count("sd", facet_rows))
+    for e in modules:
+        counts.clear()
+        sigma = lc.exponents(e).exponent_set(e.monoid)
+        assert counts == {"spectrum": e.embedding.r}
+        faces = mc.faces(e.monoid)
+        reports = [lc.is_sigma_unipotent(e, sigma, f) for f in faces]
+        lc.shear(e)
+        if lc.smat_is_constant_all(e):
+            v = (build_series(n2, h, {(0, 0): 1, (1, 0): 2}, 4), build_series(n2, h, {(0, 0): 5}, 4))
+            polys = lc.default_projection_polynomials(e)
+            lc.dl_projection(e, v, polys, 4)
+            assert lc.dl_limit(e, v, polys) == (F(5), F(0))
+        assert counts == {"spectrum": e.embedding.r, "filtration": 1, "sd": 1}
+        assert len(faces) > 1 and len({r.filtration_ranks for r in reports}) == 1
+        assert all(r.sheared_exponents is reports[0].sheared_exponents for r in reports)
 
 
 def test_unipotence_runs_no_smith_form_after_the_first_face(monkeypatch):
@@ -851,8 +876,8 @@ def test_unipotence_runs_no_smith_form_after_the_first_face(monkeypatch):
 
 def test_dl_operators_reuse_the_module_analysis(monkeypatch, n2):
     calls = []
-    eigenspaces = lc._generalized_eigenspaces
-    monkeypatch.setattr(lc, "_generalized_eigenspaces", lambda a: calls.append(1) or eigenspaces(a))
+    spectrum = lc._residue_spectrum
+    monkeypatch.setattr(lc, "_residue_spectrum", lambda a: calls.append(1) or spectrum(a))
     emb = lc.facet_embedding(n2)
     h = ws.default_weighting(n2)
     e = lc.apply_ui(emb, h, [((0, 1), (0, 0)), ((F(1, 5), 0), (0, F(1, 5)))], 4)
@@ -1105,6 +1130,10 @@ def test_integrability_and_log_convergence_match_the_series_evaluation(n2, m_eve
             for _ in range(2):
                 a, eta, depth = rng.choice((0, F(1, 2), 1, 2)), rng.choice((F(1, 5), F(1, 3), F(1, 2))), rng.randint(1, 4)
                 args = (e, ws.Radius.p_power(a), ws.Radius.p_power(eta), depth)
+                if defect is not None:  # P_k along one path is meaningless without integrability
+                    with pytest.raises(NotIntegrable):
+                        lc.log_convergence_check(*args)
+                    continue
                 verdict = lc.log_convergence_check(*args)
                 assert verdict == _log_convergence_by_series(*args), (case, a, eta, depth)
                 seen |= {verdict, f"a'={a}", f"eta={eta}", f"depth={depth}"}

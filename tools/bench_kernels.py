@@ -15,7 +15,14 @@ diagonal constant model rewritten by a gauge I + G, G dense up to weight T)
 for n = 2, 3 and T = 4, 6, `validate_integrability` and
 `log_convergence_check` at depth 2 and 4 (radius 1, eta = p^-1/2), each call
 on a fresh copy of the module, so its integer coefficient maps are built
-inside the timing.  Entries are small rationals (numerators -9..9, denominators up to
+inside the timing.  The spectral rows time `qlin.rational_roots` of
+`qlin.charpoly` on n x n matrices P J P^-1 (J in Jordan form with
+eigenvalues in {0, 1/2, 1/3, 1/4}, P unipotent) for n = 2, 3, 4;
+`exponents` plus `eigenbasis_data` on fresh copies of the rank-n modules
+above (n = 2, 3, T = 4); and `is_sigma_unipotent` over every face, on a
+fresh copy of the module and of Sigma (its own exponent set), for a
+constant rank-3 module with a Jordan block over M_even and over N^3 at
+T = 4.  Entries are small rationals (numerators -9..9, denominators up to
 6) or small integers from a fixed seed, so every run measures the same
 inputs.  Each figure is the median over REPEATS repeats of a loop of at
 least 20 ms, in wall-clock microseconds per call; stdlib only.
@@ -37,7 +44,8 @@ from logmonoid import log_connection as lc  # noqa: E402
 from logmonoid import monoid_core as mc  # noqa: E402
 from logmonoid import selftest  # noqa: E402
 from logmonoid import weighted_series as ws  # noqa: E402
-from logmonoid.qlin import over_lcm, qmat, qmat_mul  # noqa: E402
+from logmonoid import qlin  # noqa: E402
+from logmonoid.qlin import over_lcm, qinverse, qmat, qmat_mul  # noqa: E402
 
 SEED = 1
 REPEATS = 7
@@ -79,6 +87,43 @@ def _module(rng: random.Random, m, n: int, t: int):
     gauge = {k[0]: [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(n)]
              for k in keys}
     return selftest.gauge_built_module(m, model, gauge, n, t)[0]
+
+
+def _jordan_conjugate(rng: random.Random, n: int):
+    """P J P^-1: a Jordan block of size 2 first, then eigenvalues drawn
+    from {0, 1/2, 1/3, 1/4}; P unipotent upper triangular."""
+    eigs = [rng.choice((0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))) for _ in range(n - 1)]
+    eigs.insert(0, eigs[0])
+    j = [[eigs[i] if i == k else int((i, k) == (0, 1)) for k in range(n)] for i in range(n)]
+    p = qmat([[int(i == k) if k <= i else rng.randint(-2, 2) for k in range(n)] for i in range(n)])
+    return qmat_mul(qmat_mul(p, qmat(j)), qinverse(p))
+
+
+def _unipotence_module(rng: random.Random, m, t: int):
+    """A constant rank-3 module over m (one residue per embedding row) with
+    commuting residues P J P^-1: J = [[1/2, 1, 0], [0, 1/2, 0], [0, 0, 0]],
+    diag(1/3, 1/3, 1/4) and diag(0, 0, 1/2); P unipotent.  Returns it with
+    Sigma, its own exponent set, and the faces of m."""
+    h = Fraction(1, 2)
+    cores = ([[h, 1, 0], [0, h, 0], [0, 0, 0]], [[Fraction(1, 3), 0, 0], [0, Fraction(1, 3), 0], [0, 0, Fraction(1, 4)]],
+             [[0, 0, 0], [0, 0, 0], [0, 0, h]])
+    p = qmat([[int(i == k) if k <= i else rng.randint(-2, 2) for k in range(3)] for i in range(3)])
+    emb = lc.facet_embedding(m)
+    model = [qmat_mul(qmat_mul(p, qmat(c)), qinverse(p)) for c in cores[: emb.r]]
+    e = lc.apply_ui(emb, ws.default_weighting(m), model, t)
+    return e, lc.exponents(e).exponent_set(m), mc.faces(m)
+
+
+def _spectra(e):
+    """The residue spectra, decomposition and eigenbasis data of a fresh copy of e."""
+    f = e._replace()
+    return lc.exponents(f), f.eigenbasis_data
+
+
+def _unipotence_on_all_faces(e, sigma, faces):
+    """Every face's verdict, on fresh copies of e and Sigma."""
+    f, s = e._replace(), sigma._replace()
+    return [lc.is_sigma_unipotent(f, s, face) for face in faces]
 
 
 def _weighting_lp(rng: random.Random, k: int):
@@ -138,6 +183,15 @@ def main() -> int:
             for depth in (2, 4):
                 rows.append((f"log_convergence_check depth={depth} n={n} N^2 T={t}",
                              _time(lambda: lc.log_convergence_check(e._replace(), one, eta, depth))))
+    for n in (2, 3, 4):
+        a = _jordan_conjugate(rng, n)
+        rows.append((f"charpoly + rational_roots n={n}", _time(lambda: qlin.rational_roots(qlin.charpoly(a)))))
+    for n in (2, 3):
+        e = _module(rng, n2, n, 4)
+        rows.append((f"module spectra n={n} N^2 T=4", _time(lambda: _spectra(e))))
+    for name, m in (("M_even", selftest._m_even()), ("N^3", mc.free_monoid(3))):
+        e, sigma, faces = _unipotence_module(rng, m, 4)
+        rows.append((f"is_sigma_unipotent all faces {name} T=4", _time(lambda: _unipotence_on_all_faces(e, sigma, faces))))
     for name, us in rows:
         print(f"{name:42s} {us:10.1f} us")
     return 0
