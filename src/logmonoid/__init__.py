@@ -15,7 +15,6 @@ from .errors import (
     NotSemiSaturated,
     NotSubmonoid,
     NotSurjective,
-    NoWeighting,
     ParseError,
     SaturationIncomplete,
     SingularSylvester,

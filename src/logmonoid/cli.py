@@ -125,17 +125,14 @@ def cmd_connection(args, config: RunConfig) -> dict:
         }
     if sub == "shear":
         result = lc.shear(module, p=config.prime)
-        gauge_terms = []
-        for key in sorted(lc.smat_keys(result.gauge)):
-            gauge_terms.append(
-                {
-                    "m": ctx.render_element(key),
-                    "entries": [
-                        [render_rational(x.coeff(key)) for x in row]
-                        for row in result.gauge
-                    ],
-                }
-            )
+        gauge_terms = [
+            {
+                "m": ctx.render_element(key),
+                "entries": [[render_rational(x) for x in row]
+                            for row in lc.coefficient(result.gauge_map, key, module.rank)],
+            }
+            for key, _ in result.gauge_map[0]
+        ]
         bounds = [
             {
                 "m": ctx.render_element(r.key),

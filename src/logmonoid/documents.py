@@ -18,10 +18,10 @@ from typing import Callable, NamedTuple, Optional
 
 from .abelian import Elt
 from .errors import ParseError
-from .log_connection import Embedding, ExponentSet, LogNablaModule, facet_embedding
+from .log_connection import Embedding, ExponentSet, LogNablaModule, coefficient_map, facet_embedding
 from .monoid_core import FineMonoid, from_embedded, from_presentation
 from .qlin import over_lcm, qmat_mul, solve_map
-from .weighted_series import Radius, TruncatedSeries, Weighting, default_weighting, series
+from .weighted_series import Radius, Weighting, default_weighting
 
 
 def parse_rational(obj) -> Fraction:
@@ -143,12 +143,6 @@ def parse_monoid(doc: dict) -> MonoidContext:
     return MonoidContext(monoid, w, ambient, convert, exponent_map)
 
 
-def parse_hom_images(ctx_target: MonoidContext, doc: dict) -> tuple[Elt, ...]:
-    if "images" not in doc:
-        raise ParseError("homomorphism document needs 'images'")
-    return tuple(ctx_target.parse_element(x) for x in doc["images"])
-
-
 def parse_radius(obj) -> Radius:
     if obj in ("zero", 0):
         return Radius.zero()
@@ -157,19 +151,6 @@ def parse_radius(obj) -> Radius:
             return Radius.zero()
         return Radius(Fraction(int(obj["q_num"]), int(obj.get("q_den", 1))))
     return Radius(parse_rational(obj))
-
-
-def parse_series(ctx: MonoidContext, doc: dict, annulus: bool = False) -> TruncatedSeries:
-    try:
-        truncation = int(doc["truncation"])
-        coeffs = {}
-        for term in doc.get("terms", []):
-            key = ctx.parse_element(term["m"])
-            c = Fraction(int(term["num"]), int(term.get("den", 1)))
-            coeffs[key] = coeffs.get(key, Fraction(0)) + c
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad series document: {exc}") from exc
-    return series(ctx.monoid, ctx.weighting, coeffs, truncation, annulus=annulus)
 
 
 def _embedding_from_rows(ctx: MonoidContext, rows) -> Embedding:
@@ -234,41 +215,32 @@ def parse_connection(doc: dict) -> tuple[MonoidContext, LogNablaModule]:
     else:
         emb = facet_embedding(ctx.monoid)
 
-    def parse_matrix_list(items, count) -> tuple:
-        per_index: dict[int, dict[Elt, tuple[tuple[Fraction, ...], ...]]] = {}
-        for item in items:
+    def parse_matrix_list(name: str, count: int) -> tuple:
+        per_index: dict[int, dict[Elt, list[Fraction]]] = {}
+        for item in doc.get(name, []):
             i = int(item["i"])
             if not 0 <= i < count:
                 raise ParseError(f"matrix index {i} out of range")
             terms = per_index.setdefault(i, {})
             for term in item.get("terms", []):
                 key = ctx.parse_element(term["m"])
+                if key in terms:
+                    raise ParseError(f"{name}: index {i} lists the monomial {json.dumps(term['m'])} twice")
                 entries = term["entries"]
                 if len(entries) != rank or any(len(r) != rank for r in entries):
                     raise ParseError("matrix entries must be rank x rank")
-                terms[key] = tuple(tuple(parse_rational(x) for x in r) for r in entries)
-        mats = []
-        for i in range(count):
-            terms = per_index.get(i, {})
-            rows = []
-            for a in range(rank):
-                row = []
-                for b in range(rank):
-                    coeffs = {k: mat[a][b] for k, mat in terms.items() if mat[a][b] != 0}
-                    row.append(series(ctx.monoid, ctx.weighting, coeffs, truncation, annulus=annulus))
-                rows.append(tuple(row))
-            mats.append(tuple(rows))
-        return tuple(mats)
+                terms[key] = [parse_rational(x) for r in entries for x in r]
+        return tuple(coefficient_map(ctx.weighting, truncation, per_index.get(i, {}), annulus) for i in range(count))
 
     try:
-        matrices = parse_matrix_list(doc.get("matrices", []), emb.r)
+        matrices = parse_matrix_list("matrices", emb.r)
         base = None
         if "base_matrices" in doc:
-            base = parse_matrix_list(doc["base_matrices"], len(doc["base_matrices"]))
+            base = parse_matrix_list("base_matrices", len(doc["base_matrices"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad connection matrices: {exc}") from exc
     try:
-        module = LogNablaModule(rank, emb, matrices, base, interval_kind)
+        module = LogNablaModule(rank, emb, ctx.weighting, truncation, matrices, base, interval_kind)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return ctx, module

@@ -21,10 +21,6 @@ class HypothesisError(LogMonoidError):
     """A mathematical precondition of an algorithm is violated."""
 
 
-class NoWeighting(HypothesisError):
-    """No weighting is available and none can be synthesized."""
-
-
 class NoPositiveFunctional(HypothesisError):
     """The dual cone of a sharp quotient has no interior point (corrupted data)."""
 

@@ -1,9 +1,10 @@
 """Log nabla-modules on polyannuli at finite truncation.
 
-Connection matrices are square matrices of truncated series; residues and
-exponents are exact rational data; the shearing recursion solves the
-Sylvester equations (g + m_i id)(B_m) = RHS order by order in the weight
-and certifies the operator-norm bound of the gauge in valuation form.
+Connection matrices are square matrices of truncated series, stored as
+integer coefficient maps; residues and exponents are exact rational data;
+the shearing recursion solves the Sylvester equations (g + m_i id)(B_m) =
+RHS order by order in the weight and certifies the operator-norm bound of
+the gauge in valuation form.
 """
 
 from __future__ import annotations
@@ -52,20 +53,13 @@ from .qlin import (
     qrank,
     qvec,
 )
-from .weighted_series import (
-    DEFAULT_PRIME,
-    Radius,
-    TruncatedSeries,
-    Weighting,
-    _check_compatible,
-    constant_series,
-    series,
-    series_add,
-    series_equal,
-    series_sub,
-)
+from .weighted_series import DEFAULT_PRIME, Radius, TruncatedSeries, Weighting, series
 
 SeriesMatrix = tuple[tuple[TruncatedSeries, ...], ...]
+# A matrix of truncated series, stored as its nonzero coefficients: (key,
+# row-major integer matrix) pairs in key order over one denominator, the
+# numerators and the denominator coprime as a whole
+CoefficientMap = tuple[tuple[tuple[Elt, tuple[int, ...]], ...], int]
 
 
 # ---------------------------------------------------------------------------
@@ -182,65 +176,76 @@ class ExponentSet(_ExponentSetFields):
         return True
 
 
-def check_sd(sigma: ExponentSet, s_class: str = "NI") -> bool:
+def check_sd(sigma: ExponentSet) -> bool:
     """Global (S-D) via facets: all pairwise differences of the facet images
     avoid Z \\ {0}.  Rational exponents are automatically of positive type
-    and non-Liouville, so NI and NI_and_NL coincide here."""
-    if s_class not in ("NI", "NI_and_NL"):
-        raise ValueError("s_class must be 'NI' or 'NI_and_NL'")
+    and non-Liouville, so the NI and NI_and_NL classes coincide here."""
     return sigma.satisfies_sd
 
 
 # ---------------------------------------------------------------------------
-# series matrices
+# coefficient maps
 # ---------------------------------------------------------------------------
 
-def smat_from_rational(monoid, weighting, a: QMatrix, truncation, annulus=False) -> SeriesMatrix:
+def coefficient_map(w: Weighting, t: int, coeffs: dict, annulus: bool = False) -> CoefficientMap:
+    """The stored form of the matrix with coefficient coeffs[key], row-major
+    rationals, at each key: zero matrices and keys with |h| > t are dropped,
+    and a disk matrix may carry no term with h^-(m) > 0."""
+    h = w.monoid.index.weighted(w.values).h
+    kept = {}
+    for k, x in coeffs.items():
+        if not any(x):
+            continue
+        hk, hp, habs = h(k)
+        if habs > t:
+            continue
+        if not annulus and hp > hk:
+            raise ValueError("disk series cannot carry terms with h^-(m) > 0")
+        kept[k] = x
+    rows, den = over_lcm(list(kept.values()))
+    return _canonical(dict(zip(kept, rows)), den)
+
+
+def _canonical(x: dict, den: int) -> CoefficientMap:
+    """{key: integer matrix} / den as a stored map: its nonzero matrices in
+    key order, the numerators and den divided by their common gcd."""
+    terms = sorted((k, v) for k, v in x.items() if any(v))
+    g = math.gcd(den, *(c for _, v in terms for c in v))
+    return tuple((k, tuple(c // g for c in v)) for k, v in terms), den // g
+
+
+def coefficient(a: CoefficientMap, key: Elt, n: int) -> QMatrix:
+    """The coefficient of the n x n coefficient map a at key."""
+    terms, den = a
+    x = next((x for k, x in terms if k == key), (0,) * (n * n))
+    return tuple(tuple(Fraction(v, den) for v in x[r : r + n]) for r in range(0, n * n, n))
+
+
+def series_matrix(w: Weighting, t: int, a: CoefficientMap, n: int) -> SeriesMatrix:
+    """The n x n coefficient map a as a matrix of disk series truncated at t."""
+    terms, den = a
     return tuple(
-        tuple(constant_series(monoid, weighting, x, truncation, annulus) for x in row)
-        for row in a
+        tuple(series(w.monoid, w, {k: Fraction(x[i * n + j], den) for k, x in terms if x[i * n + j]}, t,
+                     validate=False) for j in range(n))
+        for i in range(n)
     )
 
 
-def smat_constant_term(a: SeriesMatrix) -> QMatrix:
-    return tuple(tuple(x.constant_term for x in row) for row in a)
-
-
-def smat_add(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    return tuple(tuple(series_add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def smat_sub(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    return tuple(tuple(series_sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _int_coefficients(a: SeriesMatrix) -> tuple[dict[Elt, list[int]], int]:
-    """a as one coefficient map: key -> row-major integer matrix over one
-    denominator d (a's coefficient at key, times d); no matrix is zero."""
-    den = math.lcm(*(c.denominator for row in a for x in row for _, c in x.terms))
-    cols = len(a[0])
-    out: dict[Elt, list[int]] = {}
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            for k, c in x.terms:
-                out.setdefault(k, [0] * (len(a) * cols))[i * cols + j] = c.numerator * (den // c.denominator)
-    return out, den
-
-
-def _map_mul(m: FineMonoid, w: Weighting, t: int, a: dict, b: dict, cols: int) -> dict[Elt, list[int]]:
-    """The product of two coefficient maps, b's matrices with `cols` columns,
-    kept at the keys with |h| <= t: one integer matrix product per pair of
-    keys, the numerators over the product of the two denominators."""
+def _map_mul(m: FineMonoid, w: Weighting, t: int, a, b, cols: int) -> dict[Elt, list[int]]:
+    """The product of two coefficient maps, given as (key, row-major integer
+    matrix) pairs, b's matrices with `cols` columns, kept at the keys with
+    |h| <= t: one integer matrix product per pair of keys, the numerators
+    over the product of the two denominators."""
     if not a or not b:
         return {}
     plus = m.gp.add
     h = m.index.weighted(w.values).h
     # as in series_mul: h is additive and h <= |h|, so with b's keys in h
     # order every pair after the first with h(k1) + h(k2) > t leaves it too
-    right = sorted(((h(k)[0], k, [x[j::cols] for j in range(cols)]) for k, x in b.items()), key=lambda term: term[0])
+    right = sorted(((h(k)[0], k, [x[j::cols] for j in range(cols)]) for k, x in b), key=lambda term: term[0])
     inner = len(right[0][2][0])
     out: dict[Elt, list[int]] = {}
-    for k1, x in a.items():
+    for k1, x in a:
         room = t - h(k1)[0]
         rows = [x[r : r + inner] for r in range(0, len(x), inner)]
         for h2, k2, cb in right:
@@ -259,63 +264,25 @@ def _add_into(acc: dict, key: Elt, x: list[int]) -> None:
     acc[key] = x if y is None else list(map(add, y, x))
 
 
-def smat_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    """a b as one product of coefficient maps.  Entry (i, j) keeps the least
-    truncation and any annulus flag among the a[i][k], b[k][j], as the sum
-    of their series products would."""
-    f = a[0][0]
-    _check_compatible(f, b[0][0])
-    cols = range(len(b[0]))
-    trunc = [[min(min(x.truncation, b[k][j].truncation) for k, x in enumerate(row)) for j in cols] for row in a]
-    ann = [[any(x.annulus or b[k][j].annulus for k, x in enumerate(row)) for j in cols] for row in a]
-    (ia, da), (ib, db) = _int_coefficients(a), _int_coefficients(b)
-    out = _map_mul(f.monoid, f.weighting, max(map(max, trunc)), ia, ib, len(b[0]))
-    return _smat_from_coeffs(f.monoid, f.weighting, {k: (c, da * db) for k, c in out.items()}, trunc, ann)
+def map_sum(a: CoefficientMap, b: CoefficientMap) -> CoefficientMap:
+    """a + b for coefficient maps of one shape."""
+    (ax, da), (bx, db) = a, b
+    out = {k: [v * db for v in x] for k, x in ax}
+    for k, x in bx:
+        _add_into(out, k, [v * da for v in x])
+    return _canonical(out, da * db)
 
 
-def _smat_from_coeffs(m, w, coeffs: dict, trunc, ann) -> SeriesMatrix:
-    """The series matrix with coefficient x / d at each key of {key: (x, d)},
-    x a row-major integer matrix, whose entry (i, j) is truncated at
-    trunc[i][j] and is an annulus series if ann[i][j]."""
-    cols = len(trunc[0])
-    return tuple(
-        tuple(
-            series(m, w, {k: Fraction(x[i * cols + j], d) for k, (x, d) in coeffs.items() if x[i * cols + j]},
-                   tr, an, validate=False)
-            for j, (tr, an) in enumerate(zip(row_t, row_a))
-        )
-        for i, (row_t, row_a) in enumerate(zip(trunc, ann))
-    )
-
-
-def smat_is_zero(a: SeriesMatrix) -> bool:
-    return all(x.is_zero() for row in a for x in row)
-
-
-def smat_equal(a: SeriesMatrix, b: SeriesMatrix) -> bool:
-    return all(series_equal(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def smat_coefficient(a: SeriesMatrix, key: Elt) -> QMatrix:
-    return tuple(tuple(x.coeff(key) for x in row) for row in a)
-
-
-def smat_keys(a: SeriesMatrix) -> set[Elt]:
-    return {k for row in a for x in row for k, _ in x.terms}
-
-
-def smat_partial(a: SeriesMatrix, emb: Embedding, i: int) -> SeriesMatrix:
-    """Coefficientwise d_i: t^m -> m_i t^m with m_i the i-th phi-coordinate."""
-    out = []
-    for row in a:
-        new_row = []
-        for f in row:
-            coeffs = {k: Fraction(emb.coords(k)[i]) * c for k, c in f.terms}
-            new_row.append(
-                series(f.monoid, f.weighting, coeffs, f.truncation, f.annulus, validate=False)
-            )
-        out.append(tuple(new_row))
-    return tuple(out)
+def map_product(e: "LogNablaModule", a: CoefficientMap, b: CoefficientMap, i: Optional[int] = None) -> CoefficientMap:
+    """a b for n x n coefficient maps of the module e, at its truncation;
+    with a direction i, (d_i + a) b, d_i scaling t^m by the i-th coordinate
+    of m."""
+    (ax, da), (bx, db) = a, b
+    out = _map_mul(e.monoid, e.weighting, e.truncation, ax, bx, e.rank)
+    if i is not None:
+        for k, x in bx:
+            _add_into(out, k, [da * e.embedding.coords(k)[i] * v for v in x])
+    return _canonical(out, da * db)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +298,7 @@ def _least_bracket_key(e: "LogNablaModule", x: dict, y: dict, partials) -> Optio
     for k, z in _map_mul(*args, y, x, e.rank).items():
         _add_into(acc, k, [-v for v in z])
     for z, c, l in partials:
-        for k, mat in z.items():
+        for k, mat in z:
             _add_into(acc, k, [c * e.embedding.coords(k)[l] * v for v in mat])
     return min((k for k, mat in acc.items() if any(mat)), default=None)
 
@@ -339,50 +306,36 @@ def _least_bracket_key(e: "LogNablaModule", x: dict, y: dict, partials) -> Optio
 class _LogNablaModuleFields(NamedTuple):
     rank: int
     embedding: Embedding
-    matrices: tuple[SeriesMatrix, ...]
-    base_matrices: Optional[tuple[SeriesMatrix, ...]] = None
+    weighting: Weighting
+    truncation: int
+    matrices: tuple[CoefficientMap, ...]
+    base_matrices: Optional[tuple[CoefficientMap, ...]] = None
     interval_kind: str = "disk"
 
 
 class LogNablaModule(_LogNablaModuleFields):
+    """d_i + A^i per embedding coordinate i, and the base matrices D_k, at
+    one truncation: each matrix a coefficient map (see `coefficient_map`)."""
+
     # no __slots__: the instance dict holds the cached residue analysis
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if self.interval_kind not in ("disk", "annulus", "point"):
             raise ValueError("interval_kind must be disk, annulus or point")
+        if self.weighting.monoid != self.monoid:
+            raise ValueError("weighting and embedding must share one monoid")
         if len(self.matrices) != self.embedding.r:
             raise ValueError("one matrix per embedding coordinate required")
-        for a in self.matrices:
-            if len(a) != self.rank or any(len(row) != self.rank for row in a):
-                raise ValueError("connection matrices must be rank x rank")
-        entries = (x for a in itertools.chain(self.matrices, self.base_matrices or ()) for row in a for x in row)
-        if len({(x.truncation, x.annulus) for x in entries}) > 1:
-            raise ValueError("every matrix entry must share one truncation and annulus flag")
+        entries = self.rank * self.rank
+        if any(len(x) != entries for terms, _ in itertools.chain(self.matrices, self.base_matrices or ())
+               for _, x in terms):
+            raise ValueError("connection matrices must be rank x rank")
         return self
 
     @property
     def monoid(self) -> FineMonoid:
         return self.embedding.monoid
-
-    @property
-    def weighting(self) -> Weighting:
-        return self.matrices[0][0][0].weighting
-
-    @property
-    def truncation(self) -> int:
-        return self.matrices[0][0][0].truncation
-
-    # the integer forms of A^i and of the base matrices, converted once per
-    # module: (coefficient map, denominator) each; read them, do not modify
-
-    @cached_property
-    def coefficient_maps(self) -> tuple[tuple[dict[Elt, list[int]], int], ...]:
-        return tuple(map(_int_coefficients, self.matrices))
-
-    @cached_property
-    def base_coefficient_maps(self) -> tuple[tuple[dict[Elt, list[int]], int], ...]:
-        return tuple(map(_int_coefficients, self.base_matrices or ()))
 
     @cached_property
     def integrability_defect(self):
@@ -391,13 +344,13 @@ class LogNablaModule(_LogNablaModuleFields):
         ("base", k, i, key) for [d_i + A^i, D_k], key its least nonzero term.
         Each bracket is evaluated on the coefficient maps: over d_i d_j,
         m_i d_i A^j_m - m_j d_j A^i_m + (A^i A^j - A^j A^i)_m."""
-        maps = self.coefficient_maps
+        maps = self.matrices
         for i, j in itertools.combinations(range(self.embedding.r), 2):
             (ai, di), (aj, dj) = maps[i], maps[j]
             key = _least_bracket_key(self, ai, aj, ((aj, di, i), (ai, -dj, j)))
             if key is not None:
                 return ("connection", i, j, key)
-        for k, (d, _) in enumerate(self.base_coefficient_maps):
+        for k, (d, _) in enumerate(self.base_matrices or ()):
             for i, (ai, di) in enumerate(maps):
                 key = _least_bracket_key(self, ai, d, ((d, di, i),))
                 if key is not None:
@@ -410,7 +363,7 @@ class LogNablaModule(_LogNablaModuleFields):
     @cached_property
     def residues(self) -> tuple[QMatrix, ...]:
         """Constant terms A^i_0, validated to commute pairwise."""
-        mats = tuple(smat_constant_term(a) for a in self.matrices)
+        mats = tuple(coefficient(a, self.monoid.gp.zero(), self.rank) for a in self.matrices)
         for a, b in itertools.combinations(mats, 2):
             if qmat_mul(a, b) != qmat_mul(b, a):
                 raise NonCommutingResidues("constant terms of the connection do not commute")
@@ -567,14 +520,32 @@ class BoundRecord(NamedTuple):
         return self.actual is None or self.actual <= self.bound
 
 
-class ShearResult(NamedTuple):
-    gauge: SeriesMatrix
-    gauge_inverse: SeriesMatrix
+class _ShearResultFields(NamedTuple):
+    gauge_map: CoefficientMap  # B, with B_0 = I
+    gauge_inverse_map: CoefficientMap  # B^-1
     constant_model: tuple[QMatrix, ...]
     bound_report: tuple[BoundRecord, ...]
     constant_base_model: Optional[tuple[QMatrix, ...]]
     norm_constant_log: Fraction  # log_p C
     nilpotency_exponent: int  # e
+    weighting: Weighting
+    truncation: int
+
+
+class ShearResult(_ShearResultFields):
+    # no __slots__: the instance dict holds the gauges rendered as series
+
+    def _render(self, a: CoefficientMap) -> SeriesMatrix:
+        n = math.isqrt(len(a[0][0][1]))  # B_0 = I: no gauge map is empty
+        return series_matrix(self.weighting, self.truncation, a, n)
+
+    @cached_property
+    def gauge(self) -> SeriesMatrix:
+        return self._render(self.gauge_map)
+
+    @cached_property
+    def gauge_inverse(self) -> SeriesMatrix:
+        return self._render(self.gauge_inverse_map)
 
 
 def _check_ni_coordinatewise(decomp_per_matrix) -> None:
@@ -679,7 +650,7 @@ def shear(
     sub = m.gp.sub
     # every coefficient is a row-major integer matrix over its denominator;
     # A^i keeps its terms of weight 1..t, and B, B' only their nonzero terms
-    acoeff = [({k: x for k, x in coeffs.items() if k in coords}, den) for coeffs, den in e.coefficient_maps]
+    acoeff = [({k: x for k, x in terms if k in coords}, den) for terms, den in e.matrices]
     akeys = list(dict.fromkeys(k for ac, _ in acoeff for k in ac))
     ident = tuple(int(i == j) for i in range(n) for j in range(n))
     ops: dict = {}  # (i, m_i) -> the Sylvester operator of direction i, integer rows over one denominator
@@ -762,31 +733,30 @@ def shear(
         actual = Fraction(-_valuation(*bmats[key], p)) if key in bmats else None
         records.append(BoundRecord(key, ball[key], actual, bound))
 
-    full = [[t] * n] * n, [[False] * n] * n
-    gauge = _smat_from_coeffs(m, w, bmats, *full)
-    gauge_inv = _smat_from_coeffs(m, w, bprime, *full)
+    gauge, gauge_inv = _over_one_denominator(bmats), _over_one_denominator(bprime)
 
     constant_base = None
     if e.base_matrices is not None:
-        (bm, db), (bp, dp) = _int_coefficients(gauge), _int_coefficients(gauge_inv)
+        (bm, db), (bp, dp) = gauge, gauge_inv
         zero = m.gp.zero()
         transformed = []
-        for d, dd in e.base_coefficient_maps:
-            prod = _map_mul(m, w, t, bp, _map_mul(m, w, t, d, bm, n), n)
-            if any(any(x) for k, x in prod.items() if k != zero):
+        for d, dd in e.base_matrices:
+            prod = _canonical(_map_mul(m, w, t, bp, _map_mul(m, w, t, d, bm, n).items(), n), dp * dd * db)
+            if any(k != zero for k, _ in prod[0]):
                 raise AssertionError("base matrices fail to become constant after the gauge")
-            x, den = prod.get(zero, [0] * (n * n)), dp * dd * db
-            transformed.append(tuple(tuple(Fraction(v, den) for v in x[r * n : r * n + n]) for r in range(n)))
+            transformed.append(coefficient(prod, zero, n))
         constant_base = tuple(transformed)
 
     return ShearResult(
-        gauge=gauge,
-        gauge_inverse=gauge_inv,
+        gauge_map=gauge,
+        gauge_inverse_map=gauge_inv,
         constant_model=a0s,
         bound_report=tuple(records),
         constant_base_model=constant_base,
         norm_constant_log=log_c,
         nilpotency_exponent=e_exp,
+        weighting=w,
+        truncation=t,
     )
 
 
@@ -802,6 +772,12 @@ def _zero_qmat(n: int) -> QMatrix:
 def _valuation(x: Sequence[int], den: int, p: int):
     """v_p of the nonzero matrix x / den, x integer."""
     return matrix_valuation((x,), p) - padic_valuation(den, p)
+
+
+def _over_one_denominator(coeffs: dict) -> CoefficientMap:
+    """{key: (x, d)}, x an integer matrix and x / d reduced, as one map."""
+    den = math.lcm(*(d for _, d in coeffs.values()))
+    return _canonical({k: [v * (den // d) for v in x] for k, (x, d) in coeffs.items()}, den)
 
 
 def _reduced(x: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -876,28 +852,23 @@ def apply_ui(
             )
             for k, a in enumerate(mats)
         ]
-    smats = tuple(
-        smat_from_rational(embedding.monoid, weighting, a, truncation) for a in mats
-    )
-    base = None
-    if base_model is not None:
-        base = tuple(
-            smat_from_rational(embedding.monoid, weighting, qmat(b), truncation)
-            for b in base_model
-        )
-    return LogNablaModule(n, embedding, smats, base, interval_kind)
+    zero = embedding.monoid.gp.zero()
+
+    def stored(a: QMatrix) -> CoefficientMap:
+        return coefficient_map(weighting, truncation, {zero: [x for row in a for x in row]})
+
+    base = None if base_model is None else tuple(stored(qmat(b)) for b in base_model)
+    return LogNablaModule(n, embedding, weighting, truncation, tuple(map(stored, mats)), base, interval_kind)
 
 
-def gauge_transform(e: LogNablaModule, b: SeriesMatrix, b_inv: SeriesMatrix) -> LogNablaModule:
-    """Matrices of the connection in the basis f = e*B: B^{-1}(A B + dB)."""
-    new = []
-    for i in range(e.embedding.r):
-        inner = smat_add(smat_mul(e.matrices[i], b), smat_partial(b, e.embedding, i))
-        new.append(smat_mul(b_inv, inner))
+def gauge_transform(e: LogNablaModule, b: CoefficientMap, b_inv: CoefficientMap) -> LogNablaModule:
+    """Matrices of the connection in the basis f = e*B: B^{-1}(A^i B + d_i B),
+    and B^{-1} D B for each base matrix D."""
+    new = tuple(map_product(e, b_inv, map_product(e, a, b, i)) for i, a in enumerate(e.matrices))
     base = None
     if e.base_matrices is not None:
-        base = tuple(smat_mul(b_inv, smat_mul(d, b)) for d in e.base_matrices)
-    return LogNablaModule(e.rank, e.embedding, tuple(new), base, e.interval_kind)
+        base = tuple(map_product(e, b_inv, map_product(e, d, b)) for d in e.base_matrices)
+    return LogNablaModule(e.rank, e.embedding, e.weighting, e.truncation, new, base, e.interval_kind)
 
 
 def twist_reduce(embedding: Embedding, xi: QVector) -> tuple[QVector, Elt]:
@@ -968,7 +939,7 @@ def is_sigma_unipotent(e: LogNablaModule, sigma: ExponentSet, face: Face) -> Uni
     realized by the modulo-lattice comparison of the exponent images, which
     are integer vectors over one denominator d until the report.
     """
-    if not check_sd(sigma, "NI"):
+    if not check_sd(sigma):
         raise SingularSylvester("Sigma fails the (NI-D) facet condition")
     sheared = e.sheared_exponents
     exps = e.decomposition.exponents
@@ -990,13 +961,13 @@ def is_sigma_unipotent(e: LogNablaModule, sigma: ExponentSet, face: Face) -> Uni
 
 def smat_is_constant_all(e: LogNablaModule) -> bool:
     zero = e.monoid.gp.zero()
-    return all(k == zero for coeffs, _ in e.coefficient_maps for k in coeffs)
+    return all(k == zero for terms, _ in e.matrices for k, _ in terms)
 
 
 def _require_monoid_support(e: LogNablaModule) -> None:
     m = e.monoid
-    for a in e.matrices:
-        for key in smat_keys(a):
+    for terms, _ in e.matrices:
+        for key, _ in terms:
             if not membership(m, key):
                 raise NotMonoidSupported(
                     "unipotence decision needs M-supported matrices; twist away "
@@ -1283,11 +1254,11 @@ def log_convergence_check(
         for level in range(1, depth + 1):
             new = {}
             for k, (col, den) in frontier.items():
-                for i, (ai, di) in enumerate(e.coefficient_maps):
+                for i, (ai, di) in enumerate(e.matrices):
                     kk = k[:i] + (k[i] + 1,) + k[i + 1 :]
                     if kk in new:
                         continue
-                    out = _map_mul(m, w, t, ai, col, 1)  # (d_i + A^i - k_i) col, over di den
+                    out = _map_mul(m, w, t, ai, col.items(), 1)  # (d_i + A^i - k_i) col, over di den
                     for key, x in col.items():
                         _add_into(out, key, [di * (e.embedding.coords(key)[i] - k[i]) * v for v in x])
                     new[kk] = ({key: x for key, x in out.items() if any(x)}, di * den)

@@ -163,7 +163,7 @@ def brute_h_plus(m: FineMonoid, g: Elt, budget: EnumerationBudget) -> int:
 def brute_shear_order(e, k: int):
     """Solve the full order-<= k shear system at once (all equations, all i),
     without the single-index selection trick.  Returns {m: B_m}."""
-    from .log_connection import smat_coefficient
+    from .log_connection import coefficient
 
     m = e.monoid
     emb = e.embedding
@@ -173,8 +173,8 @@ def brute_shear_order(e, k: int):
     keys = sorted((key for key in ball if not m.gp.is_zero(key)), key=lambda key: (weight(key), key))
     index = {key: idx for idx, key in enumerate(keys)}
     nun = len(keys) * n * n
-    a0 = [smat_coefficient(e.matrices[i], m.gp.zero()) for i in range(emb.r)]
-    acoeff = [{key: smat_coefficient(e.matrices[i], key) for key in keys} for i in range(emb.r)]
+    a0 = [coefficient(a, m.gp.zero(), n) for a in e.matrices]
+    acoeff = [{key: coefficient(a, key, n) for key in keys} for a in e.matrices]
 
     rows = []
     rhs = []

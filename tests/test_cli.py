@@ -153,8 +153,20 @@ def test_exit_code_parse_error(capsys, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("field,value", [("rank", 0), ("truncation", -1), ("embedding", "x"),
-                                         ("embedding", [[1, "a"], [0, 1]]), ("embedding", [[1, 2.5], [0, 1]])])
+def _terms(*points):
+    return [{"m": {"free": p}, "entries": [[str(k)]]} for k, p in enumerate(points, 1)]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("rank", 0), ("truncation", -1), ("embedding", "x"),
+    ("embedding", [[1, "a"], [0, 1]]), ("embedding", [[1, 2.5], [0, 1]]),
+    # a monomial listed twice for one index: in one item, in two items, in a base matrix
+    ("matrices", [{"i": 0, "terms": _terms([1, 0], [0, 1], [1, 0])}, {"i": 1, "terms": []}]),
+    ("matrices", [{"i": 0, "terms": _terms([0, 1])}, {"i": 1, "terms": []}, {"i": 0, "terms": _terms([0, 1])}]),
+    ("base_matrices", [{"i": 0, "terms": _terms([0, 0], [0, 0])}]),
+    # t^-(1,0) has h^- > 0: not a term of a disk matrix
+    ("matrices", [{"i": 0, "terms": _terms([-1, 0])}, {"i": 1, "terms": []}]),
+])
 def test_exit_code_bad_rank_or_truncation(capsys, tmp_path, field, value):
     doc = json.loads((DATA / "n2_sigma_pair_connection.json").read_text())
     doc[field] = value

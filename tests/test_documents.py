@@ -59,19 +59,47 @@ def test_monoid_document_weighting_override():
         )
 
 
-def test_hom_images_document(n2, n1):
-    ctx_target = docs.parse_monoid({"generators": 1, "relations": []})
-    images = docs.parse_hom_images(ctx_target, {"images": [{"free": [1]}, {"free": [1]}]})
-    f = mc.MonoidHom(n2, ctx_target.monoid, images)
-    assert f(n2.element((1, 1))) == ctx_target.monoid.element((2,))
+def _rank2_document(terms, interval_kind="disk"):
+    """A rank-2 connection on N at truncation 4 with A^0 = E_22 / 2 + terms."""
+    constant = {"m": {"free": [0]}, "entries": [["0", "0"], ["0", "1/2"]]}
+    return {"monoid": {"generators": 1, "relations": []}, "embedding": [[1]], "rank": 2, "truncation": 4,
+            "interval_kind": interval_kind, "matrices": [{"i": 0, "terms": [constant] + terms}]}
 
 
-def test_series_document(n1):
-    ctx = docs.parse_monoid({"generators": 1, "relations": []})
-    s = docs.parse_series(
-        ctx, {"truncation": 6, "terms": [{"m": {"free": [1]}, "num": 2, "den": 3}]}
-    )
-    assert s.coeff(ctx.monoid.element((1,))) == F(2, 3)
+@pytest.mark.parametrize("kind,free,entries,kept", [
+    ("annulus", -1, [["0", "1"], ["0", "0"]], True),  # t^-1 is a term of an annulus matrix
+    ("annulus", 2, [["1/3", "0"], ["-2", "0"]], True),
+    ("disk", 5, [["0", "1"], ["0", "0"]], False),  # |h| = 5 > 4: beyond the truncation
+    ("annulus", -5, [["0", "1"], ["0", "0"]], False),
+    ("disk", 2, [["0", "0"], ["0", "0"]], False),  # an all-zero matrix leaves no key
+    ("disk", 2, [[0, "0/7"], [[0, 3], "0"]], False),
+])
+def test_connection_document_keeps_the_terms_it_tracks(kind, free, entries, kept):
+    ctx, e = docs.parse_connection(_rank2_document([{"m": {"free": [free]}, "entries": entries}], kind))
+    (terms, den), = e.matrices
+    zero, key = ctx.monoid.gp.zero(), ctx.parse_element({"free": [free]})
+    assert [k for k, _ in terms] == sorted({zero, key} if kept else {zero})
+    assert dict(terms)[zero] == (0, 0, 0, den // 2)
+    if kept:
+        assert [F(x, den) for x in dict(terms)[key]] == [docs.parse_rational(x) for row in entries for x in row]
+
+
+def test_disk_document_rejects_a_term_off_the_monoid():
+    """t^-1 has h^-(t^-1) = 1 > 0: a disk matrix cannot carry it."""
+    doc = _rank2_document([{"m": {"free": [-1]}, "entries": [["0", "1"], ["0", "0"]]}])
+    with pytest.raises(ParseError, match=r"h\^-\(m\) > 0"):
+        docs.parse_connection(doc)
+
+
+def test_a_monomial_listed_twice_is_a_parse_error():
+    """Keys are compared as group elements: on Z + Z/2, torsion 2 is torsion 0."""
+    doc = {"monoid": {"generators": 2, "relations": [[[2, 0], [0, 2]]]}, "embedding": [[1]], "rank": 1,
+           "truncation": 4, "matrices": [{"i": 0, "terms": [{"m": {"free": [1], "torsion": [0]}, "entries": [["1"]]},
+                                                            {"m": {"free": [1], "torsion": [2]}, "entries": [["2"]]}]}]}
+    with pytest.raises(ParseError, match=r"matrices: index 0 lists the monomial .*torsion.*\[2\].* twice"):
+        docs.parse_connection(doc)
+    doc["matrices"][0]["terms"][1]["m"]["torsion"] = [1]
+    assert len(docs.parse_connection(doc)[1].matrices[0][0]) == 2
 
 
 def test_sigma_document_ambient_coordinates():

@@ -1,15 +1,17 @@
 """Embeddings, (S-D) checks, residues/exponents, shearing, U_I, unipotence,
 D_l operators, the homotopy identity and log-convergence."""
 
+import functools
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from logmonoid import documents, selftest
+from logmonoid import cli, documents, selftest
 from logmonoid import snf
 from logmonoid.abelian import group_quotient
 from logmonoid import log_connection as lc
@@ -37,30 +39,58 @@ F = Fraction
 DATA = Path(__file__).parent / "data"
 
 
+# -- series matrices: the reference arithmetic the coefficient maps are checked against --
+
+def _render(module, a):
+    """The coefficient map a of the module as a matrix of series."""
+    return lc.series_matrix(module.weighting, module.truncation, a, module.rank)
+
+
+def _constant_smat(module, a):
+    return tuple(tuple(ws.constant_series(module.monoid, module.weighting, x, module.truncation) for x in row)
+                 for row in a)
+
+
 def _ident_smat(module):
-    n = module.rank
-    return lc.smat_from_rational(
-        module.monoid, module.weighting,
-        tuple(tuple(F(1 if i == j else 0) for j in range(n)) for i in range(n)),
-        module.truncation,
+    return _constant_smat(module, qidentity(module.rank))
+
+
+def _smat_add(a, b):
+    return tuple(tuple(ws.series_add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _smat_sub(a, b):
+    return tuple(tuple(ws.series_sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _smat_equal(a, b):
+    return all(ws.series_equal(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def _smat_coefficient(a, key):
+    return tuple(tuple(x.coeff(key) for x in row) for row in a)
+
+
+def _smat_keys(a):
+    return {k for row in a for x in row for k, _ in x.terms}
+
+
+def _smat_partial(a, emb, i):
+    """Coefficientwise d_i: t^m -> m_i t^m with m_i the i-th phi-coordinate."""
+    return tuple(
+        tuple(ws.series(f.monoid, f.weighting, {k: emb.coords(k)[i] * c for k, c in f.terms}, f.truncation,
+                        f.annulus, validate=False) for f in row)
+        for row in a
     )
 
 
 def _shear_identity_holds(module, result):
     """A^i B + d_i B = B A^i_0 as series matrices, for every i."""
     b = result.gauge
-    for i in range(module.embedding.r):
-        lhs = lc.smat_add(
-            lc.smat_mul(module.matrices[i], b),
-            lc.smat_partial(b, module.embedding, i),
-        )
-        rhs = lc.smat_mul(
-            b,
-            lc.smat_from_rational(
-                module.monoid, module.weighting, result.constant_model[i], module.truncation
-            ),
-        )
-        if not lc.smat_equal(lhs, rhs):
+    for i, a in enumerate(module.matrices):
+        lhs = _smat_add(_smat_mul_by_series(_render(module, a), b), _smat_partial(b, module.embedding, i))
+        rhs = _smat_mul_by_series(b, _constant_smat(module, result.constant_model[i]))
+        if not _smat_equal(lhs, rhs):
             return False
     return True
 
@@ -137,7 +167,6 @@ def test_facet_embedding_needs_generators_spanning_gp():
 def test_check_sd_zero(m_even):
     sigma = lc.ExponentSet(m_even, ((F(0), F(0)),))
     assert lc.check_sd(sigma)
-    assert lc.check_sd(sigma, "NI_and_NL")
 
 
 def test_check_sd_half_on_both_facets(m_even):
@@ -247,18 +276,18 @@ def _rank2_n_module(truncation=12):
 def test_shear_constant_module_gauge_is_identity(n2):
     e = build_module(n2, [{(0, 0): ((F(1, 2),),)}, {(0, 0): ((F(1, 3),),)}], 1, 8)
     sr = lc.shear(e)
-    assert lc.smat_equal(sr.gauge, _ident_smat(e))
+    assert _smat_equal(sr.gauge, _ident_smat(e))
 
 
 def test_shear_rank2_example():
     e = _rank2_n_module(10)
     sr = lc.shear(e)
     one = e.monoid.element((1,))
-    assert lc.smat_coefficient(sr.gauge, one) == ((F(0), F(-2)), (F(0), F(0)))
+    assert _smat_coefficient(sr.gauge, one) == ((F(0), F(-2)), (F(0), F(0)))
     assert sr.constant_model == (((F(0), F(0)), (F(0), F(1, 2))),)
     assert _shear_identity_holds(e, sr)
-    assert lc.smat_equal(lc.smat_mul(sr.gauge, sr.gauge_inverse), _ident_smat(e))
-    assert lc.smat_equal(lc.smat_mul(sr.gauge_inverse, sr.gauge), _ident_smat(e))
+    assert _smat_equal(_smat_mul_by_series(sr.gauge, sr.gauge_inverse), _ident_smat(e))
+    assert _smat_equal(_smat_mul_by_series(sr.gauge_inverse, sr.gauge), _ident_smat(e))
     assert all(r.ok for r in sr.bound_report)
 
 
@@ -266,8 +295,9 @@ def test_shear_round_trip():
     e = _rank2_n_module(8)
     sr = lc.shear(e)
     u = lc.apply_ui(e.embedding, e.weighting, sr.constant_model, e.truncation)
-    back = lc.gauge_transform(u, sr.gauge_inverse, sr.gauge)
-    assert all(lc.smat_equal(a, b) for a, b in zip(back.matrices, e.matrices))
+    back = lc.gauge_transform(u, sr.gauge_inverse_map, sr.gauge_map)
+    assert back.matrices == e.matrices
+    assert all(_smat_equal(_render(back, a), _render(e, b)) for a, b in zip(back.matrices, e.matrices))
 
 
 def test_shear_recovers_planted_gauge(n2):
@@ -278,8 +308,8 @@ def test_shear_recovers_planted_gauge(n2):
     assert lc.validate_integrability(e)
     sr = lc.shear(e)
     # the shear gauge undoes the planted basis change: B = G^{-1}
-    assert lc.smat_equal(sr.gauge, g_inv)
-    assert lc.smat_equal(sr.gauge_inverse, g)
+    assert _smat_equal(sr.gauge, _render(e, g_inv))
+    assert _smat_equal(sr.gauge_inverse, _render(e, g))
     assert sr.constant_model == (qmat(c1), qmat(c2))
     assert _shear_identity_holds(e, sr)
     assert all(r.ok for r in sr.bound_report)
@@ -290,7 +320,7 @@ def test_shear_rank3_with_jordan_block(n1):
     gauge_terms = {(1,): ((0, 1, 0), (0, 0, 0), (1, 0, 0)), (2,): ((0, 0, 2), (0, 0, 0), (0, 0, 0))}
     e, g, g_inv = gauge_built_module(n1, [c], gauge_terms, 3, 9)
     sr = lc.shear(e)
-    assert lc.smat_equal(sr.gauge, g_inv)
+    assert _smat_equal(sr.gauge, _render(e, g_inv))
     assert _shear_identity_holds(e, sr)
     assert all(r.ok for r in sr.bound_report)
 
@@ -302,7 +332,7 @@ def test_shear_m_even_rank1(m_even):
     xi = tuple(F(c, 2) for c in g1[0])
     e = lc.apply_ui(emb, h, [((F(0),),)] * 2, 8, xi_twist=xi)
     sr = lc.shear(e)
-    assert lc.smat_equal(sr.gauge, _ident_smat(e))
+    assert _smat_equal(sr.gauge, _ident_smat(e))
     assert all(r.ok for r in sr.bound_report)
 
 
@@ -327,7 +357,7 @@ def test_shear_agrees_with_brute_oracle():
     sr = lc.shear(e)
     brute = orc.brute_shear_order(e, 3)
     for key, bm in brute.items():
-        assert lc.smat_coefficient(sr.gauge, key) == bm
+        assert _smat_coefficient(sr.gauge, key) == bm
 
 
 # -- U_I and twisting -----------------------------------------------------------------
@@ -337,7 +367,7 @@ def test_apply_ui_twist(n2):
     emb = lc.facet_embedding(n2)
     xi = (F(1, 2), F(0))
     e = lc.apply_ui(emb, h, [((F(0),),), ((F(0),),)], 6, xi_twist=xi)
-    consts = [lc.smat_constant_term(a)[0][0] for a in e.matrices]
+    consts = [_smat_coefficient(_render(e, a), e.monoid.gp.zero())[0][0] for a in e.matrices]
     assert sorted(consts) == [F(0), F(1, 2)]
 
 
@@ -637,7 +667,7 @@ def test_shear_randomized_planted_gauges():
         e, g, g_inv = gauge_built_module(n1, [model], gauge_terms, n, 6)
         assert lc.validate_integrability(e)
         sr = lc.shear(e)
-        assert lc.smat_equal(sr.gauge, g_inv)
+        assert _smat_equal(sr.gauge, _render(e, g_inv))
         assert all(r.ok for r in sr.bound_report)
         checked += 1
     assert checked == 6
@@ -787,7 +817,7 @@ def test_integrability_of_a_replaced_copy_is_its_own(n2):
     assert lc.validate_integrability(e)
     # t^(1,0) N in A^0 leaves -d_1 (t^(1,0) N) = -t^(1,0) N in the bracket
     perturbed = build_module(n2, [{(1, 0): ((0, 1), (0, 0))}, {}], 2, e.truncation).matrices[0]
-    e2 = e._replace(matrices=(lc.smat_add(e.matrices[0], perturbed), e.matrices[1]))
+    e2 = e._replace(matrices=(lc.map_sum(e.matrices[0], perturbed), e.matrices[1]))
     assert not lc.validate_integrability(e2)
     assert e2.integrability_defect[:3] == ("connection", 0, 1)
     assert lc.validate_integrability(e)
@@ -801,23 +831,38 @@ def test_integrability_defect_reports_base_matrices(n1):
     assert not lc.validate_integrability(e)
 
 
-def test_each_matrix_is_converted_once_per_module(monkeypatch, n1):
-    """Integrability, shear and logconv read one coefficient map per
-    connection and base matrix, converted on first use (the shear converts
-    its own gauge only to move base matrices)."""
+def test_the_connection_path_builds_no_series_until_the_gauge_is_read(monkeypatch, capsys, n1):
+    """Parsing, integrability, exponents, the shear, unipotence on every face,
+    log-convergence and the CLI shear report build no series: a module holds
+    coefficient maps, and a ShearResult renders its gauges as series when
+    they are first read, once."""
     calls = []
-    convert = lc._int_coefficients
-    monkeypatch.setattr(lc, "_int_coefficients", lambda a: calls.append(id(a)) or convert(a))
+    original = ws.series
+    counting = lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs)  # noqa: E731
+    hooked = [name for name, mod in list(sys.modules.items())
+              if name.split(".")[0] == "logmonoid" and getattr(mod, "series", None) is original]
+    for name in hooked:
+        monkeypatch.setattr(sys.modules[name], "series", counting)
+    assert {"logmonoid", "logmonoid.weighted_series", "logmonoid.log_connection"} <= set(hooked)
     c = ((F(0), F(0)), (F(0), F(1, 2)))
-    with_base = gauge_built_module(n1, [c], {(1,): ((0, 1), (0, 0))}, 2, 6, base_model=[((1, 0), (0, 2))])[0]
-    for e in [with_base] + [e for _, e, _ in selftest._shear_fixtures(5)]:
-        calls.clear()
+    modules = [documents.parse_connection(documents.load_json(DATA / "rank2_connection.json"))[1],
+               gauge_built_module(n1, [c], {(1,): ((0, 1), (0, 0))}, 2, 6, base_model=[((1, 0), (0, 2))])[0]]
+    modules += [e for _, e, _ in selftest._shear_fixtures(5)]
+    one, eta = ws.Radius.one(), ws.Radius.p_power(F(1, 2))
+    results = []
+    for e in modules:
         assert lc.validate_integrability(e)
-        lc.shear(e)
-        for depth in (2, 3):
-            lc.log_convergence_check(e, ws.Radius.one(), ws.Radius.p_power(F(1, 2)), depth)
-        ids = sorted(map(id, e.matrices + (e.base_matrices or ())))
-        assert sorted(c for c in calls if c in ids) == ids
+        sigma = lc.exponents(e).exponent_set(e.monoid)
+        results.append(lc.shear(e))
+        assert all(lc.is_sigma_unipotent(e, sigma, f).verdict for f in mc.faces(e.monoid))
+        lc.log_convergence_check(e, one, eta, 3)
+    assert cli.main(["connection", "shear", str(DATA / "rank2_connection.json")]) == 0
+    assert "gauge_terms" in capsys.readouterr().out
+    assert calls == []
+    for sr in results:
+        assert sr.gauge is sr.gauge and sr.gauge_inverse is sr.gauge_inverse
+        assert len(calls) == 2 * len(sr.constant_model[0]) ** 2
+        calls.clear()
 
 
 # -- the residue analysis runs once per module ----------------------------------------------------
@@ -987,9 +1032,22 @@ def _smat_mul_by_series(a, b):
     return tuple(out)
 
 
-def test_smat_mul_matches_the_sum_of_series_products(n2, m_even):
-    """Seeded grid: square n = 1..3 and n x 1 columns, zero entries, terms
-    that cancel, mixed truncations and mixed annulus flags."""
+def _series_rows(h, t, a, rows, cols):
+    """The rows x cols matrix of series of a = ((key, row-major integer
+    matrix) pairs, d), the matrices over d."""
+    terms, den = a
+    return tuple(
+        tuple(ws.series(h.monoid, h, {k: F(x[i * cols + j], den) for k, x in terms}, t, validate=False)
+              for j in range(cols))
+        for i in range(rows)
+    )
+
+
+def test_map_mul_matches_the_sum_of_series_products(n2, m_even):
+    """Seeded grid: square n = 1..3 and n x 1 columns, zero matrices, terms
+    that cancel, and keys off the monoid (annulus matrices), truncated at
+    T = 2..5; the product of the coefficient maps, rendered, is the matrix
+    of summed series products."""
     rng = random.Random(21)
     seen = set()
     for m in (n2, m_even):
@@ -998,61 +1056,60 @@ def test_smat_mul_matches_the_sum_of_series_products(n2, m_even):
         ball = index.upto(4)
         diffs = [m.gp.sub(x, y) for x in ball for y in ball]
 
-        def entry(t, annulus):
+        def coefficients(t, rows, cols, annulus):
+            out = {}
             if rng.random() < 0.2:
-                return ws.series(m, h, {}, t, annulus=annulus)
-            keys = {rng.choice(diffs if annulus else ball) for _ in range(rng.randint(1, 5))}
-            return ws.series(m, h, {k: F(rng.randint(-4, 4), rng.randint(1, 3)) for k in keys},
-                             t, annulus=annulus)
+                return lc.coefficient_map(h, t, out, annulus)
+            for _ in range(rng.randint(1, 5)):
+                key = rng.choice(diffs if annulus else ball)
+                out[key] = [F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7 else F(0)
+                            for _ in range(rows * cols)]
+            return lc.coefficient_map(h, t, out, annulus)
 
         for case in range(90):
             n, cols = rng.randint(1, 3), rng.choice((None, 1))
             cols = n if cols is None else cols
-            flags = [rng.random() < 0.3 for _ in range(2 * n * n)] if case % 3 else [False] * (2 * n * n)
-            truncs = [rng.randint(2, 5) for _ in flags] if case % 2 else [4] * len(flags)
-            a = tuple(tuple(entry(truncs[i * n + k], flags[i * n + k]) for k in range(n)) for i in range(n))
-            b = [[entry(truncs[n * n + k * n + j], flags[n * n + k * n + j]) for j in range(cols)]
-                 for k in range(n)]
+            t, annulus = rng.randint(2, 5), case % 3 == 0
+            a, b = coefficients(t, n, n, annulus), coefficients(t, n, cols, annulus)
             if n > 1 and case % 4 == 0:
                 # b's second row is minus its first and a's second column its first: every
                 # pair of products cancels up to the truncation
-                a = tuple((row[0], row[0], *row[2:]) for row in a)
-                b[1] = [ws.series_scale(-1, x) for x in b[0]]
-            b = tuple(map(tuple, b))
-            got, want = lc.smat_mul(a, b), _smat_mul_by_series(a, b)
+                (ax, da), (bx, db) = a, b
+                a = tuple((k, tuple(x[r - r % n] if r % n == 1 else x[r] for r in range(n * n))) for k, x in ax), da
+                b = tuple((k, tuple(-x[r - cols] if r // cols == 1 else x[r] for r in range(n * cols)))
+                          for k, x in bx), db
+            sa, sb = lc.series_matrix(h, t, a, n), _series_rows(h, t, b, n, cols)
+            got = _series_rows(h, t, (lc._map_mul(m, h, t, a[0], b[0], cols).items(), a[1] * b[1]), n, cols)
+            want = _smat_mul_by_series(sa, sb)
             assert got == want, (case, n, cols)
             seen.add(f"n={n}")
-            entries = [x for row in a + b for x in row]
             seen |= {"column"} if cols == 1 and n > 1 else set()
-            seen |= {"zero entry"} if any(x.is_zero() for x in entries) else set()
-            seen |= {"mixed truncation"} if len({x.truncation for x in entries}) > 1 else set()
-            seen |= {"mixed annulus"} if len({x.annulus for x in entries}) > 1 else set()
+            seen |= {"zero matrix"} if not a[0] or not b[0] else set()
+            seen |= {"off the monoid"} if any(not mc.membership(m, k) for k, _ in a[0] + b[0]) else set()
             for i, row in enumerate(want):
                 for j, x in enumerate(row):
-                    terms = {k for kk, y in enumerate(a[i]) for k, _ in ws.series_mul(y, b[kk][j]).terms
-                             if index.h(k)[2] <= x.truncation}
+                    terms = {k for kk, y in enumerate(sa[i]) for k, _ in ws.series_mul(y, sb[kk][j]).terms}
                     if terms - {k for k, _ in x.terms}:
                         seen.add("cancelled term")
-    assert seen == {"n=1", "n=2", "n=3", "column", "zero entry", "mixed truncation",
-                    "mixed annulus", "cancelled term"}
+    assert seen == {"n=1", "n=2", "n=3", "column", "zero matrix", "off the monoid", "cancelled term"}
 
 
 def _integrability_defect_by_series(e):
     """The first failing bracket and its least key from series matrices: the
     evaluation that the coefficient maps replaced."""
     r, mul = e.embedding.r, _smat_mul_by_series
+    a = [_render(e, x) for x in e.matrices]
 
-    def partial(a, i):
-        return lc.smat_partial(a, e.embedding, i)
+    def partial(x, i):
+        return _smat_partial(x, e.embedding, i)
 
-    brackets = [(("connection", i, j), lc.smat_add(
-        lc.smat_sub(partial(e.matrices[j], i), partial(e.matrices[i], j)),
-        lc.smat_sub(mul(e.matrices[i], e.matrices[j]), mul(e.matrices[j], e.matrices[i]))))
+    brackets = [(("connection", i, j), _smat_add(
+        _smat_sub(partial(a[j], i), partial(a[i], j)), _smat_sub(mul(a[i], a[j]), mul(a[j], a[i]))))
         for i, j in itertools.combinations(range(r), 2)]
-    brackets += [(("base", k, i), lc.smat_add(partial(d, i), lc.smat_sub(mul(e.matrices[i], d), mul(d, e.matrices[i]))))
-                 for k, d in enumerate(e.base_matrices or ()) for i in range(r)]
+    brackets += [(("base", k, i), _smat_add(partial(d, i), _smat_sub(mul(a[i], d), mul(d, a[i]))))
+                 for k, d in enumerate(_render(e, x) for x in e.base_matrices or ()) for i in range(r)]
     for label, lhs in brackets:
-        keys = lc.smat_keys(lhs)
+        keys = _smat_keys(lhs)
         if keys:
             return label + (min(keys),)
     return None
@@ -1062,6 +1119,7 @@ def _log_convergence_by_series(e, a_prime, eta, depth, p=5):
     """The P_k frontier on vectors of series with Gauss norms: the evaluation
     that the integer columns replaced."""
     m, w, t, n, r = e.monoid, e.weighting, e.truncation, e.rank, e.embedding.r
+    a = [_render(e, x) for x in e.matrices]
 
     def valuation(vec):
         return min((ws.gauss_norm(f, a_prime, p).exponent for f in vec if f.terms), default=INF)
@@ -1078,7 +1136,7 @@ def _log_convergence_by_series(e, a_prime, eta, depth, p=5):
                     if kk in new:
                         continue
                     col = tuple((f,) for f in vec)
-                    applied = lc.smat_add(lc.smat_partial(col, e.embedding, i), _smat_mul_by_series(e.matrices[i], col))
+                    applied = _smat_add(_smat_partial(col, e.embedding, i), _smat_mul_by_series(a[i], col))
                     new[kk] = tuple(ws.series_sub(row[0], ws.series_scale(k[i], g)) for row, g in zip(applied, vec))
             frontier = new
             for k, vec in frontier.items():
@@ -1104,9 +1162,9 @@ def _grid_modules(rng, m, n, t):
     e = gauge_built_module(m, [mat(diagonal=True) for _ in range(2)], gauge, n, t, base_model=base)[0]
     out = [e]
     for which in ("matrices", "base_matrices")[: 1 + (base is not None)]:
-        term = selftest._series_matrix(m, e.weighting, {rng.choice(ball[1:])[0]: mat()}, n, t)
+        term = selftest._coefficients(m, e.weighting, {rng.choice(ball[1:])[0]: mat()}, t)
         mats = getattr(e, which)
-        out.append(e._replace(**{which: (lc.smat_add(mats[0], term), *mats[1:])}))
+        out.append(e._replace(**{which: (lc.map_sum(mats[0], term), *mats[1:])}))
     diffs = [m.gp.sub(x, y) for x in ball for y in ball]
     return out + [build_module(m, [{rng.choice(diffs): mat() for _ in range(3)} for _ in range(2)], n, t,
                                kind="annulus")]
@@ -1142,9 +1200,10 @@ def test_integrability_and_log_convergence_match_the_series_evaluation(n2, m_eve
                     sr = lc.shear(e)
                 except SingularSylvester:  # the random model broke NI
                     continue
-                moved = [_smat_mul_by_series(sr.gauge_inverse, _smat_mul_by_series(d, sr.gauge)) for d in e.base_matrices]
+                moved = [_smat_mul_by_series(sr.gauge_inverse, _smat_mul_by_series(_render(e, d), sr.gauge))
+                         for d in e.base_matrices]
                 assert all(k == m.gp.zero() for d in moved for row in d for x in row for k, _ in x.terms)
-                assert sr.constant_base_model == tuple(map(lc.smat_constant_term, moved)), case
+                assert sr.constant_base_model == tuple(_smat_coefficient(d, m.gp.zero()) for d in moved), case
                 seen.add("base model")
     assert seen == {"disk integrable", "disk connection", "disk base", "annulus connection", "base model",
                     True, False, "a'=0", "a'=1/2", "a'=1", "a'=2", "eta=1/5", "eta=1/3", "eta=1/2",
@@ -1160,7 +1219,7 @@ def _shear_by_rational_recursion(e):
     ball, keys = index.ball(t), index.upto(t)[1:]
     coords = {k: emb.coords(k) for k in keys}
     acoeff = []
-    for a in e.matrices:
+    for a in map(functools.partial(_render, e), e.matrices):
         out = {}
         for i, row in enumerate(a):
             for j, x in enumerate(row):

@@ -38,7 +38,7 @@ def records():
     n2, n1 = ctx.monoid, mc.free_monoid(1)
     hom = mc.MonoidHom(n2, n1, (n1.element((1,)), n1.element((1,))))
     sheared = lc.shear(e)
-    series = e.matrices[0][0][0]
+    series = sheared.gauge[0][0]
     found = [
         AbelianGroup(1, (2,)), quotient_presented(2, [])[1], cli.RunConfig(), ctx, e.embedding,
         sigma, e, lc.exponents(e), sheared.bound_report[0], sheared,
@@ -85,17 +85,12 @@ def test_fine_monoid_differs_from_a_tuple_of_its_fields(records):
     assert m != mc.FineMonoid(m.gp, m.generators, (1, 2))
 
 
-def _retruncated(a, annulus=False):
-    """The series matrix a with its entry (0, 0) truncated one lower, or
-    made an annulus series."""
-    x = a[0][0]
-    x = x._replace(annulus=True) if annulus else x._replace(truncation=x.truncation - 1)
-    return ((x, *a[0][1:]), *a[1:])
-
-
 def _checks(n1, n2, m_even, e):
     """(constructor call, message) for every check a record runs when built."""
     one = n1.element((1,))
+    # a module needs a nonzero matrix to show its shape
+    fields = (e.embedding, e.weighting, e.truncation)
+    unit = ((((n2.gp.zero(), (1,)),), 1),) * 2
     return [
         (lambda: AbelianGroup(1, (1,)), ">= 2"),
         (lambda: AbelianGroup(0, (2, 3)), "divisibility chain"),
@@ -119,13 +114,13 @@ def _checks(n1, n2, m_even, e):
         (lambda: lc.Embedding(n2, ((1, 1), (1, 1))), "rational isomorphism"),
         (lambda: lc.Embedding(n2, ((1, 0), (0, -1))), "into N\\^r"),
         (lambda: lc.ExponentSet(n2, ((F(1),),)), "wrong dimension"),
-        (lambda: lc.LogNablaModule(e.rank, e.embedding, e.matrices, None, "ring"), "interval_kind"),
-        (lambda: lc.LogNablaModule(e.rank, e.embedding, e.matrices[:1]), "one matrix per"),
-        (lambda: lc.LogNablaModule(e.rank + 1, e.embedding, e.matrices), "rank x rank"),
-        (lambda: lc.LogNablaModule(e.rank, e.embedding, e.matrices, (_retruncated(e.matrices[0]),)),
-         "one truncation and annulus flag"),
-        (lambda: lc.LogNablaModule(e.rank, e.embedding, (_retruncated(e.matrices[0], annulus=True),
-                                                          *e.matrices[1:])), "one truncation and annulus flag"),
+        (lambda: lc.LogNablaModule(e.rank, *fields, e.matrices, None, "ring"), "interval_kind"),
+        (lambda: lc.LogNablaModule(e.rank, e.embedding, ws.default_weighting(m_even), e.truncation, e.matrices),
+         "share one monoid"),
+        (lambda: lc.LogNablaModule(e.rank, *fields, e.matrices[:1]), "one matrix per"),
+        (lambda: lc.LogNablaModule(e.rank + 1, *fields, unit), "rank x rank"),
+        (lambda: lc.LogNablaModule(e.rank, *fields, e.matrices, unit[:1] + ((((n2.gp.zero(), (1, 0)),), 1),)),
+         "rank x rank"),
     ]
 
 

@@ -9,13 +9,13 @@ operator's cached inverse with the RHS, then the gcd reduction), for
 n = 1, 2, 3; `weighted_series.series_mul` on dense disk series over N^2
 truncated at T = 3..6; `cone.simplex_feasible` on the default weighting's
 LP for k integer rays in Z^3 (k = 4, 6, 9: 2*3 + k columns, k rows); and
-`log_connection.smat_mul` on n x n matrices of those series for n = 2, 3 at
-T = 4, 6; and, on an integrable rank-n module over N^2 truncated at T (a
-diagonal constant model rewritten by a gauge I + G, G dense up to weight T)
-for n = 2, 3 and T = 4, 6, `validate_integrability` and
-`log_convergence_check` at depth 2 and 4 (radius 1, eta = p^-1/2), each call
-on a fresh copy of the module, so its integer coefficient maps are built
-inside the timing.  The spectral rows time `qlin.rational_roots` of
+`log_connection._map_mul` on the coefficient maps of n x n matrices of
+those series for n = 2, 3 at T = 4, 6; and, on an integrable rank-n module
+over N^2 truncated at T (a diagonal constant model rewritten by a gauge
+I + G, G dense up to weight T) for n = 2, 3 and T = 4, 6,
+`validate_integrability` and `log_convergence_check` at depth 2 and 4
+(radius 1, eta = p^-1/2), each call on a fresh copy of the module, so no
+cached verdict is reused.  The spectral rows time `qlin.rational_roots` of
 `qlin.charpoly` on n x n matrices P J P^-1 (J in Jordan form with
 eigenvalues in {0, 1/2, 1/3, 1/4}, P unipotent) for n = 2, 3, 4;
 `exponents` plus `eigenbasis_data` on fresh copies of the rank-n modules
@@ -74,6 +74,14 @@ def _sylvester(rng: random.Random, n: int):
 def _series(rng: random.Random, m, h, t: int):
     keys = m.index.weighted(h.values).upto(t)
     return ws.series(m, h, {k: _rational(rng) for k in keys}, t)
+
+
+def _series_matrix_map(rng: random.Random, m, h, n: int, t: int):
+    """The coefficient map of an n x n matrix of `_series` entries, drawn in
+    the same order."""
+    keys = m.index.weighted(h.values).upto(t)
+    entries = [[_rational(rng) for k in keys] for _ in range(n * n)]
+    return lc.coefficient_map(h, t, {k: [entry[j] for entry in entries] for j, k in enumerate(keys)})
 
 
 def _module(rng: random.Random, m, n: int, t: int):
@@ -172,8 +180,8 @@ def main() -> int:
         rows.append((f"simplex_feasible rays={k}", _time(lambda: cone.simplex_feasible(la, lb))))
     for n in (2, 3):
         for t in (4, 6):
-            a, b = (tuple(tuple(_series(rng, n2, h, t) for _ in range(n)) for _ in range(n)) for _ in range(2))
-            rows.append((f"smat_mul n={n} N^2 T={t}", _time(lambda: lc.smat_mul(a, b))))
+            (a, _), (b, _) = (_series_matrix_map(rng, n2, h, n, t) for _ in range(2))
+            rows.append((f"_map_mul n={n} N^2 T={t}", _time(lambda: lc._map_mul(n2, h, t, a, b, n))))
     one, eta = ws.Radius.one(), ws.Radius.p_power(Fraction(1, 2))
     for n in (2, 3):
         for t in (4, 6):
