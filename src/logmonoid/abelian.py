@@ -17,7 +17,12 @@ Elt = tuple[tuple[int, ...], tuple[int, ...]]
 
 # Records are NamedTuples.  One that validates its fields subclasses a
 # NamedTuple of them and checks in __new__ (a NamedTuple may not define
-# __new__ itself); `_replace` builds through tuple.__new__ and skips the check.
+# __new__ itself).  namedtuple's `_make`, which `_replace` calls, builds
+# through tuple.__new__, so such a record sets `_make = checked_make` to
+# build through its constructor and its checks.
+checked_make = classmethod(lambda cls, fields: cls(*fields))
+
+
 class _AbelianGroupFields(NamedTuple):
     free_rank: int
     torsion_invariants: tuple[int, ...] = ()
@@ -25,6 +30,7 @@ class _AbelianGroupFields(NamedTuple):
 
 class AbelianGroup(_AbelianGroupFields):
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -14,9 +14,9 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import log_connection as lc
 from . import monoid_core as mc
 from . import weighted_series as ws
+from .abelian import checked_make
 from .documents import (
     MonoidContext,
     load_json,
@@ -37,6 +37,7 @@ class _RunConfigFields(NamedTuple):
 
 class RunConfig(_RunConfigFields):
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -113,6 +114,8 @@ def _load_sigma(ctx: MonoidContext, path):
 
 
 def cmd_connection(args, config: RunConfig) -> dict:
+    from . import log_connection as lc  # loaded on the connection path only
+
     ctx, module = parse_connection(load_json(args.input))
     sub = args.subcommand
     if sub == "exponents":

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import add, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .abelian import Elt
+from .abelian import Elt, checked_make
 from .errors import (
     DenominatorVanishes,
     IrrationalExponent,
@@ -73,6 +73,7 @@ class _EmbeddingFields(NamedTuple):
 
 class Embedding(_EmbeddingFields):
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -151,6 +152,8 @@ class ExponentSet(_ExponentSetFields):
     """Finite set of rational vectors in M^gp tensor Q (free coordinates)."""
 
     # no __slots__: the instance dict holds the cached (S-D) verdict
+
+    _make = checked_make
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -318,6 +321,8 @@ class LogNablaModule(_LogNablaModuleFields):
     one truncation: each matrix a coefficient map (see `coefficient_map`)."""
 
     # no __slots__: the instance dict holds the cached residue analysis
+
+    _make = checked_make
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -512,7 +517,7 @@ def exponents(e: LogNablaModule) -> ResidueDecomposition:
 class BoundRecord(NamedTuple):
     key: Elt
     weight: int
-    actual: object  # -log_p |B_m| ... stored as log-norm exponent (Fraction or -INF)
+    actual: Optional[Fraction]  # log_p |B_m| = -v_p(B_m), or None when B_m = 0 (printed "-inf")
     bound: Fraction
 
     @property
@@ -647,21 +652,37 @@ def shear(
     ball = index.ball(t)
     keys = index.upto(t)[1:]  # every element of weight 1..t; 0 is the only one of weight 0
     coords = {k: emb.coords(k) for k in keys}
-    sub = m.gp.sub
+    zero = m.gp.zero()
     # every coefficient is a row-major integer matrix over its denominator;
     # A^i keeps its terms of weight 1..t, and B, B' only their nonzero terms
     acoeff = [({k: x for k, x in terms if k in coords}, den) for terms, den in e.matrices]
-    akeys = list(dict.fromkeys(k for ac, _ in acoeff for k in ac))
+    # the A-keys, lightest first, as (m', h(m'), m') for scatter
+    akeys = [(k, ball[k], k) for k in sorted(dict.fromkeys(k for ac, _ in acoeff for k in ac), key=ball.get)]
     ident = tuple(int(i == j) for i in range(n) for j in range(n))
     ops: dict = {}  # (i, m_i) -> the Sylvester operator of direction i, integer rows over one denominator
     inverses: dict = {}  # (i, m_i) -> its inverse, the same way: one per direction and coordinate
     worst: dict = {}  # (i, m_i) -> max(0, v_p(x - y - m_i) over eigenvalue pairs of A^i_0)
 
-    bmats = {m.gp.zero(): (ident, 1)}
+    gp_add = m.gp.add
+
+    def scatter(pending: dict, q: Elt, xq, lightest_first) -> None:
+        """Push (y, xq) onto the pending pairs of q + k for each (k, h(k), y)
+        of lightest_first with h(q) + h(k) <= t: only the pairs that exist,
+        each found once (a row-wise sparse product, Gustavson 1978)."""
+        room = t - ball[q]
+        for k, hk, y in lightest_first:
+            if hk > room:
+                break
+            pending.setdefault(gp_add(q, k), []).append((y, xq))
+
+    # B_m pairs A^i_{m'} with every fixed B_{m - m'}; each m' weighs >= 1,
+    # so in weight order a key's pairs are all pushed before it is solved
+    bmats = {zero: (ident, 1)}
+    pending: dict = {}
+    scatter(pending, zero, bmats[zero], akeys)
     for key in keys:
-        # each partner key - m' once, shared by every direction
-        partners = [(kp, bmats[q]) for kp in akeys if (q := sub(key, kp)) in bmats]
-        if not partners:
+        partners = pending.pop(key, None)
+        if partners is None:
             continue
         rhs = [_neg_convolution([((ac[kp], da), b) for kp, b in partners if kp in ac], n)
                for ac, da in acoeff]
@@ -681,16 +702,22 @@ def shear(
                 raise AssertionError("shear recursion violates the all-directions identity")
         if any(bm):
             bmats[key] = (bm, dm)
+            scatter(pending, key, bmats[key], akeys)
 
     # inverse by the convolution identity sum B_{m'} B'_{m''} = delta_{m,0}:
-    # B'_m = -sum_{m' != 0} B_{m'} B'_{m - m'} for m != 0; the m' = 0 term
-    # drops out because its partner B'_m is assigned only after the sum
-    bprime = {m.gp.zero(): (ident, 1)}
+    # B'_m = -sum_{m' != 0} B_{m'} B'_{m - m'} for m != 0, scattered the
+    # same way from each fixed B'_q; bmats is in weight order
+    bnonzero = [(k, ball[k], b) for k, b in bmats.items() if k != zero]
+    bprime = {zero: (ident, 1)}
+    scatter(pending, zero, bprime[zero], bnonzero)
     for key in keys:
-        pairs = [(b, bprime[q]) for kp, b in bmats.items() if (q := sub(key, kp)) in bprime]
+        pairs = pending.pop(key, None)
+        if pairs is None:
+            continue
         bp = _reduced(*_neg_convolution(pairs, n))
         if any(bp[0]):
             bprime[key] = bp
+            scatter(pending, key, bp, bnonzero)
 
     # bound constants (log-norm form, base p): e is the nilpotency index of the
     # commutator part g2; C bounds both the resolvent norms and |A^i_m| a^{h(m)}
@@ -708,8 +735,11 @@ def shear(
         for key, amat in ac.items():
             log_c = max(log_c, Fraction(-_valuation(amat, da, p)) - qa * ball[key])
 
-    # Z_m chain DP and the bound records
-    logz: dict[Elt, Fraction] = {}
+    # Z_m chain DP and the bound records, on integers (every valuation is
+    # one): bound = e log Z_m + h(m) s with s = 2 log C + q_a = s_n / s_d
+    s = 2 * log_c + qa
+    s_n, s_d = s.numerator, s.denominator
+    logz: dict[Elt, int] = {}
     gens = [g for g in m.generators if not m.gp.is_zero(g)]
     records = []
     for key in keys:
@@ -719,8 +749,8 @@ def shear(
             if mi == 0:
                 continue
             if (i, mi) not in worst:
-                worst[i, mi] = max([Fraction(0)] + [Fraction(padic_valuation(x - y - mi, p))
-                                                    for x, y in itertools.product(per_matrix_eigs[i], repeat=2)])
+                worst[i, mi] = max([0] + [padic_valuation(x - y - mi, p)
+                                          for x, y in itertools.product(per_matrix_eigs[i], repeat=2)])
             zi = worst[i, mi]
             wmin = zi if wmin is None else min(wmin, zi)
         # the chain max runs over the nonzero proper divisors of key; logz
@@ -729,7 +759,7 @@ def shear(
         # elements of M
         best_prev = max((logz.get(m.gp.sub(key, g), 0) for g in gens), default=0)
         logz[key] = wmin + best_prev
-        bound = e_exp * logz[key] + 2 * ball[key] * log_c + qa * ball[key]
+        bound = Fraction(e_exp * logz[key] * s_d + ball[key] * s_n, s_d)
         actual = Fraction(-_valuation(*bmats[key], p)) if key in bmats else None
         records.append(BoundRecord(key, ball[key], actual, bound))
 
@@ -738,7 +768,6 @@ def shear(
     constant_base = None
     if e.base_matrices is not None:
         (bm, db), (bp, dp) = gauge, gauge_inv
-        zero = m.gp.zero()
         transformed = []
         for d, dd in e.base_matrices:
             prod = _canonical(_map_mul(m, w, t, bp, _map_mul(m, w, t, d, bm, n).items(), n), dp * dd * db)

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import cone as _cone
 from . import snf as _snf
-from .abelian import AbelianGroup, Elt, GroupSpan, group_quotient, quotient_presented
+from .abelian import AbelianGroup, Elt, GroupSpan, checked_make, group_quotient, quotient_presented
 from .errors import (
     NoPositiveFunctional,
     NotInGroupSpan,
@@ -88,6 +88,8 @@ class _MonoidHomFields(NamedTuple):
 
 class MonoidHom(_MonoidHomFields):
     # no __slots__: the instance dict holds the cached _smith_images
+
+    _make = checked_make
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .abelian import Elt
+from .abelian import Elt, checked_make
 from .errors import BudgetExceeded, SingularSystem
 from .monoid_core import FineMonoid, default_weighting as _weights
 from .qlin import qmat, qnullspace, qsolve, qvec
@@ -27,6 +27,7 @@ class _EnumerationBudgetFields(NamedTuple):
 
 class EnumerationBudget(_EnumerationBudgetFields):
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

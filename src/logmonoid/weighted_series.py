@@ -11,7 +11,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .abelian import Elt
+from .abelian import Elt, checked_make
 from .errors import (
     NonInvertibleConstantTerm,
     SaturationIncomplete,
@@ -36,6 +36,7 @@ class Weighting(_WeightingFields):
     """h: M -> N vanishing exactly on the units."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -367,6 +368,7 @@ class ValuationPoint(_ValuationPointFields):
     """-log_p |t^g(x)| per generator; INF encodes t^g(x) = 0."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

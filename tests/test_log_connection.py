@@ -13,7 +13,7 @@ import pytest
 
 from logmonoid import cli, documents, selftest
 from logmonoid import snf
-from logmonoid.abelian import group_quotient
+from logmonoid.abelian import AbelianGroup, group_quotient
 from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
 from logmonoid import oracle as orc
@@ -982,8 +982,9 @@ def test_ad_nilpotency_closed_form_matches_the_powers():
     assert seen == {1, 3, 5, 7}
 
 
-def _bound_report_by_walking_every_lighter_key(e, sr, p=5):
-    """The Z_m chain DP as a max over every nonzero proper divisor of m."""
+def _bound_report_by_walking_every_lighter_key(e, sr, p, qa):
+    """The Z_m chain DP as a max over every nonzero proper divisor of m,
+    at the radius p^-qa."""
     m, t = e.monoid, e.truncation
     index = m.index.weighted(e.weighting.values)
     ball, keys = index.ball(t), index.upto(t)[1:]
@@ -1003,16 +1004,20 @@ def _bound_report_by_walking_every_lighter_key(e, sr, p=5):
             if prev in logz and m.gp.sub(key, prev) in ball:
                 best_prev = max(best_prev, logz[prev])
         logz[key] = wmin + best_prev
-        # radius one: the a^{-h(m)} term vanishes
-        out.append((key, sr.nilpotency_exponent * logz[key] + 2 * ball[key] * sr.norm_constant_log))
+        # a = p^-qa enters as the a^{-h(m)} term: qa h(m) in log-norm form
+        out.append((key, sr.nilpotency_exponent * logz[key] + 2 * ball[key] * sr.norm_constant_log
+                    + qa * ball[key]))
     return out
 
 
 def test_bound_report_matches_the_walk_over_every_lighter_key():
+    """At radius one and off it (p^-1/2, p^-2), for p = 2, 3, 5."""
     for name, e, _ in selftest._shear_fixtures(12):
-        sr = lc.shear(e)
-        got = [(r.key, r.bound) for r in sr.bound_report]
-        assert got == _bound_report_by_walking_every_lighter_key(e, sr), name
+        for p in (2, 3, 5):
+            for qa in (F(0), F(1, 2), F(2)):
+                sr = lc.shear(e, radius=ws.Radius.p_power(qa), p=p)
+                got = [(r.key, r.bound) for r in sr.bound_report]
+                assert got == _bound_report_by_walking_every_lighter_key(e, sr, p, qa), (name, p, qa)
 
 
 # -- the integer coefficient kernels ---------------------------------------------------------------
@@ -1317,3 +1322,26 @@ def test_shear_inverts_each_sylvester_operator_once(monkeypatch):
             solves += len(e.monoid.index.weighted(e.weighting.values).upto(t)) - 1
             inverted += len(calls)
     assert inverted < solves / 2
+
+
+def test_shear_visits_only_the_key_pairs_that_exist(monkeypatch):
+    """Both gauge recursions scatter: no subtraction beyond the Z_m chain
+    DP's one per key and nonzero generator, and one addition per pushed
+    pair, at most nnz(A) nnz(B) + nnz(B) nnz(B')."""
+    t = 20
+    e = next(e for name, e, _ in selftest._shear_fixtures(t) if name == "rank2-N2-planted")
+    m = e.monoid
+    keys = m.index.weighted(e.weighting.values).upto(t)[1:]  # grows the ball before counting
+    assert lc.validate_integrability(e) and e.eigenbasis_data
+    calls = {"sub": 0, "add": 0}
+    for op in calls:
+        def counted(self, x, y, op=op, f=getattr(AbelianGroup, op)):
+            calls[op] += 1
+            return f(self, x, y)
+        monkeypatch.setattr(AbelianGroup, op, counted)
+    sr = lc.shear(e)
+    gens = [g for g in m.generators if not m.gp.is_zero(g)]
+    assert calls["sub"] == len(keys) * len(gens) == 460
+    nnz_a = len({k for terms, _ in e.matrices for k, _ in terms})
+    nnz_b, nnz_b_inv = len(sr.gauge_map[0]), len(sr.gauge_inverse_map[0])
+    assert 0 < calls["add"] <= nnz_a * nnz_b + nnz_b * nnz_b_inv

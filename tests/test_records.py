@@ -86,48 +86,58 @@ def test_fine_monoid_differs_from_a_tuple_of_its_fields(records):
 
 
 def _checks(n1, n2, m_even, e):
-    """(constructor call, message) for every check a record runs when built."""
+    """(class, positional fields, keyword fields, message) for every check
+    a record runs when built."""
     one = n1.element((1,))
     # a module needs a nonzero matrix to show its shape
     fields = (e.embedding, e.weighting, e.truncation)
     unit = ((((n2.gp.zero(), (1,)),), 1),) * 2
+
+    def row(cls, *args, message, **kwargs):
+        return cls, args, kwargs, message
+
     return [
-        (lambda: AbelianGroup(1, (1,)), ">= 2"),
-        (lambda: AbelianGroup(0, (2, 3)), "divisibility chain"),
-        (lambda: cli.RunConfig(prime=4), "--prime must be a prime"),
-        (lambda: cli.RunConfig(weight_bound=0), "--weight-bound must be positive"),
-        (lambda: cli.RunConfig(output_format="xml"), "json or text"),
-        (lambda: EnumerationBudget(0), "must be positive"),
-        (lambda: EnumerationBudget(3, element_cap=0), "must be positive"),
-        (lambda: mc.FineMonoid(AbelianGroup(2), (((1,), ()),)), "wrong shape"),
-        (lambda: mc.FineMonoid(n2.gp, n2.generators, (1,)), "every generator"),
-        (lambda: mc.MonoidHom(n2, n1, (one,)), "one image per source generator"),
-        (lambda: mc.MonoidHom(m_even, n1, (one, n1.gp.zero(), n1.gp.zero())), "presentation"),
-        (lambda: ws.Weighting(n2, (1,)), "one weight per generator"),
-        (lambda: ws.Weighting(n2, (-1, 1)), "non-negative"),
-        (lambda: ws.Weighting(m_even, (1, 1, 2)), "group homomorphism"),
-        (lambda: ws.Weighting(n2, (0, 1)), "vanish exactly on unit"),
-        (lambda: ws.ValuationPoint(n2, (F(0),)), "one valuation per generator"),
-        (lambda: ws.ValuationPoint(m_even, (INF, F(0), F(0))), "monoid relation"),
-        (lambda: ws.ValuationPoint(m_even, (F(1), F(1), F(3))), "monoid relation"),
-        (lambda: lc.Embedding(n2, ((1, 0, 0), (0, 1, 0))), "length free_rank"),
-        (lambda: lc.Embedding(n2, ((1, 1), (1, 1))), "rational isomorphism"),
-        (lambda: lc.Embedding(n2, ((1, 0), (0, -1))), "into N\\^r"),
-        (lambda: lc.ExponentSet(n2, ((F(1),),)), "wrong dimension"),
-        (lambda: lc.LogNablaModule(e.rank, *fields, e.matrices, None, "ring"), "interval_kind"),
-        (lambda: lc.LogNablaModule(e.rank, e.embedding, ws.default_weighting(m_even), e.truncation, e.matrices),
-         "share one monoid"),
-        (lambda: lc.LogNablaModule(e.rank, *fields, e.matrices[:1]), "one matrix per"),
-        (lambda: lc.LogNablaModule(e.rank + 1, *fields, unit), "rank x rank"),
-        (lambda: lc.LogNablaModule(e.rank, *fields, e.matrices, unit[:1] + ((((n2.gp.zero(), (1, 0)),), 1),)),
-         "rank x rank"),
+        row(AbelianGroup, 1, (1,), message=">= 2"),
+        row(AbelianGroup, 0, (2, 3), message="divisibility chain"),
+        row(cli.RunConfig, prime=4, message="--prime must be a prime"),
+        row(cli.RunConfig, weight_bound=0, message="--weight-bound must be positive"),
+        row(cli.RunConfig, output_format="xml", message="json or text"),
+        row(EnumerationBudget, 0, message="must be positive"),
+        row(EnumerationBudget, 3, element_cap=0, message="must be positive"),
+        row(mc.FineMonoid, AbelianGroup(2), (((1,), ()),), message="wrong shape"),
+        row(mc.FineMonoid, n2.gp, n2.generators, (1,), message="every generator"),
+        row(mc.MonoidHom, n2, n1, (one,), message="one image per source generator"),
+        row(mc.MonoidHom, m_even, n1, (one, n1.gp.zero(), n1.gp.zero()), message="presentation"),
+        row(ws.Weighting, n2, (1,), message="one weight per generator"),
+        row(ws.Weighting, n2, (-1, 1), message="non-negative"),
+        row(ws.Weighting, m_even, (1, 1, 2), message="group homomorphism"),
+        row(ws.Weighting, n2, (0, 1), message="vanish exactly on unit"),
+        row(ws.ValuationPoint, n2, (F(0),), message="one valuation per generator"),
+        row(ws.ValuationPoint, m_even, (INF, F(0), F(0)), message="monoid relation"),
+        row(ws.ValuationPoint, m_even, (F(1), F(1), F(3)), message="monoid relation"),
+        row(lc.Embedding, n2, ((1, 0, 0), (0, 1, 0)), message="length free_rank"),
+        row(lc.Embedding, n2, ((1, 1), (1, 1)), message="rational isomorphism"),
+        row(lc.Embedding, n2, ((1, 0), (0, -1)), message="into N\\^r"),
+        row(lc.ExponentSet, n2, ((F(1),),), message="wrong dimension"),
+        row(lc.LogNablaModule, e.rank, *fields, e.matrices, None, "ring", message="interval_kind"),
+        row(lc.LogNablaModule, e.rank, e.embedding, ws.default_weighting(m_even), e.truncation, e.matrices,
+            message="share one monoid"),
+        row(lc.LogNablaModule, e.rank, *fields, e.matrices[:1], message="one matrix per"),
+        row(lc.LogNablaModule, e.rank + 1, *fields, unit, message="rank x rank"),
+        row(lc.LogNablaModule, e.rank, *fields, e.matrices, unit[:1] + ((((n2.gp.zero(), (1, 0)),), 1),),
+            message="rank x rank"),
     ]
 
 
 def test_every_check_raises_on_direct_construction(n1, n2, m_even, records):
-    for build, message in _checks(n1, n2, m_even, records["LogNablaModule"]):
+    """And on `_replace` of a valid record of the type with the same fields,
+    which builds through the same checks (FineMonoid is no tuple)."""
+    for cls, args, kwargs, message in _checks(n1, n2, m_even, records["LogNablaModule"]):
         with pytest.raises(ValueError, match=message):
-            build()
+            cls(*args, **kwargs)
+        if cls is not mc.FineMonoid:
+            with pytest.raises(ValueError, match=message):
+                records[cls.__name__]._replace(**dict(zip(cls._fields, args)), **kwargs)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,11 @@ eigenvalues in {0, 1/2, 1/3, 1/4}, P unipotent) for n = 2, 3, 4;
 above (n = 2, 3, T = 4); and `is_sigma_unipotent` over every face, on a
 fresh copy of the module and of Sigma (its own exponent set), for a
 constant rank-3 module with a Jordan block over M_even and over N^3 at
-T = 4.  Entries are small rationals (numerators -9..9, denominators up to
+T = 4.  The shear rows time a whole `shear` (both gauge recursions, the
+bound records and the checks; the module's integrability and residue
+analysis are cached after the first call) of the selftest fixtures
+rank2-N2-planted and rank2-M_even-planted built at T = 8, 12, 20, 30, 40.
+Entries are small rationals (numerators -9..9, denominators up to
 6) or small integers from a fixed seed, so every run measures the same
 inputs.  Each figure is the median over REPEATS repeats of a loop of at
 least 20 ms, in wall-clock microseconds per call; stdlib only.
@@ -49,6 +53,8 @@ from logmonoid.qlin import over_lcm, qinverse, qmat, qmat_mul  # noqa: E402
 
 SEED = 1
 REPEATS = 7
+SHEAR_FIXTURES = ("rank2-N2-planted", "rank2-M_even-planted")
+SHEAR_TRUNCATIONS = (8, 12, 20, 30, 40)
 DENOMINATORS = (1, 1, 2, 3, 5, 6)
 
 
@@ -200,6 +206,10 @@ def main() -> int:
     for name, m in (("M_even", selftest._m_even()), ("N^3", mc.free_monoid(3))):
         e, sigma, faces = _unipotence_module(rng, m, 4)
         rows.append((f"is_sigma_unipotent all faces {name} T=4", _time(lambda: _unipotence_on_all_faces(e, sigma, faces))))
+    for t in SHEAR_TRUNCATIONS:
+        for name, e, _ in selftest._shear_fixtures(t):
+            if name in SHEAR_FIXTURES:
+                rows.append((f"shear {name} T={t}", _time(lambda: lc.shear(e))))
     for name, us in rows:
         print(f"{name:42s} {us:10.1f} us")
     return 0
