@@ -1,8 +1,6 @@
 """logmonoid: exact computations with fine monoids, weighted series on
 polyannuli, and log connections at finite truncation."""
 
-import importlib
-
 from .abelian import AbelianGroup
 from .errors import (
     BudgetExceeded,
@@ -23,6 +21,28 @@ from .errors import (
     SingularSystem,
     TorsionTarget,
     ZeroProjection,
+)
+from .log_connection import (
+    Embedding,
+    ExponentSet,
+    LogNablaModule,
+    ShearResult,
+    UnipotenceReport,
+    apply_ui,
+    check_sd,
+    dl_constant_term,
+    dl_limit,
+    dl_projection,
+    exponents,
+    facet_embedding,
+    gauge_transform,
+    homotopy_check,
+    is_sigma_unipotent,
+    log_convergence_check,
+    residue,
+    shear,
+    twist_reduce,
+    validate_integrability,
 )
 from .monoid_core import (
     Face,
@@ -70,20 +90,12 @@ from .weighted_series import (
 __version__ = "0.1.0"
 
 
-# names resolved on first use (see __getattr__), by the module defining them
-_LAZY = {"EnumerationBudget": "oracle"} | dict.fromkeys((
-    "Embedding", "ExponentSet", "LogNablaModule", "ShearResult", "UnipotenceReport", "apply_ui",
-    "check_sd", "dl_constant_term", "dl_limit", "dl_projection", "exponents", "facet_embedding",
-    "gauge_transform", "homotopy_check", "is_sigma_unipotent", "log_convergence_check", "residue",
-    "shear", "twist_reduce", "validate_integrability",
-), "log_connection")
-
-
 def __getattr__(name):
-    """Resolve the names of `_LAZY` on first use, so that a process which
-    never touches their module does not import it: `monoid-analyze` runs no
-    log connection, and every CLI subcommand but selftest no oracle."""
-    home = _LAZY.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    """Resolve `EnumerationBudget` on first use, so that a process which
+    never touches the oracle (every CLI subcommand but selftest) does not
+    import it."""
+    if name == "EnumerationBudget":
+        from .oracle import EnumerationBudget
+
+        return EnumerationBudget
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import log_connection as lc
 from . import monoid_core as mc
 from . import weighted_series as ws
 from .abelian import checked_make
@@ -114,8 +115,6 @@ def _load_sigma(ctx: MonoidContext, path):
 
 
 def cmd_connection(args, config: RunConfig) -> dict:
-    from . import log_connection as lc  # loaded on the connection path only
-
     ctx, module = parse_connection(load_json(args.input))
     sub = args.subcommand
     if sub == "exponents":

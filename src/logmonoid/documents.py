@@ -14,16 +14,14 @@ import json
 from fractions import Fraction
 from functools import cache
 from operator import mul
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .abelian import Elt
 from .errors import ParseError
+from .log_connection import Embedding, ExponentSet, LogNablaModule, coefficient_map, facet_embedding
 from .monoid_core import FineMonoid, from_embedded, from_presentation
 from .qlin import over_lcm, qmat_mul, solve_map
 from .weighted_series import Radius, Weighting, default_weighting
-
-if TYPE_CHECKING:  # log_connection loads on the connection path only
-    from .log_connection import Embedding, ExponentSet, LogNablaModule
 
 
 def parse_rational(obj) -> Fraction:
@@ -156,8 +154,6 @@ def parse_radius(obj) -> Radius:
 
 
 def _embedding_from_rows(ctx: MonoidContext, rows) -> Embedding:
-    from .log_connection import Embedding
-
     d = ctx.monoid.gp.free_rank
     out_rows = []
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
@@ -198,8 +194,6 @@ def _embedding_from_rows(ctx: MonoidContext, rows) -> Embedding:
 
 
 def parse_connection(doc: dict) -> tuple[MonoidContext, LogNablaModule]:
-    from .log_connection import LogNablaModule, coefficient_map, facet_embedding
-
     if not isinstance(doc, dict):
         raise ParseError("connection document must be an object")
     try:
@@ -253,8 +247,6 @@ def parse_connection(doc: dict) -> tuple[MonoidContext, LogNablaModule]:
 
 
 def parse_sigma(ctx: MonoidContext, doc: dict) -> ExponentSet:
-    from .log_connection import ExponentSet
-
     if not isinstance(doc, dict) or "elements" not in doc:
         raise ParseError("sigma document needs 'elements'")
     return ExponentSet(

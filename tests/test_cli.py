@@ -346,32 +346,33 @@ def test_exit_codes_on_the_connection_path(capsys):
 
 def test_cli_process_imports_only_what_it_runs():
     """Importing the CLI loads neither dataclasses (nor the inspect it pulls
-    in) nor the oracle and selftest, which only `selftest` runs, nor
-    log_connection, which `monoid-analyze` does not run, before or after a
-    run; the package still answers for `EnumerationBudget`, `shear` and
-    every other name it resolves on first use.  -S keeps site-packages
-    .pth files out of sys.modules."""
-    guarded = ("dataclasses", "inspect", "random", "logmonoid.oracle", "logmonoid.selftest",
-               "logmonoid.log_connection")
-    script = f"""
-import contextlib, io, sys
-import logmonoid.cli
-print(sorted(m for m in {guarded!r} if m in sys.modules))
-with contextlib.redirect_stdout(io.StringIO()) as out:
-    code = logmonoid.cli.main(["monoid-analyze", {str(DATA.resolve() / "m_even.json")!r}])
-print(code, bool(out.getvalue()), sorted(m for m in {guarded!r} if m in sys.modules))
-import logmonoid
-print(logmonoid.EnumerationBudget(3))
-print(logmonoid.shear.__module__, sorted({{getattr(logmonoid, n).__module__ for n in logmonoid._LAZY}}))
-"""
+    in) nor the oracle and selftest, which only `selftest` runs; the package
+    still answers for `EnumerationBudget`.  -S keeps site-packages .pth
+    files out of sys.modules."""
+    code = (
+        "import logmonoid.cli, sys; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'random', 'logmonoid.oracle', "
+        "'logmonoid.selftest') if m in sys.modules)); "
+        "import logmonoid; print(logmonoid.EnumerationBudget(3))"
+    )
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", script], env={**os.environ, "PYTHONPATH": str(SRC)},
+        [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.splitlines() == [
-        "[]", "0 True []", "EnumerationBudget(weight_bound=3, element_cap=100000)",
-        "logmonoid.log_connection ['logmonoid.log_connection', 'logmonoid.oracle']",
-    ]
+    assert proc.stdout.splitlines() == ["[]", "EnumerationBudget(weight_bound=3, element_cap=100000)"]
+
+
+def test_readme_quick_tour_runs():
+    """The README's library quick tour, which starts with `from logmonoid
+    import *`, runs as written in a fresh process."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from logmonoid import *" in tour and "facet_embedding(" in tour
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", tour], env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_package_attribute_errors_name_the_attribute():
