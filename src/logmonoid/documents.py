@@ -24,6 +24,26 @@ from .qlin import over_lcm, qmat_mul, solve_map
 from .weighted_series import Radius, Weighting, default_weighting
 
 
+def _integer(x, field: str) -> int:
+    """An integer field of a document: an int, or a string int() reads.
+    Anything else, bool and float included, is a ParseError naming the field."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    raise ParseError(f"{field}: expected an integer, got {x!r}")
+
+
+def _integers(xs, field: str, depth: int = 1) -> tuple:
+    """A list of integer fields; with depth d > 1, a list of such lists nested d deep."""
+    if not isinstance(xs, (list, tuple)):
+        raise ParseError(f"{field}: expected a list{' of lists' * (depth - 1)} of integers, got {xs!r}")
+    return tuple(_integers(x, field, depth - 1) if depth > 1 else _integer(x, field) for x in xs)
+
+
 def parse_rational(obj) -> Fraction:
     try:
         if isinstance(obj, bool):
@@ -33,9 +53,9 @@ def parse_rational(obj) -> Fraction:
         if isinstance(obj, str):
             return Fraction(obj)
         if isinstance(obj, (list, tuple)) and len(obj) == 2:
-            return Fraction(int(obj[0]), int(obj[1]))
+            return Fraction(_integer(obj[0], "rational numerator"), _integer(obj[1], "rational denominator"))
         if isinstance(obj, dict) and "num" in obj:
-            return Fraction(int(obj["num"]), int(obj.get("den", 1)))
+            return Fraction(_integer(obj["num"], "num"), _integer(obj.get("den", 1), "den"))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational: {obj!r}") from exc
     raise ParseError(f"not a rational: {obj!r}")
@@ -51,19 +71,24 @@ class MonoidContext(NamedTuple):
     weighting: Weighting
     ambient_generators: Optional[tuple[tuple[int, ...], ...]]
     # (free, torsion) as written in the document -> gp element; for embedded
-    # monoids the converter of `from_embedded`, one Smith form for them all
+    # monoids the converter of `from_embedded`: one Smith-coordinate step and
+    # one integer mat-vec per element
     convert: Callable[[tuple], Elt]
     # for embedded monoids, ambient -> M^gp tensor Q as integer (rows, d,
     # checks): v lies in the span of the generators iff every check row is
     # orthogonal to it, and then maps to rows * v / d; one solve for them
     # all, on the first call
     exponent_map: Optional[Callable[[], tuple[list[list[int]], int, list[list[int]]]]] = None
+    # for embedded monoids, gp -> ambient as an integer matrix, one row per
+    # ambient coordinate (gp is torsion-free and injects into Z^k): one solve
+    # per gp basis vector, on the first call
+    ambient_map: Optional[Callable[[], list[list[int]]]] = None
 
     def parse_element(self, obj) -> Elt:
         if not isinstance(obj, dict) or "free" not in obj:
             raise ParseError(f"gp element must be {{'free': [...], 'torsion': [...]}}: {obj!r}")
-        free = tuple(int(x) for x in obj["free"])
-        torsion = tuple(int(x) for x in obj.get("torsion", []))
+        free = _integers(obj["free"], "free")
+        torsion = _integers(obj.get("torsion", []), "torsion")
         try:
             return self.convert((free, torsion))
         except ValueError as exc:
@@ -71,15 +96,8 @@ class MonoidContext(NamedTuple):
 
     def render_element(self, g: Elt) -> dict:
         out = {"free": list(g[0]), "torsion": list(g[1])}
-        if self.ambient_generators is not None:
-            coeffs = self.monoid.index.span.coefficients(g)
-            if coeffs is not None:
-                dim = len(self.ambient_generators[0])
-                amb = [0] * dim
-                for c, v in zip(coeffs, self.ambient_generators):
-                    for i in range(dim):
-                        amb[i] += c * v[i]
-                out["ambient"] = amb
+        if self.ambient_map is not None:
+            out["ambient"] = [sum(map(mul, row, g[0])) for row in self.ambient_map()]
         return out
 
     def parse_exponent_vector(self, obj) -> tuple[Fraction, ...]:
@@ -105,25 +123,22 @@ def parse_monoid(doc: dict) -> MonoidContext:
     if not isinstance(doc, dict):
         raise ParseError("monoid document must be an object")
     if "generators" in doc:
+        n = _integer(doc["generators"], "generators")
+        relations = _integers(doc.get("relations", []), "relations", 3)
         try:
-            n = int(doc["generators"])
-            relations = [
-                (tuple(int(x) for x in u), tuple(int(x) for x in v))
-                for u, v in doc.get("relations", [])
-            ]
             monoid = from_presentation(n, relations)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ParseError(f"bad presentation: {exc}") from exc
-        ambient = exponent_map = None
+        ambient = exponent_map = ambient_map = None
         convert = lambda x: monoid.gp.element(*x)
     elif "embedded_generators" in doc:
+        vectors = _integers(doc["embedded_generators"], "embedded_generators", 2)
+        torsion = _integers(doc.get("torsion", []), "torsion")
         try:
-            vectors = [tuple(int(x) for x in v) for v in doc["embedded_generators"]]
-            torsion = tuple(int(d) for d in doc.get("torsion", []))
             monoid, convert = from_embedded(vectors, torsion)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ParseError(f"bad embedded generators: {exc}") from exc
-        ambient = tuple(vectors)
+        ambient = vectors
 
         @cache
         def exponent_map():
@@ -131,16 +146,24 @@ def parse_monoid(doc: dict) -> MonoidContext:
             to_coeffs, checks = solve_map([[v[i] for v in vectors] for i in range(len(vectors[0]))])
             gens = [[g[0][i] for g in monoid.generators] for i in range(monoid.gp.free_rank)]
             return (*over_lcm(qmat_mul(gens, to_coeffs)), checks)
+
+        @cache
+        def ambient_map():
+            # the generator coefficients of each gp basis vector, summed on the ambient generators
+            d, span = monoid.gp.free_rank, monoid.index.span
+            basis = [span.coefficients(monoid.gp.element([int(i == k) for i in range(d)])) for k in range(d)]
+            return [[sum(c * v[i] for c, v in zip(coeffs, vectors)) for coeffs in basis]
+                    for i in range(len(vectors[0]))]
     else:
         raise ParseError("monoid document needs 'generators' or 'embedded_generators'")
     if "weighting" in doc:
         try:
-            w = Weighting(monoid, tuple(int(x) for x in doc["weighting"]))
-        except (TypeError, ValueError) as exc:
+            w = Weighting(monoid, _integers(doc["weighting"], "weighting"))
+        except ValueError as exc:
             raise ParseError(f"bad weighting: {exc}") from exc
     else:
         w = default_weighting(monoid)
-    return MonoidContext(monoid, w, ambient, convert, exponent_map)
+    return MonoidContext(monoid, w, ambient, convert, exponent_map, ambient_map)
 
 
 def parse_radius(obj) -> Radius:
@@ -149,44 +172,24 @@ def parse_radius(obj) -> Radius:
     if isinstance(obj, dict):
         if obj.get("zero"):
             return Radius.zero()
-        return Radius(Fraction(int(obj["q_num"]), int(obj.get("q_den", 1))))
+        return Radius(Fraction(_integer(obj["q_num"], "q_num"), _integer(obj.get("q_den", 1), "q_den")))
     return Radius(parse_rational(obj))
 
 
 def _embedding_from_rows(ctx: MonoidContext, rows) -> Embedding:
+    rows = _integers(rows, "embedding", 2)
     d = ctx.monoid.gp.free_rank
-    out_rows = []
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise ParseError(f"bad embedding: rows must be lists of integers, got {rows!r}")
-    for row in rows:
-        try:
-            ints = [int(x) for x in row]
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad embedding: {exc}") from exc
-        if any(v != x for v, x in zip(ints, row) if not isinstance(x, str)):
-            raise ParseError(f"bad embedding: entries must be integers, got {row!r}")
-        row = ints
-        if ctx.ambient_generators is None:
-            if len(row) != d:
-                raise ParseError(f"embedding rows must have length {d}")
-            out_rows.append(tuple(row))
-        else:
-            dim = len(ctx.ambient_generators[0])
-            if len(row) != dim:
-                raise ParseError(f"embedding rows must have ambient length {dim}")
-            # functional in ambient coordinates -> gp coordinates via the
-            # ambient vectors of the gp basis
-            gp = ctx.monoid.gp
-            new_row = []
-            for k in range(d):
-                e = gp.element(tuple(1 if i == k else 0 for i in range(d)))
-                coeffs = ctx.monoid.index.span.coefficients(e)
-                amb = [0] * dim
-                for c, v in zip(coeffs, ctx.ambient_generators):
-                    for i in range(dim):
-                        amb[i] += c * v[i]
-                new_row.append(sum(row[i] * amb[i] for i in range(dim)))
-            out_rows.append(tuple(new_row))
+    if ctx.ambient_map is None:
+        if any(len(row) != d for row in rows):
+            raise ParseError(f"embedding rows must have length {d}")
+        out_rows = rows
+    else:
+        dim = len(ctx.ambient_generators[0])
+        if any(len(row) != dim for row in rows):
+            raise ParseError(f"embedding rows must have ambient length {dim}")
+        # a functional on the ambient coordinates, read on gp through gp -> ambient
+        basis = list(zip(*ctx.ambient_map()))
+        out_rows = [tuple(sum(map(mul, row, amb)) for amb in basis) for row in rows]
     try:
         return Embedding(ctx.monoid, tuple(out_rows))
     except ValueError as exc:
@@ -198,8 +201,8 @@ def parse_connection(doc: dict) -> tuple[MonoidContext, LogNablaModule]:
         raise ParseError("connection document must be an object")
     try:
         ctx = parse_monoid(doc["monoid"])
-        rank = int(doc["rank"])
-        truncation = int(doc["truncation"])
+        rank = _integer(doc["rank"], "rank")
+        truncation = _integer(doc["truncation"], "truncation")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad connection document: {exc}") from exc
     if rank < 1:
@@ -218,7 +221,7 @@ def parse_connection(doc: dict) -> tuple[MonoidContext, LogNablaModule]:
     def parse_matrix_list(name: str, count: int) -> tuple:
         per_index: dict[int, dict[Elt, list[Fraction]]] = {}
         for item in doc.get(name, []):
-            i = int(item["i"])
+            i = _integer(item["i"], "i")
             if not 0 <= i < count:
                 raise ParseError(f"matrix index {i} out of range")
             terms = per_index.setdefault(i, {})

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from fractions import Fraction
 from operator import add, mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .abelian import Elt, checked_make
 from .errors import (
@@ -194,10 +194,12 @@ def coefficient_map(w: Weighting, t: int, coeffs: dict, annulus: bool = False) -
     """The stored form of the matrix with coefficient coeffs[key], row-major
     rationals, at each key: zero matrices and keys with |h| > t are dropped,
     and a disk matrix may carry no term with h^-(m) > 0."""
-    h = w.monoid.index.weighted(w.values).h
+    index = w.monoid.index.weighted(w.values)
+    h, scaled, room = index.h, index.scaled_weight, t * index.denominator
     kept = {}
     for k, x in coeffs.items():
-        if not any(x):
+        # |h| >= |h(k)|: a key heavier than t is dropped before h+ is searched
+        if not any(x) or abs(scaled(k)) > room:
             continue
         hk, hp, habs = h(k)
         if habs > t:
@@ -283,8 +285,9 @@ def map_product(e: "LogNablaModule", a: CoefficientMap, b: CoefficientMap, i: Op
     (ax, da), (bx, db) = a, b
     out = _map_mul(e.monoid, e.weighting, e.truncation, ax, bx, e.rank)
     if i is not None:
+        coords = e.coords
         for k, x in bx:
-            _add_into(out, k, [da * e.embedding.coords(k)[i] * v for v in x])
+            _add_into(out, k, [da * coords(k)[i] * v for v in x])
     return _canonical(out, da * db)
 
 
@@ -300,9 +303,10 @@ def _least_bracket_key(e: "LogNablaModule", x: dict, y: dict, partials) -> Optio
     acc = _map_mul(*args, x, y, e.rank)
     for k, z in _map_mul(*args, y, x, e.rank).items():
         _add_into(acc, k, [-v for v in z])
+    coords = e.coords
     for z, c, l in partials:
         for k, mat in z:
-            _add_into(acc, k, [c * e.embedding.coords(k)[l] * v for v in mat])
+            _add_into(acc, k, [c * coords(k)[l] * v for v in mat])
     return min((k for k, mat in acc.items() if any(mat)), default=None)
 
 
@@ -341,6 +345,12 @@ class LogNablaModule(_LogNablaModuleFields):
     @property
     def monoid(self) -> FineMonoid:
         return self.embedding.monoid
+
+    @cached_property
+    def coords(self) -> Callable[[Elt], tuple[int, ...]]:
+        """The embedding coordinates of a key, each computed once and kept:
+        the keys the module's maps and products reach."""
+        return cache(self.embedding.coords)
 
     @cached_property
     def integrability_defect(self):
@@ -651,11 +661,12 @@ def shear(
     index = m.index.weighted(w.values)
     ball = index.ball(t)
     keys = index.upto(t)[1:]  # every element of weight 1..t; 0 is the only one of weight 0
-    coords = {k: emb.coords(k) for k in keys}
+    coords = e.coords
     zero = m.gp.zero()
     # every coefficient is a row-major integer matrix over its denominator;
     # A^i keeps its terms of weight 1..t, and B, B' only their nonzero terms
-    acoeff = [({k: x for k, x in terms if k in coords}, den) for terms, den in e.matrices]
+    inside = set(keys)
+    acoeff = [({k: x for k, x in terms if k in inside}, den) for terms, den in e.matrices]
     # the A-keys, lightest first, as (m', h(m'), m') for scatter
     akeys = [(k, ball[k], k) for k in sorted(dict.fromkeys(k for ac, _ in acoeff for k in ac), key=ball.get)]
     ident = tuple(int(i == j) for i in range(n) for j in range(n))
@@ -686,7 +697,7 @@ def shear(
             continue
         rhs = [_neg_convolution([((ac[kp], da), b) for kp, b in partners if kp in ac], n)
                for ac, da in acoeff]
-        mk = coords[key]
+        mk = coords(key)
         for i in range(emb.r):
             if (i, mk[i]) not in ops:
                 ops[i, mk[i]] = _sylvester(*over_lcm(a0s[i]), mk[i])
@@ -745,7 +756,7 @@ def shear(
     for key in keys:
         wmin = None
         for i in range(emb.r):
-            mi = coords[key][i]
+            mi = coords(key)[i]
             if mi == 0:
                 continue
             if (i, mi) not in worst:
@@ -1275,6 +1286,7 @@ def log_convergence_check(
     q, q_eta = a_prime.value_exponent(), eta.value_exponent()
     m, w, t, n = e.monoid, e.weighting, e.truncation, e.rank
     h = m.index.weighted(w.values).h
+    coords = e.coords
     for comp in range(n):
         # e_comp has valuation 0, the baseline; enumerate multi-indices k with
         # 1 <= |k| <= depth, the factors (d_i - j) for different directions
@@ -1289,7 +1301,7 @@ def log_convergence_check(
                         continue
                     out = _map_mul(m, w, t, ai, col.items(), 1)  # (d_i + A^i - k_i) col, over di den
                     for key, x in col.items():
-                        _add_into(out, key, [di * (e.embedding.coords(key)[i] - k[i]) * v for v in x])
+                        _add_into(out, key, [di * (coords(key)[i] - k[i]) * v for v in x])
                     new[kk] = ({key: x for key, x in out.items() if any(x)}, di * den)
             frontier = new
             for k, (col, den) in frontier.items():

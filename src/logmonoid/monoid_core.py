@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import cone as _cone
@@ -139,6 +140,8 @@ class SectionData(NamedTuple):
 
 def from_presentation(generator_count: int, relations: Sequence[tuple[Sequence[int], Sequence[int]]]) -> FineMonoid:
     """Image monoid of N^n in Z^n / <u - v>."""
+    if generator_count < 0:
+        raise ValueError(f"generators must be non-negative, got {generator_count}")
     cols = []
     for u, v in relations:
         if len(u) != generator_count or len(v) != generator_count:
@@ -156,23 +159,30 @@ def from_embedded(vectors: Sequence[Sequence[int]], torsion: Sequence[int] = ())
 
     Returns (monoid, convert) where convert maps an ambient element (free
     tuple, torsion tuple) to the normalized gp coordinates.  One Smith form
-    of the ambient generators gives the relations and answers every convert.
+    u a v = d of the ambient generators gives the relations; a convert is
+    one Smith-coordinate step and one mat-vec with u' v[:count, :rank], u'
+    the quotient map's, composed once.
     """
     if not vectors:
         raise ValueError("at least one generator required")
-    free_dim = len(vectors[0])
+    count, free_dim = len(vectors), len(vectors[0])
     ambient = AbelianGroup(free_dim, tuple(int(d) for d in torsion))
     span = GroupSpan(ambient, [ambient.element(v[:free_dim], v[free_dim:]) for v in vectors])
-    g, qmap = quotient_presented(len(vectors), span.relations())
-    gens = tuple(qmap(tuple(1 if i == j else 0 for i in range(len(vectors)))) for j in range(len(vectors)))
+    g, qmap = quotient_presented(count, span.relations())
+    gens = tuple(qmap(tuple(1 if i == j else 0 for i in range(count))) for j in range(count))
     monoid = FineMonoid(g, gens)
+    smith, rank = span.smith, span.smith.rank
+    # the Smith coordinates past the rank are zero; the quotient's free rows
+    # then its torsion rows are gp's cover coordinates
+    to_gp = _snf.mat_mul(tuple(qmap.u[i] for i in qmap.free_rows + qmap.torsion_rows),
+                         tuple(row[:rank] for row in smith.v[:count]))
 
     def convert(x) -> Elt:
         elt = ambient.element(x[0], x[1]) if isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], tuple) else ambient.element(x)
-        coeffs = span.coefficients(elt)
-        if coeffs is None:
+        y = smith.smith_coordinates(ambient.lift(elt))
+        if y is None:
             raise ValueError("element lies outside the group generated by the monoid")
-        return qmap(coeffs)
+        return g.from_cover(_snf.mat_vec(to_gp, y[:rank]))
 
     return monoid, convert
 
@@ -281,8 +291,8 @@ class WeightedIndex:
 
     h is kept as integer numerators over one denominator.  On a sharp monoid
     the ball of elements of weight <= bound is grown level by level in
-    place; `h` memoizes (h, h+, |h|) per element, searched in the ball of
-    the sharp quotient."""
+    place; `h` memoizes (h, h+, |h|) per element, searched in that ball, or
+    for a monoid with units in the ball of the sharp quotient."""
 
     def __init__(self, index: MonoidIndex, values: tuple[int, ...]):
         m = index.monoid
@@ -301,7 +311,11 @@ class WeightedIndex:
 
     def weight(self, g: Elt) -> Fraction:
         """Group extension h(g) = lam * free(g); integral on the span of M."""
-        return Fraction(sum(a * b for a, b in zip(self.numerators, g[0])), self.denominator)
+        return Fraction(self.scaled_weight(g), self.denominator)
+
+    def scaled_weight(self, g: Elt) -> int:
+        """h(g) times the denominator, an integer."""
+        return sum(map(mul, self.numerators, g[0]))
 
     # -- the ball (sharp monoids) ------------------------------------------
     def _grow(self, bound: int) -> None:
@@ -351,31 +365,40 @@ class WeightedIndex:
         return [e for level in self._levels[: bound + 1] for e in sorted(level)]
 
     def contains(self, g: Elt) -> bool:
-        """g in M, for a sharp monoid: look g up in the ball of its weight."""
-        num = sum(a * b for a, b in zip(self.numerators, g[0]))
+        """g in M, for a sharp monoid: look g up in the ball of its weight,
+        grown to that weight if it is not yet."""
+        num = self.scaled_weight(g)
         if num < 0 or num % self.denominator:
             return False
         return g in self.ball(num // self.denominator)
 
     # -- h, h+ and |h| -----------------------------------------------------
     def h(self, g: Elt) -> tuple[int, int, int]:
-        """(h(g), h+(g), |h|(g)) with h+(g) = min{h(y) : y in M, y - g in M}."""
+        """(h(g), h+(g), |h|(g)) with h+(g) = min{h(y) : y in M, y - g in M}.
+        On a sharp monoid the ball grows to h(g) at least; |h| >= |h(g)|, so
+        a caller that keeps only |h| <= t can drop the heavier keys first."""
         found = self._h.get(g)
         if found is None:
             found = self._h[g] = self._h_triple(g)
         return found
 
     def _h_triple(self, g: Elt) -> tuple[int, int, int]:
+        sharp = is_sharp(self.index.monoid)
+        # y = g is the least candidate for an element of M: h+ = h = |h|
+        if sharp and self.contains(g):
+            hg = self.scaled_weight(g) // self.denominator
+            return hg, hg, hg
         coeffs = self.index.span.coefficients(g)
         if coeffs is None:
             raise NotInGroupSpan("element outside the group generated by the monoid")
         hg = sum(c * v for c, v in zip(coeffs, self.values))
         # y = sum of the positive part of g is a candidate, so h+ <= seed
         seed = sum(c * v for c, v in zip(coeffs, self.values) if c > 0)
-        mbar, project = self.index.sharp
-        bar = mbar.index.weighted(self.values)
-        gbar = project.gp_apply(g)
-        sub = mbar.gp.sub
+        if sharp:
+            bar, gbar, sub = self, g, self.index.monoid.gp.sub
+        else:
+            mbar, project = self.index.sharp
+            bar, gbar, sub = mbar.index.weighted(self.values), project.gp_apply(g), mbar.gp.sub
         best = seed
         for w in range(max(hg, 0), seed):
             if any(bar.contains(sub(y, gbar)) for y in bar.level(w)):
@@ -430,8 +453,11 @@ def weight_of(m: FineMonoid, values: tuple[int, ...], g: Elt) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def membership(m: FineMonoid, g: Elt) -> bool:
-    """Decide g in M by weight-bounded search in the sharp quotient."""
+    """Decide g in M by weight-bounded search: in M's own ball when M is
+    sharp, else in the ball of the sharp quotient."""
     idx = m.index
+    if is_sharp(m):
+        return idx.weighted(idx.default_values).contains(g)
     mbar, project = idx.sharp
     return mbar.index.weighted(idx.default_values).contains(project.gp_apply(g))
 

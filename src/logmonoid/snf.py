@@ -6,6 +6,7 @@ unimodular, so every result is exact.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Optional, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -31,7 +32,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def mat_vec(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

@@ -174,12 +174,14 @@ def series(
     validate: bool = True,
 ) -> TruncatedSeries:
     items = coefficients.items() if isinstance(coefficients, dict) else coefficients
-    h = monoid.index.weighted(weighting.values).h
+    index = monoid.index.weighted(weighting.values)
+    h, scaled, room = index.h, index.scaled_weight, truncation * index.denominator
     kept = []
     for k, c in items:
         if type(c) is not Fraction:
             c = Fraction(c)
-        if c == 0:
+        # |h| >= |h(k)|: a key heavier than the truncation is dropped before h+ is searched
+        if c == 0 or abs(scaled(k)) > room:
             continue
         hk, hp, habs = h(k)
         if habs > truncation:

@@ -178,6 +178,22 @@ def test_exit_code_bad_rank_or_truncation(capsys, tmp_path, field, value):
         assert field in err and "Traceback" not in err
 
 
+def test_integer_fields_reject_what_int_would_coerce(capsys, tmp_path):
+    """free [1.5] was read as t^1, "12" as (1, 2), and null failed with a
+    message about NoneType: each is exit 2 naming the field."""
+    doc = {"monoid": {"generators": 2, "relations": []}, "embedding": [[1, 0], [0, 1]], "rank": 1,
+           "truncation": 4, "matrices": [{"i": 0, "terms": [{"m": {"free": [1, 0]}, "entries": [["1"]]}]}]}
+    path = tmp_path / "doc.json"
+    for free in ([1.5, 0], "12", None, [True, 0]):
+        doc["matrices"][0]["terms"][0]["m"]["free"] = free
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "connection", "exponents", path)
+        assert (code, out) == (2, "") and "free: expected" in err and "NoneType" not in err, free
+    doc["matrices"][0]["terms"][0]["m"]["free"] = ["1", 0]
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "connection", "exponents", path)[0] == 0
+
+
 def test_exit_code_hypothesis_violation(capsys, tmp_path):
     doc = {
         "monoid": {"generators": 1, "relations": []},

@@ -1,5 +1,6 @@
 """Document parsing round trips and the error surface of the typed kernels."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
 from logmonoid import snf
 from logmonoid import weighted_series as ws
+from logmonoid.abelian import AbelianGroup, GroupSpan, quotient_presented
 from logmonoid.qlin import qmat, qsolve
 from logmonoid.errors import (
     DenominatorVanishes,
@@ -73,6 +75,8 @@ def _rank2_document(terms, interval_kind="disk"):
     ("annulus", -5, [["0", "1"], ["0", "0"]], False),
     ("disk", 2, [["0", "0"], ["0", "0"]], False),  # an all-zero matrix leaves no key
     ("disk", 2, [[0, "0/7"], [[0, 3], "0"]], False),
+    ("disk", 4, [["0", "1"], ["0", "0"]], True),  # |h| = 4, the truncation, is kept
+    ("annulus", -4, [["0", "1"], ["0", "0"]], True),
 ])
 def test_connection_document_keeps_the_terms_it_tracks(kind, free, entries, kept):
     ctx, e = docs.parse_connection(_rank2_document([{"m": {"free": [free]}, "entries": entries}], kind))
@@ -244,3 +248,155 @@ def test_embedded_document_smith_forms_its_generators_once(monkeypatch):
         convert(((1, 0), ()))
     assert calls == []
 
+
+
+def _converter_by_solve(vectors, torsion):
+    """The Smith-solve converter: an element's generator coefficients by a
+    solve in the span of the ambient generators, then the quotient map."""
+    ambient = AbelianGroup(len(vectors[0]), tuple(torsion))
+    span = GroupSpan(ambient, [ambient.element(v) for v in vectors])
+    _, qmap = quotient_presented(len(vectors), span.relations())
+
+    def convert(x):
+        coeffs = span.coefficients(ambient.element(*x))
+        if coeffs is None:
+            raise ValueError("element lies outside the group generated by the monoid")
+        return qmap(coeffs)
+
+    return convert
+
+
+def test_compiled_converter_matches_the_smith_solve():
+    """Seeded ambient elements, half of them combinations of the generators,
+    with random torsion: the compiled converter returns what the solve
+    returned, and raises the same error outside the group; full and partial
+    rank, torsion, a trivial group."""
+    rng = random.Random(14)
+    cases = [([[2, 0], [1, 1], [0, 2]], ()), ([[2], [3]], (2,)), ([[1, 2, 0], [0, 3, 1], [1, 5, 1], [2, 1, 1]], ()),
+             ([[2, 4], [1, 2], [3, 6]], (3,)), ([[0, 0]], ()), ([[4, 6, 2], [2, 0, 4], [6, 6, 6]], (2, 4))]
+    seen = set()
+    for vectors, torsion in cases:
+        _, convert = mc.from_embedded(vectors, torsion)
+        reference = _converter_by_solve(vectors, torsion)
+        for _ in range(200):
+            free = [rng.randint(-6, 6) for _ in vectors[0]]
+            if rng.random() < 0.5:
+                coeffs = [rng.randint(-3, 3) for _ in vectors]
+                free = [sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(len(free))]
+            x = (tuple(free), tuple(rng.randint(-4, 4) * rng.randint(0, 1) for _ in torsion))
+            answers = []
+            for f in (reference, convert):
+                try:
+                    answers.append(f(x))
+                except ValueError as exc:
+                    answers.append(str(exc))
+            assert answers[0] == answers[1], (vectors, x)
+            seen.add(isinstance(answers[0], str))
+    assert seen == {True, False}
+
+
+def test_gp_to_ambient_is_solved_once_per_document(monkeypatch):
+    """The embedding rows and every rendered key read one gp -> ambient
+    matrix: one generator-coefficient solve per gp basis vector, however
+    many rows and keys, giving the rows and ambient vectors of a solve per
+    row and per key."""
+    gens = [[1, 2, 0], [0, 3, 1], [1, 5, 1], [2, 1, 1]]
+    points = [[0, 0, 0], [1, 2, 0], [2, 4, 0], [1, 5, 1], [3, 6, 2], [1, 8, 2]]
+    rows = [[1, 0, 0], [0, 1, -1], [1, 1, 1]]
+    doc = {"monoid": {"embedded_generators": gens}, "embedding": rows, "rank": 1, "truncation": 6,
+           "matrices": [{"i": i, "terms": [{"m": {"free": p}, "entries": [["1"]]} for p in points]}
+                        for i in range(3)]}
+    calls = []
+    coefficients = GroupSpan.coefficients
+    monkeypatch.setattr(GroupSpan, "coefficients", lambda self, g: calls.append(g) or coefficients(self, g))
+    ctx, e = docs.parse_connection(doc)
+    keys = [k for k, _ in e.matrices[0][0]]
+    rendered = [ctx.render_element(k)["ambient"] for k in keys]
+    d = ctx.monoid.gp.free_rank
+    assert len(calls) == d and len(keys) == len(points)
+    monkeypatch.undo()
+
+    def ambient(g):
+        c = coefficients(ctx.monoid.index.span, g)
+        return [sum(ci * v[i] for ci, v in zip(c, gens)) for i in range(3)]
+
+    assert sorted(rendered) == sorted(points) and rendered == [ambient(k) for k in keys]
+    basis = [ambient(ctx.monoid.gp.element([int(i == k) for i in range(d)])) for k in range(d)]
+    assert e.embedding.matrix == tuple(tuple(sum(map(lambda a, b: a * b, row, amb)) for amb in basis)
+                                       for row in rows)
+
+
+def _integer_field_documents():
+    """field -> (a valid document, a setter putting a value in that field)."""
+    def connection(monoid=None):
+        return {"monoid": monoid or {"generators": 2, "relations": []}, "embedding": [[1, 0], [0, 1]],
+                "rank": 1, "truncation": 3,
+                "matrices": [{"i": 0, "terms": [{"m": {"free": [2, 0], "torsion": []}, "entries": [["1"]]}]},
+                             {"i": 1, "terms": []}]}
+
+    def term(doc):
+        return doc["matrices"][0]["terms"][0]
+
+    embedded = {"embedded_generators": [[2, 0], [1, 1], [0, 2]], "torsion": [], "weighting": [1, 1, 1]}
+    return {
+        "free": (connection(), lambda doc, v: term(doc)["m"].update(free=v)),
+        "torsion": (connection(), lambda doc, v: term(doc)["m"].update(torsion=v)),
+        "i": (connection(), lambda doc, v: doc["matrices"][0].update(i=v)),
+        "rank": (connection(), lambda doc, v: doc.update(rank=v)),
+        "truncation": (connection(), lambda doc, v: doc.update(truncation=v)),
+        "generators": (connection(), lambda doc, v: doc["monoid"].update(generators=v)),
+        "relations": (connection({"generators": 2, "relations": [[[1, 0], [1, 0]]]}),
+                      lambda doc, v: doc["monoid"]["relations"][0].__setitem__(0, v)),
+        "embedded_generators": (connection(dict(embedded)),
+                                lambda doc, v: doc["monoid"]["embedded_generators"].__setitem__(1, v)),
+        "monoid torsion": (connection(dict(embedded)), lambda doc, v: doc["monoid"].update(torsion=v)),
+        "weighting": (connection(dict(embedded)), lambda doc, v: doc["monoid"].update(weighting=v)),
+        "embedding": (connection(), lambda doc, v: doc["embedding"].__setitem__(0, v)),
+    }
+
+
+@pytest.mark.parametrize("field", sorted(_integer_field_documents()))
+def test_integer_fields_take_ints_or_integer_strings_only(field):
+    """Every integer field of a connection document reads an int or a
+    string int() reads; a float, a bool, null or a string that is not an
+    integer -- in a list field also a bare string or a scalar -- is a
+    ParseError naming the field, never truncated or iterated."""
+    doc, put = _integer_field_documents()[field]
+    name = field.split()[-1]
+    good = docs.parse_connection(doc)[1]
+    scalar = name in ("i", "rank", "truncation", "generators")
+    valid = copy.deepcopy(doc)
+    if scalar:
+        value = {"i": 0, "rank": 1, "truncation": 3, "generators": 2}[name]
+        put(valid, str(value))
+    else:
+        value = {"free": [2, 0], "torsion": [], "relations": [1, 0], "embedded_generators": [1, 1],
+                 "weighting": [1, 1, 1], "embedding": [1, 0]}[name]
+        put(valid, [str(x) for x in value])
+    assert docs.parse_connection(valid)[1] == good
+    if scalar:
+        bad = [1.5, True, None, "x", 2.0]
+    else:  # the valid list with a bad first entry, or not a list
+        bad = [[x, *value[1:]] for x in (1.5, True, None, "1/2", 2.0)] + ["12", None, 1]
+    for v in bad:
+        broken = copy.deepcopy(doc)
+        put(broken, v)
+        with pytest.raises(ParseError, match=name):
+            docs.parse_connection(broken)
+
+
+def test_a_negative_generator_count_is_a_parse_error():
+    with pytest.raises(ParseError, match="generators must be non-negative"):
+        docs.parse_monoid({"generators": -1})
+    assert docs.parse_monoid({"generators": 0}).monoid.gp.free_rank == 0
+
+
+def test_rational_and_radius_integers_are_integer_fields():
+    assert docs.parse_rational(["3", 4]) == F(3, 4)
+    for obj in ([1.5, 2], [True, 2], [1, None], {"num": 2.5}, {"num": 1, "den": False}):
+        with pytest.raises(ParseError):
+            docs.parse_rational(obj)
+    assert docs.parse_radius({"q_num": "1", "q_den": 2}) == ws.Radius(F(1, 2))
+    for obj in ({"q_num": 0.5}, {"q_num": 1, "q_den": 2.0}, {"q_num": True}):
+        with pytest.raises(ParseError, match="q_"):
+            docs.parse_radius(obj)

@@ -810,6 +810,29 @@ def test_integrability_is_decided_once(monkeypatch, n2):
     assert len(calls) == first
 
 
+def test_each_key_is_embedded_once_per_module(monkeypatch):
+    """Integrability, log-convergence at two depths and the shear read one
+    table of embedding coordinates per module: each key's coordinates are
+    computed at most once, and a fresh copy of the module computes its own."""
+    calls = []
+    coords = lc.Embedding.coords
+    monkeypatch.setattr(lc.Embedding, "coords", lambda self, g: calls.append(g) or coords(self, g))
+    one, eta = ws.Radius.one(), ws.Radius.p_power(F(1, 2))
+    for name, e, _ in selftest._shear_fixtures(6):
+        if not name.endswith("planted"):
+            continue
+        first = None
+        for f in (e._replace(), e._replace()):
+            calls.clear()
+            assert lc.validate_integrability(f)
+            lc.log_convergence_check(f, one, eta, 2)
+            lc.log_convergence_check(f, one, eta, 3)
+            lc.shear(f)
+            assert calls and len(calls) == len(set(calls)) == f.coords.cache_info().currsize, name
+            assert first in (None, sorted(calls))
+            first = sorted(calls)
+
+
 def test_integrability_of_a_replaced_copy_is_its_own(n2):
     c1 = ((F(0), F(0)), (F(0), F(1, 2)))
     c2 = ((F(1, 3), F(0)), (F(0), F(1, 3)))

@@ -11,6 +11,8 @@ import pytest
 
 from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
+from logmonoid import oracle as orc
+from logmonoid import snf
 from logmonoid import weighted_series as ws
 from logmonoid.abelian import AbelianGroup, solve_in_group
 
@@ -122,3 +124,81 @@ def test_index_is_freed_with_its_monoid():
     ref = _shear_fresh_monoid()
     gc.collect()
     assert ref() is None
+
+
+# fresh monoids for the cold paths: sharp ones (a square pyramid, torsion
+# among them) and one with a line of units
+GRID_MONOIDS = {
+    "N^2": lambda: mc.free_monoid(2),
+    "M_even": lambda: mc.from_presentation(3, [((1, 0, 1), (0, 2, 0))]),
+    "torsion": lambda: mc.from_presentation(2, [((2, 0), (0, 2))]),
+    "<2,3>": lambda: mc.from_embedded([[2], [3]])[0],
+    "pyramid": lambda: mc.from_embedded([[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]])[0],
+    "N x Z": lambda: mc.from_embedded([[1, 0], [0, 1], [0, -1]])[0],
+}
+SHARP = ("N^2", "M_even", "torsion", "<2,3>", "pyramid")
+
+
+@pytest.mark.parametrize("name", sorted(GRID_MONOIDS))
+def test_h_and_membership_match_the_oracle(name):
+    """h, h+, |h| and membership of the sums of generators with coefficients
+    in [-2, 2] ([-1, 1] for the four-generator pyramid) -- keys of M and
+    annulus keys with h- > 0 -- on a fresh monoid,
+    against the brute-force oracle at weight 10.  A monoid with units is
+    compared on its sharp quotient, weighted by the monoid's own values."""
+    m = GRID_MONOIDS[name]()
+    h = ws.default_weighting(m)
+    if mc.is_sharp(m):
+        ref, project = m, lambda g: g
+    else:
+        mbar, hom = mc.sharp_quotient(m)
+        ref, project = mc.FineMonoid(mbar.gp, mbar.generators, h.values), hom.gp_apply
+    index = m.index.weighted(h.values)
+    seen = set()
+    for g in _grid(m, 1 if len(m.generators) > 3 else 2):
+        hg, hp, habs = index.h(g)
+        member = mc.membership(m, g)
+        assert hg == h(g) and habs == 2 * hp - hg
+        assert member == orc.brute_membership(ref, project(g), orc.EnumerationBudget(max(1, hg)))
+        assert member == (hp == hg)  # h-(g) = 0 exactly on M
+        if habs <= 10:
+            assert hp == orc.brute_h_plus(ref, project(g), orc.EnumerationBudget(10))
+        seen.add(member)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name", SHARP)
+def test_h_of_a_key_of_a_sharp_monoid_solves_nothing(monkeypatch, name):
+    """On a sharp monoid h and membership of a key of M are one lookup in
+    M's own ball: no Smith form, no Smith solve and no gp_apply.  A key
+    outside M costs one solve for its generator coefficients, still with no
+    gp_apply."""
+    m = GRID_MONOIDS[name]()
+    h = ws.default_weighting(m)  # the cone and the weighting, before counting
+    keys = orc.enumerate_monoid(m, orc.EnumerationBudget(6))
+    calls = []
+    for owner, attr in ((snf, "smith_normal_form"), (snf.SmithForm, "smith_coordinates"),
+                        (mc.MonoidHom, "gp_apply")):
+        original = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, lambda *a, _f=original, _n=attr: calls.append(_n) or _f(*a))
+    index = m.index.weighted(h.values)
+    for g in keys:
+        w = int(h(g))
+        assert index.h(g) == (w, w, w) and mc.membership(m, g)
+    assert len(keys) > 5 and calls == []
+    outside = m.gp.neg(m.generators[-1])
+    assert index.h(outside)[1] > index.h(outside)[0] and not mc.membership(m, outside)
+    assert calls == ["smith_coordinates"]
+
+
+def test_keys_heavier_than_the_truncation_leave_the_ball_alone():
+    """|h| >= |h(m)|: coefficient_map and series drop a key whose weight
+    exceeds T in absolute value before its h+ is searched, so the ball of a
+    sharp M grows to T and no further (N^3 has 35 elements of weight <= 4)."""
+    m = mc.free_monoid(3)
+    h = ws.default_weighting(m)
+    far, near, below = m.element((10, 10, 10)), m.element((1, 0, 3)), m.element((-9, 0, 0))
+    coeffs = {far: [1], near: [1], below: [1]}
+    assert [k for k, _ in lc.coefficient_map(h, 4, coeffs, annulus=True)[0]] == [near]
+    assert [k for k, _ in ws.series(m, h, {k: 1 for k in coeffs}, 4, annulus=True).terms] == [near]
+    assert len(m.index.weighted(h.values).ball(0)) == 35

@@ -26,6 +26,15 @@ T = 4.  The shear rows time a whole `shear` (both gauge recursions, the
 bound records and the checks; the module's integrability and residue
 analysis are cached after the first call) of the selftest fixtures
 rank2-N2-planted and rank2-M_even-planted built at T = 8, 12, 20, 30, 40.
+The document rows time `documents.parse_connection` of a rank-2 connection
+document on an embedded monoid (N^2, N^3 and M_even in ambient
+coordinates, identity embedding) with a matrix at every key of weight
+<= T in every direction, for T = 4, 8, 12; each call parses a fresh
+monoid, so the Smith forms, the weighting and every |h| are cold.  The
+pyramid rows time h and `membership` on the cone over the unit square
+(a sharp monoid in Z^3) for the keys of weight <= W (W = 4, 8), and for
+membership also each key minus a generator, with the weighted indices of
+the monoid and of its sharp quotient emptied before each call.
 Entries are small rationals (numerators -9..9, denominators up to
 6) or small integers from a fixed seed, so every run measures the same
 inputs.  Each figure is the median over REPEATS repeats of a loop of at
@@ -44,6 +53,7 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from logmonoid import cone  # noqa: E402
+from logmonoid import documents  # noqa: E402
 from logmonoid import log_connection as lc  # noqa: E402
 from logmonoid import monoid_core as mc  # noqa: E402
 from logmonoid import selftest  # noqa: E402
@@ -148,6 +158,34 @@ def _weighting_lp(rng: random.Random, k: int):
     return a, [1] * k
 
 
+def _embedded_document(rng: random.Random, gens, t: int) -> dict:
+    """A rank-2 connection document on the monoid generated by gens, in
+    ambient coordinates with the identity embedding: one random matrix per
+    direction at every sum of at most t generators (each of weight 1)."""
+    dim = len(gens[0])
+    keys = frontier = {(0,) * dim}
+    for _ in range(t):
+        frontier = {tuple(a + b for a, b in zip(k, g)) for k in frontier for g in gens} - keys
+        keys = keys | frontier
+
+    def entry():
+        x = _rational(rng)
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+    return {"monoid": {"embedded_generators": gens}, "embedding": [[int(i == j) for j in range(dim)] for i in range(dim)],
+            "rank": 2, "truncation": t,
+            "matrices": [{"i": i, "terms": [{"m": {"free": list(k)}, "entries": [[entry(), entry()], [entry(), entry()]]}
+                                            for k in sorted(keys)]} for i in range(dim)]}
+
+
+def _cold(m, fn, keys):
+    """fn(key) for every key, the weighted indices of m and of its sharp
+    quotient emptied first, so every ball and |h| is computed afresh."""
+    for index in (m.index, m.index.sharp[0].index):
+        index._weighted.clear()
+    return [fn(k) for k in keys]
+
+
 def _time(fn) -> float:
     """Median microseconds per call of fn()."""
     loops = 1
@@ -210,6 +248,20 @@ def main() -> int:
         for name, e, _ in selftest._shear_fixtures(t):
             if name in SHEAR_FIXTURES:
                 rows.append((f"shear {name} T={t}", _time(lambda: lc.shear(e))))
+    doc_rng = random.Random(SEED)
+    for name, gens in (("N^2", [[1, 0], [0, 1]]), ("N^3", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                       ("M_even", [[2, 0], [1, 1], [0, 2]])):
+        for t in (4, 8, 12):
+            doc = _embedded_document(doc_rng, gens, t)
+            rows.append((f"parse_connection {name} T={t}", _time(lambda: documents.parse_connection(doc))))
+    pyramid, _ = mc.from_embedded([[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]])
+    h = ws.default_weighting(pyramid)
+    for w in (4, 8):
+        keys = mc.WeightedIndex(pyramid.index, h.values).upto(w)
+        shifted = keys + [pyramid.gp.sub(k, pyramid.generators[0]) for k in keys]
+        rows.append((f"cold h pyramid W={w}", _time(lambda: _cold(pyramid, lambda k: ws.h_plus(pyramid, h, k), keys))))
+        rows.append((f"cold membership pyramid W={w}",
+                     _time(lambda: _cold(pyramid, lambda k: mc.membership(pyramid, k), shifted))))
     for name, us in rows:
         print(f"{name:42s} {us:10.1f} us")
     return 0
