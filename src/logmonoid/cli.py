@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 1 selftest failure, 2 parse error, 3 budget exhaustion,
-4 violated algorithm hypothesis (the message names the hypothesis).
+Exit codes: 0 ok, 1 selftest failure, 2 parse error, 4 violated algorithm
+hypothesis (the message names the hypothesis).
 All numeric output is exact rationals.
 """
 
@@ -27,12 +27,11 @@ from .documents import (
     parse_sigma,
     render_rational,
 )
-from .errors import BudgetExceeded, HypothesisError, ParseError
+from .errors import HypothesisError, ParseError
 
 
 class _RunConfigFields(NamedTuple):
     prime: int = 5
-    weight_bound: int = 10
     output_format: str = "text"
 
 
@@ -44,8 +43,6 @@ class RunConfig(_RunConfigFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.prime < 2 or any(self.prime % q == 0 for q in range(2, int(self.prime ** 0.5) + 1)):
             raise ValueError(f"--prime must be a prime number, got {self.prime}")
-        if self.weight_bound <= 0:
-            raise ValueError("--weight-bound must be positive")
         if self.output_format not in ("json", "text"):
             raise ValueError("format must be json or text")
         return self
@@ -210,7 +207,7 @@ def cmd_connection(args, config: RunConfig) -> dict:
             raise ParseError("homotopy needs a --sigma document with two elements (xi, xi')")
         xi, xi_p = sigma.elements[0], sigma.elements[1]
         emb = module.embedding
-        ball = module.monoid.index.weighted(module.weighting.values).upto(min(4, config.weight_bound))
+        ball = module.monoid.index.weighted(module.weighting.values).upto(4)
         forms = []
         for key in sorted(ball):
             for size in range(0, min(emb.r, 2) + 1):
@@ -248,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations with fine monoids, polyannulus series and log connections.",
     )
     parser.add_argument("--prime", type=int, default=5, help="prime for p-adic norms (default 5)")
-    parser.add_argument("--weight-bound", type=int, default=10, help="search bound for enumerations")
     parser.add_argument("--format", choices=("json", "text"), default="text", dest="output_format")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -277,7 +273,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(args.prime, args.weight_bound, args.output_format)
+        config = RunConfig(args.prime, args.output_format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -295,9 +291,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 3
     except HypothesisError as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 4

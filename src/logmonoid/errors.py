@@ -30,7 +30,7 @@ class NotSubmonoid(HypothesisError):
 
 
 class NotSurjective(HypothesisError):
-    """A monoid homomorphism required to be surjective is not (within the search bound)."""
+    """A monoid homomorphism required to be surjective is not."""
 
 
 class TorsionTarget(HypothesisError):

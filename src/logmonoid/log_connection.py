@@ -13,7 +13,7 @@ import itertools
 import math
 from functools import cache, cached_property, reduce
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .abelian import Elt, checked_make
@@ -53,7 +53,7 @@ from .qlin import (
     qrank,
     qvec,
 )
-from .weighted_series import DEFAULT_PRIME, Radius, TruncatedSeries, Weighting, series
+from .weighted_series import DEFAULT_PRIME, Radius, TruncatedSeries, Weighting, _add_into, _map_mul, series
 
 SeriesMatrix = tuple[tuple[TruncatedSeries, ...], ...]
 # A matrix of truncated series, stored as its nonzero coefficients: (key,
@@ -234,39 +234,6 @@ def series_matrix(w: Weighting, t: int, a: CoefficientMap, n: int) -> SeriesMatr
                      validate=False) for j in range(n))
         for i in range(n)
     )
-
-
-def _map_mul(m: FineMonoid, w: Weighting, t: int, a, b, cols: int) -> dict[Elt, list[int]]:
-    """The product of two coefficient maps, given as (key, row-major integer
-    matrix) pairs, b's matrices with `cols` columns, kept at the keys with
-    |h| <= t: one integer matrix product per pair of keys, the numerators
-    over the product of the two denominators."""
-    if not a or not b:
-        return {}
-    plus = m.gp.add
-    h = m.index.weighted(w.values).h
-    # as in series_mul: h is additive and h <= |h|, so with b's keys in h
-    # order every pair after the first with h(k1) + h(k2) > t leaves it too
-    right = sorted(((h(k)[0], k, [x[j::cols] for j in range(cols)]) for k, x in b), key=lambda term: term[0])
-    inner = len(right[0][2][0])
-    out: dict[Elt, list[int]] = {}
-    for k1, x in a:
-        room = t - h(k1)[0]
-        rows = [x[r : r + inner] for r in range(0, len(x), inner)]
-        for h2, k2, cb in right:
-            if h2 > room:
-                break
-            k = plus(k1, k2)
-            if h(k)[2] > t:
-                continue
-            _add_into(out, k, [sum(map(mul, ra, c)) for ra in rows for c in cb])
-    return out
-
-
-def _add_into(acc: dict, key: Elt, x: list[int]) -> None:
-    """acc[key] += x, for the fresh list x."""
-    y = acc.get(key)
-    acc[key] = x if y is None else list(map(add, y, x))
 
 
 def map_sum(a: CoefficientMap, b: CoefficientMap) -> CoefficientMap:

@@ -572,23 +572,13 @@ def _monoid_combinations(gens: Sequence[Elt], gp: AbelianGroup, count_bound: int
             return
 
 
-def section(f: MonoidHom, search_bound: int = 8) -> SectionData:
+def section(f: MonoidHom) -> SectionData:
     """Section of a surjective hom onto a torsion-free-gp monoid, with the
     splitting Ntilde ~ M + Ker(f^gp) and the sharp-case kernel identity."""
     m = f.target
     n = f.source
     if m.gp.torsion_invariants:
         raise TorsionTarget("target gp has torsion")
-    # surjectivity on generators by bounded search over f(N)
-    image_gens = list(f.images)
-    for tgt in m.generators:
-        hit = False
-        for x in _monoid_combinations(image_gens, m.gp, search_bound):
-            if x == tgt:
-                hit = True
-                break
-        if not hit:
-            raise NotSurjective(f"target generator {tgt} not reached within bound {search_bound}")
 
     # f^gp on free parts: M^gp is free, torsion of N^gp dies
     d_m = m.gp.free_rank
@@ -608,6 +598,12 @@ def section(f: MonoidHom, search_bound: int = 8) -> SectionData:
         if x is None:
             raise NotSurjective("f^gp is not surjective on free parts")
         section_images_cover.append(x)
+    # f^gp is onto M^gp, so the images generate M^gp as a group, and f is
+    # onto iff every target generator lies in the image submonoid f(N)
+    image = FineMonoid(m.gp, f.images)
+    for tgt in m.generators:
+        if not membership(image, tgt):
+            raise NotSurjective(f"target generator {tgt} is not in the image of the source")
 
     def s_gp(x: Elt) -> Elt:
         free = tuple(
@@ -616,7 +612,8 @@ def section(f: MonoidHom, search_bound: int = 8) -> SectionData:
         )
         return n.gp.element(free)
 
-    kernel_free = _snf.kernel_basis(a)
+    # a map onto the zero group has no rows, and Smith form would lose N^gp's free rank
+    kernel_free = _snf.kernel_basis(a) if d_m else list(_snf.identity(d_n))
     kernel = AbelianGroup(len(kernel_free), n.gp.torsion_invariants)
     kbasis = [n.gp.element(v) for v in kernel_free] + n.gp.torsion_generators()
 
@@ -630,11 +627,11 @@ def section(f: MonoidHom, search_bound: int = 8) -> SectionData:
     sec = MonoidHom(m, ntilde, tuple(s_gp(g) for g in m.generators))
 
     data = SectionData(f, ntilde, sec, kernel, tuple(kbasis))
-    _verify_section(data, search_bound)
+    _verify_section(data)
     return data
 
 
-def _verify_section(data: SectionData, search_bound: int) -> None:
+def _verify_section(data: SectionData) -> None:
     f, s = data.hom, data.section
     m = f.target
     n = f.source
@@ -655,18 +652,20 @@ def _verify_section(data: SectionData, search_bound: int) -> None:
         b = tuple(1 if i == k else 0 for i in range(n.gp.cover_dim))
         if _snf.solve_integer(a, b) is None:
             raise AssertionError("splitting does not span N^gp")
-    # sharp case: (Im(s) + N) cap Ker(f^gp) = Ker(f), bounded verification
+    # sharp case: (Im(s) + N) cap Ker(f^gp) = Ker(f), checked on the sums of
+    # at most 4 generators of M and of N
     if is_sharp(m):
-        small = min(search_bound, 4)
-        m_ball = list(_monoid_combinations(m.generators, m.gp, small))
-        n_ball = list(_monoid_combinations(n.generators, n.gp, small))
+        m_ball = list(_monoid_combinations(m.generators, m.gp, 4))
+        n_ball = list(_monoid_combinations(n.generators, n.gp, 4))
+        # f^gp is additive: f(s(a) + b) = f(s(a)) + f(b), one apply per element
+        n_images = [(b_elt, f.gp_apply(b_elt)) for b_elt in n_ball]
         for a_elt in m_ball:
             sa = s.gp_apply(a_elt)
-            for b_elt in n_ball:
-                x = n.gp.add(sa, b_elt)
-                if m.gp.is_zero(f.gp_apply(x)):
-                    # x must lie in Ker(f) = N cap Ker(f^gp)
-                    if not membership(n, x):
+            fsa = f.gp_apply(sa)
+            for b_elt, fb in n_images:
+                if m.gp.is_zero(m.gp.add(fsa, fb)):
+                    # s(a) + b must lie in Ker(f) = N cap Ker(f^gp)
+                    if not membership(n, n.gp.add(sa, b_elt)):
                         raise AssertionError("sharp-case kernel identity fails")
 
 
@@ -674,27 +673,13 @@ def _verify_section(data: SectionData, search_bound: int) -> None:
 # verticality
 # ---------------------------------------------------------------------------
 
-def is_vertical(f: MonoidHom, search_bound: int = 6) -> Optional[bool]:
-    """Tri-state: every target generator m admits n with m <= f(n).
-
-    True when witnessed within the bound; False when the rational relaxation
-    m + M ni f(n) is infeasible (cone certificate); None otherwise.
-    """
-    m = f.target
-    verdicts = []
-    for tgt in m.generators:
-        witnessed = False
-        for x in _monoid_combinations(list(f.images), m.gp, search_bound):
-            if divides(m, tgt, x):
-                witnessed = True
-                break
-        if witnessed:
-            verdicts.append(True)
-            continue
-        rays = [im[0] for im in f.images] + [tuple(-v for v in g[0]) for g in m.generators]
-        if _cone.cone_member(rays, tgt[0]) is None:
-            return False
-        verdicts.append(None)
-    if all(v is True for v in verdicts):
-        return True
-    return None
+def is_vertical(f: MonoidHom) -> bool:
+    """f(N) lies in no proper face of M, i.e. every target generator m admits
+    n with m <= f(n): every facet normal of M is positive on some image, and
+    a monoid without facets is a group (Ogus, Lectures on Logarithmic
+    Algebraic Geometry, I.4.3)."""
+    images = [x[0] for x in f.images]
+    return all(
+        any(sum(map(mul, lam, x)) > 0 for x in images)
+        for lam in f.target.index.facet_normals.values()
+    )

@@ -108,30 +108,21 @@ def brute_faces(m: FineMonoid, budget: EnumerationBudget) -> list[frozenset[Elt]
 
     Candidates are the submonoids generated by generator subsets; the face
     axiom (a+b in F implies a, b in F) is tested on every pair of ball
-    elements whose sum stays in the ball.  The verdict is certified only
-    within the budget: a violation whose witnessing sum has weight above the
-    bound goes unseen (e.g. generators 2 and 3 of N need weight 6 to separate
-    the candidate <2>), so censuses must be compared at a sufficient bound.
+    elements whose sum stays in the ball, listed once as (a, b, a+b)
+    triples.  The verdict is certified only within the budget: a violation
+    whose witnessing sum has weight above the bound goes unseen (e.g.
+    generators 2 and 3 of N need weight 6 to separate the candidate <2>), so
+    censuses must be compared at a sufficient bound.
     """
     ball = enumerate_monoid(m, budget)
     ball_set = set(ball)
+    triples = [(a, b, s) for a in ball for b in ball if (s := m.gp.add(a, b)) in ball_set]
     n = len(m.generators)
     found: list[frozenset[Elt]] = []
     for size in range(n + 1):
         for subset in itertools.combinations(range(n), size):
             f_elems = _closure_in_ball(m, [m.generators[i] for i in subset], ball_set)
-            ok = True
-            for a in ball:
-                for b in ball:
-                    s = m.gp.add(a, b)
-                    if s not in ball_set:
-                        continue
-                    if s in f_elems and not (a in f_elems and b in f_elems):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if all(a in f_elems and b in f_elems for a, b, s in triples if s in f_elems):
                 fs = frozenset(f_elems)
                 if fs not in found:
                     found.append(fs)

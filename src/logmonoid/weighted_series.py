@@ -7,8 +7,8 @@ encodes radius 0), so every norm comparison happens in valuation form.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .abelian import Elt, checked_make
@@ -219,7 +219,7 @@ def _termwise(op, f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_add(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    return _termwise(operator.add, f, g)
+    return _termwise(add, f, g)
 
 
 def series_scale(c, f: TruncatedSeries) -> TruncatedSeries:
@@ -230,35 +230,57 @@ def series_scale(c, f: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_sub(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    return _termwise(operator.sub, f, g)
+    return _termwise(sub, f, g)
 
 
 def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     _check_compatible(f, g)
     t = min(f.truncation, g.truncation)
-    add = f.monoid.gp.add
-    h = f.monoid.index.weighted(f.weighting.values).h
     # each factor as integers over one denominator: one Fraction per output term
     (left,), df = over_lcm([[c for _, c in f.terms]])
-    (nums,), dg = over_lcm([[c for _, c in g.terms]])
-    # h is additive and h <= |h|, so with g's terms in h order every pair
-    # after the first with h(k1) + h(k2) > t leaves the truncation too
-    right = sorted(((h(k)[0], k, c) for (k, _), c in zip(g.terms, nums)), key=lambda term: term[0])
-    out: dict[Elt, int] = {}
-    for (k1, _), c1 in zip(f.terms, left):
-        room = t - h(k1)[0]
-        for h2, k2, c2 in right:
-            if h2 > room:
-                break
-            k = add(k1, k2)
-            if h(k)[2] > t:
-                continue
-            out[k] = out.get(k, 0) + c1 * c2
+    (right,), dg = over_lcm([[c for _, c in g.terms]])
+    out = _map_mul(
+        f.monoid, f.weighting, t, [(k, [c]) for (k, _), c in zip(f.terms, left)],
+        [(k, [c]) for (k, _), c in zip(g.terms, right)], 1,
+    )
     den = df * dg
     return series(
-        f.monoid, f.weighting, {k: Fraction(c, den) for k, c in out.items() if c}, t,
+        f.monoid, f.weighting, {k: Fraction(c, den) for k, (c,) in out.items() if c}, t,
         f.annulus or g.annulus, validate=False,
     )
+
+
+def _map_mul(m: FineMonoid, w: Weighting, t: int, a, b, cols: int) -> dict[Elt, list[int]]:
+    """The product of two coefficient maps, given as (key, row-major integer
+    matrix) pairs, b's matrices with `cols` columns, kept at the keys with
+    |h| <= t: one integer matrix product per pair of keys, the numerators
+    over the product of the two denominators."""
+    if not a or not b:
+        return {}
+    plus = m.gp.add
+    h = m.index.weighted(w.values).h
+    # h is additive and h <= |h|, so with b's keys in h order every pair
+    # after the first with h(k1) + h(k2) > t leaves the truncation too
+    right = sorted(((h(k)[0], k, [x[j::cols] for j in range(cols)]) for k, x in b), key=lambda term: term[0])
+    inner = len(right[0][2][0])
+    out: dict[Elt, list[int]] = {}
+    for k1, x in a:
+        room = t - h(k1)[0]
+        rows = [x[r : r + inner] for r in range(0, len(x), inner)]
+        for h2, k2, cb in right:
+            if h2 > room:
+                break
+            k = plus(k1, k2)
+            if h(k)[2] > t:
+                continue
+            _add_into(out, k, [sum(map(mul, ra, c)) for ra in rows for c in cb])
+    return out
+
+
+def _add_into(acc: dict, key: Elt, x: list[int]) -> None:
+    """acc[key] += x, for the fresh list x."""
+    y = acc.get(key)
+    acc[key] = x if y is None else list(map(add, y, x))
 
 
 def series_invert(f: TruncatedSeries) -> TruncatedSeries:

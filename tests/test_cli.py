@@ -258,14 +258,15 @@ def test_exit_code_dl_non_constant(capsys):
     assert "constant" in err and "Traceback" not in err
 
 
-def test_exit_code_budget(capsys, tmp_path):
-    # no CLI path raises BudgetExceeded, so exit 3 cannot be reached: a small
-    # --weight-bound is accepted and a run on N exits 0
-    doc = {"generators": 1, "relations": []}
-    path = tmp_path / "n.json"
-    path.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "--weight-bound", "3", "monoid-analyze", path)
-    assert code == 0  # sane run stays fine
+def test_weight_bound_is_a_parse_error():
+    """The CLI has no --weight-bound option: a process given one exits 2
+    with argparse's usage message and no traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "logmonoid", "--weight-bound", "3", "monoid-analyze", str(DATA / "nm1.json")],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "usage: logmonoid" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_text_format_renders(capsys):
@@ -326,7 +327,7 @@ SIGMAS = [d for d in DOCUMENTS if d.name.startswith("sigma")]
 
 @pytest.mark.parametrize("doc", DOCUMENTS, ids=[d.name for d in DOCUMENTS])
 def test_every_fixture_exits_with_a_documented_code(capsys, doc):
-    """Every subcommand on every fixture returns 0, 2, 3 or 4; none raises."""
+    """Every subcommand on every fixture returns 0, 2 or 4; none raises."""
     argvs = [["monoid-analyze", doc]]
     for sub in ("exponents", "shear", "homotopy", "logconv", "dl", "unipotent"):
         for sigma in SIGMAS:
@@ -339,7 +340,7 @@ def test_every_fixture_exits_with_a_documented_code(capsys, doc):
         except Exception as exc:  # an exception escaping main is the failure
             failures.append((argv[:2], repr(exc)))
             continue
-        if code not in (0, 2, 3, 4) or "Traceback" in err:
+        if code not in (0, 2, 4) or "Traceback" in err:
             failures.append((argv[:2], code, err))
     assert not failures
 

@@ -1,14 +1,19 @@
 """The facet layer of `cone`: faces, facets, units and cone membership read
 from one double description, against the subset-LP enumeration they
-replace, on a seeded grid of monoids of cone rank 0 and 2-4."""
+replace, on a seeded grid of monoids of cone rank 0 and 2-4; verticality
+and surjectivity of seeded homomorphisms into that grid, against the
+bounded searches they replace and the oracle."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 from logmonoid import cone
 from logmonoid import monoid_core as mc
+from logmonoid import oracle as orc
+from logmonoid.errors import NotSurjective, TorsionTarget
 from logmonoid.qlin import qmat, qrank, qsolve, qvec
 
 
@@ -153,3 +158,129 @@ def test_pulling_triangulation_covers_the_cone_once():
             assert sum(1 for a in coords if a is not None and min(a) > 0) <= 1
             checked += 1
     assert checked > 100
+
+
+# -- homomorphisms into the grid ----------------------------------------------
+
+def _sums(gens, gp, count):
+    """Every sum of at most `count` of gens, repetition allowed, fewest
+    summands first."""
+    seen = frontier = {gp.zero()}
+    yield gp.zero()
+    for _ in range(count):
+        frontier = {gp.add(e, g) for e in frontier for g in gens} - seen
+        seen = seen | frontier
+        yield from sorted(frontier)
+
+
+def _searched_vertical(f, bound=6):
+    """The bounded search is_vertical made before the facet criterion: True
+    when a sum of at most `bound` images dominates every target generator,
+    False when for some generator m the rational relaxation m + M ni f(n)
+    is infeasible, None otherwise."""
+    m = f.target
+    rays = [im[0] for im in f.images] + [tuple(-v for v in g[0]) for g in m.generators]
+    undecided = False
+    for tgt in m.generators:
+        if any(mc.divides(m, tgt, x) for x in _sums(f.images, m.gp, bound)):
+            continue
+        if cone.cone_member(rays, tgt[0]) is None:
+            return False
+        undecided = True
+    return None if undecided else True
+
+
+def _searched_onto(f, bound=8):
+    """The bounded surjectivity search section made before membership in the
+    image submonoid: every target generator is a sum of at most `bound`
+    images."""
+    sums = set(_sums(f.images, f.target.gp, bound))
+    return all(tgt in sums for tgt in f.target.generators)
+
+
+def _oracle_onto(f):
+    """Every target generator in the image submonoid, by the oracle's ball
+    at the generator's weight; the image must be sharp."""
+    image = mc.FineMonoid(f.target.gp, f.images)
+    _, weight = orc._weight_map(image)
+    return all(
+        orc.brute_membership(image, tgt, orc.EnumerationBudget(max(1, math.ceil(weight(tgt)))))
+        for tgt in f.target.generators
+    )
+
+
+def _homs(rng, m, count=3):
+    """The hom from the trivial monoid, then `count` homs from N^k: every
+    generator, or sums of one or two random generators, or such sums inside
+    a random face."""
+    gp, gens = m.gp, m.generators
+    out = [mc.MonoidHom(mc.free_monoid(0), m, ())]
+    faces = mc.faces(m)
+    for _ in range(count):
+        style = rng.choice(("onto", "sums", "face"))
+        if style == "onto":
+            images = list(gens)
+        else:
+            pool = list(gens) if style == "sums" else faces[rng.randrange(len(faces))].generators()
+            images = [gp.add(*rng.sample(pool, 2)) if len(pool) > 1 and rng.random() < 0.5 else rng.choice(pool)
+                      for _ in range(rng.randint(1, 3) if pool else 0)]
+        rng.shuffle(images)
+        out.append(mc.MonoidHom(mc.free_monoid(len(images)), m, tuple(images)))
+    return out
+
+
+HOM_SEED = GRID_SEED + 2
+
+
+def test_homs_into_the_grid_match_the_old_searches_and_the_oracle():
+    """is_vertical equals the old bounded search wherever it decided, and
+    section's surjectivity equals the old search and the oracle's membership
+    of each target generator in the image submonoid."""
+    seen = {"vertical": set(), "undecided": 0, "onto": set(), "oracle": 0, "torsion": 0, "units": 0}
+    for case, (kind, m) in enumerate(GRID):
+        rng = random.Random(HOM_SEED + case)
+        for f in _homs(rng, m):
+            where = (case, kind, f.images)
+            vertical = mc.is_vertical(f)
+            old = _searched_vertical(f)
+            assert vertical in (True, False) and old in (vertical, None), where
+            seen["vertical"].add(vertical)
+            seen["undecided"] += old is None
+            if m.gp.torsion_invariants:
+                with pytest.raises(TorsionTarget):
+                    mc.section(f)
+                seen["torsion"] += 1
+                continue
+            try:
+                mc.section(f)
+                onto = True
+            except NotSurjective:
+                onto = False
+            assert onto == _searched_onto(f), where
+            seen["onto"].add(onto)
+            if mc.is_sharp(mc.FineMonoid(m.gp, f.images)):
+                assert onto == _oracle_onto(f), where
+                seen["oracle"] += 1
+            else:
+                seen["units"] += 1
+    assert seen["vertical"] == seen["onto"] == {True, False}
+    assert min(seen["undecided"], seen["oracle"], seen["torsion"], seen["units"]) > 0, seen
+
+
+def test_vertical_and_onto_past_the_old_search_bounds():
+    """N -> <1, 9>: 9 is a sum of 9 images, past the old searches' bounds
+    (section raised NotSurjective, is_vertical gave None).  The hom from the
+    trivial monoid is vertical exactly onto a group."""
+    m, _ = mc.from_embedded([[1], [9]])
+    f = mc.MonoidHom(mc.free_monoid(1), m, (m.element((1,)),))
+    assert mc.is_vertical(f) is True and _searched_vertical(f) is None
+    sd = mc.section(f)
+    assert sd.kernel.free_rank == 0 and sd.section.images == m.generators
+    assert _oracle_onto(f) and not _searched_onto(f)
+    trivial = mc.free_monoid(0)
+    finite_group = next(g for kind, g in GRID if kind == "rank0")
+    for target, vertical in ((m, False), (trivial, True), (finite_group, True)):
+        assert mc.is_vertical(mc.MonoidHom(trivial, target, ())) is vertical
+    with pytest.raises(NotSurjective):
+        mc.section(mc.MonoidHom(trivial, m, ()))
+    assert mc.section(mc.MonoidHom(trivial, trivial, ())).kernel.free_rank == 0

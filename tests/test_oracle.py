@@ -98,15 +98,12 @@ RANK4 = {  # tests/data document -> saturated
 @pytest.mark.parametrize("name", sorted(RANK4))
 def test_rank4_faces_membership_and_hilbert_basis_match_oracle(name):
     """Pyramids over a lattice pentagon, with and without its interior point.
-    Faces are compared at weight 3, where the oracle needs 0.4-0.6 s (weight 6
-    takes about 30 s in rank 4); membership at the grid's weight 6."""
+    Faces and membership are compared at the grid's weight 6."""
     m = documents.parse_monoid(documents.load_json(DATA / name)).monoid
-    small = orc.EnumerationBudget(3)
-    ball = set(orc.enumerate_monoid(m, small))
-    fast = {frozenset(orc._closure_in_ball(m, f.generators(), ball)) for f in mc.faces(m)}
-    assert fast == set(orc.brute_faces(m, small)) and len(fast) == 24
     budget = orc.EnumerationBudget(6)
     ball = set(orc.enumerate_monoid(m, budget))
+    fast = {frozenset(orc._closure_in_ball(m, f.generators(), ball)) for f in mc.faces(m)}
+    assert fast == set(orc.brute_faces(m, budget)) and len(fast) == 24
     sample = sorted(ball)[:12]
     for g in ball | {m.gp.sub(x, y) for x in sample for y in sample}:
         if ws.default_weighting(m)(g) <= 6:

@@ -100,7 +100,6 @@ def _checks(n1, n2, m_even, e):
         row(AbelianGroup, 1, (1,), message=">= 2"),
         row(AbelianGroup, 0, (2, 3), message="divisibility chain"),
         row(cli.RunConfig, prime=4, message="--prime must be a prime"),
-        row(cli.RunConfig, weight_bound=0, message="--weight-bound must be positive"),
         row(cli.RunConfig, output_format="xml", message="json or text"),
         row(EnumerationBudget, 0, message="must be positive"),
         row(EnumerationBudget, 3, element_cap=0, message="must be positive"),
