@@ -9,7 +9,7 @@ operator's cached inverse with the RHS, then the gcd reduction), for
 n = 1, 2, 3; `weighted_series.series_mul` on dense disk series over N^2
 truncated at T = 3..6; `cone.simplex_feasible` on the default weighting's
 LP for k integer rays in Z^3 (k = 4, 6, 9: 2*3 + k columns, k rows); and
-`log_connection._map_mul` on the coefficient maps of n x n matrices of
+`weighted_series._map_mul` on the coefficient maps of n x n matrices of
 those series for n = 2, 3 at T = 4, 6; and, on an integrable rank-n module
 over N^2 truncated at T (a diagonal constant model rewritten by a gauge
 I + G, G dense up to weight T) for n = 2, 3 and T = 4, 6,
@@ -225,7 +225,7 @@ def main() -> int:
     for n in (2, 3):
         for t in (4, 6):
             (a, _), (b, _) = (_series_matrix_map(rng, n2, h, n, t) for _ in range(2))
-            rows.append((f"_map_mul n={n} N^2 T={t}", _time(lambda: lc._map_mul(n2, h, t, a, b, n))))
+            rows.append((f"_map_mul n={n} N^2 T={t}", _time(lambda: ws._map_mul(n2, h, t, a, b, n))))
     one, eta = ws.Radius.one(), ws.Radius.p_power(Fraction(1, 2))
     for n in (2, 3):
         for t in (4, 6):
