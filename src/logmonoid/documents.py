@@ -2,9 +2,11 @@
 
 Monoids come in two forms: a presentation {"generators": n, "relations":
 [[[u...],[v...]], ...]} whose gp elements are written in the normalized
-coordinates, or {"embedded_generators": [[int,...], ...], "torsion":
-[d1,...]} whose elements are written in the ambient coordinates and
-converted on the way in (reports carry both coordinate systems).
+coordinates, or {"embedded_generators": [[int,...], ...]} whose elements
+are written in the ambient coordinates Z^k and converted on the way in
+(reports carry both coordinate systems).  An embedded monoid has a
+torsion-free group, so its "torsion" field, if given, is empty; torsion
+needs a presentation.
 Rationals are "a/b" strings, ints, or [num, den] pairs; never floats.
 """
 
@@ -18,10 +20,10 @@ from typing import Callable, NamedTuple, Optional
 
 from .abelian import Elt
 from .errors import ParseError
-from .log_connection import Embedding, ExponentSet, LogNablaModule, coefficient_map, facet_embedding
+from .log_connection import Embedding, ExponentSet, LogNablaModule, facet_embedding
 from .monoid_core import FineMonoid, from_embedded, from_presentation
 from .qlin import over_lcm, qmat_mul, solve_map
-from .weighted_series import Radius, Weighting, default_weighting
+from .weighted_series import Radius, Weighting, coefficient_map, default_weighting
 
 
 def _integer(x, field: str) -> int:
@@ -89,6 +91,8 @@ class MonoidContext(NamedTuple):
             raise ParseError(f"gp element must be {{'free': [...], 'torsion': [...]}}: {obj!r}")
         free = _integers(obj["free"], "free")
         torsion = _integers(obj.get("torsion", []), "torsion")
+        if torsion and self.ambient_generators is not None:
+            raise ParseError(f"torsion: an element of an embedded monoid has no torsion part, got {list(torsion)}")
         try:
             return self.convert((free, torsion))
         except ValueError as exc:
@@ -133,9 +137,11 @@ def parse_monoid(doc: dict) -> MonoidContext:
         convert = lambda x: monoid.gp.element(*x)
     elif "embedded_generators" in doc:
         vectors = _integers(doc["embedded_generators"], "embedded_generators", 2)
-        torsion = _integers(doc.get("torsion", []), "torsion")
+        if _integers(doc.get("torsion", []), "torsion"):
+            raise ParseError("torsion: embedded generators lie in Z^k; a group with torsion needs a presentation "
+                             "('generators' and 'relations')")
         try:
-            monoid, convert = from_embedded(vectors, torsion)
+            monoid, convert = from_embedded(vectors)
         except ValueError as exc:
             raise ParseError(f"bad embedded generators: {exc}") from exc
         ambient = vectors

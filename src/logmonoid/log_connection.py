@@ -53,13 +53,11 @@ from .qlin import (
     qrank,
     qvec,
 )
-from .weighted_series import DEFAULT_PRIME, Radius, TruncatedSeries, Weighting, _add_into, _map_mul, series
-
-SeriesMatrix = tuple[tuple[TruncatedSeries, ...], ...]
-# A matrix of truncated series, stored as its nonzero coefficients: (key,
-# row-major integer matrix) pairs in key order over one denominator, the
-# numerators and the denominator coprime as a whole
-CoefficientMap = tuple[tuple[tuple[Elt, tuple[int, ...]], ...], int]
+# the coefficient maps live in weighted_series; map_sum is imported so that lc.map_sum still reads it
+from .weighted_series import (  # noqa: F401
+    DEFAULT_PRIME, CoefficientMap, Radius, SeriesMatrix, TruncatedSeries, Weighting, _add_into, _canonical, _map_mul,
+    coefficient, coefficient_map, gauss_valuation, map_sum, series, series_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -189,61 +187,6 @@ def check_sd(sigma: ExponentSet) -> bool:
 # ---------------------------------------------------------------------------
 # coefficient maps
 # ---------------------------------------------------------------------------
-
-def coefficient_map(w: Weighting, t: int, coeffs: dict, annulus: bool = False) -> CoefficientMap:
-    """The stored form of the matrix with coefficient coeffs[key], row-major
-    rationals, at each key: zero matrices and keys with |h| > t are dropped,
-    and a disk matrix may carry no term with h^-(m) > 0."""
-    index = w.monoid.index.weighted(w.values)
-    h, scaled, room = index.h, index.scaled_weight, t * index.denominator
-    kept = {}
-    for k, x in coeffs.items():
-        # |h| >= |h(k)|: a key heavier than t is dropped before h+ is searched
-        if not any(x) or abs(scaled(k)) > room:
-            continue
-        hk, hp, habs = h(k)
-        if habs > t:
-            continue
-        if not annulus and hp > hk:
-            raise ValueError("disk series cannot carry terms with h^-(m) > 0")
-        kept[k] = x
-    rows, den = over_lcm(list(kept.values()))
-    return _canonical(dict(zip(kept, rows)), den)
-
-
-def _canonical(x: dict, den: int) -> CoefficientMap:
-    """{key: integer matrix} / den as a stored map: its nonzero matrices in
-    key order, the numerators and den divided by their common gcd."""
-    terms = sorted((k, v) for k, v in x.items() if any(v))
-    g = math.gcd(den, *(c for _, v in terms for c in v))
-    return tuple((k, tuple(c // g for c in v)) for k, v in terms), den // g
-
-
-def coefficient(a: CoefficientMap, key: Elt, n: int) -> QMatrix:
-    """The coefficient of the n x n coefficient map a at key."""
-    terms, den = a
-    x = next((x for k, x in terms if k == key), (0,) * (n * n))
-    return tuple(tuple(Fraction(v, den) for v in x[r : r + n]) for r in range(0, n * n, n))
-
-
-def series_matrix(w: Weighting, t: int, a: CoefficientMap, n: int) -> SeriesMatrix:
-    """The n x n coefficient map a as a matrix of disk series truncated at t."""
-    terms, den = a
-    return tuple(
-        tuple(series(w.monoid, w, {k: Fraction(x[i * n + j], den) for k, x in terms if x[i * n + j]}, t,
-                     validate=False) for j in range(n))
-        for i in range(n)
-    )
-
-
-def map_sum(a: CoefficientMap, b: CoefficientMap) -> CoefficientMap:
-    """a + b for coefficient maps of one shape."""
-    (ax, da), (bx, db) = a, b
-    out = {k: [v * db for v in x] for k, x in ax}
-    for k, x in bx:
-        _add_into(out, k, [v * da for v in x])
-    return _canonical(out, da * db)
-
 
 def map_product(e: "LogNablaModule", a: CoefficientMap, b: CoefficientMap, i: Optional[int] = None) -> CoefficientMap:
     """a b for n x n coefficient maps of the module e, at its truncation;
@@ -710,8 +653,7 @@ def shear(
         )
         log_c = max(log_c, cand)
     for ac, da in acoeff:
-        for key, amat in ac.items():
-            log_c = max(log_c, Fraction(-_valuation(amat, da, p)) - qa * ball[key])
+        log_c = max(log_c, -gauss_valuation(ac.items(), da, p, lambda k: qa.numerator * ball[k], qa.denominator))
 
     # Z_m chain DP and the bound records, on integers (every valuation is
     # one): bound = e log Z_m + h(m) s with s = 2 log C + q_a = s_n / s_d
@@ -738,7 +680,7 @@ def shear(
         best_prev = max((logz.get(m.gp.sub(key, g), 0) for g in gens), default=0)
         logz[key] = wmin + best_prev
         bound = Fraction(e_exp * logz[key] * s_d + ball[key] * s_n, s_d)
-        actual = Fraction(-_valuation(*bmats[key], p)) if key in bmats else None
+        actual = -gauss_valuation(((key, bmats[key][0]),), bmats[key][1], p) if key in bmats else None
         records.append(BoundRecord(key, ball[key], actual, bound))
 
     gauge, gauge_inv = _over_one_denominator(bmats), _over_one_denominator(bprime)
@@ -774,11 +716,6 @@ def _log_norm(a: QMatrix, p: int):
 
 def _zero_qmat(n: int) -> QMatrix:
     return tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-
-
-def _valuation(x: Sequence[int], den: int, p: int):
-    """v_p of the nonzero matrix x / den, x integer."""
-    return matrix_valuation((x,), p) - padic_valuation(den, p)
 
 
 def _over_one_denominator(coeffs: dict) -> CoefficientMap:
@@ -988,17 +925,12 @@ def _require_monoid_support(e: LogNablaModule) -> None:
 
 def dl_constant_term(f: TruncatedSeries, l: int, embedding: Embedding) -> TruncatedSeries:
     """D_l = prod_i prod_{0<|j|<=l} (d_i - j)/j applied termwise; kills every
-    tracked t^m with 0 < |m_i| <= l and fixes constants."""
-    out = {}
-    for k, c in f.terms:
-        coords = embedding.coords(k)
-        factor = Fraction(1)
-        for mi in coords:
-            for j in range(1, l + 1):
-                factor *= Fraction(mi - j, j) * Fraction(mi + j, -j)
-        if factor != 0:
-            out[k] = c * factor
-    return series(f.monoid, f.weighting, out, f.truncation, f.annulus, validate=False)
+    tracked t^m with 0 < |m_i| <= l and fixes constants.  On t^m it is
+    prod_i prod_j (j^2 - m_i^2) / j^2, the denominator (l!)^(2r) for all m."""
+    terms, den = f.coefficients
+    out = {k: (x * math.prod(j * j - mi * mi for mi in embedding.coords(k) for j in range(1, l + 1)),)
+           for k, (x,) in terms}
+    return f._replace(coefficients=_canonical(out, den * math.factorial(l) ** (2 * embedding.r)))
 
 
 def _require_constant_model(e: LogNablaModule) -> tuple[QMatrix, ...]:
@@ -1065,12 +997,10 @@ def dl_projection(
     emb = e.embedding
     q = max((max(indices, default=1) for indices in e.nilpotency_indices), default=1)
     target = decomp.eigentuples[target_block]
-    keys = set()
-    for f in v:
-        keys.update(k for k, _ in f.terms)
+    sections = [f.as_dict() for f in v]
     out_coeffs: list[dict] = [dict() for _ in range(n)]
-    for k in sorted(keys):
-        vec = qvec([f.coeff(k) for f in v])
+    for k in sorted(set().union(*sections)):
+        vec = qvec([f.get(k, 0) for f in sections])
         coords = emb.coords(k)
         op = qidentity(n)
         for i in range(emb.r):
@@ -1093,15 +1023,10 @@ def dl_projection(
                     pair = qmat_scale(Fraction(1) / (den1 * den2), qmat_mul(num1, num2))
                     for _ in range(q):
                         op = qmat_mul(op, pair)
-        img = qmat_vec(op, vec)
-        for comp in range(n):
-            if img[comp] != 0:
-                out_coeffs[comp][k] = out_coeffs[comp].get(k, Fraction(0)) + img[comp]
+        for comp, x in enumerate(qmat_vec(op, vec)):
+            out_coeffs[comp][k] = x
     w0 = v[0]
-    return tuple(
-        series(w0.monoid, w0.weighting, out_coeffs[comp], w0.truncation, w0.annulus, validate=False)
-        for comp in range(n)
-    )
+    return tuple(series(w0.monoid, w0.weighting, x, w0.truncation, w0.annulus) for x in out_coeffs)
 
 
 def dl_limit(
@@ -1242,7 +1167,8 @@ def log_convergence_check(
     """Bounded eta-nullity of P_k = (1/k!) prod_i prod_{j<k_i} (d_i - j) on the
     basis sections: no eta-weighted Gauss norm may exceed the |k| = 0 baseline.
     A section is an integer column {key: [x]} over a denominator d, with
-    Gauss valuation min v_p(x) - v_p(d) + q h(key) at radius a' = p^-q.
+    Gauss valuation min v_p(x) - v_p(d) + q h(key) at radius a' = p^-q
+    (`gauss_valuation`).
     P_k is computed along one path to k, so the module must be integrable."""
     if e.interval_kind not in ("disk", "point"):
         raise NotDiskModule("log-convergence is defined on disks and points")
@@ -1253,6 +1179,7 @@ def log_convergence_check(
     q, q_eta = a_prime.value_exponent(), eta.value_exponent()
     m, w, t, n = e.monoid, e.weighting, e.truncation, e.rank
     h = m.index.weighted(w.values).h
+    radius = lambda key: q.numerator * h(key)[0]  # noqa: E731
     coords = e.coords
     for comp in range(n):
         # e_comp has valuation 0, the baseline; enumerate multi-indices k with
@@ -1272,7 +1199,7 @@ def log_convergence_check(
                     new[kk] = ({key: x for key, x in out.items() if any(x)}, di * den)
             frontier = new
             for k, (col, den) in frontier.items():
-                val = min((matrix_valuation((x,), p) + q * h(key)[0] for key, x in col.items()), default=INF)
-                if val - padic_valuation(den * math.prod(map(math.factorial, k)), p) + level * q_eta < 0:
+                val = gauss_valuation(col.items(), den * math.prod(map(math.factorial, k)), p, radius, q.denominator)
+                if val + level * q_eta < 0:
                     return False
     return True

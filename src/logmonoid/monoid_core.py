@@ -154,20 +154,21 @@ def from_presentation(generator_count: int, relations: Sequence[tuple[Sequence[i
     return FineMonoid(g, gens)
 
 
-def from_embedded(vectors: Sequence[Sequence[int]], torsion: Sequence[int] = ()):
-    """Monoid generated by integer vectors inside Z^k + torsion.
+def from_embedded(vectors: Sequence[Sequence[int]]):
+    """Monoid generated by integer vectors inside Z^k; a group with torsion
+    needs a presentation (`from_presentation`).
 
     Returns (monoid, convert) where convert maps an ambient element (free
-    tuple, torsion tuple) to the normalized gp coordinates.  One Smith form
+    tuple, empty torsion tuple) to the normalized gp coordinates.  One Smith form
     u a v = d of the ambient generators gives the relations; a convert is
     one Smith-coordinate step and one mat-vec with u' v[:count, :rank], u'
     the quotient map's, composed once.
     """
     if not vectors:
         raise ValueError("at least one generator required")
-    count, free_dim = len(vectors), len(vectors[0])
-    ambient = AbelianGroup(free_dim, tuple(int(d) for d in torsion))
-    span = GroupSpan(ambient, [ambient.element(v[:free_dim], v[free_dim:]) for v in vectors])
+    count = len(vectors)
+    ambient = AbelianGroup(len(vectors[0]), ())
+    span = GroupSpan(ambient, [ambient.element(v) for v in vectors])
     g, qmap = quotient_presented(count, span.relations())
     gens = tuple(qmap(tuple(1 if i == j else 0 for i in range(count))) for j in range(count))
     monoid = FineMonoid(g, gens)

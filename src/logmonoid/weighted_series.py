@@ -1,15 +1,18 @@
 """Weighted monoids, truncated monoid-graded series, Gauss norms, polyannuli.
 
-Coefficients are exact rationals carrying the p-adic valuation for a
-configurable prime; radii are powers p^{-q} with q rational (q = None
-encodes radius 0), so every norm comparison happens in valuation form.
+Coefficients are exact rationals, stored as coefficient maps: integer
+numerators at each key over one denominator, a series being the 1 x 1
+case.  Valuations are p-adic for a configurable prime; radii are powers
+p^{-q} with q rational (q = None encodes radius 0), so every norm
+comparison happens in valuation form.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from operator import add, mul, sub
-from typing import NamedTuple, Optional, Sequence
+from operator import add, mul
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .abelian import Elt, checked_make
 from .errors import (
@@ -22,7 +25,7 @@ from .monoid_core import (
     membership,
     saturation,
 )
-from .qlin import INF, over_lcm, padic_valuation, qmat, qsolve, qvec
+from .qlin import INF, QMatrix, over_lcm, padic_valuation, qmat, qsolve, qvec
 
 DEFAULT_PRIME = 5
 
@@ -136,118 +139,57 @@ def h_abs(m: FineMonoid, h: Weighting, g: Elt) -> int:
 
 
 # ---------------------------------------------------------------------------
-# truncated series
+# coefficient maps: a matrix of truncated series by its nonzero coefficients
 # ---------------------------------------------------------------------------
 
-class TruncatedSeries(NamedTuple):
-    """Finitely supported coefficient map M^gp -> Q, exact up to |h| <= truncation."""
-
-    monoid: FineMonoid
-    weighting: Weighting
-    terms: tuple[tuple[Elt, Fraction], ...]
-    truncation: int
-    annulus: bool = False
-
-    def coeff(self, g: Elt) -> Fraction:
-        for k, c in self.terms:
-            if k == g:
-                return c
-        return Fraction(0)
-
-    def as_dict(self) -> dict[Elt, Fraction]:
-        return dict(self.terms)
-
-    @property
-    def constant_term(self) -> Fraction:
-        return self.coeff(self.monoid.gp.zero())
-
-    def is_zero(self) -> bool:
-        return not self.terms
+# (key, row-major integer matrix) pairs in key order over one denominator,
+# the numerators and the denominator coprime as a whole
+CoefficientMap = tuple[tuple[tuple[Elt, tuple[int, ...]], ...], int]
 
 
-def series(
-    monoid: FineMonoid,
-    weighting: Weighting,
-    coefficients: dict[Elt, Fraction] | Sequence[tuple[Elt, Fraction]],
-    truncation: int,
-    annulus: bool = False,
-    validate: bool = True,
-) -> TruncatedSeries:
-    items = coefficients.items() if isinstance(coefficients, dict) else coefficients
-    index = monoid.index.weighted(weighting.values)
-    h, scaled, room = index.h, index.scaled_weight, truncation * index.denominator
-    kept = []
-    for k, c in items:
-        if type(c) is not Fraction:
-            c = Fraction(c)
-        # |h| >= |h(k)|: a key heavier than the truncation is dropped before h+ is searched
-        if c == 0 or abs(scaled(k)) > room:
+def coefficient_map(w: Weighting, t: int, coeffs: dict, annulus: bool = False) -> CoefficientMap:
+    """The stored form of the matrix with coefficient coeffs[key], row-major
+    rationals, at each key: zero matrices and keys with |h| > t are dropped,
+    and a disk matrix may carry no term with h^-(m) > 0."""
+    index = w.monoid.index.weighted(w.values)
+    h, scaled, room = index.h, index.scaled_weight, t * index.denominator
+    kept = {}
+    for k, x in coeffs.items():
+        # |h| >= |h(k)|: a key heavier than t is dropped before h+ is searched
+        if not any(x) or abs(scaled(k)) > room:
             continue
         hk, hp, habs = h(k)
-        if habs > truncation:
+        if habs > t:
             continue
-        if validate and not annulus and hp > hk:
+        if not annulus and hp > hk:
             raise ValueError("disk series cannot carry terms with h^-(m) > 0")
-        kept.append((habs, k, c))
-    kept.sort(key=lambda t: t[:2])
-    return TruncatedSeries(monoid, weighting, tuple((k, c) for _, k, c in kept), truncation, annulus)
+        kept[k] = x
+    rows, den = over_lcm(list(kept.values()))
+    return _canonical(dict(zip(kept, rows)), den)
 
 
-def constant_series(monoid, weighting, c, truncation, annulus=False) -> TruncatedSeries:
-    return series(monoid, weighting, {monoid.gp.zero(): Fraction(c)}, truncation, annulus)
+def _canonical(x: dict, den: int) -> CoefficientMap:
+    """{key: integer matrix} / den as a stored map: its nonzero matrices in
+    key order, the numerators and den divided by their common gcd."""
+    terms = sorted((k, v) for k, v in x.items() if any(v))
+    g = math.gcd(den, *(c for _, v in terms for c in v))
+    return tuple((k, tuple(c // g for c in v)) for k, v in terms), den // g
 
 
-def monomial(monoid, weighting, g: Elt, truncation, c=1, annulus=False) -> TruncatedSeries:
-    return series(monoid, weighting, {g: Fraction(c)}, truncation, annulus)
+def coefficient(a: CoefficientMap, key: Elt, n: int) -> QMatrix:
+    """The coefficient of the n x n coefficient map a at key."""
+    terms, den = a
+    x = next((x for k, x in terms if k == key), (0,) * (n * n))
+    return tuple(tuple(Fraction(v, den) for v in x[r : r + n]) for r in range(0, n * n, n))
 
 
-def _check_compatible(f: TruncatedSeries, g: TruncatedSeries):
-    if f.monoid != g.monoid or f.weighting != g.weighting:
-        raise ValueError("series live on different weighted monoids")
-
-
-def _termwise(op, f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """f op g term by term, in one pass over g's terms."""
-    _check_compatible(f, g)
-    out = f.as_dict()
-    for k, c in g.terms:
-        out[k] = op(out.get(k, 0), c)
-    return series(
-        f.monoid, f.weighting, out, min(f.truncation, g.truncation),
-        f.annulus or g.annulus, validate=False,
-    )
-
-
-def series_add(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    return _termwise(add, f, g)
-
-
-def series_scale(c, f: TruncatedSeries) -> TruncatedSeries:
-    return series(
-        f.monoid, f.weighting, {k: Fraction(c) * v for k, v in f.terms},
-        f.truncation, f.annulus, validate=False,
-    )
-
-
-def series_sub(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    return _termwise(sub, f, g)
-
-
-def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    _check_compatible(f, g)
-    t = min(f.truncation, g.truncation)
-    # each factor as integers over one denominator: one Fraction per output term
-    (left,), df = over_lcm([[c for _, c in f.terms]])
-    (right,), dg = over_lcm([[c for _, c in g.terms]])
-    out = _map_mul(
-        f.monoid, f.weighting, t, [(k, [c]) for (k, _), c in zip(f.terms, left)],
-        [(k, [c]) for (k, _), c in zip(g.terms, right)], 1,
-    )
-    den = df * dg
-    return series(
-        f.monoid, f.weighting, {k: Fraction(c, den) for k, (c,) in out.items() if c}, t,
-        f.annulus or g.annulus, validate=False,
-    )
+def map_sum(a: CoefficientMap, b: CoefficientMap) -> CoefficientMap:
+    """a + b for coefficient maps of one shape."""
+    (ax, da), (bx, db) = a, b
+    out = {k: [v * db for v in x] for k, x in ax}
+    for k, x in bx:
+        _add_into(out, k, [v * da for v in x])
+    return _canonical(out, da * db)
 
 
 def _map_mul(m: FineMonoid, w: Weighting, t: int, a, b, cols: int) -> dict[Elt, list[int]]:
@@ -283,6 +225,119 @@ def _add_into(acc: dict, key: Elt, x: list[int]) -> None:
     acc[key] = x if y is None else list(map(add, y, x))
 
 
+def _restricted(w: Weighting, t: int, a: CoefficientMap) -> CoefficientMap:
+    """The terms of a at the keys with |h| <= t."""
+    h = w.monoid.index.weighted(w.values).h
+    terms, den = a
+    return _canonical({k: x for k, x in terms if h(k)[2] <= t}, den)
+
+
+def gauss_valuation(terms, den: int, p: int, radius: Callable[[Elt], int] = lambda key: 0, scale: int = 1):
+    """The Gauss valuation of the coefficient map (terms, den), on integers:
+    min over its keys of v_p(x) - v_p(den) + radius(key) / scale, x the
+    key's integer matrix and radius(key) / scale the key's radius term
+    (q h(key) at the radius p^-q); INF for the zero map."""
+    best = min((scale * min(padic_valuation(c, p) for c in x if c) + radius(k) for k, x in terms), default=None)
+    return INF if best is None else Fraction(best, scale) - padic_valuation(den, p)
+
+
+# ---------------------------------------------------------------------------
+# truncated series: the 1 x 1 coefficient maps
+# ---------------------------------------------------------------------------
+
+class TruncatedSeries(NamedTuple):
+    """Finitely supported coefficient map M^gp -> Q, exact up to |h| <= truncation:
+    a 1 x 1 coefficient map."""
+
+    monoid: FineMonoid
+    weighting: Weighting
+    coefficients: CoefficientMap
+    truncation: int
+    annulus: bool = False
+
+    @property
+    def terms(self) -> tuple[tuple[Elt, Fraction], ...]:
+        terms, den = self.coefficients
+        return tuple((k, Fraction(x, den)) for k, (x,) in terms)
+
+    def coeff(self, g: Elt) -> Fraction:
+        return coefficient(self.coefficients, g, 1)[0][0]
+
+    def as_dict(self) -> dict[Elt, Fraction]:
+        return dict(self.terms)
+
+    @property
+    def constant_term(self) -> Fraction:
+        return self.coeff(self.monoid.gp.zero())
+
+    def is_zero(self) -> bool:
+        return not self.coefficients[0]
+
+
+SeriesMatrix = tuple[tuple[TruncatedSeries, ...], ...]
+
+
+def series(
+    monoid: FineMonoid,
+    weighting: Weighting,
+    coefficients: dict[Elt, Fraction] | Sequence[tuple[Elt, Fraction]],
+    truncation: int,
+    annulus: bool = False,
+) -> TruncatedSeries:
+    items = coefficients.items() if isinstance(coefficients, dict) else coefficients
+    a = coefficient_map(weighting, truncation, {k: (Fraction(c),) for k, c in items}, annulus)
+    return TruncatedSeries(monoid, weighting, a, truncation, annulus)
+
+
+def series_matrix(w: Weighting, t: int, a: CoefficientMap, n: int) -> SeriesMatrix:
+    """The n x n coefficient map a as a matrix of disk series truncated at t."""
+    terms, den = a
+    return tuple(
+        tuple(TruncatedSeries(w.monoid, w, _canonical({k: (x[i * n + j],) for k, x in terms}, den), t)
+              for j in range(n))
+        for i in range(n)
+    )
+
+
+def constant_series(monoid, weighting, c, truncation, annulus=False) -> TruncatedSeries:
+    return series(monoid, weighting, {monoid.gp.zero(): Fraction(c)}, truncation, annulus)
+
+
+def monomial(monoid, weighting, g: Elt, truncation, c=1, annulus=False) -> TruncatedSeries:
+    return series(monoid, weighting, {g: Fraction(c)}, truncation, annulus)
+
+
+def _combined(f: TruncatedSeries, g: TruncatedSeries, a: CoefficientMap) -> TruncatedSeries:
+    """The map a, computed from f and g and kept at |h| <= their common
+    truncation, as their series."""
+    if f.monoid != g.monoid or f.weighting != g.weighting:
+        raise ValueError("series live on different weighted monoids")
+    return TruncatedSeries(f.monoid, f.weighting, a, min(f.truncation, g.truncation), f.annulus or g.annulus)
+
+
+def series_add(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    a = map_sum(f.coefficients, g.coefficients)
+    if f.truncation != g.truncation:
+        a = _restricted(f.weighting, min(f.truncation, g.truncation), a)
+    return _combined(f, g, a)
+
+
+def series_scale(c, f: TruncatedSeries) -> TruncatedSeries:
+    c = Fraction(c)
+    terms, den = f.coefficients
+    return f._replace(coefficients=_canonical({k: (x * c.numerator,) for k, (x,) in terms}, den * c.denominator))
+
+
+def series_sub(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    return series_add(f, series_scale(-1, g))
+
+
+def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    (a, da), (b, db) = f.coefficients, g.coefficients
+    t = min(f.truncation, g.truncation)
+    return _combined(f, g, _canonical(_map_mul(f.monoid, f.weighting, t, a, b, 1), da * db))
+
+
 def series_invert(f: TruncatedSeries) -> TruncatedSeries:
     """Inverse by Neumann series in the positive-weight part.
 
@@ -295,7 +350,8 @@ def series_invert(f: TruncatedSeries) -> TruncatedSeries:
         raise NonInvertibleConstantTerm("weight-zero part must be a single nonzero monomial")
     u, c = zero_part[0]
     # normalized = (t^-u / c) * f = 1 + (positive weight terms)
-    shifted = series_mul(monomial(m, w, m.gp.neg(u), t, Fraction(1, 1) / c, f.annulus), f)
+    unit_inverse = monomial(m, w, m.gp.neg(u), t, 1 / c, f.annulus)
+    shifted = series_mul(unit_inverse, f)
     one = constant_series(m, w, 1, t, f.annulus)
     g = series_sub(one, shifted)  # g has min weight >= 1
     acc = one
@@ -305,19 +361,13 @@ def series_invert(f: TruncatedSeries) -> TruncatedSeries:
         if power.is_zero():
             break
         acc = series_add(acc, power)
-    return series_mul(monomial(m, w, m.gp.neg(u), t, Fraction(1, 1) / c, f.annulus), acc)
+    return series_mul(unit_inverse, acc)
 
 
 def series_equal(f: TruncatedSeries, g: TruncatedSeries) -> bool:
     """Equality of all tracked coefficients up to the common truncation."""
     t = min(f.truncation, g.truncation)
-    keys = {k for k, _ in f.terms} | {k for k, _ in g.terms}
-    for k in keys:
-        if h_abs(f.monoid, f.weighting, k) > t:
-            continue
-        if f.coeff(k) != g.coeff(k):
-            return False
-    return True
+    return _restricted(f.weighting, t, f.coefficients) == _restricted(f.weighting, t, g.coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -332,40 +382,31 @@ class NormResult(NamedTuple):
 
 
 def gauss_norm(f: TruncatedSeries, a: Radius, p: int = DEFAULT_PRIME) -> NormResult:
-    """|f|_a = sup |c_m| a^{h(m)} with h the group extension of the weighting."""
-    if a.is_zero:
-        raise ValueError("gauss norm needs a positive radius")
-    q = a.value_exponent()
-    best = INF
-    stale = False
-    for k, c in f.terms:
-        v = padic_valuation(c, p) + q * f.weighting(k)
-        if v < best:
-            best = v
-            stale = h_abs(f.monoid, f.weighting, k) == f.truncation
-        elif v == best and h_abs(f.monoid, f.weighting, k) == f.truncation:
-            stale = True
-    return NormResult(best, stale)
+    """|f|_a = sup |c_m| a^{h(m)} with h the group extension of the weighting:
+    the interval norm on [a, a], since h = h^+ - h^-."""
+    return gauss_norm_interval(f, a, a, p)
 
 
 def gauss_norm_interval(
     f: TruncatedSeries, a: Radius, b: Radius, p: int = DEFAULT_PRIME
 ) -> NormResult:
-    """sup |c_m| a^{-h^-(m)} b^{h^+(m)} (the annulus seminorm of the section ring)."""
+    """sup |c_m| a^{-h^-(m)} b^{h^+(m)} (the annulus seminorm of the section
+    ring); stale when a term at |h| = truncation attains it."""
     if a.is_zero or b.is_zero:
         raise ValueError("interval norm needs positive radii")
     qa, qb = a.value_exponent(), b.value_exponent()
-    best = INF
-    stale = False
-    for k, c in f.terms:
-        hp = h_plus(f.monoid, f.weighting, k)
-        hm = h_minus(f.monoid, f.weighting, k)
-        v = padic_valuation(c, p) - qa * hm + qb * hp
-        if v < best:
-            best = v
-            stale = h_abs(f.monoid, f.weighting, k) == f.truncation
-        elif v == best and h_abs(f.monoid, f.weighting, k) == f.truncation:
-            stale = True
+    scale = math.lcm(qa.denominator, qb.denominator)
+    sa, sb = qa.numerator * (scale // qa.denominator), qb.numerator * (scale // qb.denominator)
+    h = f.monoid.index.weighted(f.weighting.values).h
+
+    def radius(k: Elt) -> int:
+        hk, hp, _ = h(k)
+        return sb * hp - sa * (hp - hk)
+
+    terms, den = f.coefficients
+    best = gauss_valuation(terms, den, p, radius, scale)
+    stale = any(h(k)[2] == f.truncation and gauss_valuation(((k, x),), den, p, radius, scale) == best
+                for k, x in terms)
     return NormResult(best, stale)
 
 

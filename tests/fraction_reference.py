@@ -1,4 +1,5 @@
-"""The spectral layer as it was computed on `Fraction`s: characteristic
+"""The series product and the spectral layer as they were computed on
+`Fraction`s: the product of two series by every pair of terms, the characteristic
 polynomial, rational roots by a divisor search, generalized eigenspaces,
 the joint decomposition by restriction, the eigenbasis data, the filtration
 ranks, (S-D) and the face images.  The tests compare the integer-row code of
@@ -11,8 +12,22 @@ import math
 from fractions import Fraction
 
 from logmonoid import log_connection as lc
+from logmonoid import weighted_series as ws
 from logmonoid.monoid_core import face_quotient_group, is_semi_saturated
 from logmonoid.qlin import qidentity, qinverse, qmat, qmat_mul, qmat_scale, qmat_sub, qmat_vec, qnullspace, qsolve, qvec
+
+
+def series_mul(f, g):
+    """f g by every pair of terms, kept when |h| of the sum is within the
+    common truncation."""
+    t = min(f.truncation, g.truncation)
+    out = {}
+    for k1, c1 in f.terms:
+        for k2, c2 in g.terms:
+            k = f.monoid.gp.add(k1, k2)
+            if ws.h_abs(f.monoid, f.weighting, k) <= t:
+                out[k] = out.get(k, Fraction(0)) + c1 * c2
+    return ws.series(f.monoid, f.weighting, out, t, f.annulus or g.annulus)
 
 
 def charpoly(a):

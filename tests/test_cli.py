@@ -178,6 +178,26 @@ def test_exit_code_bad_rank_or_truncation(capsys, tmp_path, field, value):
         assert field in err and "Traceback" not in err
 
 
+def test_torsion_on_an_embedded_monoid_is_a_parse_error(capsys, tmp_path):
+    """Embedded generators lie in Z^k: a "torsion" field beside them, or an
+    element with a torsion part, exits 2 naming the field (the field once
+    gave gp = Z and put every element with torsion outside the group)."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"embedded_generators": [[1, 1]], "torsion": [2]}))
+    code, out, err = run(capsys, "monoid-analyze", path)
+    assert (code, out) == (2, "") and "torsion" in err and "Traceback" not in err
+    doc = {"monoid": {"embedded_generators": [[1, 0], [0, 1]], "torsion": []}, "embedding": [[1, 0], [0, 1]],
+           "rank": 1, "truncation": 3,
+           "matrices": [{"i": 0, "terms": [{"m": {"free": [1, 0], "torsion": [1]}, "entries": [["1"]]}]}]}
+    path.write_text(json.dumps(doc))
+    for sub in ("exponents", "shear"):
+        code, out, err = run(capsys, "connection", sub, path)
+        assert (code, out) == (2, "") and "torsion" in err and "Traceback" not in err, sub
+    doc["matrices"][0]["terms"][0]["m"]["torsion"] = []
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "connection", "exponents", path)[0] == 0
+
+
 def test_integer_fields_reject_what_int_would_coerce(capsys, tmp_path):
     """free [1.5] was read as t^1, "12" as (1, 2), and null failed with a
     message about NoneType: each is exit 2 naming the field."""

@@ -11,8 +11,9 @@ from logmonoid import monoid_core as mc
 from logmonoid import oracle as orc
 from logmonoid import weighted_series as ws
 from logmonoid.errors import NonInvertibleConstantTerm
-from logmonoid.qlin import INF
+from logmonoid.qlin import INF, padic_valuation
 
+import fraction_reference
 from conftest import build_series
 
 P = 5
@@ -124,21 +125,54 @@ def test_xy_equals_z_squared(m_even):
     assert ws.series_equal(ws.series_mul(tx, ty), ws.series_mul(tz, tz))
 
 
-def _ref_series_mul(f, g):
+# a test-local reference: a series as the Fraction dict of its nonzero terms
+
+def _ref_terms(m, h, coeffs, t):
+    """The nonzero terms of coeffs with |h| <= t."""
+    return {k: Fraction(c) for k, c in coeffs.items() if c and ws.h_abs(m, h, k) <= t}
+
+
+def _ref_sum(m, h, x, y, t, sign=1):
+    out = dict(x)
+    for k, c in y.items():
+        out[k] = out.get(k, 0) + sign * c
+    return _ref_terms(m, h, out, t)
+
+
+def _ref_mul(m, h, x, y, t):
     """Every term pair, kept when |h| of the sum is within the truncation."""
-    t = min(f.truncation, g.truncation)
     out = {}
-    for k1, c1 in f.terms:
-        for k2, c2 in g.terms:
-            k = f.monoid.gp.add(k1, k2)
-            if ws.h_abs(f.monoid, f.weighting, k) <= t:
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-    return ws.series(f.monoid, f.weighting, out, t, f.annulus or g.annulus, validate=False)
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            k = m.gp.add(k1, k2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return _ref_terms(m, h, out, t)
+
+
+def _ref_norm(m, h, x, t, qa, qb, p):
+    """(min over terms of v_p(c) - qa h^-(k) + qb h^+(k), stale), term by term."""
+    vals = {k: padic_valuation(c, p) - qa * ws.h_minus(m, h, k) + qb * ws.h_plus(m, h, k) for k, c in x.items()}
+    best = min(vals.values(), default=INF)
+    return best, any(v == best and ws.h_abs(m, h, k) == t for k, v in vals.items())
+
+
+def _assert_matches(f, ref, t, annulus):
+    """f holds integers only, and its views read the reference terms."""
+    terms, den = f.coefficients
+    assert all(type(x) is int for _, xs in terms for x in xs) and type(den) is int and den > 0
+    assert (f.truncation, f.annulus) == (t, annulus)
+    assert f.as_dict() == ref and [k for k, _ in f.terms] == sorted(ref)
+    assert all(type(c) is Fraction for _, c in f.terms)
+    zero = f.monoid.gp.zero()
+    far = f.monoid.gp.scale(t + 1, f.monoid.generators[-1])
+    assert all(f.coeff(k) == c for k, c in ref.items()) and f.coeff(far) == 0
+    assert f.constant_term == ref.get(zero, 0) and f.is_zero() == (not ref)
 
 
 def _random_series(rng, m, h, t, annulus):
     """Seeded small rationals on part of the ball of weight <= t + 1 or, on
-    an annulus, on differences of its elements (negative h included)."""
+    an annulus, on differences of its elements (negative h included); the
+    series and its reference terms."""
     ball = m.index.weighted(h.values).upto(t + 1) if mc.is_sharp(m) else [
         m.gp.add(m.gp.scale(a, m.generators[0]), m.gp.scale(b, m.generators[2]))
         for a in range(-2, 3) for b in range(t + 2)
@@ -147,34 +181,76 @@ def _random_series(rng, m, h, t, annulus):
     if annulus:
         keys |= {m.gp.sub(rng.choice(ball), rng.choice(ball)) for _ in range(12)}
     coeffs = {k: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for k in keys}
-    return ws.series(m, h, coeffs, t, annulus=annulus)
+    f = ws.series(m, h, coeffs, t, annulus=annulus)
+    ref = _ref_terms(m, h, coeffs, t)
+    _assert_matches(f, ref, t, annulus)
+    return f, ref
+
+
+def _units_monoid():
+    return mc.from_embedded([[1, 0], [-1, 0], [0, 1]])[0]  # Z x N
 
 
 def test_series_mul_matches_every_pair_product(n1, n2, m_even):
     """Disk and annulus series (negative-h terms), mixed truncations and a
-    monoid with units (Z x N) against the unpruned double loop."""
-    units, _ = mc.from_embedded([[1, 0], [-1, 0], [0, 1]])
+    monoid with units (Z x N) against the unpruned double loop: series,
+    series_mul, series_equal and series_invert against the Fraction dicts,
+    with their coeff and terms views."""
     rng = random.Random(5)
-    for m in (n1, n2, m_even, units):
+    seen = set()
+    for m in (n1, n2, m_even, _units_monoid()):
         h = ws.default_weighting(m)
         for annulus in (False, True):
             for _ in range(8):
-                f = _random_series(rng, m, h, rng.randint(0, 5), annulus)
-                g = _random_series(rng, m, h, rng.randint(0, 5), annulus and rng.random() < 0.7)
-                assert ws.series_mul(f, g) == _ref_series_mul(f, g)
+                f, x = _random_series(rng, m, h, rng.randint(0, 5), annulus)
+                g, y = _random_series(rng, m, h, rng.randint(0, 5), annulus and rng.random() < 0.7)
+                t, either = min(f.truncation, g.truncation), f.annulus or g.annulus
+                prod = ws.series_mul(f, g)
+                assert prod == fraction_reference.series_mul(f, g)
+                _assert_matches(prod, _ref_mul(m, h, x, y, t), t, either)
+                same = _ref_terms(m, h, x, t) == _ref_terms(m, h, y, t)
+                assert ws.series_equal(f, g) == same and ws.series_equal(f, f)
+                seen.add(f"equal={same}")
+                if annulus:
+                    continue
+                # f made invertible: its weight-zero terms replaced by one nonzero monomial
+                u = rng.choice([k for k in x if ws.h_abs(m, h, k) == 0] or [m.gp.zero()])
+                x = {**{k: c for k, c in x.items() if ws.h_abs(m, h, k) > 0}, u: Fraction(rng.choice((-3, 1, 2)), 5)}
+                inv = ws.series_invert(ws.series(m, h, x, f.truncation))
+                one = {m.gp.zero(): 1}
+                assert _ref_mul(m, h, x, inv.as_dict(), f.truncation) == one
+                _assert_matches(inv, inv.as_dict(), f.truncation, False)
+                seen.add("invert")
+    assert seen == {"equal=True", "equal=False", "invert"}
 
 
 def test_series_sub_matches_adding_the_negation(n1, n2, m_even):
     """One pass f - g against f + (-1)*g on disk and annulus series with
-    mixed truncations."""
+    mixed truncations, and series_add, series_sub, series_scale, gauss_norm
+    and gauss_norm_interval (the value and the stale flag) against the
+    Fraction dicts, at p = 2, 3, 5."""
     rng = random.Random(6)
-    for m in (n1, n2, m_even):
+    seen = set()
+    for m in (n1, n2, m_even, _units_monoid()):
         h = ws.default_weighting(m)
         for annulus in (False, True):
             for _ in range(8):
-                f = _random_series(rng, m, h, rng.randint(0, 5), annulus)
-                g = _random_series(rng, m, h, rng.randint(0, 5), annulus and rng.random() < 0.7)
+                f, x = _random_series(rng, m, h, rng.randint(0, 5), annulus)
+                g, y = _random_series(rng, m, h, rng.randint(0, 5), annulus and rng.random() < 0.7)
+                t, either = min(f.truncation, g.truncation), f.annulus or g.annulus
                 assert ws.series_sub(f, g) == ws.series_add(f, ws.series_scale(-1, g))
+                _assert_matches(ws.series_sub(f, g), _ref_sum(m, h, x, y, t, -1), t, either)
+                _assert_matches(ws.series_add(f, g), _ref_sum(m, h, x, y, t), t, either)
+                c = Fraction(rng.randint(-4, 4), rng.choice((1, 3, 10)))
+                _assert_matches(ws.series_scale(c, g), {k: c * v for k, v in y.items() if c}, g.truncation, g.annulus)
+                for p in (2, 3, 5):
+                    qa, qb = (Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(2))
+                    a, b = ws.Radius(qa), ws.Radius(qb)
+                    for got, want in ((ws.gauss_norm(f, a, p), _ref_norm(m, h, x, f.truncation, qa, qa, p)),
+                                      (ws.gauss_norm_interval(f, a, b, p), _ref_norm(m, h, x, f.truncation, qa, qb, p))):
+                        assert tuple(got) == want
+                        seen.add(f"stale={got.stale}")
+    assert seen == {"stale=True", "stale=False"}
 
 
 def test_invert_needs_unit_constant(n1):

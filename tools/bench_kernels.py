@@ -6,8 +6,8 @@ Run from the root of a checkout; the program is imported from ./src.  Times
 `qlin.qmat_mul` on n x n matrices and the shear recursion's per-key
 Sylvester solve (A0 X - X A0 + m X = RHS: the integer product of the
 operator's cached inverse with the RHS, then the gcd reduction), for
-n = 1, 2, 3; `weighted_series.series_mul` on dense disk series over N^2
-truncated at T = 3..6; `cone.simplex_feasible` on the default weighting's
+n = 1, 2, 3; `weighted_series.series_mul`, `series_add` and `gauss_norm`
+(radius p^-1/2) on dense disk series over N^2 truncated at T = 3..6; `cone.simplex_feasible` on the default weighting's
 LP for k integer rays in Z^3 (k = 4, 6, 9: 2*3 + k columns, k rows); and
 `weighted_series._map_mul` on the coefficient maps of n x n matrices of
 those series for n = 2, 3 at T = 4, 6; and, on an integrable rank-n module
@@ -216,9 +216,12 @@ def main() -> int:
         rows.append((f"sylvester solve n={n}", _time(lambda: lc._sylvester_solve(inv, rhs))))
     n2 = mc.free_monoid(2)
     h = ws.default_weighting(n2)
+    half = ws.Radius.p_power(Fraction(1, 2))
     for t in (3, 4, 5, 6):
         f, g = _series(rng, n2, h, t), _series(rng, n2, h, t)
         rows.append((f"series_mul N^2 disk T={t}", _time(lambda: ws.series_mul(f, g))))
+        rows.append((f"series_add N^2 disk T={t}", _time(lambda: ws.series_add(f, g))))
+        rows.append((f"gauss_norm N^2 disk T={t}", _time(lambda: ws.gauss_norm(f, half))))
     for k in (4, 6, 9):
         la, lb = _weighting_lp(rng, k)
         rows.append((f"simplex_feasible rays={k}", _time(lambda: cone.simplex_feasible(la, lb))))
