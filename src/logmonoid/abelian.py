@@ -71,10 +71,10 @@ class AbelianGroup(_AbelianGroupFields):
         return (free, tuple((a - b) % d for a, b, d in zip(x[1], y[1], self.torsion_invariants)))
 
     def scale(self, k: int, x: Elt) -> Elt:
-        return (
-            tuple(k * a for a in x[0]),
-            tuple((k * a) % d for a, d in zip(x[1], self.torsion_invariants)),
-        )
+        free = tuple([k * a for a in x[0]])
+        if not self.torsion_invariants:
+            return (free, ())
+        return (free, tuple((k * a) % d for a, d in zip(x[1], self.torsion_invariants)))
 
     def is_zero(self, x: Elt) -> bool:
         return all(a == 0 for a in x[0]) and all(a == 0 for a in x[1])

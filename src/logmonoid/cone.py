@@ -15,11 +15,17 @@ is an integer dot product away:
   vanishes on);
 * the lineality space holds the generators on which every normal vanishes.
 
-Hilbert bases of pointed cones, in any rank, come from a pulling
-triangulation read from the face lattice plus the lattice points of each
-simplicial cone's fundamental parallelepiped, listed from its Smith form
-(Bruns-Ichim, "Normaliz: algorithms for affine monoids and rational
-cones", J. Algebra 2010).
+The monoid of lattice points of a pointed cone, in any rank, is generated
+by its candidates (`candidates`): the primitive extreme rays and the
+lattice points of each simplicial cone's fundamental parallelepiped in a
+pulling triangulation read from the face lattice, listed from the
+simplex's Smith form (Bruns-Ichim, "Normaliz: algorithms for affine
+monoids and rational cones", J. Algebra 2010).  They are produced lazily,
+simplex by simplex.  The saturation verdict
+(`monoid_core.is_saturated_bounded`) reads them and stops at the first
+one outside the monoid, without building the Hilbert basis; it still
+ignores its `weight_bound`.  `hilbert_basis` reads them all and keeps the
+irreducible ones.
 
 A phase-1 simplex with Bland's rule remains for questions about cones
 known only by generators: a functional positive on given vectors (the
@@ -36,7 +42,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from numbers import Rational
-from typing import Optional, Sequence
+from operator import mul
+from typing import Iterator, Optional, Sequence
 
 from . import snf as _snf
 from .qlin import QVector
@@ -144,7 +151,7 @@ def _primitive(v: Sequence[int]) -> tuple[int, ...]:
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _double_description(
@@ -263,39 +270,45 @@ class Cone:
         return pull(frozenset(range(len(self.vectors))), self.dim - len(self.lines))
 
 
-def _parallelepiped_points(rays: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _parallelepiped_points(rays: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
     """Lattice points of {sum c_j u_j : 0 <= c_j < 1} for linearly independent
-    integer rays u_j.  With s*A*t = D the Smith form of A = (u_1 ... u_k), they
-    are A * frac(t * (y / D)) for 0 <= y_i < D_i, one per class of the
-    lattice points of span(A) modulo A Z^k."""
+    integer rays u_j, 0 first.  With s*A*t = D the Smith form of
+    A = (u_1 ... u_k), they are A * frac(t * (y / D)) for 0 <= y_i < D_i, one
+    per class of the lattice points of span(A) modulo A Z^k."""
     d = len(rays[0])
     k = len(rays)
     diag, _s, t = _snf.smith_normal_form(tuple(tuple(u[i] for u in rays) for i in range(d)))
     steps = [diag[i][i] for i in range(k)]
     den = math.lcm(*steps)
-    points = []
     for y in itertools.product(*(range(x) for x in steps)):
         c = [sum(t[j][i] * y[i] * (den // steps[i]) for i in range(k)) % den for j in range(k)]
-        points.append(tuple(sum(cj * u[r] for cj, u in zip(c, rays)) // den for r in range(d)))
-    return points
+        yield tuple(sum(cj * u[r] for cj, u in zip(c, rays)) // den for r in range(d))
+
+
+def candidates(cone: Cone) -> Iterator[tuple[int, ...]]:
+    """A generating set of the monoid cone cap Z^dim of a pointed cone, in
+    the order it is produced: the primitive extreme rays, then the nonzero
+    parallelepiped points of each simplex of the triangulation, simplex by
+    simplex (a point may repeat).  Nothing past the point a caller stops at
+    is computed."""
+    if not cone.extreme:
+        return
+    prim = {i: _primitive(cone.vectors[i]) for i in cone.extreme}
+    yield from prim.values()
+    for simplex in cone.triangulation():
+        yield from itertools.islice(_parallelepiped_points([prim[i] for i in simplex]), 1, None)
 
 
 def hilbert_basis(cone: Cone) -> list[tuple[int, ...]]:
     """Hilbert basis of a pointed cone cap Z^dim, sorted.
 
-    The candidates are the primitive extreme rays and the parallelepiped
-    points of a triangulation.  Taken by increasing total normal value, a
-    candidate c joins the basis unless c - b lies in the cone for a basis
-    element b found before it (no normal is larger on b than on c); a
-    reducible c always has such a b, of smaller total value."""
-    if not cone.extreme:
+    Taken by increasing total normal value, a candidate c joins the basis
+    unless c - b lies in the cone for a basis element b found before it (no
+    normal is larger on b than on c); a reducible c always has such a b, of
+    smaller total value."""
+    values = {c: [_dot(lam, c) for lam in cone.normals] for c in candidates(cone)}
+    if not values:
         return []
-    prim = {i: _primitive(cone.vectors[i]) for i in cone.extreme}
-    candidates = set(prim.values())
-    for simplex in cone.triangulation():
-        candidates.update(_parallelepiped_points([prim[i] for i in simplex]))
-    candidates.discard(tuple([0] * cone.dim))
-    values = {c: [_dot(lam, c) for lam in cone.normals] for c in candidates}
     # each value vector packed into one integer, one field per normal with a
     # spare top bit: c - b is in the cone iff (c + guards) - b borrows no guard
     width = 1 + max(max(v) for v in values.values()).bit_length()
@@ -303,7 +316,7 @@ def hilbert_basis(cone: Cone) -> list[tuple[int, ...]]:
     packed = {c: sum(x << (width * k) for k, x in enumerate(v)) for c, v in values.items()}
     basis: list[tuple[int, ...]] = []
     reducers: list[int] = []
-    for c in sorted(candidates, key=lambda c: (sum(values[c]), c)):
+    for c in sorted(values, key=lambda c: (sum(values[c]), c)):
         top = packed[c] | guards
         if not any((top - b) & guards == guards for b in reducers):
             basis.append(c)

@@ -540,14 +540,17 @@ def saturation(m: FineMonoid) -> FineMonoid:
 
 
 def is_saturated_bounded(m: FineMonoid, weight_bound: Optional[int] = None) -> bool:
-    """M = M^sat, decided exactly: gp is torsion-free and every Hilbert basis
-    element of the cone lies in M.  weight_bound is unused, as the answer is
-    exact; perfbench/workloads.py still passes one."""
+    """M = M^sat, decided exactly: gp is torsion-free and every candidate of
+    the cone (`cone.candidates`: the primitive extreme rays and the
+    parallelepiped points of a triangulation, which generate M^sat) lies in
+    M.  The candidates are read lazily and the answer is False at the first
+    one outside M, so the Hilbert basis is never built.  weight_bound is
+    unused, as the answer is exact; perfbench/workloads.py still passes one."""
     if not is_sharp(m):
         raise ValueError("is_saturated_bounded requires a sharp monoid")
     if m.gp.torsion_invariants:
         return False
-    return all(membership(m, (z, ())) for z in m.index.hilbert_basis)
+    return all(membership(m, (z, ())) for z in _cone.candidates(m.index.cone))
 
 
 # ---------------------------------------------------------------------------

@@ -36,86 +36,88 @@ def mat_vec(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (d, u, v) with u*a*v = d diagonal, d_1 | d_2 | ..., u, v unimodular."""
+    """Return (d, u, v) with u*a*v = d diagonal, d_1 | d_2 | ..., u, v unimodular.
+
+    Step t moves the first entry of least nonzero |value| (in row order) of
+    the block past t to (t, t) and makes it positive, then subtracts floor
+    multiples of row t from the rows below and of column t from the columns
+    to its right.  While a remainder is left the step repeats; then, if the
+    pivot does not divide some entry of the block, that entry's row is added
+    to row t and the step repeats, else t advances.  Rows are lists changed
+    in place or rebuilt whole."""
     m = [list(row) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    u = [list(r) for r in identity(rows)]
-    v = [list(r) for r in identity(cols)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, q):
-        # row[dst] += q*row[src]
-        for k in range(cols):
-            m[dst][k] += q * m[src][k]
-        for k in range(rows):
-            u[dst][k] += q * u[src][k]
-
-    def add_col(src, dst, q):
-        for r in m:
-            r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
+    u = [[0] * i + [1] + [0] * (rows - i - 1) for i in range(rows)]
+    v = [[0] * i + [1] + [0] * (cols - i - 1) for i in range(cols)]
     t = 0
-    while t < min(rows, cols):
-        # find pivot: smallest nonzero |entry| in the remaining block
-        pivot = None
-        best = None
+    while t < rows and t < cols:
+        best = 0
         for i in range(t, rows):
+            row = m[i]
             for j in range(t, cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < best):
-                    best = abs(m[i][j])
-                    pivot = (i, j)
-        if pivot is None:
+                x = row[j]
+                if x:
+                    if x < 0:
+                        x = -x
+                    if not best or x < best:
+                        best, pi, pj = x, i, j
+                        if x == 1:
+                            break
+            if best == 1:
+                break
+        if not best:
             break
-        pi, pj = pivot
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        if m[t][t] < 0:
-            negate_row(t)
-        # clear row and column
+        if pi != t:
+            m[t], m[pi] = m[pi], m[t]
+            u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            for r in m:
+                r[t], r[pj] = r[pj], r[t]
+            for r in v:
+                r[t], r[pj] = r[pj], r[t]
+        prow = m[t]
+        if prow[t] < 0:
+            m[t] = prow = [-x for x in prow]
+            u[t] = [-x for x in u[t]]
+        urow = u[t]
+        p = prow[t]
         dirty = False
         for i in range(t + 1, rows):
-            if m[i][t] != 0:
-                q = m[i][t] // m[t][t]
-                add_row(t, i, -q)
-                if m[i][t] != 0:
+            x = m[i][t]
+            if x:
+                q = x // p
+                if q:
+                    m[i] = row = [x - q * y for x, y in zip(m[i], prow)]
+                    u[i] = [x - q * y for x, y in zip(u[i], urow)]
+                    if row[t]:
+                        dirty = True
+                else:
                     dirty = True
         for j in range(t + 1, cols):
-            if m[t][j] != 0:
-                q = m[t][j] // m[t][t]
-                add_col(t, j, -q)
-                if m[t][j] != 0:
+            x = prow[j]
+            if x:
+                q = x // p
+                if q:
+                    for r in m:
+                        r[j] -= q * r[t]
+                    for r in v:
+                        r[j] -= q * r[t]
+                if prow[j]:
                     dirty = True
         if dirty:
             continue
         # divisibility: m[t][t] must divide the rest of the block
-        ok = True
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % m[t][t] != 0:
-                    add_row(i, t, 1)
-                    ok = False
+        if p != 1:
+            for i in range(t + 1, rows):
+                if any(x % p for x in m[i][t + 1:]):
+                    m[t] = [x + y for x, y in zip(prow, m[i])]
+                    u[t] = [x + y for x, y in zip(urow, u[i])]
                     break
-            if not ok:
-                break
-        if ok:
+            else:
+                t += 1
+        else:
             t += 1
-
     return (
         tuple(tuple(r) for r in m),
         tuple(tuple(r) for r in u),

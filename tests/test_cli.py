@@ -71,6 +71,19 @@ def test_monoid_analyze_rank4_saturation(capsys):
         assert len(report["faces"]) == 24 and len(report["facets"]) == 6
 
 
+def test_monoid_analyze_forty_rays_in_rank_four(capsys, tmp_path):
+    """The cone over the moment-curve rays (1, t, t^2, t^3), t = 1..40, in
+    rank 4: its Hilbert basis is out of reach, but the saturation verdict
+    stops at the first parallelepiped point outside the monoid."""
+    doc = tmp_path / "moment_curve_rank4_40.json"
+    doc.write_text(json.dumps({"embedded_generators": [[1, t, t * t, t ** 3] for t in range(1, 41)]}))
+    code, out, err = run(capsys, "--format", "json", "monoid-analyze", doc)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["saturated"] is False and report["sharp"] is True
+    assert len(report["generators"]) == 40
+
+
 def test_reports_are_byte_stable(capsys):
     runs = []
     for _ in range(2):

@@ -7,10 +7,11 @@ bounded searches they replace and the oracle."""
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-from logmonoid import cone
+from logmonoid import cone, documents
 from logmonoid import monoid_core as mc
 from logmonoid import oracle as orc
 from logmonoid.errors import NotSurjective, TorsionTarget
@@ -158,6 +159,58 @@ def test_pulling_triangulation_covers_the_cone_once():
             assert sum(1 for a in coords if a is not None and min(a) > 0) <= 1
             checked += 1
     assert checked > 100
+
+
+def _moment_curve(k):
+    """The monoid of the rank-4 moment-curve rays (1, t, t^2, t^3), t = 1..k."""
+    return mc.from_embedded([[1, t, t * t, t ** 3] for t in range(1, k + 1)])[0]
+
+
+def test_saturation_verdict_matches_the_hilbert_basis(n1, n2, nm1, m_even, torsion_monoid):
+    """The verdict read from the candidates equals the one read from the whole
+    Hilbert basis (gp torsion-free and every basis element in M) on the
+    grid, the oracle's grid, the two pyramids, moment_curve_20 and the
+    rank-4 moment-curve cones with 5..12 rays."""
+    data = Path(__file__).parent / "data"
+    monoids = [m for _, m in GRID] + [
+        n1, n2, nm1[0], m_even, torsion_monoid,
+        mc.from_embedded([[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]])[0],
+        mc.from_embedded([[2, 0, 0], [3, 0, 0], [0, 1, 0], [0, 0, 1]])[0],
+    ] + [documents.parse_monoid(documents.load_json(data / name)).monoid
+         for name in ("pyramid_pentagon.json", "pyramid_pentagon_saturated.json", "moment_curve_20.json")
+         ] + [_moment_curve(k) for k in range(5, 13)]
+    seen = set()
+    for m in monoids:
+        if not mc.is_sharp(m):
+            with pytest.raises(ValueError):
+                mc.is_saturated_bounded(m)
+            continue
+        verdict = mc.is_saturated_bounded(m)
+        basis = m.index.hilbert_basis
+        assert verdict is (not m.gp.torsion_invariants and all(mc.membership(m, (z, ())) for z in basis))
+        found = set(cone.candidates(m.index.cone))
+        assert set(basis) <= found and tuple([0] * m.gp.free_rank) not in found
+        assert all(_in_cone(m.index.cone, z) for z in found)
+        seen.add((bool(m.gp.torsion_invariants), verdict))
+    assert seen == {(False, True), (False, False), (True, False)}
+
+
+def test_saturation_verdict_stops_at_the_first_candidate_outside(monkeypatch):
+    """On the rank-4 moment-curve cone with 40 rays the verdict builds no
+    Hilbert basis and reads candidates only up to the first non-member; on a
+    saturated pyramid it reads them all."""
+    monkeypatch.setattr(cone, "hilbert_basis", lambda c: pytest.fail("the verdict built the Hilbert basis"))
+    read = []
+    candidates = cone.candidates
+    monkeypatch.setattr(cone, "candidates", lambda c: (read.append(z) or z for z in candidates(c)))
+    m = _moment_curve(40)
+    assert mc.is_saturated_bounded(m) is False
+    assert not mc.membership(m, (read[-1], ())) and all(mc.membership(m, (z, ())) for z in read[:-1])
+    del read[:]
+    data = Path(__file__).parent / "data" / "pyramid_pentagon_saturated.json"
+    pyramid = documents.parse_monoid(documents.load_json(data)).monoid
+    assert mc.is_saturated_bounded(pyramid) is True
+    assert read == list(candidates(pyramid.index.cone))
 
 
 # -- homomorphisms into the grid ----------------------------------------------

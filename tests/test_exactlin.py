@@ -52,6 +52,123 @@ def test_snf_randomized():
                 assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
 
 
+def _reference_smith_normal_form(a):
+    """The Smith kernel as it was written before its rows became lists
+    updated in place: one closure per row or column operation, applied entry
+    by entry."""
+    m = [list(row) for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    u = [list(r) for r in snf.identity(rows)]
+    v = [list(r) for r in snf.identity(cols)]
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in m:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(src, dst, q):
+        for k in range(cols):
+            m[dst][k] += q * m[src][k]
+        for k in range(rows):
+            u[dst][k] += q * u[src][k]
+
+    def add_col(src, dst, q):
+        for r in m:
+            r[dst] += q * r[src]
+        for r in v:
+            r[dst] += q * r[src]
+
+    def negate_row(i):
+        m[i] = [-x for x in m[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(rows, cols):
+        pivot = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if m[i][j] != 0 and (best is None or abs(m[i][j]) < best):
+                    best = abs(m[i][j])
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+        if m[t][t] < 0:
+            negate_row(t)
+        dirty = False
+        for i in range(t + 1, rows):
+            if m[i][t] != 0:
+                q = m[i][t] // m[t][t]
+                add_row(t, i, -q)
+                if m[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, cols):
+            if m[t][j] != 0:
+                q = m[t][j] // m[t][t]
+                add_col(t, j, -q)
+                if m[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        ok = True
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if m[i][j] % m[t][t] != 0:
+                    add_row(i, t, 1)
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            t += 1
+    return tuple(tuple(r) for r in m), tuple(tuple(r) for r in u), tuple(tuple(r) for r in v)
+
+
+def _smith_grid():
+    """Every shape 0..6 x 0..6 with entries in -9..9 (dense, sparse and
+    rank-deficient draws), rows of 10^12-sized entries, and zero and empty
+    matrices."""
+    rng = random.Random(20261018)
+    cases = [(), ((),), ((), (), ())]
+    for rows in range(7):
+        for cols in range(7):
+            cases.append(tuple(tuple([0] * cols) for _ in range(rows)))
+            for density in (1.0, 0.5, 0.2):
+                for _ in range(6):
+                    cases.append(tuple(
+                        tuple(rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols))
+                        for _ in range(rows)))
+            if rows and cols:
+                base = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+                # a repeated row: the form has a zero past the rank
+                cases.append(tuple(tuple(row) for row in base[:-1] + base[:1]))
+                cases.append(tuple(
+                    tuple(rng.randint(-10 ** 12, 10 ** 12) for _ in range(cols)) for _ in range(rows)))
+                mixed = [list(row) for row in base]
+                mixed[rng.randrange(rows)] = [rng.randint(-10 ** 12, 10 ** 12) for _ in range(cols)]
+                cases.append(tuple(tuple(row) for row in mixed))
+    return cases
+
+
+def test_smith_form_matches_the_reference_kernel():
+    """(d, u, v) are the reference kernel's, entry for entry, so every
+    Smith-derived coordinate the program prints is unchanged; and u a v = d."""
+    for a in _smith_grid():
+        d, u, v = snf.smith_normal_form(a)
+        assert (d, u, v) == _reference_smith_normal_form(a), a
+        assert snf.mat_mul(snf.mat_mul(u, a), v) == d, a
+        assert all(isinstance(row, tuple) for part in (d, u, v) for row in part)
+
+
 def test_integer_solve_and_kernel():
     rng = random.Random(7)
     for _ in range(30):

@@ -34,7 +34,15 @@ monoid, so the Smith forms, the weighting and every |h| are cold.  The
 pyramid rows time h and `membership` on the cone over the unit square
 (a sharp monoid in Z^3) for the keys of weight <= W (W = 4, 8), and for
 membership also each key minus a generator, with the weighted indices of
-the monoid and of its sharp quotient emptied before each call.
+the monoid and of its sharp quotient emptied before each call.  The Smith
+row times `snf.smith_normal_form` per input over the inputs one seeded
+monoid-analysis round of the benchmark (perfbench's `gen.monoid_round` run
+through `workloads.run_monoid`) hands it, in call order; their number n,
+in the row's name, falls when the saturation verdict stops earlier.  The
+saturation rows time `is_saturated_bounded` on the rank-4 moment-curve
+cones over (1, t, t^2, t^3), t = 1..k, for k = 10, 12, 16, 20, 30, 40,
+each call on a fresh copy of the monoid (its cone, triangulation and ball
+cold).
 Entries are small rationals (numerators -9..9, denominators up to
 6) or small integers from a fixed seed, so every run measures the same
 inputs.  Each figure is the median over REPEATS repeats of a loop of at
@@ -57,11 +65,14 @@ from logmonoid import documents  # noqa: E402
 from logmonoid import log_connection as lc  # noqa: E402
 from logmonoid import monoid_core as mc  # noqa: E402
 from logmonoid import selftest  # noqa: E402
+from logmonoid import snf  # noqa: E402
 from logmonoid import weighted_series as ws  # noqa: E402
 from logmonoid import qlin  # noqa: E402
 from logmonoid.qlin import over_lcm, qinverse, qmat, qmat_mul  # noqa: E402
 
 SEED = 1
+MONOID_ROUND_SEED = 7
+MOMENT_CURVE_RAYS = (10, 12, 16, 20, 30, 40)
 REPEATS = 7
 SHEAR_FIXTURES = ("rank2-N2-planted", "rank2-M_even-planted")
 SHEAR_TRUNCATIONS = (8, 12, 20, 30, 40)
@@ -186,6 +197,23 @@ def _cold(m, fn, keys):
     return [fn(k) for k in keys]
 
 
+def _monoid_round_smith_inputs() -> list:
+    """The matrices one seeded monoid-analysis round of the benchmark hands
+    `snf.smith_normal_form`, in call order."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+    import gen
+    import workloads
+    inputs = []
+    smith = snf.smith_normal_form
+    snf.smith_normal_form = lambda a: inputs.append(a) or smith(a)
+    try:
+        for job in gen.monoid_round(MONOID_ROUND_SEED, 0):
+            workloads.run_monoid(job)
+    finally:
+        snf.smith_normal_form = smith
+    return inputs
+
+
 def _time(fn) -> float:
     """Median microseconds per call of fn()."""
     loops = 1
@@ -265,6 +293,13 @@ def main() -> int:
         rows.append((f"cold h pyramid W={w}", _time(lambda: _cold(pyramid, lambda k: ws.h_plus(pyramid, h, k), keys))))
         rows.append((f"cold membership pyramid W={w}",
                      _time(lambda: _cold(pyramid, lambda k: mc.membership(pyramid, k), shifted))))
+    inputs = _monoid_round_smith_inputs()
+    rows.append((f"smith_normal_form monoid round (n={len(inputs)})",
+                 _time(lambda: [snf.smith_normal_form(a) for a in inputs]) / len(inputs)))
+    for k in MOMENT_CURVE_RAYS:
+        curve, _ = mc.from_embedded([[1, t, t * t, t ** 3] for t in range(1, k + 1)])
+        rows.append((f"is_saturated_bounded rank-4 curve k={k}",
+                     _time(lambda: mc.is_saturated_bounded(mc.FineMonoid(curve.gp, curve.generators)))))
     for name, us in rows:
         print(f"{name:42s} {us:10.1f} us")
     return 0
