@@ -189,8 +189,3 @@ class GroupSpan:
 def solve_in_group(g: AbelianGroup, gens: Sequence[Elt], target: Elt):
     """Integer coefficients c with sum c_i gens_i = target in g, or None."""
     return GroupSpan(g, gens).coefficients(target)
-
-
-def relation_lattice(g: AbelianGroup, gens: Sequence[Elt]) -> list[tuple[int, ...]]:
-    """Generating set of {c in Z^k : sum c_i gens_i = 0 in g}."""
-    return GroupSpan(g, gens).relations()

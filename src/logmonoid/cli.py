@@ -260,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_conn.add_argument("--sigma", help="exponent-set document (json)")
     p_conn.add_argument("--face", type=int, help="face index for the unipotence verdict")
     p_conn.add_argument("--all-faces", action="store_true", help="verdict table over every face")
-    p_conn.add_argument("--l", type=int, default=4, help="D_l order")
+    p_conn.add_argument("--l", type=int, default=4, help="D_l order, only echoed in the dl report: dl checks "
+                        "that the projection stabilises past every tracked coordinate")
     p_conn.add_argument("--radius", help="radius exponent q (radius p^-q) for logconv")
     p_conn.add_argument("--eta", help="eta exponent q (eta = p^-q) for logconv")
     p_conn.add_argument("--depth", type=int, default=6, help="logconv depth")

@@ -29,7 +29,8 @@ irreducible ones.
 
 A phase-1 simplex with Bland's rule remains for questions about cones
 known only by generators: a functional positive on given vectors (the
-default weighting) and membership (verticality), each answer a
+default weighting) and membership (`cone_member`, the tests' independent
+reference; verticality reads the facet normals), each answer a
 certificate.  Its tableau rows are primitive integer rows, so it pivots
 without Fractions and builds one Fraction per basic value at the end.
 """

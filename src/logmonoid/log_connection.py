@@ -70,7 +70,8 @@ class _EmbeddingFields(NamedTuple):
 
 
 class Embedding(_EmbeddingFields):
-    __slots__ = ()
+    # no __slots__: the instance dict holds the cached inverse
+
     _make = checked_make
 
     def __new__(cls, *args, **kwargs):
@@ -79,7 +80,7 @@ class Embedding(_EmbeddingFields):
         r = len(self.matrix)
         if any(len(row) != d for row in self.matrix):
             raise ValueError("embedding rows must have length free_rank")
-        if r != d or qinverse(qmat(self.matrix)) is None:
+        if r != d or self.inverse is None:
             raise ValueError("embedding must be a rational isomorphism (square, invertible)")
         for g in self.monoid.generators:
             if any(c < 0 for c in self.coords(g)):
@@ -99,9 +100,13 @@ class Embedding(_EmbeddingFields):
             for row in self.matrix
         )
 
+    @cached_property
+    def inverse(self) -> Optional[QMatrix]:
+        """The rational inverse of the matrix, or None if it is singular."""
+        return qinverse(qmat(self.matrix))
+
     def inverse_coords(self, v: QVector) -> QVector:
-        inv = qinverse(qmat(self.matrix))
-        return qmat_vec(inv, v)
+        return qmat_vec(self.inverse, v)
 
 
 def _facet_rows(m: FineMonoid) -> list[tuple[int, ...]]:
@@ -122,19 +127,14 @@ def facet_embedding(m: FineMonoid) -> Embedding:
         raise NotSemiSaturated("facet embedding requires a sharp monoid")
     if not is_semi_saturated(m):
         raise NotSemiSaturated("facet embedding requires a semi-saturated monoid")
-    rows = _facet_rows(m)
-    d = m.gp.free_rank
-    if qrank(qmat(rows)) != d:
+    # from the last row to the first, keep each row the kept rows do not span
+    kept: list[tuple[int, ...]] = []
+    for row in reversed(_facet_rows(m)):
+        if qrank(qmat([row, *kept])) > len(kept):
+            kept.insert(0, row)
+    if len(kept) != m.gp.free_rank:
         raise NotSemiSaturated("facet functionals do not span the dual space")
-    while len(rows) > d:
-        for i in range(len(rows)):
-            trial = rows[:i] + rows[i + 1 :]
-            if qrank(qmat(trial)) == d:
-                rows = trial
-                break
-        else:
-            raise NotSemiSaturated("cannot prune facet embedding to an isomorphism")
-    return Embedding(m, tuple(rows))
+    return Embedding(m, tuple(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +302,10 @@ class LogNablaModule(_LogNablaModuleFields):
     @cached_property
     def decomposition(self) -> "ResidueDecomposition":
         blocks = joint_decomposition(self.residue_spectra, self.rank)
-        inv = qinverse(qmat(self.embedding.matrix))
         return ResidueDecomposition(
             self.rank,
             tuple(eigs for eigs, _ in blocks),
-            tuple(qmat_vec(inv, eigs) for eigs, _ in blocks),
+            tuple(self.embedding.inverse_coords(eigs) for eigs, _ in blocks),
             tuple(tuple(b) for _, b in blocks),
         )
 
@@ -552,7 +551,6 @@ def _shear_hypotheses(e: LogNablaModule) -> tuple[tuple[QMatrix, ...], tuple]:
 
 def shear(
     e: LogNablaModule,
-    truncation: Optional[int] = None,
     radius: Radius = Radius.one(),
     p: int = DEFAULT_PRIME,
 ) -> ShearResult:
@@ -563,7 +561,7 @@ def shear(
     a0s, eigendata = _shear_hypotheses(e)
     per_matrix_eigs = [sorted(set(eigs)) for eigs, *_ in eigendata]
     m = e.monoid
-    t = e.truncation if truncation is None else min(truncation, e.truncation)
+    t = e.truncation
     w = e.weighting
     emb = e.embedding
     n = e.rank
@@ -952,12 +950,13 @@ def _poly_eval_matrix(coeffs: Sequence[Fraction], a: QMatrix) -> QMatrix:
     return acc
 
 
-def default_projection_polynomials(e: LogNablaModule, target_block: int = 0) -> list[list[Fraction]]:
-    """Q_i = (minimal polynomial of res_i) / (x - xi_{i,target}): the image of
-    prod Q_i(res_i) lands in the xi_target eigenspace."""
+def default_projection_polynomials(e: LogNablaModule) -> list[list[Fraction]]:
+    """Q_i = (minimal polynomial of res_i) / (x - xi_{i,target}), the target
+    the first block: the image of prod Q_i(res_i) lands in the xi_target
+    eigenspace."""
     res = _require_constant_model(e)
     decomp = e.decomposition
-    target = decomp.eigentuples[target_block]
+    target = decomp.eigentuples[0]
     polys = []
     for i in range(len(res)):
         # minimal polynomial exponent per eigenvalue of res_i: its nilpotency
@@ -987,7 +986,6 @@ def dl_projection(
     v: Sequence[TruncatedSeries],
     q_polys: Sequence[Sequence[Fraction]],
     l: int,
-    target_block: int = 0,
 ) -> tuple[TruncatedSeries, ...]:
     """The generization operator D_l applied termwise: on t^m w the operator
     d_i acts as res_i + m_i."""
@@ -996,7 +994,7 @@ def dl_projection(
     n = e.rank
     emb = e.embedding
     q = max((max(indices, default=1) for indices in e.nilpotency_indices), default=1)
-    target = decomp.eigentuples[target_block]
+    target = decomp.eigentuples[0]
     sections = [f.as_dict() for f in v]
     out_coeffs: list[dict] = [dict() for _ in range(n)]
     for k in sorted(set().union(*sections)):
@@ -1033,7 +1031,6 @@ def dl_limit(
     e: LogNablaModule,
     v: Sequence[TruncatedSeries],
     q_polys: Sequence[Sequence[Fraction]],
-    target_block: int = 0,
 ) -> QVector:
     """prod_i Q_i(res_i)(v_0): the H^0_{xi_1} witness; asserts the projection
     stabilizes to it once l exceeds every tracked coordinate."""
@@ -1049,7 +1046,7 @@ def dl_limit(
         raise ZeroProjection("projection polynomials annihilate the whole module")
     w = qmat_vec(op, v0)
     # membership in H^0_{xi_1}: res_i(w) = xi_{i,1} w
-    target = decomp.eigentuples[target_block]
+    target = decomp.eigentuples[0]
     for i in range(e.embedding.r):
         img = qmat_vec(res[i], w)
         if any(img[a] != target[i] * w[a] for a in range(n)):
@@ -1059,7 +1056,7 @@ def dl_limit(
     for f in v:
         for k, _ in f.terms:
             lmax = max(lmax, max((abs(c) for c in e.embedding.coords(k)), default=0))
-    proj = dl_projection(e, v, q_polys, lmax, target_block)
+    proj = dl_projection(e, v, q_polys, lmax)
     for comp in range(n):
         expected = {zero: w[comp]} if w[comp] != 0 else {}
         got = {k: c for k, c in proj[comp].terms}

@@ -439,11 +439,6 @@ def default_weighting(m: FineMonoid) -> tuple[int, ...]:
     return m.index.default_values
 
 
-def weighting_functional(m: FineMonoid, values: tuple[int, ...]) -> QVector:
-    """Rational lam on gp free coordinates with lam*free(g_i) = values[i]."""
-    return m.index.weighted(values).functional
-
-
 def weight_of(m: FineMonoid, values: tuple[int, ...], g: Elt) -> Fraction:
     """Group extension h(g) = lam * free(g); integral on gp."""
     return m.index.weighted(values).weight(g)
@@ -593,12 +588,13 @@ def section(f: MonoidHom) -> SectionData:
         e = n.gp.element(tuple(1 if i == k else 0 for i in range(d_n)))
         basis_images.append(f.gp_apply(e)[0])
     a = _snf.as_matrix([[basis_images[j][i] for j in range(d_n)] for i in range(d_m)])
+    # one Smith form of a gives every lift and the kernel; with no rows it is all of N^gp
+    smith = _snf.SmithForm(a, d_n)
 
     # lexicographically-first lifts of the free basis of M^gp through a (Smith basis)
     section_images_cover = []
     for k in range(d_m):
-        b = tuple(1 if i == k else 0 for i in range(d_m))
-        x = _snf.solve_integer(a, b)
+        x = smith.solve(tuple(1 if i == k else 0 for i in range(d_m)))
         if x is None:
             raise NotSurjective("f^gp is not surjective on free parts")
         section_images_cover.append(x)
@@ -616,8 +612,7 @@ def section(f: MonoidHom) -> SectionData:
         )
         return n.gp.element(free)
 
-    # a map onto the zero group has no rows, and Smith form would lose N^gp's free rank
-    kernel_free = _snf.kernel_basis(a) if d_m else list(_snf.identity(d_n))
+    kernel_free = smith.kernel_basis()
     kernel = AbelianGroup(len(kernel_free), n.gp.torsion_invariants)
     kbasis = [n.gp.element(v) for v in kernel_free] + n.gp.torsion_generators()
 
@@ -651,11 +646,10 @@ def _verify_section(data: SectionData) -> None:
     for v in data.kernel_basis:
         cols.append(n.gp.lift(v))
     cols += n.gp.cover_relations()
+    # the columns span Z^cover iff every invariant factor of their matrix is 1
     a = _snf.as_matrix([[col[i] for col in cols] for i in range(n.gp.cover_dim)])
-    for k in range(n.gp.cover_dim):
-        b = tuple(1 if i == k else 0 for i in range(n.gp.cover_dim))
-        if _snf.solve_integer(a, b) is None:
-            raise AssertionError("splitting does not span N^gp")
+    if any(x != 1 for x in _snf.SmithForm(a, len(cols)).diagonal):
+        raise AssertionError("splitting does not span N^gp")
     # sharp case: (Im(s) + N) cap Ker(f^gp) = Ker(f), checked on the sums of
     # at most 4 generators of M and of N
     if is_sharp(m):

@@ -185,13 +185,6 @@ def int_charpoly(b: Sequence[Sequence[int]]) -> list[int]:
     return coeffs
 
 
-def charpoly(a: QMatrix) -> list[Fraction]:
-    """Coefficients [c_0, ..., c_n] of det(x*I - a) = sum c_k x^k: for
-    a = b / d with b integer, c_k(a) = c_k(b) / d^(n-k)."""
-    b, d = over_lcm(a)
-    return [Fraction(c, d ** (len(b) - k)) for k, c in enumerate(int_charpoly(b))]
-
-
 def integer_roots(poly: Sequence[int]) -> Optional[list[tuple[int, int]]]:
     """All roots with multiplicity, ascending, of a monic integer polynomial
     [c_0, ..., c_n], or None if it does not split over Q.  Its rational roots
@@ -223,25 +216,6 @@ def integer_roots(poly: Sequence[int]) -> Optional[list[tuple[int, int]]]:
         roots[-poly[0]] = roots.get(-poly[0], 0) + 1
         poly = poly[1:]
     return sorted(roots.items()) if len(poly) == 1 else None
-
-
-def rational_roots(coeffs: Sequence[Fraction]) -> Optional[list[tuple[Fraction, int]]]:
-    """All roots with multiplicity of a polynomial, or None if it does not
-    split over Q.  coeffs = [c_0, ..., c_n].  The roots are y / d for the
-    integer roots y of the monic integer polynomial in y = d*x, d grown
-    from 1 just enough that every monic c_k d^(n-k) is an integer."""
-    poly = [Fraction(x) for x in coeffs]
-    while poly and poly[-1] == 0:
-        poly.pop()
-    if not poly:
-        raise ValueError("zero polynomial")
-    monic = [c / poly[-1] for c in poly]
-    n, d = len(monic) - 1, 1
-    for k in range(n - 1, -1, -1):
-        den = monic[k].denominator
-        d *= den // math.gcd(den, d ** (n - k))
-    roots = integer_roots([int(c * d ** (n - k)) for k, c in enumerate(monic)])
-    return None if roots is None else [(Fraction(y, d), k) for y, k in roots]
 
 
 def padic_valuation(x: Fraction, p: int):

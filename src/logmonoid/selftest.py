@@ -171,19 +171,24 @@ def _face_census(prime):
     return "4 faces, 2 facets, oracle census equal"
 
 
-@_criterion("03_section_invariants")
-def _section_invariants(prime):
-    """Five fixture surjections: all four SectionData invariants, including
-    the sharp-case identity (Im(s) + N) cap Ker(f^gp) = Ker(f), plus
-    f(s(g)) = g and the kernel rank re-checked here."""
+def _surjections():
+    """The five fixture surjections of the section criterion."""
     n1, n2, n3, m_even = mc.free_monoid(1), mc.free_monoid(2), mc.free_monoid(3), _m_even()
-    fixtures = [
+    return [
         mc.MonoidHom(n2, n1, (n1.element((1,)), n1.element((1,)))),
         mc.MonoidHom(n3, m_even, m_even.generators),
         mc.MonoidHom(n1, n1, (n1.element((1,)),)),
         mc.MonoidHom(n2, n1, (n1.element((1,)), n1.element((2,)))),
         mc.MonoidHom(n3, n2, (n2.element((1, 0)), n2.element((0, 1)), n2.element((1, 1)))),
     ]
+
+
+@_criterion("03_section_invariants")
+def _section_invariants(prime):
+    """Five fixture surjections: all four SectionData invariants, including
+    the sharp-case identity (Im(s) + N) cap Ker(f^gp) = Ker(f), plus
+    f(s(g)) = g and the kernel rank re-checked here."""
+    fixtures = _surjections()
     for k, f in enumerate(fixtures):
         sd = mc.section(f)  # raises if any invariant fails
         for g in f.target.generators:

@@ -167,13 +167,3 @@ class SmithForm:
         return [
             tuple(self.v[i][j] for i in range(self.cols)) for j in range(self.rank, self.cols)
         ]
-
-
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """A particular integer solution x of a*x = b, or None (see SmithForm.solve)."""
-    return SmithForm(a).solve(b)
-
-
-def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {x : a*x = 0}."""
-    return SmithForm(a).kernel_basis()

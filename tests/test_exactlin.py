@@ -178,23 +178,25 @@ def test_integer_solve_and_kernel():
         )
         x = tuple(rng.randint(-4, 4) for _ in range(cols))
         b = snf.mat_vec(a, x)
-        sol = snf.solve_integer(a, b)
+        smith = snf.SmithForm(a)
+        sol = smith.solve(b)
         assert sol is not None and snf.mat_vec(a, sol) == tuple(b)
-        for k in snf.kernel_basis(a):
+        for k in smith.kernel_basis():
             assert all(v == 0 for v in snf.mat_vec(a, k))
 
 
 def test_charpoly_and_roots():
-    a = qlin.qmat(((2, 1), (0, 2)))
-    # det(xI - a) = (x-2)^2 = x^2 - 4x + 4
-    assert qlin.charpoly(a) == [F(4), F(-4), F(1)]
-    roots = qlin.rational_roots([F(4), F(-4), F(1)])
-    assert roots == [(F(2), 2)]
-    assert qlin.rational_roots([F(-2), F(0), F(1)]) is None  # x^2 - 2
-    roots = qlin.rational_roots([F(0), F(-1, 6), F(0), F(1)])  # x(x^2 - 1/6)
-    assert roots is None
-    roots = qlin.rational_roots([F(0), F(-1, 4), F(0), F(1)])  # x(x - 1/2)(x + 1/2)
-    assert sorted(roots) == [(F(-1, 2), 1), (F(0), 1), (F(1, 2), 1)]
+    # det(xI - b) = (x-2)^2 = x^2 - 4x + 4
+    assert qlin.int_charpoly(((2, 1), (0, 2))) == [4, -4, 1]
+    assert qlin.integer_roots([4, -4, 1]) == [(2, 2)]
+    assert qlin.integer_roots([-2, 0, 1]) is None  # x^2 - 2
+    # the roots of a = b / d are y / d for the roots y of det(yI - b)
+    b, d = qlin.over_lcm(qlin.qmat(((0, 1, 0), (F(1, 6), 0, 0), (0, 0, 0))))
+    assert (qlin.int_charpoly(b), d) == ([0, -6, 0, 1], 6)  # x(x^2 - 1/6) in y = 6x
+    assert qlin.integer_roots([0, -6, 0, 1]) is None
+    b, d = qlin.over_lcm(qlin.qmat(((F(1, 2), 0, 0), (0, 0, 0), (0, 0, F(-1, 2)))))
+    assert (qlin.int_charpoly(b), d) == ([0, -1, 0, 1], 2)  # x(x - 1/2)(x + 1/2) in y = 2x
+    assert qlin.integer_roots([0, -1, 0, 1]) == [(-1, 1), (0, 1), (1, 1)]
 
 
 def test_qsolve_and_nullspace():

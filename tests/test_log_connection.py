@@ -28,10 +28,11 @@ from logmonoid.errors import (
     SingularSylvester,
 )
 from logmonoid.qlin import (
-    INF, matrix_valuation, padic_valuation, qidentity, qinverse, qmat, qmat_mul, qmat_sub, qsolve, qvec,
+    INF, matrix_valuation, padic_valuation, qidentity, qinverse, qmat, qmat_mul, qmat_sub, qrank, qsolve, qvec,
 )
 
 import fraction_reference
+import test_cone
 from conftest import build_module, build_series, gauge_built_module
 
 F = Fraction
@@ -143,6 +144,62 @@ def test_facet_normals_are_the_quotient_rows(n1, n2, n3, nm1, m_even):
         normals = m.index.facet_normals
         assert list(normals) == list(mc.facets(m))
         assert [_quotient_row(m, f) for f in normals] == list(normals.values())
+
+
+def _greedy_facet_rows(m):
+    """The pruning facet_embedding did before its one pass: drop the first
+    row whose removal keeps rank d while there is one."""
+    rows, d = lc._facet_rows(m), m.gp.free_rank
+    while len(rows) > d:
+        for i in range(len(rows)):
+            trial = rows[:i] + rows[i + 1:]
+            if qrank(qmat(trial)) == d:
+                rows = trial
+                break
+    return tuple(rows)
+
+
+POLYGONS = (  # every lattice point of each polygon
+    ((0, 0), (1, 0), (0, 1), (1, 1)),
+    ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), (0, 0)),
+    ((0, 0), (2, 0), (2, 1), (1, 2), (0, 1), (1, 0), (1, 1)),
+    ((0, 0), (3, 0), (0, 1), (1, 0), (2, 0), (1, 1), (2, 1)),
+    ((0, 0), (1, 0), (2, 1), (1, 2), (0, 1), (1, 1)),
+)
+
+
+def test_facet_embedding_keeps_the_rows_of_the_greedy_pruning():
+    """The rows of the one pass equal those of the greedy pruning on the
+    cones over lattice polygons and the pyramids over them, with their
+    generators in seeded orders, on the test_cone grid and on every monoid
+    of tests/data."""
+    rng = random.Random(18)
+    monoids = [m for _, m in test_cone.GRID]
+    for points in POLYGONS:
+        for gens in ([(x, y, 1) for x, y in points], [(x, y, 0, 1) for x, y in points] + [(0, 0, 1, 1)]):
+            for _ in range(3):
+                monoids.append(mc.from_embedded(rng.sample(gens, len(gens)))[0])
+    for path in sorted(DATA.glob("*.json")):
+        doc = documents.load_json(path)
+        if "elements" not in doc:  # a monoid or connection document
+            monoids.append(documents.parse_monoid(doc.get("monoid", doc)).monoid)
+    fixtures = [m for m in monoids if mc.is_sharp(m) and mc.is_semi_saturated(m) and not m.index.cone.lines]
+    assert sum(len(lc._facet_rows(m)) > m.gp.free_rank for m in fixtures) >= 30
+    for m in fixtures:
+        assert lc.facet_embedding(m).matrix == _greedy_facet_rows(m)
+
+
+def test_embedding_inverts_its_matrix_once(monkeypatch, n2):
+    """Construction, the module's decomposition and twist_reduce read one
+    cached inverse."""
+    calls = []
+    qinverse = lc.qinverse
+    monkeypatch.setattr(lc, "qinverse", lambda a: calls.append(a) or qinverse(a))
+    emb = lc.Embedding(n2, ((1, 0), (1, 1)))
+    e = lc.apply_ui(emb, ws.default_weighting(n2), [((F(1, 2),),), ((F(1, 3),),)], 4)
+    assert e.decomposition.exponents == ((F(1, 2), F(-1, 6)),)
+    assert lc.twist_reduce(emb, (F(7, 2), F(-2)))[1] == n2.element((3, -2))
+    assert calls == [qmat(emb.matrix)]
 
 
 def test_facet_embedding_nm1(nm1):
@@ -965,8 +1022,12 @@ def test_projection_polynomials_take_each_eigenvalue_over_all_its_blocks(n2):
     e = lc.apply_ui(emb, h, [res1, res2], 4)
     assert lc.exponents(e).eigentuples == ((0, 0), (0, F(1, 3)))
     # Q_i = (minimal polynomial of res_i) / (x - xi_{i,target}), ascending coefficients
-    assert lc.default_projection_polynomials(e, 0) == [[0, 1], [F(-1, 3), 1]]
-    assert lc.default_projection_polynomials(e, 1) == [[0, 1], [0, 1]]
+    assert lc.default_projection_polynomials(e) == [[0, 1], [F(-1, 3), 1]]
+    # the same blocks with the eigenvalue 1/3 of res_2 negated: the target,
+    # the first block, is now the one with index 1 on res_1
+    e = lc.apply_ui(emb, h, [res1, ((0, 0, 0), (0, 0, 0), (0, 0, F(-1, 3)))], 4)
+    assert lc.exponents(e).eigentuples == ((0, F(-1, 3)), (0, 0))
+    assert lc.default_projection_polynomials(e) == [[0, 1], [0, 1]]
 
 
 def _ad_nilpotency_by_powers(nil):

@@ -2,12 +2,13 @@
 sections, semi-saturatedness."""
 
 import random
+import sys
 
 import pytest
 
 from logmonoid import monoid_core as mc
 from logmonoid import snf
-from logmonoid.abelian import AbelianGroup, relation_lattice
+from logmonoid.abelian import AbelianGroup, GroupSpan
 from logmonoid.errors import NotSubmonoid, NotSurjective, TorsionTarget
 
 
@@ -208,13 +209,13 @@ def _lattices_equal(l1, l2, k):
     """Two generating sets span the same sublattice of Z^k."""
     if not l1 and not l2:
         return True
-    a1 = snf.as_matrix([[row[i] for row in l1] for i in range(k)]) if l1 else None
-    a2 = snf.as_matrix([[row[i] for row in l2] for i in range(k)]) if l2 else None
+    a1 = snf.SmithForm(snf.as_matrix([[row[i] for row in l1] for i in range(k)])) if l1 else None
+    a2 = snf.SmithForm(snf.as_matrix([[row[i] for row in l2] for i in range(k)])) if l2 else None
     for v in l2:
-        if a1 is None or snf.solve_integer(a1, v) is None:
+        if a1 is None or a1.solve(v) is None:
             return False
     for v in l1:
-        if a2 is None or snf.solve_integer(a2, v) is None:
+        if a2 is None or a2.solve(v) is None:
             return False
     return True
 
@@ -234,8 +235,8 @@ def test_quotient_composition(m_even, n2):
         assert q12.gp.torsion_invariants == direct.gp.torsion_invariants
         # same kernel: the generator relation lattices agree
         k = len(m.generators)
-        l1 = relation_lattice(q12.gp, q12.generators)
-        l2 = relation_lattice(direct.gp, direct.generators)
+        l1 = GroupSpan(q12.gp, q12.generators).relations()
+        l2 = GroupSpan(direct.gp, direct.generators).relations()
         assert _lattices_equal(l1, l2, k)
 
 
@@ -327,6 +328,33 @@ def test_section_onto_the_trivial_monoid(n2):
     sd = mc.section(f)
     assert sd.kernel.free_rank == 2 and sd.ntilde.gp == n2.gp
     assert mc.is_vertical(f) is True
+
+
+def test_section_takes_one_smith_form_per_matrix(monkeypatch, n2, n3, m_even):
+    """section builds one Smith form of f^gp's free matrix (every lift and
+    the kernel) and _verify_section one of the splitting matrix; the other
+    Smith forms of a section belong to the monoid indices."""
+    calls = []
+    smith_normal_form = snf.smith_normal_form
+
+    def counted(a):
+        calls.append((sys._getframe(2).f_code.co_name, a))  # the caller of SmithForm
+        return smith_normal_form(a)
+
+    monkeypatch.setattr(snf, "smith_normal_form", counted)
+    for f in (mc.MonoidHom(n3, n2, (n2.element((1, 0)), n2.element((0, 1)), n2.element((1, 1)))),
+              mc.MonoidHom(n3, m_even, m_even.generators)):
+        calls.clear()
+        sd = mc.section(f)
+        n, d_m = f.source, f.target.gp.free_rank
+        images = [f.gp_apply(n.element(v))[0] for v in snf.identity(n.gp.free_rank)]
+        fgp = snf.as_matrix(list(zip(*images)))
+        cols = [n.gp.lift(sd.section.gp_apply(f.target.gp.element(v))) for v in snf.identity(d_m)]
+        cols += [n.gp.lift(v) for v in sd.kernel_basis] + n.gp.cover_relations()
+        splitting = snf.as_matrix(list(zip(*cols)))
+        own = [call for call in calls if call[0] in ("section", "_verify_section")]
+        assert own == [("section", fgp), ("_verify_section", splitting)]
+        assert [a for _, a in calls].count(splitting) == 1
 
 
 def test_section_rejects_torsion_target(torsion_monoid, n2):

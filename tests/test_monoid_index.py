@@ -39,7 +39,7 @@ def monoid(request):
 
 def test_weight_of_is_the_rational_functional(monoid):
     values = mc.default_weighting(monoid)
-    lam = mc.weighting_functional(monoid, values)
+    lam = monoid.index.weighted(values).functional
     for g in _grid(monoid):
         expected = sum((lam[i] * g[0][i] for i in range(len(lam))), Fraction(0))
         assert mc.weight_of(monoid, values, g) == expected

@@ -62,42 +62,54 @@ def _grid():
 GRID = list(_grid())
 
 
+def _charpoly_and_roots(a):
+    """What `_residue_spectrum` computes for a = b / d: the characteristic
+    polynomial of a as c_k(b) / d^(n-k), and its roots y / d for the roots y
+    of the integer polynomial of b, or None."""
+    b, d = qlin.over_lcm(a)
+    poly = qlin.int_charpoly(b)
+    roots = qlin.integer_roots(poly)
+    scaled = [F(c, d ** (len(b) - k)) for k, c in enumerate(poly)]
+    return scaled, None if roots is None else [(F(y, d), mult) for y, mult in roots]
+
+
 def test_charpoly_and_roots_match_the_fraction_code():
-    """charpoly on 600 random matrices, n <= 5; the roots where the divisor
-    search of the Fraction code stays small (n <= 3), and on the grid."""
+    """int_charpoly on 600 random matrices, n <= 5; the roots where the
+    divisor search of the Fraction code stays small (n <= 3), and on the
+    grid."""
     rng = random.Random(21)
     seen = set()
     for case in range(600):
         n = rng.randint(1, 5)
         a = qlin.qmat([[F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6))) for _ in range(n)] for _ in range(n)])
-        poly = qlin.charpoly(a)
+        poly, roots = _charpoly_and_roots(a)
         assert poly == ref.charpoly(a)
         if n <= 3 and case % 3 == 0:
-            roots = qlin.rational_roots(poly)
             assert roots == ref.rational_roots(poly)
             seen.add(roots is None)
     for _, _, _, mats in GRID:
         for a in mats:
-            poly = qlin.charpoly(a)
+            poly, roots = _charpoly_and_roots(a)
             assert poly == ref.charpoly(a)
-            assert qlin.rational_roots(poly) == ref.rational_roots(poly)
+            assert roots == ref.rational_roots(poly)
     assert seen == {True, False}
 
 
 def test_rational_roots_on_products_of_factors():
-    """Linear factors (with repeats, roots 0 among them) times an
-    irreducible quadratic or not, scaled by a rational leading coefficient."""
+    """Monic integer polynomials: linear factors (with repeats, roots 0
+    among them) times an irreducible quadratic or not."""
     rng = random.Random(22)
     for _ in range(300):
-        poly = [F(rng.choice((1, -2, 3)), rng.choice((1, 5)))]
+        poly = [1]
         for _ in range(rng.randint(0, 4)):
-            root = F(rng.randint(-6, 6), rng.randint(1, 4))
-            poly = [c - root * d for c, d in zip([F(0)] + poly, poly + [F(0)])]
+            root = rng.randint(-6, 6) * rng.randint(1, 4)
+            poly = [c - root * d for c, d in zip([0] + poly, poly + [0])]
         if rng.random() < 0.3:
-            quad = (F(rng.choice((2, 3, 5, -1))), F(0), F(1))  # x^2 + c: no rational root
-            poly = [sum((poly[i] * quad[k - i] for i in range(len(poly)) if 0 <= k - i < 3), F(0))
+            quad = (rng.choice((2, 3, 5, -1)), 0, 1)  # x^2 + c
+            poly = [sum(poly[i] * quad[k - i] for i in range(len(poly)) if 0 <= k - i < 3)
                     for k in range(len(poly) + 2)]
-        assert qlin.rational_roots(poly) == ref.rational_roots(poly)
+        roots = qlin.integer_roots(poly)
+        assert (None if roots is None else [(F(y), mult) for y, mult in roots]) == ref.rational_roots(poly)
     assert qlin.integer_roots([0, 0, -4, 0, 1]) == [(-2, 1), (0, 2), (2, 1)]
     assert qlin.integer_roots([98, 21, -12, 1]) == [(-2, 1), (7, 2)]  # a square root of c_0 = 49 * 2
     assert qlin.integer_roots([3, 0, 1]) is None

@@ -15,9 +15,10 @@ over N^2 truncated at T (a diagonal constant model rewritten by a gauge
 I + G, G dense up to weight T) for n = 2, 3 and T = 4, 6,
 `validate_integrability` and `log_convergence_check` at depth 2 and 4
 (radius 1, eta = p^-1/2), each call on a fresh copy of the module, so no
-cached verdict is reused.  The spectral rows time `qlin.rational_roots` of
-`qlin.charpoly` on n x n matrices P J P^-1 (J in Jordan form with
-eigenvalues in {0, 1/2, 1/3, 1/4}, P unipotent) for n = 2, 3, 4;
+cached verdict is reused.  The spectral rows time `qlin.integer_roots` of
+`qlin.int_charpoly` on the integer rows b = d A of n x n matrices
+A = P J P^-1 (J in Jordan form with eigenvalues in {0, 1/2, 1/3, 1/4},
+P unipotent) for n = 2, 3, 4, what `_residue_spectrum` runs;
 `exponents` plus `eigenbasis_data` on fresh copies of the rank-n modules
 above (n = 2, 3, T = 4); and `is_sigma_unipotent` over every face, on a
 fresh copy of the module and of Sigma (its own exponent set), for a
@@ -42,7 +43,10 @@ in the row's name, falls when the saturation verdict stops earlier.  The
 saturation rows time `is_saturated_bounded` on the rank-4 moment-curve
 cones over (1, t, t^2, t^3), t = 1..k, for k = 10, 12, 16, 20, 30, 40,
 each call on a fresh copy of the monoid (its cone, triangulation and ball
-cold).
+cold).  The section row times `monoid_core.section` of each of the five
+selftest surjections, per round of five: the indices of their source and
+target monoids are warm after the first round, while the image monoid and
+the Smith forms of f^gp and of the splitting are built on every call.
 Entries are small rationals (numerators -9..9, denominators up to
 6) or small integers from a fixed seed, so every run measures the same
 inputs.  Each figure is the median over REPEATS repeats of a loop of at
@@ -267,8 +271,8 @@ def main() -> int:
                 rows.append((f"log_convergence_check depth={depth} n={n} N^2 T={t}",
                              _time(lambda: lc.log_convergence_check(e._replace(), one, eta, depth))))
     for n in (2, 3, 4):
-        a = _jordan_conjugate(rng, n)
-        rows.append((f"charpoly + rational_roots n={n}", _time(lambda: qlin.rational_roots(qlin.charpoly(a)))))
+        b, _ = over_lcm(_jordan_conjugate(rng, n))
+        rows.append((f"int_charpoly + integer_roots n={n}", _time(lambda: qlin.integer_roots(qlin.int_charpoly(b)))))
     for n in (2, 3):
         e = _module(rng, n2, n, 4)
         rows.append((f"module spectra n={n} N^2 T=4", _time(lambda: _spectra(e))))
@@ -300,6 +304,8 @@ def main() -> int:
         curve, _ = mc.from_embedded([[1, t, t * t, t ** 3] for t in range(1, k + 1)])
         rows.append((f"is_saturated_bounded rank-4 curve k={k}",
                      _time(lambda: mc.is_saturated_bounded(mc.FineMonoid(curve.gp, curve.generators)))))
+    surjections = selftest._surjections()
+    rows.append(("section 5 selftest surjections", _time(lambda: [mc.section(f) for f in surjections])))
     for name, us in rows:
         print(f"{name:42s} {us:10.1f} us")
     return 0
