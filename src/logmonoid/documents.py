@@ -8,13 +8,19 @@ are written in the ambient coordinates Z^k and converted on the way in
 torsion-free group, so its "torsion" field, if given, is empty; torsion
 needs a presentation.
 Rationals are "a/b" strings, ints, or [num, den] pairs; never floats.
+
+Equal monoid sections share one analysed monoid (`_monoid_section`) and
+equal (context, embedding rows) one `Embedding` (`_embedding`), in two
+bounded caches of the SECTION_CACHE_SIZE most recently used entries.
+Every entry of a monoid's index is a function of the monoid alone, so no
+answer depends on what the caches hold or on the order documents come in.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from operator import mul
 from typing import Callable, NamedTuple, Optional
 
@@ -24,6 +30,10 @@ from .log_connection import Embedding, ExponentSet, LogNablaModule, facet_embedd
 from .monoid_core import FineMonoid, from_embedded, from_presentation
 from .qlin import over_lcm, qmat_mul, solve_map
 from .weighted_series import Radius, Weighting, coefficient_map, default_weighting
+
+
+# How many analysed monoid sections, and as many embeddings, stay cached.
+SECTION_CACHE_SIZE = 16
 
 
 def _integer(x, field: str) -> int:
@@ -124,44 +134,23 @@ class MonoidContext(NamedTuple):
 
 
 def parse_monoid(doc: dict) -> MonoidContext:
+    """The monoid section of a document.  Equal sections, however written,
+    share one analysed monoid (`_monoid_section`); the weighting is checked
+    against it per document."""
     if not isinstance(doc, dict):
         raise ParseError("monoid document must be an object")
     if "generators" in doc:
         n = _integer(doc["generators"], "generators")
-        relations = _integers(doc.get("relations", []), "relations", 3)
-        try:
-            monoid = from_presentation(n, relations)
-        except ValueError as exc:
-            raise ParseError(f"bad presentation: {exc}") from exc
-        ambient = exponent_map = ambient_map = None
-        convert = lambda x: monoid.gp.element(*x)
+        section = _monoid_section(n, _integers(doc.get("relations", []), "relations", 3), None)
     elif "embedded_generators" in doc:
         vectors = _integers(doc["embedded_generators"], "embedded_generators", 2)
         if _integers(doc.get("torsion", []), "torsion"):
             raise ParseError("torsion: embedded generators lie in Z^k; a group with torsion needs a presentation "
                              "('generators' and 'relations')")
-        try:
-            monoid, convert = from_embedded(vectors)
-        except ValueError as exc:
-            raise ParseError(f"bad embedded generators: {exc}") from exc
-        ambient = vectors
-
-        @cache
-        def exponent_map():
-            # solve for the generator coefficients, then sum the generators' gp coordinates
-            to_coeffs, checks = solve_map([[v[i] for v in vectors] for i in range(len(vectors[0]))])
-            gens = [[g[0][i] for g in monoid.generators] for i in range(monoid.gp.free_rank)]
-            return (*over_lcm(qmat_mul(gens, to_coeffs)), checks)
-
-        @cache
-        def ambient_map():
-            # the generator coefficients of each gp basis vector, summed on the ambient generators
-            d, span = monoid.gp.free_rank, monoid.index.span
-            basis = [span.coefficients(monoid.gp.element([int(i == k) for i in range(d)])) for k in range(d)]
-            return [[sum(c * v[i] for c, v in zip(coeffs, vectors)) for coeffs in basis]
-                    for i in range(len(vectors[0]))]
+        section = _monoid_section(None, (), vectors)
     else:
         raise ParseError("monoid document needs 'generators' or 'embedded_generators'")
+    monoid, ambient, convert, exponent_map, ambient_map = section
     if "weighting" in doc:
         try:
             w = Weighting(monoid, _integers(doc["weighting"], "weighting"))
@@ -170,6 +159,49 @@ def parse_monoid(doc: dict) -> MonoidContext:
     else:
         w = default_weighting(monoid)
     return MonoidContext(monoid, w, ambient, convert, exponent_map, ambient_map)
+
+
+@lru_cache(maxsize=SECTION_CACHE_SIZE)
+def _monoid_section(n: Optional[int], relations: tuple, vectors: Optional[tuple]) -> tuple:
+    """The analysed monoid of validated fields, a presentation (n, relations)
+    or embedded generators (vectors), with the fields of its MonoidContext
+    but the weighting.  Every entry of the monoid's index is a function of
+    the monoid alone, so documents sharing it get the answers a fresh one
+    would give; a section that fails is not cached."""
+    if vectors is None:
+        try:
+            monoid = from_presentation(n, relations)
+        except ValueError as exc:
+            raise ParseError(f"bad presentation: {exc}") from exc
+        return monoid, None, lambda x: monoid.gp.element(*x), None, None
+    try:
+        monoid, convert = from_embedded(vectors)
+    except ValueError as exc:
+        raise ParseError(f"bad embedded generators: {exc}") from exc
+
+    @cache
+    def exponent_map():
+        # solve for the generator coefficients, then sum the generators' gp coordinates
+        to_coeffs, checks = solve_map([[v[i] for v in vectors] for i in range(len(vectors[0]))])
+        gens = [[g[0][i] for g in monoid.generators] for i in range(monoid.gp.free_rank)]
+        return (*over_lcm(qmat_mul(gens, to_coeffs)), checks)
+
+    @cache
+    def ambient_map():
+        # the generator coefficients of each gp basis vector, summed on the ambient generators
+        d, span = monoid.gp.free_rank, monoid.index.span
+        basis = [span.coefficients(monoid.gp.element([int(i == k) for i in range(d)])) for k in range(d)]
+        return [[sum(c * v[i] for c, v in zip(coeffs, vectors)) for coeffs in basis]
+                for i in range(len(vectors[0]))]
+
+    return monoid, vectors, convert, exponent_map, ambient_map
+
+
+def clear_caches() -> None:
+    """Forget every cached monoid section and embedding, so the next parse
+    analyses its monoid afresh, as in a new process."""
+    _monoid_section.cache_clear()
+    _embedding.cache_clear()
 
 
 def parse_radius(obj) -> Radius:
@@ -182,8 +214,14 @@ def parse_radius(obj) -> Radius:
     return Radius(parse_rational(obj))
 
 
-def _embedding_from_rows(ctx: MonoidContext, rows) -> Embedding:
-    rows = _integers(rows, "embedding", 2)
+@lru_cache(maxsize=SECTION_CACHE_SIZE)
+def _embedding(ctx: MonoidContext, rows: Optional[tuple]) -> Embedding:
+    """The embedding with these validated rows, or the facet embedding when
+    rows is None.  Keyed by the whole context: its converters are those of
+    one build of the section, so an entry is never handed to an equal
+    monoid rebuilt after that build left the section cache."""
+    if rows is None:
+        return facet_embedding(ctx.monoid)
     d = ctx.monoid.gp.free_rank
     if ctx.ambient_map is None:
         if any(len(row) != d for row in rows):
@@ -219,10 +257,7 @@ def parse_connection(doc: dict) -> tuple[MonoidContext, LogNablaModule]:
     if interval_kind not in ("disk", "annulus", "point"):
         raise ParseError("interval_kind must be disk, annulus or point")
     annulus = interval_kind == "annulus"
-    if "embedding" in doc:
-        emb = _embedding_from_rows(ctx, doc["embedding"])
-    else:
-        emb = facet_embedding(ctx.monoid)
+    emb = _embedding(ctx, _integers(doc["embedding"], "embedding", 2) if "embedding" in doc else None)
 
     def parse_matrix_list(name: str, count: int) -> tuple:
         per_index: dict[int, dict[Elt, list[Fraction]]] = {}

@@ -1163,9 +1163,10 @@ def log_convergence_check(
 ) -> bool:
     """Bounded eta-nullity of P_k = (1/k!) prod_i prod_{j<k_i} (d_i - j) on the
     basis sections: no eta-weighted Gauss norm may exceed the |k| = 0 baseline.
-    A section is an integer column {key: [x]} over a denominator d, with
-    Gauss valuation min v_p(x) - v_p(d) + q h(key) at radius a' = p^-q
-    (`gauss_valuation`).
+    The n sections are carried side by side as the columns of one n x n
+    integer map {key: x} over a denominator d, starting from the identity;
+    a column's Gauss valuation is min v_p(x) - v_p(d) + q h(key) at radius
+    a' = p^-q (`gauss_valuation`), and the map's is the least of them.
     P_k is computed along one path to k, so the module must be integrable."""
     if e.interval_kind not in ("disk", "point"):
         raise NotDiskModule("log-convergence is defined on disks and points")
@@ -1178,25 +1179,24 @@ def log_convergence_check(
     h = m.index.weighted(w.values).h
     radius = lambda key: q.numerator * h(key)[0]  # noqa: E731
     coords = e.coords
-    for comp in range(n):
-        # e_comp has valuation 0, the baseline; enumerate multi-indices k with
-        # 1 <= |k| <= depth, the factors (d_i - j) for different directions
-        # commuting by integrability
-        frontier = {(0,) * e.embedding.r: ({m.gp.zero(): [int(j == comp) for j in range(n)]}, 1)}
-        for level in range(1, depth + 1):
-            new = {}
-            for k, (col, den) in frontier.items():
-                for i, (ai, di) in enumerate(e.matrices):
-                    kk = k[:i] + (k[i] + 1,) + k[i + 1 :]
-                    if kk in new:
-                        continue
-                    out = _map_mul(m, w, t, ai, col.items(), 1)  # (d_i + A^i - k_i) col, over di den
-                    for key, x in col.items():
-                        _add_into(out, key, [di * (coords(key)[i] - k[i]) * v for v in x])
-                    new[kk] = ({key: x for key, x in out.items() if any(x)}, di * den)
-            frontier = new
-            for k, (col, den) in frontier.items():
-                val = gauss_valuation(col.items(), den * math.prod(map(math.factorial, k)), p, radius, q.denominator)
-                if val + level * q_eta < 0:
-                    return False
+    # the basis sections have valuation 0, the baseline; enumerate multi-indices
+    # k with 1 <= |k| <= depth, the factors (d_i - j) for different directions
+    # commuting by integrability
+    frontier = {(0,) * e.embedding.r: ({m.gp.zero(): [int(i == j) for i in range(n) for j in range(n)]}, 1)}
+    for level in range(1, depth + 1):
+        new = {}
+        for k, (sections, den) in frontier.items():
+            for i, (ai, di) in enumerate(e.matrices):
+                kk = k[:i] + (k[i] + 1,) + k[i + 1 :]
+                if kk in new:
+                    continue
+                out = _map_mul(m, w, t, ai, sections.items(), n)  # (d_i + A^i - k_i) sections, over di den
+                for key, x in sections.items():
+                    _add_into(out, key, [di * (coords(key)[i] - k[i]) * v for v in x])
+                new[kk] = ({key: x for key, x in out.items() if any(x)}, di * den)
+        frontier = new
+        for k, (sections, den) in frontier.items():
+            val = gauss_valuation(sections.items(), den * math.prod(map(math.factorial, k)), p, radius, q.denominator)
+            if val + level * q_eta < 0:
+                return False
     return True

@@ -653,18 +653,17 @@ def _verify_section(data: SectionData) -> None:
     # sharp case: (Im(s) + N) cap Ker(f^gp) = Ker(f), checked on the sums of
     # at most 4 generators of M and of N
     if is_sharp(m):
-        m_ball = list(_monoid_combinations(m.generators, m.gp, 4))
-        n_ball = list(_monoid_combinations(n.generators, n.gp, 4))
-        # f^gp is additive: f(s(a) + b) = f(s(a)) + f(b), one apply per element
-        n_images = [(b_elt, f.gp_apply(b_elt)) for b_elt in n_ball]
-        for a_elt in m_ball:
+        # f^gp is additive: f(s(a) + b) = f(s(a)) + f(b), so the b with
+        # s(a) + b in Ker(f^gp) are those with f(b) = -f(s(a)), grouped once
+        by_image: dict[Elt, list[Elt]] = {}
+        for b_elt in _monoid_combinations(n.generators, n.gp, 4):
+            by_image.setdefault(f.gp_apply(b_elt), []).append(b_elt)
+        for a_elt in _monoid_combinations(m.generators, m.gp, 4):
             sa = s.gp_apply(a_elt)
-            fsa = f.gp_apply(sa)
-            for b_elt, fb in n_images:
-                if m.gp.is_zero(m.gp.add(fsa, fb)):
-                    # s(a) + b must lie in Ker(f) = N cap Ker(f^gp)
-                    if not membership(n, n.gp.add(sa, b_elt)):
-                        raise AssertionError("sharp-case kernel identity fails")
+            for b_elt in by_image.get(m.gp.neg(f.gp_apply(sa)), ()):
+                # s(a) + b must lie in Ker(f) = N cap Ker(f^gp)
+                if not membership(n, n.gp.add(sa, b_elt)):
+                    raise AssertionError("sharp-case kernel identity fails")
 
 
 # ---------------------------------------------------------------------------

@@ -290,11 +290,11 @@ def series(
 
 
 def series_matrix(w: Weighting, t: int, a: CoefficientMap, n: int) -> SeriesMatrix:
-    """The n x n coefficient map a as a matrix of disk series truncated at t."""
+    """The n x n coefficient map a as a matrix of disk series truncated at t,
+    each entry built by `series`, so a key with h^-(m) > 0 raises its check."""
     terms, den = a
     return tuple(
-        tuple(TruncatedSeries(w.monoid, w, _canonical({k: (x[i * n + j],) for k, x in terms}, den), t)
-              for j in range(n))
+        tuple(series(w.monoid, w, {k: Fraction(x[i * n + j], den) for k, x in terms}, t) for j in range(n))
         for i in range(n)
     )
 

@@ -6,10 +6,18 @@ from fractions import Fraction
 
 import pytest
 
+from logmonoid import documents
 from logmonoid import monoid_core as mc
 from logmonoid import weighted_series as ws
 # the connection builders live with the selftest registry, which uses them too
 from logmonoid.selftest import build_module, gauge_built_module  # noqa: F401
+
+
+@pytest.fixture(autouse=True)
+def cold_document_caches():
+    """Every test parses its documents from cold caches, so counts of the
+    Smith forms a parse builds do not depend on which tests ran before."""
+    documents.clear_caches()
 
 
 @pytest.fixture(scope="session")

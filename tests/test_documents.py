@@ -16,6 +16,7 @@ from logmonoid.qlin import qmat, qsolve
 from logmonoid.errors import (
     DenominatorVanishes,
     NonCommutingResidues,
+    HypothesisError,
     ParseError,
     ZeroProjection,
 )
@@ -220,6 +221,8 @@ def test_embedded_elements_share_one_smith_form(monkeypatch):
     short = [[0, 0], [2, 0], [1, 1], [0, 2]]
     counts = []
     for points in (short, short + [[4, 0], [3, 1], [2, 2], [1, 3]]):
+        # both parses start cold: the second would otherwise reuse the first's monoid
+        docs.clear_caches()
         calls.clear()
         docs.parse_connection(doc(points))
         counts.append(len(calls))
@@ -399,3 +402,171 @@ def test_rational_and_radius_integers_are_integer_fields():
     for obj in ({"q_num": 0.5}, {"q_num": 1, "q_den": 2.0}, {"q_num": True}):
         with pytest.raises(ParseError, match="q_"):
             docs.parse_radius(obj)
+
+
+# -- the monoid-section cache -------------------------------------------------------------
+
+def test_equal_sections_share_one_monoid_however_written():
+    """Sections equal after their fields are read share one FineMonoid and
+    one converter: integer strings, an empty relation list or torsion list,
+    and another weighting do not split them."""
+    n2 = docs.parse_monoid({"generators": 2})
+    assert docs.parse_monoid({"generators": "2", "relations": []}).monoid is n2.monoid
+    gens = [[2, 0], [1, 1], [0, 2]]
+    plain = docs.parse_monoid({"embedded_generators": gens})
+    written = docs.parse_monoid({"embedded_generators": [["2", 0], [1, "1"], [0, 2]], "torsion": []})
+    weighted = docs.parse_monoid({"embedded_generators": gens, "weighting": [2, 2, 2]})
+    assert written.monoid is plain.monoid and weighted.monoid is plain.monoid
+    assert written.convert is plain.convert and written == plain
+    assert weighted.weighting.values == (2, 2, 2) != plain.weighting.values
+    assert plain.monoid is not n2.monoid
+    assert docs._monoid_section.cache_info().currsize == 2
+
+
+def test_embeddings_are_shared_by_equal_contexts_and_rows():
+    doc = {"monoid": {"embedded_generators": [[2, 0], [1, 1], [0, 2]]}, "rank": 1, "truncation": 2}
+    given = {**doc, "embedding": [[1, 0], [0, 1]]}
+    assert docs.parse_connection(doc)[1].embedding is docs.parse_connection(copy.deepcopy(doc))[1].embedding
+    written = {**given, "embedding": [["1", 0], [0, 1]]}
+    assert docs.parse_connection(given)[1].embedding is docs.parse_connection(written)[1].embedding
+    assert docs._embedding.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("section, message", [
+    ({"generators": 2, "relations": [[[1, -1], [0, 1]]]}, "bad presentation: relation vectors must be non-negative"),
+    ({"embedded_generators": []}, "bad embedded generators: at least one generator required"),
+])
+def test_a_failing_section_is_not_cached(section, message):
+    """A section that fails raises the same ParseError on every parse and
+    leaves nothing in the cache; its bad weighting is never reached."""
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as info:
+            docs.parse_monoid({**section, "weighting": [0, -1]})
+        errors.append(str(info.value))
+    assert errors == [message, message]
+    assert docs._monoid_section.cache_info().currsize == 0
+
+
+def test_the_least_recent_section_is_rebuilt_past_the_bound():
+    bound = docs.SECTION_CACHE_SIZE
+    first = docs.parse_monoid({"generators": 1}).monoid
+    for k in range(2, bound + 1):
+        docs.parse_monoid({"generators": k})
+    assert docs.parse_monoid({"generators": 1}).monoid is first  # bound sections: all kept
+    for k in range(bound + 1, 2 * bound + 1):
+        docs.parse_monoid({"generators": k})
+    rebuilt = docs.parse_monoid({"generators": 1}).monoid
+    assert rebuilt is not first and rebuilt == first
+    assert docs._monoid_section.cache_info().currsize == bound
+
+
+# (monoid section, embedding rows or None for the facet embedding); the third
+# and fifth share the sections of the second and fourth
+SHARED_SECTIONS = (
+    ({"generators": 1}, None),
+    ({"embedded_generators": [[1, 0], [0, 1]], "weighting": [1, 2]}, [[1, 0], [0, 1]]),
+    ({"embedded_generators": [[1, 0], [0, 1]], "weighting": [1, 2]}, None),
+    ({"generators": 3, "relations": [[[1, 0, 1], [0, 2, 0]]]}, None),
+    ({"embedded_generators": [[2, 0], [1, 1], [0, 2]]}, [[1, 0], [0, 1]]),
+    ({"embedded_generators": [[2, 0], [1, 1], [0, 2]]}, None),
+)
+
+
+def _shared_section_document(rng, section, rows, t, n, kind):
+    """A connection document on the section: on disks and points a diagonal
+    constant model rewritten by a gauge I + G (G random on two keys of
+    weight <= t), on annuli random terms at differences of monoid elements
+    over a diagonal residue; keys in the document's own coordinates."""
+    ctx = docs.parse_monoid(section)
+    emb = docs._embedding(ctx, None if rows is None else tuple(map(tuple, rows)))
+    h, zero = ctx.weighting, ctx.monoid.gp.zero()
+    ball = ctx.monoid.index.weighted(h.values).upto(t)
+
+    def mat():
+        return [F(rng.randint(-2, 2), rng.choice((1, 2, 5))) for _ in range(n * n)]
+
+    eigenvalues = (0, F(1, 2), F(1, 3), F(1, 4))
+    model = [[[x if i == j else 0 for j in range(n)] for i, x in enumerate(rng.sample(eigenvalues, n))]
+             for _ in range(emb.r)]
+    e = lc.apply_ui(emb, h, model, t)
+    if kind == "annulus":
+        diffs = [ctx.monoid.gp.sub(x, y) for x in ball for y in ball[:3]]
+        extra = [ws.coefficient_map(h, t, {rng.choice(diffs): mat() for _ in range(2)}, True) for _ in range(emb.r)]
+        e = e._replace(matrices=tuple(ws.map_sum(a, b) for a, b in zip(e.matrices, extra)))
+    else:
+        ident = ws.coefficient_map(h, t, {zero: [int(i == j) for i in range(n) for j in range(n)]})
+        gauge = {rng.choice(ball[1:]): mat() for _ in range(2)}
+        minus = ws.coefficient_map(h, t, {k: [-x for x in v] for k, v in gauge.items()})
+        g_inv = power = ident
+        for _ in range(t):
+            power = lc.map_product(e, power, minus)
+            g_inv = ws.map_sum(g_inv, power)
+        e = lc.gauge_transform(e, ws.map_sum(ident, ws.coefficient_map(h, t, gauge)), g_inv)
+
+    def key(k):
+        rendered = ctx.render_element(k)
+        return {"free": rendered.get("ambient", rendered["free"]), "torsion": rendered["torsion"]}
+
+    doc = {"monoid": section, "rank": n, "truncation": t, "interval_kind": kind,
+           "matrices": [{"i": i, "terms": [{"m": key(k), "entries": [[docs.render_rational(F(x[r * n + c], den))
+                                                                         for c in range(n)] for r in range(n)]}
+                                             for k, x in terms]} for i, (terms, den) in enumerate(e.matrices)]}
+    return doc if rows is None else {**doc, "embedding": rows}
+
+
+def _document_answers(doc):
+    """What the CLI reports on a connection document: the integrability
+    defect, the exponents, the shear (gauge maps, bound report and
+    constants), unipotence on every face against {0, first exponent} and
+    three log-convergence verdicts; a violated hypothesis is an answer too."""
+    ctx, e = docs.parse_connection(doc)
+
+    def attempt(fn):
+        try:
+            return fn()
+        except HypothesisError as exc:
+            return type(exc).__name__, str(exc)
+
+    def sheared():
+        s = lc.shear(e)
+        return (s.gauge_map, s.gauge_inverse_map, s.bound_report, s.constant_model, s.constant_base_model,
+                s.norm_constant_log, s.nilpotency_exponent)
+
+    def unipotence():
+        exps = lc.exponents(e).exponents
+        sigma = lc.ExponentSet(ctx.monoid, tuple(dict.fromkeys([(F(0),) * len(exps[0]), exps[0]])))
+        return [lc.is_sigma_unipotent(e, sigma, f).verdict for f in mc.faces(ctx.monoid)]
+
+    logconv = [attempt(lambda: lc.log_convergence_check(e, ws.Radius.p_power(q), ws.Radius.p_power(eta), depth))
+               for q, eta, depth in ((1, F(1, 2), 2), (0, 1, 3), (F(1, 3), F(1, 2), 1))]
+    return (e.integrability_defect, attempt(lambda: lc.exponents(e).exponents), attempt(sheared),
+            attempt(unipotence), logconv)
+
+
+def test_answers_do_not_depend_on_the_cache_or_the_order():
+    """Seeded documents over shared sections, T = 2..8 on each (a later
+    document meets a ball an earlier one grew), disk, annulus and point,
+    given and facet embeddings: the answers from cold caches equal those of
+    two shuffled runs that share the cached monoids and embeddings."""
+    rng = random.Random(23)
+    cases = []
+    for section, rows in SHARED_SECTIONS:
+        for t in range(2, 9):
+            n, kind = rng.randint(1, 2), ("disk", "annulus", "point")[(t + len(cases)) % 3]
+            cases.append(_shared_section_document(rng, section, rows, t, n, kind))
+    cold = []
+    for doc in cases:
+        docs.clear_caches()
+        cold.append(_document_answers(doc))
+    for _ in range(2):
+        docs.clear_caches()
+        order = list(range(len(cases)))
+        rng.shuffle(order)
+        for i in order:
+            assert _document_answers(cases[i]) == cold[i], i
+        assert docs._monoid_section.cache_info().currsize == 4
+        assert docs._embedding.cache_info().hits > 0
+    shown = {doc["interval_kind"] for doc in cases} | {"shear" if len(a[2]) > 2 else a[2][0] for a in cold}
+    shown |= {verdict for a in cold for verdict in a[4] if isinstance(verdict, bool)}
+    assert shown == {"disk", "annulus", "point", "shear", "NotDiskModule", True, False}, shown

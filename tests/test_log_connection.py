@@ -44,9 +44,9 @@ DATA = Path(__file__).parent / "data"
 def _render(module, a):
     """The coefficient map a of the module as a matrix of series, annulus
     series on an annulus module (their keys may lie off M)."""
-    rendered = lc.series_matrix(module.weighting, module.truncation, a, module.rank)
-    annulus = module.interval_kind == "annulus"
-    return tuple(tuple(x._replace(annulus=annulus) for x in row) for row in rendered)
+    if module.interval_kind == "annulus":
+        return _series_rows(module.weighting, module.truncation, a, module.rank, module.rank)
+    return lc.series_matrix(module.weighting, module.truncation, a, module.rank)
 
 
 def _constant_smat(module, a):
@@ -1165,7 +1165,7 @@ def test_map_mul_matches_the_sum_of_series_products(n2, m_even):
                 a = tuple((k, tuple(x[r - r % n] if r % n == 1 else x[r] for r in range(n * n))) for k, x in ax), da
                 b = tuple((k, tuple(-x[r - cols] if r // cols == 1 else x[r] for r in range(n * cols)))
                           for k, x in bx), db
-            sa, sb = lc.series_matrix(h, t, a, n), _series_rows(h, t, b, n, cols)
+            sa, sb = _series_rows(h, t, a, n, n), _series_rows(h, t, b, n, cols)
             got = _series_rows(h, t, (lc._map_mul(m, h, t, a[0], b[0], cols).items(), a[1] * b[1]), n, cols)
             want = _smat_mul_by_series(sa, sb)
             assert got == want, (case, n, cols)
@@ -1295,6 +1295,61 @@ def test_integrability_and_log_convergence_match_the_series_evaluation(n2, m_eve
     assert seen == {"disk integrable", "disk connection", "disk base", "annulus connection", "base model",
                     True, False, "a'=0", "a'=1/2", "a'=1", "a'=2", "eta=1/5", "eta=1/3", "eta=1/2",
                     "depth=1", "depth=2", "depth=3", "depth=4"}
+
+
+def _log_convergence_by_columns(e, a_prime, eta, depth, p=5):
+    """The P_k frontier of each basis section on its own: one integer column
+    {key: [x]} over a denominator per section, the loop that one n x n
+    frontier replaced."""
+    q, q_eta = a_prime.value_exponent(), eta.value_exponent()
+    m, w, t, n = e.monoid, e.weighting, e.truncation, e.rank
+    h = m.index.weighted(w.values).h
+    radius = lambda key: q.numerator * h(key)[0]  # noqa: E731
+    for comp in range(n):
+        frontier = {(0,) * e.embedding.r: ({m.gp.zero(): [int(j == comp) for j in range(n)]}, 1)}
+        for level in range(1, depth + 1):
+            new = {}
+            for k, (col, den) in frontier.items():
+                for i, (ai, di) in enumerate(e.matrices):
+                    kk = k[:i] + (k[i] + 1,) + k[i + 1:]
+                    if kk in new:
+                        continue
+                    out = ws._map_mul(m, w, t, ai, col.items(), 1)
+                    for key, x in col.items():
+                        ws._add_into(out, key, [di * (e.coords(key)[i] - k[i]) * v for v in x])
+                    new[kk] = ({key: x for key, x in out.items() if any(x)}, di * den)
+            frontier = new
+            for k, (col, den) in frontier.items():
+                val = ws.gauss_valuation(col.items(), den * math.prod(map(math.factorial, k)), p, radius,
+                                         q.denominator)
+                if val + level * q_eta < 0:
+                    return False
+    return True
+
+
+def test_log_convergence_matches_the_per_column_frontier(n2, m_even):
+    """Seeded grid over N^2 and M_even, n = 1..3, plus the integrable disk
+    fixtures of tests/data: the verdict of the one n x n frontier equals the
+    per-section loop's at a' = p^-q, q in {0, 1/3, 1, 2}, eta = p^-1/2, p^-1
+    and p^-3 and depth 1, 2, 4."""
+    rng = random.Random(19)
+    modules = []
+    for case in range(24):
+        m, n, t = (n2, m_even)[case % 2], case % 3 + 1, rng.choice((2, 3, 4))
+        modules += [e for e in _grid_modules(rng, m, n, t)
+                    if e.interval_kind == "disk" and e.integrability_defect is None]
+    for name in ("rank2_connection.json", "n2_sigma_pair_connection.json"):
+        modules.append(documents.parse_connection(documents.load_json(DATA / name))[1])
+    verdicts = []
+    for e in modules:
+        for a, eta, depth in itertools.product((0, F(1, 3), 1, 2), (F(1, 2), 1, 3), (1, 2, 4)):
+            args = (e, ws.Radius.p_power(a), ws.Radius.p_power(eta), depth)
+            verdict = lc.log_convergence_check(*args)
+            assert verdict == _log_convergence_by_columns(*args), (e.rank, a, eta, depth)
+            verdicts.append((e.rank, verdict))
+    assert {rank for rank, _ in verdicts} == {1, 2, 3}
+    assert {verdict for _, verdict in verdicts} == {True, False}
+    assert sum(rank > 1 and not verdict for rank, verdict in verdicts) >= 10
 
 
 def _shear_by_rational_recursion(e):

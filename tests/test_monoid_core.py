@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from logmonoid import monoid_core as mc
+from logmonoid import selftest
 from logmonoid import snf
 from logmonoid.abelian import AbelianGroup, GroupSpan
 from logmonoid.errors import NotSubmonoid, NotSurjective, TorsionTarget
@@ -355,6 +356,38 @@ def test_section_takes_one_smith_form_per_matrix(monkeypatch, n2, n3, m_even):
         own = [call for call in calls if call[0] in ("section", "_verify_section")]
         assert own == [("section", fgp), ("_verify_section", splitting)]
         assert [a for _, a in calls].count(splitting) == 1
+
+
+def _kernel_identity_checks(data):
+    """The elements s(a) + b whose membership in N the sharp-case kernel
+    identity tests, by the pair loop over both 4-balls that the lookup by
+    f(b) replaced, in its order."""
+    f, s = data.hom, data.section
+    m, n = f.target, f.source
+    n_images = [(b, f.gp_apply(b)) for b in mc._monoid_combinations(n.generators, n.gp, 4)]
+    out = []
+    for a in mc._monoid_combinations(m.generators, m.gp, 4):
+        sa = s.gp_apply(a)
+        fsa = f.gp_apply(sa)
+        out += [n.gp.add(sa, b) for b, fb in n_images if m.gp.is_zero(m.gp.add(fsa, fb))]
+    return out
+
+
+def test_verify_section_checks_the_pairs_of_the_pair_loop(monkeypatch):
+    """On the five selftest surjections, _verify_section tests the
+    membership of the same elements as the pair loop, in its order, and
+    raises when one of them is not in N."""
+    checked = []
+    membership = mc.membership
+    monkeypatch.setattr(mc, "membership", lambda m, g: checked.append((m, g)) or membership(m, g))
+    for f in selftest._surjections():
+        data = mc.section(f)
+        checked.clear()
+        mc._verify_section(data)
+        assert checked == [(f.source, g) for g in _kernel_identity_checks(data)] != []
+    monkeypatch.setattr(mc, "membership", lambda m, g: m is not f.source and membership(m, g))
+    with pytest.raises(AssertionError, match="sharp-case kernel identity fails"):
+        mc._verify_section(data)
 
 
 def test_section_rejects_torsion_target(torsion_monoid, n2):

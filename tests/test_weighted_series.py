@@ -268,6 +268,22 @@ def test_disk_series_reject_negative_support(n1):
     build_series(n1, h, {(-1,): 1}, 6, annulus=True)
 
 
+def test_series_matrix_applies_the_disk_check(n2):
+    """A 2 x 2 map on keys of M renders entry by entry as `series` builds
+    it; a key with h^-(m) > 0 raises the disk check instead of coming back
+    as disk-flagged series."""
+    h = ws.default_weighting(n2)
+    inside = {n2.element((0, 0)): [1, 0, 0, 1], n2.element((1, 2)): [Fraction(1, 3), 0, -2, Fraction(5, 6)]}
+    a = ws.coefficient_map(h, 4, inside)
+    rendered = ws.series_matrix(h, 4, a, 2)
+    assert rendered == tuple(tuple(ws.series(n2, h, {k: x[2 * i + j] for k, x in inside.items()}, 4)
+                                   for j in range(2)) for i in range(2))
+    assert rendered[1][0].terms == ((n2.element((1, 2)), -2),)
+    off = ws.coefficient_map(h, 4, {**inside, n2.element((1, -1)): [0, 1, 0, 0]}, annulus=True)
+    with pytest.raises(ValueError, match="disk series cannot carry terms with h\\^-\\(m\\) > 0"):
+        ws.series_matrix(h, 4, off, 2)
+
+
 # -- Gauss norms ---------------------------------------------------------------------
 
 def test_gauss_norm_two_term_tie(n1):

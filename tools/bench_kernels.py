@@ -13,9 +13,11 @@ LP for k integer rays in Z^3 (k = 4, 6, 9: 2*3 + k columns, k rows); and
 those series for n = 2, 3 at T = 4, 6; and, on an integrable rank-n module
 over N^2 truncated at T (a diagonal constant model rewritten by a gauge
 I + G, G dense up to weight T) for n = 2, 3 and T = 4, 6,
-`validate_integrability` and `log_convergence_check` at depth 2 and 4
-(radius 1, eta = p^-1/2), each call on a fresh copy of the module, so no
-cached verdict is reused.  The spectral rows time `qlin.integer_roots` of
+`validate_integrability`, and for n = 1, 2, 3 and T = 4, 6
+`log_convergence_check` at depth 2 and 4 (radius 1, eta = p^-1/2), each
+call on a fresh copy of the module, so no cached verdict is reused (the
+rank-1 modules draw from their own seeded generator, so the other rows
+keep their inputs).  The spectral rows time `qlin.integer_roots` of
 `qlin.int_charpoly` on the integer rows b = d A of n x n matrices
 A = P J P^-1 (J in Jordan form with eigenvalues in {0, 1/2, 1/3, 1/4},
 P unipotent) for n = 2, 3, 4, what `_residue_spectrum` runs;
@@ -30,8 +32,11 @@ rank2-N2-planted and rank2-M_even-planted built at T = 8, 12, 20, 30, 40.
 The document rows time `documents.parse_connection` of a rank-2 connection
 document on an embedded monoid (N^2, N^3 and M_even in ambient
 coordinates, identity embedding) with a matrix at every key of weight
-<= T in every direction, for T = 4, 8, 12; each call parses a fresh
-monoid, so the Smith forms, the weighting and every |h| are cold.  The
+<= T in every direction, for T = 4, 8, 12; each call empties the caches
+of analysed monoid sections and embeddings first, so the Smith forms, the
+weighting and every |h| are cold.  The warm rows time the same parse
+again with the caches kept: the monoid, its index and the embedding are
+reused, and only the matrices are read.  The
 pyramid rows time h and `membership` on the cone over the unit square
 (a sharp monoid in Z^3) for the keys of weight <= W (W = 4, 8), and for
 membership also each key minus a generator, with the weighted indices of
@@ -193,6 +198,13 @@ def _embedded_document(rng: random.Random, gens, t: int) -> dict:
                                             for k in sorted(keys)]} for i in range(dim)]}
 
 
+def _cold_parse(doc: dict):
+    """parse_connection of doc with the caches of analysed monoid sections
+    and embeddings emptied first, as in a fresh process."""
+    documents.clear_caches()
+    return documents.parse_connection(doc)
+
+
 def _cold(m, fn, keys):
     """fn(key) for every key, the weighted indices of m and of its sharp
     quotient emptied first, so every ball and |h| is computed afresh."""
@@ -262,11 +274,15 @@ def main() -> int:
             (a, _), (b, _) = (_series_matrix_map(rng, n2, h, n, t) for _ in range(2))
             rows.append((f"_map_mul n={n} N^2 T={t}", _time(lambda: ws._map_mul(n2, h, t, a, b, n))))
     one, eta = ws.Radius.one(), ws.Radius.p_power(Fraction(1, 2))
-    for n in (2, 3):
+    rank1_rng = random.Random(SEED)
+    for n in (1, 2, 3):
         for t in (4, 6):
-            e = _module(rng, n2, n, t)
-            rows.append((f"validate_integrability n={n} N^2 T={t}",
-                         _time(lambda: lc.validate_integrability(e._replace()))))
+            if n == 1:
+                e = _module(rank1_rng, n2, n, t)
+            else:
+                e = _module(rng, n2, n, t)
+                rows.append((f"validate_integrability n={n} N^2 T={t}",
+                             _time(lambda: lc.validate_integrability(e._replace()))))
             for depth in (2, 4):
                 rows.append((f"log_convergence_check depth={depth} n={n} N^2 T={t}",
                              _time(lambda: lc.log_convergence_check(e._replace(), one, eta, depth))))
@@ -288,7 +304,8 @@ def main() -> int:
                        ("M_even", [[2, 0], [1, 1], [0, 2]])):
         for t in (4, 8, 12):
             doc = _embedded_document(doc_rng, gens, t)
-            rows.append((f"parse_connection {name} T={t}", _time(lambda: documents.parse_connection(doc))))
+            rows.append((f"parse_connection {name} T={t}", _time(lambda: _cold_parse(doc))))
+            rows.append((f"parse_connection {name} T={t} warm", _time(lambda: documents.parse_connection(doc))))
     pyramid, _ = mc.from_embedded([[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]])
     h = ws.default_weighting(pyramid)
     for w in (4, 8):
