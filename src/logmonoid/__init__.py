@@ -16,7 +16,6 @@ from .errors import (
     NotSubmonoid,
     NotSurjective,
     ParseError,
-    SaturationIncomplete,
     SingularSylvester,
     SingularSystem,
     TorsionTarget,

@@ -63,6 +63,8 @@ def parse_rational(obj) -> Fraction:
         if isinstance(obj, int):
             return Fraction(obj)
         if isinstance(obj, str):
+            if "e" in obj or "E" in obj:  # Fraction reads "1e99999" as a 100,000-digit integer
+                raise ParseError(f"not a rational: {obj!r} (write a/b, without exponent notation)")
             return Fraction(obj)
         if isinstance(obj, (list, tuple)) and len(obj) == 2:
             return Fraction(_integer(obj[0], "rational numerator"), _integer(obj[1], "rational denominator"))
@@ -293,14 +295,15 @@ def parse_connection(doc: dict) -> tuple[MonoidContext, LogNablaModule]:
 def parse_sigma(ctx: MonoidContext, doc: dict) -> ExponentSet:
     if not isinstance(doc, dict) or "elements" not in doc:
         raise ParseError("sigma document needs 'elements'")
-    return ExponentSet(
-        ctx.monoid, tuple(ctx.parse_exponent_vector(v) for v in doc["elements"])
-    )
+    elements = doc["elements"]
+    if not isinstance(elements, list) or not all(isinstance(v, list) for v in elements):
+        raise ParseError(f"elements: expected a list of exponent vectors, got {elements!r}")
+    return ExponentSet(ctx.monoid, tuple(ctx.parse_exponent_vector(v) for v in elements))
 
 
 def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise ParseError(f"cannot read {path}: {exc}") from exc

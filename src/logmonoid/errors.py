@@ -45,10 +45,6 @@ class NonInvertibleConstantTerm(HypothesisError):
     """A series cannot be inverted because its weight-zero part is not a unit."""
 
 
-class SaturationIncomplete(HypothesisError):
-    """Saturation data is needed but could not be completed within the bound."""
-
-
 class NotSemiSaturated(HypothesisError):
     """The monoid fails semi-saturatedness where it is required."""
 

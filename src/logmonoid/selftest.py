@@ -185,9 +185,9 @@ def _surjections():
 
 @_criterion("03_section_invariants")
 def _section_invariants(prime):
-    """Five fixture surjections: all four SectionData invariants, including
-    the sharp-case identity (Im(s) + N) cap Ker(f^gp) = Ker(f), plus
-    f(s(g)) = g and the kernel rank re-checked here."""
+    """Five fixture surjections: the invariants `section` checks (f(N) in
+    M, onto, f o s = id, the splitting of N^gp), plus f(s(g)) = g and the
+    kernel rank re-checked here."""
     fixtures = _surjections()
     for k, f in enumerate(fixtures):
         sd = mc.section(f)  # raises if any invariant fails

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count
 from operator import add, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .abelian import Elt, checked_make
-from .errors import (
-    NonInvertibleConstantTerm,
-    SaturationIncomplete,
-)
+from .errors import NonInvertibleConstantTerm
 from .monoid_core import (
     FineMonoid,
     default_weighting as _default_values,
@@ -493,11 +491,10 @@ def saturation_invariance_check(
     a: Radius,
     b: Radius,
     sample_points: Sequence[ValuationPoint],
-    weight_bound: int = 6,
 ) -> bool:
     """A_M[a,b] = A_{M^sat}[a,b] for 0 < a <= b, plus the h+ comparison
-    h^{sat,+}(m) <= h^+(m) <= h^{sat,+}(m) + h(s) with the explicit
-    correction element s."""
+    h^{sat,+}(m) <= h^+(m) <= h^{sat,+}(m) + h(s) with the correction
+    element s of `_correction_weight`."""
     if a.is_zero:
         raise ValueError("saturation invariance needs 0 < a")
     if not a <= b:
@@ -521,38 +518,13 @@ def saturation_invariance_check(
         if in_m != in_sat:
             return False
 
-    # correction element s = sum (n_i - 1) m'_i over the new saturation generators
-    # (m is sharp by the saturation precondition, so the ball lives in m's own coordinates)
-    gp = m.gp
-    s = gp.zero()
-    ball = m.index.weighted(_default_values(m)).upto(weight_bound * weight_bound)
-    for g in sat.generators:
-        if membership(m, g):
-            continue
-        n_g = None
-        for n in range(2, weight_bound * weight_bound + 1):
-            if membership(m, gp.scale(n, g)):
-                n_g = n
-                break
-        if n_g is None:
-            raise SaturationIncomplete("no multiple of a saturation generator found in M")
-        mprime = None
-        for y in ball:
-            if membership(m, gp.add(g, y)):
-                mprime = y
-                break
-        if mprime is None:
-            raise SaturationIncomplete("no correction element found within the bound")
-        s = gp.add(s, gp.scale(n_g - 1, mprime))
-    hs = int(h(s))
-
-    # h+ comparison on a grid of group elements
-    small = min(weight_bound, 4)
-    sat_ball = sat.index.weighted(sat.weighting).upto(small)
+    # h+ comparison on the differences of the weight-4 ball of M^sat
+    hs = _correction_weight(m, sat, h)
+    sat_ball = sat.index.weighted(sat.weighting).upto(4)
     seen = set()
     for x in sat_ball:
         for y in sat_ball:
-            g = gp.sub(x, y)
+            g = m.gp.sub(x, y)
             if g in seen:
                 continue
             seen.add(g)
@@ -561,6 +533,19 @@ def saturation_invariance_check(
             if not (hp_sat <= hp_m <= hp_sat + hs):
                 return False
     return True
+
+
+def _correction_weight(m: FineMonoid, sat: FineMonoid, h: Weighting) -> int:
+    """h(s) for the correction element s = sum (n_g - 1) m'_g over the
+    generators g of M^sat outside M: n_g is the least n >= 2 with n g in M,
+    which exists as M^sat/M is torsion, and m'_g is a y in M with g + y in M
+    of least weight, so h(m'_g) = h^+(-g)."""
+    gp, total = m.gp, 0
+    for g in sat.generators:
+        if not membership(m, g):
+            n_g = next(n for n in count(2) if membership(m, gp.scale(n, g)))
+            total += (n_g - 1) * h_plus(m, h, gp.neg(g))
+    return total
 
 
 def _valuation_functional(m: FineMonoid, x: ValuationPoint):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from logmonoid import documents
 from logmonoid import monoid_core as mc
 from logmonoid import selftest
 from logmonoid.cli import main
@@ -392,6 +393,130 @@ def test_exit_codes_on_the_connection_path(capsys):
         code, out, err = run(capsys, "connection", "logconv", disk, flag, value)
         assert (code, out) == (2, "")
         assert flag in err
+
+
+def _document(name, **fields):
+    doc = json.loads((DATA / name).read_text())
+    doc.update(fields)
+    return doc
+
+
+def _matrix(terms):
+    return [{"i": 0, "terms": terms}, {"i": 1, "terms": []}]
+
+
+N2_DOC, EMBEDDED_DOC = "n2_sigma_pair_connection.json", "vertex_counterexample.json"
+SIGMA = {"elements": [[0, 0]]}
+
+
+@pytest.mark.parametrize("argv, connection, sigma, message", [
+    (["monoid-analyze"], [1], None, "monoid document must be an object"),
+    (["connection", "exponents"], [1], None, "connection document must be an object"),
+    (["connection", "exponents"], _document(N2_DOC, monoid=[2]), None, "monoid document must be an object"),
+    (["connection", "homotopy"], _document(N2_DOC), [1], "sigma document needs 'elements'"),
+    (["connection", "exponents"], _document(N2_DOC, matrices=_matrix([{"m": [1, 0], "entries": [["1"]]}])), None,
+     "gp element must be"),
+    (["connection", "exponents"], _document(N2_DOC, embedding=[[1, 0, 0], [0, 1, 0]]), None,
+     "embedding rows must have length 2"),
+    (["connection", "exponents"], _document(EMBEDDED_DOC, embedding=[[1, 0, 0], [0, 1, 0]]), None,
+     "embedding rows must have ambient length 2"),
+    (["connection", "exponents"], _document(N2_DOC, embedding=[[1, 0], [1, 0]]), None, "bad embedding"),
+    (["connection", "exponents"], _document(N2_DOC, interval_kind="ring"), None, "interval_kind must be"),
+    (["connection", "exponents"], _document(N2_DOC, matrices=[{"i": 2, "terms": []}]), None,
+     "matrix index 2 out of range"),
+    (["connection", "exponents"], _document(N2_DOC, matrices=_matrix([{"m": {"free": [1, 0]}, "entries": [["1", "0"]]}])),
+     None, "matrix entries must be rank x rank"),
+    (["connection", "homotopy"], _document(N2_DOC), {"elements": [[0, 0, 0]]}, "exponent vector must have length 2"),
+    (["connection", "homotopy"], _document(EMBEDDED_DOC), {"elements": [[0, 0, 0]]},
+     "exponent vector must have ambient length 2"),
+])
+def test_malformed_documents_exit_2_naming_the_cause(capsys, tmp_path, argv, connection, sigma, message):
+    """Each ParseError of the document layer, at the monoid, connection and
+    sigma levels, is exit 2 with its message and no traceback."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(connection))
+    extra = []
+    if sigma is not None:
+        (tmp_path / "sigma.json").write_text(json.dumps(sigma))
+        extra = ["--sigma", tmp_path / "sigma.json"]
+    code, out, err = run(capsys, *argv, path, *extra)
+    assert (code, out) == (2, "") and message in err and "Traceback" not in err
+
+
+def test_a_module_check_failing_on_a_parsed_document_is_exit_2(capsys, monkeypatch):
+    """parse_connection checks every field LogNablaModule checks before it
+    builds the module, so no document reaches the module's own checks; one
+    that fails there is still exit 2 with its message, not a traceback."""
+
+    def failing(*args):
+        raise ValueError("connection matrices must be rank x rank")
+
+    monkeypatch.setattr(documents, "LogNablaModule", failing)
+    code, out, err = run(capsys, "connection", "exponents", DATA / N2_DOC)
+    assert (code, out) == (2, "") and "rank x rank" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("elements", [5, [5], "[[0, 0]]", [[0, 0], 5]])
+def test_a_malformed_sigma_is_a_parse_error(capsys, tmp_path, elements):
+    """"elements" that is not a list of vectors ended in a TypeError
+    traceback (exit 1); it is exit 2 naming the field."""
+    (tmp_path / "sigma.json").write_text(json.dumps({"elements": elements}))
+    for sub in ("unipotent", "homotopy"):
+        code, out, err = run(capsys, "connection", sub, DATA / N2_DOC, "--sigma", tmp_path / "sigma.json", "--all-faces")
+        assert (code, out) == (2, "") and "elements" in err and "Traceback" not in err, sub
+
+
+@pytest.mark.parametrize("entry, code", [
+    ("1e99999", 2), ("1E5", 2), ("2.5e-3", 2), ("-1e3/7", 2),
+    ("1234567890123456789012345678901234567890/1234567890123456789012345678901234567891", 0),
+])
+def test_exponent_notation_is_a_parse_error(capsys, tmp_path, entry, code):
+    """"1e99999" was read as a 100,000-digit integer, and rendering it broke
+    int's digit limit (exit 1 with a traceback); an entry in exponent
+    notation is exit 2 naming it, while 40-digit a/b entries still run."""
+    doc = _document("rank2_connection.json")
+    doc["matrices"][0]["terms"][0]["entries"][1][1] = entry
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = run(capsys, "--format", "json", "connection", "exponents", path)
+    assert got == code and "Traceback" not in err
+    if code:
+        assert out == "" and repr(entry) in err
+    else:
+        assert json.loads(out)["exponents"] == [["0"], [entry]]
+
+
+def test_an_integer_past_the_digit_limit_is_a_parse_error(capsys, tmp_path):
+    """json reads a 5,000-digit integer with int(), past its 4,300-digit
+    limit: a ValueError that is not a JSONDecodeError, once a traceback."""
+    path = tmp_path / "doc.json"
+    path.write_text('{"generators": ' + "1" * 5000 + "}")
+    code, out, err = run(capsys, "monoid-analyze", path)
+    assert (code, out) == (2, "") and "cannot read" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--prime", "4", "monoid-analyze", DATA / "nm1.json"], "--prime must be a prime number, got 4"),
+    (["connection", "unipotent", DATA / N2_DOC, "--sigma", DATA / "sigma_zero.json", "--face", "99"],
+     "--face must be an index into the 4 faces"),
+    (["connection", "unipotent", DATA / N2_DOC, "--sigma", DATA / "sigma_zero.json"],
+     "--face must be an index into the 4 faces"),
+])
+def test_bad_options_exit_2_naming_the_option(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and message in err and "Traceback" not in err
+
+
+def test_monoid_analyze_a_monoid_with_units(capsys, tmp_path):
+    """Z x N: the unit generators are (1, 0) and (-1, 0), and saturation is
+    not decided."""
+    path = tmp_path / "units.json"
+    path.write_text(json.dumps({"embedded_generators": [[1, 0], [-1, 0], [0, 1]]}))
+    code, out, err = run(capsys, "--format", "json", "monoid-analyze", path)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["sharp"] is False and report["saturated"] == "not-applicable (monoid has units)"
+    assert [u["ambient"] for u in report["units"]] == [[1, 0], [-1, 0]]
 
 
 def test_cli_process_imports_only_what_it_runs():

@@ -358,36 +358,35 @@ def test_section_takes_one_smith_form_per_matrix(monkeypatch, n2, n3, m_even):
         assert [a for _, a in calls].count(splitting) == 1
 
 
-def _kernel_identity_checks(data):
-    """The elements s(a) + b whose membership in N the sharp-case kernel
-    identity tests, by the pair loop over both 4-balls that the lookup by
-    f(b) replaced, in its order."""
-    f, s = data.hom, data.section
-    m, n = f.target, f.source
-    n_images = [(b, f.gp_apply(b)) for b in mc._monoid_combinations(n.generators, n.gp, 4)]
-    out = []
-    for a in mc._monoid_combinations(m.generators, m.gp, 4):
-        sa = s.gp_apply(a)
-        fsa = f.gp_apply(sa)
-        out += [n.gp.add(sa, b) for b, fb in n_images if m.gp.is_zero(m.gp.add(fsa, fb))]
-    return out
+def _sums_of_at_most_four(gens, gp):
+    """Every sum of at most 4 generators (with repetition): the 4-ball on
+    which section once tested the sharp-case kernel identity."""
+    ball = {gp.zero()}
+    for _ in range(4):
+        ball |= {gp.add(e, g) for e in ball for g in gens}
+    return ball
 
 
-def test_verify_section_checks_the_pairs_of_the_pair_loop(monkeypatch):
-    """On the five selftest surjections, _verify_section tests the
-    membership of the same elements as the pair loop, in its order, and
-    raises when one of them is not in N."""
-    checked = []
-    membership = mc.membership
-    monkeypatch.setattr(mc, "membership", lambda m, g: checked.append((m, g)) or membership(m, g))
+def test_the_sharp_case_identity_only_ever_tested_zero_pairs():
+    """The deleted self-check tested s(a) + b in N for the a, b of the
+    4-balls of M and N with f(s(a)) + f(b) = 0.  On the five selftest
+    surjections every such pair has a = 0 and f(b) = 0, so the element was
+    b, in N by construction: what f(N) in M and a sharp M force."""
     for f in selftest._surjections():
         data = mc.section(f)
-        checked.clear()
-        mc._verify_section(data)
-        assert checked == [(f.source, g) for g in _kernel_identity_checks(data)] != []
-    monkeypatch.setattr(mc, "membership", lambda m, g: m is not f.source and membership(m, g))
-    with pytest.raises(AssertionError, match="sharp-case kernel identity fails"):
-        mc._verify_section(data)
+        m, n, s = f.target, f.source, data.section
+        assert mc.is_sharp(m)
+        n_images = [f.gp_apply(b) for b in _sums_of_at_most_four(n.generators, n.gp)]
+        pairs = [(a, fb) for a in _sums_of_at_most_four(m.generators, m.gp)
+                 for fb in n_images if m.gp.is_zero(m.gp.add(f.gp_apply(s.gp_apply(a)), fb))]
+        assert pairs and all(m.gp.is_zero(a) and m.gp.is_zero(fb) for a, fb in pairs)
+
+
+def test_section_rejects_an_image_outside_the_target(n1, n2):
+    # -1 is not in N: f(N) is no submonoid of N, though f^gp is onto
+    f = mc.MonoidHom(n2, n1, (n1.element((1,)), n1.element((-1,))))
+    with pytest.raises(NotSubmonoid, match=r"image \(\(-1,\), \(\)\) is not an element"):
+        mc.section(f)
 
 
 def test_section_rejects_torsion_target(torsion_monoid, n2):

@@ -1,12 +1,15 @@
 """Weightings, h+/h-/|h|, truncated series arithmetic, Gauss norms,
 polyannulus points."""
 
+import json
 import random
 from fractions import Fraction
+from operator import mul
+from pathlib import Path
 
 import pytest
 
-from logmonoid import cone
+from logmonoid import cone, documents
 from logmonoid import monoid_core as mc
 from logmonoid import oracle as orc
 from logmonoid import weighted_series as ws
@@ -448,6 +451,75 @@ def test_saturation_invariance_builds_the_hilbert_basis_once(monkeypatch):
     calls.clear()
     assert ws.saturation_invariance_check(m, ws.Radius.p_power(1), ws.Radius.one(), pts)
     assert not calls
+
+
+def _searched_correction_weight(m, sat, h):
+    """h(s) by the search saturation_invariance_check made before the exact
+    one: n_g scanned up to 36 (weight_bound**2 at weight_bound 6), m'_g the
+    first y of M's weight-36 ball in (weight, element) order with g + y in
+    M, and None where either search came up empty (it then raised).  The
+    ball is read level by level, which finds the y that listing it whole
+    first found."""
+    gp, index, s = m.gp, m.index.weighted(h.values), m.gp.zero()
+    for g in sat.generators:
+        if mc.membership(m, g):
+            continue
+        n_g = next((n for n in range(2, 37) if mc.membership(m, gp.scale(n, g))), None)
+        if n_g is None:
+            return None
+        mprime = next((y for w in range(37) for y in sorted(index.level(w)) if mc.membership(m, gp.add(g, y))), None)
+        if mprime is None:
+            return None
+        s = gp.add(s, gp.scale(n_g - 1, mprime))
+    return int(h(s))
+
+
+# The tests/data monoids but moment_curve_20.json, <5, 8>, <37, 38> and small
+# cones of rank 2 and 3 that are not saturated in their own groups.  On the
+# 20-ray cone the scan for n_g grows M's ball past what a test can wait for,
+# as the old scan to 36 did.
+SATURATION_DOCUMENTS = ("m_even.json", "nm1.json", "torsion.json", "pyramid_pentagon.json",
+                        "pyramid_pentagon_saturated.json")
+SATURATION_CONES = ([[5], [8]], [[37], [38]], [[1, 0], [1, 1], [1, 3]], [[3, 0], [2, 1], [0, 3]],
+                    [[0, 0, 1], [1, 0, 1], [1, 1, 1], [1, 3, 1]], [[2, 0, 0], [3, 0, 0], [0, 1, 0], [0, 0, 1]],
+                    [[0, 0, 1], [1, 0, 1], [0, 1, 1], [2, 2, 1], [1, 3, 2]])
+
+
+def _saturation_outcome(m, pts):
+    try:
+        return ws.saturation_invariance_check(m, ws.Radius.p_power(1), ws.Radius.one(), pts)
+    except ValueError as exc:  # torsion.json: M^sat holds the torsion, a unit, so it has no ball
+        return repr(exc)
+
+
+def test_saturation_invariance_equals_the_searched_correction(monkeypatch):
+    """The exact correction weight, and the verdict it gives, equal the old
+    search's wherever that search finished; <37, 38> (n_g = 37, past its
+    36) gets a verdict."""
+    data = Path(__file__).parent / "data"
+    monoids = [documents.parse_monoid(json.loads((data / name).read_text())).monoid for name in SATURATION_DOCUMENTS]
+    monoids += [mc.from_embedded(v)[0] for v in SATURATION_CONES]
+    rng = random.Random(20)
+    weights, unsearched = [], 0
+    for m in monoids:
+        sat, h = mc.saturation(m), ws.default_weighting(m)
+        pts = [ws.vertex_point(m, h)]
+        for _ in range(2):
+            lam = [Fraction(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(m.gp.free_rank)]
+            pts.append(ws.valuation_point(m, [sum(map(mul, lam, g[0]), Fraction(0)) for g in m.generators]))
+        exact, searched = ws._correction_weight(m, sat, h), _searched_correction_weight(m, sat, h)
+        verdict = _saturation_outcome(m, pts)
+        assert verdict in (True, False) or m.gp.torsion_invariants, m
+        if searched is None:
+            unsearched += 1
+            assert verdict is True, m
+            continue
+        assert exact == searched, m
+        with monkeypatch.context() as patch:
+            patch.setattr(ws, "_correction_weight", _searched_correction_weight)
+            assert _saturation_outcome(m, pts) == verdict, m
+        weights.append(exact)
+    assert unsearched == 1 and 0 in weights and max(weights) > 1
 
 
 def test_saturation_invariance_saturated_case(m_even):

@@ -51,7 +51,11 @@ each call on a fresh copy of the monoid (its cone, triangulation and ball
 cold).  The section row times `monoid_core.section` of each of the five
 selftest surjections, per round of five: the indices of their source and
 target monoids are warm after the first round, while the image monoid and
-the Smith forms of f^gp and of the splitting are built on every call.
+the Smith forms of f^gp and of the splitting are built on every call.  The
+saturation invariance rows time `saturation_invariance_check` on [p^-1, 1]
+at the vertex point of N \\ {1} = <2, 3> and of the cone over the pentagon
+pyramid of tests/data/pyramid_pentagon.json, each call on a fresh copy of
+the monoid (its weighting, saturation, balls and h+ memo cold).
 Entries are small rationals (numerators -9..9, denominators up to
 6) or small integers from a fixed seed, so every run measures the same
 inputs.  Each figure is the median over REPEATS repeats of a loop of at
@@ -60,6 +64,7 @@ least 20 ms, in wall-clock microseconds per call; stdlib only.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import statistics
@@ -249,6 +254,21 @@ def _time(fn) -> float:
     return statistics.median(samples)
 
 
+def _pyramid_pentagon():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests", "data", "pyramid_pentagon.json")
+    with open(path, encoding="utf-8") as fh:
+        return mc.from_embedded(json.load(fh)["embedded_generators"])[0]
+
+
+def _saturation_invariance(m) -> bool:
+    """saturation_invariance_check on [p^-1, 1] at the vertex point of a
+    fresh copy of m, so its weighting, saturation, balls and h+ memo are
+    cold."""
+    fresh = mc.FineMonoid(m.gp, m.generators)
+    pts = [ws.vertex_point(fresh, ws.default_weighting(fresh))]
+    return ws.saturation_invariance_check(fresh, ws.Radius.p_power(1), ws.Radius.one(), pts)
+
+
 def main() -> int:
     rng = random.Random(SEED)
     rows = []
@@ -323,6 +343,8 @@ def main() -> int:
                      _time(lambda: mc.is_saturated_bounded(mc.FineMonoid(curve.gp, curve.generators)))))
     surjections = selftest._surjections()
     rows.append(("section 5 selftest surjections", _time(lambda: [mc.section(f) for f in surjections])))
+    for name, m in (("N\\{1}", selftest._nm1()), ("pyramid_pentagon", _pyramid_pentagon())):
+        rows.append((f"saturation_invariance_check {name}", _time(lambda: _saturation_invariance(m))))
     for name, us in rows:
         print(f"{name:42s} {us:10.1f} us")
     return 0
