@@ -7,11 +7,17 @@ are written in the ambient coordinates Z^k and converted on the way in
 (reports carry both coordinate systems).  An embedded monoid has a
 torsion-free group, so its "torsion" field, if given, is empty; torsion
 needs a presentation.
-Rationals are "a/b" strings, ints, or [num, den] pairs; never floats.
+Every rational goes through one reader, `_rational_parts`, onto an integer
+numerator over a positive denominator: ints, [num, den] pairs, and strings
+of Fraction(str)'s grammar less exponent notation; never floats.  A
+connection matrix is read straight onto integer numerators over their lcm,
+the form `coefficient_map` stores, without a Fraction per entry.
 
 Equal monoid sections share one analysed monoid (`_monoid_section`) and
 equal (context, embedding rows) one `Embedding` (`_embedding`), in two
-bounded caches of the SECTION_CACHE_SIZE most recently used entries.
+bounded caches of the SECTION_CACHE_SIZE most recently used entries; each
+section's converter reads a distinct monomial once (`_converted`, a memo
+of the MONOMIAL_CACHE_SIZE most recent).
 Every entry of a monoid's index is a function of the monoid alone, so no
 answer depends on what the caches hold or on the order documents come in.
 """
@@ -19,6 +25,8 @@ answer depends on what the caches hold or on the order documents come in.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from fractions import Fraction
 from functools import cache, lru_cache
 from operator import mul
@@ -34,6 +42,8 @@ from .weighted_series import Radius, Weighting, coefficient_map, default_weighti
 
 # How many analysed monoid sections, and as many embeddings, stay cached.
 SECTION_CACHE_SIZE = 16
+# How many converted monomials stay cached, over every section.
+MONOMIAL_CACHE_SIZE = 4096
 
 
 def _integer(x, field: str) -> int:
@@ -56,23 +66,68 @@ def _integers(xs, field: str, depth: int = 1) -> tuple:
     return tuple(_integers(x, field, depth - 1) if depth > 1 else _integer(x, field) for x in xs)
 
 
+def _rational_parts(obj) -> tuple[int, int]:
+    """(num, den) with den > 0, not reduced, of a rational entry: an int,
+    integer fields as [num, den] or {"num": .., "den": ..}, or a string in
+    Fraction(str)'s grammar less exponent notation: optional spaces at
+    either end, a sign, then digits (single "_" between them) over "/" and
+    a denominator ("-3/4", "1_000/3"), or with a decimal part ("0.5", ".5",
+    "5.").  Anything else, bool and float included, a zero denominator, or
+    a part past int's digit limit, is a ParseError naming the entry."""
+    if isinstance(obj, str):
+        try:
+            num, den = _string_parts(obj)
+        except ValueError as exc:
+            raise ParseError(f"not a rational: {obj!r} (expected an integer, a/b or a decimal, without "
+                             f"exponent notation, each part of at most {sys.get_int_max_str_digits()} digits)") from exc
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        return obj, 1
+    elif isinstance(obj, (list, tuple)) and len(obj) == 2:
+        num, den = _integer(obj[0], "rational numerator"), _integer(obj[1], "rational denominator")
+    elif isinstance(obj, dict) and "num" in obj:
+        num, den = _integer(obj["num"], "num"), _integer(obj.get("den", 1), "den")
+    else:
+        raise ParseError(f"not a rational: {obj!r}")
+    if den == 0:
+        raise ParseError(f"not a rational: {obj!r} (zero denominator)")
+    return (num, den) if den > 0 else (-num, -den)
+
+
+def _string_parts(s: str) -> tuple[int, int]:
+    """(num, den) of a rational string (`_rational_parts`); ValueError if
+    it is not one."""
+    body = s.strip()
+    sign = -1 if body[:1] == "-" else 1
+    if body[:1] in ("-", "+"):
+        body = body[1:]
+    whole, slash, den = body.partition("/")
+    if slash:
+        return sign * _digits(whole), _digits(den)
+    whole, point, frac = body.partition(".")
+    if not point:
+        return sign * _digits(whole), 1
+    if not whole and not frac:
+        raise ValueError("no digits")
+    scale = 10 ** len(frac.replace("_", ""))
+    return sign * ((_digits(whole) if whole else 0) * scale + (_digits(frac) if frac else 0)), scale
+
+
+def _digits(part: str) -> int:
+    """A run of decimal digits with single "_" between them, read by int():
+    it starts and ends with a digit, so int() finds no sign or space."""
+    if not (part[:1].isdecimal() and part[-1:].isdecimal()):
+        raise ValueError(f"not digits: {part!r}")
+    return int(part)
+
+
+def _numerators(parts: list[list[tuple[int, int]]]) -> tuple[list[list[int]], int]:
+    """Rows of (num, den) parts as integer rows over the lcm of every den."""
+    den = math.lcm(*(d for row in parts for _, d in row))
+    return [[n * (den // d) for n, d in row] for row in parts], den
+
+
 def parse_rational(obj) -> Fraction:
-    try:
-        if isinstance(obj, bool):
-            raise ParseError(f"not a rational: {obj!r}")
-        if isinstance(obj, int):
-            return Fraction(obj)
-        if isinstance(obj, str):
-            if "e" in obj or "E" in obj:  # Fraction reads "1e99999" as a 100,000-digit integer
-                raise ParseError(f"not a rational: {obj!r} (write a/b, without exponent notation)")
-            return Fraction(obj)
-        if isinstance(obj, (list, tuple)) and len(obj) == 2:
-            return Fraction(_integer(obj[0], "rational numerator"), _integer(obj[1], "rational denominator"))
-        if isinstance(obj, dict) and "num" in obj:
-            return Fraction(_integer(obj["num"], "num"), _integer(obj.get("den", 1), "den"))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational: {obj!r}") from exc
-    raise ParseError(f"not a rational: {obj!r}")
+    return Fraction(*_rational_parts(obj))
 
 
 def render_rational(x: Fraction) -> str:
@@ -86,7 +141,8 @@ class MonoidContext(NamedTuple):
     ambient_generators: Optional[tuple[tuple[int, ...], ...]]
     # (free, torsion) as written in the document -> gp element; for embedded
     # monoids the converter of `from_embedded`: one Smith-coordinate step and
-    # one integer mat-vec per element
+    # one integer mat-vec per element.  parse_element calls it through
+    # `_converted`, once per distinct monomial of this build of the section
     convert: Callable[[tuple], Elt]
     # for embedded monoids, ambient -> M^gp tensor Q as integer (rows, d,
     # checks): v lies in the span of the generators iff every check row is
@@ -106,7 +162,7 @@ class MonoidContext(NamedTuple):
         if torsion and self.ambient_generators is not None:
             raise ParseError(f"torsion: an element of an embedded monoid has no torsion part, got {list(torsion)}")
         try:
-            return self.convert((free, torsion))
+            return _converted(self.convert, (free, torsion))
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
 
@@ -119,17 +175,17 @@ class MonoidContext(NamedTuple):
     def parse_exponent_vector(self, obj) -> tuple[Fraction, ...]:
         """A rational vector in M^gp tensor Q; ambient coordinates for
         embedded monoids (torsion dies after tensoring)."""
-        vals = [parse_rational(x) for x in obj]
+        parts = [_rational_parts(x) for x in obj]
         d = self.monoid.gp.free_rank
         if self.ambient_generators is None:
-            if len(vals) != d:
+            if len(parts) != d:
                 raise ParseError(f"exponent vector must have length {d}")
-            return tuple(vals)
+            return tuple(Fraction(*x) for x in parts)
         dim = len(self.ambient_generators[0])
-        if len(vals) != dim:
+        if len(parts) != dim:
             raise ParseError(f"exponent vector must have ambient length {dim}")
         rows, den, checks = self.exponent_map()
-        (vec,), dv = over_lcm([vals])
+        (vec,), dv = _numerators([parts])
         if any(sum(map(mul, row, vec)) for row in checks):
             raise ParseError("exponent vector outside M^gp tensor Q")
         return tuple(Fraction(sum(map(mul, row, vec)), den * dv) for row in rows)
@@ -199,11 +255,22 @@ def _monoid_section(n: Optional[int], relations: tuple, vectors: Optional[tuple]
     return monoid, vectors, convert, exponent_map, ambient_map
 
 
+@lru_cache(maxsize=MONOMIAL_CACHE_SIZE)
+def _converted(convert: Callable[[tuple], Elt], x: tuple) -> Elt:
+    """convert(x) for a section's converter and a validated (free, torsion)
+    pair: each distinct monomial is converted once per build of the
+    section.  Keyed by the converter, so an entry is never handed to an
+    equal monoid rebuilt after that build left the section cache."""
+    return convert(x)
+
+
 def clear_caches() -> None:
-    """Forget every cached monoid section and embedding, so the next parse
-    analyses its monoid afresh, as in a new process."""
+    """Forget every cached monoid section, embedding and converted
+    monomial, so the next parse analyses its monoid afresh, as in a new
+    process."""
     _monoid_section.cache_clear()
     _embedding.cache_clear()
+    _converted.cache_clear()
 
 
 def parse_radius(obj) -> Radius:
@@ -212,7 +279,7 @@ def parse_radius(obj) -> Radius:
     if isinstance(obj, dict):
         if obj.get("zero"):
             return Radius.zero()
-        return Radius(Fraction(_integer(obj["q_num"], "q_num"), _integer(obj.get("q_den", 1), "q_den")))
+        return Radius(parse_rational([_integer(obj["q_num"], "q_num"), _integer(obj.get("q_den", 1), "q_den")]))
     return Radius(parse_rational(obj))
 
 
@@ -261,30 +328,49 @@ def parse_connection(doc: dict) -> tuple[MonoidContext, LogNablaModule]:
     annulus = interval_kind == "annulus"
     emb = _embedding(ctx, _integers(doc["embedding"], "embedding", 2) if "embedding" in doc else None)
 
-    def parse_matrix_list(name: str, count: int) -> tuple:
-        per_index: dict[int, dict[Elt, list[Fraction]]] = {}
-        for item in doc.get(name, []):
+    def parse_matrix_list(name: str, count: Optional[int] = None) -> tuple:
+        """The coefficient maps of the items of doc[name], one per index
+        below count (the number of items when count is None)."""
+        items = doc.get(name, [])
+        if not isinstance(items, list):
+            raise ParseError(f"{name}: expected a list of {{'i': .., 'terms': [..]}} objects, got {items!r}")
+        count = len(items) if count is None else count
+        per_index: dict[int, dict[Elt, list[tuple[int, int]]]] = {}
+        for item in items:
+            if not isinstance(item, dict) or "i" not in item:
+                raise ParseError(f"{name}: expected an object with 'i' and 'terms', got {item!r}")
             i = _integer(item["i"], "i")
             if not 0 <= i < count:
-                raise ParseError(f"matrix index {i} out of range")
+                raise ParseError(f"{name}: matrix index {i} out of range")
             terms = per_index.setdefault(i, {})
-            for term in item.get("terms", []):
+            listed = item.get("terms", [])
+            if not isinstance(listed, list):
+                raise ParseError(f"{name}: index {i}: terms: expected a list, got {listed!r}")
+            for term in listed:
+                if not isinstance(term, dict) or "m" not in term or "entries" not in term:
+                    raise ParseError(f"{name}: index {i}: terms: expected an object with 'm' and 'entries', "
+                                     f"got {term!r}")
                 key = ctx.parse_element(term["m"])
                 if key in terms:
                     raise ParseError(f"{name}: index {i} lists the monomial {json.dumps(term['m'])} twice")
                 entries = term["entries"]
-                if len(entries) != rank or any(len(r) != rank for r in entries):
-                    raise ParseError("matrix entries must be rank x rank")
-                terms[key] = [parse_rational(x) for r in entries for x in r]
-        return tuple(coefficient_map(ctx.weighting, truncation, per_index.get(i, {}), annulus) for i in range(count))
+                if not (isinstance(entries, list) and len(entries) == rank
+                        and all(isinstance(r, list) and len(r) == rank for r in entries)):
+                    raise ParseError(f"{name}: index {i}: entries: matrix entries must be rank x rank "
+                                     f"({rank} x {rank}), got {entries!r}")
+                terms[key] = [_rational_parts(x) for r in entries for x in r]
+        maps = []
+        for i in range(count):
+            terms = per_index.get(i, {})
+            rows, den = _numerators(list(terms.values()))
+            try:
+                maps.append(coefficient_map(ctx.weighting, truncation, dict(zip(terms, rows)), annulus, den))
+            except ValueError as exc:  # a disk matrix with a term off M
+                raise ParseError(f"{name}: index {i}: {exc}") from exc
+        return tuple(maps)
 
-    try:
-        matrices = parse_matrix_list("matrices", emb.r)
-        base = None
-        if "base_matrices" in doc:
-            base = parse_matrix_list("base_matrices", len(doc["base_matrices"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad connection matrices: {exc}") from exc
+    matrices = parse_matrix_list("matrices", emb.r)
+    base = parse_matrix_list("base_matrices") if "base_matrices" in doc else None
     try:
         module = LogNablaModule(rank, emb, ctx.weighting, truncation, matrices, base, interval_kind)
     except ValueError as exc:

@@ -37,6 +37,10 @@ class TorsionTarget(HypothesisError):
     """The target group of a section computation has torsion."""
 
 
+class NotTorsionFree(HypothesisError):
+    """The group M^gp has torsion where a torsion-free group is required."""
+
+
 class NotInGroupSpan(HypothesisError):
     """An element does not lie in the group generated by the monoid."""
 

@@ -30,7 +30,7 @@ from .errors import (
     SingularSylvester,
     ZeroProjection,
 )
-from .monoid_core import Face, FineMonoid, face_quotient_group, is_semi_saturated, is_sharp, membership
+from .monoid_core import Face, FineMonoid, is_semi_saturated, is_sharp, membership
 from .qlin import (
     INF,
     QMatrix,
@@ -559,7 +559,12 @@ def shear(
     if e.interval_kind == "annulus":
         raise NotDiskModule("shear acts on disk or point modules; annuli go through twist_reduce")
     a0s, eigendata = _shear_hypotheses(e)
-    per_matrix_eigs = [sorted(set(eigs)) for eigs, *_ in eigendata]
+    # per direction, the differences x - y of A^i_0's eigenvalues, integers
+    # over one denominator dx, with v_p(dx)
+    eig_diffs = []
+    for eigs, *_ in eigendata:
+        (xs,), dx = over_lcm([sorted(set(eigs))])
+        eig_diffs.append((sorted({x - y for x in xs for y in xs}), dx, padic_valuation(dx, p)))
     m = e.monoid
     t = e.truncation
     w = e.weighting
@@ -667,8 +672,8 @@ def shear(
             if mi == 0:
                 continue
             if (i, mi) not in worst:
-                worst[i, mi] = max([0] + [padic_valuation(x - y - mi, p)
-                                          for x, y in itertools.product(per_matrix_eigs[i], repeat=2)])
+                diffs, dx, vdx = eig_diffs[i]
+                worst[i, mi] = max(0, *(padic_valuation(z - mi * dx, p) - vdx for z in diffs))
             zi = worst[i, mi]
             wmin = zi if wmin is None else min(wmin, zi)
         # the chain max runs over the nonzero proper divisors of key; logz
@@ -841,14 +846,6 @@ class UnipotenceReport(NamedTuple):
     face_images: tuple[QVector, ...]
 
 
-def _face_projection(m: FineMonoid, face: Face) -> list[tuple[int, ...]]:
-    """The integer rows of gp^free -> (M/F)^gp free."""
-    q, project = face_quotient_group(m, face)
-    d = m.gp.free_rank
-    cols = [project(m.gp.element(tuple(int(x == k) for x in range(d))))[0] for k in range(d)]
-    return [tuple(col[i] for col in cols) for i in range(q.free_rank)]
-
-
 def _block_filtration_ranks(decomp: ResidueDecomposition, nilpotents) -> tuple[int, ...]:
     """Ranks of the successive quotients of the canonical filtration: within a
     block, U_j = common kernel of all degree-j products of the nilpotent parts
@@ -886,7 +883,7 @@ def is_sigma_unipotent(e: LogNablaModule, sigma: ExponentSet, face: Face) -> Uni
     sheared = e.sheared_exponents
     exps = e.decomposition.exponents
     vecs, d = over_lcm(exps + sigma.elements)
-    proj = _face_projection(e.monoid, face)
+    proj = e.monoid.index.face_projection(face)
     images = [tuple(sum(map(mul, row, v)) for row in proj) for v in vecs]
     own = images[: len(exps)]
     # on annuli the images are compared modulo the quotient lattice, d Z^k here

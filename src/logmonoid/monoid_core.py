@@ -206,6 +206,7 @@ class MonoidIndex:
         self.monoid = m
         self._weighted: dict[tuple[int, ...], WeightedIndex] = {}
         self._face_quotients: dict[frozenset[int], tuple[AbelianGroup, Callable[[Elt], Elt]]] = {}
+        self._face_projections: dict[frozenset[int], tuple[tuple[int, ...], ...]] = {}
 
     @cached_property
     def span(self) -> GroupSpan:
@@ -242,6 +243,17 @@ class MonoidIndex:
             found = self._face_quotients[face.generator_indices] = group_quotient(
                 self.monoid.gp, face.generators()
             )
+        return found
+
+    def face_projection(self, face: Face) -> tuple[tuple[int, ...], ...]:
+        """gp^free -> (M/F)^gp free, the free part of `face_quotient`'s
+        projection, as integer rows."""
+        found = self._face_projections.get(face.generator_indices)
+        if found is None:
+            project, gp = self.face_quotient(face)[1], self.monoid.gp
+            cols = [project(gp.element(tuple(int(x == k) for x in range(gp.free_rank))))[0]
+                    for k in range(gp.free_rank)]
+            found = self._face_projections[face.generator_indices] = tuple(zip(*cols))
         return found
 
     @cached_property

@@ -16,7 +16,7 @@ from operator import add, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .abelian import Elt, checked_make
-from .errors import NonInvertibleConstantTerm
+from .errors import NonInvertibleConstantTerm, NotTorsionFree
 from .monoid_core import (
     FineMonoid,
     default_weighting as _default_values,
@@ -145,10 +145,11 @@ def h_abs(m: FineMonoid, h: Weighting, g: Elt) -> int:
 CoefficientMap = tuple[tuple[tuple[Elt, tuple[int, ...]], ...], int]
 
 
-def coefficient_map(w: Weighting, t: int, coeffs: dict, annulus: bool = False) -> CoefficientMap:
-    """The stored form of the matrix with coefficient coeffs[key], row-major
-    rationals, at each key: zero matrices and keys with |h| > t are dropped,
-    and a disk matrix may carry no term with h^-(m) > 0."""
+def coefficient_map(w: Weighting, t: int, coeffs: dict, annulus: bool = False, den: int = 1) -> CoefficientMap:
+    """The stored form of the matrix with coefficient coeffs[key] / den at
+    each key, coeffs[key] row-major rationals (a document's are integer
+    numerators over their lcm den): zero matrices and keys with |h| > t are
+    dropped, and a disk matrix may carry no term with h^-(m) > 0."""
     index = w.monoid.index.weighted(w.values)
     h, scaled, room = index.h, index.scaled_weight, t * index.denominator
     kept = {}
@@ -162,8 +163,8 @@ def coefficient_map(w: Weighting, t: int, coeffs: dict, annulus: bool = False) -
         if not annulus and hp > hk:
             raise ValueError("disk series cannot carry terms with h^-(m) > 0")
         kept[k] = x
-    rows, den = over_lcm(list(kept.values()))
-    return _canonical(dict(zip(kept, rows)), den)
+    rows, d = over_lcm(list(kept.values()))
+    return _canonical(dict(zip(kept, rows)), d * den)
 
 
 def _canonical(x: dict, den: int) -> CoefficientMap:
@@ -494,11 +495,16 @@ def saturation_invariance_check(
 ) -> bool:
     """A_M[a,b] = A_{M^sat}[a,b] for 0 < a <= b, plus the h+ comparison
     h^{sat,+}(m) <= h^+(m) <= h^{sat,+}(m) + h(s) with the correction
-    element s of `_correction_weight`."""
+    element s of `_correction_weight`.  M^gp must be torsion-free
+    (NotTorsionFree otherwise)."""
     if a.is_zero:
         raise ValueError("saturation invariance needs 0 < a")
     if not a <= b:
         raise ValueError("interval must satisfy a <= b")
+    if m.gp.torsion_invariants:
+        torsion = " + ".join(f"Z/{d}" for d in m.gp.torsion_invariants)
+        raise NotTorsionFree(f"saturation invariance needs a torsion-free M^gp, got torsion {torsion}: "
+                             "M^sat holds the torsion as units, so it is not sharp")
     sat = saturation(m)
     h = Weighting(m, _default_values(m))
     hsat = Weighting(sat, sat.weighting)

@@ -555,3 +555,27 @@ def test_package_attribute_errors_name_the_attribute():
 
     with pytest.raises(AttributeError, match="no_such_name"):
         logmonoid.no_such_name
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("matrices", 5, "matrices: expected a list"),
+    ("matrices", ["x"], "matrices: expected an object with 'i'"),
+    ("matrices", [{"terms": []}], "matrices: expected an object with 'i'"),
+    ("matrices", [{"i": 0, "terms": 5}], "matrices: index 0: terms: expected a list"),
+    ("matrices", [{"i": 0, "terms": ["x"]}], "matrices: index 0: terms: expected an object"),
+    ("matrices", _matrix([{"m": {"free": [1, 0]}}]), "terms: expected an object with 'm' and 'entries'"),
+    ("matrices", _matrix([{"m": {"free": [1, 0]}, "entries": 5}]), "matrices: index 0: entries"),
+    ("matrices", _matrix([{"m": {"free": [1, 0]}, "entries": "1"}]), "matrices: index 0: entries"),
+    ("matrices", _matrix([{"m": {"free": [1, 0]}, "entries": [5]}]), "matrices: index 0: entries"),
+    ("base_matrices", 5, "base_matrices: expected a list"),
+    ("base_matrices", [[0]], "base_matrices: expected an object with 'i'"),
+])
+def test_a_misshapen_matrix_list_names_the_field(capsys, tmp_path, field, value, named):
+    """"matrices", "terms" or "entries" of the wrong shape once exited 2
+    with Python's own text ("'int' object is not iterable", "string indices
+    must be integers"); the message names the field."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_document(N2_DOC, **{field: value})))
+    code, out, err = run(capsys, "connection", "exponents", path)
+    assert (code, out) == (2, "") and named in err and "Traceback" not in err
+    assert "not iterable" not in err and "indices must be" not in err and "object has no" not in err

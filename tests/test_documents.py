@@ -1,8 +1,10 @@
 """Document parsing round trips and the error surface of the typed kernels."""
 
 import copy
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -570,3 +572,102 @@ def test_answers_do_not_depend_on_the_cache_or_the_order():
     shown = {doc["interval_kind"] for doc in cases} | {"shear" if len(a[2]) > 2 else a[2][0] for a in cold}
     shown |= {verdict for a in cold for verdict in a[4] if isinstance(verdict, bool)}
     assert shown == {"disk", "annulus", "point", "shear", "NotDiskModule", True, False}, shown
+
+
+# -- the rational reader ------------------------------------------------------------------
+
+FORTY_DIGITS = "1234567890123456789012345678901234567890/1234567890123456789012345678901234567891"
+
+
+@pytest.mark.parametrize("obj, value", [
+    ("3/7", F(3, 7)), ("-3/7", F(-3, 7)), ("+3/7", F(3, 7)), ("4/6", F(2, 3)), ("0/7", F(0)),
+    ("12", F(12)), ("-0", F(0)), ("1_000/3", F(1000, 3)), ("1_000.2_5", F(4001, 4)),
+    ("0.5", F(1, 2)), (".5", F(1, 2)), ("-.25", F(-1, 4)), ("5.", F(5)), (" 1/2 ", F(1, 2)),
+    (FORTY_DIGITS, F(1234567890123456789012345678901234567890, 1234567890123456789012345678901234567891)),
+    (4, F(4)), (-4, F(-4)), (10 ** 50, F(10 ** 50)),
+    ([5, 2], F(5, 2)), ([3, -4], F(-3, 4)), (["3", 4], F(3, 4)), ((6, 4), F(3, 2)),
+    ({"num": 1, "den": 3}, F(1, 3)), ({"num": "-2"}, F(-2)),
+])
+def test_the_reader_accepts_these_rationals(obj, value):
+    """The accepted spellings and their values; a string is read as
+    Fraction(str) reads it, and the parts are integers over a positive
+    denominator."""
+    assert docs.parse_rational(obj) == value
+    num, den = docs._rational_parts(obj)
+    assert type(num) is int and type(den) is int and den > 0 and F(num, den) == value
+    if isinstance(obj, str):
+        assert F(obj) == value
+
+
+@pytest.mark.parametrize("obj", [
+    "1e5", "1E5", "2.5e-3", "1/0", "1/00", "1/-2", " 1 / 2 ", "1 /2", "--1", "+-1", "nan", "inf", "-inf",
+    "", " ", ".", "-", "1/2/3", "1/2.5", ".5/2", "/2", "1__0", "_1", "1_", "0x10", "½",
+    "1" * 5000 + "/3", "3/" + "1" * 5000, "0." + "1" * 5000,
+    1.5, 2.0, float("nan"), True, False, None, [1, 0], [1, 2, 3], [1.5, 2], [True, 2], {"den": 2},
+    {"num": 1, "den": 0}, {"num": 2.5},
+])
+def test_the_reader_rejects_these_entries_naming_them(obj):
+    """A rejected entry is a ParseError whose message names the entry (or,
+    for a bad integer field of a pair, that field)."""
+    with pytest.raises(ParseError) as caught:
+        docs.parse_rational(obj)
+    message = str(caught.value)
+    assert repr(obj) in message or "rational numerator" in message or "num:" in message
+
+
+# -- the document caches -------------------------------------------------------------------
+
+def _connection_document(name):
+    return json.loads((Path(__file__).parent / "data" / name).read_text())
+
+
+@pytest.mark.parametrize("name", ["n2_sigma_pair_connection.json", "rank2_connection.json",
+                                  "vertex_counterexample.json"])
+def test_cold_warm_and_evicted_parses_give_equal_modules(name):
+    """A parse from cold caches, one from warm caches, and one after the
+    section was pushed out of the section cache give equal modules; the
+    rebuilt section has its own converter, so no memoized monomial of the
+    old build is reused."""
+    doc = _connection_document(name)
+    cold_ctx, cold = docs.parse_connection(copy.deepcopy(doc))
+    misses = docs._converted.cache_info().misses
+    warm_ctx, warm = docs.parse_connection(copy.deepcopy(doc))
+    assert warm_ctx.convert is cold_ctx.convert and docs._converted.cache_info().misses == misses
+    for k in range(docs.SECTION_CACHE_SIZE):
+        docs.parse_monoid({"generators": 20 + k})
+    evicted_ctx, evicted = docs.parse_connection(copy.deepcopy(doc))
+    assert evicted_ctx.monoid is not cold_ctx.monoid and evicted_ctx.convert is not cold_ctx.convert
+    assert cold == warm == evicted
+
+
+def test_each_monomial_is_converted_once_in_a_bounded_memo():
+    """The memo of converted monomials has a maxsize, misses once per
+    distinct monomial of a section, and clear_caches empties it."""
+    info = docs._converted.cache_info()
+    assert info.maxsize == docs.MONOMIAL_CACHE_SIZE is not None and info.currsize == 0
+    doc = _connection_document("rank2_connection.json")
+    monomials = {json.dumps(term["m"]) for item in doc["matrices"] for term in item["terms"]}
+    docs.parse_connection(doc)
+    docs.parse_connection(copy.deepcopy(doc))
+    info = docs._converted.cache_info()
+    assert info.misses == info.currsize == len(monomials) and info.hits == len(monomials)
+    docs.clear_caches()
+    assert docs._converted.cache_info().currsize == 0
+
+
+def test_the_reader_reads_strings_as_fraction_does_less_exponent_notation():
+    """On seeded strings over digits, signs, "_", ".", "/", spaces and "e",
+    the reader accepts exactly what Fraction(str) accepts without an "e"
+    or "E", with Fraction's value."""
+    rng = random.Random(21)
+    for _ in range(20000):
+        s = "".join(rng.choice("0123456789_-+./ e") for _ in range(rng.randint(0, 8)))
+        try:
+            expected = None if "e" in s else F(s)
+        except (ValueError, ZeroDivisionError):
+            expected = None
+        try:
+            got = docs.parse_rational(s)
+        except ParseError:
+            got = None
+        assert got == expected, s

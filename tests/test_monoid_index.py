@@ -4,11 +4,14 @@ independence and the lifetime of the index."""
 
 import gc
 import itertools
+import json
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from logmonoid import documents
 from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
 from logmonoid import oracle as orc
@@ -202,3 +205,31 @@ def test_keys_heavier_than_the_truncation_leave_the_ball_alone():
     assert [k for k, _ in lc.coefficient_map(h, 4, coeffs, annulus=True)[0]] == [near]
     assert [k for k, _ in ws.series(m, h, {k: 1 for k in coeffs}, 4, annulus=True).terms] == [near]
     assert len(m.index.weighted(h.values).ball(0)) == 35
+
+
+def _data_monoids():
+    """The monoid of every tests/data document that has one."""
+    out = {}
+    for path in sorted((Path(__file__).parent / "data").glob("*.json")):
+        doc = json.loads(path.read_text())
+        section = doc.get("monoid", doc)
+        if "generators" in section or "embedded_generators" in section:
+            out[path.name] = documents.parse_monoid(section).monoid
+    return out
+
+
+def test_face_projections_equal_a_fresh_face_quotient():
+    """Each face's projection rows, computed once on the index, are the
+    free part of the projection of a fresh face_quotient_group on a copy
+    of the monoid whose index is cold."""
+    monoids = _data_monoids()
+    assert len(monoids) >= 8
+    for name, m in monoids.items():
+        fresh = mc.FineMonoid(m.gp, m.generators, m.weighting)
+        d = m.gp.free_rank
+        for face in m.index.faces:
+            rows = m.index.face_projection(face)
+            assert m.index.face_projection(face) is rows
+            q, project = mc.face_quotient_group(fresh, mc.Face(fresh, face.generator_indices))
+            cols = [project(m.gp.element(tuple(int(i == k) for i in range(d))))[0] for k in range(d)]
+            assert rows == tuple(tuple(col[i] for col in cols) for i in range(q.free_rank)), (name, face)

@@ -13,7 +13,7 @@ from logmonoid import cone, documents
 from logmonoid import monoid_core as mc
 from logmonoid import oracle as orc
 from logmonoid import weighted_series as ws
-from logmonoid.errors import NonInvertibleConstantTerm
+from logmonoid.errors import HypothesisError, NonInvertibleConstantTerm, NotTorsionFree
 from logmonoid.qlin import INF, padic_valuation
 
 import fraction_reference
@@ -488,7 +488,7 @@ SATURATION_CONES = ([[5], [8]], [[37], [38]], [[1, 0], [1, 1], [1, 3]], [[3, 0],
 def _saturation_outcome(m, pts):
     try:
         return ws.saturation_invariance_check(m, ws.Radius.p_power(1), ws.Radius.one(), pts)
-    except ValueError as exc:  # torsion.json: M^sat holds the torsion, a unit, so it has no ball
+    except NotTorsionFree as exc:  # torsion.json: M^sat holds the torsion, a unit, so it has no ball
         return repr(exc)
 
 
@@ -520,6 +520,19 @@ def test_saturation_invariance_equals_the_searched_correction(monkeypatch):
             assert _saturation_outcome(m, pts) == verdict, m
         weights.append(exact)
     assert unsearched == 1 and 0 in weights and max(weights) > 1
+
+
+def test_saturation_invariance_on_a_group_with_torsion_is_a_hypothesis_error():
+    """M^gp = Z + Z/2 (tests/data/torsion.json): M^sat holds the torsion as
+    units, so it has no weight ball; the check names the hypothesis, where
+    it once raised a bare ValueError from that ball."""
+    doc = json.loads((Path(__file__).parent / "data" / "torsion.json").read_text())
+    m = documents.parse_monoid(doc).monoid
+    assert m.gp.torsion_invariants == (2,)
+    pts = [ws.vertex_point(m, ws.default_weighting(m))]
+    with pytest.raises(NotTorsionFree, match="torsion-free M\\^gp, got torsion Z/2") as caught:
+        ws.saturation_invariance_check(m, ws.Radius.p_power(1), ws.Radius.one(), pts)
+    assert isinstance(caught.value, HypothesisError)
 
 
 def test_saturation_invariance_saturated_case(m_even):

@@ -25,7 +25,8 @@ P unipotent) for n = 2, 3, 4, what `_residue_spectrum` runs;
 above (n = 2, 3, T = 4); and `is_sigma_unipotent` over every face, on a
 fresh copy of the module and of Sigma (its own exponent set), for a
 constant rank-3 module with a Jordan block over M_even and over N^3 at
-T = 4.  The shear rows time a whole `shear` (both gauge recursions, the
+T = 4 (the monoid is not copied, so its face projections, held by its
+index, are computed on the first call only).  The shear rows time a whole `shear` (both gauge recursions, the
 bound records and the checks; the module's integrability and residue
 analysis are cached after the first call) of the selftest fixtures
 rank2-N2-planted and rank2-M_even-planted built at T = 8, 12, 20, 30, 40.
@@ -33,10 +34,11 @@ The document rows time `documents.parse_connection` of a rank-2 connection
 document on an embedded monoid (N^2, N^3 and M_even in ambient
 coordinates, identity embedding) with a matrix at every key of weight
 <= T in every direction, for T = 4, 8, 12; each call empties the caches
-of analysed monoid sections and embeddings first, so the Smith forms, the
-weighting and every |h| are cold.  The warm rows time the same parse
-again with the caches kept: the monoid, its index and the embedding are
-reused, and only the matrices are read.  The
+of analysed monoid sections, embeddings and converted monomials first, so
+the Smith forms, the weighting, every |h| and every monomial's conversion
+are cold.  The warm rows time the same parse again with the caches kept:
+the monoid, its index, the embedding and the converted monomials are
+reused, and only the matrix entries are read.  The
 pyramid rows time h and `membership` on the cone over the unit square
 (a sharp monoid in Z^3) for the keys of weight <= W (W = 4, 8), and for
 membership also each key minus a generator, with the weighted indices of
@@ -204,8 +206,9 @@ def _embedded_document(rng: random.Random, gens, t: int) -> dict:
 
 
 def _cold_parse(doc: dict):
-    """parse_connection of doc with the caches of analysed monoid sections
-    and embeddings emptied first, as in a fresh process."""
+    """parse_connection of doc with the caches of analysed monoid sections,
+    embeddings and converted monomials emptied first, as in a fresh
+    process."""
     documents.clear_caches()
     return documents.parse_connection(doc)
 
