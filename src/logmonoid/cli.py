@@ -30,6 +30,36 @@ from .documents import (
 from .errors import HypothesisError, ParseError
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# this bound (Sorenson-Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """n prime, for n < _MR_EXACT_BELOW: n >= 2 and a strong probable prime
+    to every base of _MR_BASES."""
+    if n < 2:
+        return False
+    if n in _MR_BASES:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class _RunConfigFields(NamedTuple):
     prime: int = 5
     output_format: str = "text"
@@ -41,7 +71,10 @@ class RunConfig(_RunConfigFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.prime < 2 or any(self.prime % q == 0 for q in range(2, int(self.prime ** 0.5) + 1)):
+        if self.prime >= _MR_EXACT_BELOW:
+            raise ValueError(f"--prime must be below {_MR_EXACT_BELOW}, where its primality is decided exactly, "
+                             f"got {self.prime}")
+        if not _is_prime(self.prime):
             raise ValueError(f"--prime must be a prime number, got {self.prime}")
         if self.output_format not in ("json", "text"):
             raise ValueError("format must be json or text")

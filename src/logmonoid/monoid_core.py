@@ -277,10 +277,20 @@ class MonoidIndex:
 
     @cached_property
     def default_values(self) -> tuple[int, ...]:
+        """The values of the integral functional lam of one LP, >= 1 on the
+        nonzero generators of the sharp quotient and 0 on its zero ones.
+
+        A monoid with no unit generator, a torsion-free gp and generators
+        spanning gp^free (x) Q is its own sharp quotient
+        (`quotient_presented(n, [])` is the identity): lam is read off its
+        own generators, and, as the only functional taking these values,
+        given to their weighted index, so no quotient is built and nothing
+        is solved again."""
         m = self.monoid
         if m.weighting is not None:
             return m.weighting
-        mbar = self.sharp[0]
+        own = not self.unit_indices and not m.gp.torsion_invariants and not self.cone.lines
+        mbar = m if own else self.sharp[0]
         vecs = [g[0] for g in mbar.generators]
         zero_set = [i for i, g in enumerate(mbar.generators) if mbar.gp.is_zero(g)]
         positive_set = [i for i in range(len(vecs)) if i not in zero_set]
@@ -289,29 +299,34 @@ class MonoidIndex:
             raise NoPositiveFunctional("sharp quotient admits no positive functional")
         den = math.lcm(*(x.denominator for x in lam))
         lam_int = [int(x * den) for x in lam]
-        return tuple(sum(c * x for c, x in zip(lam_int, g[0])) for g in mbar.generators)
+        values = tuple(sum(c * x for c, x in zip(lam_int, g[0])) for g in mbar.generators)
+        if own and values not in self._weighted:
+            self._weighted[values] = WeightedIndex(self, values, tuple(map(Fraction, lam_int)))
+        return values
 
     def weighted(self, values: tuple[int, ...]) -> "WeightedIndex":
-        """The index of the weighting with these generator values."""
+        """The index of the weighting with these generator values; its
+        functional is solved from them unless `default_values` gave it."""
         found = self._weighted.get(values)
         if found is None:
-            found = self._weighted[values] = WeightedIndex(self, values)
+            m = self.monoid
+            lam = qsolve(qmat([[Fraction(x) for x in g[0]] for g in m.generators]), qvec(values))
+            if lam is None:
+                raise ValueError("weights are not induced by a group homomorphism")
+            found = self._weighted[values] = WeightedIndex(self, values, lam)
         return found
 
 
 class WeightedIndex:
-    """One weighting h of a fine monoid, compiled.
+    """One weighting h of a fine monoid, compiled from its generator values
+    and the rational functional lam with h(g) = lam * free(g).
 
     h is kept as integer numerators over one denominator.  On a sharp monoid
     the ball of elements of weight <= bound is grown level by level in
     place; `h` memoizes (h, h+, |h|) per element, searched in that ball, or
     for a monoid with units in the ball of the sharp quotient."""
 
-    def __init__(self, index: MonoidIndex, values: tuple[int, ...]):
-        m = index.monoid
-        lam = qsolve(qmat([[Fraction(x) for x in g[0]] for g in m.generators]), qvec(values))
-        if lam is None:
-            raise ValueError("weights are not induced by a group homomorphism")
+    def __init__(self, index: MonoidIndex, values: tuple[int, ...], lam: QVector):
         self.index = index
         self.values = values
         self.functional: QVector = lam

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from logmonoid import documents
+from logmonoid import cone, documents
 from logmonoid import monoid_core as mc
 from logmonoid import weighted_series as ws
+from logmonoid.abelian import group_quotient
+from logmonoid.qlin import qmat, qsolve, qvec
 # the connection builders live with the selftest registry, which uses them too
 from logmonoid.selftest import build_module, gauge_built_module  # noqa: F401
 
@@ -69,3 +72,21 @@ def build_series(monoid, weighting, terms, truncation, annulus=False):
             elt = monoid.element(key)
         coeffs[elt] = Fraction(c)
     return ws.series(monoid, weighting, coeffs, truncation, annulus=annulus)
+
+
+def quotient_route_weighting(m):
+    """The default weighting of m by the quotient route, for any monoid:
+    M/M* by `group_quotient`, the LP on the quotient's generator vectors,
+    and the functional solved again from the values.  The reference for a
+    sharp monoid with torsion-free gp, which skips all three.  Returns
+    (values, functional, denominator, numerators)."""
+    q, project = group_quotient(m.gp, [m.generators[i] for i in sorted(mc.unit_generator_indices(m))])
+    images = [project(g) for g in m.generators]
+    zero_set = [i for i, g in enumerate(images) if q.is_zero(g)]
+    positive_set = [i for i in range(len(images)) if i not in zero_set]
+    lam = cone.support_functional([g[0] for g in images], zero_set, positive_set, q.free_rank)
+    den = math.lcm(*(x.denominator for x in lam))
+    values = tuple(sum(int(x * den) * y for x, y in zip(lam, g[0])) for g in images)
+    functional = qsolve(qmat([[Fraction(x) for x in g[0]] for g in m.generators]), qvec(values))
+    denominator = math.lcm(*(x.denominator for x in functional))
+    return values, functional, denominator, tuple(int(x * denominator) for x in functional)

@@ -12,7 +12,7 @@ import pytest
 from logmonoid import documents
 from logmonoid import monoid_core as mc
 from logmonoid import selftest
-from logmonoid.cli import main
+from logmonoid.cli import RunConfig, main
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -505,6 +505,38 @@ def test_an_integer_past_the_digit_limit_is_a_parse_error(capsys, tmp_path):
 def test_bad_options_exit_2_naming_the_option(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "") and message in err and "Traceback" not in err
+
+
+def test_prime_is_decided_as_trial_division_decides_it():
+    for n in range(-3, 5000):
+        is_prime = n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+        if is_prime:
+            assert RunConfig(n).prime == n
+        else:
+            with pytest.raises(ValueError, match=f"--prime must be a prime number, got {n}$"):
+                RunConfig(n)
+
+
+@pytest.mark.parametrize("prime, accepted", [
+    (2 ** 61 - 1, True),
+    (3317044064679887385961979, False),  # 17 * 1709 * ..., just below the exact range
+    (3215031751, False),  # strong pseudoprime to the bases 2, 3, 5 and 7
+    (3825123056546413051, False),  # strong pseudoprime to the bases 2, 3, ..., 23
+])
+def test_a_large_prime_is_decided_at_once(capsys, prime, accepted):
+    """Miller-Rabin to the first 13 prime bases, exact below 3.3 * 10^24,
+    where trial division up to sqrt(p) would not finish."""
+    code, out, err = run(capsys, "--prime", prime, "monoid-analyze", DATA / "nm1.json")
+    assert code == (0 if accepted else 2) and "Traceback" not in err
+    if not accepted:
+        assert (out, err) == ("", f"error: --prime must be a prime number, got {prime}\n")
+
+
+@pytest.mark.parametrize("prime", [3317044064679887385961981, 10 ** 400])
+def test_a_prime_past_the_exact_range_exits_2_naming_it(capsys, prime):
+    code, out, err = run(capsys, "--prime", prime, "monoid-analyze", DATA / "nm1.json")
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert err.startswith("error: --prime must be below 3317044064679887385961981, where its primality is decided")
 
 
 def test_monoid_analyze_a_monoid_with_units(capsys, tmp_path):

@@ -17,6 +17,8 @@ from logmonoid import oracle as orc
 from logmonoid.errors import NotSurjective, TorsionTarget
 from logmonoid.qlin import qmat, qrank, qsolve, qvec
 
+from conftest import quotient_route_weighting
+
 
 def _reference_faces(vectors, d):
     """Face supports by one simplex LP per subset T of distinct generator
@@ -120,6 +122,25 @@ def test_grid_covers_every_kind():
     assert {0, 2, 3, 4} <= ranks
     assert any(m.gp.torsion_invariants for _, m in GRID)
     assert any(not mc.is_sharp(m) for _, m in GRID)
+
+
+def test_default_weighting_equals_the_quotient_route_on_the_grid():
+    """On a fresh copy of every grid monoid the default values and the
+    weighted index's functional, denominator and numerators equal the
+    quotient route's; those with no unit generator and a torsion-free gp
+    build no sharp quotient."""
+    own_kinds = set()
+    for kind, m in GRID:
+        fresh = mc.FineMonoid(m.gp, m.generators)
+        values = mc.default_weighting(fresh)
+        index = fresh.index.weighted(values)
+        got = (values, index.functional, index.denominator, index.numerators)
+        assert got == quotient_route_weighting(mc.FineMonoid(m.gp, m.generators)), kind
+        own = not mc.unit_generator_indices(m) and not m.gp.torsion_invariants
+        assert ("sharp" in vars(fresh.index)) != own, kind
+        if own:
+            own_kinds.add(kind)
+    assert {"pointed", "repeated"} <= own_kinds
 
 
 def test_cones_spanning_less_than_the_space():

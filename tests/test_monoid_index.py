@@ -19,7 +19,7 @@ from logmonoid import snf
 from logmonoid import weighted_series as ws
 from logmonoid.abelian import AbelianGroup, solve_in_group
 
-from conftest import gauge_built_module
+from conftest import gauge_built_module, quotient_route_weighting
 
 FIXTURES = ("n2", "m_even", "torsion_monoid")
 
@@ -140,6 +140,58 @@ GRID_MONOIDS = {
     "N x Z": lambda: mc.from_embedded([[1, 0], [0, 1], [0, -1]])[0],
 }
 SHARP = ("N^2", "M_even", "torsion", "<2,3>", "pyramid")
+SHARP_TORSION_FREE = ("N^2", "M_even", "<2,3>", "pyramid")
+
+
+@pytest.mark.parametrize("name", sorted(GRID_MONOIDS))
+def test_default_weighting_equals_the_quotient_route(name):
+    """The default values and the weighted index's functional, denominator
+    and numerators, on a fresh monoid, equal a fresh copy's read off its
+    sharp quotient and solved again."""
+    m = GRID_MONOIDS[name]()
+    values = mc.default_weighting(m)
+    index = m.index.weighted(values)
+    got = (values, index.functional, index.denominator, index.numerators)
+    assert got == quotient_route_weighting(GRID_MONOIDS[name]())
+
+
+@pytest.mark.parametrize("name", sorted(GRID_MONOIDS))
+def test_a_sharp_torsion_free_default_weighting_builds_no_quotient(monkeypatch, name):
+    """A sharp monoid with a torsion-free gp is its own sharp quotient: its
+    default weighting calls no group_quotient, builds no MonoidHom and
+    solves no functional again.  One with torsion or units still takes the
+    quotient route, which the counters see."""
+    m = GRID_MONOIDS[name]()
+    calls = []
+    for attr in ("group_quotient", "MonoidHom", "qsolve"):
+        original = getattr(mc, attr)
+        monkeypatch.setattr(mc, attr, lambda *a, _f=original, _n=attr: calls.append(_n) or _f(*a))
+    h = ws.default_weighting(m)
+    assert h.values == mc.default_weighting(m) and m.index.weighted(h.values).values == h.values
+    own = name in SHARP_TORSION_FREE
+    assert calls == ([] if own else ["group_quotient", "MonoidHom", "qsolve"])
+    assert ("sharp" in vars(m.index)) != own
+
+
+@pytest.mark.parametrize("gens", [[[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]], [[2, 0], [1, 1], [0, 2]]])
+def test_a_document_weighting_equal_to_the_default_shares_its_index(gens):
+    """A document giving the default values as its weighting, parsed before
+    or after one giving none, shares one weighted index with it, and both
+    orders give the same answers."""
+    bare = {"embedded_generators": gens}
+    given = {"embedded_generators": gens, "weighting": list(documents.parse_monoid(bare).weighting.values)}
+    outcomes = []
+    for order in ((given, bare), (bare, given)):
+        documents.clear_caches()
+        first, second = (documents.parse_monoid(doc) for doc in order)
+        m = first.monoid
+        assert second.monoid is m and first.weighting == second.weighting
+        index = m.index.weighted(first.weighting.values)
+        assert m.index.weighted(second.weighting.values) is index
+        grid = _grid(m, 1)
+        outcomes.append((index.functional, index.denominator, index.numerators,
+                         [index.h(g) for g in grid], [mc.membership(m, g) for g in grid]))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("name", sorted(GRID_MONOIDS))
@@ -178,6 +230,7 @@ def test_h_of_a_key_of_a_sharp_monoid_solves_nothing(monkeypatch, name):
     gp_apply."""
     m = GRID_MONOIDS[name]()
     h = ws.default_weighting(m)  # the cone and the weighting, before counting
+    m.index.span  # and the span, which a sharp torsion-free default weighting no longer builds
     keys = orc.enumerate_monoid(m, orc.EnumerationBudget(6))
     calls = []
     for owner, attr in ((snf, "smith_normal_form"), (snf.SmithForm, "smith_coordinates"),

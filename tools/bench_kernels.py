@@ -38,7 +38,12 @@ of analysed monoid sections, embeddings and converted monomials first, so
 the Smith forms, the weighting, every |h| and every monomial's conversion
 are cold.  The warm rows time the same parse again with the caches kept:
 the monoid, its index, the embedding and the converted monomials are
-reused, and only the matrix entries are read.  The
+reused, and only the matrix entries are read.  The cold monoid rows time
+`documents.parse_monoid` with the default weighting, the caches of
+analysed monoid sections emptied first, on the monoid-analysis shapes of
+the benchmark (perfbench's `gen`): the cones over the lattice 5- and
+7-gons and over the pyramid on the 5-gon, and N^4 / (2 x_i = 2 x_j),
+whose gp has torsion.  The
 pyramid rows time h and `membership` on the cone over the unit square
 (a sharp monoid in Z^3) for the keys of weight <= W (W = 4, 8), and for
 membership also each key minus a generator, with the weighted indices of
@@ -221,11 +226,33 @@ def _cold(m, fn, keys):
     return [fn(k) for k in keys]
 
 
+def _perfbench_gen():
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+    import gen
+    return gen
+
+
+def _cold_monoid_documents() -> list:
+    """(name, document) for the monoid-analysis shapes of the benchmark: the
+    cones over the lattice 5- and 7-gons, the cone over the pyramid on the
+    5-gon, and N^4 / (2 x_i = 2 x_j), whose gp has torsion Z/2."""
+    gen = _perfbench_gen()
+    return [("polygon k=5", gen.polygon_cone(5, 0, 0)[0]), ("polygon k=7", gen.polygon_cone(7, 0, 0)[0]),
+            ("pyramid k=5", gen.pyramid_cone(5, 0)[0]),
+            ("torsion Z/2 n=4", gen.torsion_monoid(random.Random(SEED), 4, 2)[0])]
+
+
+def _cold_monoid(doc: dict):
+    """parse_monoid of doc, its default weighting included, with the caches
+    of analysed monoid sections emptied first, as in a fresh process."""
+    documents.clear_caches()
+    return documents.parse_monoid(doc)
+
+
 def _monoid_round_smith_inputs() -> list:
     """The matrices one seeded monoid-analysis round of the benchmark hands
     `snf.smith_normal_form`, in call order."""
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
-    import gen
+    gen = _perfbench_gen()
     import workloads
     inputs = []
     smith = snf.smith_normal_form
@@ -332,11 +359,13 @@ def main() -> int:
     pyramid, _ = mc.from_embedded([[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]])
     h = ws.default_weighting(pyramid)
     for w in (4, 8):
-        keys = mc.WeightedIndex(pyramid.index, h.values).upto(w)
+        keys = pyramid.index.weighted(h.values).upto(w)
         shifted = keys + [pyramid.gp.sub(k, pyramid.generators[0]) for k in keys]
         rows.append((f"cold h pyramid W={w}", _time(lambda: _cold(pyramid, lambda k: ws.h_plus(pyramid, h, k), keys))))
         rows.append((f"cold membership pyramid W={w}",
                      _time(lambda: _cold(pyramid, lambda k: mc.membership(pyramid, k), shifted))))
+    for name, doc in _cold_monoid_documents():
+        rows.append((f"cold parse_monoid {name}", _time(lambda: _cold_monoid(doc))))
     inputs = _monoid_round_smith_inputs()
     rows.append((f"smith_normal_form monoid round (n={len(inputs)})",
                  _time(lambda: [snf.smith_normal_form(a) for a in inputs]) / len(inputs)))
