@@ -60,9 +60,12 @@ def _integer(x, field: str) -> int:
 
 
 def _integers(xs, field: str, depth: int = 1) -> tuple:
-    """A list of integer fields; with depth d > 1, a list of such lists nested d deep."""
+    """A list of integer fields; with depth d > 1, a list of such lists nested d deep.
+    A list of plain ints is taken in one pass; `_integer` reads the rest."""
     if not isinstance(xs, (list, tuple)):
         raise ParseError(f"{field}: expected a list{' of lists' * (depth - 1)} of integers, got {xs!r}")
+    if depth == 1 and all(type(x) is int for x in xs):
+        return tuple(xs)
     return tuple(_integers(x, field, depth - 1) if depth > 1 else _integer(x, field) for x in xs)
 
 

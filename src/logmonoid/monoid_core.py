@@ -23,6 +23,7 @@ from .abelian import AbelianGroup, Elt, GroupSpan, checked_make, group_quotient,
 from .errors import (
     NoPositiveFunctional,
     NotInGroupSpan,
+    NotSharp,
     NotSubmonoid,
     NotSurjective,
     TorsionTarget,
@@ -237,7 +238,8 @@ class MonoidIndex:
         return {Face(self.monoid, s): lam for s, lam in pairs}
 
     def face_quotient(self, face: Face) -> tuple[AbelianGroup, Callable[[Elt], Elt]]:
-        """(M/F)^gp = gp / F^gp with its projection."""
+        """(M/F)^gp = gp / F^gp with its projection, built on the first call
+        for the face (by the projections; semi-saturation builds none)."""
         found = self._face_quotients.get(face.generator_indices)
         if found is None:
             found = self._face_quotients[face.generator_indices] = group_quotient(
@@ -263,7 +265,12 @@ class MonoidIndex:
 
     @cached_property
     def semi_saturated(self) -> bool:
-        return all(not self.face_quotient(f)[0].torsion_invariants for f in self.faces)
+        """(M/F)^gp = Z^cover / <F's generator lifts, gp's torsion relations> is
+        torsion-free for every face F: no Smith form and no face quotient."""
+        gp = self.monoid.gp
+        lifts, relations = [gp.lift(g) for g in self.monoid.generators], gp.cover_relations()
+        return all(_snf.cokernel_is_torsion_free([lifts[i] for i in f.generator_indices] + relations)
+                   for f in self.faces)
 
     @cached_property
     def sharp(self) -> tuple[FineMonoid, "MonoidHom"]:
@@ -538,7 +545,8 @@ def localize(m: FineMonoid, face: Face) -> FineMonoid:
 
 def is_semi_saturated(m: FineMonoid) -> bool:
     """True iff (M/F)^gp is torsion-free for every face F (equivalent to the
-    definition: na in M for n > 0 implies (nm+1)a in M for some m)."""
+    definition: na in M for n > 0 implies (nm+1)a in M for some m), decided
+    with no face quotient (`MonoidIndex.semi_saturated`)."""
     return m.index.semi_saturated
 
 
@@ -550,7 +558,7 @@ def saturation(m: FineMonoid) -> FineMonoid:
     """M^sat, the preimage of the rational cone under the free-part map: its
     generators are M's, the Hilbert basis lifts and the torsion of gp."""
     if not is_sharp(m):
-        raise ValueError("saturation requires a sharp monoid")
+        raise NotSharp("saturation requires a sharp monoid")
     values = default_weighting(m)
     zero_torsion = tuple([0] * len(m.gp.torsion_invariants))
     gens = list(m.generators)
@@ -569,7 +577,7 @@ def is_saturated_bounded(m: FineMonoid, weight_bound: Optional[int] = None) -> b
     one outside M, so the Hilbert basis is never built.  weight_bound is
     unused, as the answer is exact; perfbench/workloads.py still passes one."""
     if not is_sharp(m):
-        raise ValueError("is_saturated_bounded requires a sharp monoid")
+        raise NotSharp("is_saturated_bounded requires a sharp monoid")
     if m.gp.torsion_invariants:
         return False
     return all(membership(m, (z, ())) for z in _cone.candidates(m.index.cone))

@@ -125,6 +125,34 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
+def cokernel_is_torsion_free(cols: Sequence[Sequence[int]]) -> bool:
+    """Whether Z^n / <cols> is torsion-free: one integer elimination of the
+    matrix with these columns, keeping no transforms.  The pivot is the first
+    entry of least |value|; floor multiples of its row clear its column, and
+    of its column (a non-unit pivot's only) its row, until no remainder is left."""
+    m = [list(row) for row in zip(*cols)]
+    while m:
+        nonzero = [(abs(x), i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x]
+        if not nonzero:
+            return True
+        best, pi, pj = min(nonzero)
+        prow, p = m[pi], m[pi][pj]
+        for i, row in enumerate(m):
+            if row[pj] and i != pi:
+                m[i] = [a - row[pj] // p * b for a, b in zip(row, prow)]
+        if best == 1:
+            m = [row[:pj] + row[pj + 1:] for i, row in enumerate(m) if i != pi]
+            continue
+        for j, x in enumerate(prow):
+            if x and j != pj:
+                for row in m:
+                    row[j] -= x // p * row[pj]
+        if sum(map(bool, prow)) == 1 and sum(bool(row[pj]) for row in m) == 1:
+            # row and column are cleared: up to order the matrix is diag(p, R), so Z/|p| splits off
+            return False
+    return True
+
+
 class SmithForm:
     """The Smith form u*a*v = d of one matrix, kept to answer many solves."""
 

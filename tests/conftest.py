@@ -90,3 +90,11 @@ def quotient_route_weighting(m):
     functional = qsolve(qmat([[Fraction(x) for x in g[0]] for g in m.generators]), qvec(values))
     denominator = math.lcm(*(x.denominator for x in functional))
     return values, functional, denominator, tuple(int(x * denominator) for x in functional)
+
+
+def face_quotient_route_semi_saturated(m):
+    """Semi-saturatedness by the face-quotient route: a fresh `group_quotient`
+    of gp by each face's generators, whose torsion invariants must all be
+    empty.  The reference for `mc.is_semi_saturated`, which takes no face
+    quotient."""
+    return all(not group_quotient(m.gp, f.generators())[0].torsion_invariants for f in mc.faces(m))

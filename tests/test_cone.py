@@ -14,10 +14,10 @@ import pytest
 from logmonoid import cone, documents
 from logmonoid import monoid_core as mc
 from logmonoid import oracle as orc
-from logmonoid.errors import NotSurjective, TorsionTarget
+from logmonoid.errors import NotSharp, NotSurjective, TorsionTarget
 from logmonoid.qlin import qmat, qrank, qsolve, qvec
 
-from conftest import quotient_route_weighting
+from conftest import face_quotient_route_semi_saturated, quotient_route_weighting
 
 
 def _reference_faces(vectors, d):
@@ -143,6 +143,17 @@ def test_default_weighting_equals_the_quotient_route_on_the_grid():
     assert {"pointed", "repeated"} <= own_kinds
 
 
+def test_semi_saturation_equals_the_face_quotient_route_on_the_grid():
+    """On a fresh copy of every grid monoid the verdict equals the
+    face-quotient route's; the grid shows both verdicts."""
+    verdicts = set()
+    for kind, m in GRID:
+        verdict = mc.is_semi_saturated(mc.FineMonoid(m.gp, m.generators))
+        assert verdict is face_quotient_route_semi_saturated(m), kind
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_cones_spanning_less_than_the_space():
     """Generators in a hyperplane or a line of Q^3: the forms vanishing on
     them are kept as lines, and faces, units and membership still agree."""
@@ -203,8 +214,10 @@ def test_saturation_verdict_matches_the_hilbert_basis(n1, n2, nm1, m_even, torsi
     seen = set()
     for m in monoids:
         if not mc.is_sharp(m):
-            with pytest.raises(ValueError):
+            with pytest.raises(NotSharp):
                 mc.is_saturated_bounded(m)
+            with pytest.raises(NotSharp):
+                mc.saturation(m)
             continue
         verdict = mc.is_saturated_bounded(m)
         basis = m.index.hilbert_basis

@@ -53,6 +53,35 @@ def test_monoid_document_roundtrip_embedded():
         ctx.parse_element({"free": [1, 0]})  # odd sum: outside the group
 
 
+@pytest.mark.parametrize("obj, message", [
+    ({"free": [True, 0]}, "free: expected an integer, got True"),
+    ({"free": [1.0, 0]}, "free: expected an integer, got 1.0"),
+    ({"free": 5}, "free: expected a list of integers, got 5"),
+    ({"free": [4, 2], "torsion": ["x"]}, "torsion: expected an integer, got 'x'"),
+    ({"free": ["1e3", 0]}, "free: expected an integer, got '1e3'"),
+    ({"free": [None]}, "free: expected an integer, got None"),
+    ({"free": [[1], 2]}, "free: expected an integer, got [1]"),
+    ({"free": [4, 2], "torsion": 0}, "torsion: expected a list of integers, got 0"),
+])
+def test_a_malformed_element_field_keeps_its_message(obj, message):
+    ctx = docs.parse_monoid({"embedded_generators": [[2, 0], [1, 1], [0, 2]]})
+    with pytest.raises(ParseError) as info:
+        ctx.parse_element(obj)
+    assert str(info.value) == message
+
+
+def test_plain_int_elements_skip_the_field_reader(monkeypatch):
+    """free and torsion lists of plain ints are taken in one pass, without
+    `_integer`; a string integer is still read by it, to the same element."""
+    ctx = docs.parse_monoid({"generators": 2, "relations": [[[2, 0], [0, 2]]]})
+    calls = []
+    integer = docs._integer
+    monkeypatch.setattr(docs, "_integer", lambda x, field: calls.append(x) or integer(x, field))
+    plain = ctx.parse_element({"free": [3], "torsion": [1]})
+    assert calls == []
+    assert ctx.parse_element({"free": ["3"], "torsion": [1]}) == plain and calls == ["3"]
+
+
 def test_monoid_document_weighting_override():
     ctx = docs.parse_monoid(
         {"embedded_generators": [[2, 0], [1, 1], [0, 2]], "weighting": [2, 2, 2]}

@@ -169,6 +169,27 @@ def test_smith_form_matches_the_reference_kernel():
         assert all(isinstance(row, tuple) for part in (d, u, v) for row in part)
 
 
+def test_torsion_free_cokernel_matches_the_smith_diagonal():
+    """Z^n / <cols> is torsion-free exactly when every diagonal entry of the
+    Smith form of the matrix with those columns is 0 or 1: seeded 1..5 x
+    1..5 matrices with entries in -6..6, some with zero columns, and the
+    empty column list; both answers occur."""
+    rng = random.Random(20261019)
+    assert snf.cokernel_is_torsion_free([])
+    answers = set()
+    for rows in range(1, 6):
+        for cols in range(1, 6):
+            for trial in range(40):
+                columns = [[rng.randint(-6, 6) for _ in range(rows)] for _ in range(cols)]
+                if trial % 4 == 0:
+                    columns[rng.randrange(cols)] = [0] * rows
+                d, _, _ = snf.smith_normal_form(snf.as_matrix(zip(*columns)))
+                want = all(d[i][i] in (0, 1) for i in range(min(rows, cols)))
+                assert snf.cokernel_is_torsion_free(columns) is want, columns
+                answers.add(want)
+    assert answers == {True, False}
+
+
 def test_integer_solve_and_kernel():
     rng = random.Random(7)
     for _ in range(30):

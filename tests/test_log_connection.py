@@ -978,9 +978,11 @@ def test_unipotence_analyses_the_module_once(monkeypatch, n2):
         assert all(r.sheared_exponents is reports[0].sheared_exponents for r in reports)
 
 
-def test_unipotence_runs_no_smith_form_after_the_first_face(monkeypatch):
-    """Semi-saturatedness, the facet rows of (S-D) and the face projections
-    are read from the monoid's index after the first face."""
+def test_unipotence_smith_forms_each_face_projection_once(monkeypatch):
+    """Semi-saturatedness and the facet rows of (S-D) take no Smith form:
+    each face's first verdict Smith-forms at most its projection, and a
+    second pass over all faces reads every projection from the monoid's
+    index."""
     doc = documents.load_json(DATA / "vertex_counterexample.json")
     ctx, e = documents.parse_connection(doc)  # a fresh monoid, nothing cached
     sigma = documents.parse_sigma(ctx, documents.load_json(DATA / "sigma_zero.json"))
@@ -988,12 +990,16 @@ def test_unipotence_runs_no_smith_form_after_the_first_face(monkeypatch):
     calls = []
     smith = snf.smith_normal_form
     monkeypatch.setattr(snf, "smith_normal_form", lambda a: calls.append(1) or smith(a))
-    lc.is_sigma_unipotent(e, sigma, faces[0])
-    assert calls
-    calls.clear()
-    for f in faces[1:]:
+    per_face = []
+    for f in faces:
+        before = len(calls)
         lc.is_sigma_unipotent(e, sigma, f)
-    assert len(faces) == 4 and not calls
+        per_face.append(len(calls) - before)
+    assert len(faces) == 4 and max(per_face) == 1
+    calls.clear()
+    for f in faces:
+        lc.is_sigma_unipotent(e, sigma, f)
+    assert not calls
 
 
 def test_dl_operators_reuse_the_module_analysis(monkeypatch, n2):

@@ -5,6 +5,7 @@ independence and the lifetime of the index."""
 import gc
 import itertools
 import json
+import random
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +20,7 @@ from logmonoid import snf
 from logmonoid import weighted_series as ws
 from logmonoid.abelian import AbelianGroup, solve_in_group
 
-from conftest import gauge_built_module, quotient_route_weighting
+from conftest import face_quotient_route_semi_saturated, gauge_built_module, quotient_route_weighting
 
 FIXTURES = ("n2", "m_even", "torsion_monoid")
 
@@ -286,3 +287,62 @@ def test_face_projections_equal_a_fresh_face_quotient():
             q, project = mc.face_quotient_group(fresh, mc.Face(fresh, face.generator_indices))
             cols = [project(m.gp.element(tuple(int(i == k) for i in range(d))))[0] for k in range(d)]
             assert rows == tuple(tuple(col[i] for col in cols) for i in range(q.free_rank)), (name, face)
+
+
+def _presentations_with_torsion(rng, count):
+    """Seeded presentations N^n / (u = v) whose gp has torsion; a relation
+    with a zero side makes units, which can carry the torsion away."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 4)
+        relations = [([rng.choice((0, 0, 1, 2, 3)) for _ in range(n)], [rng.choice((0, 0, 1, 2)) for _ in range(n)])
+                     for _ in range(rng.randint(1, 2))]
+        m = mc.from_presentation(n, relations)
+        if m.gp.torsion_invariants:
+            out.append(m)
+    return out
+
+
+def _embedded_with_units(rng, count):
+    """Seeded vectors of a pointed cone in Z^d plus a line and its negative."""
+    out = []
+    for _ in range(count):
+        d = rng.randint(2, 4)
+        vecs = [[rng.randint(-2, 2) for _ in range(d - 1)] + [rng.randint(1, 3)] for _ in range(rng.randint(d - 1, d + 2))]
+        line = [rng.randint(-2, 2) for _ in range(d - 1)] + [rng.choice((-2, -1, 1, 2))]
+        vecs += [line, [-x for x in line]]
+        rng.shuffle(vecs)
+        out.append(mc.from_embedded(vecs)[0])
+    return out
+
+
+def test_semi_saturation_equals_the_face_quotient_route():
+    """The verdict equals the face-quotient route's, taken on a fresh copy,
+    on the tests/data monoids, on presentations with torsion and on
+    embedded sets with units; each family shows both verdicts."""
+    rng = random.Random(20261019)
+    families = {"data": list(_data_monoids().values()), "torsion": _presentations_with_torsion(rng, 60),
+                "units": _embedded_with_units(rng, 60)}
+    for name, monoids in families.items():
+        verdicts = set()
+        for m in monoids:
+            verdict = mc.is_semi_saturated(m)
+            assert verdict is face_quotient_route_semi_saturated(mc.FineMonoid(m.gp, m.generators)), (name, m)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}, name
+
+
+def test_a_cold_polygon_cone_decides_semi_saturation_with_no_smith_form(monkeypatch):
+    """On the cone over a lattice pentagon, cold and semi-saturated, so every
+    face is tested, the verdict takes no Smith form and no group quotient,
+    and fills no face quotient; a face projection is still filled on demand."""
+    m, _ = mc.from_embedded([[-1, 3, 1], [0, 1, 1], [1, 0, 1], [2, 0, 1], [0, 3, 1]])
+    calls = []
+    smith = snf.smith_normal_form
+    monkeypatch.setattr(snf, "smith_normal_form", lambda a: calls.append("smith") or smith(a))
+    quotient = mc.group_quotient
+    monkeypatch.setattr(mc, "group_quotient", lambda *a: calls.append("quotient") or quotient(*a))
+    assert mc.is_semi_saturated(m) and len(mc.faces(m)) == 12
+    assert calls == [] and m.index._face_quotients == {}
+    m.index.face_projection(mc.faces(m)[1])
+    assert calls == ["quotient", "smith"]

@@ -43,7 +43,11 @@ reused, and only the matrix entries are read.  The cold monoid rows time
 analysed monoid sections emptied first, on the monoid-analysis shapes of
 the benchmark (perfbench's `gen`): the cones over the lattice 5- and
 7-gons and over the pyramid on the 5-gon, and N^4 / (2 x_i = 2 x_j),
-whose gp has torsion.  The
+whose gp has torsion.  The cold semi-saturation rows time
+`is_semi_saturated` on those four shapes and on tests/data/moment_curve_20.json,
+each call on a fresh copy of the monoid given the original's face list, so
+the verdict and any face quotient it takes are cold but the faces are not
+enumerated again.  The
 pyramid rows time h and `membership` on the cone over the unit square
 (a sharp monoid in Z^3) for the keys of weight <= W (W = 4, 8), and for
 membership also each key minus a generator, with the weighted indices of
@@ -51,7 +55,9 @@ the monoid and of its sharp quotient emptied before each call.  The Smith
 row times `snf.smith_normal_form` per input over the inputs one seeded
 monoid-analysis round of the benchmark (perfbench's `gen.monoid_round` run
 through `workloads.run_monoid`) hands it, in call order; their number n,
-in the row's name, falls when the saturation verdict stops earlier.  The
+in the row's name, falls when the saturation verdict stops earlier or the
+semi-saturation verdict takes fewer Smith forms, so the per-call figure is
+then taken over different inputs.  The
 saturation rows time `is_saturated_bounded` on the rank-4 moment-curve
 cones over (1, t, t^2, t^3), t = 1..k, for k = 10, 12, 16, 20, 30, 40,
 each call on a fresh copy of the monoid (its cone, triangulation and ball
@@ -249,6 +255,13 @@ def _cold_monoid(doc: dict):
     return documents.parse_monoid(doc)
 
 
+def _cold_semi_saturation(m) -> bool:
+    """is_semi_saturated on a fresh copy of m that is handed m's faces."""
+    fresh = mc.FineMonoid(m.gp, m.generators)
+    fresh.index.faces = tuple(mc.Face(fresh, f.generator_indices) for f in mc.faces(m))
+    return mc.is_semi_saturated(fresh)
+
+
 def _monoid_round_smith_inputs() -> list:
     """The matrices one seeded monoid-analysis round of the benchmark hands
     `snf.smith_normal_form`, in call order."""
@@ -284,8 +297,9 @@ def _time(fn) -> float:
     return statistics.median(samples)
 
 
-def _pyramid_pentagon():
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests", "data", "pyramid_pentagon.json")
+def _data_monoid(name: str):
+    """The embedded monoid of tests/data/<name>.json."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests", "data", f"{name}.json")
     with open(path, encoding="utf-8") as fh:
         return mc.from_embedded(json.load(fh)["embedded_generators"])[0]
 
@@ -366,6 +380,9 @@ def main() -> int:
                      _time(lambda: _cold(pyramid, lambda k: mc.membership(pyramid, k), shifted))))
     for name, doc in _cold_monoid_documents():
         rows.append((f"cold parse_monoid {name}", _time(lambda: _cold_monoid(doc))))
+    semi = [(name, documents.parse_monoid(doc).monoid) for name, doc in _cold_monoid_documents()]
+    for name, m in semi + [("moment_curve_20", _data_monoid("moment_curve_20"))]:
+        rows.append((f"cold semi-saturation {name}", _time(lambda: _cold_semi_saturation(m))))
     inputs = _monoid_round_smith_inputs()
     rows.append((f"smith_normal_form monoid round (n={len(inputs)})",
                  _time(lambda: [snf.smith_normal_form(a) for a in inputs]) / len(inputs)))
@@ -375,7 +392,7 @@ def main() -> int:
                      _time(lambda: mc.is_saturated_bounded(mc.FineMonoid(curve.gp, curve.generators)))))
     surjections = selftest._surjections()
     rows.append(("section 5 selftest surjections", _time(lambda: [mc.section(f) for f in surjections])))
-    for name, m in (("N\\{1}", selftest._nm1()), ("pyramid_pentagon", _pyramid_pentagon())):
+    for name, m in (("N\\{1}", selftest._nm1()), ("pyramid_pentagon", _data_monoid("pyramid_pentagon"))):
         rows.append((f"saturation_invariance_check {name}", _time(lambda: _saturation_invariance(m))))
     for name, us in rows:
         print(f"{name:42s} {us:10.1f} us")
