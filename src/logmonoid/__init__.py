@@ -4,6 +4,7 @@ polyannuli, and log connections at finite truncation."""
 from .abelian import AbelianGroup
 from .errors import (
     BudgetExceeded,
+    CertificationFailed,
     DenominatorVanishes,
     HypothesisError,
     IrrationalExponent,

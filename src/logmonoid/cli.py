@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 1 selftest failure, 2 parse error, 4 violated algorithm
-hypothesis (the message names the hypothesis).
+Exit codes: 0 ok, 1 selftest failure, 2 parse error, 3 failed self-check of
+a computed result (a fault of the program; the message names the check),
+4 violated algorithm hypothesis (the message names the hypothesis).
 All numeric output is exact rationals.
 """
 
@@ -27,7 +28,7 @@ from .documents import (
     parse_sigma,
     render_rational,
 )
-from .errors import HypothesisError, ParseError
+from .errors import CertificationFailed, HypothesisError, ParseError
 
 
 # Miller-Rabin to the first 13 prime bases decides primality exactly below
@@ -328,6 +329,9 @@ def main(argv=None) -> int:
     except HypothesisError as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 4
+    except CertificationFailed as exc:
+        print(f"certification failed: {exc}", file=sys.stderr)
+        return 3
     print(_render(report, config.output_format))
     return 0
 

@@ -1,7 +1,8 @@
 """Typed errors raised by the algebra kernels.
 
 Every error that signals a violated mathematical hypothesis derives from
-HypothesisError so the CLI can map them to a single exit code.
+HypothesisError so the CLI can map them to a single exit code; a failed
+self-check of a computed result is a CertificationFailed, which has its own.
 """
 
 
@@ -15,6 +16,11 @@ class ParseError(LogMonoidError):
 
 class BudgetExceeded(LogMonoidError):
     """A bounded enumeration ran out of budget before certifying an answer."""
+
+
+class CertificationFailed(LogMonoidError):
+    """A self-check of a computed result failed: the fault is in the program,
+    not in the input."""
 
 
 class HypothesisError(LogMonoidError):

@@ -1,10 +1,17 @@
 """Log nabla-modules on polyannuli at finite truncation.
 
 Connection matrices are square matrices of truncated series, stored as
-integer coefficient maps; residues and exponents are exact rational data;
-the shearing recursion solves the Sylvester equations (g + m_i id)(B_m) =
-RHS order by order in the weight and certifies the operator-norm bound of
-the gauge in valuation form.
+integer coefficient maps.  Every other rational matrix here -- the residues,
+their eigenbases and nilpotent parts, the Sylvester operators and the D_l
+factors -- is integer rows over one positive denominator (`RatMatrix`), and
+eigenvalues are integers over their residue's denominator.  Fractions are
+built only for the values handed back: `residue`, a shear's constant models,
+log C and bound records, the eigentuples and exponents, the face images, the
+D_l polynomials and outputs, `twist_reduce`, and the homotopy forms, which
+stay on Fractions.  The shearing recursion solves the Sylvester equations
+(g + m_i id)(B_m) = RHS order by order in the weight and certifies the
+operator-norm bound of the gauge in valuation form; a failed self-check of a
+result raises `CertificationFailed`.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .abelian import Elt, checked_make
 from .errors import (
+    CertificationFailed,
     DenominatorVanishes,
     IrrationalExponent,
     NonCommutingResidues,
@@ -32,32 +40,24 @@ from .errors import (
 )
 from .monoid_core import Face, FineMonoid, is_semi_saturated, is_sharp, membership
 from .qlin import (
-    INF,
-    QMatrix,
-    QVector,
-    int_charpoly,
-    integer_roots,
-    inverse_over_lcm,
-    matrix_valuation,
-    over_lcm,
-    padic_valuation,
-    qidentity,
-    qinverse,
-    qmat,
-    qmat_add,
-    qmat_mul,
-    qmat_scale,
-    qmat_sub,
-    qmat_vec,
-    qnullspace,
-    qrank,
-    qvec,
+    INF, QMatrix, QVector, int_charpoly, integer_roots, inverse_over_lcm, nullspace_over_lcm, over_lcm,
+    padic_valuation, qmat, qrank, qvec,
 )
+from .snf import IntMatrix, identity, mat_mul, mat_vec
 # the coefficient maps live in weighted_series; map_sum is imported so that lc.map_sum still reads it
 from .weighted_series import (  # noqa: F401
     DEFAULT_PRIME, CoefficientMap, Radius, SeriesMatrix, TruncatedSeries, Weighting, _add_into, _canonical, _map_mul,
-    coefficient, coefficient_map, gauss_valuation, map_sum, series, series_matrix,
+    coefficient, coefficient_map, gauss_valuation, map_sum, series_matrix,
 )
+
+# a rational matrix inside this module: integer rows over one positive denominator
+RatMatrix = tuple[IntMatrix, int]
+
+
+def _fractions(a: RatMatrix) -> QMatrix:
+    """a as the Fraction rows the module's results hold."""
+    rows, den = a
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -94,19 +94,20 @@ class Embedding(_EmbeddingFields):
     def coords(self, g: Elt) -> tuple[int, ...]:
         return tuple(sum(row[k] * g[0][k] for k in range(len(row))) for row in self.matrix)
 
-    def rational_coords(self, xi: QVector) -> QVector:
-        return tuple(
-            sum((Fraction(row[k]) * xi[k] for k in range(len(row))), Fraction(0))
-            for row in self.matrix
-        )
+    def rational_coords(self, xi: QVector) -> tuple[tuple[int, ...], int]:
+        """phi(xi) as integers over the least common denominator of xi."""
+        (v,), den = over_lcm([xi])
+        return mat_vec(self.matrix, v), den
 
     @cached_property
-    def inverse(self) -> Optional[QMatrix]:
+    def inverse(self) -> Optional[RatMatrix]:
         """The rational inverse of the matrix, or None if it is singular."""
-        return qinverse(qmat(self.matrix))
+        return inverse_over_lcm(self.matrix)
 
-    def inverse_coords(self, v: QVector) -> QVector:
-        return qmat_vec(self.inverse, v)
+    def inverse_coords(self, v: Sequence[int], den: int = 1) -> tuple[tuple[int, ...], int]:
+        """phi^-1(v / den) as integers over one denominator."""
+        rows, d = self.inverse
+        return mat_vec(rows, v), d * den
 
 
 def _facet_rows(m: FineMonoid) -> list[tuple[int, ...]]:
@@ -130,7 +131,7 @@ def facet_embedding(m: FineMonoid) -> Embedding:
     # from the last row to the first, keep each row the kept rows do not span
     kept: list[tuple[int, ...]] = []
     for row in reversed(_facet_rows(m)):
-        if qrank(qmat([row, *kept])) > len(kept):
+        if qrank([row, *kept]) > len(kept):
             kept.insert(0, row)
     if len(kept) != m.gp.free_rank:
         raise NotSemiSaturated("facet functionals do not span the dual space")
@@ -286,13 +287,20 @@ class LogNablaModule(_LogNablaModuleFields):
     # freed with the module; a failing step raises again on the next read
 
     @cached_property
-    def residues(self) -> tuple[QMatrix, ...]:
-        """Constant terms A^i_0, validated to commute pairwise."""
-        mats = tuple(coefficient(a, self.monoid.gp.zero(), self.rank) for a in self.matrices)
-        for a, b in itertools.combinations(mats, 2):
-            if qmat_mul(a, b) != qmat_mul(b, a):
+    def residues(self) -> tuple[RatMatrix, ...]:
+        """Constant terms A^i_0, read from the coefficient maps as integer rows
+        over their least common denominator, validated to commute pairwise
+        (the integer rows commute iff the matrices do)."""
+        zero, n = self.monoid.gp.zero(), self.rank
+        mats = []
+        for terms, den in self.matrices:
+            x = next((x for k, x in terms if k == zero), (0,) * (n * n))
+            g = math.gcd(den, *x)
+            mats.append((tuple(tuple(v // g for v in x[r : r + n]) for r in range(0, n * n, n)), den // g))
+        for (a, _), (b, _) in itertools.combinations(mats, 2):
+            if mat_mul(a, b) != mat_mul(b, a):
                 raise NonCommutingResidues("constant terms of the connection do not commute")
-        return mats
+        return tuple(mats)
 
     @cached_property
     def residue_spectra(self) -> tuple[list, ...]:
@@ -300,14 +308,23 @@ class LogNablaModule(_LogNablaModuleFields):
         return tuple(_residue_spectrum(a) for a in self.residues)
 
     @cached_property
+    def joint_blocks(self) -> list:
+        """The joint decomposition of the residues: what `joint_decomposition`
+        returns, each eigentuple's coordinate i over residue i's denominator."""
+        return joint_decomposition(self.residue_spectra, self.rank)
+
+    @cached_property
     def decomposition(self) -> "ResidueDecomposition":
-        blocks = joint_decomposition(self.residue_spectra, self.rank)
-        return ResidueDecomposition(
-            self.rank,
-            tuple(eigs for eigs, _ in blocks),
-            tuple(self.embedding.inverse_coords(eigs) for eigs, _ in blocks),
-            tuple(tuple(b) for _, b in blocks),
-        )
+        """The joint blocks with their eigentuples and exponents as Fractions."""
+        dens = [d for _, d in self.residues]
+        den = math.lcm(*dens)
+        eigentuples, exps = [], []
+        for eigs, _ in self.joint_blocks:
+            eigentuples.append(tuple(Fraction(y, d) for y, d in zip(eigs, dens)))
+            xi, dxi = self.embedding.inverse_coords([y * (den // d) for y, d in zip(eigs, dens)], den)
+            exps.append(tuple(Fraction(x, dxi) for x in xi))
+        blocks = tuple(basis for _, basis in self.joint_blocks)
+        return ResidueDecomposition(self.rank, tuple(eigentuples), tuple(exps), blocks)
 
     @cached_property
     def eigenbasis_data(self) -> tuple:
@@ -315,13 +332,12 @@ class LogNablaModule(_LogNablaModuleFields):
         return tuple(map(_eigenbasis_data, self.residues, self.residue_spectra))
 
     @cached_property
-    def block_nilpotents(self) -> tuple[tuple[QMatrix, ...], ...]:
+    def block_nilpotents(self) -> tuple[tuple[RatMatrix, ...], ...]:
         """Per block of the decomposition and per residue, the residue's
         nilpotent part on the block, in the block's basis."""
-        d = self.decomposition
         return tuple(
-            tuple(_nilpotent_part(a, basis, x) for a, x in zip(self.residues, eigs))
-            for eigs, basis in zip(d.eigentuples, d.blocks)
+            tuple(_nilpotent_part(a, basis, y) for a, y in zip(self.residues, eigs))
+            for eigs, basis in self.joint_blocks
         )
 
     @cached_property
@@ -359,7 +375,7 @@ def validate_integrability(e: LogNablaModule) -> bool:
 
 def residue(e: LogNablaModule) -> tuple[QMatrix, ...]:
     """Constant terms A^i_0, validated to commute pairwise."""
-    return e.residues
+    return tuple(map(_fractions, e.residues))
 
 
 class ResidueDecomposition(NamedTuple):
@@ -368,11 +384,12 @@ class ResidueDecomposition(NamedTuple):
     module_rank: int
     eigentuples: tuple[tuple[Fraction, ...], ...]  # per block: phi-coordinates
     exponents: tuple[QVector, ...]  # per block: vectors in M^gp tensor Q
-    blocks: tuple[tuple[QVector, ...], ...]  # per block: basis column vectors
+    # per block: basis column vectors as integers over one denominator
+    blocks: tuple[tuple[tuple[tuple[int, ...], ...], int], ...]
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
+        return tuple(len(vectors) for vectors, _ in self.blocks)
 
     def exponent_set(self, monoid: FineMonoid) -> ExponentSet:
         uniq = []
@@ -382,12 +399,12 @@ class ResidueDecomposition(NamedTuple):
         return ExponentSet(monoid, tuple(uniq))
 
 
-def _residue_spectrum(a: QMatrix) -> list[tuple[Fraction, list[list[int]], list[QVector]]]:
-    """Per eigenvalue xi of a, ascending: (xi, (a - xi)^mult scaled to integer
-    rows, the null-space basis of that power, which is the generalized
-    eigenspace).  The eigenvalues are y / d for the integer roots y of the
-    characteristic polynomial of the integer rows b = d a."""
-    b, d = over_lcm(a)
+def _residue_spectrum(a: RatMatrix) -> list[tuple[int, list[list[int]], tuple[list[tuple[int, ...]], int]]]:
+    """Per eigenvalue y / d of a = b / d, ascending: (y, (b - y)^mult, the
+    null-space basis of that power as integer vectors over one denominator,
+    which spans the generalized eigenspace).  The y are the integer roots of
+    the characteristic polynomial of b."""
+    b, d = a
     roots = integer_roots(int_charpoly(b))
     if roots is None:
         raise IrrationalExponent("characteristic polynomial does not split over Q")
@@ -396,29 +413,29 @@ def _residue_spectrum(a: QMatrix) -> list[tuple[Fraction, list[list[int]], list[
         shifted = [[x - y * (i == j) for j, x in enumerate(row)] for i, row in enumerate(b)]
         power = shifted
         for _ in range(mult - 1):
-            power = [[sum(map(mul, row, col)) for col in zip(*shifted)] for row in power]
-        out.append((Fraction(y, d), power, qnullspace(power)))
+            power = mat_mul(power, shifted)
+        out.append((y, power, nullspace_over_lcm(power, len(b))))
     return out
 
 
-def joint_decomposition(spectra: Sequence[list], n: int) -> list[tuple[tuple[Fraction, ...], list[QVector]]]:
+def joint_decomposition(spectra: Sequence[list], n: int) -> list[tuple[tuple[int, ...], tuple]]:
     """Blocks of the common generalized eigendecomposition of commuting
-    matrices, from their spectra: a block B meets V_xi(A) in B w for w in the
-    null space of (A - xi)^mult B, which equals B (A|B - xi)^mult."""
+    matrices, from their spectra, as (eigentuple, (basis vectors, their
+    denominator)), all integers: a block B meets V_y(A) in B w for w in the
+    null space of (A - y)^mult B, which equals B (A|B - y)^mult.  Sorting
+    the integer eigentuples sorts the eigenvalues, each coordinate sharing
+    one denominator."""
     if not spectra:
-        return [((), [qvec([1 if i == j else 0 for i in range(n)]) for j in range(n)])]
-    blocks = [((xi,), basis) for xi, _, basis in spectra[0]]
+        return [((), (identity(n), 1))]
+    blocks = [((y,), basis) for y, _, basis in spectra[0]]
     for spectrum in spectra[1:]:
         new = []
-        for eigs, basis in blocks:
+        for eigs, (basis, den) in blocks:
             cols = tuple(zip(*basis))
-            for xi, power, _ in spectrum:
-                vectors = [
-                    tuple(sum((w[j] * v[i] for j, v in enumerate(basis)), Fraction(0)) for i in range(n))
-                    for w in qnullspace(qmat_mul(power, cols))
-                ]
-                if vectors:
-                    new.append((eigs + (xi,), vectors))
+            for y, power, _ in spectrum:
+                null, dw = nullspace_over_lcm(mat_mul(power, cols), len(basis))
+                if null:
+                    new.append((eigs + (y,), (mat_mul(null, basis), den * dw)))
         blocks = new
     blocks.sort(key=lambda t: t[0])
     return blocks
@@ -472,19 +489,19 @@ class ShearResult(_ShearResultFields):
         return self._render(self.gauge_inverse_map)
 
 
-def _check_ni_coordinatewise(decomp_per_matrix) -> None:
+def _check_ni_coordinatewise(spectra) -> None:
     """locally (NI-D) under the module's embedding: no nonzero integer
-    difference of eigenvalues in any coordinate."""
-    for eigs in decomp_per_matrix:
+    difference of eigenvalues in any coordinate; spectra holds per residue
+    its distinct eigenvalues as integers over its denominator d."""
+    for eigs, d in spectra:
         for x, y in itertools.product(eigs, repeat=2):
-            diff = x - y
-            if diff != 0 and diff.denominator == 1:
+            if x != y and (x - y) % d == 0:
                 raise SingularSylvester(
-                    f"exponent difference {diff} is a nonzero integer (NI violated)"
+                    f"exponent difference {(x - y) // d} is a nonzero integer (NI violated)"
                 )
 
 
-def _ad_nilpotency(nilpotent: QMatrix) -> int:
+def _ad_nilpotency(nilpotent: RatMatrix) -> int:
     """Smallest e >= 1 with ad(N)^e = 0 on matrix space: 2k - 1 for k the
     nilpotency index of N.  ad(N)^j X = sum_i (-1)^i C(j, i) N^(j-i) X N^i,
     so j = 2k - 1 kills every term, while for j = 2k - 2 only
@@ -492,50 +509,53 @@ def _ad_nilpotency(nilpotent: QMatrix) -> int:
     return 2 * _nilpotency_index(nilpotent) - 1
 
 
-def _is_zero_qmat(a: QMatrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
-def _nilpotency_index(nil: QMatrix) -> int:
-    """The least k >= 1 with nil^k = 0."""
-    index, power = 1, nil
-    while not _is_zero_qmat(power):
-        if index >= len(nil):
-            raise AssertionError("matrix is not nilpotent")
-        power = qmat_mul(power, nil)
+def _nilpotency_index(nil: RatMatrix) -> int:
+    """The least k >= 1 with nil^k = 0, read on the integer rows."""
+    rows = nil[0]
+    index, power = 1, rows
+    while any(map(any, power)):
+        if index >= len(rows):
+            raise CertificationFailed("nilpotency index: a residue's nilpotent part on a block is not nilpotent")
+        power = mat_mul(power, rows)
         index += 1
     return index
 
 
-def _nilpotent_part(a: QMatrix, basis: Sequence[QVector], xi: Fraction) -> QMatrix:
-    """N = a - xi on span(basis), which a leaves invariant, in that basis.
-    A block's basis is the identity at some coordinates (a null-space basis
-    is, and so is B w for B and w such bases), so N is (a - xi) B read at
-    those coordinates."""
-    rows = list(zip(*basis))
-    image = qmat_mul(qmat_sub(a, qmat_scale(xi, qidentity(len(a)))), rows)
-    return tuple(image[rows.index(tuple(int(i == j) for i in range(len(basis))))] for j in range(len(basis)))
+def _nilpotent_part(a: RatMatrix, basis: tuple, y: int) -> RatMatrix:
+    """N = a - y/d on span(basis), which a leaves invariant, in that basis,
+    for a = b / d and basis = (vectors, den).  A block's basis is den times
+    the identity at some coordinates (a null-space basis is, and so is B w
+    for B and w such bases), so N is (b - y) B read at those coordinates,
+    over d den."""
+    (b, d), (vectors, den) = a, basis
+    shifted = [[x - y * (i == j) for j, x in enumerate(row)] for i, row in enumerate(b)]
+    rows = list(zip(*vectors))
+    image = mat_mul(shifted, rows)
+    k = len(vectors)
+    return tuple(image[rows.index(tuple(den * (i == j) for i in range(k)))] for j in range(k)), d * den
 
 
-def _eigenbasis_data(a: QMatrix, spectrum: list):
-    """(eigenvalues list, P, P^{-1}, nilpotent part in the eigenbasis)."""
-    cols: list[QVector] = []
-    eigs: list[Fraction] = []
-    for xi, _, vecs in spectrum:
-        for v in vecs:
-            cols.append(v)
-            eigs.append(xi)
-    n = len(a)
-    pmat = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    pinv = qinverse(pmat)
-    conj = qmat_mul(qmat_mul(pinv, a), pmat)
-    nil = tuple(
-        tuple(conj[i][j] - (eigs[i] if i == j else 0) for j in range(n)) for i in range(n)
-    )
-    return eigs, pmat, pinv, nil
+def _eigenbasis_data(a: RatMatrix, spectrum: list) -> tuple:
+    """(eigenvalues, P, P^{-1}, nilpotent part P^{-1} a P - D) for a = b / d:
+    one eigenvalue y per column of P, as an integer over d, and each matrix
+    integer rows over one denominator.  P's columns are the spectrum's
+    null-space vectors over their lcm den, so P^{-1} is den p^{-1} for
+    p = den P, and P^{-1} a P = p^{-1} b p / d."""
+    b, d = a
+    den = math.lcm(*(vden for _, _, (_, vden) in spectrum))
+    cols: list[list[int]] = []
+    eigs: list[int] = []
+    for y, _, (vecs, vden) in spectrum:
+        cols += [[x * (den // vden) for x in v] for v in vecs]
+        eigs += [y] * len(vecs)
+    p = tuple(zip(*cols))
+    pinv, dinv = inverse_over_lcm(p)
+    conj = mat_mul(mat_mul(pinv, b), p)
+    nil = tuple(tuple(x - eigs[i] * dinv * (i == j) for j, x in enumerate(row)) for i, row in enumerate(conj))
+    return eigs, (p, den), (tuple(tuple(x * den for x in row) for row in pinv), dinv), (nil, dinv * d)
 
 
-def _shear_hypotheses(e: LogNablaModule) -> tuple[tuple[QMatrix, ...], tuple]:
+def _shear_hypotheses(e: LogNablaModule) -> tuple[tuple[RatMatrix, ...], tuple]:
     """Check what shearing needs beyond a disk or point interval -- a sharp
     monoid, integrability, commuting residues with rational eigenvalues and
     locally (NI-D) -- and return the residues with their eigenbasis data."""
@@ -545,7 +565,7 @@ def _shear_hypotheses(e: LogNablaModule) -> tuple[tuple[QMatrix, ...], tuple]:
         raise NotIntegrable("connection is not integrable; shearing undefined")
     res = e.residues
     eigendata = e.eigenbasis_data
-    _check_ni_coordinatewise([sorted(set(eigs)) for eigs, *_ in eigendata])
+    _check_ni_coordinatewise([(sorted(set(eigs)), d) for (eigs, *_), (_, d) in zip(eigendata, res)])
     return res, eigendata
 
 
@@ -560,11 +580,9 @@ def shear(
         raise NotDiskModule("shear acts on disk or point modules; annuli go through twist_reduce")
     a0s, eigendata = _shear_hypotheses(e)
     # per direction, the differences x - y of A^i_0's eigenvalues, integers
-    # over one denominator dx, with v_p(dx)
-    eig_diffs = []
-    for eigs, *_ in eigendata:
-        (xs,), dx = over_lcm([sorted(set(eigs))])
-        eig_diffs.append((sorted({x - y for x in xs for y in xs}), dx, padic_valuation(dx, p)))
+    # over its denominator dx, with v_p(dx)
+    eig_diffs = [(sorted({x - y for x in eigs for y in eigs}), dx, padic_valuation(dx, p))
+                 for (eigs, *_), (_, dx) in zip(eigendata, a0s)]
     m = e.monoid
     t = e.truncation
     w = e.weighting
@@ -613,7 +631,7 @@ def shear(
         mk = coords(key)
         for i in range(emb.r):
             if (i, mk[i]) not in ops:
-                ops[i, mk[i]] = _sylvester(*over_lcm(a0s[i]), mk[i])
+                ops[i, mk[i]] = _sylvester(*a0s[i], mk[i])
         i0 = next(i for i in range(emb.r) if mk[i] != 0)
         if (i0, mk[i0]) not in inverses:
             inverses[i0, mk[i0]] = _sylvester_inverse(*ops[i0, mk[i0]])
@@ -623,7 +641,8 @@ def shear(
         for i, (ri, di) in enumerate(rhs):
             op, dop = ops[i, mk[i]]
             if any(sum(map(mul, row, bm)) * di != x * dop * dm for row, x in zip(op, ri)):
-                raise AssertionError("shear recursion violates the all-directions identity")
+                raise CertificationFailed(f"shear all-directions identity: B_m solved in direction {i0} "
+                                          f"fails the equation of direction {i} at m = {key}")
         if any(bm):
             bmats[key] = (bm, dm)
             scatter(pending, key, bmats[key], akeys)
@@ -695,14 +714,14 @@ def shear(
         for d, dd in e.base_matrices:
             prod = _canonical(_map_mul(m, w, t, bp, _map_mul(m, w, t, d, bm, n).items(), n), dp * dd * db)
             if any(k != zero for k, _ in prod[0]):
-                raise AssertionError("base matrices fail to become constant after the gauge")
+                raise CertificationFailed("shear base model: a base matrix is not constant after the gauge")
             transformed.append(coefficient(prod, zero, n))
         constant_base = tuple(transformed)
 
     return ShearResult(
         gauge_map=gauge,
         gauge_inverse_map=gauge_inv,
-        constant_model=a0s,
+        constant_model=tuple(map(_fractions, a0s)),
         bound_report=tuple(records),
         constant_base_model=constant_base,
         norm_constant_log=log_c,
@@ -712,13 +731,13 @@ def shear(
     )
 
 
-def _log_norm(a: QMatrix, p: int):
-    v = matrix_valuation(a, p)
-    return Fraction(0) if v is INF else Fraction(-v)
-
-
-def _zero_qmat(n: int) -> QMatrix:
-    return tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
+def _log_norm(a: RatMatrix, p: int) -> Fraction:
+    """log_p |a| = -v_p(a), the Gauss valuation of a as a one-key map; 0 for
+    the zero matrix."""
+    rows, den = a
+    x = [v for row in rows for v in row]
+    v = gauss_valuation([(None, x)] if any(x) else [], den, p)
+    return Fraction(0) if v is INF else -v
 
 
 def _over_one_denominator(coeffs: dict) -> CoefficientMap:
@@ -778,34 +797,29 @@ def _sylvester_solve(inverse, rhs) -> tuple[tuple[int, ...], int]:
 def apply_ui(
     embedding: Embedding,
     weighting: Weighting,
-    constant_model: Sequence[QMatrix],
+    constant_model: Sequence[Sequence[Sequence]],
     truncation: int,
     xi_twist: Optional[QVector] = None,
     interval_kind: str = "disk",
-    base_model: Optional[Sequence[QMatrix]] = None,
+    base_model: Optional[Sequence[Sequence[Sequence]]] = None,
 ) -> LogNablaModule:
-    """The module with constant matrices A^i_0 (+ xi_i id after a C_xi twist)."""
-    mats = [qmat(a) for a in constant_model]
-    n = len(mats[0]) if mats else 0
-    for a, b in itertools.combinations(mats, 2):
-        if qmat_mul(a, b) != qmat_mul(b, a):
-            raise NonCommutingResidues("constant model matrices must commute")
-    if xi_twist is not None:
-        phi_xi = embedding.rational_coords(qvec(xi_twist))
-        mats = [
-            tuple(
-                tuple(a[i][j] + (phi_xi[k] if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-            for k, a in enumerate(mats)
-        ]
+    """The module with constant matrices A^i_0 (+ xi_i id after a C_xi twist),
+    given as rationals (read by `qmat`).  The built module's residues must
+    commute (`NonCommutingResidues`); a scalar twist does not change that."""
+    n = len(constant_model[0]) if constant_model else 0
+    phi, dphi = embedding.rational_coords(qvec(xi_twist)) if xi_twist is not None else ((0,) * len(constant_model), 1)
     zero = embedding.monoid.gp.zero()
 
-    def stored(a: QMatrix) -> CoefficientMap:
-        return coefficient_map(weighting, truncation, {zero: [x for row in a for x in row]})
+    def stored(a, shift: int = 0) -> CoefficientMap:
+        rows, d = over_lcm(qmat(a))
+        flat = [x * dphi + shift * d * (i == j) for i, row in enumerate(rows) for j, x in enumerate(row)]
+        return coefficient_map(weighting, truncation, {zero: flat}, den=d * dphi)
 
-    base = None if base_model is None else tuple(stored(qmat(b)) for b in base_model)
-    return LogNablaModule(n, embedding, weighting, truncation, tuple(map(stored, mats)), base, interval_kind)
+    base = None if base_model is None else tuple(stored(b) for b in base_model)
+    mats = tuple(stored(a, phi[k]) for k, a in enumerate(constant_model))
+    e = LogNablaModule(n, embedding, weighting, truncation, mats, base, interval_kind)
+    e.residues  # noqa: B018 -- reading the residues checks that they commute
+    return e
 
 
 def gauge_transform(e: LogNablaModule, b: CoefficientMap, b_inv: CoefficientMap) -> LogNablaModule:
@@ -823,15 +837,13 @@ def twist_reduce(embedding: Embedding, xi: QVector) -> tuple[QVector, Elt]:
 
     The unique integer candidate is floor(phi(xi)) componentwise; the shift is
     applied only when that candidate lies in phi(M^gp)."""
-    phi_xi = embedding.rational_coords(qvec(xi))
-    floors = tuple(Fraction(x.numerator // x.denominator) for x in phi_xi)
-    y = embedding.inverse_coords(floors)
-    if all(c.denominator == 1 for c in y):
-        gp = embedding.monoid.gp
-        shift = gp.element(tuple(int(c) for c in y))
-        reduced = tuple(a - b for a, b in zip(qvec(xi), y))
-        return reduced, shift
-    return qvec(xi), embedding.monoid.gp.zero()
+    xi = qvec(xi)
+    phi_xi, den = embedding.rational_coords(xi)
+    y, dy = embedding.inverse_coords([x // den for x in phi_xi])
+    if all(c % dy == 0 for c in y):
+        shift = tuple(c // dy for c in y)
+        return tuple(a - b for a, b in zip(xi, shift)), embedding.monoid.gp.element(shift)
+    return xi, embedding.monoid.gp.zero()
 
 
 # ---------------------------------------------------------------------------
@@ -849,21 +861,22 @@ class UnipotenceReport(NamedTuple):
 def _block_filtration_ranks(decomp: ResidueDecomposition, nilpotents) -> tuple[int, ...]:
     """Ranks of the successive quotients of the canonical filtration: within a
     block, U_j = common kernel of all degree-j products of the nilpotent parts
-    (which commute, so one product per multiset of factors)."""
+    (which commute, so one product per multiset of factors), read on their
+    integer rows."""
     ranks = []
     for k, nils in zip(decomp.multiplicities, nilpotents):
         prev_dim = 0
         j = 1
         while prev_dim < k:
-            rows = [row for combo in itertools.combinations_with_replacement(nils, j)
-                    for row in reduce(qmat_mul, combo)]
+            rows = [row for combo in itertools.combinations_with_replacement([x for x, _ in nils], j)
+                    for row in reduce(mat_mul, combo)]
             dim = k - qrank(rows) if rows else k
             if dim > prev_dim:
                 ranks.append(dim - prev_dim)
                 prev_dim = dim
             j += 1
             if j > 2 * k + 2:
-                raise AssertionError("filtration failed to exhaust a block")
+                raise CertificationFailed("filtration ranks: the canonical filtration does not exhaust a block")
     return tuple(ranks)
 
 
@@ -928,54 +941,60 @@ def dl_constant_term(f: TruncatedSeries, l: int, embedding: Embedding) -> Trunca
     return f._replace(coefficients=_canonical(out, den * math.factorial(l) ** (2 * embedding.r)))
 
 
-def _require_constant_model(e: LogNablaModule) -> tuple[QMatrix, ...]:
+def _require_constant_model(e: LogNablaModule) -> tuple[RatMatrix, ...]:
     if not smat_is_constant_all(e):
         raise NonConstantModel("D_l projections require a constant (U_I-type) module")
-    return residue(e)
+    return e.residues
 
 
-def _poly_eval_matrix(coeffs: Sequence[Fraction], a: QMatrix) -> QMatrix:
-    n = len(a)
-    acc = _zero_qmat(n)
-    power = qidentity(n)
-    for c in coeffs:
-        if c != 0:
-            acc = tuple(
-                tuple(acc[i][j] + c * power[i][j] for j in range(n)) for i in range(n)
-            )
-        power = qmat_mul(power, a)
-    return acc
+def _rat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """a b, divided through by the gcd of its entries and denominator."""
+    (x, dx), (y, dy) = a, b
+    rows = mat_mul(x, y)
+    g = math.gcd(dx * dy, *(v for row in rows for v in row))
+    return tuple(tuple(v // g for v in row) for row in rows), dx * dy // g
+
+
+def _poly_eval_matrix(coeffs: Sequence[Fraction], a: RatMatrix) -> RatMatrix:
+    """q(a) by Horner on integers: for q = c / dc and a = b / d,
+    q(a) = sum_k c_k d^(deg - k) b^k / (dc d^deg)."""
+    (c,), dc = over_lcm([coeffs])
+    b, d = a
+    cols = tuple(zip(*b))
+    acc = [[0] * len(b) for _ in b]
+    for k, ck in enumerate(reversed(c)):
+        s = ck * d**k
+        acc = [[sum(map(mul, row, col)) + s * (i == j) for j, col in enumerate(cols)] for i, row in enumerate(acc)]
+    return acc, dc * d ** max(len(c) - 1, 0)
 
 
 def default_projection_polynomials(e: LogNablaModule) -> list[list[Fraction]]:
     """Q_i = (minimal polynomial of res_i) / (x - xi_{i,target}), the target
     the first block: the image of prod Q_i(res_i) lands in the xi_target
-    eigenspace."""
+    eigenspace.  For res_i = b / d with integer eigenvalues y over d, Q_i is
+    prod (d x - y)^mult / d^deg."""
     res = _require_constant_model(e)
-    decomp = e.decomposition
-    target = decomp.eigentuples[0]
+    blocks = e.joint_blocks
+    target = blocks[0][0]
     polys = []
-    for i in range(len(res)):
+    for i, (_, d) in enumerate(res):
         # minimal polynomial exponent per eigenvalue of res_i: its nilpotency
         # index on the generalized eigenspace, the sum of the blocks sharing it
-        factors: dict[Fraction, int] = {}
-        for eigs, indices in zip(decomp.eigentuples, e.nilpotency_indices):
+        factors: dict[int, int] = {}
+        for (eigs, _), indices in zip(blocks, e.nilpotency_indices):
             factors[eigs[i]] = max(factors.get(eigs[i], 1), indices[i])
-        poly = [Fraction(1)]
-        for xi, idx in factors.items():
-            mult = idx - 1 if xi == target[i] else idx
-            for _ in range(mult):
-                poly = _poly_mul(poly, [-xi, Fraction(1)])
-        polys.append(poly)
+        poly = [1]
+        for y, idx in factors.items():
+            for _ in range(idx - 1 if y == target[i] else idx):
+                poly = [d * a - y * c for a, c in zip([0] + poly, poly + [0])]
+        polys.append([Fraction(c, d ** (len(poly) - 1)) for c in poly])
     return polys
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+def _sections(v: Sequence[TruncatedSeries]) -> tuple[list[dict], int]:
+    """The coefficients of the series v as integer maps over one denominator."""
+    den = math.lcm(*(f.coefficients[1] for f in v))
+    return [{k: x * (den // d) for k, (x,) in terms} for terms, d in (f.coefficients for f in v)], den
 
 
 def dl_projection(
@@ -985,43 +1004,55 @@ def dl_projection(
     l: int,
 ) -> tuple[TruncatedSeries, ...]:
     """The generization operator D_l applied termwise: on t^m w the operator
-    d_i acts as res_i + m_i."""
+    d_i acts as S = res_i + m_i, and the factor of direction i, built once
+    per (i, m_i), is Q_i(S) times, for each block k and j = 1..l,
+    ((j + xi_k - S)(j - xi_k + S) / ((j - xi_1 + xi_k)(j + xi_1 - xi_k)))^q,
+    xi the blocks' i-th eigenvalues and q the largest nilpotency index.  On
+    integers, with S = s / d, u = j d, xi_k = y / d and xi_1 = t / d, a pair
+    is ((u^2 - y^2) I + 2 y s - s^2) / ((u - t + y)(u + t - y))."""
     res = _require_constant_model(e)
-    decomp = e.decomposition
+    blocks = e.joint_blocks
+    target = blocks[0][0]
     n = e.rank
-    emb = e.embedding
     q = max((max(indices, default=1) for indices in e.nilpotency_indices), default=1)
-    target = decomp.eigentuples[0]
-    sections = [f.as_dict() for f in v]
-    out_coeffs: list[dict] = [dict() for _ in range(n)]
-    for k in sorted(set().union(*sections)):
-        vec = qvec([f.get(k, 0) for f in sections])
-        coords = emb.coords(k)
-        op = qidentity(n)
-        for i in range(emb.r):
-            shifted = tuple(
-                tuple(res[i][a][b] + (coords[i] if a == b else 0) for b in range(n))
-                for a in range(n)
-            )
-            op = qmat_mul(op, _poly_eval_matrix(q_polys[i], shifted))
-            for blk, eigs in enumerate(decomp.eigentuples):
-                xik = eigs[i]
-                for j in range(1, l + 1):
-                    den1 = Fraction(j) - (target[i] - xik)
-                    den2 = Fraction(j) + (target[i] - xik)
-                    if den1 == 0 or den2 == 0:
-                        raise DenominatorVanishes(
-                            "j +- (xi_1 - xi_k) vanishes: NI hypothesis violated"
-                        )
-                    num1 = qmat_sub(qmat_scale(Fraction(j) + xik, qidentity(n)), shifted)
-                    num2 = qmat_add(qmat_scale(Fraction(j) - xik, qidentity(n)), shifted)
-                    pair = qmat_scale(Fraction(1) / (den1 * den2), qmat_mul(num1, num2))
-                    for _ in range(q):
-                        op = qmat_mul(op, pair)
-        for comp, x in enumerate(qmat_vec(op, vec)):
-            out_coeffs[comp][k] = x
+    factors: dict = {}
+
+    def factor(i: int, mi: int) -> RatMatrix:
+        b, d = res[i]
+        s = [[x + mi * d * (r == c) for c, x in enumerate(row)] for r, row in enumerate(b)]
+        s2 = mat_mul(s, s)
+        op = _poly_eval_matrix(q_polys[i], (s, d))
+        for eigs, _ in blocks:
+            y, t = eigs[i], target[i]
+            for u in range(d, l * d + 1, d):
+                den = (u - t + y) * (u + t - y)
+                if den == 0:
+                    raise DenominatorVanishes("j +- (xi_1 - xi_k) vanishes: NI hypothesis violated")
+                sign = 1 if den > 0 else -1
+                pair = [[sign * ((u * u - y * y) * (r == c) + 2 * y * x - x2)
+                         for c, (x, x2) in enumerate(zip(row, row2))] for r, (row, row2) in enumerate(zip(s, s2))]
+                for _ in range(q):
+                    op = _rat_mul(op, (pair, abs(den)))
+        return op
+
+    sections, vden = _sections(v)
+    out: list[dict] = [{} for _ in range(n)]
+    for k in set().union(*sections):
+        op = (identity(n), 1)
+        for i, mi in enumerate(e.coords(k)):
+            if (i, mi) not in factors:
+                factors[i, mi] = factor(i, mi)
+            op = _rat_mul(op, factors[i, mi])
+        for comp, x in enumerate(mat_vec(op[0], [sec.get(k, 0) for sec in sections])):
+            out[comp][k] = (x, op[1])
     w0 = v[0]
-    return tuple(series(w0.monoid, w0.weighting, x, w0.truncation, w0.annulus) for x in out_coeffs)
+    result = []
+    for coeffs in out:
+        den = math.lcm(*(d for _, d in coeffs.values()))
+        a = coefficient_map(w0.weighting, w0.truncation, {k: (x * (den // d),) for k, (x, d) in coeffs.items()},
+                            w0.annulus, den * vden)
+        result.append(w0._replace(coefficients=a))
+    return tuple(result)
 
 
 def dl_limit(
@@ -1029,37 +1060,29 @@ def dl_limit(
     v: Sequence[TruncatedSeries],
     q_polys: Sequence[Sequence[Fraction]],
 ) -> QVector:
-    """prod_i Q_i(res_i)(v_0): the H^0_{xi_1} witness; asserts the projection
-    stabilizes to it once l exceeds every tracked coordinate."""
+    """prod_i Q_i(res_i)(v_0): the H^0_{xi_1} witness; certifies that it is
+    an eigenvector of every residue and that the projection stabilizes to it
+    once l exceeds every tracked coordinate."""
     res = _require_constant_model(e)
-    decomp = e.decomposition
     n = e.rank
     zero = e.monoid.gp.zero()
-    v0 = qvec([f.coeff(zero) for f in v])
-    op = qidentity(n)
+    sections, vden = _sections(v)
+    op = (identity(n), 1)
     for i in range(e.embedding.r):
-        op = qmat_mul(op, _poly_eval_matrix(q_polys[i], res[i]))
-    if _is_zero_qmat(op):
+        op = _rat_mul(op, _poly_eval_matrix(q_polys[i], res[i]))
+    if not any(map(any, op[0])):
         raise ZeroProjection("projection polynomials annihilate the whole module")
-    w = qmat_vec(op, v0)
-    # membership in H^0_{xi_1}: res_i(w) = xi_{i,1} w
-    target = decomp.eigentuples[0]
-    for i in range(e.embedding.r):
-        img = qmat_vec(res[i], w)
-        if any(img[a] != target[i] * w[a] for a in range(n)):
-            raise AssertionError("dl_limit output is not a residue eigenvector")
+    w, wden = mat_vec(op[0], [sec.get(zero, 0) for sec in sections]), op[1] * vden
+    # membership in H^0_{xi_1}: res_i(w) = xi_{i,1} w, on integers b_i w = y_i w
+    for i, ((b, _), y) in enumerate(zip(res, e.joint_blocks[0][0])):
+        if mat_vec(b, w) != tuple(y * x for x in w):
+            raise CertificationFailed(f"dl_limit eigenvector check: the limit is not an eigenvector of residue {i}")
     # stabilization: for l beyond every tracked coordinate the projection is constant
-    lmax = 0
-    for f in v:
-        for k, _ in f.terms:
-            lmax = max(lmax, max((abs(c) for c in e.embedding.coords(k)), default=0))
+    lmax = max((abs(c) for terms, _ in (f.coefficients for f in v) for k, _ in terms for c in e.coords(k)), default=0)
     proj = dl_projection(e, v, q_polys, lmax)
-    for comp in range(n):
-        expected = {zero: w[comp]} if w[comp] != 0 else {}
-        got = {k: c for k, c in proj[comp].terms}
-        if got != expected:
-            raise AssertionError("dl_projection does not stabilize to the limit")
-    return w
+    if any(f.coefficients != _canonical({zero: [x]}, wden) for f, x in zip(proj, w)):
+        raise CertificationFailed(f"dl_limit stabilization check: D_{lmax} of the sections is not the limit")
+    return tuple(Fraction(x, wden) for x in w)
 
 
 # ---------------------------------------------------------------------------
@@ -1124,9 +1147,8 @@ def homotopy_check(
 ) -> HomotopyReport:
     """residual of nabla_F phi + phi nabla_F - (id - g1 g2) on each test form
     for F = C_{xi' - xi}; identically zero when the denominators are nonzero."""
-    delta = embedding.rational_coords(
-        tuple(a - b for a, b in zip(qvec(xi_prime), qvec(xi)))
-    )
+    phi, den = embedding.rational_coords(tuple(a - b for a, b in zip(qvec(xi_prime), qvec(xi))))
+    delta = tuple(Fraction(x, den) for x in phi)
     gp = embedding.monoid.gp
     residuals = []
     for form in test_forms:

@@ -21,6 +21,7 @@ from . import cone as _cone
 from . import snf as _snf
 from .abelian import AbelianGroup, Elt, GroupSpan, checked_make, group_quotient, quotient_presented
 from .errors import (
+    CertificationFailed,
     NoPositiveFunctional,
     NotInGroupSpan,
     NotSharp,
@@ -661,7 +662,7 @@ def _verify_section(data: SectionData) -> None:
     # f^gp o s^gp = id on generators
     for g in m.generators:
         if f.gp_apply(s.gp_apply(g)) != g:
-            raise AssertionError("section identity f o s = id fails")
+            raise CertificationFailed(f"section identity f o s = id fails at the generator {g}")
     # splitting: s(free basis of M^gp) + kernel basis spans N^gp
     cols = []
     for k in range(m.gp.free_rank):
@@ -673,7 +674,7 @@ def _verify_section(data: SectionData) -> None:
     # the columns span Z^cover iff every invariant factor of their matrix is 1
     a = _snf.as_matrix([[col[i] for col in cols] for i in range(n.gp.cover_dim)])
     if any(x != 1 for x in _snf.SmithForm(a, len(cols)).diagonal):
-        raise AssertionError("splitting does not span N^gp")
+        raise CertificationFailed("section splitting: s(M^gp) + Ker(f^gp) does not span N^gp")
 
 
 # ---------------------------------------------------------------------------

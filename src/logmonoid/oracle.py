@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .abelian import Elt, checked_make
 from .errors import BudgetExceeded, SingularSystem
 from .monoid_core import FineMonoid, default_weighting as _weights
-from .qlin import qmat, qnullspace, qsolve, qvec
+from .qlin import qmat, qrank, qsolve, qvec
 
 
 class _EnumerationBudgetFields(NamedTuple):
@@ -201,7 +201,7 @@ def brute_shear_order(e, k: int):
     sol = qsolve(mat, qvec(rhs))
     if sol is None:
         raise SingularSystem("full shear system inconsistent")
-    if len(qnullspace(mat)) > 0:
+    if qrank(mat) < nun:
         raise SingularSystem("full shear system underdetermined")
     out = {}
     for key in keys:

@@ -1,10 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Matrices are tuples of tuples of Fractions (rows) on the way in and out,
-integers inside: a product multiplies integer matrices over one denominator
-per factor, and solves share one integer elimination (`_gauss`) whose
-reduced row echelon form, being unique, gives the same Fractions.  Includes
-the p-adic valuation helpers shared by the series and connection modules.
+A rational matrix is held as integer rows over one positive denominator
+(`over_lcm` reads Fractions onto that form).  Every solve, rank, inverse and
+null space runs one integer elimination (`_gauss`) whose reduced row echelon
+form, being unique, fixes the answer; `inverse_over_lcm` and
+`nullspace_over_lcm` return integer rows over one denominator, and only
+the readers `qmat` and `qvec` and `qsolve`, `solve_map` and `qmat_mul`,
+whose callers read rationals, build Fractions.  Also the characteristic polynomial and integer roots of the
+spectral layer, and the p-adic valuation shared by the series and connection
+modules.
 """
 
 from __future__ import annotations
@@ -28,12 +32,6 @@ def qvec(entries: Sequence) -> QVector:
     return tuple(Fraction(x) for x in entries)
 
 
-def qidentity(n: int) -> QMatrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
-
-
 def over_lcm(a: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """(integer rows, d) with a = rows / d, d the lcm of a's denominators."""
     den = math.lcm(*(x.denominator for row in a for x in row))
@@ -48,22 +46,6 @@ def qmat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
     den = da * db
     cols = list(zip(*ib))
     return tuple(tuple(Fraction(sum(map(operator.mul, row, col)), den) for col in cols) for row in ia)
-
-
-def qmat_vec(a: QMatrix, v: Sequence[Fraction]) -> QVector:
-    return tuple(sum((row[k] * v[k] for k in range(len(v))), Fraction(0)) for row in a)
-
-
-def qmat_add(a: QMatrix, b: QMatrix) -> QMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def qmat_sub(a: QMatrix, b: QMatrix) -> QMatrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def qmat_scale(c: Fraction, a: QMatrix) -> QMatrix:
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -102,7 +84,7 @@ def _gauss(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], list[
     return m, pivots
 
 
-def qrank(a: QMatrix) -> int:
+def qrank(a: Sequence[Sequence]) -> int:
     if not a:
         return 0
     return len(_gauss(a, len(a[0]))[1])
@@ -136,21 +118,20 @@ def solve_map(a: Sequence[Sequence]) -> tuple[QMatrix, list[list[int]]]:
     return tuple(s), [row[ncols:] for row in m[len(pivots):]]
 
 
-def qnullspace(a: QMatrix) -> list[QVector]:
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if nrows == 0:
-        return [tuple(Fraction(1 if i == j else 0) for i in range(ncols)) for j in range(ncols)]
+def nullspace_over_lcm(a: Sequence[Sequence], ncols: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(vectors, d): a basis of the null space of the ncols-column matrix a as
+    integer vectors over one denominator d, one per non-pivot column j in
+    order: e_j minus column j of the reduced row echelon form at the pivots."""
     m, pivots = _gauss(a, ncols)
-    free = [j for j in range(ncols) if j not in pivots]
+    den = math.lcm(*(row[col] for row, col in zip(m, pivots)))
     basis = []
-    for j in free:
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
+    for j in (j for j in range(ncols) if j not in pivots):
+        v = [0] * ncols
+        v[j] = den
         for row, col in zip(m, pivots):
-            v[col] = Fraction(-row[j], row[col])
+            v[col] = -row[j] * (den // row[col])
         basis.append(tuple(v))
-    return basis
+    return tuple(basis), den
 
 
 def inverse_over_lcm(a: Sequence[Sequence]) -> Optional[tuple[list[list[int]], int]]:
@@ -161,13 +142,6 @@ def inverse_over_lcm(a: Sequence[Sequence]) -> Optional[tuple[list[list[int]], i
         return None
     den = math.lcm(*(row[col] for row, col in zip(m, pivots)))
     return [[x * (den // row[col]) for x in row[n:]] for row, col in zip(m, pivots)], den
-
-
-def qinverse(a: QMatrix) -> Optional[QMatrix]:
-    inv = inverse_over_lcm(a)
-    if inv is None:
-        return None
-    return tuple(tuple(Fraction(x, inv[1]) for x in row) for row in inv[0])
 
 
 def int_charpoly(b: Sequence[Sequence[int]]) -> list[int]:
@@ -231,15 +205,4 @@ def padic_valuation(x: Fraction, p: int):
     while d % p == 0:
         d //= p
         v -= 1
-    return v
-
-
-def matrix_valuation(a: QMatrix, p: int):
-    """min of entry valuations (so |a| = p^{-val}); INF for the zero matrix."""
-    v = INF
-    for row in a:
-        for x in row:
-            vx = padic_valuation(x, p)
-            if vx < v:
-                v = vx
     return v

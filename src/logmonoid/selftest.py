@@ -18,7 +18,7 @@ from . import log_connection as lc
 from . import monoid_core as mc
 from . import oracle as orc
 from . import weighted_series as ws
-from .qlin import qidentity, qmat_vec
+from .snf import identity, mat_vec
 
 F = Fraction
 
@@ -65,7 +65,7 @@ def gauge_built_module(monoid, constant_model, gauge_terms, rank, truncation,
     u = lc.apply_ui(lc.facet_embedding(monoid), h, constant_model, truncation,
                     base_model=base_model)
     zero = (0,) * monoid.gp.free_rank
-    g = _coefficients(monoid, h, {zero: qidentity(rank), **gauge_terms}, truncation)
+    g = _coefficients(monoid, h, {zero: identity(rank), **gauge_terms}, truncation)
     # G^{-1} = sum of the powers of I - G, which has no term of weight 0
     minus = _coefficients(monoid, h, {k: [[-x for x in row] for row in mat] for k, mat in gauge_terms.items()},
                           truncation)
@@ -287,7 +287,7 @@ def _dl_suite(prime):
             w = lc.dl_limit(e, v, polys)  # asserts res_i(w) = xi_{i,1} w internally
             _require(w == (5, 0), f"model {k}: limit {w}")
             for r, x in zip(lc.residue(e), target):
-                eigen = qmat_vec(r, w) == tuple(x * c for c in w)
+                eigen = mat_vec(r, w) == tuple(x * c for c in w)
                 _require(eigen, f"model {k}: the limit is not a residue eigenvector")
             for l in (t, t + 2):
                 proj = lc.dl_projection(e, v, polys, l)

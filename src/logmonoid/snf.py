@@ -21,14 +21,8 @@ def identity(n: int) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if not a or not b:
-        return tuple(tuple() for _ in a)
-    cols = len(b[0])
-    inner = len(b)
-    return tuple(
-        tuple(sum(arow[k] * b[k][j] for k in range(inner)) for j in range(cols))
-        for arow in a
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_vec(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:

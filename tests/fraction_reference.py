@@ -1,9 +1,12 @@
-"""The series product and the spectral layer as they were computed on
-`Fraction`s: the product of two series by every pair of terms, the characteristic
-polynomial, rational roots by a divisor search, generalized eigenspaces,
-the joint decomposition by restriction, the eigenbasis data, the filtration
-ranks, (S-D) and the face images.  The tests compare the integer-row code of
-`logmonoid.log_connection` and `logmonoid.qlin` against it."""
+"""The series product, the spectral layer and the D_l operators as they were
+computed on `Fraction`s: the product of two series by every pair of terms,
+the characteristic polynomial, rational roots by a divisor search,
+generalized eigenspaces, the joint decomposition by restriction, the
+eigenbasis data, the filtration ranks, (S-D), the face images, the
+embedding's rational coordinates and inverse, the D_l projection
+polynomials, projection and limit, and twist_reduce; and the `Fraction`
+matrix helpers they are written with.  The tests compare the integer-row
+code of `logmonoid.log_connection` and `logmonoid.qlin` against it."""
 
 from __future__ import annotations
 
@@ -14,7 +17,75 @@ from fractions import Fraction
 from logmonoid import log_connection as lc
 from logmonoid import weighted_series as ws
 from logmonoid.monoid_core import face_quotient_group, is_semi_saturated
-from logmonoid.qlin import qidentity, qinverse, qmat, qmat_mul, qmat_scale, qmat_sub, qmat_vec, qnullspace, qsolve, qvec
+from logmonoid.errors import DenominatorVanishes, ZeroProjection
+from logmonoid.qlin import INF, inverse_over_lcm, padic_valuation, qmat, qmat_mul, qsolve, qvec
+
+
+# -- Fraction matrices -----------------------------------------------------------
+
+def qidentity(n):
+    return tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n))
+
+
+def qmat_vec(a, v):
+    return tuple(sum((row[k] * v[k] for k in range(len(v))), Fraction(0)) for row in a)
+
+
+def qmat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def qmat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def qmat_scale(c, a):
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def qnullspace(a):
+    """The null-space basis of the reduced row echelon form, one vector per
+    non-pivot column j: e_j minus column j at the pivots."""
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    if nrows == 0:
+        return [tuple(Fraction(1 if i == j else 0) for i in range(ncols)) for j in range(ncols)]
+    m = [list(row) for row in qmat(a)]
+    pivots, row = [], 0
+    for col in range(ncols):
+        sel = next((i for i in range(row, nrows) if m[i][col] != 0), None)
+        if sel is None:
+            continue
+        m[row], m[sel] = m[sel], m[row]
+        m[row] = [x / m[row][col] for x in m[row]]
+        for i in range(nrows):
+            if i != row and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    basis = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[j] = Fraction(1)
+        for i, col in enumerate(pivots):
+            v[col] = -m[i][j]
+        basis.append(tuple(v))
+    return basis
+
+
+def qinverse(a):
+    inv = inverse_over_lcm(a)
+    if inv is None:
+        return None
+    return tuple(tuple(Fraction(x, inv[1]) for x in row) for row in inv[0])
+
+
+def matrix_valuation(a, p):
+    """min of entry valuations (so |a| = p^{-val}); INF for the zero matrix."""
+    return min((padic_valuation(x, p) for row in a for x in row if x != 0), default=INF)
 
 
 def series_mul(f, g):
@@ -143,7 +214,7 @@ def decomposition(model, embedding, rank):
     return lc.ResidueDecomposition(
         rank,
         tuple(eigs for eigs, _ in blocks),
-        tuple(embedding.inverse_coords(qvec(eigs)) for eigs, _ in blocks),
+        tuple(inverse_coords(embedding, qvec(eigs)) for eigs, _ in blocks),
         tuple(tuple(b) for _, b in blocks),
     )
 
@@ -228,3 +299,137 @@ def unipotence(decomp, sigma, face, modulo):
         return all((x - y).denominator == 1 for x, y in zip(a, b)) if modulo else a == b
 
     return all(any(match(x, s) for s in targets) for x in images), images
+
+
+# -- the embedding, D_l and the twist ---------------------------------------------
+
+def rational_coords(embedding, xi):
+    return tuple(sum((Fraction(row[k]) * xi[k] for k in range(len(row))), Fraction(0)) for row in embedding.matrix)
+
+
+def inverse_coords(embedding, v):
+    return qmat_vec(qinverse(qmat(embedding.matrix)), v)
+
+
+def twist_reduce(embedding, xi):
+    """Canonical representative of xi modulo M^gp: shift by
+    phi^-1(floor(phi(xi))) when that lies in M^gp."""
+    phi_xi = rational_coords(embedding, qvec(xi))
+    floors = tuple(Fraction(x.numerator // x.denominator) for x in phi_xi)
+    y = inverse_coords(embedding, floors)
+    if all(c.denominator == 1 for c in y):
+        gp = embedding.monoid.gp
+        shift = gp.element(tuple(int(c) for c in y))
+        reduced = tuple(a - b for a, b in zip(qvec(xi), y))
+        return reduced, shift
+    return qvec(xi), embedding.monoid.gp.zero()
+
+
+def _analysis(e):
+    """The residues, their decomposition and nilpotency indices, all computed
+    here on Fractions."""
+    res = lc.residue(e)
+    decomp = decomposition(res, e.embedding, e.rank)
+    return res, decomp, nilpotency_indices(decomp, res)
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def default_projection_polynomials(e):
+    """Q_i = (minimal polynomial of res_i) / (x - xi_{i,target}), the target
+    the first block."""
+    res, decomp, indices_per_block = _analysis(e)
+    target = decomp.eigentuples[0]
+    polys = []
+    for i in range(len(res)):
+        factors = {}
+        for eigs, indices in zip(decomp.eigentuples, indices_per_block):
+            factors[eigs[i]] = max(factors.get(eigs[i], 1), indices[i])
+        poly = [Fraction(1)]
+        for xi, idx in factors.items():
+            mult = idx - 1 if xi == target[i] else idx
+            for _ in range(mult):
+                poly = _poly_mul(poly, [-xi, Fraction(1)])
+        polys.append(poly)
+    return polys
+
+
+def _poly_eval_matrix(coeffs, a):
+    n = len(a)
+    acc = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
+    power = qidentity(n)
+    for c in coeffs:
+        if c != 0:
+            acc = tuple(tuple(acc[i][j] + c * power[i][j] for j in range(n)) for i in range(n))
+        power = qmat_mul(power, a)
+    return acc
+
+
+def dl_projection(e, v, q_polys, l):
+    """D_l termwise: on t^m w the operator d_i acts as res_i + m_i."""
+    res, decomp, indices_per_block = _analysis(e)
+    n = e.rank
+    emb = e.embedding
+    q = max((max(indices, default=1) for indices in indices_per_block), default=1)
+    target = decomp.eigentuples[0]
+    sections = [f.as_dict() for f in v]
+    out_coeffs = [dict() for _ in range(n)]
+    for k in sorted(set().union(*sections)):
+        vec = qvec([f.get(k, 0) for f in sections])
+        coords = emb.coords(k)
+        op = qidentity(n)
+        for i in range(emb.r):
+            shifted = tuple(tuple(res[i][a][b] + (coords[i] if a == b else 0) for b in range(n)) for a in range(n))
+            op = qmat_mul(op, _poly_eval_matrix(q_polys[i], shifted))
+            for eigs in decomp.eigentuples:
+                xik = eigs[i]
+                for j in range(1, l + 1):
+                    den1 = Fraction(j) - (target[i] - xik)
+                    den2 = Fraction(j) + (target[i] - xik)
+                    if den1 == 0 or den2 == 0:
+                        raise DenominatorVanishes("j +- (xi_1 - xi_k) vanishes: NI hypothesis violated")
+                    num1 = qmat_sub(qmat_scale(Fraction(j) + xik, qidentity(n)), shifted)
+                    num2 = qmat_add(qmat_scale(Fraction(j) - xik, qidentity(n)), shifted)
+                    pair = qmat_scale(Fraction(1) / (den1 * den2), qmat_mul(num1, num2))
+                    for _ in range(q):
+                        op = qmat_mul(op, pair)
+        for comp, x in enumerate(qmat_vec(op, vec)):
+            out_coeffs[comp][k] = x
+    w0 = v[0]
+    return tuple(ws.series(w0.monoid, w0.weighting, x, w0.truncation, w0.annulus) for x in out_coeffs)
+
+
+def dl_limit(e, v, q_polys):
+    """prod_i Q_i(res_i)(v_0), checked to be a residue eigenvector that the
+    projection stabilizes to."""
+    res, decomp, _ = _analysis(e)
+    n = e.rank
+    zero = e.monoid.gp.zero()
+    v0 = qvec([f.coeff(zero) for f in v])
+    op = qidentity(n)
+    for i in range(e.embedding.r):
+        op = qmat_mul(op, _poly_eval_matrix(q_polys[i], res[i]))
+    if all(x == 0 for row in op for x in row):
+        raise ZeroProjection("projection polynomials annihilate the whole module")
+    w = qmat_vec(op, v0)
+    target = decomp.eigentuples[0]
+    for i in range(e.embedding.r):
+        img = qmat_vec(res[i], w)
+        if any(img[a] != target[i] * w[a] for a in range(n)):
+            raise AssertionError("dl_limit output is not a residue eigenvector")
+    lmax = 0
+    for f in v:
+        for k, _ in f.terms:
+            lmax = max(lmax, max((abs(c) for c in e.embedding.coords(k)), default=0))
+    proj = dl_projection(e, v, q_polys, lmax)
+    for comp in range(n):
+        expected = {zero: w[comp]} if w[comp] != 0 else {}
+        if {k: c for k, c in proj[comp].terms} != expected:
+            raise AssertionError("dl_projection does not stabilize to the limit")
+    return w

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from logmonoid import documents
+from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
 from logmonoid import selftest
 from logmonoid.cli import RunConfig, main
@@ -454,6 +455,22 @@ def test_a_module_check_failing_on_a_parsed_document_is_exit_2(capsys, monkeypat
     monkeypatch.setattr(documents, "LogNablaModule", failing)
     code, out, err = run(capsys, "connection", "exponents", DATA / N2_DOC)
     assert (code, out) == (2, "") and "rank x rank" in err and "Traceback" not in err
+
+
+def test_a_failed_self_check_is_exit_3_naming_it(capsys, monkeypatch):
+    """A B_m that misses the all-directions identity (a perturbed Sylvester
+    solve) is a CertificationFailed: exit 3 naming the check, where it was a
+    bare AssertionError escaping as a traceback with exit 1."""
+    solve = lc._sylvester_solve
+
+    def perturbed(inverse, rhs):
+        bm, dm = solve(inverse, rhs)
+        return (bm[0] + dm, *bm[1:]), dm
+
+    monkeypatch.setattr(lc, "_sylvester_solve", perturbed)
+    code, out, err = run(capsys, "connection", "shear", DATA / "rank2_connection.json")
+    assert (code, out) == (3, "") and "Traceback" not in err
+    assert err.startswith("certification failed: shear all-directions identity")
 
 
 @pytest.mark.parametrize("elements", [5, [5], "[[0, 0]]", [[0, 0], 5]])

@@ -228,15 +228,20 @@ def test_qsolve_and_nullspace():
             [[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)]
         )
         x = qlin.qvec([F(rng.randint(-4, 4)) for _ in range(cols)])
-        b = qlin.qmat_vec(a, x)
+        b = _ref_mat_vec(a, x)
         sol = qlin.qsolve(a, b)
-        assert sol is not None and qlin.qmat_vec(a, sol) == tuple(b)
-        for k in qlin.qnullspace(a):
-            assert all(v == 0 for v in qlin.qmat_vec(a, k))
-        assert qlin.qrank(a) + len(qlin.qnullspace(a)) == cols
+        assert sol is not None and _ref_mat_vec(a, sol) == tuple(b)
+        null, den = qlin.nullspace_over_lcm(a, cols)
+        for k in null:
+            assert den > 0 and any(k) and all(v == 0 for v in _ref_mat_vec(a, k))
+        assert qlin.qrank(a) + len(null) == cols
 
 
 # -- the integer kernels against per-entry Fraction references ------------------
+
+def _ref_mat_vec(a, v):
+    return tuple(sum((row[k] * v[k] for k in range(len(v))), F(0)) for row in a)
+
 
 def _ref_mat_mul(a, b):
     if not a or not b:
@@ -305,7 +310,7 @@ def _ref_nullspace(a):
 
 def _ref_inverse(a):
     n = len(a)
-    _, r, pivots = _ref_gauss(a, qlin.qidentity(n))
+    _, r, pivots = _ref_gauss(a, [[F(int(i == j)) for j in range(n)] for i in range(n)])
     return tuple(tuple(row) for row in r) if len(pivots) == n else None
 
 
@@ -375,11 +380,12 @@ def test_integer_kernels_match_fraction_references():
         sol = qlin.qsolve(a, b)
         assert sol == _ref_solve(a, b)
         inconsistent += sol is None
-        assert qlin.qnullspace(a) == _ref_nullspace(a)
+        null, den = qlin.nullspace_over_lcm(a, len(a[0]) if a else 0)
+        assert [tuple(F(x, den) for x in v) for v in null] == _ref_nullspace(a)
         assert qlin.qrank(a) == (len(_ref_gauss(a)[2]) if a else 0)
         if a and len(a) == len(a[0]):
-            inv = qlin.qinverse(a)
-            assert inv == _ref_inverse(a)
+            inv = qlin.inverse_over_lcm(a)
+            assert (None if inv is None else tuple(tuple(F(x, inv[1]) for x in row) for row in inv[0])) == _ref_inverse(a)
             singular += inv is None
     assert inconsistent > 5 and singular > 5  # the grid reaches both outcomes
 

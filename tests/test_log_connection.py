@@ -27,11 +27,10 @@ from logmonoid.errors import (
     NotSharp,
     SingularSylvester,
 )
-from logmonoid.qlin import (
-    INF, matrix_valuation, padic_valuation, qidentity, qinverse, qmat, qmat_mul, qmat_sub, qrank, qsolve, qvec,
-)
+from logmonoid.qlin import INF, over_lcm, padic_valuation, qmat, qmat_mul, qrank, qsolve, qvec
 
 import fraction_reference
+from fraction_reference import matrix_valuation, qidentity, qinverse, qmat_sub
 import test_cone
 from conftest import build_module, build_series, gauge_built_module
 
@@ -193,13 +192,13 @@ def test_embedding_inverts_its_matrix_once(monkeypatch, n2):
     """Construction, the module's decomposition and twist_reduce read one
     cached inverse."""
     calls = []
-    qinverse = lc.qinverse
-    monkeypatch.setattr(lc, "qinverse", lambda a: calls.append(a) or qinverse(a))
+    inverse = lc.inverse_over_lcm
+    monkeypatch.setattr(lc, "inverse_over_lcm", lambda a: calls.append(a) or inverse(a))
     emb = lc.Embedding(n2, ((1, 0), (1, 1)))
     e = lc.apply_ui(emb, ws.default_weighting(n2), [((F(1, 2),),), ((F(1, 3),),)], 4)
     assert e.decomposition.exponents == ((F(1, 2), F(-1, 6)),)
     assert lc.twist_reduce(emb, (F(7, 2), F(-2)))[1] == n2.element((3, -2))
-    assert calls == [qmat(emb.matrix)]
+    assert calls == [emb.matrix]
 
 
 def test_facet_embedding_nm1(nm1):
@@ -637,7 +636,7 @@ def test_homotopy_denominator_vanishes(n2):
     delta = tuple(-F(c) for c in coords_one)
     with pytest.raises(DenominatorVanishes):
         lc.homotopy_check(
-            emb, (F(0), F(0)), emb.inverse_coords(delta),
+            emb, (F(0), F(0)), fraction_reference.inverse_coords(emb, delta),
             [{(n2.element((1, 0)), (0, 1)): F(1)}],
         )
 
@@ -1063,7 +1062,7 @@ def test_ad_nilpotency_closed_form_matches_the_powers():
             if p_inv is not None:
                 break
         nil = qmat_mul(qmat_mul(p, qmat(u)), p_inv)
-        e = lc._ad_nilpotency(nil)
+        e = lc._ad_nilpotency(over_lcm(nil))
         assert e == _ad_nilpotency_by_powers(nil)
         seen.add(e)
     assert seen == {1, 3, 5, 7}
@@ -1075,7 +1074,7 @@ def _bound_report_by_walking_every_lighter_key(e, sr, p, qa):
     m, t = e.monoid, e.truncation
     index = m.index.weighted(e.weighting.values)
     ball, keys = index.ball(t), index.upto(t)[1:]
-    eigs = [sorted(set(ev)) for ev, *_ in e.eigenbasis_data]
+    eigs = [sorted(set(ev)) for ev, *_ in map(fraction_reference.eigenbasis_data, lc.residue(e))]
     logz, out = {}, []
     for key in keys:
         coords = e.embedding.coords(key)
@@ -1360,8 +1359,11 @@ def test_log_convergence_matches_the_per_column_frontier(n2, m_even):
 
 def _shear_by_rational_recursion(e):
     """Gauge, inverse and bound report by per-key Fraction solves: the recursion
-    that the integer coefficient matrices and cached Sylvester inverses replaced."""
-    a0s, eigendata = lc._shear_hypotheses(e)
+    that the integer coefficient matrices and cached Sylvester inverses replaced,
+    with the eigenbasis data, e and the norms of log C on Fractions."""
+    lc._shear_hypotheses(e)
+    a0s = lc.residue(e)
+    eigendata = [fraction_reference.eigenbasis_data(a) for a in a0s]
     m, t, n, emb, p = e.monoid, e.truncation, e.rank, e.embedding, 5
     index = m.index.weighted(e.weighting.values)
     ball, keys = index.ball(t), index.upto(t)[1:]
@@ -1410,11 +1412,14 @@ def _shear_by_rational_recursion(e):
     for key in keys:
         bprime[key] = convolution(bmats, bprime, key)
 
-    e_exp = max([1] + [lc._ad_nilpotency(nil) for *_, nil in eigendata])
+    def log_norm(a):
+        v = matrix_valuation(a, p)
+        return F(0) if v is INF else F(-v)
+
+    e_exp = max([1] + [2 * fraction_reference.nilpotency_index(nil) - 1 for *_, nil in eigendata])
     log_c = F(0)
     for _eigs, pmat, pinv, nil in eigendata:
-        log_c = max(log_c, 2 * (lc._log_norm(pmat, p) + lc._log_norm(pinv, p))
-                    + (e_exp - 1) * max(lc._log_norm(nil, p), F(0)))
+        log_c = max(log_c, 2 * (log_norm(pmat) + log_norm(pinv)) + (e_exp - 1) * max(log_norm(nil), F(0)))
     for ac in acoeff:
         for key, amat in ac.items():  # radius one: the a^{h(m)} factor is 1
             log_c = max(log_c, F(-matrix_valuation(amat, p)))

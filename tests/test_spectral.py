@@ -36,7 +36,7 @@ def _commuting_residues(rng, r, n):
     while sum(sizes) < n:
         sizes.append(rng.randint(1, n - sum(sizes)))
     p = _conjugator(rng, n)
-    p_inv = qlin.qinverse(p)
+    p_inv = ref.qinverse(p)
     mats = []
     for _ in range(r):
         core = [[F(0)] * n for _ in range(n)]
@@ -124,14 +124,30 @@ def _module(mats, n):
     return lc.apply_ui(lc.facet_embedding(m), ws.default_weighting(m), mats, 3)
 
 
+def _as_fractions(decomp):
+    """The decomposition with each block's integer basis over its denominator
+    read as Fraction vectors."""
+    return decomp._replace(blocks=tuple(tuple(tuple(F(x, den) for x in v) for v in vectors)
+                                        for vectors, den in decomp.blocks))
+
+
+def _eigenbasis_fractions(data, res):
+    """Shear's eigenbasis data with the eigenvalues over each residue's
+    denominator and the matrices over theirs read as Fractions."""
+    return tuple(([F(y, d) for y in eigs], *map(lc._fractions, mats)) for (eigs, *mats), (_, d) in zip(data, res))
+
+
 @pytest.mark.parametrize("case,r,n,mats", GRID, ids=[f"{c}-r{r}-n{n}" for c, r, n, _ in GRID])
 def test_spectral_layer_matches_the_fraction_code(case, r, n, mats):
     rng = random.Random(case)
     e = _module(mats, n)
     decomp = ref.decomposition(mats, e.embedding, n)
-    assert e.decomposition == decomp  # the blocks too, vector for vector
-    assert repr(lc.exponents(e)) == repr(decomp)
-    assert e.eigenbasis_data == tuple(ref.eigenbasis_data(a) for a in mats)
+    assert _as_fractions(e.decomposition) == decomp  # the blocks too, vector for vector
+    assert repr(lc.exponents(e).exponents) == repr(decomp.exponents)
+    assert repr(lc.exponents(e).eigentuples) == repr(decomp.eigentuples)
+    assert lc.residue(e) == tuple(mats)
+    assert e.residues == tuple((tuple(map(tuple, rows)), d) for rows, d in map(qlin.over_lcm, mats))
+    assert _eigenbasis_fractions(e.eigenbasis_data, e.residues) == tuple(ref.eigenbasis_data(a) for a in mats)
     assert e.filtration_ranks == ref.filtration_ranks(decomp, mats)
     assert e.nilpotency_indices == ref.nilpotency_indices(decomp, mats)
     own = decomp.exponent_set(e.monoid)

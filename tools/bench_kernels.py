@@ -1,4 +1,4 @@
-"""Microbenchmark of the exact kernels: microseconds per call.
+"""Microbenchmark of the exact kernels: host-scaled microseconds per call.
 
     python3 tools/bench_kernels.py
 
@@ -72,7 +72,11 @@ the monoid (its weighting, saturation, balls and h+ memo cold).
 Entries are small rationals (numerators -9..9, denominators up to
 6) or small integers from a fixed seed, so every run measures the same
 inputs.  Each figure is the median over REPEATS repeats of a loop of at
-least 20 ms, in wall-clock microseconds per call; stdlib only.
+least 20 ms, in CPU microseconds per call, brought to the benchmark's
+reference host speed by perfbench's `reference.scaled` with the mean of the
+`reference_seconds` taken before and after the row (sensitivity 1): on a
+shared host the CPU speed swings with the other tenants' load, and the raw
+figures of two runs of one tree could differ by 1.5x.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -85,7 +89,9 @@ import sys
 import time
 from fractions import Fraction
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from logmonoid import cone  # noqa: E402
 from logmonoid import documents  # noqa: E402
@@ -95,7 +101,8 @@ from logmonoid import selftest  # noqa: E402
 from logmonoid import snf  # noqa: E402
 from logmonoid import weighted_series as ws  # noqa: E402
 from logmonoid import qlin  # noqa: E402
-from logmonoid.qlin import over_lcm, qinverse, qmat, qmat_mul  # noqa: E402
+from logmonoid.qlin import inverse_over_lcm, over_lcm, qmat, qmat_mul  # noqa: E402
+from reference import reference_seconds, scaled  # noqa: E402
 
 SEED = 1
 MONOID_ROUND_SEED = 7
@@ -157,8 +164,14 @@ def _jordan_conjugate(rng: random.Random, n: int):
     eigs = [rng.choice((0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))) for _ in range(n - 1)]
     eigs.insert(0, eigs[0])
     j = [[eigs[i] if i == k else int((i, k) == (0, 1)) for k in range(n)] for i in range(n)]
-    p = qmat([[int(i == k) if k <= i else rng.randint(-2, 2) for k in range(n)] for i in range(n)])
-    return qmat_mul(qmat_mul(p, qmat(j)), qinverse(p))
+    p = [[int(i == k) if k <= i else rng.randint(-2, 2) for k in range(n)] for i in range(n)]
+    return _conjugate(p, j)
+
+
+def _conjugate(p, j):
+    """P J P^-1 as Fraction rows, for an invertible integer P."""
+    rows, den = inverse_over_lcm(p)
+    return qmat_mul(qmat_mul(qmat(p), qmat(j)), qmat([[Fraction(x, den) for x in row] for row in rows]))
 
 
 def _unipotence_module(rng: random.Random, m, t: int):
@@ -169,9 +182,9 @@ def _unipotence_module(rng: random.Random, m, t: int):
     h = Fraction(1, 2)
     cores = ([[h, 1, 0], [0, h, 0], [0, 0, 0]], [[Fraction(1, 3), 0, 0], [0, Fraction(1, 3), 0], [0, 0, Fraction(1, 4)]],
              [[0, 0, 0], [0, 0, 0], [0, 0, h]])
-    p = qmat([[int(i == k) if k <= i else rng.randint(-2, 2) for k in range(3)] for i in range(3)])
+    p = [[int(i == k) if k <= i else rng.randint(-2, 2) for k in range(3)] for i in range(3)]
     emb = lc.facet_embedding(m)
-    model = [qmat_mul(qmat_mul(p, qmat(c)), qinverse(p)) for c in cores[: emb.r]]
+    model = [_conjugate(p, c) for c in cores[: emb.r]]
     e = lc.apply_ui(emb, ws.default_weighting(m), model, t)
     return e, lc.exponents(e).exponent_set(m), mc.faces(m)
 
@@ -233,7 +246,6 @@ def _cold(m, fn, keys):
 
 
 def _perfbench_gen():
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
     import gen
     return gen
 
@@ -279,27 +291,30 @@ def _monoid_round_smith_inputs() -> list:
 
 
 def _time(fn) -> float:
-    """Median microseconds per call of fn()."""
+    """Median CPU microseconds per call of fn(), scaled to the reference
+    host speed."""
     loops = 1
     while True:
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         for _ in range(loops):
             fn()
-        if time.perf_counter() - t0 >= 0.02:
+        if time.process_time() - t0 >= 0.02:
             break
         loops *= 2
+    ref = reference_seconds()
     samples = []
     for _ in range(REPEATS):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         for _ in range(loops):
             fn()
-        samples.append((time.perf_counter() - t0) / loops * 1e6)
-    return statistics.median(samples)
+        samples.append((time.process_time() - t0) / loops)
+    ref = (ref + reference_seconds()) / 2
+    return scaled(statistics.median(samples), ref, 1.0) * 1e6
 
 
 def _data_monoid(name: str):
     """The embedded monoid of tests/data/<name>.json."""
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests", "data", f"{name}.json")
+    path = os.path.join(ROOT, "tests", "data", f"{name}.json")
     with open(path, encoding="utf-8") as fh:
         return mc.from_embedded(json.load(fh)["embedded_generators"])[0]
 
@@ -314,29 +329,33 @@ def _saturation_invariance(m) -> bool:
 
 
 def main() -> int:
+    def row(name: str, fn, calls: int = 1) -> None:
+        """Print the row's host-scaled microseconds per call of fn, which
+        makes `calls` calls."""
+        print(f"{name:42s} {_time(fn) / calls:10.1f} us", flush=True)
+
     rng = random.Random(SEED)
-    rows = []
     for n in (1, 2, 3):
         a, b = _matrix(rng, n), _matrix(rng, n)
-        rows.append((f"qmat_mul n={n}", _time(lambda: qmat_mul(a, b))))
+        row(f"qmat_mul n={n}", lambda: qmat_mul(a, b))
     for n in (1, 2, 3):
         inv, rhs = _sylvester(rng, n)
-        rows.append((f"sylvester solve n={n}", _time(lambda: lc._sylvester_solve(inv, rhs))))
+        row(f"sylvester solve n={n}", lambda: lc._sylvester_solve(inv, rhs))
     n2 = mc.free_monoid(2)
     h = ws.default_weighting(n2)
     half = ws.Radius.p_power(Fraction(1, 2))
     for t in (3, 4, 5, 6):
         f, g = _series(rng, n2, h, t), _series(rng, n2, h, t)
-        rows.append((f"series_mul N^2 disk T={t}", _time(lambda: ws.series_mul(f, g))))
-        rows.append((f"series_add N^2 disk T={t}", _time(lambda: ws.series_add(f, g))))
-        rows.append((f"gauss_norm N^2 disk T={t}", _time(lambda: ws.gauss_norm(f, half))))
+        row(f"series_mul N^2 disk T={t}", lambda: ws.series_mul(f, g))
+        row(f"series_add N^2 disk T={t}", lambda: ws.series_add(f, g))
+        row(f"gauss_norm N^2 disk T={t}", lambda: ws.gauss_norm(f, half))
     for k in (4, 6, 9):
         la, lb = _weighting_lp(rng, k)
-        rows.append((f"simplex_feasible rays={k}", _time(lambda: cone.simplex_feasible(la, lb))))
+        row(f"simplex_feasible rays={k}", lambda: cone.simplex_feasible(la, lb))
     for n in (2, 3):
         for t in (4, 6):
             (a, _), (b, _) = (_series_matrix_map(rng, n2, h, n, t) for _ in range(2))
-            rows.append((f"_map_mul n={n} N^2 T={t}", _time(lambda: ws._map_mul(n2, h, t, a, b, n))))
+            row(f"_map_mul n={n} N^2 T={t}", lambda: ws._map_mul(n2, h, t, a, b, n))
     one, eta = ws.Radius.one(), ws.Radius.p_power(Fraction(1, 2))
     rank1_rng = random.Random(SEED)
     for n in (1, 2, 3):
@@ -345,57 +364,55 @@ def main() -> int:
                 e = _module(rank1_rng, n2, n, t)
             else:
                 e = _module(rng, n2, n, t)
-                rows.append((f"validate_integrability n={n} N^2 T={t}",
-                             _time(lambda: lc.validate_integrability(e._replace()))))
+                row(f"validate_integrability n={n} N^2 T={t}",
+                    lambda: lc.validate_integrability(e._replace()))
             for depth in (2, 4):
-                rows.append((f"log_convergence_check depth={depth} n={n} N^2 T={t}",
-                             _time(lambda: lc.log_convergence_check(e._replace(), one, eta, depth))))
+                row(f"log_convergence_check depth={depth} n={n} N^2 T={t}",
+                    lambda: lc.log_convergence_check(e._replace(), one, eta, depth))
     for n in (2, 3, 4):
         b, _ = over_lcm(_jordan_conjugate(rng, n))
-        rows.append((f"int_charpoly + integer_roots n={n}", _time(lambda: qlin.integer_roots(qlin.int_charpoly(b)))))
+        row(f"int_charpoly + integer_roots n={n}", lambda: qlin.integer_roots(qlin.int_charpoly(b)))
     for n in (2, 3):
         e = _module(rng, n2, n, 4)
-        rows.append((f"module spectra n={n} N^2 T=4", _time(lambda: _spectra(e))))
+        row(f"module spectra n={n} N^2 T=4", lambda: _spectra(e))
     for name, m in (("M_even", selftest._m_even()), ("N^3", mc.free_monoid(3))):
         e, sigma, faces = _unipotence_module(rng, m, 4)
-        rows.append((f"is_sigma_unipotent all faces {name} T=4", _time(lambda: _unipotence_on_all_faces(e, sigma, faces))))
+        row(f"is_sigma_unipotent all faces {name} T=4", lambda: _unipotence_on_all_faces(e, sigma, faces))
     for t in SHEAR_TRUNCATIONS:
         for name, e, _ in selftest._shear_fixtures(t):
             if name in SHEAR_FIXTURES:
-                rows.append((f"shear {name} T={t}", _time(lambda: lc.shear(e))))
+                row(f"shear {name} T={t}", lambda: lc.shear(e))
     doc_rng = random.Random(SEED)
     for name, gens in (("N^2", [[1, 0], [0, 1]]), ("N^3", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
                        ("M_even", [[2, 0], [1, 1], [0, 2]])):
         for t in (4, 8, 12):
             doc = _embedded_document(doc_rng, gens, t)
-            rows.append((f"parse_connection {name} T={t}", _time(lambda: _cold_parse(doc))))
-            rows.append((f"parse_connection {name} T={t} warm", _time(lambda: documents.parse_connection(doc))))
+            row(f"parse_connection {name} T={t}", lambda: _cold_parse(doc))
+            row(f"parse_connection {name} T={t} warm", lambda: documents.parse_connection(doc))
     pyramid, _ = mc.from_embedded([[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]])
     h = ws.default_weighting(pyramid)
     for w in (4, 8):
         keys = pyramid.index.weighted(h.values).upto(w)
         shifted = keys + [pyramid.gp.sub(k, pyramid.generators[0]) for k in keys]
-        rows.append((f"cold h pyramid W={w}", _time(lambda: _cold(pyramid, lambda k: ws.h_plus(pyramid, h, k), keys))))
-        rows.append((f"cold membership pyramid W={w}",
-                     _time(lambda: _cold(pyramid, lambda k: mc.membership(pyramid, k), shifted))))
+        row(f"cold h pyramid W={w}", lambda: _cold(pyramid, lambda k: ws.h_plus(pyramid, h, k), keys))
+        row(f"cold membership pyramid W={w}",
+            lambda: _cold(pyramid, lambda k: mc.membership(pyramid, k), shifted))
     for name, doc in _cold_monoid_documents():
-        rows.append((f"cold parse_monoid {name}", _time(lambda: _cold_monoid(doc))))
+        row(f"cold parse_monoid {name}", lambda: _cold_monoid(doc))
     semi = [(name, documents.parse_monoid(doc).monoid) for name, doc in _cold_monoid_documents()]
     for name, m in semi + [("moment_curve_20", _data_monoid("moment_curve_20"))]:
-        rows.append((f"cold semi-saturation {name}", _time(lambda: _cold_semi_saturation(m))))
+        row(f"cold semi-saturation {name}", lambda: _cold_semi_saturation(m))
     inputs = _monoid_round_smith_inputs()
-    rows.append((f"smith_normal_form monoid round (n={len(inputs)})",
-                 _time(lambda: [snf.smith_normal_form(a) for a in inputs]) / len(inputs)))
+    row(f"smith_normal_form monoid round (n={len(inputs)})", lambda: [snf.smith_normal_form(a) for a in inputs],
+        len(inputs))
     for k in MOMENT_CURVE_RAYS:
         curve, _ = mc.from_embedded([[1, t, t * t, t ** 3] for t in range(1, k + 1)])
-        rows.append((f"is_saturated_bounded rank-4 curve k={k}",
-                     _time(lambda: mc.is_saturated_bounded(mc.FineMonoid(curve.gp, curve.generators)))))
+        row(f"is_saturated_bounded rank-4 curve k={k}",
+            lambda: mc.is_saturated_bounded(mc.FineMonoid(curve.gp, curve.generators)))
     surjections = selftest._surjections()
-    rows.append(("section 5 selftest surjections", _time(lambda: [mc.section(f) for f in surjections])))
+    row("section 5 selftest surjections", lambda: [mc.section(f) for f in surjections])
     for name, m in (("N\\{1}", selftest._nm1()), ("pyramid_pentagon", _data_monoid("pyramid_pentagon"))):
-        rows.append((f"saturation_invariance_check {name}", _time(lambda: _saturation_invariance(m))))
-    for name, us in rows:
-        print(f"{name:42s} {us:10.1f} us")
+        row(f"saturation_invariance_check {name}", lambda: _saturation_invariance(m))
     return 0
 
 
