@@ -217,19 +217,11 @@ def cmd_connection(args, config: RunConfig) -> dict:
         }
     if sub == "dl":
         polys = lc.default_projection_polynomials(module)
-        n = module.rank
-        basis = []
-        m, w, t = module.monoid, module.weighting, module.truncation
-        for comp in range(n):
-            basis.append(
-                tuple(
-                    ws.constant_series(m, w, 1 if j == comp else 0, t) for j in range(n)
-                )
-            )
-        witnesses = []
-        for comp in range(n):
-            wvec = lc.dl_limit(module, basis[comp], polys)
-            witnesses.append(_describe_vector(wvec))
+        n, m, w, t = module.rank, module.monoid, module.weighting, module.truncation
+        witnesses = [
+            _describe_vector(lc.dl_limit(module, tuple(ws.constant_series(m, w, int(j == comp), t) for j in range(n))))
+            for comp in range(n)
+        ]
         return {
             "projection_polynomials": [[render_rational(c) for c in q] for q in polys],
             "h0_witnesses": witnesses,

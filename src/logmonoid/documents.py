@@ -315,12 +315,12 @@ def _embedding(ctx: MonoidContext, rows: Optional[tuple]) -> Embedding:
 def parse_connection(doc: dict) -> tuple[MonoidContext, LogNablaModule]:
     if not isinstance(doc, dict):
         raise ParseError("connection document must be an object")
-    try:
-        ctx = parse_monoid(doc["monoid"])
-        rank = _integer(doc["rank"], "rank")
-        truncation = _integer(doc["truncation"], "truncation")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad connection document: {exc}") from exc
+    for field in ("monoid", "rank", "truncation"):
+        if field not in doc:
+            raise ParseError(f"connection document needs '{field}'")
+    ctx = parse_monoid(doc["monoid"])
+    rank = _integer(doc["rank"], "rank")
+    truncation = _integer(doc["truncation"], "truncation")
     if rank < 1:
         raise ParseError(f"rank must be at least 1, got {rank}")
     if truncation < 0:

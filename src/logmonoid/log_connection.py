@@ -3,12 +3,13 @@
 Connection matrices are square matrices of truncated series, stored as
 integer coefficient maps.  Every other rational matrix here -- the residues,
 their eigenbases and nilpotent parts, the Sylvester operators and the D_l
-factors -- is integer rows over one positive denominator (`RatMatrix`), and
-eigenvalues are integers over their residue's denominator.  Fractions are
-built only for the values handed back: `residue`, a shear's constant models,
-log C and bound records, the eigentuples and exponents, the face images, the
-D_l polynomials and outputs, `twist_reduce`, and the homotopy forms, which
-stay on Fractions.  The shearing recursion solves the Sylvester equations
+factors -- is integer rows over one positive denominator (`RatMatrix`),
+eigenvalues are integers over their residue's denominator, and D_l's
+projection polynomials Q_i, a function of the module alone, are integer
+coefficients over one denominator.  Fractions are built only for the values
+handed back: `residue`, a shear's constant models, log C and bound records,
+the eigentuples and exponents, the face images, the reported Q_i and the D_l
+outputs, `twist_reduce`, and the homotopy forms, which stay on Fractions.  The shearing recursion solves the Sylvester equations
 (g + m_i id)(B_m) = RHS order by order in the weight and certifies the
 operator-norm bound of the gauge in valuation form; a failed self-check of a
 result raises `CertificationFailed`.
@@ -349,6 +350,29 @@ class LogNablaModule(_LogNablaModuleFields):
         """Per block of the decomposition and per residue, the nilpotency
         index of the residue's nilpotent part on the block."""
         return tuple(tuple(map(_nilpotency_index, nils)) for nils in self.block_nilpotents)
+
+    @cached_property
+    def projection_polynomials(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """D_l's Q_i = (minimal polynomial of res_i) / (x - xi_{i,target}),
+        the target the first block, so the image of prod Q_i(res_i) lies in
+        the xi_target eigenspace.  For res_i = b / d with integer eigenvalues
+        y over d, Q_i is prod (d x - y)^mult / d^deg: its integer coefficients
+        (ascending) and d^deg."""
+        blocks = self.joint_blocks
+        target = blocks[0][0]
+        polys = []
+        for i, (_, d) in enumerate(self.residues):
+            # minimal polynomial exponent per eigenvalue of res_i: its nilpotency
+            # index on the generalized eigenspace, the sum of the blocks sharing it
+            factors: dict[int, int] = {}
+            for (eigs, _), indices in zip(blocks, self.nilpotency_indices):
+                factors[eigs[i]] = max(factors.get(eigs[i], 1), indices[i])
+            poly = [1]
+            for y, idx in factors.items():
+                for _ in range(idx - 1 if y == target[i] else idx):
+                    poly = [d * a - y * c for a, c in zip([0] + poly, poly + [0])]
+            polys.append((tuple(poly), d ** (len(poly) - 1)))
+        return tuple(polys)
 
     @cached_property
     def sheared_exponents(self) -> ExponentSet:
@@ -932,19 +956,18 @@ def _require_monoid_support(e: LogNablaModule) -> None:
 # ---------------------------------------------------------------------------
 
 def dl_constant_term(f: TruncatedSeries, l: int, embedding: Embedding) -> TruncatedSeries:
-    """D_l = prod_i prod_{0<|j|<=l} (d_i - j)/j applied termwise; kills every
-    tracked t^m with 0 < |m_i| <= l and fixes constants.  On t^m it is
-    prod_i prod_j (j^2 - m_i^2) / j^2, the denominator (l!)^(2r) for all m."""
-    terms, den = f.coefficients
-    out = {k: (x * math.prod(j * j - mi * mi for mi in embedding.coords(k) for j in range(1, l + 1)),)
-           for k, (x,) in terms}
-    return f._replace(coefficients=_canonical(out, den * math.factorial(l) ** (2 * embedding.r)))
+    """D_l on one series: `dl_projection` on the rank-1 module with zero
+    residues, whose factor on t^m is prod_i prod_{j<=l} (j^2 - m_i^2) / j^2.
+    It kills every tracked t^m with 0 < |m_i| <= l and fixes constants."""
+    zero = apply_ui(embedding, f.weighting, [((0,),)] * embedding.r, f.truncation)
+    return dl_projection(zero, (f,), l)[0]
 
 
-def _require_constant_model(e: LogNablaModule) -> tuple[RatMatrix, ...]:
+def _require_constant_model(e: LogNablaModule) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The module's Q_i, once the module is known to be constant."""
     if not smat_is_constant_all(e):
         raise NonConstantModel("D_l projections require a constant (U_I-type) module")
-    return e.residues
+    return e.projection_polynomials
 
 
 def _rat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -955,40 +978,46 @@ def _rat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return tuple(tuple(v // g for v in row) for row in rows), dx * dy // g
 
 
-def _poly_eval_matrix(coeffs: Sequence[Fraction], a: RatMatrix) -> RatMatrix:
-    """q(a) by Horner on integers: for q = c / dc and a = b / d,
-    q(a) = sum_k c_k d^(deg - k) b^k / (dc d^deg)."""
-    (c,), dc = over_lcm([coeffs])
-    b, d = a
-    cols = tuple(zip(*b))
-    acc = [[0] * len(b) for _ in b]
-    for k, ck in enumerate(reversed(c)):
-        s = ck * d**k
-        acc = [[sum(map(mul, row, col)) + s * (i == j) for j, col in enumerate(cols)] for i, row in enumerate(acc)]
-    return acc, dc * d ** max(len(c) - 1, 0)
-
-
 def default_projection_polynomials(e: LogNablaModule) -> list[list[Fraction]]:
-    """Q_i = (minimal polynomial of res_i) / (x - xi_{i,target}), the target
-    the first block: the image of prod Q_i(res_i) lands in the xi_target
-    eigenspace.  For res_i = b / d with integer eigenvalues y over d, Q_i is
-    prod (d x - y)^mult / d^deg."""
-    res = _require_constant_model(e)
+    """The module's Q_i (`LogNablaModule.projection_polynomials`) as
+    Fractions, ascending, for the report."""
+    return [[Fraction(c, den) for c in poly] for poly, den in _require_constant_model(e)]
+
+
+def _dl_factor(e: LogNablaModule, i: int, mi: int, l: int) -> RatMatrix:
+    """D_l's factor of direction i on t^m w, where d_i acts as S = res_i + m_i:
+    Q_i(S) times, for each block k and j = 1..l,
+    ((j + xi_k - S)(j - xi_k + S) / ((j - xi_1 + xi_k)(j + xi_1 - xi_k)))^q,
+    xi the blocks' i-th eigenvalues and q the largest nilpotency index.  On
+    integers, with S = s / d, Q_i = c / dc, u = j d, xi_k = y / d and
+    xi_1 = t / d, Q_i(S) = sum_k c_k d^(deg - k) s^k / (dc d^deg) by Horner
+    and a pair is ((u^2 - y^2) I + 2 y s - s^2) / ((u - t + y)(u + t - y)).
+    At m_i = l = 0 the factor is Q_i(res_i)."""
+    b, d = e.residues[i]
+    c, dc = e.projection_polynomials[i]
     blocks = e.joint_blocks
     target = blocks[0][0]
-    polys = []
-    for i, (_, d) in enumerate(res):
-        # minimal polynomial exponent per eigenvalue of res_i: its nilpotency
-        # index on the generalized eigenspace, the sum of the blocks sharing it
-        factors: dict[int, int] = {}
-        for (eigs, _), indices in zip(blocks, e.nilpotency_indices):
-            factors[eigs[i]] = max(factors.get(eigs[i], 1), indices[i])
-        poly = [1]
-        for y, idx in factors.items():
-            for _ in range(idx - 1 if y == target[i] else idx):
-                poly = [d * a - y * c for a, c in zip([0] + poly, poly + [0])]
-        polys.append([Fraction(c, d ** (len(poly) - 1)) for c in poly])
-    return polys
+    q = max((max(indices, default=1) for indices in e.nilpotency_indices), default=1)
+    s = [[x + mi * d * (r == col) for col, x in enumerate(row)] for r, row in enumerate(b)]
+    cols = tuple(zip(*s))
+    acc = [[0] * len(s) for _ in s]
+    for k, ck in enumerate(reversed(c)):
+        acc = [[sum(map(mul, row, col)) + ck * d**k * (r == j) for j, col in enumerate(cols)]
+               for r, row in enumerate(acc)]
+    op = (acc, dc * d ** (len(c) - 1))
+    s2 = mat_mul(s, s)
+    for eigs, _ in blocks:
+        y, t = eigs[i], target[i]
+        for u in range(d, l * d + 1, d):
+            den = (u - t + y) * (u + t - y)
+            if den == 0:
+                raise DenominatorVanishes("j +- (xi_1 - xi_k) vanishes: NI hypothesis violated")
+            sign = 1 if den > 0 else -1
+            pair = [[sign * ((u * u - y * y) * (r == col) + 2 * y * x - x2)
+                     for col, (x, x2) in enumerate(zip(row, row2))] for r, (row, row2) in enumerate(zip(s, s2))]
+            for _ in range(q):
+                op = _rat_mul(op, (pair, abs(den)))
+    return op
 
 
 def _sections(v: Sequence[TruncatedSeries]) -> tuple[list[dict], int]:
@@ -997,51 +1026,19 @@ def _sections(v: Sequence[TruncatedSeries]) -> tuple[list[dict], int]:
     return [{k: x * (den // d) for k, (x,) in terms} for terms, d in (f.coefficients for f in v)], den
 
 
-def dl_projection(
-    e: LogNablaModule,
-    v: Sequence[TruncatedSeries],
-    q_polys: Sequence[Sequence[Fraction]],
-    l: int,
-) -> tuple[TruncatedSeries, ...]:
-    """The generization operator D_l applied termwise: on t^m w the operator
-    d_i acts as S = res_i + m_i, and the factor of direction i, built once
-    per (i, m_i), is Q_i(S) times, for each block k and j = 1..l,
-    ((j + xi_k - S)(j - xi_k + S) / ((j - xi_1 + xi_k)(j + xi_1 - xi_k)))^q,
-    xi the blocks' i-th eigenvalues and q the largest nilpotency index.  On
-    integers, with S = s / d, u = j d, xi_k = y / d and xi_1 = t / d, a pair
-    is ((u^2 - y^2) I + 2 y s - s^2) / ((u - t + y)(u + t - y))."""
-    res = _require_constant_model(e)
-    blocks = e.joint_blocks
-    target = blocks[0][0]
+def dl_projection(e: LogNablaModule, v: Sequence[TruncatedSeries], l: int) -> tuple[TruncatedSeries, ...]:
+    """The generization operator D_l applied termwise: on t^m w it is the
+    product over the directions i of `_dl_factor`, built once per (i, m_i)."""
+    _require_constant_model(e)
     n = e.rank
-    q = max((max(indices, default=1) for indices in e.nilpotency_indices), default=1)
     factors: dict = {}
-
-    def factor(i: int, mi: int) -> RatMatrix:
-        b, d = res[i]
-        s = [[x + mi * d * (r == c) for c, x in enumerate(row)] for r, row in enumerate(b)]
-        s2 = mat_mul(s, s)
-        op = _poly_eval_matrix(q_polys[i], (s, d))
-        for eigs, _ in blocks:
-            y, t = eigs[i], target[i]
-            for u in range(d, l * d + 1, d):
-                den = (u - t + y) * (u + t - y)
-                if den == 0:
-                    raise DenominatorVanishes("j +- (xi_1 - xi_k) vanishes: NI hypothesis violated")
-                sign = 1 if den > 0 else -1
-                pair = [[sign * ((u * u - y * y) * (r == c) + 2 * y * x - x2)
-                         for c, (x, x2) in enumerate(zip(row, row2))] for r, (row, row2) in enumerate(zip(s, s2))]
-                for _ in range(q):
-                    op = _rat_mul(op, (pair, abs(den)))
-        return op
-
     sections, vden = _sections(v)
     out: list[dict] = [{} for _ in range(n)]
     for k in set().union(*sections):
         op = (identity(n), 1)
         for i, mi in enumerate(e.coords(k)):
             if (i, mi) not in factors:
-                factors[i, mi] = factor(i, mi)
+                factors[i, mi] = _dl_factor(e, i, mi, l)
             op = _rat_mul(op, factors[i, mi])
         for comp, x in enumerate(mat_vec(op[0], [sec.get(k, 0) for sec in sections])):
             out[comp][k] = (x, op[1])
@@ -1055,31 +1052,26 @@ def dl_projection(
     return tuple(result)
 
 
-def dl_limit(
-    e: LogNablaModule,
-    v: Sequence[TruncatedSeries],
-    q_polys: Sequence[Sequence[Fraction]],
-) -> QVector:
-    """prod_i Q_i(res_i)(v_0): the H^0_{xi_1} witness; certifies that it is
-    an eigenvector of every residue and that the projection stabilizes to it
-    once l exceeds every tracked coordinate."""
-    res = _require_constant_model(e)
+def dl_limit(e: LogNablaModule, v: Sequence[TruncatedSeries]) -> QVector:
+    """prod_i Q_i(res_i)(v_0), D_l's factor at m = 0 and l = 0 on the constant
+    terms: the H^0_{xi_1} witness.  Certifies that it is an eigenvector of
+    every residue and that the projection stabilizes to it once l exceeds
+    every tracked coordinate; either check fails only on a program fault."""
+    _require_constant_model(e)
     n = e.rank
     zero = e.monoid.gp.zero()
     sections, vden = _sections(v)
-    op = (identity(n), 1)
-    for i in range(e.embedding.r):
-        op = _rat_mul(op, _poly_eval_matrix(q_polys[i], res[i]))
+    op = reduce(_rat_mul, (_dl_factor(e, i, 0, 0) for i in range(e.embedding.r)), (identity(n), 1))
     if not any(map(any, op[0])):
         raise ZeroProjection("projection polynomials annihilate the whole module")
     w, wden = mat_vec(op[0], [sec.get(zero, 0) for sec in sections]), op[1] * vden
     # membership in H^0_{xi_1}: res_i(w) = xi_{i,1} w, on integers b_i w = y_i w
-    for i, ((b, _), y) in enumerate(zip(res, e.joint_blocks[0][0])):
+    for i, ((b, _), y) in enumerate(zip(e.residues, e.joint_blocks[0][0])):
         if mat_vec(b, w) != tuple(y * x for x in w):
             raise CertificationFailed(f"dl_limit eigenvector check: the limit is not an eigenvector of residue {i}")
     # stabilization: for l beyond every tracked coordinate the projection is constant
     lmax = max((abs(c) for terms, _ in (f.coefficients for f in v) for k, _ in terms for c in e.coords(k)), default=0)
-    proj = dl_projection(e, v, q_polys, lmax)
+    proj = dl_projection(e, v, lmax)
     if any(f.coefficients != _canonical({zero: [x]}, wden) for f, x in zip(proj, w)):
         raise CertificationFailed(f"dl_limit stabilization check: D_{lmax} of the sections is not the limit")
     return tuple(Fraction(x, wden) for x in w)

@@ -281,16 +281,15 @@ def _dl_suite(prime):
     ]
     for k, model in enumerate(models):
         e = lc.apply_ui(emb, h, model, t)
-        polys = lc.default_projection_polynomials(e)
         target = lc.exponents(e).eigentuples[0]
         for v in vectors:
-            w = lc.dl_limit(e, v, polys)  # asserts res_i(w) = xi_{i,1} w internally
+            w = lc.dl_limit(e, v)  # asserts res_i(w) = xi_{i,1} w internally
             _require(w == (5, 0), f"model {k}: limit {w}")
             for r, x in zip(lc.residue(e), target):
                 eigen = mat_vec(r, w) == tuple(x * c for c in w)
                 _require(eigen, f"model {k}: the limit is not a residue eigenvector")
             for l in (t, t + 2):
-                proj = lc.dl_projection(e, v, polys, l)
+                proj = lc.dl_projection(e, v, l)
                 exact = tuple(f.coeff(zero) for f in proj) == w
                 _require(exact and all(key == zero for f in proj for key, _ in f.terms),
                          f"model {k}: D_{l} projection differs from the limit")

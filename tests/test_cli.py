@@ -193,6 +193,21 @@ def test_exit_code_bad_rank_or_truncation(capsys, tmp_path, field, value):
         assert field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["monoid", "rank", "truncation"])
+def test_a_missing_connection_field_names_itself(capsys, tmp_path, field):
+    """A connection document without one of its required fields exits 2
+    with "connection document needs '<field>'" under every subcommand; it
+    once printed Python's KeyError text ("bad connection document: 'rank'")."""
+    doc = json.loads((DATA / "n2_sigma_pair_connection.json").read_text())
+    del doc[field]
+    path = tmp_path / f"no_{field}.json"
+    path.write_text(json.dumps(doc))
+    for sub in ("exponents", "shear", "homotopy", "logconv", "dl", "unipotent"):
+        code, out, err = run(capsys, "connection", sub, path)
+        assert (code, out) == (2, ""), sub
+        assert f"connection document needs '{field}'" in err and "Traceback" not in err
+
+
 def test_torsion_on_an_embedded_monoid_is_a_parse_error(capsys, tmp_path):
     """Embedded generators lie in Z^k: a "torsion" field beside them, or an
     element with a torsion part, exits 2 naming the field (the field once

@@ -13,6 +13,7 @@ from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
 from logmonoid import snf
 from logmonoid import weighted_series as ws
+from logmonoid.cli import main
 from logmonoid.abelian import AbelianGroup, GroupSpan, quotient_presented
 from logmonoid.qlin import qmat, qsolve
 from logmonoid.errors import (
@@ -217,19 +218,27 @@ def test_dl_denominator_vanishes(n2):
     # exponents 0 and 1 differ by an integer: j = 1 hits the denominator
     e = lc.apply_ui(emb, h, [((F(0), F(0)), (F(0), F(1))), ((F(0), F(0)), (F(0), F(0)))], 6)
     v = (build_series(n2, h, {(0, 0): 1}, 6), build_series(n2, h, {(0, 0): 1}, 6))
-    polys = lc.default_projection_polynomials(e)
     with pytest.raises(DenominatorVanishes):
-        lc.dl_projection(e, v, polys, 2)
+        lc.dl_projection(e, v, 2)
 
 
-def test_dl_zero_projection(n2):
-    h = ws.default_weighting(n2)
-    emb = lc.facet_embedding(n2)
-    e = lc.apply_ui(emb, h, [((F(1, 3),),), ((F(0),),)], 6)
-    v = (build_series(n2, h, {(0, 0): 1}, 6),)
-    # Q_1 = (x - 1/3) annihilates the whole rank-1 module
+def test_dl_zero_projection(n2, tmp_path, capsys):
+    """Both residues are the nilpotent [[0, 1], [0, 0]]: each Q_i is x, and
+    Q_1(res_1) Q_2(res_2) = res_1 res_2 = 0 annihilates the whole module."""
+    nil = ((0, 1), (0, 0))
+    e = lc.apply_ui(lc.facet_embedding(n2), ws.default_weighting(n2), [nil, nil], 4)
+    assert lc.default_projection_polynomials(e) == [[0, 1], [0, 1]]
+    v = tuple(ws.constant_series(n2, e.weighting, int(j == 0), 4) for j in range(2))
     with pytest.raises(ZeroProjection):
-        lc.dl_limit(e, v, [[F(-1, 3), F(1)], [F(1)]])
+        lc.dl_limit(e, v)
+    entries = [["0", "1"], ["0", "0"]]
+    doc = {"monoid": {"generators": 2}, "rank": 2, "truncation": 4,
+           "matrices": [{"i": i, "terms": [{"m": {"free": [0, 0]}, "entries": entries}]} for i in range(2)]}
+    path = tmp_path / "nilpotent.json"
+    path.write_text(json.dumps(doc))
+    assert main(["connection", "dl", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "projection polynomials annihilate the whole module" in err and "Traceback" not in err
 
 
 def test_embedded_elements_share_one_smith_form(monkeypatch):

@@ -18,6 +18,7 @@ from logmonoid import monoid_core as mc
 from logmonoid import oracle as orc
 from logmonoid import weighted_series as ws
 from logmonoid.errors import (
+    CertificationFailed,
     DenominatorVanishes,
     IrrationalExponent,
     NotDiskModule,
@@ -541,18 +542,40 @@ def test_dl_constant_term_survivor_scaling(n2):
     assert out.coeff(key) == expected
 
 
+def test_dl_constant_term_is_the_pair_product(n1, n2, m_even):
+    """On t^m, D_l multiplies by prod_i prod_{j<=l} (j^2 - m_i^2) / j^2: a
+    seeded check on disk and annulus series (keys with negative
+    coordinates) over facet and non-unimodular embeddings, l = 0..5."""
+    rng = random.Random(25)
+    embeddings = [lc.facet_embedding(m) for m in (n1, n2, m_even)] + [lc.Embedding(n2, ((2, 1), (1, 1)))]
+    for emb in embeddings:
+        m = emb.monoid
+        h = ws.default_weighting(m)
+        ball = m.index.weighted(h.values).upto(3)
+        for annulus in (False, True):
+            keys = sorted({m.gp.sub(a, b) for a in ball for b in ball}) if annulus else ball
+            chosen = rng.sample(keys, min(6, len(keys)))
+            f = ws.series(m, h, {k: F(rng.randint(-9, 9), rng.randint(1, 4)) for k in chosen}, 6, annulus)
+            assert annulus == any(min(emb.coords(k)) < 0 for k, _ in f.terms)
+            for l in range(6):
+                product = {k: c * math.prod(F(j * j - x * x, j * j) for x in emb.coords(k) for j in range(1, l + 1))
+                           for k, c in f.terms}
+                out = lc.dl_constant_term(f, l, emb)
+                assert dict(out.terms) == {k: c for k, c in product.items() if c}
+                assert (out.truncation, out.annulus) == (f.truncation, annulus)
+
+
 def test_dl_projection_and_limit(n2):
     h = ws.default_weighting(n2)
     emb = lc.facet_embedding(n2)
     a1 = ((F(0), F(1)), (F(0), F(0)))
     a2 = ((F(0), F(0)), (F(0), F(0)))
     e = lc.apply_ui(emb, h, [a1, a2], 6)
-    polys = lc.default_projection_polynomials(e)
     v = (
         build_series(n2, h, {(0, 0): 1, (1, 0): 2}, 6),
         build_series(n2, h, {(0, 0): 5, (0, 1): 3}, 6),
     )
-    w = lc.dl_limit(e, v, polys)
+    w = lc.dl_limit(e, v)
     assert w == (F(5), F(0))
     res = lc.residue(e)
     dec = lc.exponents(e)
@@ -563,7 +586,7 @@ def test_dl_projection_and_limit(n2):
         )
     # termwise kill: a pure t^m section with small coordinates dies
     vm = (build_series(n2, h, {(1, 0): 1}, 6), build_series(n2, h, {}, 6))
-    proj = lc.dl_projection(e, vm, polys, 1)
+    proj = lc.dl_projection(e, vm, 1)
     assert all(s.is_zero() for s in proj)
 
 
@@ -572,7 +595,9 @@ def test_dl_limit_rank1(n2):
     emb = lc.facet_embedding(n2)
     e = lc.apply_ui(emb, h, [((F(1, 3),),), ((F(0),),)], 6)
     v = (build_series(n2, h, {(0, 0): 7, (2, 1): 4}, 6),)
-    assert lc.dl_limit(e, v, [[F(1)], [F(1)]]) == (F(7),)
+    # on a rank-1 module every Q_i is 1: the limit is the constant term
+    assert lc.default_projection_polynomials(e) == [[1], [1]]
+    assert lc.dl_limit(e, v) == (F(7),)
 
 
 def test_dl_projection_agrees_with_limit_at_large_l(n2):
@@ -581,16 +606,44 @@ def test_dl_projection_agrees_with_limit_at_large_l(n2):
     a1 = ((F(0), F(1)), (F(0), F(0)))
     a2 = ((F(1, 5), F(0)), (F(0), F(1, 5)))
     e = lc.apply_ui(emb, h, [a1, a2], 6)
-    polys = lc.default_projection_polynomials(e)
     v = (
         build_series(n2, h, {(0, 0): 2, (1, 1): 1, (2, 0): 3}, 6),
         build_series(n2, h, {(0, 0): 1, (0, 2): 9}, 6),
     )
-    w = lc.dl_limit(e, v, polys)
+    w = lc.dl_limit(e, v)
     for l in (2, 3, 5):
-        proj = lc.dl_projection(e, v, polys, l)
+        proj = lc.dl_projection(e, v, l)
         zero = n2.gp.zero()
         assert tuple(s.coeff(zero) for s in proj) == w
+
+
+def test_dl_limit_fails_its_eigenvector_check_on_a_wrong_target(monkeypatch, n2):
+    """Q_i built with a block other than the first as target (a fault of the
+    program) projects off the H^0_{xi_1} eigenspace: CertificationFailed."""
+    h = ws.default_weighting(n2)
+    e = lc.apply_ui(lc.facet_embedding(n2), h, [((0, 0), (0, F(1, 3))), ((0, 0), (0, 0))], 4)
+    v = tuple(build_series(n2, h, {(0, 0): 1}, 4) for _ in range(2))
+    assert lc.dl_limit(e._replace(), v) == (F(-1, 3), F(0))
+    blocks, indices = e.joint_blocks, e.nilpotency_indices
+    with monkeypatch.context() as mp:
+        mp.setitem(e.__dict__, "joint_blocks", blocks[::-1])
+        mp.setitem(e.__dict__, "nilpotency_indices", indices[::-1])
+        assert lc.default_projection_polynomials(e) == [[0, 1], [1]]  # the last block as target
+    assert e.joint_blocks is blocks
+    with pytest.raises(CertificationFailed, match="eigenvector check"):
+        lc.dl_limit(e, v)
+
+
+def test_dl_limit_fails_its_stabilization_check_without_the_pairs(monkeypatch, n2):
+    """D_l without its pair factors (a fault of the program) keeps the
+    non-constant terms: CertificationFailed."""
+    factor = lc._dl_factor
+    monkeypatch.setattr(lc, "_dl_factor", lambda e, i, mi, l: factor(e, i, mi, 0))
+    h = ws.default_weighting(n2)
+    e = lc.apply_ui(lc.facet_embedding(n2), h, [((F(1, 3),),), ((F(0),),)], 6)
+    v = (build_series(n2, h, {(0, 0): 7, (2, 1): 4}, 6),)
+    with pytest.raises(CertificationFailed, match="stabilization check"):
+        lc.dl_limit(e, v)
 
 
 # -- homotopy ---------------------------------------------------------------------------------
@@ -969,9 +1022,8 @@ def test_unipotence_analyses_the_module_once(monkeypatch, n2):
         lc.shear(e)
         if lc.smat_is_constant_all(e):
             v = (build_series(n2, h, {(0, 0): 1, (1, 0): 2}, 4), build_series(n2, h, {(0, 0): 5}, 4))
-            polys = lc.default_projection_polynomials(e)
-            lc.dl_projection(e, v, polys, 4)
-            assert lc.dl_limit(e, v, polys) == (F(5), F(0))
+            lc.dl_projection(e, v, 4)
+            assert lc.dl_limit(e, v) == (F(5), F(0))
         assert counts == {"spectrum": e.embedding.r, "filtration": 1, "sd": 1}
         assert len(faces) > 1 and len({r.filtration_ranks for r in reports}) == 1
         assert all(r.sheared_exponents is reports[0].sheared_exponents for r in reports)
@@ -1011,9 +1063,8 @@ def test_dl_operators_reuse_the_module_analysis(monkeypatch, n2):
     lc.exponents(e)
     first = len(calls)
     v = (build_series(n2, h, {(0, 0): 1, (1, 0): 2}, 4), build_series(n2, h, {(0, 0): 5}, 4))
-    polys = lc.default_projection_polynomials(e)
-    lc.dl_projection(e, v, polys, 4)
-    assert lc.dl_limit(e, v, polys) == (F(5), F(0))
+    lc.dl_projection(e, v, 4)
+    assert lc.dl_limit(e, v) == (F(5), F(0))
     assert len(calls) == first
 
 

@@ -68,7 +68,15 @@ the Smith forms of f^gp and of the splitting are built on every call.  The
 saturation invariance rows time `saturation_invariance_check` on [p^-1, 1]
 at the vertex point of N \\ {1} = <2, 3> and of the cone over the pentagon
 pyramid of tests/data/pyramid_pentagon.json, each call on a fresh copy of
-the monoid (its weighting, saturation, balls and h+ memo cold).
+the monoid (its weighting, saturation, balls and h+ memo cold).  The
+D_l rows time what `connection dl` computes, the module's projection
+polynomials and `dl_limit` on each basis section, on a fresh copy of a
+constant rank-n module (n = 2, 3, 4, truncation 4) over N (residue
+P J P^-1, J a Jordan block of size 2 and eigenvalues from {0, 1/2, 1/3,
+1/4}, P unipotent) and over N^2 (that residue and P D P^-1, D half the
+diagonal of J), so the residue analysis is cold; and `dl_constant_term` at
+l = T of a dense disk series over N^2 truncated at T = 4, 8.  They draw
+from their own seeded generator, so the other rows keep their inputs.
 Entries are small rationals (numerators -9..9, denominators up to
 6) or small integers from a fixed seed, so every run measures the same
 inputs.  Each figure is the median over REPEATS repeats of a loop of at
@@ -158,14 +166,19 @@ def _module(rng: random.Random, m, n: int, t: int):
     return selftest.gauge_built_module(m, model, gauge, n, t)[0]
 
 
-def _jordan_conjugate(rng: random.Random, n: int):
-    """P J P^-1: a Jordan block of size 2 first, then eigenvalues drawn
-    from {0, 1/2, 1/3, 1/4}; P unipotent upper triangular."""
+def _jordan(rng: random.Random, n: int):
+    """(P, J): J a Jordan block of size 2 first, then eigenvalues drawn from
+    {0, 1/2, 1/3, 1/4}; P unipotent upper triangular."""
     eigs = [rng.choice((0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))) for _ in range(n - 1)]
     eigs.insert(0, eigs[0])
     j = [[eigs[i] if i == k else int((i, k) == (0, 1)) for k in range(n)] for i in range(n)]
     p = [[int(i == k) if k <= i else rng.randint(-2, 2) for k in range(n)] for i in range(n)]
-    return _conjugate(p, j)
+    return p, j
+
+
+def _jordan_conjugate(rng: random.Random, n: int):
+    """P J P^-1 for `_jordan`'s (P, J)."""
+    return _conjugate(*_jordan(rng, n))
 
 
 def _conjugate(p, j):
@@ -187,6 +200,26 @@ def _unipotence_module(rng: random.Random, m, t: int):
     model = [_conjugate(p, c) for c in cores[: emb.r]]
     e = lc.apply_ui(emb, ws.default_weighting(m), model, t)
     return e, lc.exponents(e).exponent_set(m), mc.faces(m)
+
+
+def _dl_module(rng: random.Random, m, n: int):
+    """A constant rank-n module over m = N or N^2 at truncation 4: residue
+    P J P^-1 for `_jordan`'s (P, J), and over N^2 also P D P^-1, D half the
+    diagonal of J (it commutes with J, and no two eigenvalues of either
+    residue differ by a nonzero integer)."""
+    p, j = _jordan(rng, n)
+    d = [[Fraction(j[i][i], 2) if i == k else 0 for k in range(n)] for i in range(n)]
+    emb = lc.facet_embedding(m)
+    return lc.apply_ui(emb, ws.default_weighting(m), [_conjugate(p, j), _conjugate(p, d)][: emb.r], 4)
+
+
+def _dl_witnesses(e):
+    """What `connection dl` computes, on a fresh copy of e: the projection
+    polynomials and `dl_limit` on each basis section."""
+    f = e._replace()
+    m, h, t, n = f.monoid, f.weighting, f.truncation, f.rank
+    return lc.default_projection_polynomials(f), [
+        lc.dl_limit(f, tuple(ws.constant_series(m, h, int(j == c), t) for j in range(n))) for c in range(n)]
 
 
 def _spectra(e):
@@ -413,6 +446,15 @@ def main() -> int:
     row("section 5 selftest surjections", lambda: [mc.section(f) for f in surjections])
     for name, m in (("N\\{1}", selftest._nm1()), ("pyramid_pentagon", _data_monoid("pyramid_pentagon"))):
         row(f"saturation_invariance_check {name}", lambda: _saturation_invariance(m))
+    dl_rng = random.Random(SEED)
+    for name, m in (("N", mc.free_monoid(1)), ("N^2", n2)):
+        for n in (2, 3, 4):
+            e = _dl_module(dl_rng, m, n)
+            row(f"dl_limit basis sections n={n} {name} T=4", lambda: _dl_witnesses(e))
+    emb, h = lc.facet_embedding(n2), ws.default_weighting(n2)
+    for t in (4, 8):
+        f = _series(dl_rng, n2, h, t)
+        row(f"dl_constant_term N^2 disk T={t} l={t}", lambda: lc.dl_constant_term(f, t, emb))
     return 0
 
 
