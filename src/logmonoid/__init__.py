@@ -1,101 +1,54 @@
 """logmonoid: exact computations with fine monoids, weighted series on
-polyannuli, and log connections at finite truncation."""
+polyannuli, and log connections at finite truncation.
 
-from .abelian import AbelianGroup
-from .errors import (
-    BudgetExceeded,
-    CertificationFailed,
-    DenominatorVanishes,
-    HypothesisError,
-    IrrationalExponent,
-    LogMonoidError,
-    NonCommutingResidues,
-    NonInvertibleConstantTerm,
-    NoPositiveFunctional,
-    NotInGroupSpan,
-    NotSemiSaturated,
-    NotSubmonoid,
-    NotSurjective,
-    ParseError,
-    SingularSylvester,
-    SingularSystem,
-    TorsionTarget,
-    ZeroProjection,
-)
-from .log_connection import (
-    Embedding,
-    ExponentSet,
-    LogNablaModule,
-    ShearResult,
-    UnipotenceReport,
-    apply_ui,
-    check_sd,
-    dl_constant_term,
-    dl_limit,
-    dl_projection,
-    exponents,
-    facet_embedding,
-    gauge_transform,
-    homotopy_check,
-    is_sigma_unipotent,
-    log_convergence_check,
-    residue,
-    shear,
-    twist_reduce,
-    validate_integrability,
-)
-from .monoid_core import (
-    Face,
-    FineMonoid,
-    MonoidHom,
-    SectionData,
-    divides,
-    faces,
-    facets,
-    free_monoid,
-    from_embedded,
-    from_presentation,
-    is_semi_saturated,
-    is_sharp,
-    is_saturated_bounded,
-    is_vertical,
-    localize,
-    membership,
-    quotient,
-    saturation,
-    section,
-    sharp_quotient,
-    units,
-)
-from .weighted_series import (
-    Radius,
-    TruncatedSeries,
-    ValuationPoint,
-    Weighting,
-    default_weighting,
-    gauss_norm,
-    gauss_norm_interval,
-    h_abs,
-    h_minus,
-    h_plus,
-    point_in_polyannulus,
-    saturation_invariance_check,
-    series,
-    series_add,
-    series_invert,
-    series_mul,
-    valuation_point,
-)
+Each public name is imported from its home module on first access (PEP
+562), so `import logmonoid` loads no submodule and a process loads only
+the modules it uses."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
+# public name -> the submodule that defines it
+_HOMES = {
+    "AbelianGroup": "abelian",
+    **dict.fromkeys((
+        "BudgetExceeded", "CertificationFailed", "DenominatorVanishes", "HypothesisError",
+        "IrrationalExponent", "LogMonoidError", "NonCommutingResidues", "NonInvertibleConstantTerm",
+        "NoPositiveFunctional", "NotInGroupSpan", "NotSemiSaturated", "NotSubmonoid", "NotSurjective",
+        "ParseError", "SingularSylvester", "SingularSystem", "TorsionTarget", "ZeroProjection",
+    ), "errors"),
+    **dict.fromkeys((
+        "Embedding", "ExponentSet", "LogNablaModule", "ShearResult", "UnipotenceReport", "apply_ui",
+        "check_sd", "dl_constant_term", "dl_limit", "dl_projection", "exponents", "facet_embedding",
+        "gauge_transform", "homotopy_check", "is_sigma_unipotent", "log_convergence_check", "residue",
+        "shear", "twist_reduce", "validate_integrability",
+    ), "log_connection"),
+    **dict.fromkeys((
+        "Face", "FineMonoid", "MonoidHom", "SectionData", "divides", "faces", "facets", "free_monoid",
+        "from_embedded", "from_presentation", "is_semi_saturated", "is_sharp", "is_saturated_bounded",
+        "is_vertical", "localize", "membership", "quotient", "saturation", "section", "sharp_quotient",
+        "units",
+    ), "monoid_core"),
+    **dict.fromkeys((
+        "Radius", "TruncatedSeries", "ValuationPoint", "Weighting", "default_weighting", "gauss_norm",
+        "gauss_norm_interval", "h_abs", "h_minus", "h_plus", "point_in_polyannulus",
+        "saturation_invariance_check", "series", "series_add", "series_invert", "series_mul",
+        "valuation_point",
+    ), "weighted_series"),
+    "EnumerationBudget": "oracle",
+}
+__all__ = list(_HOMES)
+
 
 def __getattr__(name):
-    """Resolve `EnumerationBudget` on first use, so that a process which
-    never touches the oracle (every CLI subcommand but selftest) does not
-    import it."""
-    if name == "EnumerationBudget":
-        from .oracle import EnumerationBudget
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
+    return value
 
-        return EnumerationBudget
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__():
+    return sorted({*globals(), *__all__})

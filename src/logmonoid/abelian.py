@@ -11,16 +11,9 @@ import operator
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import snf
+from .errors import checked_make
 
 Elt = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-# Records are NamedTuples.  One that validates its fields subclasses a
-# NamedTuple of them and checks in __new__ (a NamedTuple may not define
-# __new__ itself).  namedtuple's `_make`, which `_replace` calls, builds
-# through tuple.__new__, so such a record sets `_make = checked_make` to
-# build through its constructor and its checks.
-checked_make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class _AbelianGroupFields(NamedTuple):

@@ -4,6 +4,10 @@ Exit codes: 0 ok, 1 selftest failure, 2 parse error, 3 failed self-check of
 a computed result (a fault of the program; the message names the check),
 4 violated algorithm hypothesis (the message names the hypothesis).
 All numeric output is exact rationals.
+
+Each subcommand imports the engine modules it runs, a connection
+subcommand once its document is read, so start-up loads only `errors` and
+`documents` and a document the JSON alone rejects exits before the engine.
 """
 
 from __future__ import annotations
@@ -15,10 +19,6 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import log_connection as lc
-from . import monoid_core as mc
-from . import weighted_series as ws
-from .abelian import checked_make
 from .documents import (
     MonoidContext,
     load_json,
@@ -28,7 +28,7 @@ from .documents import (
     parse_sigma,
     render_rational,
 )
-from .errors import CertificationFailed, HypothesisError, ParseError
+from .errors import CertificationFailed, HypothesisError, ParseError, checked_make
 
 
 # Miller-Rabin to the first 13 prime bases decides primality exactly below
@@ -114,6 +114,8 @@ def _describe_vector(v) -> list[str]:
 
 
 def cmd_monoid_analyze(path: str, config: RunConfig) -> dict:
+    from . import monoid_core as mc
+
     ctx = parse_monoid(load_json(path))
     m = ctx.monoid
     faces = mc.faces(m)
@@ -147,6 +149,8 @@ def _load_sigma(ctx: MonoidContext, path):
 
 def cmd_connection(args, config: RunConfig) -> dict:
     ctx, module = parse_connection(load_json(args.input))
+    from . import log_connection as lc, monoid_core as mc, weighted_series as ws
+
     sub = args.subcommand
     if sub == "exponents":
         dec = lc.exponents(module)

@@ -29,10 +29,10 @@ irreducible ones.
 
 A phase-1 simplex with Bland's rule remains for questions about cones
 known only by generators: a functional positive on given vectors (the
-default weighting) and membership (`cone_member`, the tests' independent
-reference; verticality reads the facet normals), each answer a
-certificate.  Its tableau rows are primitive integer rows, so it pivots
-without Fractions and builds one Fraction per basic value at the end.
+default weighting) and, in the tests' independent reference, membership
+(verticality reads the facet normals), each answer a certificate.  Its
+tableau rows are primitive integer rows, so it pivots without Fractions
+and builds one Fraction per basic value at the end.
 """
 
 from __future__ import annotations
@@ -110,13 +110,6 @@ def simplex_feasible(
         elif row[total]:
             return None
     return x
-
-
-def cone_member(rays: Sequence[Sequence[Rational]], target: Sequence[Rational]) -> Optional[list[Fraction]]:
-    """Nonnegative rational coefficients expressing target in cone(rays), or None."""
-    if not rays:
-        return [] if not any(target) else None
-    return simplex_feasible([[r[i] for r in rays] for i in range(len(target))], target)
 
 
 def support_functional(

@@ -20,6 +20,11 @@ section's converter reads a distinct monomial once (`_converted`, a memo
 of the MONOMIAL_CACHE_SIZE most recent).
 Every entry of a monoid's index is a function of the monoid alone, so no
 answer depends on what the caches hold or on the order documents come in.
+
+A document is read before the engine loads: everything the JSON alone
+decides (fields, integers, shapes, each entry's rank x rank shape and its
+rationals) is checked first, then the engine converts the monomials and
+builds the monoid section, the embedding, the maps and the module.
 """
 
 from __future__ import annotations
@@ -30,14 +35,15 @@ import sys
 from fractions import Fraction
 from functools import cache, lru_cache
 from operator import mul
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from .abelian import Elt
 from .errors import ParseError
-from .log_connection import Embedding, ExponentSet, LogNablaModule, facet_embedding
-from .monoid_core import FineMonoid, from_embedded, from_presentation
-from .qlin import over_lcm, qmat_mul, solve_map
-from .weighted_series import Radius, Weighting, coefficient_map, default_weighting
+
+if TYPE_CHECKING:
+    from .abelian import Elt
+    from .log_connection import Embedding, ExponentSet, LogNablaModule
+    from .monoid_core import FineMonoid
+    from .weighted_series import Radius, Weighting
 
 
 # How many analysed monoid sections, and as many embeddings, stay cached.
@@ -158,14 +164,12 @@ class MonoidContext(NamedTuple):
     ambient_map: Optional[Callable[[], list[list[int]]]] = None
 
     def parse_element(self, obj) -> Elt:
-        if not isinstance(obj, dict) or "free" not in obj:
-            raise ParseError(f"gp element must be {{'free': [...], 'torsion': [...]}}: {obj!r}")
-        free = _integers(obj["free"], "free")
-        torsion = _integers(obj.get("torsion", []), "torsion")
-        if torsion and self.ambient_generators is not None:
-            raise ParseError(f"torsion: an element of an embedded monoid has no torsion part, got {list(torsion)}")
+        return self.element(_read_element(obj, self.ambient_generators is not None))
+
+    def element(self, x: tuple) -> Elt:
+        """The gp element of read (free, torsion) fields (`_read_element`)."""
         try:
-            return _converted(self.convert, (free, torsion))
+            return _converted(self.convert, x)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
 
@@ -194,31 +198,55 @@ class MonoidContext(NamedTuple):
         return tuple(Fraction(sum(map(mul, row, vec)), den * dv) for row in rows)
 
 
+def _read_element(obj, embedded: bool) -> tuple:
+    """The validated (free, torsion) fields of a gp element, of an embedded monoid if embedded."""
+    if not isinstance(obj, dict) or "free" not in obj:
+        raise ParseError(f"gp element must be {{'free': [...], 'torsion': [...]}}: {obj!r}")
+    free = _integers(obj["free"], "free")
+    torsion = _integers(obj.get("torsion", []), "torsion")
+    if torsion and embedded:
+        raise ParseError(f"torsion: an element of an embedded monoid has no torsion part, got {list(torsion)}")
+    return free, torsion
+
+
 def parse_monoid(doc: dict) -> MonoidContext:
     """The monoid section of a document.  Equal sections, however written,
     share one analysed monoid (`_monoid_section`); the weighting is checked
     against it per document."""
+    return _build_monoid(*_read_monoid(doc))
+
+
+def _read_monoid(doc) -> tuple[tuple, Optional[tuple]]:
+    """The validated fields of a monoid section: the arguments of
+    `_monoid_section`, and the weighting or None for the default."""
     if not isinstance(doc, dict):
         raise ParseError("monoid document must be an object")
     if "generators" in doc:
         n = _integer(doc["generators"], "generators")
-        section = _monoid_section(n, _integers(doc.get("relations", []), "relations", 3), None)
+        section = (n, _integers(doc.get("relations", []), "relations", 3), None)
     elif "embedded_generators" in doc:
         vectors = _integers(doc["embedded_generators"], "embedded_generators", 2)
         if _integers(doc.get("torsion", []), "torsion"):
             raise ParseError("torsion: embedded generators lie in Z^k; a group with torsion needs a presentation "
                              "('generators' and 'relations')")
-        section = _monoid_section(None, (), vectors)
+        section = (None, (), vectors)
     else:
         raise ParseError("monoid document needs 'generators' or 'embedded_generators'")
-    monoid, ambient, convert, exponent_map, ambient_map = section
-    if "weighting" in doc:
+    return section, _integers(doc["weighting"], "weighting") if "weighting" in doc else None
+
+
+def _build_monoid(section: tuple, weights: Optional[tuple]) -> MonoidContext:
+    """The context of a read monoid section (`_read_monoid`)."""
+    from .weighted_series import Weighting, default_weighting
+
+    monoid, ambient, convert, exponent_map, ambient_map = _monoid_section(*section)
+    if weights is None:
+        w = default_weighting(monoid)
+    else:
         try:
-            w = Weighting(monoid, _integers(doc["weighting"], "weighting"))
+            w = Weighting(monoid, weights)
         except ValueError as exc:
             raise ParseError(f"bad weighting: {exc}") from exc
-    else:
-        w = default_weighting(monoid)
     return MonoidContext(monoid, w, ambient, convert, exponent_map, ambient_map)
 
 
@@ -229,6 +257,8 @@ def _monoid_section(n: Optional[int], relations: tuple, vectors: Optional[tuple]
     but the weighting.  Every entry of the monoid's index is a function of
     the monoid alone, so documents sharing it get the answers a fresh one
     would give; a section that fails is not cached."""
+    from .monoid_core import from_embedded, from_presentation
+
     if vectors is None:
         try:
             monoid = from_presentation(n, relations)
@@ -242,6 +272,8 @@ def _monoid_section(n: Optional[int], relations: tuple, vectors: Optional[tuple]
 
     @cache
     def exponent_map():
+        from .qlin import over_lcm, qmat_mul, solve_map
+
         # solve for the generator coefficients, then sum the generators' gp coordinates
         to_coeffs, checks = solve_map([[v[i] for v in vectors] for i in range(len(vectors[0]))])
         gens = [[g[0][i] for g in monoid.generators] for i in range(monoid.gp.free_rank)]
@@ -277,6 +309,8 @@ def clear_caches() -> None:
 
 
 def parse_radius(obj) -> Radius:
+    from .weighted_series import Radius
+
     if obj in ("zero", 0):
         return Radius.zero()
     if isinstance(obj, dict):
@@ -292,6 +326,8 @@ def _embedding(ctx: MonoidContext, rows: Optional[tuple]) -> Embedding:
     rows is None.  Keyed by the whole context: its converters are those of
     one build of the section, so an entry is never handed to an equal
     monoid rebuilt after that build left the section cache."""
+    from .log_connection import Embedding, facet_embedding
+
     if rows is None:
         return facet_embedding(ctx.monoid)
     d = ctx.monoid.gp.free_rank
@@ -313,75 +349,101 @@ def _embedding(ctx: MonoidContext, rows: Optional[tuple]) -> Embedding:
 
 
 def parse_connection(doc: dict) -> tuple[MonoidContext, LogNablaModule]:
+    """The context and module of a connection document, read before they are built."""
     if not isinstance(doc, dict):
         raise ParseError("connection document must be an object")
     for field in ("monoid", "rank", "truncation"):
         if field not in doc:
             raise ParseError(f"connection document needs '{field}'")
-    ctx = parse_monoid(doc["monoid"])
+    section, weights = _read_monoid(doc["monoid"])
     rank = _integer(doc["rank"], "rank")
     truncation = _integer(doc["truncation"], "truncation")
     if rank < 1:
         raise ParseError(f"rank must be at least 1, got {rank}")
+    if rank * rank > sys.maxsize:
+        raise ParseError(f"rank: a {rank} x {rank} matrix has more entries than a list holds ({sys.maxsize})")
     if truncation < 0:
         raise ParseError(f"truncation must be non-negative, got {truncation}")
     interval_kind = doc.get("interval_kind", "disk")
     if interval_kind not in ("disk", "annulus", "point"):
         raise ParseError("interval_kind must be disk, annulus or point")
-    annulus = interval_kind == "annulus"
-    emb = _embedding(ctx, _integers(doc["embedding"], "embedding", 2) if "embedding" in doc else None)
+    rows = _integers(doc["embedding"], "embedding", 2) if "embedding" in doc else None
+    embedded = section[2] is not None  # embedded generators, not a presentation
+    matrices = _read_matrix_list(doc, "matrices", rank, embedded)
+    base = _read_matrix_list(doc, "base_matrices", rank, embedded) if "base_matrices" in doc else None
 
-    def parse_matrix_list(name: str, count: Optional[int] = None) -> tuple:
-        """The coefficient maps of the items of doc[name], one per index
-        below count (the number of items when count is None)."""
-        items = doc.get(name, [])
-        if not isinstance(items, list):
-            raise ParseError(f"{name}: expected a list of {{'i': .., 'terms': [..]}} objects, got {items!r}")
-        count = len(items) if count is None else count
+    from .log_connection import LogNablaModule
+    from .weighted_series import coefficient_map
+
+    ctx = _build_monoid(section, weights)
+    emb = _embedding(ctx, rows)
+
+    annulus = interval_kind == "annulus"
+
+    def build(name: str, items: list, count: int) -> tuple:
+        """The coefficient maps of read items, one per index below count."""
         per_index: dict[int, dict[Elt, list[tuple[int, int]]]] = {}
-        for item in items:
-            if not isinstance(item, dict) or "i" not in item:
-                raise ParseError(f"{name}: expected an object with 'i' and 'terms', got {item!r}")
-            i = _integer(item["i"], "i")
+        for i, terms in items:
             if not 0 <= i < count:
                 raise ParseError(f"{name}: matrix index {i} out of range")
-            terms = per_index.setdefault(i, {})
-            listed = item.get("terms", [])
-            if not isinstance(listed, list):
-                raise ParseError(f"{name}: index {i}: terms: expected a list, got {listed!r}")
-            for term in listed:
-                if not isinstance(term, dict) or "m" not in term or "entries" not in term:
-                    raise ParseError(f"{name}: index {i}: terms: expected an object with 'm' and 'entries', "
-                                     f"got {term!r}")
-                key = ctx.parse_element(term["m"])
-                if key in terms:
-                    raise ParseError(f"{name}: index {i} lists the monomial {json.dumps(term['m'])} twice")
-                entries = term["entries"]
-                if not (isinstance(entries, list) and len(entries) == rank
-                        and all(isinstance(r, list) and len(r) == rank for r in entries)):
-                    raise ParseError(f"{name}: index {i}: entries: matrix entries must be rank x rank "
-                                     f"({rank} x {rank}), got {entries!r}")
-                terms[key] = [_rational_parts(x) for r in entries for x in r]
+            keyed = per_index.setdefault(i, {})
+            for m, fields, parts in terms:
+                key = ctx.element(fields)
+                if key in keyed:
+                    raise ParseError(f"{name}: index {i} lists the monomial {json.dumps(m)} twice")
+                keyed[key] = parts
         maps = []
         for i in range(count):
-            terms = per_index.get(i, {})
-            rows, den = _numerators(list(terms.values()))
+            keyed = per_index.get(i, {})
+            num_rows, den = _numerators(list(keyed.values()))
             try:
-                maps.append(coefficient_map(ctx.weighting, truncation, dict(zip(terms, rows)), annulus, den))
+                maps.append(coefficient_map(ctx.weighting, truncation, dict(zip(keyed, num_rows)), annulus, den))
             except ValueError as exc:  # a disk matrix with a term off M
                 raise ParseError(f"{name}: index {i}: {exc}") from exc
         return tuple(maps)
 
-    matrices = parse_matrix_list("matrices", emb.r)
-    base = parse_matrix_list("base_matrices") if "base_matrices" in doc else None
+    maps = build("matrices", matrices, emb.r)
+    base_maps = build("base_matrices", base, len(base)) if base is not None else None
     try:
-        module = LogNablaModule(rank, emb, ctx.weighting, truncation, matrices, base, interval_kind)
+        module = LogNablaModule(rank, emb, ctx.weighting, truncation, maps, base_maps, interval_kind)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return ctx, module
 
 
+def _read_matrix_list(doc: dict, name: str, rank: int, embedded: bool) -> list:
+    """The items of doc[name] read: (i, [(m as written, its read fields,
+    the rank x rank entries as (num, den) parts), ...]) per item."""
+    items = doc.get(name, [])
+    if not isinstance(items, list):
+        raise ParseError(f"{name}: expected a list of {{'i': .., 'terms': [..]}} objects, got {items!r}")
+    out = []
+    for item in items:
+        if not isinstance(item, dict) or "i" not in item:
+            raise ParseError(f"{name}: expected an object with 'i' and 'terms', got {item!r}")
+        i = _integer(item["i"], "i")
+        listed = item.get("terms", [])
+        if not isinstance(listed, list):
+            raise ParseError(f"{name}: index {i}: terms: expected a list, got {listed!r}")
+        terms = []
+        for term in listed:
+            if not isinstance(term, dict) or "m" not in term or "entries" not in term:
+                raise ParseError(f"{name}: index {i}: terms: expected an object with 'm' and 'entries', "
+                                 f"got {term!r}")
+            fields = _read_element(term["m"], embedded)
+            entries = term["entries"]
+            if not (isinstance(entries, list) and len(entries) == rank
+                    and all(isinstance(r, list) and len(r) == rank for r in entries)):
+                raise ParseError(f"{name}: index {i}: entries: matrix entries must be rank x rank "
+                                 f"({rank} x {rank}), got {entries!r}")
+            terms.append((term["m"], fields, [_rational_parts(x) for r in entries for x in r]))
+        out.append((i, terms))
+    return out
+
+
 def parse_sigma(ctx: MonoidContext, doc: dict) -> ExponentSet:
+    from .log_connection import ExponentSet
+
     if not isinstance(doc, dict) or "elements" not in doc:
         raise ParseError("sigma document needs 'elements'")
     elements = doc["elements"]

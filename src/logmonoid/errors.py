@@ -1,9 +1,17 @@
-"""Typed errors raised by the algebra kernels.
+"""Typed errors raised by the algebra kernels, and the constructor hook of
+the records whose checks raise ValueError.
 
 Every error that signals a violated mathematical hypothesis derives from
 HypothesisError so the CLI can map them to a single exit code; a failed
 self-check of a computed result is a CertificationFailed, which has its own.
 """
+
+# Records are NamedTuples.  One that validates its fields subclasses a
+# NamedTuple of them and checks in __new__ (a NamedTuple may not define
+# __new__ itself).  namedtuple's `_make`, which `_replace` calls, builds
+# through tuple.__new__, so such a record sets `_make = checked_make` to
+# build through its constructor and its checks.
+checked_make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class LogMonoidError(Exception):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .abelian import Elt, checked_make
+from .abelian import Elt
 from .errors import (
     CertificationFailed,
     DenominatorVanishes,
@@ -38,6 +38,7 @@ from .errors import (
     NotSemiSaturated,
     SingularSylvester,
     ZeroProjection,
+    checked_make,
 )
 from .monoid_core import Face, FineMonoid, is_semi_saturated, is_sharp, membership
 from .qlin import (

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import cone as _cone
 from . import snf as _snf
-from .abelian import AbelianGroup, Elt, GroupSpan, checked_make, group_quotient, quotient_presented
+from .abelian import AbelianGroup, Elt, GroupSpan, group_quotient, quotient_presented
 from .errors import (
     CertificationFailed,
     NoPositiveFunctional,
@@ -28,6 +28,7 @@ from .errors import (
     NotSubmonoid,
     NotSurjective,
     TorsionTarget,
+    checked_make,
 )
 from .qlin import QVector, qmat, qsolve, qvec
 
@@ -78,9 +79,6 @@ class Face(NamedTuple):
 
     def generators(self) -> list[Elt]:
         return [self.parent.generators[i] for i in sorted(self.generator_indices)]
-
-    def is_proper(self) -> bool:
-        return self.generator_indices != frozenset(range(len(self.parent.generators)))
 
 
 class _MonoidHomFields(NamedTuple):

@@ -14,8 +14,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .abelian import Elt, checked_make
-from .errors import BudgetExceeded, SingularSystem
+from .abelian import Elt
+from .errors import BudgetExceeded, SingularSystem, checked_make
 from .monoid_core import FineMonoid, default_weighting as _weights
 from .qlin import qmat, qrank, qsolve, qvec
 

@@ -15,8 +15,8 @@ from itertools import count
 from operator import add, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .abelian import Elt, checked_make
-from .errors import NonInvertibleConstantTerm, NotTorsionFree
+from .abelian import Elt
+from .errors import NonInvertibleConstantTerm, NotTorsionFree, checked_make
 from .monoid_core import (
     FineMonoid,
     default_weighting as _default_values,
@@ -262,13 +262,6 @@ class TruncatedSeries(NamedTuple):
     def coeff(self, g: Elt) -> Fraction:
         return coefficient(self.coefficients, g, 1)[0][0]
 
-    def as_dict(self) -> dict[Elt, Fraction]:
-        return dict(self.terms)
-
-    @property
-    def constant_term(self) -> Fraction:
-        return self.coeff(self.monoid.gp.zero())
-
     def is_zero(self) -> bool:
         return not self.coefficients[0]
 
@@ -452,11 +445,6 @@ class ValuationPoint(_ValuationPointFields):
 def valuation_point(m: FineMonoid, values: Sequence) -> ValuationPoint:
     vals = tuple(INF if v is INF or v == INF else Fraction(v) for v in values)
     return ValuationPoint(m, vals)
-
-
-def vertex_point(m: FineMonoid, h: Weighting) -> ValuationPoint:
-    vals = [Fraction(0) if v == 0 else INF for v in h.values]
-    return ValuationPoint(m, tuple(vals))
 
 
 def point_in_polyannulus(x: ValuationPoint, h: Weighting, a: Radius, b: Radius) -> bool:

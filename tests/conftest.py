@@ -11,7 +11,7 @@ from logmonoid import cone, documents
 from logmonoid import monoid_core as mc
 from logmonoid import weighted_series as ws
 from logmonoid.abelian import group_quotient
-from logmonoid.qlin import qmat, qsolve, qvec
+from logmonoid.qlin import INF, qmat, qsolve, qvec
 # the connection builders live with the selftest registry, which uses them too
 from logmonoid.selftest import build_module, gauge_built_module  # noqa: F401
 
@@ -72,6 +72,20 @@ def build_series(monoid, weighting, terms, truncation, annulus=False):
             elt = monoid.element(key)
         coeffs[elt] = Fraction(c)
     return ws.series(monoid, weighting, coeffs, truncation, annulus=annulus)
+
+
+def vertex_point(m, h):
+    """The valuation point with |t^g| = 1 on the units of h and t^g = 0 on
+    every other generator."""
+    return ws.valuation_point(m, [0 if v == 0 else INF for v in h.values])
+
+
+def cone_member(rays, target):
+    """Nonnegative rational coefficients expressing target in cone(rays), or
+    None: the reference for membership read from the facet normals."""
+    if not rays:
+        return [] if not any(target) else None
+    return cone.simplex_feasible([[r[i] for r in rays] for i in range(len(target))], target)
 
 
 def quotient_route_weighting(m):

@@ -378,7 +378,7 @@ def dl_projection(e, v, q_polys, l):
     emb = e.embedding
     q = max((max(indices, default=1) for indices in indices_per_block), default=1)
     target = decomp.eigentuples[0]
-    sections = [f.as_dict() for f in v]
+    sections = [dict(f.terms) for f in v]
     out_coeffs = [dict() for _ in range(n)]
     for k in sorted(set().union(*sections)):
         vec = qvec([f.get(k, 0) for f in sections])

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from logmonoid import documents
 from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
 from logmonoid import selftest
@@ -459,6 +458,19 @@ def test_malformed_documents_exit_2_naming_the_cause(capsys, tmp_path, argv, con
     assert (code, out) == (2, "") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("rank", [10 ** 40, str(10 ** 40), 2 ** 32])
+@pytest.mark.parametrize("sub", ["exponents", "shear", "dl"])
+def test_a_rank_past_what_a_matrix_holds_is_a_parse_error(capsys, tmp_path, sub, rank):
+    """A rank whose rank x rank entries exceed sys.maxsize ended in an
+    OverflowError traceback (exit 1) from the residues; it is exit 2 naming
+    `rank`, decided before any matrix is built."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"monoid": {"generators": 1, "relations": []}, "rank": rank, "truncation": 2}))
+    code, out, err = run(capsys, "connection", sub, path)
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert err == f"parse error: rank: a {int(rank)} x {int(rank)} matrix has more entries than a list holds ({sys.maxsize})\n"
+
+
 def test_a_module_check_failing_on_a_parsed_document_is_exit_2(capsys, monkeypatch):
     """parse_connection checks every field LogNablaModule checks before it
     builds the module, so no document reaches the module's own checks; one
@@ -467,7 +479,7 @@ def test_a_module_check_failing_on_a_parsed_document_is_exit_2(capsys, monkeypat
     def failing(*args):
         raise ValueError("connection matrices must be rank x rank")
 
-    monkeypatch.setattr(documents, "LogNablaModule", failing)
+    monkeypatch.setattr(lc, "LogNablaModule", failing)
     code, out, err = run(capsys, "connection", "exponents", DATA / N2_DOC)
     assert (code, out) == (2, "") and "rank x rank" in err and "Traceback" not in err
 
@@ -583,22 +595,56 @@ def test_monoid_analyze_a_monoid_with_units(capsys, tmp_path):
     assert [u["ambient"] for u in report["units"]] == [[1, 0], [-1, 0]]
 
 
-def test_cli_process_imports_only_what_it_runs():
-    """Importing the CLI loads neither dataclasses (nor the inspect it pulls
-    in) nor the oracle and selftest, which only `selftest` runs; the package
-    still answers for `EnumerationBudget`.  -S keeps site-packages .pth
-    files out of sys.modules."""
-    code = (
-        "import logmonoid.cli, sys; "
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'random', 'logmonoid.oracle', "
-        "'logmonoid.selftest') if m in sys.modules)); "
-        "import logmonoid; print(logmonoid.EnumerationBudget(3))"
-    )
+# Run under -S in a fresh process: the logmonoid modules loaded by `import
+# logmonoid`, by `import logmonoid.cli`, after each connection document of
+# argv[2:] runs `connection shear`, and whether monoid-analyze on argv[1]
+# loads log_connection.
+_IMPORT_PROBE = """
+import contextlib, io, sys
+def loaded():
+    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("logmonoid."))
+import logmonoid
+print(loaded())
+import logmonoid.cli
+print(loaded(), sorted(m for m in ("dataclasses", "inspect", "random") if m in sys.modules))
+for path in sys.argv[2:]:
+    with contextlib.redirect_stderr(io.StringIO()):
+        print(logmonoid.cli.main(["connection", "shear", path]), loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = logmonoid.cli.main(["monoid-analyze", sys.argv[1]])
+print(code, "log_connection" in loaded())
+print(logmonoid.EnumerationBudget(3))
+"""
+
+
+def test_cli_process_imports_only_what_it_runs(tmp_path):
+    """`import logmonoid` loads no submodule, and `import logmonoid.cli`
+    only `errors` and `documents`: no engine module, nor dataclasses (or the
+    inspect it pulls in) nor random.  A connection document that the JSON
+    alone rejects (malformed, missing rank, a bad rational, misshapen
+    entries) exits 2 before any engine module loads; monoid-analyze never
+    loads log_connection; the package still answers for
+    `EnumerationBudget`.  -S keeps site-packages .pth files out of
+    sys.modules."""
+    good = (DATA / "rank2_connection.json").read_text()
+    bad_rational, bad_shape, missing_rank = json.loads(good), json.loads(good), json.loads(good)
+    bad_rational["matrices"][0]["terms"][0]["entries"][0][0] = "1/0"
+    bad_shape["matrices"][0]["terms"][0]["entries"].append(["0", "0", "0"])
+    del missing_rank["rank"]
+    paths = []
+    for name, text in [("malformed", good[:40]), ("bad_rational", json.dumps(bad_rational)),
+                       ("bad_shape", json.dumps(bad_shape)), ("missing_rank", json.dumps(missing_rank))]:
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(text)
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-S", "-c", _IMPORT_PROBE, DATA / "nm1.json", *paths],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.splitlines() == ["[]", "EnumerationBudget(weight_bound=3, element_cap=100000)"]
+    front = "['cli', 'documents', 'errors']"
+    assert proc.stdout.splitlines() == [
+        "[]", f"{front} []", *[f"2 {front}"] * 4, "0 False",
+        "EnumerationBudget(weight_bound=3, element_cap=100000)",
+    ]
 
 
 def test_readme_quick_tour_runs():

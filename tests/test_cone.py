@@ -17,7 +17,7 @@ from logmonoid import oracle as orc
 from logmonoid.errors import NotSharp, NotSurjective, TorsionTarget
 from logmonoid.qlin import qmat, qrank, qsolve, qvec
 
-from conftest import face_quotient_route_semi_saturated, quotient_route_weighting
+from conftest import cone_member, face_quotient_route_semi_saturated, quotient_route_weighting
 
 
 def _reference_faces(vectors, d):
@@ -45,7 +45,7 @@ def _reference_units(vectors):
     vecs = [qvec(v) for v in vectors]
     return {
         j for j, v in enumerate(vecs)
-        if not any(v) or cone.cone_member(vecs, tuple(-x for x in v)) is not None
+        if not any(v) or cone_member(vecs, tuple(-x for x in v)) is not None
     }
 
 
@@ -114,7 +114,7 @@ def test_facet_layer_matches_subset_lps(case):
     vecs = [qvec(g[0]) for g in m.generators]
     for _ in range(12):
         x = [rng.randint(-3, 3) for _ in range(m.gp.free_rank)]
-        assert _in_cone(c, x) == (cone.cone_member(vecs, qvec(x)) is not None), (kind, x)
+        assert _in_cone(c, x) == (cone_member(vecs, qvec(x)) is not None), (kind, x)
 
 
 def test_grid_covers_every_kind():
@@ -167,7 +167,7 @@ def test_cones_spanning_less_than_the_space():
             assert c.faces() == _reference_faces(vectors, 3)
             assert c.lineality == _reference_units(vectors)
             for x in itertools.product(range(-1, 3), repeat=3):
-                assert _in_cone(c, x) == (cone.cone_member([qvec(v) for v in vectors], qvec(x)) is not None)
+                assert _in_cone(c, x) == (cone_member([qvec(v) for v in vectors], qvec(x)) is not None)
 
 
 
@@ -271,7 +271,7 @@ def _searched_vertical(f, bound=6):
     for tgt in m.generators:
         if any(mc.divides(m, tgt, x) for x in _sums(f.images, m.gp, bound)):
             continue
-        if cone.cone_member(rays, tgt[0]) is None:
+        if cone_member(rays, tgt[0]) is None:
             return False
         undecided = True
     return None if undecided else True

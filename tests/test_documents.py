@@ -11,7 +11,7 @@ import pytest
 from logmonoid import documents as docs
 from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
-from logmonoid import snf
+from logmonoid import qlin, snf
 from logmonoid import weighted_series as ws
 from logmonoid.cli import main
 from logmonoid.abelian import AbelianGroup, GroupSpan, quotient_presented
@@ -169,8 +169,8 @@ def test_exponent_vectors_convert_through_one_map(monkeypatch):
     that parses no vector builds none."""
     rng = random.Random(5)
     calls = []
-    solve_map = docs.solve_map
-    monkeypatch.setattr(docs, "solve_map", lambda a: calls.append(1) or solve_map(a))
+    solve_map = qlin.solve_map
+    monkeypatch.setattr(qlin, "solve_map", lambda a: calls.append(1) or solve_map(a))
     monoids = [[[2, 0], [1, 1], [0, 2]], [[2], [3]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]],
                [[1, 2, 0], [0, 3, 1], [1, 5, 1], [2, 1, 1]], [[2, 4], [1, 2], [3, 6]]]
     seen = set()
@@ -487,6 +487,23 @@ def test_a_failing_section_is_not_cached(section, message):
         errors.append(str(info.value))
     assert errors == [message, message]
     assert docs._monoid_section.cache_info().currsize == 0
+
+
+def test_a_fault_the_json_decides_wins_over_one_the_engine_finds():
+    """A connection document is read before the engine builds from it: a
+    bad rational reports itself beside a bad presentation (and an index
+    out of range), which are reported once it is mended."""
+    entry = {"m": {"free": [0, 0]}, "entries": [["1/0"]]}
+    doc = {"monoid": {"generators": 2, "relations": [[[1, -1], [0, 1]]]}, "rank": 1, "truncation": 2,
+           "matrices": [{"i": 5, "terms": []}, {"i": 0, "terms": [entry]}]}
+    with pytest.raises(ParseError, match="zero denominator"):
+        docs.parse_connection(doc)
+    entry["entries"] = [["1/2"]]
+    with pytest.raises(ParseError, match="bad presentation"):
+        docs.parse_connection(doc)
+    doc["monoid"] = {"generators": 2}
+    with pytest.raises(ParseError, match="matrices: matrix index 5 out of range"):
+        docs.parse_connection(doc)
 
 
 def test_the_least_recent_section_is_rebuilt_past_the_bound():

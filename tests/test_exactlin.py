@@ -9,6 +9,8 @@ from pathlib import Path
 
 from logmonoid import cone, documents, qlin, snf
 
+from conftest import cone_member
+
 F = Fraction
 
 
@@ -573,7 +575,7 @@ def _lattice_points_in_cone(rays, bound):
     for cand in itertools.product(range(-bound, bound + 1), repeat=dim):
         if all(v == 0 for v in cand):
             continue
-        if cone.cone_member([qlin.qvec(r) for r in rays], qlin.qvec(cand)) is not None:
+        if cone_member([qlin.qvec(r) for r in rays], qlin.qvec(cand)) is not None:
             pts.append(cand)
     return pts
 

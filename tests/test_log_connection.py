@@ -503,7 +503,7 @@ def test_unipotence_disk_is_exact_comparison(n1):
     # careful: exponent 1 and 0 differ by an integer, so use sigma = {1} alone
     sigma_exact = lc.ExponentSet(n1, ((F(1),),))
     sigma_zero = lc.ExponentSet(n1, ((F(0),),))
-    full = next(f for f in mc.faces(n1) if not f.is_proper())
+    full = next(f for f in mc.faces(n1) if len(f.generator_indices) == len(n1.generators))
     assert lc.is_sigma_unipotent(e, sigma_exact, full).verdict
     vertex = next(f for f in mc.faces(n1) if not f.generator_indices)
     assert lc.is_sigma_unipotent(e, sigma_exact, vertex).verdict

@@ -355,9 +355,10 @@ def _data_monoid(name: str):
 def _saturation_invariance(m) -> bool:
     """saturation_invariance_check on [p^-1, 1] at the vertex point of a
     fresh copy of m, so its weighting, saturation, balls and h+ memo are
-    cold."""
+    cold.  The vertex point has |t^g| = 1 on the units and t^g = 0 on every
+    other generator."""
     fresh = mc.FineMonoid(m.gp, m.generators)
-    pts = [ws.vertex_point(fresh, ws.default_weighting(fresh))]
+    pts = [ws.valuation_point(fresh, [0 if v == 0 else qlin.INF for v in ws.default_weighting(fresh).values])]
     return ws.saturation_invariance_check(fresh, ws.Radius.p_power(1), ws.Radius.one(), pts)
 
 
