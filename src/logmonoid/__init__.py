@@ -12,31 +12,32 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _HOMES = {
     "AbelianGroup": "abelian",
+    "Radius": "coefficient_maps",
     **dict.fromkeys((
-        "BudgetExceeded", "CertificationFailed", "DenominatorVanishes", "HypothesisError",
-        "IrrationalExponent", "LogMonoidError", "NonCommutingResidues", "NonInvertibleConstantTerm",
-        "NoPositiveFunctional", "NotInGroupSpan", "NotSemiSaturated", "NotSubmonoid", "NotSurjective",
-        "ParseError", "SingularSylvester", "SingularSystem", "TorsionTarget", "ZeroProjection",
+        "apply_ui", "dl_constant_term", "dl_limit", "dl_projection", "gauge_transform", "homotopy_check",
+        "twist_reduce",
+    ), "constant_models"),
+    **dict.fromkeys((
+        "BudgetExceeded", "CertificationFailed", "DenominatorVanishes", "HypothesisError", "IrrationalExponent",
+        "LogMonoidError", "NonCommutingResidues", "NonInvertibleConstantTerm", "NoPositiveFunctional", "NotInGroupSpan",
+        "NotSemiSaturated", "NotSubmonoid", "NotSurjective", "ParseError", "SingularSylvester", "SingularSystem",
+        "TorsionTarget", "ZeroProjection",
     ), "errors"),
     **dict.fromkeys((
-        "Embedding", "ExponentSet", "LogNablaModule", "ShearResult", "UnipotenceReport", "apply_ui",
-        "check_sd", "dl_constant_term", "dl_limit", "dl_projection", "exponents", "facet_embedding",
-        "gauge_transform", "homotopy_check", "is_sigma_unipotent", "log_convergence_check", "residue",
-        "shear", "twist_reduce", "validate_integrability",
+        "Embedding", "ExponentSet", "LogNablaModule", "ShearResult", "UnipotenceReport", "check_sd", "exponents",
+        "facet_embedding", "is_sigma_unipotent", "log_convergence_check", "residue", "shear", "validate_integrability",
     ), "log_connection"),
     **dict.fromkeys((
-        "Face", "FineMonoid", "MonoidHom", "SectionData", "divides", "faces", "facets", "free_monoid",
-        "from_embedded", "from_presentation", "is_semi_saturated", "is_sharp", "is_saturated_bounded",
-        "is_vertical", "localize", "membership", "quotient", "saturation", "section", "sharp_quotient",
-        "units",
+        "Face", "FineMonoid", "MonoidHom", "SectionData", "Weighting", "divides", "faces", "facets", "free_monoid",
+        "from_embedded", "from_presentation", "is_semi_saturated", "is_sharp", "is_saturated_bounded", "is_vertical",
+        "localize", "membership", "quotient", "saturation", "section", "sharp_quotient", "units",
     ), "monoid_core"),
-    **dict.fromkeys((
-        "Radius", "TruncatedSeries", "ValuationPoint", "Weighting", "default_weighting", "gauss_norm",
-        "gauss_norm_interval", "h_abs", "h_minus", "h_plus", "point_in_polyannulus",
-        "saturation_invariance_check", "series", "series_add", "series_invert", "series_mul",
-        "valuation_point",
-    ), "weighted_series"),
     "EnumerationBudget": "oracle",
+    **dict.fromkeys((
+        "TruncatedSeries", "ValuationPoint", "default_weighting", "gauss_norm", "gauss_norm_interval", "h_abs",
+        "h_minus", "h_plus", "point_in_polyannulus", "saturation_invariance_check", "series", "series_add",
+        "series_invert", "series_mul", "valuation_point",
+    ), "weighted_series"),
 }
 __all__ = list(_HOMES)
 

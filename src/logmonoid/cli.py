@@ -149,7 +149,7 @@ def _load_sigma(ctx: MonoidContext, path):
 
 def cmd_connection(args, config: RunConfig) -> dict:
     ctx, module = parse_connection(load_json(args.input))
-    from . import log_connection as lc, monoid_core as mc, weighted_series as ws
+    from . import log_connection as lc, monoid_core as mc
 
     sub = args.subcommand
     if sub == "exponents":
@@ -161,12 +161,14 @@ def cmd_connection(args, config: RunConfig) -> dict:
             "multiplicities": list(dec.multiplicities),
         }
     if sub == "shear":
+        from .coefficient_maps import coefficient
+
         result = lc.shear(module, p=config.prime)
         gauge_terms = [
             {
                 "m": ctx.render_element(key),
                 "entries": [[render_rational(x) for x in row]
-                            for row in lc.coefficient(result.gauge_map, key, module.rank)],
+                            for row in coefficient(result.gauge_map, key, module.rank)],
             }
             for key, _ in result.gauge_map[0]
         ]
@@ -220,10 +222,13 @@ def cmd_connection(args, config: RunConfig) -> dict:
             "all_unipotent": all(row["verdict"] for row in table),
         }
     if sub == "dl":
-        polys = lc.default_projection_polynomials(module)
+        from .constant_models import default_projection_polynomials, dl_limit
+        from .weighted_series import constant_series
+
+        polys = default_projection_polynomials(module)
         n, m, w, t = module.rank, module.monoid, module.weighting, module.truncation
         witnesses = [
-            _describe_vector(lc.dl_limit(module, tuple(ws.constant_series(m, w, int(j == comp), t) for j in range(n))))
+            _describe_vector(dl_limit(module, tuple(constant_series(m, w, int(j == comp), t) for j in range(n))))
             for comp in range(n)
         ]
         return {
@@ -232,6 +237,8 @@ def cmd_connection(args, config: RunConfig) -> dict:
             "l": args.l,
         }
     if sub == "homotopy":
+        from .constant_models import homotopy_check
+
         sigma = _load_sigma(ctx, args.sigma)
         if len(sigma.elements) < 2:
             raise ParseError("homotopy needs a --sigma document with two elements (xi, xi')")
@@ -243,7 +250,7 @@ def cmd_connection(args, config: RunConfig) -> dict:
             for size in range(0, min(emb.r, 2) + 1):
                 for wedge in it.combinations(range(emb.r), size):
                     forms.append({(key, wedge): Fraction(1)})
-        rep = lc.homotopy_check(emb, xi, xi_p, forms)
+        rep = homotopy_check(emb, xi, xi_p, forms)
         return {
             "xi": _describe_vector(xi),
             "xi_prime": _describe_vector(xi_p),
@@ -251,8 +258,10 @@ def cmd_connection(args, config: RunConfig) -> dict:
             "residuals_zero": rep.all_zero,
         }
     if sub == "logconv":
-        radius = parse_radius(args.radius) if args.radius else ws.Radius.p_power(1)
-        eta = parse_radius(args.eta) if args.eta else ws.Radius.p_power(Fraction(1, 2))
+        from .coefficient_maps import Radius
+
+        radius = parse_radius(args.radius) if args.radius else Radius.p_power(1)
+        eta = parse_radius(args.eta) if args.eta else Radius.p_power(Fraction(1, 2))
         if radius.is_zero:
             raise ParseError("--radius must be a rational exponent q (radius p^-q), not zero")
         if eta.is_zero or eta.value_exponent() <= 0:

@@ -41,9 +41,9 @@ from .errors import ParseError
 
 if TYPE_CHECKING:
     from .abelian import Elt
+    from .coefficient_maps import Radius
     from .log_connection import Embedding, ExponentSet, LogNablaModule
-    from .monoid_core import FineMonoid
-    from .weighted_series import Radius, Weighting
+    from .monoid_core import FineMonoid, Weighting
 
 
 # How many analysed monoid sections, and as many embeddings, stay cached.
@@ -237,11 +237,11 @@ def _read_monoid(doc) -> tuple[tuple, Optional[tuple]]:
 
 def _build_monoid(section: tuple, weights: Optional[tuple]) -> MonoidContext:
     """The context of a read monoid section (`_read_monoid`)."""
-    from .weighted_series import Weighting, default_weighting
+    from .monoid_core import Weighting, default_weighting
 
     monoid, ambient, convert, exponent_map, ambient_map = _monoid_section(*section)
     if weights is None:
-        w = default_weighting(monoid)
+        w = Weighting(monoid, default_weighting(monoid))
     else:
         try:
             w = Weighting(monoid, weights)
@@ -309,7 +309,7 @@ def clear_caches() -> None:
 
 
 def parse_radius(obj) -> Radius:
-    from .weighted_series import Radius
+    from .coefficient_maps import Radius
 
     if obj in ("zero", 0):
         return Radius.zero()
@@ -372,8 +372,8 @@ def parse_connection(doc: dict) -> tuple[MonoidContext, LogNablaModule]:
     matrices = _read_matrix_list(doc, "matrices", rank, embedded)
     base = _read_matrix_list(doc, "base_matrices", rank, embedded) if "base_matrices" in doc else None
 
+    from .coefficient_maps import coefficient_map
     from .log_connection import LogNablaModule
-    from .weighted_series import coefficient_map
 
     ctx = _build_monoid(section, weights)
     emb = _embedding(ctx, rows)

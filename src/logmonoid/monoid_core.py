@@ -477,6 +477,36 @@ def weight_of(m: FineMonoid, values: tuple[int, ...], g: Elt) -> Fraction:
     return m.index.weighted(values).weight(g)
 
 
+class _WeightingFields(NamedTuple):
+    monoid: FineMonoid
+    values: tuple[int, ...]
+
+
+class Weighting(_WeightingFields):
+    """h: M -> N vanishing exactly on the units."""
+
+    __slots__ = ()
+    _make = checked_make
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        m = self.monoid
+        if len(self.values) != len(m.generators):
+            raise ValueError("one weight per generator required")
+        if any(v < 0 for v in self.values):
+            raise ValueError("weights must be non-negative")
+        m.index.weighted(self.values)  # raises if not a homomorphism
+        units_idx = m.index.unit_indices
+        for i, v in enumerate(self.values):
+            if (v == 0) != (i in units_idx):
+                raise ValueError("weights must vanish exactly on unit generators")
+        return self
+
+    def __call__(self, g: Elt) -> Fraction:
+        """Group extension of h (integral on gp, may be negative off M)."""
+        return self.monoid.index.weighted(self.values).weight(g)
+
+
 # ---------------------------------------------------------------------------
 # membership by weight-bounded search
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def brute_h_plus(m: FineMonoid, g: Elt, budget: EnumerationBudget) -> int:
 def brute_shear_order(e, k: int):
     """Solve the full order-<= k shear system at once (all equations, all i),
     without the single-index selection trick.  Returns {m: B_m}."""
-    from .log_connection import coefficient
+    from .coefficient_maps import coefficient
 
     m = e.monoid
     emb = e.embedding

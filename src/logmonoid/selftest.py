@@ -14,6 +14,8 @@ import random
 from fractions import Fraction
 from typing import Callable
 
+from . import coefficient_maps as cmaps
+from . import constant_models as cmod
 from . import log_connection as lc
 from . import monoid_core as mc
 from . import oracle as orc
@@ -35,7 +37,7 @@ def _coefficients(monoid, h, per_key, truncation, annulus=False):
         for key in per_key
     }
     coeffs = {elts[k]: [x for row in mat for x in row] for k, mat in per_key.items()}
-    return lc.coefficient_map(h, truncation, coeffs, annulus)
+    return cmaps.coefficient_map(h, truncation, coeffs, annulus)
 
 
 def build_module(monoid, matrix_terms, rank, truncation, embedding=None, kind="disk",
@@ -53,7 +55,7 @@ def build_module(monoid, matrix_terms, rank, truncation, embedding=None, kind="d
 
 def _identity(h, truncation, n):
     """The n x n identity as a coefficient map."""
-    return lc.coefficient_map(h, truncation, {h.monoid.gp.zero(): [int(i == j) for i in range(n) for j in range(n)]})
+    return cmaps.coefficient_map(h, truncation, {h.monoid.gp.zero(): [int(i == j) for i in range(n) for j in range(n)]})
 
 
 def gauge_built_module(monoid, constant_model, gauge_terms, rank, truncation,
@@ -62,7 +64,7 @@ def gauge_built_module(monoid, constant_model, gauge_terms, rank, truncation,
     shear must invert G.  Returns (module, G, G^{-1}), G and G^{-1} as
     coefficient maps."""
     h = ws.default_weighting(monoid)
-    u = lc.apply_ui(lc.facet_embedding(monoid), h, constant_model, truncation,
+    u = cmod.apply_ui(lc.facet_embedding(monoid), h, constant_model, truncation,
                     base_model=base_model)
     zero = (0,) * monoid.gp.free_rank
     g = _coefficients(monoid, h, {zero: identity(rank), **gauge_terms}, truncation)
@@ -72,8 +74,8 @@ def gauge_built_module(monoid, constant_model, gauge_terms, rank, truncation,
     g_inv = power = _identity(h, truncation, rank)
     for _ in range(truncation):
         power = lc.map_product(u, power, minus)
-        g_inv = lc.map_sum(g_inv, power)
-    return lc.gauge_transform(u, g, g_inv), g, g_inv
+        g_inv = cmaps.map_sum(g_inv, power)
+    return cmod.gauge_transform(u, g, g_inv), g, g_inv
 
 
 def _nm1():
@@ -213,7 +215,7 @@ def _shear_suite(prime):
         sr = lc.shear(e, p=prime)
         m, n = e.monoid, e.rank
         b, b_inv = sr.gauge_map, sr.gauge_inverse_map
-        u = lc.apply_ui(e.embedding, e.weighting, sr.constant_model, e.truncation)
+        u = cmod.apply_ui(e.embedding, e.weighting, sr.constant_model, e.truncation)
         # A^i B + d_i B = B A^i_0 for every i (the (**) family, all m)
         for i, (a, a0) in enumerate(zip(e.matrices, u.matrices)):
             same = lc.map_product(e, a, b, i) == lc.map_product(e, b, a0)
@@ -221,16 +223,16 @@ def _shear_suite(prime):
         ident = _identity(e.weighting, e.truncation, n)
         _require(lc.map_product(e, b, b_inv) == ident, f"{name}: B B' != I")
         _require(lc.map_product(e, b_inv, b) == ident, f"{name}: B' B != I")
-        _require(lc.gauge_transform(u, b_inv, b).matrices == e.matrices, f"{name}: round trip")
+        _require(cmod.gauge_transform(u, b_inv, b).matrices == e.matrices, f"{name}: round trip")
         # |B_m| <= Z_m^e C^{2h(m)} a^{-h(m)} in valuation form
         _require(all(r.ok for r in sr.bound_report), f"{name}: norm bound violated")
         _require(planted is None or b == planted, f"{name}: planted gauge missed")
         if name in first_order:
-            got = lc.coefficient(b, m.element((1,)), n)
+            got = cmaps.coefficient(b, m.element((1,)), n)
             _require(got == first_order[name], f"{name}: unexpected first-order gauge {got}")
         if k < 3:
             for key, bm in orc.brute_shear_order(e, 3).items():
-                _require(lc.coefficient(b, key, n) == bm, f"{name}: oracle disagrees at {key}")
+                _require(cmaps.coefficient(b, key, n) == bm, f"{name}: oracle disagrees at {key}")
         orders += len(sr.bound_report)
     return f"{len(fixtures)} fixtures at T=12, {orders} orders, all identities exact"
 
@@ -241,7 +243,7 @@ def _vertex_counterexample(prime):
     facets and the whole monoid, NOT {0}-unipotent at the vertex."""
     m = _m_even()
     xi = tuple(F(c, 2) for c in m.generators[0][0])  # ambient (2, 0): t^{g1} = x
-    e = lc.apply_ui(lc.facet_embedding(m), ws.default_weighting(m), [((F(0),),)] * 2, 12,
+    e = cmod.apply_ui(lc.facet_embedding(m), ws.default_weighting(m), [((F(0),),)] * 2, 12,
                     xi_twist=xi, interval_kind="annulus")
     sigma = lc.ExponentSet(m, ((F(0), F(0)),))
     verdicts = {
@@ -263,13 +265,13 @@ def _dl_suite(prime):
     def s(terms):
         return ws.series(n2, h, {n2.element(k): c for k, c in terms.items()}, t)
 
-    killed = lc.dl_constant_term(s({(1, 0): 1, (0, 2): 3, (2, 1): 5}), t, emb)
+    killed = cmod.dl_constant_term(s({(1, 0): 1, (0, 2): 3, (2, 1): 5}), t, emb)
     _require(killed.is_zero(), "D_6 leaves a tracked monomial")
     const = s({(0, 0): F(3, 7)})
     for l in (1, 3, 6):
-        fixed = ws.series_equal(lc.dl_constant_term(const, l, emb), const)
+        fixed = ws.series_equal(cmod.dl_constant_term(const, l, emb), const)
         _require(fixed, f"D_{l} moves a constant")
-    out = lc.dl_constant_term(s({(0, 0): 1, (1, 1): 3}), 2, emb)
+    out = cmod.dl_constant_term(s({(0, 0): 1, (1, 1): 3}), 2, emb)
     _require(dict(out.terms) == {zero: 1}, "D_2(1 + 3xy) != 1")
     models = [
         [((0, 1), (0, 0)), ((0, 0), (0, 0))],
@@ -280,16 +282,16 @@ def _dl_suite(prime):
         (s({(0, 0): 1, (1, 0): 2}), s({(0, 0): 5})),
     ]
     for k, model in enumerate(models):
-        e = lc.apply_ui(emb, h, model, t)
+        e = cmod.apply_ui(emb, h, model, t)
         target = lc.exponents(e).eigentuples[0]
         for v in vectors:
-            w = lc.dl_limit(e, v)  # asserts res_i(w) = xi_{i,1} w internally
+            w = cmod.dl_limit(e, v)  # asserts res_i(w) = xi_{i,1} w internally
             _require(w == (5, 0), f"model {k}: limit {w}")
             for r, x in zip(lc.residue(e), target):
                 eigen = mat_vec(r, w) == tuple(x * c for c in w)
                 _require(eigen, f"model {k}: the limit is not a residue eigenvector")
             for l in (t, t + 2):
-                proj = lc.dl_projection(e, v, l)
+                proj = cmod.dl_projection(e, v, l)
                 exact = tuple(f.coeff(zero) for f in proj) == w
                 _require(exact and all(key == zero for f in proj for key, _ in f.terms),
                          f"model {k}: D_{l} projection differs from the limit")
@@ -313,7 +315,7 @@ def _homotopy(prime):
     pairs = [(zero, (F(1, 2), F(1, 3))), ((fifth, 2 * fifth), (3 * fifth, fifth)),
              ((fifth, F(0)), (F(0), 2 * fifth)), (zero, zero)]
     for xi, xi_p in pairs:
-        _require(lc.homotopy_check(emb, xi, xi_p, forms).all_zero, f"residual for {xi} -> {xi_p}")
+        _require(cmod.homotopy_check(emb, xi, xi_p, forms).all_zero, f"residual for {xi} -> {xi_p}")
     return f"{len(pairs)} pairs, {len(forms)} forms, residuals identically 0"
 
 
@@ -333,8 +335,8 @@ def _log_convexity(prime):
         if f.is_zero():
             continue
         trials += 1
-        a = ws.Radius(F(rng.randint(0, 8), rng.randint(1, 4)))
-        b = ws.Radius(F(rng.randint(0, 8), rng.randint(1, 4)))
+        a = cmaps.Radius(F(rng.randint(0, 8), rng.randint(1, 4)))
+        b = cmaps.Radius(F(rng.randint(0, 8), rng.randint(1, 4)))
         va = ws.gauss_norm(f, a, prime).exponent
         vb = ws.gauss_norm(f, b, prime).exponent
         for c in (F(1, 4), F(1, 2), F(3, 4)):
@@ -356,7 +358,7 @@ def _saturation_invariance(prime):
     for _ in range(10):
         qb = F(rng.randint(0, 4), rng.randint(1, 3))
         qa = qb + F(rng.randint(0, 4), rng.randint(1, 3))
-        ok = ws.saturation_invariance_check(m, ws.Radius(qa), ws.Radius(qb), pts)
+        ok = ws.saturation_invariance_check(m, cmaps.Radius(qa), cmaps.Radius(qb), pts)
         _require(ok, f"a=p^-{qa} b=p^-{qb}")
     return f"10 intervals, {len(pts)} points, membership + h+ bound agree"
 

@@ -1,10 +1,8 @@
-"""Weighted monoids, truncated monoid-graded series, Gauss norms, polyannuli.
+"""Truncated monoid-graded series, h+/h-/|h|, Gauss norms, polyannuli.
 
-Coefficients are exact rationals, stored as coefficient maps: integer
-numerators at each key over one denominator, a series being the 1 x 1
-case.  Valuations are p-adic for a configurable prime; radii are powers
-p^{-q} with q rational (q = None encodes radius 0), so every norm
-comparison happens in valuation form.
+A series is a 1 x 1 coefficient map (`coefficient_maps`), exact up to
+|h| <= its truncation, for a `monoid_core.Weighting` h.  Valuations are
+p-adic for a configurable prime.
 """
 
 from __future__ import annotations
@@ -12,110 +10,21 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import count
-from operator import add, mul
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .abelian import Elt
-from .errors import NonInvertibleConstantTerm, NotTorsionFree, checked_make
-from .monoid_core import (
-    FineMonoid,
-    default_weighting as _default_values,
-    membership,
-    saturation,
+from .coefficient_maps import (
+    DEFAULT_PRIME, CoefficientMap, Radius, _canonical, _map_mul, _restricted, coefficient, coefficient_map,
+    gauss_valuation, map_sum,
 )
-from .qlin import INF, QMatrix, over_lcm, padic_valuation, qmat, qsolve, qvec
-
-DEFAULT_PRIME = 5
-
-
-class _WeightingFields(NamedTuple):
-    monoid: FineMonoid
-    values: tuple[int, ...]
-
-
-class Weighting(_WeightingFields):
-    """h: M -> N vanishing exactly on the units."""
-
-    __slots__ = ()
-    _make = checked_make
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        m = self.monoid
-        if len(self.values) != len(m.generators):
-            raise ValueError("one weight per generator required")
-        if any(v < 0 for v in self.values):
-            raise ValueError("weights must be non-negative")
-        m.index.weighted(self.values)  # raises if not a homomorphism
-        units_idx = m.index.unit_indices
-        for i, v in enumerate(self.values):
-            if (v == 0) != (i in units_idx):
-                raise ValueError("weights must vanish exactly on unit generators")
-        return self
-
-    def __call__(self, g: Elt) -> Fraction:
-        """Group extension of h (integral on gp, may be negative off M)."""
-        return self.monoid.index.weighted(self.values).weight(g)
+from .errors import NonInvertibleConstantTerm, NotTorsionFree, checked_make
+from .monoid_core import FineMonoid, Weighting, default_weighting as _default_values, membership, saturation
+from .qlin import INF, qmat, qsolve, qvec
 
 
 def default_weighting(m: FineMonoid) -> Weighting:
     """A weighting synthesized from an interior point of the dual cone."""
     return Weighting(m, _default_values(m))
-
-
-class Radius(NamedTuple):
-    """The radius p^{-q}; q = None encodes radius 0.  All four orderings
-    are by radius, never the tuple order of q."""
-
-    q: Optional[Fraction]
-
-    @staticmethod
-    def p_power(q) -> "Radius":
-        return Radius(Fraction(q))
-
-    @staticmethod
-    def one() -> "Radius":
-        return Radius(Fraction(0))
-
-    @staticmethod
-    def zero() -> "Radius":
-        return Radius(None)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.q is None
-
-    def value_exponent(self) -> Fraction:
-        if self.q is None:
-            raise ValueError("radius 0 has no finite exponent")
-        return self.q
-
-    def __le__(self, other: "Radius") -> bool:
-        if self.q is None:
-            return True
-        if other.q is None:
-            return False
-        return self.q >= other.q
-
-    def __lt__(self, other: "Radius") -> bool:
-        return self <= other and self != other
-
-    def __ge__(self, other: "Radius") -> bool:
-        return other <= self
-
-    def __gt__(self, other: "Radius") -> bool:
-        return other < self
-
-    def mix(self, other: "Radius", c: Fraction) -> "Radius":
-        """self^c * other^(1-c) for 0 <= c <= 1."""
-        if self.q is None or other.q is None:
-            if c == 0:
-                return other
-            if c == 1:
-                return self
-            if self.q is None or other.q is None:
-                return Radius(None)
-        return Radius(c * self.q + (1 - c) * other.q)
 
 
 # ---------------------------------------------------------------------------
@@ -134,110 +43,6 @@ def h_minus(m: FineMonoid, h: Weighting, g: Elt) -> int:
 
 def h_abs(m: FineMonoid, h: Weighting, g: Elt) -> int:
     return m.index.weighted(h.values).h(g)[2]
-
-
-# ---------------------------------------------------------------------------
-# coefficient maps: a matrix of truncated series by its nonzero coefficients
-# ---------------------------------------------------------------------------
-
-# (key, row-major integer matrix) pairs in key order over one denominator,
-# the numerators and the denominator coprime as a whole
-CoefficientMap = tuple[tuple[tuple[Elt, tuple[int, ...]], ...], int]
-
-
-def coefficient_map(w: Weighting, t: int, coeffs: dict, annulus: bool = False, den: int = 1) -> CoefficientMap:
-    """The stored form of the matrix with coefficient coeffs[key] / den at
-    each key, coeffs[key] row-major rationals (a document's are integer
-    numerators over their lcm den): zero matrices and keys with |h| > t are
-    dropped, and a disk matrix may carry no term with h^-(m) > 0."""
-    index = w.monoid.index.weighted(w.values)
-    h, scaled, room = index.h, index.scaled_weight, t * index.denominator
-    kept = {}
-    for k, x in coeffs.items():
-        # |h| >= |h(k)|: a key heavier than t is dropped before h+ is searched
-        if not any(x) or abs(scaled(k)) > room:
-            continue
-        hk, hp, habs = h(k)
-        if habs > t:
-            continue
-        if not annulus and hp > hk:
-            raise ValueError("disk series cannot carry terms with h^-(m) > 0")
-        kept[k] = x
-    rows, d = over_lcm(list(kept.values()))
-    return _canonical(dict(zip(kept, rows)), d * den)
-
-
-def _canonical(x: dict, den: int) -> CoefficientMap:
-    """{key: integer matrix} / den as a stored map: its nonzero matrices in
-    key order, the numerators and den divided by their common gcd."""
-    terms = sorted((k, v) for k, v in x.items() if any(v))
-    g = math.gcd(den, *(c for _, v in terms for c in v))
-    return tuple((k, tuple(c // g for c in v)) for k, v in terms), den // g
-
-
-def coefficient(a: CoefficientMap, key: Elt, n: int) -> QMatrix:
-    """The coefficient of the n x n coefficient map a at key."""
-    terms, den = a
-    x = next((x for k, x in terms if k == key), (0,) * (n * n))
-    return tuple(tuple(Fraction(v, den) for v in x[r : r + n]) for r in range(0, n * n, n))
-
-
-def map_sum(a: CoefficientMap, b: CoefficientMap) -> CoefficientMap:
-    """a + b for coefficient maps of one shape."""
-    (ax, da), (bx, db) = a, b
-    out = {k: [v * db for v in x] for k, x in ax}
-    for k, x in bx:
-        _add_into(out, k, [v * da for v in x])
-    return _canonical(out, da * db)
-
-
-def _map_mul(m: FineMonoid, w: Weighting, t: int, a, b, cols: int) -> dict[Elt, list[int]]:
-    """The product of two coefficient maps, given as (key, row-major integer
-    matrix) pairs, b's matrices with `cols` columns, kept at the keys with
-    |h| <= t: one integer matrix product per pair of keys, the numerators
-    over the product of the two denominators."""
-    if not a or not b:
-        return {}
-    plus = m.gp.add
-    h = m.index.weighted(w.values).h
-    # h is additive and h <= |h|, so with b's keys in h order every pair
-    # after the first with h(k1) + h(k2) > t leaves the truncation too
-    right = sorted(((h(k)[0], k, [x[j::cols] for j in range(cols)]) for k, x in b), key=lambda term: term[0])
-    inner = len(right[0][2][0])
-    out: dict[Elt, list[int]] = {}
-    for k1, x in a:
-        room = t - h(k1)[0]
-        rows = [x[r : r + inner] for r in range(0, len(x), inner)]
-        for h2, k2, cb in right:
-            if h2 > room:
-                break
-            k = plus(k1, k2)
-            if h(k)[2] > t:
-                continue
-            _add_into(out, k, [sum(map(mul, ra, c)) for ra in rows for c in cb])
-    return out
-
-
-def _add_into(acc: dict, key: Elt, x: list[int]) -> None:
-    """acc[key] += x, for the fresh list x."""
-    y = acc.get(key)
-    acc[key] = x if y is None else list(map(add, y, x))
-
-
-def _restricted(w: Weighting, t: int, a: CoefficientMap) -> CoefficientMap:
-    """The terms of a at the keys with |h| <= t."""
-    h = w.monoid.index.weighted(w.values).h
-    terms, den = a
-    return _canonical({k: x for k, x in terms if h(k)[2] <= t}, den)
-
-
-def gauss_valuation(terms, den: int, p: int, radius: Callable[[Elt], int] = lambda key: 0, scale: int = 1):
-    """The Gauss valuation of the coefficient map (terms, den), on integers:
-    min over its keys of v_p(x) - v_p(den) + radius(key) / scale, x the
-    key's integer matrix and radius(key) / scale the key's radius term
-    (q h(key) at the radius p^-q); INF for the zero map."""
-    best = min((scale * min(padic_valuation(c, p) for c in x if c) + radius(k) for k, x in terms), default=None)
-    return INF if best is None else Fraction(best, scale) - padic_valuation(den, p)
 
 
 # ---------------------------------------------------------------------------

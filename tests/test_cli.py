@@ -596,54 +596,83 @@ def test_monoid_analyze_a_monoid_with_units(capsys, tmp_path):
 
 
 # Run under -S in a fresh process: the logmonoid modules loaded by `import
-# logmonoid`, by `import logmonoid.cli`, after each connection document of
-# argv[2:] runs `connection shear`, and whether monoid-analyze on argv[1]
-# loads log_connection.
+# logmonoid`, by `import logmonoid.cli`, and by each argv of the JSON list
+# argv[1] run through `cli.main` after a fresh `import logmonoid.cli`.
 _IMPORT_PROBE = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 def loaded():
     return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("logmonoid."))
 import logmonoid
 print(loaded())
 import logmonoid.cli
 print(loaded(), sorted(m for m in ("dataclasses", "inspect", "random") if m in sys.modules))
-for path in sys.argv[2:]:
-    with contextlib.redirect_stderr(io.StringIO()):
-        print(logmonoid.cli.main(["connection", "shear", path]), loaded())
-with contextlib.redirect_stdout(io.StringIO()):
-    code = logmonoid.cli.main(["monoid-analyze", sys.argv[1]])
-print(code, "log_connection" in loaded())
 print(logmonoid.EnumerationBudget(3))
+for argv in json.loads(sys.argv[1]):
+    for name in [m for m in sys.modules if m.startswith("logmonoid")]:
+        del sys.modules[name]
+    import logmonoid.cli
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = logmonoid.cli.main(argv)
+    print(argv[1] if argv[0] == "connection" else argv[0], code, loaded())
 """
 
 
 def test_cli_process_imports_only_what_it_runs(tmp_path):
     """`import logmonoid` loads no submodule, and `import logmonoid.cli`
     only `errors` and `documents`: no engine module, nor dataclasses (or the
-    inspect it pulls in) nor random.  A connection document that the JSON
-    alone rejects (malformed, missing rank, a bad rational, misshapen
-    entries) exits 2 before any engine module loads; monoid-analyze never
-    loads log_connection; the package still answers for
-    `EnumerationBudget`.  -S keeps site-packages .pth files out of
-    sys.modules."""
+    inspect it pulls in) nor random; the package still answers for
+    `EnumerationBudget`.  Each subcommand then runs in-process on the
+    fixtures from a fresh `import logmonoid.cli` and loads only the layers
+    it runs: a connection document that the JSON alone rejects (malformed,
+    missing rank, a bad rational, misshapen entries) exits 2 before any
+    engine module loads; monoid-analyze loads neither weighted_series nor
+    log_connection; exponents, shear, unipotent and logconv, and the exit-4
+    paths of exponents (an irrational exponent) and shear (a connection
+    that is not integrable), load neither weighted_series nor
+    constant_models; homotopy loads constant_models, and dl also
+    weighted_series for its constant sections.  -S keeps site-packages .pth
+    files out of sys.modules."""
     good = (DATA / "rank2_connection.json").read_text()
-    bad_rational, bad_shape, missing_rank = json.loads(good), json.loads(good), json.loads(good)
+    bad_rational, bad_shape, missing_rank, irrational = (json.loads(good) for _ in range(4))
     bad_rational["matrices"][0]["terms"][0]["entries"][0][0] = "1/0"
     bad_shape["matrices"][0]["terms"][0]["entries"].append(["0", "0", "0"])
     del missing_rank["rank"]
-    paths = []
+    irrational["matrices"][0]["terms"][0]["entries"] = [["0", "2"], ["1", "0"]]
+    not_integrable = json.loads((DATA / "n2_sigma_pair_connection.json").read_text())
+    not_integrable["matrices"][0]["terms"] = [{"m": {"free": [0, 1]}, "entries": [["1"]]}]
+    paths = {}
     for name, text in [("malformed", good[:40]), ("bad_rational", json.dumps(bad_rational)),
-                       ("bad_shape", json.dumps(bad_shape)), ("missing_rank", json.dumps(missing_rank))]:
-        paths.append(tmp_path / f"{name}.json")
-        paths[-1].write_text(text)
+                       ("bad_shape", json.dumps(bad_shape)), ("missing_rank", json.dumps(missing_rank)),
+                       ("irrational", json.dumps(irrational)), ("not_integrable", json.dumps(not_integrable))]:
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    conn, sigma = str(DATA / "n2_sigma_pair_connection.json"), ["--sigma", str(DATA / "sigma_pair.json")]
+    runs = [["connection", "shear", str(paths[name])]
+            for name in ("malformed", "bad_rational", "bad_shape", "missing_rank")] + [
+        ["monoid-analyze", str(DATA / "nm1.json")],
+        *(["connection", sub, conn, *extra] for sub, extra in [
+            ("exponents", []), ("shear", []), ("unipotent", [*sigma, "--all-faces"]), ("logconv", ["--depth", "2"]),
+        ]),
+        ["connection", "exponents", str(paths["irrational"])],
+        ["connection", "shear", str(paths["not_integrable"])],
+        ["connection", "homotopy", conn, *sigma],
+        ["connection", "dl", conn],
+    ]
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", _IMPORT_PROBE, DATA / "nm1.json", *paths],
+        [sys.executable, "-S", "-c", _IMPORT_PROBE, json.dumps(runs)],
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True,
     )
-    front = "['cli', 'documents', 'errors']"
+    front = ["cli", "documents", "errors"]
+    monoid = sorted(front + ["abelian", "cone", "monoid_core", "qlin", "snf"])
+    engine = sorted(monoid + ["coefficient_maps", "log_connection"])
+    models = sorted(engine + ["constant_models"])
     assert proc.stdout.splitlines() == [
-        "[]", f"{front} []", *[f"2 {front}"] * 4, "0 False",
-        "EnumerationBudget(weight_bound=3, element_cap=100000)",
+        "[]", f"{front} []", "EnumerationBudget(weight_bound=3, element_cap=100000)",
+        *[f"shear 2 {front}"] * 4,
+        f"monoid-analyze 0 {monoid}",
+        *(f"{sub} 0 {engine}" for sub in ("exponents", "shear", "unipotent", "logconv")),
+        f"exponents 4 {engine}", f"shear 4 {engine}",
+        f"homotopy 0 {models}", f"dl 0 {sorted(models + ['weighted_series'])}",
     ]
 
 

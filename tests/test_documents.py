@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from logmonoid import coefficient_maps as cmaps
+from logmonoid import constant_models as cmod
 from logmonoid import documents as docs
 from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
@@ -216,21 +218,21 @@ def test_dl_denominator_vanishes(n2):
     h = ws.default_weighting(n2)
     emb = lc.facet_embedding(n2)
     # exponents 0 and 1 differ by an integer: j = 1 hits the denominator
-    e = lc.apply_ui(emb, h, [((F(0), F(0)), (F(0), F(1))), ((F(0), F(0)), (F(0), F(0)))], 6)
+    e = cmod.apply_ui(emb, h, [((F(0), F(0)), (F(0), F(1))), ((F(0), F(0)), (F(0), F(0)))], 6)
     v = (build_series(n2, h, {(0, 0): 1}, 6), build_series(n2, h, {(0, 0): 1}, 6))
     with pytest.raises(DenominatorVanishes):
-        lc.dl_projection(e, v, 2)
+        cmod.dl_projection(e, v, 2)
 
 
 def test_dl_zero_projection(n2, tmp_path, capsys):
     """Both residues are the nilpotent [[0, 1], [0, 0]]: each Q_i is x, and
     Q_1(res_1) Q_2(res_2) = res_1 res_2 = 0 annihilates the whole module."""
     nil = ((0, 1), (0, 0))
-    e = lc.apply_ui(lc.facet_embedding(n2), ws.default_weighting(n2), [nil, nil], 4)
-    assert lc.default_projection_polynomials(e) == [[0, 1], [0, 1]]
+    e = cmod.apply_ui(lc.facet_embedding(n2), ws.default_weighting(n2), [nil, nil], 4)
+    assert cmod.default_projection_polynomials(e) == [[0, 1], [0, 1]]
     v = tuple(ws.constant_series(n2, e.weighting, int(j == 0), 4) for j in range(2))
     with pytest.raises(ZeroProjection):
-        lc.dl_limit(e, v)
+        cmod.dl_limit(e, v)
     entries = [["0", "1"], ["0", "0"]]
     doc = {"monoid": {"generators": 2}, "rank": 2, "truncation": 4,
            "matrices": [{"i": i, "terms": [{"m": {"free": [0, 0]}, "entries": entries}]} for i in range(2)]}
@@ -439,7 +441,7 @@ def test_rational_and_radius_integers_are_integer_fields():
     for obj in ([1.5, 2], [True, 2], [1, None], {"num": 2.5}, {"num": 1, "den": False}):
         with pytest.raises(ParseError):
             docs.parse_rational(obj)
-    assert docs.parse_radius({"q_num": "1", "q_den": 2}) == ws.Radius(F(1, 2))
+    assert docs.parse_radius({"q_num": "1", "q_den": 2}) == cmaps.Radius(F(1, 2))
     for obj in ({"q_num": 0.5}, {"q_num": 1, "q_den": 2.0}, {"q_num": True}):
         with pytest.raises(ParseError, match="q_"):
             docs.parse_radius(obj)
@@ -547,20 +549,20 @@ def _shared_section_document(rng, section, rows, t, n, kind):
     eigenvalues = (0, F(1, 2), F(1, 3), F(1, 4))
     model = [[[x if i == j else 0 for j in range(n)] for i, x in enumerate(rng.sample(eigenvalues, n))]
              for _ in range(emb.r)]
-    e = lc.apply_ui(emb, h, model, t)
+    e = cmod.apply_ui(emb, h, model, t)
     if kind == "annulus":
         diffs = [ctx.monoid.gp.sub(x, y) for x in ball for y in ball[:3]]
-        extra = [ws.coefficient_map(h, t, {rng.choice(diffs): mat() for _ in range(2)}, True) for _ in range(emb.r)]
-        e = e._replace(matrices=tuple(ws.map_sum(a, b) for a, b in zip(e.matrices, extra)))
+        extra = [cmaps.coefficient_map(h, t, {rng.choice(diffs): mat() for _ in range(2)}, True) for _ in range(emb.r)]
+        e = e._replace(matrices=tuple(cmaps.map_sum(a, b) for a, b in zip(e.matrices, extra)))
     else:
-        ident = ws.coefficient_map(h, t, {zero: [int(i == j) for i in range(n) for j in range(n)]})
+        ident = cmaps.coefficient_map(h, t, {zero: [int(i == j) for i in range(n) for j in range(n)]})
         gauge = {rng.choice(ball[1:]): mat() for _ in range(2)}
-        minus = ws.coefficient_map(h, t, {k: [-x for x in v] for k, v in gauge.items()})
+        minus = cmaps.coefficient_map(h, t, {k: [-x for x in v] for k, v in gauge.items()})
         g_inv = power = ident
         for _ in range(t):
             power = lc.map_product(e, power, minus)
-            g_inv = ws.map_sum(g_inv, power)
-        e = lc.gauge_transform(e, ws.map_sum(ident, ws.coefficient_map(h, t, gauge)), g_inv)
+            g_inv = cmaps.map_sum(g_inv, power)
+        e = cmod.gauge_transform(e, cmaps.map_sum(ident, cmaps.coefficient_map(h, t, gauge)), g_inv)
 
     def key(k):
         rendered = ctx.render_element(k)
@@ -596,7 +598,7 @@ def _document_answers(doc):
         sigma = lc.ExponentSet(ctx.monoid, tuple(dict.fromkeys([(F(0),) * len(exps[0]), exps[0]])))
         return [lc.is_sigma_unipotent(e, sigma, f).verdict for f in mc.faces(ctx.monoid)]
 
-    logconv = [attempt(lambda: lc.log_convergence_check(e, ws.Radius.p_power(q), ws.Radius.p_power(eta), depth))
+    logconv = [attempt(lambda: lc.log_convergence_check(e, cmaps.Radius.p_power(q), cmaps.Radius.p_power(eta), depth))
                for q, eta, depth in ((1, F(1, 2), 2), (0, 1, 3), (F(1, 3), F(1, 2), 1))]
     return (e.integrability_defect, attempt(lambda: lc.exponents(e).exponents), attempt(sheared),
             attempt(unipotence), logconv)

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from logmonoid import cli, documents, selftest
+from logmonoid import coefficient_maps as cmaps
+from logmonoid import constant_models as cmod
 from logmonoid import snf
 from logmonoid.abelian import AbelianGroup, group_quotient
 from logmonoid import log_connection as lc
@@ -46,7 +48,7 @@ def _render(module, a):
     series on an annulus module (their keys may lie off M)."""
     if module.interval_kind == "annulus":
         return _series_rows(module.weighting, module.truncation, a, module.rank, module.rank)
-    return lc.series_matrix(module.weighting, module.truncation, a, module.rank)
+    return ws.series_matrix(module.weighting, module.truncation, a, module.rank)
 
 
 def _constant_smat(module, a):
@@ -196,9 +198,9 @@ def test_embedding_inverts_its_matrix_once(monkeypatch, n2):
     inverse = lc.inverse_over_lcm
     monkeypatch.setattr(lc, "inverse_over_lcm", lambda a: calls.append(a) or inverse(a))
     emb = lc.Embedding(n2, ((1, 0), (1, 1)))
-    e = lc.apply_ui(emb, ws.default_weighting(n2), [((F(1, 2),),), ((F(1, 3),),)], 4)
+    e = cmod.apply_ui(emb, ws.default_weighting(n2), [((F(1, 2),),), ((F(1, 3),),)], 4)
     assert e.decomposition.exponents == ((F(1, 2), F(-1, 6)),)
-    assert lc.twist_reduce(emb, (F(7, 2), F(-2)))[1] == n2.element((3, -2))
+    assert cmod.twist_reduce(emb, (F(7, 2), F(-2)))[1] == n2.element((3, -2))
     assert calls == [emb.matrix]
 
 
@@ -286,7 +288,7 @@ def test_exponents_rank1_twist(m_even):
     emb = lc.facet_embedding(m_even)
     g1 = m_even.generators[0]
     xi = tuple(F(c, 2) for c in g1[0])
-    e = lc.apply_ui(emb, h, [((F(0),),)] * 2, 8, xi_twist=xi)
+    e = cmod.apply_ui(emb, h, [((F(0),),)] * 2, 8, xi_twist=xi)
     dec = lc.exponents(e)
     assert dec.exponents == (xi,)  # (2,0) tensor 1/2
 
@@ -353,8 +355,8 @@ def test_shear_rank2_example():
 def test_shear_round_trip():
     e = _rank2_n_module(8)
     sr = lc.shear(e)
-    u = lc.apply_ui(e.embedding, e.weighting, sr.constant_model, e.truncation)
-    back = lc.gauge_transform(u, sr.gauge_inverse_map, sr.gauge_map)
+    u = cmod.apply_ui(e.embedding, e.weighting, sr.constant_model, e.truncation)
+    back = cmod.gauge_transform(u, sr.gauge_inverse_map, sr.gauge_map)
     assert back.matrices == e.matrices
     assert all(_smat_equal(_render(back, a), _render(e, b)) for a, b in zip(back.matrices, e.matrices))
 
@@ -389,7 +391,7 @@ def test_shear_m_even_rank1(m_even):
     emb = lc.facet_embedding(m_even)
     g1 = m_even.generators[0]
     xi = tuple(F(c, 2) for c in g1[0])
-    e = lc.apply_ui(emb, h, [((F(0),),)] * 2, 8, xi_twist=xi)
+    e = cmod.apply_ui(emb, h, [((F(0),),)] * 2, 8, xi_twist=xi)
     sr = lc.shear(e)
     assert _smat_equal(sr.gauge, _ident_smat(e))
     assert all(r.ok for r in sr.bound_report)
@@ -425,24 +427,24 @@ def test_apply_ui_twist(n2):
     h = ws.default_weighting(n2)
     emb = lc.facet_embedding(n2)
     xi = (F(1, 2), F(0))
-    e = lc.apply_ui(emb, h, [((F(0),),), ((F(0),),)], 6, xi_twist=xi)
+    e = cmod.apply_ui(emb, h, [((F(0),),), ((F(0),),)], 6, xi_twist=xi)
     consts = [_smat_coefficient(_render(e, a), e.monoid.gp.zero())[0][0] for a in e.matrices]
     assert sorted(consts) == [F(0), F(1, 2)]
 
 
 def test_twist_reduce_n2(n2):
     emb = lc.facet_embedding(n2)
-    reduced, shift = lc.twist_reduce(emb, (F(7, 2), F(-2)))
+    reduced, shift = cmod.twist_reduce(emb, (F(7, 2), F(-2)))
     assert shift == n2.element((3, -2))
     assert reduced in ((F(1, 2), F(0)), (F(0), F(1, 2)))
-    assert lc.twist_reduce(emb, (F(0), F(0))) == ((F(0), F(0)), n2.gp.zero())
+    assert cmod.twist_reduce(emb, (F(0), F(0))) == ((F(0), F(0)), n2.gp.zero())
 
 
 def test_twist_reduce_m_even_obstruction(m_even):
     emb = lc.facet_embedding(m_even)
     g1 = m_even.generators[0]
     xi = tuple(F(c, 2) for c in g1[0])  # (2,0) tensor 1/2: phi-coords integral
-    reduced, shift = lc.twist_reduce(emb, xi)
+    reduced, shift = cmod.twist_reduce(emb, xi)
     assert reduced == xi and m_even.gp.is_zero(shift)  # (1,0) not in M_even^gp
 
 
@@ -467,7 +469,7 @@ def test_unipotence_vertex_counterexample(m_even):
     emb = lc.facet_embedding(m_even)
     g1 = m_even.generators[0]
     xi = tuple(F(c, 2) for c in g1[0])
-    e = lc.apply_ui(emb, h, [((F(0),),)] * 2, 8, xi_twist=xi, interval_kind="annulus")
+    e = cmod.apply_ui(emb, h, [((F(0),),)] * 2, 8, xi_twist=xi, interval_kind="annulus")
     sigma = lc.ExponentSet(m_even, ((F(0), F(0)),))
     verdicts = {
         tuple(sorted(f.generator_indices)): lc.is_sigma_unipotent(e, sigma, f)
@@ -486,10 +488,10 @@ def test_unipotence_invariant_under_monomial_twist(n2):
     emb = lc.facet_embedding(n2)
     sigma = lc.ExponentSet(n2, ((F(1, 2), F(0)), (F(0), F(0))))
     base = [((F(1, 2),),), ((F(0),),)]
-    e = lc.apply_ui(emb, h, base, 6, interval_kind="annulus")
+    e = cmod.apply_ui(emb, h, base, 6, interval_kind="annulus")
     for shift in ((1, 0), (2, 3), (0, 1)):
         xi_m = tuple(F(x) for x in shift)
-        e_twist = lc.apply_ui(emb, h, base, 6, xi_twist=xi_m, interval_kind="annulus")
+        e_twist = cmod.apply_ui(emb, h, base, 6, xi_twist=xi_m, interval_kind="annulus")
         for f in mc.faces(n2):
             r1 = lc.is_sigma_unipotent(e, sigma, f)
             r2 = lc.is_sigma_unipotent(e_twist, sigma, f)
@@ -499,7 +501,7 @@ def test_unipotence_invariant_under_monomial_twist(n2):
 def test_unipotence_disk_is_exact_comparison(n1):
     h = ws.default_weighting(n1)
     emb = lc.facet_embedding(n1)
-    e = lc.apply_ui(emb, h, [((F(1),),)], 6)  # integer exponent 1, disk kind
+    e = cmod.apply_ui(emb, h, [((F(1),),)], 6)  # integer exponent 1, disk kind
     # careful: exponent 1 and 0 differ by an integer, so use sigma = {1} alone
     sigma_exact = lc.ExponentSet(n1, ((F(1),),))
     sigma_zero = lc.ExponentSet(n1, ((F(0),),))
@@ -509,7 +511,7 @@ def test_unipotence_disk_is_exact_comparison(n1):
     assert lc.is_sigma_unipotent(e, sigma_exact, vertex).verdict
     assert not lc.is_sigma_unipotent(e, sigma_zero, vertex).verdict
     # on the annulus the same module is {0}-unipotent: 1 = 0 mod Z
-    e_ann = lc.apply_ui(emb, h, [((F(1),),)], 6, interval_kind="annulus")
+    e_ann = cmod.apply_ui(emb, h, [((F(1),),)], 6, interval_kind="annulus")
     assert lc.is_sigma_unipotent(e_ann, sigma_zero, vertex).verdict
 
 
@@ -520,11 +522,11 @@ def test_dl_constant_term_examples(n2):
     emb = lc.facet_embedding(n2)
     c = build_series(n2, h, {(0, 0): F(3, 7)}, 8)
     for l in (1, 2, 5):
-        assert ws.series_equal(lc.dl_constant_term(c, l, emb), c)
+        assert ws.series_equal(cmod.dl_constant_term(c, l, emb), c)
     f = build_series(n2, h, {(1, 0): 1}, 8)
-    assert lc.dl_constant_term(f, 1, emb).is_zero()
+    assert cmod.dl_constant_term(f, 1, emb).is_zero()
     g = build_series(n2, h, {(0, 0): 1, (1, 1): 1}, 8)
-    out = lc.dl_constant_term(g, 1, emb)
+    out = cmod.dl_constant_term(g, 1, emb)
     assert ws.series_equal(out, build_series(n2, h, {(0, 0): 1}, 8))
 
 
@@ -533,7 +535,7 @@ def test_dl_constant_term_survivor_scaling(n2):
     h = ws.default_weighting(n2)
     emb = lc.facet_embedding(n2)
     f = build_series(n2, h, {(2, 0): 1}, 8)
-    out = lc.dl_constant_term(f, 1, emb)
+    out = cmod.dl_constant_term(f, 1, emb)
     key = n2.element((2, 0))
     coords = emb.coords(key)
     expected = F(1)
@@ -560,7 +562,7 @@ def test_dl_constant_term_is_the_pair_product(n1, n2, m_even):
             for l in range(6):
                 product = {k: c * math.prod(F(j * j - x * x, j * j) for x in emb.coords(k) for j in range(1, l + 1))
                            for k, c in f.terms}
-                out = lc.dl_constant_term(f, l, emb)
+                out = cmod.dl_constant_term(f, l, emb)
                 assert dict(out.terms) == {k: c for k, c in product.items() if c}
                 assert (out.truncation, out.annulus) == (f.truncation, annulus)
 
@@ -570,12 +572,12 @@ def test_dl_projection_and_limit(n2):
     emb = lc.facet_embedding(n2)
     a1 = ((F(0), F(1)), (F(0), F(0)))
     a2 = ((F(0), F(0)), (F(0), F(0)))
-    e = lc.apply_ui(emb, h, [a1, a2], 6)
+    e = cmod.apply_ui(emb, h, [a1, a2], 6)
     v = (
         build_series(n2, h, {(0, 0): 1, (1, 0): 2}, 6),
         build_series(n2, h, {(0, 0): 5, (0, 1): 3}, 6),
     )
-    w = lc.dl_limit(e, v)
+    w = cmod.dl_limit(e, v)
     assert w == (F(5), F(0))
     res = lc.residue(e)
     dec = lc.exponents(e)
@@ -586,18 +588,18 @@ def test_dl_projection_and_limit(n2):
         )
     # termwise kill: a pure t^m section with small coordinates dies
     vm = (build_series(n2, h, {(1, 0): 1}, 6), build_series(n2, h, {}, 6))
-    proj = lc.dl_projection(e, vm, 1)
+    proj = cmod.dl_projection(e, vm, 1)
     assert all(s.is_zero() for s in proj)
 
 
 def test_dl_limit_rank1(n2):
     h = ws.default_weighting(n2)
     emb = lc.facet_embedding(n2)
-    e = lc.apply_ui(emb, h, [((F(1, 3),),), ((F(0),),)], 6)
+    e = cmod.apply_ui(emb, h, [((F(1, 3),),), ((F(0),),)], 6)
     v = (build_series(n2, h, {(0, 0): 7, (2, 1): 4}, 6),)
     # on a rank-1 module every Q_i is 1: the limit is the constant term
-    assert lc.default_projection_polynomials(e) == [[1], [1]]
-    assert lc.dl_limit(e, v) == (F(7),)
+    assert cmod.default_projection_polynomials(e) == [[1], [1]]
+    assert cmod.dl_limit(e, v) == (F(7),)
 
 
 def test_dl_projection_agrees_with_limit_at_large_l(n2):
@@ -605,14 +607,14 @@ def test_dl_projection_agrees_with_limit_at_large_l(n2):
     emb = lc.facet_embedding(n2)
     a1 = ((F(0), F(1)), (F(0), F(0)))
     a2 = ((F(1, 5), F(0)), (F(0), F(1, 5)))
-    e = lc.apply_ui(emb, h, [a1, a2], 6)
+    e = cmod.apply_ui(emb, h, [a1, a2], 6)
     v = (
         build_series(n2, h, {(0, 0): 2, (1, 1): 1, (2, 0): 3}, 6),
         build_series(n2, h, {(0, 0): 1, (0, 2): 9}, 6),
     )
-    w = lc.dl_limit(e, v)
+    w = cmod.dl_limit(e, v)
     for l in (2, 3, 5):
-        proj = lc.dl_projection(e, v, l)
+        proj = cmod.dl_projection(e, v, l)
         zero = n2.gp.zero()
         assert tuple(s.coeff(zero) for s in proj) == w
 
@@ -621,29 +623,29 @@ def test_dl_limit_fails_its_eigenvector_check_on_a_wrong_target(monkeypatch, n2)
     """Q_i built with a block other than the first as target (a fault of the
     program) projects off the H^0_{xi_1} eigenspace: CertificationFailed."""
     h = ws.default_weighting(n2)
-    e = lc.apply_ui(lc.facet_embedding(n2), h, [((0, 0), (0, F(1, 3))), ((0, 0), (0, 0))], 4)
+    e = cmod.apply_ui(lc.facet_embedding(n2), h, [((0, 0), (0, F(1, 3))), ((0, 0), (0, 0))], 4)
     v = tuple(build_series(n2, h, {(0, 0): 1}, 4) for _ in range(2))
-    assert lc.dl_limit(e._replace(), v) == (F(-1, 3), F(0))
+    assert cmod.dl_limit(e._replace(), v) == (F(-1, 3), F(0))
     blocks, indices = e.joint_blocks, e.nilpotency_indices
     with monkeypatch.context() as mp:
         mp.setitem(e.__dict__, "joint_blocks", blocks[::-1])
         mp.setitem(e.__dict__, "nilpotency_indices", indices[::-1])
-        assert lc.default_projection_polynomials(e) == [[0, 1], [1]]  # the last block as target
+        assert cmod.default_projection_polynomials(e) == [[0, 1], [1]]  # the last block as target
     assert e.joint_blocks is blocks
     with pytest.raises(CertificationFailed, match="eigenvector check"):
-        lc.dl_limit(e, v)
+        cmod.dl_limit(e, v)
 
 
 def test_dl_limit_fails_its_stabilization_check_without_the_pairs(monkeypatch, n2):
     """D_l without its pair factors (a fault of the program) keeps the
     non-constant terms: CertificationFailed."""
-    factor = lc._dl_factor
-    monkeypatch.setattr(lc, "_dl_factor", lambda e, i, mi, l: factor(e, i, mi, 0))
+    factor = cmod._dl_factor
+    monkeypatch.setattr(cmod, "_dl_factor", lambda e, i, mi, l: factor(e, i, mi, 0))
     h = ws.default_weighting(n2)
-    e = lc.apply_ui(lc.facet_embedding(n2), h, [((F(1, 3),),), ((F(0),),)], 6)
+    e = cmod.apply_ui(lc.facet_embedding(n2), h, [((F(1, 3),),), ((F(0),),)], 6)
     v = (build_series(n2, h, {(0, 0): 7, (2, 1): 4}, 6),)
     with pytest.raises(CertificationFailed, match="stabilization check"):
-        lc.dl_limit(e, v)
+        cmod.dl_limit(e, v)
 
 
 # -- homotopy ---------------------------------------------------------------------------------
@@ -667,7 +669,7 @@ def test_homotopy_identity_three_pairs(n2):
         ((F(1, 5), F(0)), (F(0), F(2, 5))),
     ]
     for xi, xi_p in pairs:
-        rep = lc.homotopy_check(emb, xi, xi_p, forms)
+        rep = cmod.homotopy_check(emb, xi, xi_p, forms)
         assert rep.all_zero
 
 
@@ -675,10 +677,10 @@ def test_homotopy_specific_forms(n2):
     emb = lc.facet_embedding(n2)
     zero = (F(0), F(0))
     # 0-form t^m with xi = xi' = 0: phi nabla t^m = t^m = (id - g1 g2) t^m
-    rep = lc.homotopy_check(emb, zero, zero, [{(n2.element((1, 0)), ()): F(1)}])
+    rep = cmod.homotopy_check(emb, zero, zero, [{(n2.element((1, 0)), ()): F(1)}])
     assert rep.all_zero
     # constant forms: both sides vanish
-    rep = lc.homotopy_check(emb, zero, (F(1, 2), F(1, 2)), [{(n2.gp.zero(), (0,)): F(1)}])
+    rep = cmod.homotopy_check(emb, zero, (F(1, 2), F(1, 2)), [{(n2.gp.zero(), (0,)): F(1)}])
     assert rep.all_zero
 
 
@@ -688,7 +690,7 @@ def test_homotopy_denominator_vanishes(n2):
     coords_one = emb.coords(n2.element((1, 0)))
     delta = tuple(-F(c) for c in coords_one)
     with pytest.raises(DenominatorVanishes):
-        lc.homotopy_check(
+        cmod.homotopy_check(
             emb, (F(0), F(0)), fraction_reference.inverse_coords(emb, delta),
             [{(n2.element((1, 0)), (0, 1)): F(1)}],
         )
@@ -699,31 +701,31 @@ def test_homotopy_denominator_vanishes(n2):
 def test_log_convergence_trivial(n1):
     h = ws.default_weighting(n1)
     emb = lc.facet_embedding(n1)
-    e = lc.apply_ui(emb, h, [((F(0),),)], 6)
-    assert lc.log_convergence_check(e, ws.Radius.p_power(1), ws.Radius.p_power(F(1, 2)), 6)
+    e = cmod.apply_ui(emb, h, [((F(0),),)], 6)
+    assert lc.log_convergence_check(e, cmaps.Radius.p_power(1), cmaps.Radius.p_power(F(1, 2)), 6)
 
 
 def test_log_convergence_half(n1):
     h = ws.default_weighting(n1)
     emb = lc.facet_embedding(n1)
-    e = lc.apply_ui(emb, h, [((F(0), F(0)), (F(0), F(1, 2)))], 6)
-    assert lc.log_convergence_check(e, ws.Radius.p_power(1), ws.Radius.p_power(F(1, 2)), 8)
+    e = cmod.apply_ui(emb, h, [((F(0), F(0)), (F(0), F(1, 2)))], 6)
+    assert lc.log_convergence_check(e, cmaps.Radius.p_power(1), cmaps.Radius.p_power(F(1, 2)), 8)
 
 
 def test_log_convergence_false_instance(n1):
     # residue 1/5 makes |P_k| grow like p^{k(1 + 1/(p-1))} for p = 5
     h = ws.default_weighting(n1)
     emb = lc.facet_embedding(n1)
-    e = lc.apply_ui(emb, h, [((F(1, 5),),)], 6)
-    assert not lc.log_convergence_check(e, ws.Radius.p_power(1), ws.Radius.p_power(F(1, 2)), 8)
+    e = cmod.apply_ui(emb, h, [((F(1, 5),),)], 6)
+    assert not lc.log_convergence_check(e, cmaps.Radius.p_power(1), cmaps.Radius.p_power(F(1, 2)), 8)
 
 
 def test_log_convergence_counts_the_shifts_and_the_factorial(n1):
     """At eta = p^-1/10: for the residue 1/2, P_5 e = C(1/2, 5) e is 5-adically
     integral; for d + t, P_5 e carries t^5 / 5!, of valuation -1."""
     h, emb = ws.default_weighting(n1), lc.facet_embedding(n1)
-    one, eta = ws.Radius.one(), ws.Radius.p_power(F(1, 10))
-    assert lc.log_convergence_check(lc.apply_ui(emb, h, [((F(1, 2),),)], 6), one, eta, 5)
+    one, eta = cmaps.Radius.one(), cmaps.Radius.p_power(F(1, 10))
+    assert lc.log_convergence_check(cmod.apply_ui(emb, h, [((F(1, 2),),)], 6), one, eta, 5)
     e = build_module(n1, [{(1,): ((1,),)}], 1, 6)
     assert lc.log_convergence_check(e, one, eta, 4)
     assert not lc.log_convergence_check(e, one, eta, 5)
@@ -743,7 +745,7 @@ def test_log_convergence_refuses_a_non_integrable_module(n2, monkeypatch):
     for module in (e, swapped):
         for depth in (1, 2, 3):
             with pytest.raises(NotIntegrable):
-                lc.log_convergence_check(module, ws.Radius.one(), ws.Radius.p_power(F(1, 2)), depth)
+                lc.log_convergence_check(module, cmaps.Radius.one(), cmaps.Radius.p_power(F(1, 2)), depth)
 
 
 def test_shear_randomized_planted_gauges():
@@ -896,6 +898,30 @@ def test_shear_rejects_annulus_module():
         lc.shear(e)
 
 
+def test_map_mul_looks_up_a_pair_sum_only_beside_an_annulus_key(monkeypatch, n2):
+    """|h| = 2 h+ - h and h+ is subadditive, so when every key of both
+    factors has |h| = h (disk maps) a product looks h up twice per key and
+    never per pair; with one annulus key (|h| > h) every pair the h-ordered
+    break keeps is looked up."""
+    h = ws.default_weighting(n2)
+    index = n2.index.weighted(h.values)
+    t, ball = 6, index.upto(3)
+    disk = cmaps.coefficient_map(h, t, {k: [1] for k in ball})
+    annulus = cmaps.coefficient_map(h, t, {k: [1] for k in [*ball, n2.element((1, -1))]}, annulus=True)
+    assert any(index.h(k)[2] > index.h(k)[0] for k, _ in annulus[0])
+    real, calls = mc.WeightedIndex.h, []
+    monkeypatch.setattr(mc.WeightedIndex, "h", lambda self, g: calls.append(g) or real(self, g))
+    for a, b in ((disk, disk), (disk, annulus), (annulus, disk)):
+        kept = sum(index.h(k1)[0] + index.h(k2)[0] <= t for k1, _ in a[0] for k2, _ in b[0])
+        calls.clear()
+        cmaps._map_mul(n2, h, t, a[0], b[0], 1)
+        keys = len(a[0]) + len(b[0])
+        if annulus not in (a, b):
+            assert len(calls) == 2 * keys < kept
+        else:
+            assert len(calls) >= keys + kept
+
+
 def test_unipotence_needs_monoid_support(n2):
     e = build_module(n2, [{(0, 0): ((F(1, 2),),), ((-1, 1), ()): ((1,),)}, {}], 1, 4, kind="annulus")
     sigma = lc.ExponentSet(n2, ((F(1, 2), F(0)),))
@@ -928,7 +954,7 @@ def test_each_key_is_embedded_once_per_module(monkeypatch):
     calls = []
     coords = lc.Embedding.coords
     monkeypatch.setattr(lc.Embedding, "coords", lambda self, g: calls.append(g) or coords(self, g))
-    one, eta = ws.Radius.one(), ws.Radius.p_power(F(1, 2))
+    one, eta = cmaps.Radius.one(), cmaps.Radius.p_power(F(1, 2))
     for name, e, _ in selftest._shear_fixtures(6):
         if not name.endswith("planted"):
             continue
@@ -951,7 +977,7 @@ def test_integrability_of_a_replaced_copy_is_its_own(n2):
     assert lc.validate_integrability(e)
     # t^(1,0) N in A^0 leaves -d_1 (t^(1,0) N) = -t^(1,0) N in the bracket
     perturbed = build_module(n2, [{(1, 0): ((0, 1), (0, 0))}, {}], 2, e.truncation).matrices[0]
-    e2 = e._replace(matrices=(lc.map_sum(e.matrices[0], perturbed), e.matrices[1]))
+    e2 = e._replace(matrices=(cmaps.map_sum(e.matrices[0], perturbed), e.matrices[1]))
     assert not lc.validate_integrability(e2)
     assert e2.integrability_defect[:3] == ("connection", 0, 1)
     assert lc.validate_integrability(e)
@@ -977,7 +1003,7 @@ def test_the_connection_path_builds_no_series_until_the_gauge_is_read(monkeypatc
     modules = [documents.parse_connection(documents.load_json(DATA / "rank2_connection.json"))[1],
                gauge_built_module(n1, [c], {(1,): ((0, 1), (0, 0))}, 2, 6, base_model=[((1, 0), (0, 2))])[0]]
     modules += [e for _, e, _ in selftest._shear_fixtures(5)]
-    one, eta = ws.Radius.one(), ws.Radius.p_power(F(1, 2))
+    one, eta = cmaps.Radius.one(), cmaps.Radius.p_power(F(1, 2))
     results = []
     for e in modules:
         assert lc.validate_integrability(e)
@@ -1003,7 +1029,7 @@ def test_unipotence_analyses_the_module_once(monkeypatch, n2):
     fixtures = dict(CONNECTION_FIXTURES)
     modules = [fixtures[name]._replace() for name in ("m_even_planted", "n2_planted", "n1_jordan")]
     h = ws.default_weighting(n2)  # fresh copies above and a new module here: nothing cached yet
-    modules.append(lc.apply_ui(lc.facet_embedding(n2), h, [((0, 1), (0, 0)), ((F(1, 5), 0), (0, F(1, 5)))], 4))
+    modules.append(cmod.apply_ui(lc.facet_embedding(n2), h, [((0, 1), (0, 0)), ((F(1, 5), 0), (0, F(1, 5)))], 4))
     counts = {}
     spectrum, filtration, facet_rows = lc._residue_spectrum, lc._block_filtration_ranks, lc._facet_rows
 
@@ -1022,8 +1048,8 @@ def test_unipotence_analyses_the_module_once(monkeypatch, n2):
         lc.shear(e)
         if lc.smat_is_constant_all(e):
             v = (build_series(n2, h, {(0, 0): 1, (1, 0): 2}, 4), build_series(n2, h, {(0, 0): 5}, 4))
-            lc.dl_projection(e, v, 4)
-            assert lc.dl_limit(e, v) == (F(5), F(0))
+            cmod.dl_projection(e, v, 4)
+            assert cmod.dl_limit(e, v) == (F(5), F(0))
         assert counts == {"spectrum": e.embedding.r, "filtration": 1, "sd": 1}
         assert len(faces) > 1 and len({r.filtration_ranks for r in reports}) == 1
         assert all(r.sheared_exponents is reports[0].sheared_exponents for r in reports)
@@ -1059,12 +1085,12 @@ def test_dl_operators_reuse_the_module_analysis(monkeypatch, n2):
     monkeypatch.setattr(lc, "_residue_spectrum", lambda a: calls.append(1) or spectrum(a))
     emb = lc.facet_embedding(n2)
     h = ws.default_weighting(n2)
-    e = lc.apply_ui(emb, h, [((0, 1), (0, 0)), ((F(1, 5), 0), (0, F(1, 5)))], 4)
+    e = cmod.apply_ui(emb, h, [((0, 1), (0, 0)), ((F(1, 5), 0), (0, F(1, 5)))], 4)
     lc.exponents(e)
     first = len(calls)
     v = (build_series(n2, h, {(0, 0): 1, (1, 0): 2}, 4), build_series(n2, h, {(0, 0): 5}, 4))
-    lc.dl_projection(e, v, 4)
-    assert lc.dl_limit(e, v) == (F(5), F(0))
+    cmod.dl_projection(e, v, 4)
+    assert cmod.dl_limit(e, v) == (F(5), F(0))
     assert len(calls) == first
 
 
@@ -1075,15 +1101,15 @@ def test_projection_polynomials_take_each_eigenvalue_over_all_its_blocks(n2):
     h = ws.default_weighting(n2)
     res1 = ((0, 1, 0), (0, 0, 0), (0, 0, 0))
     res2 = ((0, 0, 0), (0, 0, 0), (0, 0, F(1, 3)))
-    e = lc.apply_ui(emb, h, [res1, res2], 4)
+    e = cmod.apply_ui(emb, h, [res1, res2], 4)
     assert lc.exponents(e).eigentuples == ((0, 0), (0, F(1, 3)))
     # Q_i = (minimal polynomial of res_i) / (x - xi_{i,target}), ascending coefficients
-    assert lc.default_projection_polynomials(e) == [[0, 1], [F(-1, 3), 1]]
+    assert cmod.default_projection_polynomials(e) == [[0, 1], [F(-1, 3), 1]]
     # the same blocks with the eigenvalue 1/3 of res_2 negated: the target,
     # the first block, is now the one with index 1 on res_1
-    e = lc.apply_ui(emb, h, [res1, ((0, 0, 0), (0, 0, 0), (0, 0, F(-1, 3)))], 4)
+    e = cmod.apply_ui(emb, h, [res1, ((0, 0, 0), (0, 0, 0), (0, 0, F(-1, 3)))], 4)
     assert lc.exponents(e).eigentuples == ((0, F(-1, 3)), (0, 0))
-    assert lc.default_projection_polynomials(e) == [[0, 1], [0, 1]]
+    assert cmod.default_projection_polynomials(e) == [[0, 1], [0, 1]]
 
 
 def _ad_nilpotency_by_powers(nil):
@@ -1152,7 +1178,7 @@ def test_bound_report_matches_the_walk_over_every_lighter_key():
     for name, e, _ in selftest._shear_fixtures(12):
         for p in (2, 3, 5):
             for qa in (F(0), F(1, 2), F(2)):
-                sr = lc.shear(e, radius=ws.Radius.p_power(qa), p=p)
+                sr = lc.shear(e, radius=cmaps.Radius.p_power(qa), p=p)
                 got = [(r.key, r.bound) for r in sr.bound_report]
                 assert got == _bound_report_by_walking_every_lighter_key(e, sr, p, qa), (name, p, qa)
 
@@ -1202,12 +1228,12 @@ def test_map_mul_matches_the_sum_of_series_products(n2, m_even):
         def coefficients(t, rows, cols, annulus):
             out = {}
             if rng.random() < 0.2:
-                return lc.coefficient_map(h, t, out, annulus)
+                return cmaps.coefficient_map(h, t, out, annulus)
             for _ in range(rng.randint(1, 5)):
                 key = rng.choice(diffs if annulus else ball)
                 out[key] = [F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7 else F(0)
                             for _ in range(rows * cols)]
-            return lc.coefficient_map(h, t, out, annulus)
+            return cmaps.coefficient_map(h, t, out, annulus)
 
         for case in range(90):
             n, cols = rng.randint(1, 3), rng.choice((None, 1))
@@ -1222,7 +1248,7 @@ def test_map_mul_matches_the_sum_of_series_products(n2, m_even):
                 b = tuple((k, tuple(-x[r - cols] if r // cols == 1 else x[r] for r in range(n * cols)))
                           for k, x in bx), db
             sa, sb = _series_rows(h, t, a, n, n), _series_rows(h, t, b, n, cols)
-            got = _series_rows(h, t, (lc._map_mul(m, h, t, a[0], b[0], cols).items(), a[1] * b[1]), n, cols)
+            got = _series_rows(h, t, (cmaps._map_mul(m, h, t, a[0], b[0], cols).items(), a[1] * b[1]), n, cols)
             want = _smat_mul_by_series(sa, sb)
             assert got == want, (case, n, cols)
             seen.add(f"n={n}")
@@ -1307,7 +1333,7 @@ def _grid_modules(rng, m, n, t):
     for which in ("matrices", "base_matrices")[: 1 + (base is not None)]:
         term = selftest._coefficients(m, e.weighting, {rng.choice(ball[1:])[0]: mat()}, t)
         mats = getattr(e, which)
-        out.append(e._replace(**{which: (lc.map_sum(mats[0], term), *mats[1:])}))
+        out.append(e._replace(**{which: (cmaps.map_sum(mats[0], term), *mats[1:])}))
     diffs = [m.gp.sub(x, y) for x in ball for y in ball]
     return out + [build_module(m, [{rng.choice(diffs): mat() for _ in range(3)} for _ in range(2)], n, t,
                                kind="annulus")]
@@ -1330,7 +1356,7 @@ def test_integrability_and_log_convergence_match_the_series_evaluation(n2, m_eve
                 continue
             for _ in range(2):
                 a, eta, depth = rng.choice((0, F(1, 2), 1, 2)), rng.choice((F(1, 5), F(1, 3), F(1, 2))), rng.randint(1, 4)
-                args = (e, ws.Radius.p_power(a), ws.Radius.p_power(eta), depth)
+                args = (e, cmaps.Radius.p_power(a), cmaps.Radius.p_power(eta), depth)
                 if defect is not None:  # P_k along one path is meaningless without integrability
                     with pytest.raises(NotIntegrable):
                         lc.log_convergence_check(*args)
@@ -1370,13 +1396,13 @@ def _log_convergence_by_columns(e, a_prime, eta, depth, p=5):
                     kk = k[:i] + (k[i] + 1,) + k[i + 1:]
                     if kk in new:
                         continue
-                    out = ws._map_mul(m, w, t, ai, col.items(), 1)
+                    out = cmaps._map_mul(m, w, t, ai, col.items(), 1)
                     for key, x in col.items():
-                        ws._add_into(out, key, [di * (e.coords(key)[i] - k[i]) * v for v in x])
+                        cmaps._add_into(out, key, [di * (e.coords(key)[i] - k[i]) * v for v in x])
                     new[kk] = ({key: x for key, x in out.items() if any(x)}, di * den)
             frontier = new
             for k, (col, den) in frontier.items():
-                val = ws.gauss_valuation(col.items(), den * math.prod(map(math.factorial, k)), p, radius,
+                val = cmaps.gauss_valuation(col.items(), den * math.prod(map(math.factorial, k)), p, radius,
                                          q.denominator)
                 if val + level * q_eta < 0:
                     return False
@@ -1399,7 +1425,7 @@ def test_log_convergence_matches_the_per_column_frontier(n2, m_even):
     verdicts = []
     for e in modules:
         for a, eta, depth in itertools.product((0, F(1, 3), 1, 2), (F(1, 2), 1, 3), (1, 2, 4)):
-            args = (e, ws.Radius.p_power(a), ws.Radius.p_power(eta), depth)
+            args = (e, cmaps.Radius.p_power(a), cmaps.Radius.p_power(eta), depth)
             verdict = lc.log_convergence_check(*args)
             assert verdict == _log_convergence_by_columns(*args), (e.rank, a, eta, depth)
             verdicts.append((e.rank, verdict))

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from logmonoid import coefficient_maps as cmaps
 from logmonoid import documents
 from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
@@ -256,7 +257,7 @@ def test_keys_heavier_than_the_truncation_leave_the_ball_alone():
     h = ws.default_weighting(m)
     far, near, below = m.element((10, 10, 10)), m.element((1, 0, 3)), m.element((-9, 0, 0))
     coeffs = {far: [1], near: [1], below: [1]}
-    assert [k for k, _ in lc.coefficient_map(h, 4, coeffs, annulus=True)[0]] == [near]
+    assert [k for k, _ in cmaps.coefficient_map(h, 4, coeffs, annulus=True)[0]] == [near]
     assert [k for k, _ in ws.series(m, h, {k: 1 for k in coeffs}, 4, annulus=True).terms] == [near]
     assert len(m.index.weighted(h.values).ball(0)) == 35
 

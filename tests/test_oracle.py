@@ -40,7 +40,7 @@ def test_enumerate_n2_bound2(n2):
 def test_enumerate_m_even_bound4(m_even):
     # coordinate-sum weighting: 9 elements of {(a1,a2): a1+a2 even, a1+a2 <= 4}
     old = m_even
-    h = ws.Weighting(old, (2, 2, 2))
+    h = mc.Weighting(old, (2, 2, 2))
     weighted = mc.FineMonoid(old.gp, old.generators, h.values)
     ball = orc.enumerate_monoid(weighted, orc.EnumerationBudget(4))
     assert len(ball) == 9

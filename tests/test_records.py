@@ -11,6 +11,8 @@ from typing import Optional
 import pytest
 
 from logmonoid import cli
+from logmonoid import coefficient_maps as cmaps
+from logmonoid import constant_models as cmod
 from logmonoid import documents as docs
 from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
@@ -43,10 +45,10 @@ def records():
         AbelianGroup(1, (2,)), quotient_presented(2, [])[1], cli.RunConfig(), ctx, e.embedding,
         sigma, e, lc.exponents(e), sheared.bound_report[0], sheared,
         lc.is_sigma_unipotent(e, sigma, mc.faces(n2)[0]),
-        lc.homotopy_check(e.embedding, sigma.elements[1], sigma.elements[1],
+        cmod.homotopy_check(e.embedding, sigma.elements[1], sigma.elements[1],
                           [{(n2.element((1, 0)), ()): F(1)}]),
         n2, mc.faces(n2)[1], hom, mc.section(hom), EnumerationBudget(3), ctx.weighting,
-        ws.Radius.p_power(F(1, 2)), series, ws.gauss_norm(series, ws.Radius.one()),
+        cmaps.Radius.p_power(F(1, 2)), series, ws.gauss_norm(series, cmaps.Radius.one()),
         ws.valuation_point(n2, [1, INF]),
     ]
     out = {type(r).__name__: r for r in found}
@@ -107,10 +109,10 @@ def _checks(n1, n2, m_even, e):
         row(mc.FineMonoid, n2.gp, n2.generators, (1,), message="every generator"),
         row(mc.MonoidHom, n2, n1, (one,), message="one image per source generator"),
         row(mc.MonoidHom, m_even, n1, (one, n1.gp.zero(), n1.gp.zero()), message="presentation"),
-        row(ws.Weighting, n2, (1,), message="one weight per generator"),
-        row(ws.Weighting, n2, (-1, 1), message="non-negative"),
-        row(ws.Weighting, m_even, (1, 1, 2), message="group homomorphism"),
-        row(ws.Weighting, n2, (0, 1), message="vanish exactly on unit"),
+        row(mc.Weighting, n2, (1,), message="one weight per generator"),
+        row(mc.Weighting, n2, (-1, 1), message="non-negative"),
+        row(mc.Weighting, m_even, (1, 1, 2), message="group homomorphism"),
+        row(mc.Weighting, n2, (0, 1), message="vanish exactly on unit"),
         row(ws.ValuationPoint, n2, (F(0),), message="one valuation per generator"),
         row(ws.ValuationPoint, m_even, (INF, F(0), F(0)), message="monoid relation"),
         row(ws.ValuationPoint, m_even, (F(1), F(1), F(3)), message="monoid relation"),
@@ -163,7 +165,18 @@ def test_radius_comparisons_match_the_dataclass_radius():
         for b in qs:
             for op in (operator.lt, operator.le, operator.gt, operator.ge):
                 want = op(_DataclassRadius(a), _DataclassRadius(b))
-                assert op(ws.Radius(a), ws.Radius(b)) is want, (a, b, op.__name__)
-    radii = [ws.Radius(q) for q in qs]
-    assert max(radii) == ws.Radius.one() and min(radii) == ws.Radius.zero()
-    assert sorted(radii) == [ws.Radius(None), ws.Radius(F(1)), ws.Radius(F(1, 2)), ws.Radius(F(0))]
+                assert op(cmaps.Radius(a), cmaps.Radius(b)) is want, (a, b, op.__name__)
+    radii = [cmaps.Radius(q) for q in qs]
+    assert max(radii) == cmaps.Radius.one() and min(radii) == cmaps.Radius.zero()
+    assert sorted(radii) == [cmaps.Radius(None), cmaps.Radius(F(1)), cmaps.Radius(F(1, 2)), cmaps.Radius(F(0))]
+
+
+def test_radius_mix_with_a_zero_radius():
+    """self^c other^(1-c): with a zero radius, c = 0 gives other, c = 1
+    gives self and any c in between gives radius 0; two finite radii mix
+    their exponents."""
+    zero, r = cmaps.Radius.zero(), cmaps.Radius.p_power(2)
+    for a, b in ((zero, r), (r, zero), (zero, zero)):
+        assert a.mix(b, F(0)) == b and a.mix(b, F(1)) == a
+        assert a.mix(b, F(1, 2)) == zero
+    assert r.mix(cmaps.Radius.one(), F(1, 4)) == cmaps.Radius.p_power(F(1, 2))

@@ -11,6 +11,7 @@ import pytest
 
 import fraction_reference as ref
 from conftest import build_module
+from logmonoid import constant_models as cmod
 from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
 from logmonoid import qlin
@@ -121,7 +122,7 @@ def test_rational_roots_on_products_of_factors():
 def _module(mats, n):
     r = len(mats)
     m = mc.free_monoid(r)
-    return lc.apply_ui(lc.facet_embedding(m), ws.default_weighting(m), mats, 3)
+    return cmod.apply_ui(lc.facet_embedding(m), ws.default_weighting(m), mats, 3)
 
 
 def _as_fractions(decomp):
@@ -177,7 +178,7 @@ def test_the_grid_covers_jordan_blocks_repeats_and_both_sd_outcomes():
 
 
 def test_irrational_exponent_is_refused(n1):
-    e = lc.apply_ui(lc.facet_embedding(n1), ws.default_weighting(n1), [((0, 2), (1, 0))], 3)  # x^2 - 2
+    e = cmod.apply_ui(lc.facet_embedding(n1), ws.default_weighting(n1), [((0, 2), (1, 0))], 3)  # x^2 - 2
     with pytest.raises(IrrationalExponent):
         lc.exponents(e)
     with pytest.raises(IrrationalExponent):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from logmonoid import coefficient_maps as cmaps
 from logmonoid import cone, documents
 from logmonoid import monoid_core as mc
 from logmonoid import oracle as orc
@@ -44,17 +45,17 @@ def test_default_weighting_group_is_zero(z_monoid):
 
 def test_weighting_rejects_nonvanishing_on_units(z_monoid):
     with pytest.raises(ValueError):
-        ws.Weighting(z_monoid, (1, 1))
+        mc.Weighting(z_monoid, (1, 1))
 
 
 def test_weighting_rejects_non_homomorphism(m_even):
     # g1 + g3 = 2 g2 forces h1 + h3 = 2 h2
     with pytest.raises(ValueError):
-        ws.Weighting(m_even, (1, 1, 2))
+        mc.Weighting(m_even, (1, 1, 2))
 
 
 def test_coordinate_sum_weighting_m_even(m_even):
-    h = ws.Weighting(m_even, (2, 2, 2))  # ambient coordinate sum restriction
+    h = mc.Weighting(m_even, (2, 2, 2))  # ambient coordinate sum restriction
     assert h(m_even.generators[0]) == 2
 
 
@@ -77,7 +78,7 @@ def test_h_plus_on_monoid_elements(n2, m_even):
 
 
 def test_h_plus_m_even_coordinate_sum(m_even):
-    h = ws.Weighting(m_even, (2, 2, 2))
+    h = mc.Weighting(m_even, (2, 2, 2))
     g1, _, g3 = m_even.generators
     diff = m_even.gp.sub(g1, g3)  # ambient (2, -2)
     assert ws.h_plus(m_even, h, diff) == 2  # y = (2, 0)
@@ -248,7 +249,7 @@ def test_series_sub_matches_adding_the_negation(n1, n2, m_even):
                 _assert_matches(ws.series_scale(c, g), {k: c * v for k, v in y.items() if c}, g.truncation, g.annulus)
                 for p in (2, 3, 5):
                     qa, qb = (Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(2))
-                    a, b = ws.Radius(qa), ws.Radius(qb)
+                    a, b = cmaps.Radius(qa), cmaps.Radius(qb)
                     for got, want in ((ws.gauss_norm(f, a, p), _ref_norm(m, h, x, f.truncation, qa, qa, p)),
                                       (ws.gauss_norm_interval(f, a, b, p), _ref_norm(m, h, x, f.truncation, qa, qb, p))):
                         assert tuple(got) == want
@@ -277,12 +278,12 @@ def test_series_matrix_applies_the_disk_check(n2):
     as disk-flagged series."""
     h = ws.default_weighting(n2)
     inside = {n2.element((0, 0)): [1, 0, 0, 1], n2.element((1, 2)): [Fraction(1, 3), 0, -2, Fraction(5, 6)]}
-    a = ws.coefficient_map(h, 4, inside)
+    a = cmaps.coefficient_map(h, 4, inside)
     rendered = ws.series_matrix(h, 4, a, 2)
     assert rendered == tuple(tuple(ws.series(n2, h, {k: x[2 * i + j] for k, x in inside.items()}, 4)
                                    for j in range(2)) for i in range(2))
     assert rendered[1][0].terms == ((n2.element((1, 2)), -2),)
-    off = ws.coefficient_map(h, 4, {**inside, n2.element((1, -1)): [0, 1, 0, 0]}, annulus=True)
+    off = cmaps.coefficient_map(h, 4, {**inside, n2.element((1, -1)): [0, 1, 0, 0]}, annulus=True)
     with pytest.raises(ValueError, match="disk series cannot carry terms with h\\^-\\(m\\) > 0"):
         ws.series_matrix(h, 4, off, 2)
 
@@ -292,7 +293,7 @@ def test_series_matrix_applies_the_disk_check(n2):
 def test_gauss_norm_two_term_tie(n1):
     h = ws.default_weighting(n1)
     f = build_series(n1, h, {(1,): P, (2,): 1}, 8)
-    nr = ws.gauss_norm(f, ws.Radius.p_power(1), P)
+    nr = ws.gauss_norm(f, cmaps.Radius.p_power(1), P)
     assert nr.exponent == 2  # both terms give p^{-2}
     assert not nr.stale
 
@@ -301,21 +302,21 @@ def test_gauss_norm_constant(n1):
     h = ws.default_weighting(n1)
     f = build_series(n1, h, {(0,): Fraction(3, 5)}, 8)
     for q in (0, 1, Fraction(7, 2)):
-        assert ws.gauss_norm(f, ws.Radius.p_power(q), P).exponent == -1
+        assert ws.gauss_norm(f, cmaps.Radius.p_power(q), P).exponent == -1
 
 
 def test_gauss_norm_stale_at_frontier(n1):
     h = ws.default_weighting(n1)
     f = build_series(n1, h, {(4,): 1}, 4)
-    assert ws.gauss_norm(f, ws.Radius.one(), P).stale
+    assert ws.gauss_norm(f, cmaps.Radius.one(), P).stale
 
 
 def test_log_convexity_spot(n1):
     h = ws.default_weighting(n1)
     f = build_series(n1, h, {(1,): P, (2,): 1}, 8)
-    n_mid = ws.gauss_norm(f, ws.Radius.p_power(1), P).exponent
-    n_0 = ws.gauss_norm(f, ws.Radius.one(), P).exponent
-    n_2 = ws.gauss_norm(f, ws.Radius.p_power(2), P).exponent
+    n_mid = ws.gauss_norm(f, cmaps.Radius.p_power(1), P).exponent
+    n_0 = ws.gauss_norm(f, cmaps.Radius.one(), P).exponent
+    n_2 = ws.gauss_norm(f, cmaps.Radius.p_power(2), P).exponent
     assert n_mid >= Fraction(1, 2) * n_0 + Fraction(1, 2) * n_2
 
 
@@ -335,7 +336,7 @@ def test_norm_multiplicativity_bound(n2):
         if f.is_zero() or g.is_zero() or prod.is_zero():
             continue
         for q in (Fraction(0), Fraction(1), Fraction(3, 2)):
-            a = ws.Radius(q)
+            a = cmaps.Radius(q)
             vf = ws.gauss_norm(f, a, P).exponent
             vg = ws.gauss_norm(g, a, P).exponent
             vp = ws.gauss_norm(prod, a, P).exponent
@@ -345,7 +346,7 @@ def test_norm_multiplicativity_bound(n2):
 def test_interval_norm_annulus_weights(n1):
     h = ws.default_weighting(n1)
     f = build_series(n1, h, {(-1,): 1}, 6, annulus=True)
-    nr = ws.gauss_norm_interval(f, ws.Radius.p_power(2), ws.Radius.p_power(1), P)
+    nr = ws.gauss_norm_interval(f, cmaps.Radius.p_power(2), cmaps.Radius.p_power(1), P)
     # |t^{-1}| weight: a^{-h^-} b^{h^+} with h+ = 0, h- = 1: p^{2}
     assert nr.exponent == -2
 
@@ -355,16 +356,16 @@ def test_interval_norm_annulus_weights(n1):
 def test_vertex_membership(n2):
     h = ws.default_weighting(n2)
     vtx = vertex_point(n2, h)
-    assert ws.point_in_polyannulus(vtx, h, ws.Radius.zero(), ws.Radius.p_power(1))
-    assert ws.point_in_polyannulus(vtx, h, ws.Radius.zero(), ws.Radius.zero())
-    assert not ws.point_in_polyannulus(vtx, h, ws.Radius.p_power(3), ws.Radius.one())
+    assert ws.point_in_polyannulus(vtx, h, cmaps.Radius.zero(), cmaps.Radius.p_power(1))
+    assert ws.point_in_polyannulus(vtx, h, cmaps.Radius.zero(), cmaps.Radius.zero())
+    assert not ws.point_in_polyannulus(vtx, h, cmaps.Radius.p_power(3), cmaps.Radius.one())
 
 
 def test_point_two_sided_bounds(n2):
     h = ws.default_weighting(n2)
     x = ws.valuation_point(n2, (1, 1))
-    assert ws.point_in_polyannulus(x, h, ws.Radius.p_power(1), ws.Radius.one())
-    assert not ws.point_in_polyannulus(x, h, ws.Radius.p_power(Fraction(1, 2)), ws.Radius.one())
+    assert ws.point_in_polyannulus(x, h, cmaps.Radius.p_power(1), cmaps.Radius.one())
+    assert not ws.point_in_polyannulus(x, h, cmaps.Radius.p_power(Fraction(1, 2)), cmaps.Radius.one())
 
 
 def test_point_rejects_inconsistent_valuations(m_even):
@@ -417,9 +418,9 @@ def test_generator_check_suffices(n2, m_even):
             ]
             pts.append(ws.valuation_point(m, vals))
         intervals = [
-            (ws.Radius.zero(), ws.Radius.one()),
-            (ws.Radius.p_power(2), ws.Radius.one()),
-            (ws.Radius.p_power(3), ws.Radius.p_power(1)),
+            (cmaps.Radius.zero(), cmaps.Radius.one()),
+            (cmaps.Radius.p_power(2), cmaps.Radius.one()),
+            (cmaps.Radius.p_power(3), cmaps.Radius.p_power(1)),
         ]
         for x in pts:
             for a, b in intervals:
@@ -436,8 +437,8 @@ def test_saturation_invariance_nm1(nm1):
         ws.valuation_point(m, (Fraction(2) * q, Fraction(3) * q))
         for q in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2))
     ]
-    assert ws.saturation_invariance_check(m, ws.Radius.p_power(2), ws.Radius.p_power(1), pts)
-    assert ws.saturation_invariance_check(m, ws.Radius.p_power(1), ws.Radius.one(), pts)
+    assert ws.saturation_invariance_check(m, cmaps.Radius.p_power(2), cmaps.Radius.p_power(1), pts)
+    assert ws.saturation_invariance_check(m, cmaps.Radius.p_power(1), cmaps.Radius.one(), pts)
 
 
 def test_saturation_invariance_builds_the_hilbert_basis_once(monkeypatch):
@@ -446,10 +447,10 @@ def test_saturation_invariance_builds_the_hilbert_basis_once(monkeypatch):
     monkeypatch.setattr(cone, "hilbert_basis", lambda c: calls.append(c) or original(c))
     m = mc.from_embedded([[2], [3]])[0]  # N \ {1}, fresh so nothing is cached yet
     pts = [ws.valuation_point(m, (Fraction(2), Fraction(3)))]
-    assert ws.saturation_invariance_check(m, ws.Radius.p_power(1), ws.Radius.one(), pts)
+    assert ws.saturation_invariance_check(m, cmaps.Radius.p_power(1), cmaps.Radius.one(), pts)
     assert calls
     calls.clear()
-    assert ws.saturation_invariance_check(m, ws.Radius.p_power(1), ws.Radius.one(), pts)
+    assert ws.saturation_invariance_check(m, cmaps.Radius.p_power(1), cmaps.Radius.one(), pts)
     assert not calls
 
 
@@ -487,7 +488,7 @@ SATURATION_CONES = ([[5], [8]], [[37], [38]], [[1, 0], [1, 1], [1, 3]], [[3, 0],
 
 def _saturation_outcome(m, pts):
     try:
-        return ws.saturation_invariance_check(m, ws.Radius.p_power(1), ws.Radius.one(), pts)
+        return ws.saturation_invariance_check(m, cmaps.Radius.p_power(1), cmaps.Radius.one(), pts)
     except NotTorsionFree as exc:  # torsion.json: M^sat holds the torsion, a unit, so it has no ball
         return repr(exc)
 
@@ -531,11 +532,11 @@ def test_saturation_invariance_on_a_group_with_torsion_is_a_hypothesis_error():
     assert m.gp.torsion_invariants == (2,)
     pts = [vertex_point(m, ws.default_weighting(m))]
     with pytest.raises(NotTorsionFree, match="torsion-free M\\^gp, got torsion Z/2") as caught:
-        ws.saturation_invariance_check(m, ws.Radius.p_power(1), ws.Radius.one(), pts)
+        ws.saturation_invariance_check(m, cmaps.Radius.p_power(1), cmaps.Radius.one(), pts)
     assert isinstance(caught.value, HypothesisError)
 
 
 def test_saturation_invariance_saturated_case(m_even):
     h = ws.default_weighting(m_even)
     pts = [ws.valuation_point(m_even, (h(g) for g in m_even.generators))]
-    assert ws.saturation_invariance_check(m_even, ws.Radius.p_power(1), ws.Radius.one(), pts)
+    assert ws.saturation_invariance_check(m_even, cmaps.Radius.p_power(1), cmaps.Radius.one(), pts)

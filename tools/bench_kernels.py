@@ -9,7 +9,7 @@ operator's cached inverse with the RHS, then the gcd reduction), for
 n = 1, 2, 3; `weighted_series.series_mul`, `series_add` and `gauss_norm`
 (radius p^-1/2) on dense disk series over N^2 truncated at T = 3..6; `cone.simplex_feasible` on the default weighting's
 LP for k integer rays in Z^3 (k = 4, 6, 9: 2*3 + k columns, k rows); and
-`weighted_series._map_mul` on the coefficient maps of n x n matrices of
+`coefficient_maps._map_mul` on the coefficient maps of n x n matrices of
 those series for n = 2, 3 at T = 4, 6; and, on an integrable rank-n module
 over N^2 truncated at T (a diagonal constant model rewritten by a gauge
 I + G, G dense up to weight T) for n = 2, 3 and T = 4, 6,
@@ -102,6 +102,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from logmonoid import cone  # noqa: E402
+from logmonoid import coefficient_maps as cmaps  # noqa: E402
+from logmonoid import constant_models as cmod  # noqa: E402
 from logmonoid import documents  # noqa: E402
 from logmonoid import log_connection as lc  # noqa: E402
 from logmonoid import monoid_core as mc  # noqa: E402
@@ -150,7 +152,7 @@ def _series_matrix_map(rng: random.Random, m, h, n: int, t: int):
     the same order."""
     keys = m.index.weighted(h.values).upto(t)
     entries = [[_rational(rng) for k in keys] for _ in range(n * n)]
-    return lc.coefficient_map(h, t, {k: [entry[j] for entry in entries] for j, k in enumerate(keys)})
+    return cmaps.coefficient_map(h, t, {k: [entry[j] for entry in entries] for j, k in enumerate(keys)})
 
 
 def _module(rng: random.Random, m, n: int, t: int):
@@ -198,7 +200,7 @@ def _unipotence_module(rng: random.Random, m, t: int):
     p = [[int(i == k) if k <= i else rng.randint(-2, 2) for k in range(3)] for i in range(3)]
     emb = lc.facet_embedding(m)
     model = [_conjugate(p, c) for c in cores[: emb.r]]
-    e = lc.apply_ui(emb, ws.default_weighting(m), model, t)
+    e = cmod.apply_ui(emb, ws.default_weighting(m), model, t)
     return e, lc.exponents(e).exponent_set(m), mc.faces(m)
 
 
@@ -210,7 +212,7 @@ def _dl_module(rng: random.Random, m, n: int):
     p, j = _jordan(rng, n)
     d = [[Fraction(j[i][i], 2) if i == k else 0 for k in range(n)] for i in range(n)]
     emb = lc.facet_embedding(m)
-    return lc.apply_ui(emb, ws.default_weighting(m), [_conjugate(p, j), _conjugate(p, d)][: emb.r], 4)
+    return cmod.apply_ui(emb, ws.default_weighting(m), [_conjugate(p, j), _conjugate(p, d)][: emb.r], 4)
 
 
 def _dl_witnesses(e):
@@ -218,8 +220,8 @@ def _dl_witnesses(e):
     polynomials and `dl_limit` on each basis section."""
     f = e._replace()
     m, h, t, n = f.monoid, f.weighting, f.truncation, f.rank
-    return lc.default_projection_polynomials(f), [
-        lc.dl_limit(f, tuple(ws.constant_series(m, h, int(j == c), t) for j in range(n))) for c in range(n)]
+    return cmod.default_projection_polynomials(f), [
+        cmod.dl_limit(f, tuple(ws.constant_series(m, h, int(j == c), t) for j in range(n))) for c in range(n)]
 
 
 def _spectra(e):
@@ -359,7 +361,7 @@ def _saturation_invariance(m) -> bool:
     other generator."""
     fresh = mc.FineMonoid(m.gp, m.generators)
     pts = [ws.valuation_point(fresh, [0 if v == 0 else qlin.INF for v in ws.default_weighting(fresh).values])]
-    return ws.saturation_invariance_check(fresh, ws.Radius.p_power(1), ws.Radius.one(), pts)
+    return ws.saturation_invariance_check(fresh, cmaps.Radius.p_power(1), cmaps.Radius.one(), pts)
 
 
 def main() -> int:
@@ -377,7 +379,7 @@ def main() -> int:
         row(f"sylvester solve n={n}", lambda: lc._sylvester_solve(inv, rhs))
     n2 = mc.free_monoid(2)
     h = ws.default_weighting(n2)
-    half = ws.Radius.p_power(Fraction(1, 2))
+    half = cmaps.Radius.p_power(Fraction(1, 2))
     for t in (3, 4, 5, 6):
         f, g = _series(rng, n2, h, t), _series(rng, n2, h, t)
         row(f"series_mul N^2 disk T={t}", lambda: ws.series_mul(f, g))
@@ -389,8 +391,8 @@ def main() -> int:
     for n in (2, 3):
         for t in (4, 6):
             (a, _), (b, _) = (_series_matrix_map(rng, n2, h, n, t) for _ in range(2))
-            row(f"_map_mul n={n} N^2 T={t}", lambda: ws._map_mul(n2, h, t, a, b, n))
-    one, eta = ws.Radius.one(), ws.Radius.p_power(Fraction(1, 2))
+            row(f"_map_mul n={n} N^2 T={t}", lambda: cmaps._map_mul(n2, h, t, a, b, n))
+    one, eta = cmaps.Radius.one(), cmaps.Radius.p_power(Fraction(1, 2))
     rank1_rng = random.Random(SEED)
     for n in (1, 2, 3):
         for t in (4, 6):
@@ -455,7 +457,7 @@ def main() -> int:
     emb, h = lc.facet_embedding(n2), ws.default_weighting(n2)
     for t in (4, 8):
         f = _series(dl_rng, n2, h, t)
-        row(f"dl_constant_term N^2 disk T={t} l={t}", lambda: lc.dl_constant_term(f, t, emb))
+        row(f"dl_constant_term N^2 disk T={t} l={t}", lambda: cmod.dl_constant_term(f, t, emb))
     return 0
 
 

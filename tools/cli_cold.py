@@ -7,8 +7,10 @@ OTHER_CHECKOUT/src); the documents are this checkout's tests/data
 fixtures for both trees: `monoid-analyze` on m_even.json, each `connection`
 subcommand on n2_sigma_pair_connection.json (with sigma_pair.json where a
 subcommand reads one), and `connection shear` on a truncated copy of
-rank2_connection.json (malformed JSON) and on one without "rank" (a
-missing field).  `selftest`, which reads no document, is left out.
+rank2_connection.json (malformed JSON), on one without "rank" (a missing
+field), and on a copy of n2_sigma_pair_connection.json with a t^(0,1) term
+in its first matrix (not integrable: exit 4 once the engine has loaded).
+`selftest`, which reads no document, is left out.
 
 Every process runs with PYTHONPYCACHEPREFIX set to a directory made for
 the run, so no bytecode left in either tree is read.  One untimed process
@@ -46,17 +48,23 @@ SIGMA = ["--sigma", os.path.join(DATA, "sigma_pair.json")]
 
 
 def _cases(scratch: str) -> list[tuple[str, list[str]]]:
-    """(row name, logmonoid arguments) per case; the two faulty documents
+    """(row name, logmonoid arguments) per case; the three faulty documents
     are written to scratch."""
     with open(os.path.join(DATA, "rank2_connection.json"), encoding="utf-8") as fh:
         text = fh.read()
     missing = json.loads(text)
     del missing["rank"]
+    with open(CONNECTION, encoding="utf-8") as fh:
+        not_integrable = json.load(fh)
+    not_integrable["matrices"][0]["terms"] = [{"m": {"free": [0, 1]}, "entries": [["1"]]}]
     malformed_path, missing_path = os.path.join(scratch, "malformed.json"), os.path.join(scratch, "missing.json")
+    not_integrable_path = os.path.join(scratch, "not_integrable.json")
     with open(malformed_path, "w", encoding="utf-8") as fh:
         fh.write(text[:40])
     with open(missing_path, "w", encoding="utf-8") as fh:
         json.dump(missing, fh)
+    with open(not_integrable_path, "w", encoding="utf-8") as fh:
+        json.dump(not_integrable, fh)
     return [
         ("monoid-analyze", ["monoid-analyze", os.path.join(DATA, "m_even.json")]),
         ("exponents", ["connection", "exponents", CONNECTION]),
@@ -67,6 +75,7 @@ def _cases(scratch: str) -> list[tuple[str, list[str]]]:
         ("logconv", ["connection", "logconv", CONNECTION, "--depth", "2"]),
         ("shear/malformed", ["connection", "shear", malformed_path]),
         ("shear/missing-rank", ["connection", "shear", missing_path]),
+        ("shear/not-integrable", ["connection", "shear", not_integrable_path]),
     ]
 
 
