@@ -6,9 +6,10 @@ nilpotent parts, the Sylvester operators -- is integer rows over one
 positive denominator (`RatMatrix`), eigenvalues are integers over their
 residue's denominator, and D_l's Q_i are integer coefficients over one
 denominator.  Fractions are built only for the values handed back.  The
-shearing recursion solves the Sylvester equations (g + m_i id)(B_m) = RHS
-order by order in the weight and certifies the operator-norm bound of the
-gauge in valuation form; a failed self-check raises `CertificationFailed`.
+connection operator d_i + A^i is one function, `_nabla`.  The shearing
+recursion solves (g + m_i id)(B_m) = RHS order by order in the weight (B^-1
+by the same loop) and certifies the gauge's operator-norm bound in
+valuation form; a failed self-check raises `CertificationFailed`.
 Constant models, D_l and the homotopy operator are in `constant_models`.
 """
 
@@ -186,37 +187,34 @@ def check_sd(sigma: ExponentSet) -> bool:
 # coefficient maps
 # ---------------------------------------------------------------------------
 
-def map_product(e: "LogNablaModule", a: CoefficientMap, b: CoefficientMap, i: Optional[int] = None) -> CoefficientMap:
-    """a b for n x n coefficient maps of the module e, at its truncation;
-    with a direction i, (d_i + a) b, d_i scaling t^m by the i-th coordinate
-    of m."""
+def _nabla(e: "LogNablaModule", a: CoefficientMap, b: CoefficientMap, i: Optional[int] = None) -> dict:
+    """a b for n x n coefficient maps of the module e, at its truncation, or
+    with a direction i (d_i + a) b, d_i scaling t^m by the i-th coordinate
+    of m: {key: integer matrix} over the product of the two denominators.
+    b's terms may be any (key, matrix) pairs."""
     (ax, da), (bx, db) = a, b
     out = _map_mul(e.monoid, e.weighting, e.truncation, ax, bx, e.rank)
     if i is not None:
         coords = e.coords
         for k, x in bx:
             _add_into(out, k, [da * coords(k)[i] * v for v in x])
-    return _canonical(out, da * db)
+    return out
+
+
+def map_product(e: "LogNablaModule", a: CoefficientMap, b: CoefficientMap, i: Optional[int] = None) -> CoefficientMap:
+    """a b, or (d_i + a) b with a direction i, as a stored map (`_nabla`)."""
+    return _canonical(_nabla(e, a, b, i), a[1] * b[1])
+
+
+def _least_difference(x: dict, y: dict, n: int) -> Optional[Elt]:
+    """The least key at which the maps x and y of n x n matrices differ, or None."""
+    zero = [0] * (n * n)
+    return min((k for k in x.keys() | y.keys() if x.get(k, zero) != y.get(k, zero)), default=None)
 
 
 # ---------------------------------------------------------------------------
 # the module type
 # ---------------------------------------------------------------------------
-
-def _least_bracket_key(e: "LogNablaModule", x: dict, y: dict, partials) -> Optional[Elt]:
-    """The least key at which [X, Y] + sum c d_l(Z) over partials (Z, c, l)
-    is nonzero, or None: X, Y and the Z are coefficient maps, and c scales Z
-    to the denominator of X Y."""
-    args = (e.monoid, e.weighting, e.truncation)
-    acc = _map_mul(*args, x, y, e.rank)
-    for k, z in _map_mul(*args, y, x, e.rank).items():
-        _add_into(acc, k, [-v for v in z])
-    coords = e.coords
-    for z, c, l in partials:
-        for k, mat in z:
-            _add_into(acc, k, [c * coords(k)[l] * v for v in mat])
-    return min((k for k, mat in acc.items() if any(mat)), default=None)
-
 
 class _LogNablaModuleFields(NamedTuple):
     rank: int
@@ -265,17 +263,18 @@ class LogNablaModule(_LogNablaModuleFields):
         """None when every bracket vanishes up to truncation; otherwise the
         first failing ("connection", i, j, key) for [d_i + A^i, d_j + A^j] or
         ("base", k, i, key) for [d_i + A^i, D_k], key its least nonzero term.
-        Each bracket is evaluated on the coefficient maps: over d_i d_j,
-        m_i d_i A^j_m - m_j d_j A^i_m + (A^i A^j - A^j A^i)_m."""
-        maps = self.matrices
+        Each bracket is the difference of two compositions on the coefficient
+        maps, both over the product of the two denominators (`_nabla`):
+        [d_i + A^i, d_j + A^j] = (d_i + A^i) A^j - (d_j + A^j) A^i and
+        [d_i + A^i, D] = (d_i + A^i) D - D A^i."""
+        maps, n = self.matrices, self.rank
         for i, j in itertools.combinations(range(self.embedding.r), 2):
-            (ai, di), (aj, dj) = maps[i], maps[j]
-            key = _least_bracket_key(self, ai, aj, ((aj, di, i), (ai, -dj, j)))
+            key = _least_difference(_nabla(self, maps[i], maps[j], i), _nabla(self, maps[j], maps[i], j), n)
             if key is not None:
                 return ("connection", i, j, key)
-        for k, (d, _) in enumerate(self.base_matrices or ()):
-            for i, (ai, di) in enumerate(maps):
-                key = _least_bracket_key(self, ai, d, ((d, di, i),))
+        for k, d in enumerate(self.base_matrices or ()):
+            for i, a in enumerate(maps):
+                key = _least_difference(_nabla(self, a, d, i), _nabla(self, d, a), n)
                 if key is not None:
                     return ("base", k, i, key)
         return None
@@ -620,7 +619,7 @@ def shear(
     # A^i keeps its terms of weight 1..t, and B, B' only their nonzero terms
     inside = set(keys)
     acoeff = [({k: x for k, x in terms if k in inside}, den) for terms, den in e.matrices]
-    # the A-keys, lightest first, as (m', h(m'), m') for scatter
+    # the A-keys, lightest first, as (m', h(m'), m') for the recursion
     akeys = [(k, ball[k], k) for k in sorted(dict.fromkeys(k for ac, _ in acoeff for k in ac), key=ball.get)]
     ident = tuple(int(i == j) for i in range(n) for j in range(n))
     ops: dict = {}  # (i, m_i) -> the Sylvester operator of direction i, integer rows over one denominator
@@ -629,25 +628,33 @@ def shear(
 
     gp_add = m.gp.add
 
-    def scatter(pending: dict, q: Elt, xq, lightest_first) -> None:
-        """Push (y, xq) onto the pending pairs of q + k for each (k, h(k), y)
-        of lightest_first with h(q) + h(k) <= t: only the pairs that exist,
-        each found once (a row-wise sparse product, Gustavson 1978)."""
-        room = t - ball[q]
-        for k, hk, y in lightest_first:
-            if hk > room:
-                break
-            pending.setdefault(gp_add(q, k), []).append((y, xq))
+    def recursion(lightest_first, solve) -> dict:
+        """X_0 = I, then in weight order X_m = solve(m, its pairs), kept if nonzero.  A fixed
+        X_q goes, as (y, X_q), to the pairs of q + k for each (k, h(k), y) of lightest_first
+        with h(q) + h(k) <= t: only the pairs that exist (a row-wise sparse product, Gustavson
+        1978).  Each k weighs >= 1, so a key's pairs are all in before it is solved."""
+        xs: dict = {}
+        pending: dict = {}
 
-    # B_m pairs A^i_{m'} with every fixed B_{m - m'}; each m' weighs >= 1,
-    # so in weight order a key's pairs are all pushed before it is solved
-    bmats = {zero: (ident, 1)}
-    pending: dict = {}
-    scatter(pending, zero, bmats[zero], akeys)
-    for key in keys:
-        partners = pending.pop(key, None)
-        if partners is None:
-            continue
+        def push(q: Elt, xq) -> None:
+            xs[q] = xq
+            room = t - ball[q]
+            for k, hk, y in lightest_first:
+                if hk > room:
+                    break
+                pending.setdefault(gp_add(q, k), []).append((y, xq))
+
+        push(zero, (ident, 1))
+        for key in keys:
+            pairs = pending.pop(key, None)
+            if pairs is not None:
+                xm = solve(key, pairs)
+                if any(xm[0]):
+                    push(key, xm)
+        return xs
+
+    def sylvester_step(key: Elt, partners) -> tuple[tuple[int, ...], int]:
+        """B_m from its pairs (m', B_{m - m'}): solved in one direction, checked in all."""
         rhs = [_neg_convolution([((ac[kp], da), b) for kp, b in partners if kp in ac], n)
                for ac, da in acoeff]
         mk = coords(key)
@@ -665,24 +672,14 @@ def shear(
             if any(sum(map(mul, row, bm)) * di != x * dop * dm for row, x in zip(op, ri)):
                 raise CertificationFailed(f"shear all-directions identity: B_m solved in direction {i0} "
                                           f"fails the equation of direction {i} at m = {key}")
-        if any(bm):
-            bmats[key] = (bm, dm)
-            scatter(pending, key, bmats[key], akeys)
+        return bm, dm
 
-    # inverse by the convolution identity sum B_{m'} B'_{m''} = delta_{m,0}:
-    # B'_m = -sum_{m' != 0} B_{m'} B'_{m - m'} for m != 0, scattered the
-    # same way from each fixed B'_q; bmats is in weight order
-    bnonzero = [(k, ball[k], b) for k, b in bmats.items() if k != zero]
-    bprime = {zero: (ident, 1)}
-    scatter(pending, zero, bprime[zero], bnonzero)
-    for key in keys:
-        pairs = pending.pop(key, None)
-        if pairs is None:
-            continue
-        bp = _reduced(*_neg_convolution(pairs, n))
-        if any(bp[0]):
-            bprime[key] = bp
-            scatter(pending, key, bp, bnonzero)
+    # B_m pairs A^i_{m'} with every fixed B_{m - m'}
+    bmats = recursion(akeys, sylvester_step)
+    # the inverse by the convolution identity sum B_{m'} B'_{m''} = delta_{m,0}:
+    # B'_m = -sum_{m' != 0} B_{m'} B'_{m - m'} for m != 0; bmats is in weight order
+    bprime = recursion([(k, ball[k], b) for k, b in bmats.items() if k != zero],
+                       lambda key, pairs: _reduced(*_neg_convolution(pairs, n)))
 
     # bound constants (log-norm form, base p): e is the nilpotency index of the
     # commutator part g2; C bounds both the resolvent norms and |A^i_m| a^{h(m)}
@@ -731,14 +728,10 @@ def shear(
 
     constant_base = None
     if e.base_matrices is not None:
-        (bm, db), (bp, dp) = gauge, gauge_inv
-        transformed = []
-        for d, dd in e.base_matrices:
-            prod = _canonical(_map_mul(m, w, t, bp, _map_mul(m, w, t, d, bm, n).items(), n), dp * dd * db)
-            if any(k != zero for k, _ in prod[0]):
-                raise CertificationFailed("shear base model: a base matrix is not constant after the gauge")
-            transformed.append(coefficient(prod, zero, n))
-        constant_base = tuple(transformed)
+        prods = [map_product(e, gauge_inv, map_product(e, d, gauge)) for d in e.base_matrices]
+        if any(k != zero for terms, _ in prods for k, _ in terms):
+            raise CertificationFailed("shear base model: a base matrix is not constant after the gauge")
+        constant_base = tuple(coefficient(prod, zero, n) for prod in prods)
 
     return ShearResult(
         gauge_map=gauge,
@@ -918,10 +911,9 @@ def log_convergence_check(
     if not validate_integrability(e):
         raise NotIntegrable("connection is not integrable; log-convergence undefined")
     q, q_eta = a_prime.value_exponent(), eta.value_exponent()
-    m, w, t, n = e.monoid, e.weighting, e.truncation, e.rank
-    h = m.index.weighted(w.values).h
+    m, n = e.monoid, e.rank
+    h = m.index.weighted(e.weighting.values).h
     radius = lambda key: q.numerator * h(key)[0]  # noqa: E731
-    coords = e.coords
     # the basis sections have valuation 0, the baseline; enumerate multi-indices
     # k with 1 <= |k| <= depth, the factors (d_i - j) for different directions
     # commuting by integrability
@@ -929,14 +921,16 @@ def log_convergence_check(
     for level in range(1, depth + 1):
         new = {}
         for k, (sections, den) in frontier.items():
-            for i, (ai, di) in enumerate(e.matrices):
+            for i, a in enumerate(e.matrices):
                 kk = k[:i] + (k[i] + 1,) + k[i + 1 :]
                 if kk in new:
                     continue
-                out = _map_mul(m, w, t, ai, sections.items(), n)  # (d_i + A^i - k_i) sections, over di den
-                for key, x in sections.items():
-                    _add_into(out, key, [di * (coords(key)[i] - k[i]) * v for v in x])
-                new[kk] = ({key: x for key, x in out.items() if any(x)}, di * den)
+                out = _nabla(e, a, (sections.items(), den), i)  # (d_i + A^i) sections, over d_i den
+                if k[i]:
+                    shift = -a[1] * k[i]
+                    for key, x in sections.items():
+                        _add_into(out, key, [shift * v for v in x])
+                new[kk] = ({key: x for key, x in out.items() if any(x)}, a[1] * den)
         frontier = new
         for k, (sections, den) in frontier.items():
             val = gauss_valuation(sections.items(), den * math.prod(map(math.factorial, k)), p, radius, q.denominator)

@@ -22,11 +22,13 @@ as `perfbench` cli-batch processes do on a host that keeps none for the
 program.  A run's time is the CPU time of its
 process (user + system, from RUSAGE_CHILDREN), which leaves out the time a
 shared host's other tenants take.  Each row prints the exit code, the
-median and quartiles of N runs in ms, and the `logmonoid.*` modules the
-process loaded, read from one more, untimed, run under `-X importtime`.
-With --compare the two trees run alternately, this checkout first in every
-other round, and each row adds the ratio of the medians (this / other) and
-the number of pairs this checkout took less CPU in.  Stdlib only.
+median and quartiles of N runs in ms (N = 20 by default), and the
+`logmonoid.*` modules the process loaded, read from one more, untimed, run
+under `-X importtime`.  With --compare the two trees run alternately, this
+checkout first in every other round, and each row adds the ratio of the
+medians (this / other) and the number of pairs this checkout took less CPU
+in.  On a shared 2-core host two copies of one tree read ratios 0.97-1.18
+over 10 rounds, and only 20 rounds separated a 4-9 % change.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def _spread(xs: list[float]) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--rounds", type=int, default=10, help="runs per case and tree (default 10)")
+    parser.add_argument("--rounds", type=int, default=20, help="runs per case and tree (default 20)")
     parser.add_argument("--compare", metavar="OTHER_CHECKOUT", help="a second tree, run alternately with this one")
     args = parser.parse_args()
     trees = [ROOT] + ([os.path.abspath(args.compare)] if args.compare else [])
