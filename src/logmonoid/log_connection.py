@@ -187,17 +187,19 @@ def check_sd(sigma: ExponentSet) -> bool:
 # coefficient maps
 # ---------------------------------------------------------------------------
 
-def _nabla(e: "LogNablaModule", a: CoefficientMap, b: CoefficientMap, i: Optional[int] = None) -> dict:
+def _nabla(
+    e: "LogNablaModule", a: CoefficientMap, b: CoefficientMap, i: Optional[int] = None, shift: int = 0,
+) -> dict:
     """a b for n x n coefficient maps of the module e, at its truncation, or
-    with a direction i (d_i + a) b, d_i scaling t^m by the i-th coordinate
-    of m: {key: integer matrix} over the product of the two denominators.
-    b's terms may be any (key, matrix) pairs."""
+    with a direction i (d_i - shift + a) b, d_i scaling t^m by the i-th
+    coordinate of m: {key: integer matrix} over the product of the two
+    denominators.  b's terms may be any (key, matrix) pairs."""
     (ax, da), (bx, db) = a, b
     out = _map_mul(e.monoid, e.weighting, e.truncation, ax, bx, e.rank)
     if i is not None:
         coords = e.coords
         for k, x in bx:
-            _add_into(out, k, [da * coords(k)[i] * v for v in x])
+            _add_into(out, k, [da * (coords(k)[i] - shift) * v for v in x])
     return out
 
 
@@ -925,11 +927,7 @@ def log_convergence_check(
                 kk = k[:i] + (k[i] + 1,) + k[i + 1 :]
                 if kk in new:
                     continue
-                out = _nabla(e, a, (sections.items(), den), i)  # (d_i + A^i) sections, over d_i den
-                if k[i]:
-                    shift = -a[1] * k[i]
-                    for key, x in sections.items():
-                        _add_into(out, key, [shift * v for v in x])
+                out = _nabla(e, a, (sections.items(), den), i, k[i])  # (d_i - k_i + A^i) sections, over d_i den
                 new[kk] = ({key: x for key, x in out.items() if any(x)}, a[1] * den)
         frontier = new
         for k, (sections, den) in frontier.items():

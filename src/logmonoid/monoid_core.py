@@ -88,7 +88,7 @@ class _MonoidHomFields(NamedTuple):
 
 
 class MonoidHom(_MonoidHomFields):
-    # no __slots__: the instance dict holds the cached image and _smith_images
+    # no __slots__: the instance dict holds the cached _smith_images
 
     _make = checked_make
 
@@ -104,11 +104,6 @@ class MonoidHom(_MonoidHomFields):
             if not tg.is_zero(acc):
                 raise ValueError("images do not respect the source presentation")
         return self
-
-    @cached_property
-    def image(self) -> FineMonoid:
-        """f(N), kept with its index: a repeated `section` builds no second one."""
-        return FineMonoid(self.target.gp, self.images)
 
     @cached_property
     def _smith_images(self) -> _snf.IntMatrix:
@@ -654,8 +649,9 @@ def section(f: MonoidHom) -> SectionData:
         section_images_cover.append(x)
     # f^gp is onto M^gp, so the images generate M^gp as a group, and f is
     # onto iff every target generator lies in the image submonoid f(N)
+    image = FineMonoid(m.gp, f.images)
     for tgt in m.generators:
-        if not membership(f.image, tgt):
+        if not membership(image, tgt):
             raise NotSurjective(f"target generator {tgt} is not in the image of the source")
 
     def s_gp(x: Elt) -> Elt:
