@@ -107,44 +107,29 @@ class AbelianGroup(_AbelianGroupFields):
 
 
 class QuotientMap(NamedTuple):
-    """Projection Z^n -> G computed from a Smith normal form."""
+    """Projection Z^n -> G: the rows of u, for u a v = d the Smith form of the
+    relations, at G's free coordinates and then at its torsion ones."""
 
-    source_dim: int
     group: AbelianGroup
-    u: snf.IntMatrix  # unimodular: w = u * x
-    free_rows: tuple[int, ...]
-    torsion_rows: tuple[int, ...]
+    rows: snf.IntMatrix
 
     def __call__(self, x: Sequence[int]) -> Elt:
-        w = snf.mat_vec(self.u, tuple(int(v) for v in x))
-        free = tuple(w[i] for i in self.free_rows)
-        tor = tuple(
-            w[i] % d for i, d in zip(self.torsion_rows, self.group.torsion_invariants)
-        )
-        return (free, tor)
+        w = snf.mat_vec(self.rows, x)
+        k = self.group.free_rank
+        return (w[:k], tuple(y % d for y, d in zip(w[k:], self.group.torsion_invariants)))
 
 
 def quotient_presented(n: int, relation_columns: Sequence[Sequence[int]]) -> tuple[AbelianGroup, QuotientMap]:
-    """Z^n modulo the lattice spanned by the given columns."""
-    if not relation_columns:
-        g = AbelianGroup(n, ())
-        return g, QuotientMap(n, g, snf.identity(n), tuple(range(n)), ())
+    """Z^n modulo the lattice spanned by the given columns.  Coordinate i of
+    u x is free where the Smith diagonal d_i is 0, torsion of order d_i where
+    d_i >= 2, and dies where d_i is 1."""
     a = snf.as_matrix([[col[i] for col in relation_columns] for i in range(n)])
-    d, u, _v = snf.smith_normal_form(a)
-    r = min(n, len(relation_columns))
-    torsion_rows = []
-    invariants = []
-    free_rows = []
-    for i in range(n):
-        di = d[i][i] if i < r else 0
-        if di == 0:
-            free_rows.append(i)
-        elif di >= 2:
-            torsion_rows.append(i)
-            invariants.append(di)
-        # di == 1: coordinate dies
-    g = AbelianGroup(len(free_rows), tuple(invariants))
-    return g, QuotientMap(n, g, u, tuple(free_rows), tuple(torsion_rows))
+    smith = snf.SmithForm(a, len(relation_columns))
+    d = smith.diagonal
+    free = [i for i in range(n) if d[i] == 0]
+    torsion = [i for i in range(n) if d[i] >= 2]
+    g = AbelianGroup(len(free), tuple(d[i] for i in torsion))
+    return g, QuotientMap(g, tuple(smith.u[i] for i in free + torsion))
 
 
 def group_quotient(g: AbelianGroup, elements: Sequence[Elt]) -> tuple[AbelianGroup, Callable[[Elt], Elt]]:

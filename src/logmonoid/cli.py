@@ -17,7 +17,6 @@ import itertools as it
 import json
 import sys
 from fractions import Fraction
-from typing import NamedTuple
 
 from .documents import (
     MonoidContext,
@@ -28,7 +27,7 @@ from .documents import (
     parse_sigma,
     render_rational,
 )
-from .errors import CertificationFailed, HypothesisError, ParseError, checked_make
+from .errors import CertificationFailed, HypothesisError, ParseError
 
 
 # Miller-Rabin to the first 13 prime bases decides primality exactly below
@@ -61,25 +60,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class _RunConfigFields(NamedTuple):
-    prime: int = 5
-    output_format: str = "text"
-
-
-class RunConfig(_RunConfigFields):
-    __slots__ = ()
-    _make = checked_make
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.prime >= _MR_EXACT_BELOW:
-            raise ValueError(f"--prime must be below {_MR_EXACT_BELOW}, where its primality is decided exactly, "
-                             f"got {self.prime}")
-        if not _is_prime(self.prime):
-            raise ValueError(f"--prime must be a prime number, got {self.prime}")
-        if self.output_format not in ("json", "text"):
-            raise ValueError("format must be json or text")
-        return self
+def _check_prime(p: int) -> None:
+    """ValueError naming --prime unless p is a prime whose primality
+    _is_prime decides exactly."""
+    if p >= _MR_EXACT_BELOW:
+        raise ValueError(f"--prime must be below {_MR_EXACT_BELOW}, where its primality is decided exactly, "
+                         f"got {p}")
+    if not _is_prime(p):
+        raise ValueError(f"--prime must be a prime number, got {p}")
 
 
 def _render(report: dict, fmt: str) -> str:
@@ -113,7 +101,7 @@ def _describe_vector(v) -> list[str]:
     return [render_rational(x) for x in v]
 
 
-def cmd_monoid_analyze(path: str, config: RunConfig) -> dict:
+def cmd_monoid_analyze(path: str) -> dict:
     from . import monoid_core as mc
 
     ctx = parse_monoid(load_json(path))
@@ -147,7 +135,7 @@ def _load_sigma(ctx: MonoidContext, path):
     return parse_sigma(ctx, load_json(path))
 
 
-def cmd_connection(args, config: RunConfig) -> dict:
+def cmd_connection(args) -> dict:
     ctx, module = parse_connection(load_json(args.input))
     from . import log_connection as lc, monoid_core as mc
 
@@ -163,7 +151,7 @@ def cmd_connection(args, config: RunConfig) -> dict:
     if sub == "shear":
         from .coefficient_maps import coefficient
 
-        result = lc.shear(module, p=config.prime)
+        result = lc.shear(module, p=args.prime)
         gauge_terms = [
             {
                 "m": ctx.render_element(key),
@@ -268,7 +256,7 @@ def cmd_connection(args, config: RunConfig) -> dict:
             raise ParseError("--eta must be a positive rational exponent q (eta = p^-q in (0,1))")
         if args.depth < 1:
             raise ParseError(f"--depth must be at least 1, got {args.depth}")
-        verdict = lc.log_convergence_check(module, radius, eta, args.depth, config.prime)
+        verdict = lc.log_convergence_check(module, radius, eta, args.depth, args.prime)
         return {
             "radius_log": render_rational(radius.value_exponent()),
             "eta_log": render_rational(eta.value_exponent()),
@@ -313,19 +301,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(args.prime, args.output_format)
+        _check_prime(args.prime)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         if args.command == "monoid-analyze":
-            report = cmd_monoid_analyze(args.input, config)
+            report = cmd_monoid_analyze(args.input)
         elif args.command == "connection":
-            report = cmd_connection(args, config)
+            report = cmd_connection(args)
         elif args.command == "selftest":
             from . import selftest
 
-            return selftest.main(config.prime)
+            return selftest.main(args.prime)
         else:  # pragma: no cover
             parser.error("unknown command")
     except ParseError as exc:
@@ -337,7 +325,7 @@ def main(argv=None) -> int:
     except CertificationFailed as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 3
-    print(_render(report, config.output_format))
+    print(_render(report, args.output_format))
     return 0
 
 

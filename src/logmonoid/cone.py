@@ -271,8 +271,8 @@ def _parallelepiped_points(rays: Sequence[tuple[int, ...]]) -> Iterator[tuple[in
     per class of the lattice points of span(A) modulo A Z^k."""
     d = len(rays[0])
     k = len(rays)
-    diag, _s, t = _snf.smith_normal_form(tuple(tuple(u[i] for u in rays) for i in range(d)))
-    steps = [diag[i][i] for i in range(k)]
+    smith = _snf.SmithForm(tuple(tuple(u[i] for u in rays) for i in range(d)))
+    steps, t = smith.diagonal[:k], smith.v
     den = math.lcm(*steps)
     for y in itertools.product(*(range(x) for x in steps)):
         c = [sum(t[j][i] * y[i] * (den // steps[i]) for i in range(k)) % den for j in range(k)]

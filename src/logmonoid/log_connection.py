@@ -578,18 +578,16 @@ def _eigenbasis_data(a: RatMatrix, spectrum: list) -> tuple:
     return eigs, (p, den), (tuple(tuple(x * den for x in row) for row in pinv), dinv), (nil, dinv * d)
 
 
-def _shear_hypotheses(e: LogNablaModule) -> tuple[tuple[RatMatrix, ...], tuple]:
+def _shear_hypotheses(e: LogNablaModule) -> None:
     """Check what shearing needs beyond a disk or point interval -- a sharp
     monoid, integrability, commuting residues with rational eigenvalues and
-    locally (NI-D) -- and return the residues with their eigenbasis data."""
+    locally (NI-D), read from the residue spectra."""
     if not is_sharp(e.monoid):
         raise NotSharp("shearing requires a sharp monoid")
     if not validate_integrability(e):
         raise NotIntegrable("connection is not integrable; shearing undefined")
-    res = e.residues
-    eigendata = e.eigenbasis_data
-    _check_ni_coordinatewise([(sorted(set(eigs)), d) for (eigs, *_), (_, d) in zip(eigendata, res)])
-    return res, eigendata
+    _check_ni_coordinatewise([([y for y, *_ in spectrum], d)
+                              for spectrum, (_, d) in zip(e.residue_spectra, e.residues)])
 
 
 def shear(
@@ -601,11 +599,12 @@ def shear(
     plus the inverse, the norm-bound report and the constant base model."""
     if e.interval_kind == "annulus":
         raise NotDiskModule("shear acts on disk or point modules; annuli go through twist_reduce")
-    a0s, eigendata = _shear_hypotheses(e)
+    _shear_hypotheses(e)
+    a0s, eigendata = e.residues, e.eigenbasis_data
     # per direction, the differences x - y of A^i_0's eigenvalues, integers
     # over its denominator dx, with v_p(dx)
-    eig_diffs = [(sorted({x - y for x in eigs for y in eigs}), dx, padic_valuation(dx, p))
-                 for (eigs, *_), (_, dx) in zip(eigendata, a0s)]
+    eig_diffs = [(sorted({x - y for x, *_ in spectrum for y, *_ in spectrum}), dx, padic_valuation(dx, p))
+                 for spectrum, (_, dx) in zip(e.residue_spectra, a0s)]
     m = e.monoid
     t = e.truncation
     w = e.weighting
@@ -794,10 +793,12 @@ def _sylvester(a0: list[list[int]], d: int, mi: int) -> tuple[list[list[int]], i
 
 
 def _sylvester_inverse(rows: list[list[int]], d: int) -> tuple[list[list[int]], int]:
-    """The inverse of the operator rows / d, the same way."""
+    """The inverse of the operator rows / d, the same way.  Shear inverts it
+    only at m_i != 0, where it is singular only if two eigenvalues of A^i_0
+    differ by the nonzero integer -m_i, which the NI check has rejected."""
     inv = inverse_over_lcm(rows)
     if inv is None:
-        raise SingularSylvester("Sylvester solve singular: NI hypothesis violated")
+        raise CertificationFailed("Sylvester inverse: the operator is singular although NI holds")
     return [[x * d for x in row] for row in inv[0]], inv[1]
 
 

@@ -173,10 +173,9 @@ def from_embedded(vectors: Sequence[Sequence[int]]):
     gens = tuple(qmap(tuple(1 if i == j else 0 for i in range(count))) for j in range(count))
     monoid = FineMonoid(g, gens)
     smith, rank = span.smith, span.smith.rank
-    # the Smith coordinates past the rank are zero; the quotient's free rows
-    # then its torsion rows are gp's cover coordinates
-    to_gp = _snf.mat_mul(tuple(qmap.u[i] for i in qmap.free_rows + qmap.torsion_rows),
-                         tuple(row[:rank] for row in smith.v[:count]))
+    # the Smith coordinates past the rank are zero; the quotient map's rows
+    # give gp's cover coordinates
+    to_gp = _snf.mat_mul(qmap.rows, tuple(row[:rank] for row in smith.v[:count]))
 
     def convert(x) -> Elt:
         elt = ambient.element(x[0], x[1]) if isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], tuple) else ambient.element(x)
@@ -205,7 +204,6 @@ class MonoidIndex:
     def __init__(self, m: FineMonoid):
         self.monoid = m
         self._weighted: dict[tuple[int, ...], WeightedIndex] = {}
-        self._face_quotients: dict[frozenset[int], tuple[AbelianGroup, Callable[[Elt], Elt]]] = {}
         self._face_projections: dict[frozenset[int], tuple[tuple[int, ...], ...]] = {}
 
     @cached_property
@@ -236,24 +234,14 @@ class MonoidIndex:
         pairs = sorted(zip(self.cone.supports, self.cone.normals), key=lambda p: _face_key(p[0]))
         return {Face(self.monoid, s): lam for s, lam in pairs}
 
-    def face_quotient(self, face: Face) -> tuple[AbelianGroup, Callable[[Elt], Elt]]:
-        """(M/F)^gp = gp / F^gp with its projection, built on the first call
-        for the face (by the projections; semi-saturation builds none)."""
-        found = self._face_quotients.get(face.generator_indices)
-        if found is None:
-            found = self._face_quotients[face.generator_indices] = group_quotient(
-                self.monoid.gp, face.generators()
-            )
-        return found
-
     def face_projection(self, face: Face) -> tuple[tuple[int, ...], ...]:
-        """gp^free -> (M/F)^gp free, the free part of `face_quotient`'s
-        projection, as integer rows."""
+        """gp^free -> (M/F)^gp free, the free part of the projection of
+        `face_quotient_group`, as integer rows kept for the face."""
         found = self._face_projections.get(face.generator_indices)
         if found is None:
-            project, gp = self.face_quotient(face)[1], self.monoid.gp
-            cols = [project(gp.element(tuple(int(x == k) for x in range(gp.free_rank))))[0]
-                    for k in range(gp.free_rank)]
+            gp = self.monoid.gp
+            project = group_quotient(gp, face.generators())[1]
+            cols = [project(gp.element(e))[0] for e in _snf.identity(gp.free_rank)]
             found = self._face_projections[face.generator_indices] = tuple(zip(*cols))
         return found
 
@@ -562,8 +550,9 @@ def quotient(m: FineMonoid, n_sub: Sequence[Elt]) -> tuple[FineMonoid, MonoidHom
 
 
 def face_quotient_group(m: FineMonoid, face: Face) -> tuple[AbelianGroup, Callable[[Elt], Elt]]:
-    """(M/F)^gp = gp / F^gp with its projection (group level only)."""
-    return m.index.face_quotient(face)
+    """(M/F)^gp = gp / F^gp with its projection (group level only), built
+    afresh on each call."""
+    return group_quotient(m.gp, face.generators())
 
 
 def localize(m: FineMonoid, face: Face) -> FineMonoid:
@@ -691,17 +680,9 @@ def _verify_section(data: SectionData) -> None:
     for g in m.generators:
         if f.gp_apply(s.gp_apply(g)) != g:
             raise CertificationFailed(f"section identity f o s = id fails at the generator {g}")
-    # splitting: s(free basis of M^gp) + kernel basis spans N^gp
-    cols = []
-    for k in range(m.gp.free_rank):
-        e = m.gp.element(tuple(1 if i == k else 0 for i in range(m.gp.free_rank)))
-        cols.append(n.gp.lift(s.gp_apply(e)))
-    for v in data.kernel_basis:
-        cols.append(n.gp.lift(v))
-    cols += n.gp.cover_relations()
-    # the columns span Z^cover iff every invariant factor of their matrix is 1
-    a = _snf.as_matrix([[col[i] for col in cols] for i in range(n.gp.cover_dim)])
-    if any(x != 1 for x in _snf.SmithForm(a, len(cols)).diagonal):
+    # splitting: N^gp modulo s(free basis of M^gp) and the kernel basis is 0
+    basis = [s.gp_apply(m.gp.element(e)) for e in _snf.identity(m.gp.free_rank)]
+    if group_quotient(n.gp, basis + list(data.kernel_basis))[0] != AbelianGroup(0):
         raise CertificationFailed("section splitting: s(M^gp) + Ker(f^gp) does not span N^gp")
 
 

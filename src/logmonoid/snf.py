@@ -148,15 +148,17 @@ def cokernel_is_torsion_free(cols: Sequence[Sequence[int]]) -> bool:
 
 
 class SmithForm:
-    """The Smith form u*a*v = d of one matrix, kept to answer many solves."""
+    """The Smith form u*a*v = d of one matrix, kept to answer many solves:
+    the one reader of `smith_normal_form`.  A matrix with no rows or no
+    columns is its own Smith form, with identities for u and v."""
 
     def __init__(self, a: IntMatrix, cols: Optional[int] = None):
         rows = len(a)
         self.cols = len(a[0]) if rows else (cols or 0)
-        if rows:
+        if rows and self.cols:
             d, self.u, self.v = smith_normal_form(a)
         else:
-            d, self.u, self.v = (), (), identity(self.cols)
+            d, self.u, self.v = (), identity(rows), identity(self.cols)
         r = min(rows, self.cols)
         self.diagonal = tuple(d[i][i] if i < r else 0 for i in range(rows))
         self.rank = sum(1 for x in self.diagonal if x != 0)

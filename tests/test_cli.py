@@ -12,7 +12,9 @@ import pytest
 from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
 from logmonoid import selftest
-from logmonoid.cli import RunConfig, main
+from logmonoid.cli import _check_prime, main
+from logmonoid.documents import load_json, parse_connection
+from logmonoid.errors import CertificationFailed
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -500,6 +502,21 @@ def test_a_failed_self_check_is_exit_3_naming_it(capsys, monkeypatch):
     assert err.startswith("certification failed: shear all-directions identity")
 
 
+def test_a_singular_sylvester_operator_past_the_ni_check_is_exit_3(capsys, monkeypatch):
+    """Past the NI check no Sylvester operator that shear inverts is
+    singular; one found singular (inverse_over_lcm patched to find no
+    inverse of the 4 x 4 operator) is a fault of the program: exit 3 naming
+    the check, not a violated hypothesis."""
+    inverse = lc.inverse_over_lcm
+    monkeypatch.setattr(lc, "inverse_over_lcm", lambda a: None if len(a) == 4 else inverse(a))
+    _, e = parse_connection(load_json(DATA / "rank2_connection.json"))
+    with pytest.raises(CertificationFailed, match="Sylvester inverse"):
+        lc.shear(e)
+    code, out, err = run(capsys, "connection", "shear", DATA / "rank2_connection.json")
+    assert (code, out) == (3, "") and "Traceback" not in err
+    assert err.startswith("certification failed: Sylvester inverse")
+
+
 @pytest.mark.parametrize("elements", [5, [5], "[[0, 0]]", [[0, 0], 5]])
 def test_a_malformed_sigma_is_a_parse_error(capsys, tmp_path, elements):
     """"elements" that is not a list of vectors ended in a TypeError
@@ -551,14 +568,23 @@ def test_bad_options_exit_2_naming_the_option(capsys, argv, message):
     assert (code, out) == (2, "") and message in err and "Traceback" not in err
 
 
+def test_an_unknown_format_exits_2_from_argparse(capsys):
+    """argparse's choices limit --format, so main adds no check of its own;
+    main's --prime check is in test_bad_options_exit_2_naming_the_option."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["--format", "xml", "monoid-analyze", str(DATA / "nm1.json")])
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out) == (2, "") and "invalid choice: 'xml'" in captured.err
+
+
 def test_prime_is_decided_as_trial_division_decides_it():
     for n in range(-3, 5000):
         is_prime = n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
         if is_prime:
-            assert RunConfig(n).prime == n
+            _check_prime(n)
         else:
             with pytest.raises(ValueError, match=f"--prime must be a prime number, got {n}$"):
-                RunConfig(n)
+                _check_prime(n)
 
 
 @pytest.mark.parametrize("prime, accepted", [

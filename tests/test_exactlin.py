@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from logmonoid import cone, documents, qlin, snf
+from logmonoid import monoid_core as mc
+from logmonoid.abelian import AbelianGroup, group_quotient, quotient_presented
 
 from conftest import cone_member
 
@@ -190,6 +192,38 @@ def test_torsion_free_cokernel_matches_the_smith_diagonal():
                 assert snf.cokernel_is_torsion_free(columns) is want, columns
                 answers.add(want)
     assert answers == {True, False}
+
+
+def test_a_matrix_with_no_rows_or_no_columns_takes_no_smith_form(monkeypatch):
+    """Such a matrix is its own Smith form, with identities for u and v: a
+    presented monoid with no relations, and a torsion-free group modulo
+    nothing, take no Smith form, and the quotient map is the identity."""
+    calls = []
+    smith = snf.smith_normal_form
+    monkeypatch.setattr(snf, "smith_normal_form", lambda a: calls.append(a) or smith(a))
+    for n in (0, 1, 3):
+        form = snf.SmithForm(snf.as_matrix([()] * n))
+        assert (form.u, form.v, form.diagonal, form.rank) == (snf.identity(n), (), (0,) * n, 0)
+        form = snf.SmithForm((), n)
+        assert (form.u, form.v, form.diagonal, form.rank) == ((), snf.identity(n), (), 0)
+        g, qmap = quotient_presented(n, [])
+        assert (g, qmap.rows) == (AbelianGroup(n), snf.identity(n))
+        m = mc.from_presentation(n, [])
+        assert m.gp == AbelianGroup(n) and m.generators == tuple((e, ()) for e in snf.identity(n))
+        q, project = group_quotient(AbelianGroup(n), [])
+        assert q == AbelianGroup(n) and project(((2,) * n, ())) == ((2,) * n, ())
+    assert calls == []
+
+
+def test_a_quotient_map_reads_the_group_off_the_smith_diagonal():
+    """Z^3 / <(2, 0, 0), (0, 3, 0)> is Z + Z/6: the invariants 1 and 6 of
+    the relations, the coordinate at 1 dropped and the torsion reduced."""
+    g, qmap = quotient_presented(3, [(2, 0, 0), (0, 3, 0)])
+    assert g == AbelianGroup(1, (6,)) and len(qmap.rows) == 2
+    for x in itertools.product(range(-4, 5), repeat=3):
+        y = qmap(x)
+        assert y == g.element(*y) and abs(y[0][0]) == abs(x[2]), x
+        assert g.is_zero(y) == (x[0] % 2 == 0 and x[1] % 3 == 0 and x[2] == 0), x
 
 
 def test_integer_solve_and_kernel():

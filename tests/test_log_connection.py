@@ -413,6 +413,21 @@ def test_shear_rejects_integer_difference(n1):
         lc.shear(e)
 
 
+def test_unipotence_builds_no_eigenbasis(monkeypatch):
+    """The NI check reads the residue spectra, so the verdicts on a
+    non-constant NI module build none of shear's P, P^-1 and P^-1 b P;
+    shear then builds one per residue."""
+    calls = []
+    eigenbasis = lc._eigenbasis_data
+    monkeypatch.setattr(lc, "_eigenbasis_data", lambda *a: calls.append(a) or eigenbasis(*a))
+    _, e = documents.parse_connection(documents.load_json(DATA / "rank2_connection.json"))
+    sigma = lc.ExponentSet(e.monoid, ((F(0),), (F(1, 2),)))
+    assert [lc.is_sigma_unipotent(e, sigma, f).verdict for f in mc.faces(e.monoid)] == [True, True]
+    assert calls == []
+    lc.shear(e)
+    assert len(calls) == e.embedding.r
+
+
 def test_shear_agrees_with_brute_oracle():
     e = _rank2_n_module(6)
     sr = lc.shear(e)

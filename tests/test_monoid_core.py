@@ -10,7 +10,7 @@ from logmonoid import monoid_core as mc
 from logmonoid import selftest
 from logmonoid import snf
 from logmonoid.abelian import AbelianGroup, GroupSpan
-from logmonoid.errors import NotSubmonoid, NotSurjective, TorsionTarget
+from logmonoid.errors import CertificationFailed, NotSubmonoid, NotSurjective, TorsionTarget
 
 
 # -- constructors -----------------------------------------------------------
@@ -333,13 +333,17 @@ def test_section_onto_the_trivial_monoid(n2):
 
 def test_section_takes_one_smith_form_per_matrix(monkeypatch, n2, n3, m_even):
     """section builds one Smith form of f^gp's free matrix (every lift and
-    the kernel) and _verify_section one of the splitting matrix; the other
-    Smith forms of a section belong to the monoid indices."""
+    the kernel) and _verify_section one of the splitting matrix, through
+    group_quotient; the other Smith forms of a section belong to the monoid
+    indices."""
     calls = []
     smith_normal_form = snf.smith_normal_form
 
     def counted(a):
-        calls.append((sys._getframe(2).f_code.co_name, a))  # the caller of SmithForm
+        frame = sys._getframe(2)  # the caller of SmithForm, or of a quotient that builds it
+        while frame.f_code.co_name in ("quotient_presented", "group_quotient"):
+            frame = frame.f_back
+        calls.append((frame.f_code.co_name, a))
         return smith_normal_form(a)
 
     monkeypatch.setattr(snf, "smith_normal_form", counted)
@@ -356,6 +360,18 @@ def test_section_takes_one_smith_form_per_matrix(monkeypatch, n2, n3, m_even):
         own = [call for call in calls if call[0] in ("section", "_verify_section")]
         assert own == [("section", fgp), ("_verify_section", splitting)]
         assert [a for _, a in calls].count(splitting) == 1
+
+
+def test_the_section_check_rejects_a_splitting_that_leaves_a_quotient(n2, n3):
+    """_verify_section requires N^gp modulo s(M^gp) and the kernel basis to
+    be 0: a kernel basis scaled by 2 leaves Z/2 (free rank 0), and one
+    dropped leaves Z."""
+    f = mc.MonoidHom(n3, n2, (n2.element((1, 0)), n2.element((0, 1)), n2.element((1, 1))))
+    data = mc.section(f)
+    (k,) = data.kernel_basis
+    for basis in ((n3.gp.scale(2, k),), ()):
+        with pytest.raises(CertificationFailed, match="section splitting"):
+            mc._verify_section(data._replace(kernel_basis=basis))
 
 
 def _sums_of_at_most_four(gens, gp):

@@ -10,7 +10,6 @@ from typing import Optional
 
 import pytest
 
-from logmonoid import cli
 from logmonoid import coefficient_maps as cmaps
 from logmonoid import constant_models as cmod
 from logmonoid import documents as docs
@@ -25,7 +24,7 @@ DATA = Path(__file__).parent / "data"
 F = Fraction
 
 RECORDS = (
-    "AbelianGroup", "QuotientMap", "RunConfig", "MonoidContext", "Embedding", "ExponentSet",
+    "AbelianGroup", "QuotientMap", "MonoidContext", "Embedding", "ExponentSet",
     "LogNablaModule", "ResidueDecomposition", "BoundRecord", "ShearResult", "UnipotenceReport",
     "HomotopyReport", "FineMonoid", "Face", "MonoidHom", "SectionData", "EnumerationBudget",
     "Weighting", "Radius", "TruncatedSeries", "NormResult", "ValuationPoint",
@@ -42,7 +41,7 @@ def records():
     sheared = lc.shear(e)
     series = sheared.gauge[0][0]
     found = [
-        AbelianGroup(1, (2,)), quotient_presented(2, [])[1], cli.RunConfig(), ctx, e.embedding,
+        AbelianGroup(1, (2,)), quotient_presented(2, [])[1], ctx, e.embedding,
         sigma, e, lc.exponents(e), sheared.bound_report[0], sheared,
         lc.is_sigma_unipotent(e, sigma, mc.faces(n2)[0]),
         cmod.homotopy_check(e.embedding, sigma.elements[1], sigma.elements[1],
@@ -101,8 +100,6 @@ def _checks(n1, n2, m_even, e):
     return [
         row(AbelianGroup, 1, (1,), message=">= 2"),
         row(AbelianGroup, 0, (2, 3), message="divisibility chain"),
-        row(cli.RunConfig, prime=4, message="--prime must be a prime"),
-        row(cli.RunConfig, output_format="xml", message="json or text"),
         row(EnumerationBudget, 0, message="must be positive"),
         row(EnumerationBudget, 3, element_cap=0, message="must be positive"),
         row(mc.FineMonoid, AbelianGroup(2), (((1,), ()),), message="wrong shape"),
