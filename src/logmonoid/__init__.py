@@ -19,9 +19,10 @@ _HOMES = {
     ), "constant_models"),
     **dict.fromkeys((
         "BudgetExceeded", "CertificationFailed", "DenominatorVanishes", "HypothesisError", "IrrationalExponent",
-        "LogMonoidError", "NonCommutingResidues", "NonInvertibleConstantTerm", "NoPositiveFunctional", "NotInGroupSpan",
-        "NotSemiSaturated", "NotSubmonoid", "NotSurjective", "ParseError", "SingularSylvester", "SingularSystem",
-        "TorsionTarget", "ZeroProjection",
+        "LogMonoidError", "NIViolated", "NonCommutingResidues", "NonConstantModel", "NonInvertibleConstantTerm",
+        "NoPositiveFunctional", "NotDiskModule", "NotInGroupSpan", "NotIntegrable", "NotMonoidSupported",
+        "NotSemiSaturated", "NotSharp", "NotSubmonoid", "NotSurjective", "NotTorsionFree", "ParseError", "SDViolated",
+        "SingularSystem", "TorsionTarget", "ZeroProjection",
     ), "errors"),
     **dict.fromkeys((
         "Embedding", "ExponentSet", "LogNablaModule", "ShearResult", "UnipotenceReport", "check_sd", "exponents",

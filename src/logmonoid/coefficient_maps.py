@@ -13,7 +13,7 @@ from itertools import chain
 from operator import add, mul
 from typing import Callable, NamedTuple, Optional
 
-from .abelian import Elt
+from .abelian import AbelianGroup, Elt
 from .monoid_core import FineMonoid, Weighting
 from .qlin import INF, QMatrix, over_lcm, padic_valuation
 
@@ -125,37 +125,70 @@ def map_sum(a: CoefficientMap, b: CoefficientMap) -> CoefficientMap:
     return _canonical(out, da * db)
 
 
-def _map_mul(m: FineMonoid, w: Weighting, t: int, a, b, cols: int) -> dict[Elt, list[int]]:
+class KeySums:
+    """Sums of keys of the group gp through small int ids: `id` numbers a key
+    on first sight and `keys[i]` is the key of id i; `rows[i]` maps a
+    partner's id j to the id of keys[i] + keys[j], computed by gp.add on the
+    first visit of either order (`sum`).  A module owns one
+    (`LogNablaModule.key_sums`), freed with it."""
+
+    def __init__(self, gp: AbelianGroup):
+        self.gp = gp
+        self.ids: dict[Elt, int] = {}
+        self.keys: list[Elt] = []
+        self.rows: list[dict[int, int]] = []
+
+    def id(self, key: Elt) -> int:
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.rows.append({})
+        return i
+
+    def sum(self, i: int, j: int) -> int:
+        s = self.rows[i].get(j)
+        if s is None:
+            s = self.rows[i][j] = self.rows[j][i] = self.id(self.gp.add(self.keys[i], self.keys[j]))
+        return s
+
+
+def _map_mul(m: FineMonoid, w: Weighting, t: int, a, b, cols: int, sums: KeySums) -> dict[Elt, list[int]]:
     """The product of two coefficient maps, given as (key, row-major integer
     matrix) pairs, b's matrices with `cols` columns, kept at the keys with
     |h| <= t: one integer matrix product per pair of keys, the numerators
-    over the product of the two denominators."""
+    over the product of the two denominators.  Key sums come from the table
+    `sums` and accumulate under their ids; each key is read back once."""
     if not a or not b:
         return {}
-    plus = m.gp.add
     h = m.index.weighted(w.values).h
+    key_id, keys, rows = sums.id, sums.keys, sums.rows
     # h is additive and h <= |h|, so with b's keys in h order every pair
     # after the first with h(k1) + h(k2) > t leaves the truncation too
-    right = sorted(((h(k)[0], k, [x[j::cols] for j in range(cols)]) for k, x in b), key=lambda term: term[0])
+    right = sorted(((h(k)[0], key_id(k), [x[j::cols] for j in range(cols)]) for k, x in b), key=lambda term: term[0])
     # |h| = 2 h+ - h and h+ is subadditive, so when every key has |h| = h a
     # pair the break keeps has |h|(k1 + k2) = h(k1) + h(k2) <= t: no lookup
     lookup = any(hk != habs for hk, _, habs in (h(k) for k, _ in chain(a, b)))
     inner = len(right[0][2][0])
-    out: dict[Elt, list[int]] = {}
+    out: dict[int, list[int]] = {}
     for k1, x in a:
         room = t - h(k1)[0]
-        rows = [x[r : r + inner] for r in range(0, len(x), inner)]
-        for h2, k2, cb in right:
+        i1 = key_id(k1)
+        partners = rows[i1]
+        left = [x[r : r + inner] for r in range(0, len(x), inner)]
+        for h2, i2, cb in right:
             if h2 > room:
                 break
-            k = plus(k1, k2)
-            if lookup and h(k)[2] > t:
+            k = partners.get(i2)
+            if k is None:
+                k = sums.sum(i1, i2)
+            if lookup and h(keys[k])[2] > t:
                 continue
-            _add_into(out, k, [sum(map(mul, ra, c)) for ra in rows for c in cb])
-    return out
+            _add_into(out, k, [sum(map(mul, ra, c)) for ra in left for c in cb])
+    return {keys[k]: x for k, x in out.items()}
 
 
-def _add_into(acc: dict, key: Elt, x: list[int]) -> None:
+def _add_into(acc: dict, key, x: list[int]) -> None:
     """acc[key] += x, for the fresh list x."""
     y = acc.get(key)
     acc[key] = x if y is None else list(map(add, y, x))

@@ -95,8 +95,14 @@ class NonConstantModel(HypothesisError):
     """An operation defined on constant (U_I-type) modules got a non-constant one."""
 
 
-class SingularSylvester(HypothesisError):
-    """A Sylvester solve in the shearing recursion is singular (NI hypothesis violated)."""
+class NIViolated(HypothesisError):
+    """A residue has two eigenvalues that differ by a nonzero integer: the
+    connection is not locally (NI-D) in some coordinate, so it cannot be sheared."""
+
+
+class SDViolated(HypothesisError):
+    """Two elements of an exponent set Sigma have facet images that differ by a
+    nonzero integer: Sigma fails (S-D), the facet form of (NI-D)."""
 
 
 class SingularSystem(HypothesisError):

@@ -6,7 +6,10 @@ nilpotent parts, the Sylvester operators -- is integer rows over one
 positive denominator (`RatMatrix`), eigenvalues are integers over their
 residue's denominator, and D_l's Q_i are integer coefficients over one
 denominator.  Fractions are built only for the values handed back.  The
-connection operator d_i + A^i is one function, `_nabla`.  The shearing
+connection operator d_i + A^i is one function, `_nabla`.  A module keeps
+each composition (d_i + A^i) A^j it has computed, which integrability and
+log-convergence share, and one table of key sums (`KeySums`), which all
+its products and the shear's recursion read.  The shearing
 recursion solves (g + m_i id)(B_m) = RHS order by order in the weight (B^-1
 by the same loop) and certifies the gauge's operator-norm bound in
 valuation form; a failed self-check raises `CertificationFailed`.
@@ -24,18 +27,19 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .abelian import Elt
 from .coefficient_maps import (
-    DEFAULT_PRIME, CoefficientMap, Radius, _add_into, _canonical, _map_mul, coefficient, gauss_valuation,
+    DEFAULT_PRIME, CoefficientMap, KeySums, Radius, _add_into, _canonical, _map_mul, coefficient, gauss_valuation,
 )
 from .errors import (
     CertificationFailed,
     IrrationalExponent,
+    NIViolated,
     NonCommutingResidues,
     NotDiskModule,
     NotIntegrable,
     NotMonoidSupported,
     NotSharp,
     NotSemiSaturated,
-    SingularSylvester,
+    SDViolated,
     checked_make,
 )
 from .monoid_core import Face, FineMonoid, Weighting, is_semi_saturated, is_sharp, membership
@@ -193,9 +197,10 @@ def _nabla(
     """a b for n x n coefficient maps of the module e, at its truncation, or
     with a direction i (d_i - shift + a) b, d_i scaling t^m by the i-th
     coordinate of m: {key: integer matrix} over the product of the two
-    denominators.  b's terms may be any (key, matrix) pairs."""
+    denominators.  b's terms may be any (key, matrix) pairs; key sums come
+    from the module's table."""
     (ax, da), (bx, db) = a, b
-    out = _map_mul(e.monoid, e.weighting, e.truncation, ax, bx, e.rank)
+    out = _map_mul(e.monoid, e.weighting, e.truncation, ax, bx, e.rank, e.key_sums)
     if i is not None:
         coords = e.coords
         for k, x in bx:
@@ -261,17 +266,35 @@ class LogNablaModule(_LogNablaModuleFields):
         return cache(self.embedding.coords)
 
     @cached_property
+    def key_sums(self) -> KeySums:
+        """The table of key sums every product of the module reads (`KeySums`)."""
+        return KeySums(self.monoid.gp)
+
+    @cached_property
+    def _compositions(self) -> dict[tuple[int, int], dict]:
+        return {}
+
+    def composition(self, i: int, j: int) -> dict:
+        """(d_i + A^i) A^j over d_i d_j (`_nabla`), computed at most once per
+        ordered pair and kept with the module: integrability and the second
+        level of log-convergence read it.  Read it, do not modify it."""
+        out = self._compositions.get((i, j))
+        if out is None:
+            out = self._compositions[i, j] = _nabla(self, self.matrices[i], self.matrices[j], i)
+        return out
+
+    @cached_property
     def integrability_defect(self):
         """None when every bracket vanishes up to truncation; otherwise the
         first failing ("connection", i, j, key) for [d_i + A^i, d_j + A^j] or
         ("base", k, i, key) for [d_i + A^i, D_k], key its least nonzero term.
         Each bracket is the difference of two compositions on the coefficient
         maps, both over the product of the two denominators (`_nabla`):
-        [d_i + A^i, d_j + A^j] = (d_i + A^i) A^j - (d_j + A^j) A^i and
-        [d_i + A^i, D] = (d_i + A^i) D - D A^i."""
+        [d_i + A^i, d_j + A^j] = (d_i + A^i) A^j - (d_j + A^j) A^i, both read
+        from `composition`, and [d_i + A^i, D] = (d_i + A^i) D - D A^i."""
         maps, n = self.matrices, self.rank
         for i, j in itertools.combinations(range(self.embedding.r), 2):
-            key = _least_difference(_nabla(self, maps[i], maps[j], i), _nabla(self, maps[j], maps[i], j), n)
+            key = _least_difference(self.composition(i, j), self.composition(j, i), n)
             if key is not None:
                 return ("connection", i, j, key)
         for k, d in enumerate(self.base_matrices or ()):
@@ -519,7 +542,7 @@ def _check_ni_coordinatewise(spectra) -> None:
     for eigs, d in spectra:
         for x, y in itertools.product(eigs, repeat=2):
             if x != y and (x - y) % d == 0:
-                raise SingularSylvester(
+                raise NIViolated(
                     f"exponent difference {(x - y) // d} is a nonzero integer (NI violated)"
                 )
 
@@ -627,27 +650,31 @@ def shear(
     inverses: dict = {}  # (i, m_i) -> its inverse, the same way: one per direction and coordinate
     worst: dict = {}  # (i, m_i) -> max(0, v_p(x - y - m_i) over eigenvalue pairs of A^i_0)
 
-    gp_add = m.gp.add
+    sums = e.key_sums
 
     def recursion(lightest_first, solve) -> dict:
         """X_0 = I, then in weight order X_m = solve(m, its pairs), kept if nonzero.  A fixed
         X_q goes, as (y, X_q), to the pairs of q + k for each (k, h(k), y) of lightest_first
         with h(q) + h(k) <= t: only the pairs that exist (a row-wise sparse product, Gustavson
-        1978).  Each k weighs >= 1, so a key's pairs are all in before it is solved."""
+        1978).  Each k weighs >= 1, so a key's pairs are all in before it is solved.  The
+        pending pairs are keyed by the ids of the module's key-sum table."""
         xs: dict = {}
-        pending: dict = {}
+        pending: dict[int, list] = {}
+        partners = [(sums.id(k), hk, y) for k, hk, y in lightest_first]
 
         def push(q: Elt, xq) -> None:
             xs[q] = xq
             room = t - ball[q]
-            for k, hk, y in lightest_first:
+            iq = sums.id(q)
+            for k, hk, y in partners:
                 if hk > room:
                     break
-                pending.setdefault(gp_add(q, k), []).append((y, xq))
+                pending.setdefault(sums.sum(iq, k), []).append((y, xq))
 
         push(zero, (ident, 1))
         for key in keys:
-            pairs = pending.pop(key, None)
+            # a key with no id is no sum yet, so it has no pairs
+            pairs = pending.pop(sums.ids.get(key), None)
             if pairs is not None:
                 xm = solve(key, pairs)
                 if any(xm[0]):
@@ -854,7 +881,7 @@ def is_sigma_unipotent(e: LogNablaModule, sigma: ExponentSet, face: Face) -> Uni
     are integer vectors over one denominator d until the report.
     """
     if not check_sd(sigma):
-        raise SingularSylvester("Sigma fails the (NI-D) facet condition")
+        raise SDViolated("Sigma fails the (NI-D) facet condition")
     sheared = e.sheared_exponents
     exps = e.decomposition.exponents
     vecs, d = over_lcm(exps + sigma.elements)
@@ -906,7 +933,11 @@ def log_convergence_check(
     integer map {key: x} over a denominator d, starting from the identity;
     a column's Gauss valuation is min v_p(x) - v_p(d) + q h(key) at radius
     a' = p^-q (`gauss_valuation`), and the map's is the least of them.
-    P_k is computed along one path to k, so the module must be integrable."""
+    P_k is computed along one path to k, so the module must be integrable.
+    Level 1 is the maps themselves, (d_i + A^i) 1 = A^i, and level 2 at
+    e_i + e_j, j < i, is the module's composition (d_i + A^i) A^j, which
+    integrability has read; only a step with k_i != 0 or at level 3 or
+    more runs `_nabla`, with the shift k_i."""
     if e.interval_kind not in ("disk", "point"):
         raise NotDiskModule("log-convergence is defined on disks and points")
     if eta.is_zero or eta.value_exponent() <= 0:
@@ -914,23 +945,27 @@ def log_convergence_check(
     if not validate_integrability(e):
         raise NotIntegrable("connection is not integrable; log-convergence undefined")
     q, q_eta = a_prime.value_exponent(), eta.value_exponent()
-    m, n = e.monoid, e.rank
-    h = m.index.weighted(e.weighting.values).h
+    h = e.monoid.index.weighted(e.weighting.values).h
     radius = lambda key: q.numerator * h(key)[0]  # noqa: E731
     # the basis sections have valuation 0, the baseline; enumerate multi-indices
     # k with 1 <= |k| <= depth, the factors (d_i - j) for different directions
-    # commuting by integrability
-    frontier = {(0,) * e.embedding.r: ({m.gp.zero(): [int(i == j) for i in range(n) for j in range(n)]}, 1)}
+    # commuting by integrability; the maps are nonzero at keys with |h| <= t
+    r = e.embedding.r
+    frontier = {tuple(int(j == i) for j in range(r)): (dict(terms), den) for i, (terms, den) in enumerate(e.matrices)}
     for level in range(1, depth + 1):
-        new = {}
-        for k, (sections, den) in frontier.items():
-            for i, a in enumerate(e.matrices):
-                kk = k[:i] + (k[i] + 1,) + k[i + 1 :]
-                if kk in new:
-                    continue
-                out = _nabla(e, a, (sections.items(), den), i, k[i])  # (d_i - k_i + A^i) sections, over d_i den
-                new[kk] = ({key: x for key, x in out.items() if any(x)}, a[1] * den)
-        frontier = new
+        if level > 1:
+            new = {}
+            for k, (sections, den) in frontier.items():
+                for i, a in enumerate(e.matrices):
+                    kk = k[:i] + (k[i] + 1,) + k[i + 1 :]
+                    if kk in new:
+                        continue
+                    if level == 2 and not k[i]:
+                        out = e.composition(i, k.index(1))  # (d_i + A^i) A^j for k = e_j, over d_i d_j
+                    else:
+                        out = _nabla(e, a, (sections.items(), den), i, k[i])  # (d_i - k_i + A^i) sections, over d_i den
+                    new[kk] = ({key: x for key, x in out.items() if any(x)}, a[1] * den)
+            frontier = new
         for k, (sections, den) in frontier.items():
             val = gauss_valuation(sections.items(), den * math.prod(map(math.factorial, k)), p, radius, q.denominator)
             if val + level * q_eta < 0:

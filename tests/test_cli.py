@@ -722,6 +722,23 @@ def test_package_attribute_errors_name_the_attribute():
         logmonoid.no_such_name
 
 
+def test_the_package_exports_every_error_class():
+    """Every LogMonoidError subclass in `errors` resolves as logmonoid.<name>
+    and is bound by `from logmonoid import *`."""
+    import inspect
+
+    import logmonoid
+    from logmonoid import errors
+
+    names = {name for name, c in inspect.getmembers(errors, inspect.isclass) if issubclass(c, errors.LogMonoidError)}
+    assert {"LogMonoidError", "NotIntegrable", "NIViolated", "SDViolated"} <= names
+    for name in names:
+        assert getattr(logmonoid, name) is getattr(errors, name)
+    star: dict = {}
+    exec("from logmonoid import *", star)
+    assert names <= star.keys()
+
+
 @pytest.mark.parametrize("field, value, named", [
     ("matrices", 5, "matrices: expected a list"),
     ("matrices", ["x"], "matrices: expected an object with 'i'"),

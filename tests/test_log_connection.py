@@ -3,6 +3,7 @@ D_l operators, the homotopy identity and log-convergence."""
 
 import functools
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -23,12 +24,13 @@ from logmonoid.errors import (
     CertificationFailed,
     DenominatorVanishes,
     IrrationalExponent,
+    NIViolated,
     NotDiskModule,
     NotIntegrable,
     NotMonoidSupported,
     NotSemiSaturated,
     NotSharp,
-    SingularSylvester,
+    SDViolated,
 )
 from logmonoid.qlin import INF, over_lcm, padic_valuation, qmat, qmat_mul, qrank, qsolve, qvec
 
@@ -244,6 +246,17 @@ def test_check_sd_integer_difference(m_even):
     assert not lc.check_sd(sigma)
 
 
+def test_unipotence_refuses_a_sigma_that_fails_sd(m_even):
+    """The (S-D) facet check of `is_sigma_unipotent` raises SDViolated, a
+    HypothesisError, for Sigma = {0, 3 g2}: facet images 3 apart."""
+    g2 = m_even.generators[1]
+    sigma = lc.ExponentSet(m_even, ((F(0), F(0)), tuple(F(3 * c) for c in g2[0])))
+    e = cmod.apply_ui(lc.facet_embedding(m_even), ws.default_weighting(m_even), [((F(1, 2),),), ((F(0),),)], 4)
+    for face in mc.faces(m_even):
+        with pytest.raises(SDViolated, match="facet condition"):
+            lc.is_sigma_unipotent(e, sigma, face)
+
+
 # -- integrability ----------------------------------------------------------------
 
 def test_integrability_constant_commuting(n2):
@@ -409,7 +422,7 @@ def test_shear_base_direction_becomes_constant(n1):
 
 def test_shear_rejects_integer_difference(n1):
     e = build_module(n1, [{(0,): ((0, 0), (0, 1)), (1,): ((0, 1), (0, 0))}], 2, 6)
-    with pytest.raises(SingularSylvester):
+    with pytest.raises(NIViolated):
         lc.shear(e)
 
 
@@ -737,10 +750,13 @@ def test_log_convergence_false_instance(n1):
 
 def test_log_convergence_counts_the_shifts_and_the_factorial(n1):
     """At eta = p^-1/10: for the residue 1/2, P_5 e = C(1/2, 5) e is 5-adically
-    integral; for d + t, P_5 e carries t^5 / 5!, of valuation -1."""
+    integral; for the residue 1 at p = 2, P_2 e = (d - 1 + 1)(d + 1) e / 2 = 0,
+    where the step to 2 e_1 without its shift would leave e / 2, of
+    valuation -1; for d + t, P_5 e carries t^5 / 5!, of valuation -1."""
     h, emb = ws.default_weighting(n1), lc.facet_embedding(n1)
     one, eta = cmaps.Radius.one(), cmaps.Radius.p_power(F(1, 10))
     assert lc.log_convergence_check(cmod.apply_ui(emb, h, [((F(1, 2),),)], 6), one, eta, 5)
+    assert lc.log_convergence_check(cmod.apply_ui(emb, h, [((F(1),),)], 6), one, eta, 3, p=2)
     e = build_module(n1, [{(1,): ((1,),)}], 1, 6)
     assert lc.log_convergence_check(e, one, eta, 4)
     assert not lc.log_convergence_check(e, one, eta, 5)
@@ -892,7 +908,7 @@ def _hypothesis_breaking_modules():
 @pytest.mark.parametrize("name,expected", [
     ("not_integrable", NotIntegrable),
     ("non_commuting", NotIntegrable),
-    ("ni_violated", SingularSylvester),
+    ("ni_violated", NIViolated),
     ("irrational", IrrationalExponent),
     ("not_sharp", NotSharp),
 ])
@@ -929,7 +945,7 @@ def test_map_mul_looks_up_a_pair_sum_only_beside_an_annulus_key(monkeypatch, n2)
     for a, b in ((disk, disk), (disk, annulus), (annulus, disk)):
         kept = sum(index.h(k1)[0] + index.h(k2)[0] <= t for k1, _ in a[0] for k2, _ in b[0])
         calls.clear()
-        cmaps._map_mul(n2, h, t, a[0], b[0], 1)
+        cmaps._map_mul(n2, h, t, a[0], b[0], 1, cmaps.KeySums(n2.gp))
         keys = len(a[0]) + len(b[0])
         if annulus not in (a, b):
             assert len(calls) == 2 * keys < kept
@@ -960,6 +976,55 @@ def test_integrability_is_decided_once(monkeypatch, n2):
     assert lc.validate_integrability(e)
     assert e.integrability_defect is None
     assert len(calls) == first
+
+
+def test_integrability_and_depth_2_log_convergence_share_their_products(monkeypatch):
+    """(d_i + A^i) A^j is computed once per ordered pair and kept with the
+    module: integrability reads both orders, level 1 of log-convergence is
+    the maps themselves and level 2 at e_i + e_j reads the stored
+    composition, so only the r steps to 2 e_i multiply.  Integrability then
+    a depth-2 check take r (r - 1) + r products, 1 / 4 / 9 for r = 1 / 2 / 3
+    (2 / 7 / 15 when each level multiplied afresh)."""
+    calls = []
+    map_mul = lc._map_mul
+    monkeypatch.setattr(lc, "_map_mul", lambda *args: calls.append(1) or map_mul(*args))
+    one, eta = cmaps.Radius.one(), cmaps.Radius.p_power(F(1, 2))
+    residues = (((0, 0), (0, F(1, 2))), ((F(1, 3), 0), (0, F(1, 3))), ((F(1, 4), 0), (0, 0)))
+    for r, products in ((1, 1), (2, 4), (3, 9)):
+        m = mc.free_monoid(r)
+        e = gauge_built_module(m, residues[:r], {(1,) + (0,) * (r - 1): ((0, 1), (0, 0))}, 2, 4)[0]
+        calls.clear()
+        assert lc.validate_integrability(e)
+        assert lc.log_convergence_check(e, one, eta, 2)
+        assert len(calls) == products, r
+        # a second check reuses the stored compositions: only the 2 e_i steps multiply again
+        assert lc.log_convergence_check(e, one, eta, 2)
+        assert len(calls) == products + r, r
+
+
+def test_a_fresh_copy_of_a_module_builds_its_own_tables(n2):
+    """The key-sum table and the stored compositions belong to one module:
+    every sum in the table is gp.add of its two keys, and a fresh copy of
+    the module starts with empty tables of its own and fills them alike."""
+    c1 = ((F(0), F(0)), (F(0), F(1, 2)))
+    c2 = ((F(1, 3), F(0)), (F(0), F(1, 3)))
+    e = gauge_built_module(n2, [c1, c2], {(1, 0): ((0, 1), (0, 0)), (1, 1): ((1, 2), (0, 1))}, 2, 5)[0]
+    one, eta = cmaps.Radius.one(), cmaps.Radius.p_power(F(1, 2))
+    tables = []
+    for f in (e, e._replace()):
+        assert "key_sums" not in f.__dict__ and "_compositions" not in f.__dict__
+        assert lc.validate_integrability(f)
+        lc.log_convergence_check(f, one, eta, 3)
+        lc.shear(f)
+        sums = f.key_sums
+        pairs = [(i, j, s) for i, row in enumerate(sums.rows) for j, s in row.items()]
+        assert len(pairs) > len(sums.keys) > 1
+        assert all(sums.keys[s] == n2.gp.add(sums.keys[i], sums.keys[j]) for i, j, s in pairs)
+        assert all(sums.ids[k] == i for i, k in enumerate(sums.keys))
+        tables.append((sums, f.composition(0, 1)))
+    (first, c01), (second, d01) = tables
+    assert second is not first and d01 is not c01 and d01 == c01
+    assert second.keys == first.keys and second.rows == first.rows
 
 
 def test_each_key_is_embedded_once_per_module(monkeypatch):
@@ -1229,12 +1294,17 @@ def _series_rows(h, t, a, rows, cols):
 
 def test_map_mul_matches_the_sum_of_series_products(n2, m_even):
     """Seeded grid: square n = 1..3 and n x 1 columns, zero matrices, terms
-    that cancel, and keys off the monoid (annulus matrices), truncated at
-    T = 2..5; the product of the coefficient maps, rendered, is the matrix
-    of summed series products."""
+    that cancel, and keys off the monoid (annulus matrices, where the |h|
+    lookup runs), truncated at T = 2..5, over N^2, M_even and the torsion
+    monoid of tests/data/torsion.json (M^gp = Z + Z/2); the product of the
+    coefficient maps, rendered, is the matrix of summed series products,
+    whose key sums the pair loop takes by m.gp.add.  Each monoid's products
+    share one key-sum table, as a module's do."""
     rng = random.Random(21)
     seen = set()
-    for m in (n2, m_even):
+    torsion = documents.parse_monoid(json.loads((DATA / "torsion.json").read_text())).monoid
+    for m in (n2, m_even, torsion):
+        sums = cmaps.KeySums(m.gp)
         h = ws.default_weighting(m)
         index = m.index.weighted(h.values)
         ball = index.upto(4)
@@ -1263,19 +1333,22 @@ def test_map_mul_matches_the_sum_of_series_products(n2, m_even):
                 b = tuple((k, tuple(-x[r - cols] if r // cols == 1 else x[r] for r in range(n * cols)))
                           for k, x in bx), db
             sa, sb = _series_rows(h, t, a, n, n), _series_rows(h, t, b, n, cols)
-            got = _series_rows(h, t, (cmaps._map_mul(m, h, t, a[0], b[0], cols).items(), a[1] * b[1]), n, cols)
+            got = _series_rows(h, t, (cmaps._map_mul(m, h, t, a[0], b[0], cols, sums).items(), a[1] * b[1]), n, cols)
             want = _smat_mul_by_series(sa, sb)
             assert got == want, (case, n, cols)
             seen.add(f"n={n}")
             seen |= {"column"} if cols == 1 and n > 1 else set()
             seen |= {"zero matrix"} if not a[0] or not b[0] else set()
             seen |= {"off the monoid"} if any(not mc.membership(m, k) for k, _ in a[0] + b[0]) else set()
+            seen |= {"|h| lookup"} if any(index.h(k)[2] > index.h(k)[0] for k, _ in a[0] + b[0]) else set()
+            seen |= {"torsion"} if m.gp.torsion_invariants else set()
             for i, row in enumerate(want):
                 for j, x in enumerate(row):
                     terms = {k for kk, y in enumerate(sa[i]) for k, _ in ws.series_mul(y, sb[kk][j]).terms}
                     if terms - {k for k, _ in x.terms}:
                         seen.add("cancelled term")
-    assert seen == {"n=1", "n=2", "n=3", "column", "zero matrix", "off the monoid", "cancelled term"}
+    assert seen == {"n=1", "n=2", "n=3", "column", "zero matrix", "off the monoid", "|h| lookup", "torsion",
+                    "cancelled term"}
 
 
 def _integrability_defect_by_series(e):
@@ -1382,7 +1455,7 @@ def test_integrability_and_log_convergence_match_the_series_evaluation(n2, m_eve
             if e.base_matrices and defect is None:
                 try:
                     sr = lc.shear(e)
-                except SingularSylvester:  # the random model broke NI
+                except NIViolated:  # the random model broke NI
                     continue
                 moved = [_smat_mul_by_series(sr.gauge_inverse, _smat_mul_by_series(_render(e, d), sr.gauge))
                          for d in e.base_matrices]
@@ -1411,7 +1484,7 @@ def _log_convergence_by_columns(e, a_prime, eta, depth, p=5):
                     kk = k[:i] + (k[i] + 1,) + k[i + 1:]
                     if kk in new:
                         continue
-                    out = cmaps._map_mul(m, w, t, ai, col.items(), 1)
+                    out = cmaps._map_mul(m, w, t, ai, col.items(), 1, e.key_sums)
                     for key, x in col.items():
                         cmaps._add_into(out, key, [di * (e.coords(key)[i] - k[i]) * v for v in x])
                     new[kk] = ({key: x for key, x in out.items() if any(x)}, di * den)

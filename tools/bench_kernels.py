@@ -10,11 +10,14 @@ n = 1, 2, 3; `weighted_series.series_mul`, `series_add` and `gauss_norm`
 (radius p^-1/2) on dense disk series over N^2 truncated at T = 3..6; `cone.simplex_feasible` on the default weighting's
 LP for k integer rays in Z^3 (k = 4, 6, 9: 2*3 + k columns, k rows); and
 `coefficient_maps._map_mul` on the coefficient maps of n x n matrices of
-those series for n = 2, 3 at T = 4, 6; and, on an integrable rank-n module
+those series for n = 2, 3 at T = 4, 6, each call with a fresh key-sum
+table, as `series_mul` takes; and, on an integrable rank-n module
 over N^2 truncated at T (a diagonal constant model rewritten by a gauge
 I + G, G dense up to weight T) for n = 2, 3 and T = 4, 6,
 `validate_integrability`, and for n = 1, 2, 3 and T = 4, 6
-`log_convergence_check` at depth 2 and 4 (radius 1, eta = p^-1/2), each
+`log_convergence_check` at depth 2 and 4 (radius 1, eta = p^-1/2), and for
+n = 2 `validate_integrability` then `log_convergence_check` at depth 2, the
+pair that shares the module's compositions (d_i + A^i) A^j, each
 call on a fresh copy of the module, so no cached verdict is reused (the
 rank-1 modules draw from their own seeded generator, so the other rows
 keep their inputs).  The spectral rows time `qlin.integer_roots` of
@@ -27,8 +30,8 @@ fresh copy of the module and of Sigma (its own exponent set), for a
 constant rank-3 module with a Jordan block over M_even and over N^3 at
 T = 4 (the monoid is not copied, so its face projections, held by its
 index, are computed on the first call only).  The shear rows time a whole `shear` (both gauge recursions, the
-bound records and the checks; the module's integrability and residue
-analysis are cached after the first call) of the selftest fixtures
+bound records and the checks; the module's integrability, residue
+analysis and key-sum table are kept after the first call) of the selftest fixtures
 rank2-N2-planted and rank2-M_even-planted built at T = 8, 12, 20, 30, 40.
 The document rows time `documents.parse_connection` of a rank-2 connection
 document on an embedded monoid (N^2, N^3 and M_even in ambient
@@ -166,6 +169,12 @@ def _module(rng: random.Random, m, n: int, t: int):
     gauge = {k[0]: [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(n)]
              for k in keys}
     return selftest.gauge_built_module(m, model, gauge, n, t)[0]
+
+
+def _integrability_then_log_convergence(e, one, eta) -> bool:
+    """What a ladder job asks of a module before and after its shear:
+    integrability, then log-convergence at depth 2."""
+    return lc.validate_integrability(e) and lc.log_convergence_check(e, one, eta, 2)
 
 
 def _jordan(rng: random.Random, n: int):
@@ -391,7 +400,7 @@ def main() -> int:
     for n in (2, 3):
         for t in (4, 6):
             (a, _), (b, _) = (_series_matrix_map(rng, n2, h, n, t) for _ in range(2))
-            row(f"_map_mul n={n} N^2 T={t}", lambda: cmaps._map_mul(n2, h, t, a, b, n))
+            row(f"_map_mul n={n} N^2 T={t}", lambda: cmaps._map_mul(n2, h, t, a, b, n, cmaps.KeySums(n2.gp)))
     one, eta = cmaps.Radius.one(), cmaps.Radius.p_power(Fraction(1, 2))
     rank1_rng = random.Random(SEED)
     for n in (1, 2, 3):
@@ -405,6 +414,9 @@ def main() -> int:
             for depth in (2, 4):
                 row(f"log_convergence_check depth={depth} n={n} N^2 T={t}",
                     lambda: lc.log_convergence_check(e._replace(), one, eta, depth))
+            if n == 2:
+                row(f"integrability + log_convergence_check depth=2 n=2 N^2 T={t}",
+                    lambda: _integrability_then_log_convergence(e._replace(), one, eta))
     for n in (2, 3, 4):
         b, _ = over_lcm(_jordan_conjugate(rng, n))
         row(f"int_charpoly + integer_roots n={n}", lambda: qlin.integer_roots(qlin.int_charpoly(b)))
