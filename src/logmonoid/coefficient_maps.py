@@ -203,8 +203,8 @@ def _restricted(w: Weighting, t: int, a: CoefficientMap) -> CoefficientMap:
 
 def gauss_valuation(terms, den: int, p: int, radius: Callable[[Elt], int] = lambda key: 0, scale: int = 1):
     """The Gauss valuation of the coefficient map (terms, den), on integers:
-    min over its keys of v_p(x) - v_p(den) + radius(key) / scale, x the
-    key's integer matrix and radius(key) / scale the key's radius term
+    min over its keys of v_p(gcd of x) - v_p(den) + radius(key) / scale, x
+    the key's integer matrix and radius(key) / scale the key's radius term
     (q h(key) at the radius p^-q); INF for the zero map."""
-    best = min((scale * min(padic_valuation(c, p) for c in x if c) + radius(k) for k, x in terms), default=None)
+    best = min((scale * padic_valuation(math.gcd(*x), p) + radius(k) for k, x in terms), default=None)
     return INF if best is None else Fraction(best, scale) - padic_valuation(den, p)

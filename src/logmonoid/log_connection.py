@@ -2,7 +2,7 @@
 
 Connection matrices are integer coefficient maps (`coefficient_maps`).
 Every other rational matrix here -- the residues, their eigenbases and
-nilpotent parts, the Sylvester operators -- is integer rows over one
+nilpotent parts, the ad operators of the residues -- is integer rows over one
 positive denominator (`RatMatrix`), eigenvalues are integers over their
 residue's denominator, and D_l's Q_i are integer coefficients over one
 denominator.  Fractions are built only for the values handed back.  The
@@ -11,8 +11,9 @@ each composition (d_i + A^i) A^j it has computed, which integrability and
 log-convergence share, and one table of key sums (`KeySums`), which all
 its products and the shear's recursion read.  The shearing
 recursion solves (g + m_i id)(B_m) = RHS order by order in the weight (B^-1
-by the same loop) and certifies the gauge's operator-norm bound in
-valuation form; a failed self-check raises `CertificationFailed`.
+by the same loop) in the residue's eigenbasis (`qlin.sylvester_solver`)
+and certifies the gauge's operator-norm bound in valuation form; a failed
+self-check raises `CertificationFailed`.
 Constant models, D_l and the homotopy operator are in `constant_models`.
 """
 
@@ -44,8 +45,8 @@ from .errors import (
 )
 from .monoid_core import Face, FineMonoid, Weighting, is_semi_saturated, is_sharp, membership
 from .qlin import (
-    INF, QMatrix, QVector, int_charpoly, integer_roots, inverse_over_lcm, nullspace_over_lcm, over_lcm,
-    padic_valuation, qrank,
+    QMatrix, QVector, commutator_rows, eigenbasis_sylvester, int_charpoly, integer_roots, inverse_over_lcm,
+    nullspace_over_lcm, over_lcm, padic_valuation, qrank, sylvester_solve, sylvester_solver,
 )
 from .snf import IntMatrix, identity, mat_mul, mat_vec
 
@@ -624,10 +625,20 @@ def shear(
         raise NotDiskModule("shear acts on disk or point modules; annuli go through twist_reduce")
     _shear_hypotheses(e)
     a0s, eigendata = e.residues, e.eigenbasis_data
-    # per direction, the differences x - y of A^i_0's eigenvalues, integers
-    # over its denominator dx, with v_p(dx)
-    eig_diffs = [(sorted({x - y for x, *_ in spectrum for y, *_ in spectrum}), dx, padic_valuation(dx, p))
-                 for spectrum, (_, dx) in zip(e.residue_spectra, a0s)]
+    steps = [_ad_nilpotency(nil) for *_, nil in eigendata]
+    # per direction: its eigenbasis rows, and ad(b) of A^i_0 = b / d for the all-directions check
+    bases = [eigenbasis_sylvester(d, pmat, pinv, nil, k)
+             for (_, d), (_, pmat, pinv, (nil, _)), k in zip(a0s, eigendata, steps)]
+    ads = [commutator_rows(b) for b, _ in a0s]
+
+    @cache
+    def divisors(i: int, mi: int) -> list[int]:
+        """e_ab = y_a - y_b + m_i d, row-major, for the eigenvalues y / d of A^i_0."""
+        y, d = eigendata[i][0], a0s[i][1]
+        return [ya - yb + mi * d for ya in y for yb in y]
+
+    solver = cache(lambda i, mi: sylvester_solver(bases[i], divisors(i, mi)))  # None if singular
+
     m = e.monoid
     t = e.truncation
     w = e.weighting
@@ -646,10 +657,6 @@ def shear(
     # the A-keys, lightest first, as (m', h(m'), m') for the recursion
     akeys = [(k, ball[k], k) for k in sorted(dict.fromkeys(k for ac, _ in acoeff for k in ac), key=ball.get)]
     ident = tuple(int(i == j) for i in range(n) for j in range(n))
-    ops: dict = {}  # (i, m_i) -> the Sylvester operator of direction i, integer rows over one denominator
-    inverses: dict = {}  # (i, m_i) -> its inverse, the same way: one per direction and coordinate
-    worst: dict = {}  # (i, m_i) -> max(0, v_p(x - y - m_i) over eigenvalue pairs of A^i_0)
-
     sums = e.key_sums
 
     def recursion(lightest_first, solve) -> dict:
@@ -686,18 +693,17 @@ def shear(
         rhs = [_neg_convolution([((ac[kp], da), b) for kp, b in partners if kp in ac], n)
                for ac, da in acoeff]
         mk = coords(key)
-        for i in range(emb.r):
-            if (i, mk[i]) not in ops:
-                ops[i, mk[i]] = _sylvester(*a0s[i], mk[i])
         i0 = next(i for i in range(emb.r) if mk[i] != 0)
-        if (i0, mk[i0]) not in inverses:
-            inverses[i0, mk[i0]] = _sylvester_inverse(*ops[i0, mk[i0]])
-        bm, dm = _sylvester_solve(inverses[i0, mk[i0]], rhs[i0])
+        solved = solver(i0, mk[i0])
+        if solved is None:
+            raise CertificationFailed(f"Sylvester solve: the operator of direction {i0} at m_i = {mk[i0]} "
+                                      "is singular although NI holds")
+        bm, dm = _reduced(*sylvester_solve(solved, rhs[i0]))
         # integrability forces the single-index solution to satisfy all
-        # directions: op(B_m) = rhs, cross-multiplied
+        # directions: (ad(b) + m_i d) B_m = d rhs_i, cross-multiplied
         for i, (ri, di) in enumerate(rhs):
-            op, dop = ops[i, mk[i]]
-            if any(sum(map(mul, row, bm)) * di != x * dop * dm for row, x in zip(op, ri)):
+            d = a0s[i][1]
+            if any((sum(map(mul, row, bm)) + mk[i] * d * b) * di != x * d * dm for row, b, x in zip(ads[i], bm, ri)):
                 raise CertificationFailed(f"shear all-directions identity: B_m solved in direction {i0} "
                                           f"fails the equation of direction {i} at m = {key}")
         return bm, dm
@@ -711,9 +717,7 @@ def shear(
 
     # bound constants (log-norm form, base p): e is the nilpotency index of the
     # commutator part g2; C bounds both the resolvent norms and |A^i_m| a^{h(m)}
-    e_exp = 1
-    for _eigs, _pmat, _pinv, nil in eigendata:
-        e_exp = max(e_exp, _ad_nilpotency(nil))
+    e_exp = max([1, *steps])
     log_c = Fraction(0)
     qa = radius.value_exponent()
     for _eigs, pmat, pinv, nil in eigendata:
@@ -728,27 +732,27 @@ def shear(
     # one): bound = e log Z_m + h(m) s with s = 2 log C + q_a = s_n / s_d
     s = 2 * log_c + qa
     s_n, s_d = s.numerator, s.denominator
-    logz: dict[Elt, int] = {}
-    gens = [g for g in m.generators if not m.gp.is_zero(g)]
+
+    @cache
+    def worst(i: int, mi: int) -> int:
+        """max(0, max_z v_p(z - m_i d) - v_p(d)) over the eigenvalue differences
+        z / d of A^i_0: the z - m_i d are the divisors up to sign."""
+        return max(0, max(padic_valuation(z, p) for z in divisors(i, mi)) - padic_valuation(a0s[i][1], p))
+
+    # logz grows along divisibility (worst >= 0), so the chain max over the
+    # nonzero proper divisors of a key is reached at some key - g, g a
+    # generator: each key passes its value on to key + g by the key-sum ids
+    gens = [(ball[g], sums.id(g)) for g in m.generators if g in ball and not m.gp.is_zero(g)]
+    chain: dict[int, int] = {}
     records = []
     for key in keys:
-        wmin = None
-        for i in range(emb.r):
-            mi = coords(key)[i]
-            if mi == 0:
-                continue
-            if (i, mi) not in worst:
-                diffs, dx, vdx = eig_diffs[i]
-                worst[i, mi] = max(0, *(padic_valuation(z - mi * dx, p) - vdx for z in diffs))
-            zi = worst[i, mi]
-            wmin = zi if wmin is None else min(wmin, zi)
-        # the chain max runs over the nonzero proper divisors of key; logz
-        # grows along divisibility (wmin >= 0), so it is reached at some
-        # key - g, g a generator: logz holds exactly the lighter nonzero
-        # elements of M
-        best_prev = max((logz.get(m.gp.sub(key, g), 0) for g in gens), default=0)
-        logz[key] = wmin + best_prev
-        bound = Fraction(e_exp * logz[key] * s_d + ball[key] * s_n, s_d)
+        ik = sums.id(key)
+        logz = min(worst(i, mi) for i, mi in enumerate(coords(key)) if mi) + chain.get(ik, 0)
+        for hg, ig in gens:
+            if ball[key] + hg <= t:
+                nxt = sums.sum(ik, ig)
+                chain[nxt] = max(chain.get(nxt, 0), logz)
+        bound = Fraction(e_exp * logz * s_d + ball[key] * s_n, s_d)
         actual = -gauss_valuation(((key, bmats[key][0]),), bmats[key][1], p) if key in bmats else None
         records.append(BoundRecord(key, ball[key], actual, bound))
 
@@ -775,12 +779,9 @@ def shear(
 
 
 def _log_norm(a: RatMatrix, p: int) -> Fraction:
-    """log_p |a| = -v_p(a), the Gauss valuation of a as a one-key map; 0 for
-    the zero matrix."""
-    rows, den = a
-    x = [v for row in rows for v in row]
-    v = gauss_valuation([(None, x)] if any(x) else [], den, p)
-    return Fraction(0) if v is INF else -v
+    """log_p |a| = -v_p(a) = v_p(den) - v_p(gcd of the entries); 0 for the zero matrix."""
+    g = math.gcd(*itertools.chain.from_iterable(a[0]))
+    return Fraction(padic_valuation(a[1], p) - padic_valuation(g, p) if g else 0)
 
 
 def _over_one_denominator(coeffs: dict) -> CoefficientMap:
@@ -808,31 +809,6 @@ def _neg_convolution(pairs, n: int) -> tuple[list[int], int]:
         for c, col in enumerate(right):
             col.extend(y[c::n])
     return [-sum(map(mul, row, col)) for row in left for col in right], den
-
-
-def _sylvester(a0: list[list[int]], d: int, mi: int) -> tuple[list[list[int]], int]:
-    """X -> A0 X - X A0 + mi X on row-major vec(X) for A0 = a0 / d, as
-    n^2 x n^2 integer rows over the denominator d."""
-    ix = range(len(a0))
-    # row (i, j), column (k, l): the coefficient of X_kl in (A0 X - X A0 + mi X)_ij, times d
-    return [[a0[i][k] * (l == j) - a0[l][j] * (k == i) + mi * d * (k == i and l == j) for k in ix for l in ix]
-            for i in ix for j in ix], d
-
-
-def _sylvester_inverse(rows: list[list[int]], d: int) -> tuple[list[list[int]], int]:
-    """The inverse of the operator rows / d, the same way.  Shear inverts it
-    only at m_i != 0, where it is singular only if two eigenvalues of A^i_0
-    differ by the nonzero integer -m_i, which the NI check has rejected."""
-    inv = inverse_over_lcm(rows)
-    if inv is None:
-        raise CertificationFailed("Sylvester inverse: the operator is singular although NI holds")
-    return [[x * d for x in row] for row in inv[0]], inv[1]
-
-
-def _sylvester_solve(inverse, rhs) -> tuple[tuple[int, ...], int]:
-    """The B_m with S B_m = rhs, from S^-1 = (rows, d) and rhs = (x, dx)."""
-    (rows, d), (x, dx) = inverse, rhs
-    return _reduced([sum(map(mul, row, x)) for row in rows], d * dx)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ null space runs one integer elimination (`_gauss`) whose reduced row echelon
 form, being unique, fixes the answer; `inverse_over_lcm` and
 `nullspace_over_lcm` return integer rows over one denominator, and only
 the readers `qmat` and `qvec` and `qsolve`, `solve_map` and `qmat_mul`,
-whose callers read rationals, build Fractions.  Also the characteristic polynomial and integer roots of the
-spectral layer, and the p-adic valuation shared by the series and connection
-modules.
+whose callers read rationals, build Fractions.  A X - X A + m X = R is
+solved in A's eigenbasis by integer mat-vecs, with no elimination
+(`sylvester_solver`).  Also the characteristic polynomial and integer roots
+of the spectral layer, and the p-adic valuation shared by the series and
+connection modules.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 QMatrix = tuple[tuple[Fraction, ...], ...]
@@ -32,8 +35,11 @@ def qvec(entries: Sequence) -> QVector:
     return tuple(Fraction(x) for x in entries)
 
 
-def over_lcm(a: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """(integer rows, d) with a = rows / d, d the lcm of a's denominators."""
+def over_lcm(a: Sequence[Sequence]) -> tuple[Sequence[Sequence[int]], int]:
+    """(integer rows, d) with a = rows / d, d the lcm of a's denominators;
+    integer rows come back as they are, over 1."""
+    if set(map(type, chain.from_iterable(a))) <= {int}:
+        return a, 1
     den = math.lcm(*(x.denominator for row in a for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
 
@@ -142,6 +148,57 @@ def inverse_over_lcm(a: Sequence[Sequence]) -> Optional[tuple[list[list[int]], i
         return None
     den = math.lcm(*(row[col] for row, col in zip(m, pivots)))
     return [[x * (den // row[col]) for x in row[n:]] for row, col in zip(m, pivots)], den
+
+
+def vec_rows(left: Sequence[Sequence[int]], right: Sequence[Sequence[int]]) -> list[list[int]]:
+    """X -> left X right on row-major vec(X), as n^2 x n^2 integer rows."""
+    ix = range(len(left))
+    return [[left[i][k] * right[l][j] for k in ix for l in ix] for i in ix for j in ix]
+
+
+def commutator_rows(a: Sequence[Sequence[int]]) -> list[list[int]]:
+    """X -> a X - X a, the same way."""
+    ix = range(len(a))
+    return [[a[i][k] * (l == j) - a[l][j] * (k == i) for k in ix for l in ix] for i in ix for j in ix]
+
+
+def eigenbasis_sylvester(d: int, pmat: tuple, pinv: tuple, nil: Sequence[Sequence[int]], steps: int) -> tuple:
+    """What every m shares in solving A X - X A + m X = R for A = b / d =
+    P (D + N) P^-1, P = p / den and P^-1 = q / dinv given as (rows, den) and
+    (rows, dinv), D = diag(y) / d and N = nil / (dinv d), ad(N)^steps = 0."""
+    (p, den), (q, dinv) = pmat, pinv
+    return vec_rows(q, p), commutator_rows(nil), vec_rows(p, q), d, dinv, steps, den * den * dinv ** (steps + 1)
+
+
+def sylvester_solver(basis: tuple, divisors: Sequence[int]) -> Optional[tuple]:
+    """The solver for one m from the divisors e_ab = y_a - y_b + m d, or None
+    if one is 0 (the operator is singular).  In the eigenbasis E Y + ad(N) Y
+    = P^-1 R P, E scaling Y_ab by e_ab / d and commuting with ad(N), so Y =
+    sum_(k < steps) (-1)^k E^-(k+1) ad(N)^k P^-1 R P; over L =
+    lcm(e_ab^steps), factor k scales Y_ab by d (-1)^k dinv^(steps-1-k) L / e_ab^(k+1)."""
+    into, ad, back, d, dinv, steps, den = basis
+    if 0 in divisors:
+        return None
+    lcm = math.lcm(*(e ** steps for e in divisors))
+    factors = [[(-1) ** k * d * dinv ** (steps - 1 - k) * lcm // e ** (k + 1) for e in divisors] for k in range(steps)]
+    return into, ad, back, factors, den * lcm
+
+
+def _mat_vec(rows: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
+    return [sum(map(operator.mul, row, v)) for row in rows]
+
+
+def sylvester_solve(solver: tuple, rhs: tuple) -> tuple[list[int], int]:
+    """X with A X - X A + m X = x / dx, rhs = (x, dx), as integers over a
+    denominator: W = q x p, Y = sum_k factor_k ad(nil)^k W entrywise and
+    X = p Y q / (den^2 dinv^(steps+1) L dx), steps + 1 mat-vecs."""
+    (into, ad, back, factors, den), (x, dx) = solver, rhs
+    w = _mat_vec(into, x)
+    y = list(map(operator.mul, factors[0], w))
+    for f in factors[1:]:
+        w = _mat_vec(ad, w)
+        y = list(map(operator.add, y, map(operator.mul, f, w)))
+    return _mat_vec(back, y), den * dx
 
 
 def int_charpoly(b: Sequence[Sequence[int]]) -> list[int]:

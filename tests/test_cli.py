@@ -13,7 +13,7 @@ from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
 from logmonoid import selftest
 from logmonoid.cli import _check_prime, main
-from logmonoid.documents import load_json, parse_connection
+from logmonoid.documents import parse_connection
 from logmonoid.errors import CertificationFailed
 
 DATA = Path(__file__).parent / "data"
@@ -490,31 +490,36 @@ def test_a_failed_self_check_is_exit_3_naming_it(capsys, monkeypatch):
     """A B_m that misses the all-directions identity (a perturbed Sylvester
     solve) is a CertificationFailed: exit 3 naming the check, where it was a
     bare AssertionError escaping as a traceback with exit 1."""
-    solve = lc._sylvester_solve
+    solve = lc.sylvester_solve
 
-    def perturbed(inverse, rhs):
-        bm, dm = solve(inverse, rhs)
+    def perturbed(solver, rhs):
+        bm, dm = solve(solver, rhs)
         return (bm[0] + dm, *bm[1:]), dm
 
-    monkeypatch.setattr(lc, "_sylvester_solve", perturbed)
+    monkeypatch.setattr(lc, "sylvester_solve", perturbed)
     code, out, err = run(capsys, "connection", "shear", DATA / "rank2_connection.json")
     assert (code, out) == (3, "") and "Traceback" not in err
     assert err.startswith("certification failed: shear all-directions identity")
 
 
-def test_a_singular_sylvester_operator_past_the_ni_check_is_exit_3(capsys, monkeypatch):
-    """Past the NI check no Sylvester operator that shear inverts is
-    singular; one found singular (inverse_over_lcm patched to find no
-    inverse of the 4 x 4 operator) is a fault of the program: exit 3 naming
-    the check, not a violated hypothesis."""
-    inverse = lc.inverse_over_lcm
-    monkeypatch.setattr(lc, "inverse_over_lcm", lambda a: None if len(a) == 4 else inverse(a))
-    _, e = parse_connection(load_json(DATA / "rank2_connection.json"))
-    with pytest.raises(CertificationFailed, match="Sylvester inverse"):
+def test_a_singular_sylvester_operator_past_the_ni_check_is_exit_3(capsys, monkeypatch, tmp_path):
+    """Past the NI check no Sylvester operator that shear solves is
+    singular.  With the check switched off, the residue diag(0, 1) (NI
+    violated: exit 4 with the check on) takes the divisor 0 - 1 + 1 at m = 1
+    to the solver, a fault of the program: exit 3 naming the check, not a
+    violated hypothesis."""
+    doc = _document("rank2_connection.json")
+    doc["matrices"][0]["terms"][0]["entries"][1][1] = "1"
+    path = tmp_path / "ni_violated.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "connection", "shear", path)[0] == 4
+    monkeypatch.setattr(lc, "_check_ni_coordinatewise", lambda spectra: None)
+    _, e = parse_connection(doc)
+    with pytest.raises(CertificationFailed, match="Sylvester"):
         lc.shear(e)
-    code, out, err = run(capsys, "connection", "shear", DATA / "rank2_connection.json")
+    code, out, err = run(capsys, "connection", "shear", path)
     assert (code, out) == (3, "") and "Traceback" not in err
-    assert err.startswith("certification failed: Sylvester inverse")
+    assert err.startswith("certification failed: Sylvester")
 
 
 @pytest.mark.parametrize("elements", [5, [5], "[[0, 0]]", [[0, 0], 5]])

@@ -3,10 +3,14 @@
     python3 tools/bench_kernels.py
 
 Run from the root of a checkout; the program is imported from ./src.  Times
-`qlin.qmat_mul` on n x n matrices and the shear recursion's per-key
-Sylvester solve (A0 X - X A0 + m X = RHS: the integer product of the
-operator's cached inverse with the RHS, then the gcd reduction), for
-n = 1, 2, 3; `weighted_series.series_mul`, `series_add` and `gauss_norm`
+`qlin.qmat_mul` on n x n matrices for n = 1, 2, 3; the shear's Sylvester
+solver of A0 X - X A0 + X = RHS (`qlin.sylvester_solver`: the NI divisors'
+lcm and the series factors, built once per direction and coordinate) and
+its per-key solve (`qlin.sylvester_solve`: steps + 1 integer mat-vecs on vec(X)
+in A0's eigenbasis, then the gcd reduction), for an upper triangular A0
+with eigenvalues 0, 1/2, 1/3 (diagonalizable, n = 1, 2, 3) and for
+`_jordan_conjugate`'s P J P^-1 with a 2 x 2 Jordan block (n = 2, 3, drawn
+from their own seeded generator); `weighted_series.series_mul`, `series_add` and `gauss_norm`
 (radius p^-1/2) on dense disk series over N^2 truncated at T = 3..6; `cone.simplex_feasible` on the default weighting's
 LP for k integer rays in Z^3 (k = 4, 6, 9: 2*3 + k columns, k rows); and
 `coefficient_maps._map_mul` on the coefficient maps of n x n matrices of
@@ -33,6 +37,9 @@ index, are computed on the first call only).  The shear rows time a whole `shear
 bound records and the checks; the module's integrability, residue
 analysis and key-sum table are kept after the first call) of the selftest fixtures
 rank2-N2-planted and rank2-M_even-planted built at T = 8, 12, 20, 30, 40.
+The first-shear rows time `shear` of rank2-N2-planted at T = 40, 60, 80 on
+a fresh copy of the module, so its integrability, residue analysis and
+key-sum table are cold (the monoid's ball is kept).
 The document rows time `documents.parse_connection` of a rank-2 connection
 document on an embedded monoid (N^2, N^3 and M_even in ambient
 coordinates, identity embedding) with a matrix at every key of weight
@@ -123,6 +130,7 @@ MOMENT_CURVE_RAYS = (10, 12, 16, 20, 30, 40)
 REPEATS = 7
 SHEAR_FIXTURES = ("rank2-N2-planted", "rank2-M_even-planted")
 SHEAR_TRUNCATIONS = (8, 12, 20, 30, 40)
+FIRST_SHEAR_TRUNCATIONS = (40, 60, 80)
 DENOMINATORS = (1, 1, 2, 3, 5, 6)
 
 
@@ -134,15 +142,24 @@ def _matrix(rng: random.Random, n: int):
     return qmat([[_rational(rng) for _ in range(n)] for _ in range(n)])
 
 
-def _sylvester(rng: random.Random, n: int):
-    """The shear's cached inverse of the Sylvester operator for an upper
-    triangular A0 with eigenvalues 0, 1/2, 1/3 (no integer differences) and
-    m = 1, and a right-hand side, both as integers over one denominator."""
+def _triangular(rng: random.Random, n: int):
+    """An upper triangular A0 with eigenvalues 0, 1/2, 1/3 (diagonalizable,
+    no integer differences) and a right-hand side as integers over one
+    denominator."""
     eigs = (Fraction(0), Fraction(1, 2), Fraction(1, 3))
     a0 = [[eigs[i] if i == j else (_rational(rng) if j > i else Fraction(0))
            for j in range(n)] for i in range(n)]
     (rhs,), den = over_lcm([[_rational(rng) for _ in range(n * n)]])
-    return lc._sylvester_inverse(*lc._sylvester(*over_lcm(a0), 1)), (rhs, den)
+    return a0, (rhs, den)
+
+
+def _sylvester(a0, m: int = 1):
+    """What shear builds for A0: the rows of its Sylvester equations in its
+    eigenbasis, once per direction, and the NI divisors of m."""
+    b, d = over_lcm(a0)
+    eigs, p, q, nil = lc._eigenbasis_data((b, d), lc._residue_spectrum((b, d)))
+    basis = qlin.eigenbasis_sylvester(d, p, q, nil[0], lc._ad_nilpotency(nil))
+    return basis, [x - y + m * d for x in eigs for y in eigs]
 
 
 def _series(rng: random.Random, m, h, t: int):
@@ -383,9 +400,16 @@ def main() -> int:
     for n in (1, 2, 3):
         a, b = _matrix(rng, n), _matrix(rng, n)
         row(f"qmat_mul n={n}", lambda: qmat_mul(a, b))
-    for n in (1, 2, 3):
-        inv, rhs = _sylvester(rng, n)
-        row(f"sylvester solve n={n}", lambda: lc._sylvester_solve(inv, rhs))
+    jordan_rng = random.Random(SEED)
+    for n, kind in ((1, "diagonal"), (2, "diagonal"), (3, "diagonal"), (2, "jordan"), (3, "jordan")):
+        if kind == "diagonal":
+            a0, rhs = _triangular(rng, n)
+        else:
+            a0, rhs = _jordan_conjugate(jordan_rng, n), ([jordan_rng.randint(-9, 9) for _ in range(n * n)], 1)
+        basis, divisors = _sylvester(a0)
+        solver = qlin.sylvester_solver(basis, divisors)
+        row(f"sylvester solver {kind} n={n}", lambda: qlin.sylvester_solver(basis, divisors))
+        row(f"sylvester solve {kind} n={n}", lambda: lc._reduced(*qlin.sylvester_solve(solver, rhs)))
     n2 = mc.free_monoid(2)
     h = ws.default_weighting(n2)
     half = cmaps.Radius.p_power(Fraction(1, 2))
@@ -430,6 +454,9 @@ def main() -> int:
         for name, e, _ in selftest._shear_fixtures(t):
             if name in SHEAR_FIXTURES:
                 row(f"shear {name} T={t}", lambda: lc.shear(e))
+    for t in FIRST_SHEAR_TRUNCATIONS:
+        e = next(e for name, e, _ in selftest._shear_fixtures(t) if name == "rank2-N2-planted")
+        row(f"first shear rank2-N2-planted T={t}", lambda: lc.shear(e._replace()))
     doc_rng = random.Random(SEED)
     for name, gens in (("N^2", [[1, 0], [0, 1]]), ("N^3", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
                        ("M_even", [[2, 0], [1, 1], [0, 2]])):
