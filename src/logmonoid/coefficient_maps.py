@@ -1,8 +1,12 @@
 """Coefficient maps: a matrix of truncated series stored by its nonzero
 coefficients, integer numerators at each key over one denominator, with
-their sums, products and p-adic Gauss valuations.  Radii are powers p^{-q}
-with q rational (q = None encodes radius 0), so every norm comparison
-happens in valuation form.
+their sums, products and p-adic Gauss valuations.  A product is a symbolic
+phase, the pair plan of its two key supports (`PairPlan`), which the
+weighted index keeps among its PLAN_CACHE_SIZE most recent plans, and a
+numeric phase of gathers over flat integer planes; the shear's weight-order
+recursion (`weight_order`) gathers alike and keeps its gathers too.  Radii
+are powers p^{-q} with q rational (q = None encodes radius 0), so every
+norm comparison happens in valuation form.
 """
 
 from __future__ import annotations
@@ -10,10 +14,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Callable, NamedTuple, Optional
 
-from .abelian import AbelianGroup, Elt
+from .abelian import Elt
 from .monoid_core import FineMonoid, Weighting
 from .qlin import INF, QMatrix, over_lcm, padic_valuation
 
@@ -125,67 +129,156 @@ def map_sum(a: CoefficientMap, b: CoefficientMap) -> CoefficientMap:
     return _canonical(out, da * db)
 
 
-class KeySums:
-    """Sums of keys of the group gp through small int ids: `id` numbers a key
-    on first sight and `keys[i]` is the key of id i; `rows[i]` maps a
-    partner's id j to the id of keys[i] + keys[j], computed by gp.add on the
-    first visit of either order (`sum`).  A module owns one
-    (`LogNablaModule.key_sums`), freed with it."""
-
-    def __init__(self, gp: AbelianGroup):
-        self.gp = gp
-        self.ids: dict[Elt, int] = {}
-        self.keys: list[Elt] = []
-        self.rows: list[dict[int, int]] = []
-
-    def id(self, key: Elt) -> int:
-        i = self.ids.get(key)
-        if i is None:
-            i = self.ids[key] = len(self.keys)
-            self.keys.append(key)
-            self.rows.append({})
-        return i
-
-    def sum(self, i: int, j: int) -> int:
-        s = self.rows[i].get(j)
-        if s is None:
-            s = self.rows[i][j] = self.rows[j][i] = self.id(self.gp.add(self.keys[i], self.keys[j]))
-        return s
+# How many plans a weighted index keeps, the least recently used dropped first.
+PLAN_CACHE_SIZE = 32
 
 
-def _map_mul(m: FineMonoid, w: Weighting, t: int, a, b, cols: int, sums: KeySums) -> dict[Elt, list[int]]:
-    """The product of two coefficient maps, given as (key, row-major integer
-    matrix) pairs, b's matrices with `cols` columns, kept at the keys with
-    |h| <= t: one integer matrix product per pair of keys, the numerators
-    over the product of the two denominators.  Key sums come from the table
-    `sums` and accumulate under their ids; each key is read back once."""
+def _blocks(count: int, inner: int) -> list[list[int]]:
+    """The offsets of count blocks of `inner` entries, one int object each."""
+    at = list(range(count * inner))
+    return [at[i : i + inner] for i in range(0, len(at), inner)]
+
+
+def _getter(blocks) -> itemgetter:
+    """The gather of the blocks' offsets; a single one is paired with a
+    plane's trailing 0, so that every gather returns a tuple."""
+    offsets = tuple(chain.from_iterable(blocks))
+    return itemgetter(*offsets) if len(offsets) > 1 else itemgetter(offsets[0], -1)
+
+
+def _rows(terms, rows: int, inner: int) -> list[list[int]]:
+    """Per row r, row r of each (key, row-major matrix) pair's matrix end to end, and a 0."""
+    return [[*chain.from_iterable(x[r * inner : r * inner + inner] for _, x in terms), 0] for r in range(rows)]
+
+
+def _columns(terms, cols: int) -> list[list[int]]:
+    """Per column c, column c of each matrix end to end, and a 0."""
+    return [[*chain.from_iterable(x[c::cols] for _, x in terms), 0] for c in range(cols)]
+
+
+class PairPlan:
+    """The symbolic phase of the products of maps on two key supports
+    (Gustavson, ACM TOMS 4, 1978): per key k with |h| <= t, one gather of
+    the left rows and one of the right columns of the pairs summing to k.
+    With the right keys in h order every pair after the first with
+    h(k1) + h(k2) > t drops out; |h| = 2 h+ - h and h+ is subadditive, so
+    |h| of a sum is looked up only beside a key with |h| != h (annulus)."""
+
+    def __init__(self, index, t: int, inner: int, left: tuple, right: tuple):
+        h, add = index.h, index.index.monoid.gp.add
+        ordered = sorted(((h(k)[0], q, k) for q, k in enumerate(right)), key=lambda term: term[0])
+        lookup = any(hk != habs for hk, _, habs in map(h, chain(left, right)))
+        lb, rb = _blocks(len(left), inner), _blocks(len(right), inner)
+        pairs: dict[Elt, tuple[list, list]] = {}
+        for p, k1 in enumerate(left):
+            room = t - h(k1)[0]
+            for h2, q, k2 in ordered:
+                if h2 > room:
+                    break
+                k = add(k1, k2)
+                if not lookup or h(k)[2] <= t:
+                    lefts, rights = pairs.get(k) or pairs.setdefault(k, ([], []))
+                    lefts.append(lb[p])
+                    rights.append(rb[q])
+        self.entries = [(k, _getter(lefts), _getter(rights)) for k, (lefts, rights) in pairs.items()]
+
+    def product(self, a: list[list[int]], b: list[list[int]]) -> dict[Elt, list[int]]:
+        """{key: row-major matrix} of the row planes a times the column planes b."""
+        out = {}
+        for key, left, right in self.entries:
+            ys = list(map(right, b))
+            out[key] = [sum(map(mul, x, y)) for x in map(left, a) for y in ys]
+        return out
+
+
+def _cached(index, key: tuple, build: Callable):
+    """index.plans[key], built on first use; the index keeps the most recent ones."""
+    plans = index.plans
+    plan = plans.pop(key, None)
+    if plan is None:
+        plan = build()
+        if len(plans) >= PLAN_CACHE_SIZE:
+            del plans[next(iter(plans))]
+    plans[key] = plan
+    return plan
+
+
+def _map_mul(m: FineMonoid, w: Weighting, t: int, a, b, cols: int) -> dict[Elt, list[int]]:
+    """The product of two maps as (key, row-major integer matrix) pairs, b's
+    matrices with `cols` columns, at the keys with |h| <= t, as {key:
+    integer matrix} over the product of the two denominators."""
+    a, b = tuple(a), tuple(b)
     if not a or not b:
         return {}
-    h = m.index.weighted(w.values).h
-    key_id, keys, rows = sums.id, sums.keys, sums.rows
-    # h is additive and h <= |h|, so with b's keys in h order every pair
-    # after the first with h(k1) + h(k2) > t leaves the truncation too
-    right = sorted(((h(k)[0], key_id(k), [x[j::cols] for j in range(cols)]) for k, x in b), key=lambda term: term[0])
-    # |h| = 2 h+ - h and h+ is subadditive, so when every key has |h| = h a
-    # pair the break keeps has |h|(k1 + k2) = h(k1) + h(k2) <= t: no lookup
-    lookup = any(hk != habs for hk, _, habs in (h(k) for k, _ in chain(a, b)))
-    inner = len(right[0][2][0])
-    out: dict[int, list[int]] = {}
-    for k1, x in a:
-        room = t - h(k1)[0]
-        i1 = key_id(k1)
-        partners = rows[i1]
-        left = [x[r : r + inner] for r in range(0, len(x), inner)]
-        for h2, i2, cb in right:
-            if h2 > room:
+    inner = len(b[0][1]) // cols
+    key = (t, inner, tuple(k for k, _ in a), tuple(k for k, _ in b))
+    index = m.index.weighted(w.values)
+    plan = _cached(index, key, lambda: PairPlan(index, *key))
+    return plan.product(_rows(a, len(a[0][1]) // inner, inner), _columns(b, cols))
+
+
+def weight_order(index, t: int, n: int, left: list, flats, solve) -> tuple[dict[Elt, list[int]], int]:
+    """n x n integer matrices X over the keys of weight <= t (`upto`) and
+    one denominator den: X_0 = I, then in weight order X_m = solve(m, rhs),
+    rhs = [(-sum L_k X_q over k + q = m, d den) for each (L, d) of flats],
+    L the row planes (`_rows`) of the matrices at the keys of left,
+    lightest first.  A nonzero X_q goes to the pairs of q + k for each k of
+    left with h(q) + h(k) <= t (a row-wise sparse product, Gustavson 1978);
+    each k weighs >= 1, so a key's pairs are all in before it is solved,
+    and they make one pair of gathers for every flat.  A key's pairs depend
+    only on which lighter X are nonzero, so while those are nonzero where
+    the index's last complete run for (t, n, left) had them, its gathers
+    are read and no pair is formed.  X is column planes over the lcm of the
+    solved denominators, rescaled by a new factor.  Returns {m: row-major
+    X_m} for the nonzero X_m, and den."""
+    keys, ball, add = index.upto(t), index.ball(t), index.index.monoid.gp.add
+    slot = {k: s for s, k in enumerate(keys)}
+    xs = [[int(c == r) for r in range(n)] + [0] * ((len(keys) - 1) * n + 1) for c in range(n)]
+    den = 1
+    # [the nonzero pattern of the last complete run, or None; per slot its gathers, or None]
+    plan = _cached(index, ("weight_order", t, n, tuple(left)), lambda: [None, [None] * len(keys)])
+    (last, gathers), nonzero, pending = plan, [True] + [False] * (len(keys) - 1), {}
+    left_blocks, x_blocks = _blocks(len(left), n), _blocks(len(keys), n)
+    partners = [(ball[k], p, k) for p, k in enumerate(left)]
+
+    def push(q: int) -> None:
+        room = t - ball[keys[q]]
+        for hk, p, k in partners:
+            if hk > room:
                 break
-            k = partners.get(i2)
-            if k is None:
-                k = sums.sum(i1, i2)
-            if lookup and h(keys[k])[2] > t:
-                continue
-            _add_into(out, k, [sum(map(mul, ra, c)) for ra in left for c in cb])
-    return {keys[k]: x for k, x in out.items()}
+            target = slot[add(keys[q], k)]
+            lefts, rights = pending.get(target) or pending.setdefault(target, ([], []))
+            lefts.append(left_blocks[p])
+            rights.append(x_blocks[q])
+
+    if last is None:
+        push(0)
+    for s in range(1, len(keys)):
+        if last is None:
+            pairs = pending.pop(s, None)
+            gathers[s] = pairs and tuple(map(_getter, pairs))
+        if gathers[s] is None:
+            continue
+        lg, rg = gathers[s]
+        ys = list(map(rg, xs))
+        xm, dm = solve(keys[s], [([-sum(map(mul, x, y)) for x in map(lg, a) for y in ys], d * den) for a, d in flats])
+        nonzero[s] = any(xm)
+        if nonzero[s]:
+            scale = dm // math.gcd(den, dm)
+            if scale > 1:
+                xs, den = [[v * scale for v in plane] for plane in xs], den * scale
+            for c, plane in enumerate(xs):
+                plane[s * n : s * n + n] = [v * (den // dm) for v in xm[c::n]]
+        if last is not None and last[s] != nonzero[s]:
+            # the pairs of heavier keys differ from the last run's: form them from here on
+            last = plan[0] = None
+            for q in range(s + 1):
+                if nonzero[q]:
+                    push(q)
+        elif last is None and nonzero[s]:
+            push(s)
+    plan[0] = nonzero
+    return {keys[s]: [plane[s * n + r] for r in range(n) for plane in xs] for s in range(len(keys)) if nonzero[s]}, den
 
 
 def _add_into(acc: dict, key, x: list[int]) -> None:

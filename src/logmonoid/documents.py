@@ -144,6 +144,29 @@ def render_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+class SectionMap:
+    """A section's map, called as `fn` but equal, hashed and printed by its
+    name and the section's validated fields, so that two parses of one
+    document give equal contexts with one repr."""
+
+    __slots__ = ("name", "section", "fn")
+
+    def __init__(self, name: str, section: tuple, fn: Callable):
+        self.name, self.section, self.fn = name, section, fn
+
+    def __call__(self, *args):
+        return self.fn(*args)
+
+    def __eq__(self, other):
+        return isinstance(other, SectionMap) and (self.name, self.section) == (other.name, other.section)
+
+    def __hash__(self):
+        return hash((self.name, self.section))
+
+    def __repr__(self):
+        return f"{self.name}{self.section!r}"
+
+
 class MonoidContext(NamedTuple):
     monoid: FineMonoid
     weighting: Weighting
@@ -151,7 +174,8 @@ class MonoidContext(NamedTuple):
     # (free, torsion) as written in the document -> gp element; for embedded
     # monoids the converter of `from_embedded`: one Smith-coordinate step and
     # one integer mat-vec per element.  parse_element calls it through
-    # `_converted`, once per distinct monomial of this build of the section
+    # `_converted`, once per distinct monomial of this build of the section.
+    # It and the maps below are `SectionMap`s
     convert: Callable[[tuple], Elt]
     # for embedded monoids, ambient -> M^gp tensor Q as integer (rows, d,
     # checks): v lies in the span of the generators iff every check row is
@@ -169,7 +193,7 @@ class MonoidContext(NamedTuple):
     def element(self, x: tuple) -> Elt:
         """The gp element of read (free, torsion) fields (`_read_element`)."""
         try:
-            return _converted(self.convert, x)
+            return _converted(self.convert.fn, x)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
 
@@ -259,12 +283,13 @@ def _monoid_section(n: Optional[int], relations: tuple, vectors: Optional[tuple]
     would give; a section that fails is not cached."""
     from .monoid_core import from_embedded, from_presentation
 
+    section = (n, relations, vectors)
     if vectors is None:
         try:
             monoid = from_presentation(n, relations)
         except ValueError as exc:
             raise ParseError(f"bad presentation: {exc}") from exc
-        return monoid, None, lambda x: monoid.gp.element(*x), None, None
+        return monoid, None, SectionMap("convert", section, lambda x: monoid.gp.element(*x)), None, None
     try:
         monoid, convert = from_embedded(vectors)
     except ValueError as exc:
@@ -287,15 +312,15 @@ def _monoid_section(n: Optional[int], relations: tuple, vectors: Optional[tuple]
         return [[sum(c * v[i] for c, v in zip(coeffs, vectors)) for coeffs in basis]
                 for i in range(len(vectors[0]))]
 
-    return monoid, vectors, convert, exponent_map, ambient_map
+    return monoid, vectors, *(SectionMap(f.__name__, section, f) for f in (convert, exponent_map, ambient_map))
 
 
 @lru_cache(maxsize=MONOMIAL_CACHE_SIZE)
 def _converted(convert: Callable[[tuple], Elt], x: tuple) -> Elt:
-    """convert(x) for a section's converter and a validated (free, torsion)
-    pair: each distinct monomial is converted once per build of the
-    section.  Keyed by the converter, so an entry is never handed to an
-    equal monoid rebuilt after that build left the section cache."""
+    """convert(x) for a section's converter function and a validated (free,
+    torsion) pair: each distinct monomial is converted once per build of the
+    section.  Keyed by one build's function, so an entry is never handed to
+    an equal monoid rebuilt after that build left the section cache."""
     return convert(x)
 
 
@@ -323,9 +348,9 @@ def parse_radius(obj) -> Radius:
 @lru_cache(maxsize=SECTION_CACHE_SIZE)
 def _embedding(ctx: MonoidContext, rows: Optional[tuple]) -> Embedding:
     """The embedding with these validated rows, or the facet embedding when
-    rows is None.  Keyed by the whole context: its converters are those of
-    one build of the section, so an entry is never handed to an equal
-    monoid rebuilt after that build left the section cache."""
+    rows is None.  Keyed by the whole context, a value: a section rebuilt
+    after it left the section cache may get the embedding of its earlier,
+    equal monoid."""
     from .log_connection import Embedding, facet_embedding
 
     if rows is None:

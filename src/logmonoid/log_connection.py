@@ -6,14 +6,16 @@ nilpotent parts, the ad operators of the residues -- is integer rows over one
 positive denominator (`RatMatrix`), eigenvalues are integers over their
 residue's denominator, and D_l's Q_i are integer coefficients over one
 denominator.  Fractions are built only for the values handed back.  The
-connection operator d_i + A^i is one function, `_nabla`.  A module keeps
-each composition (d_i + A^i) A^j it has computed, which integrability and
-log-convergence share, and one table of key sums (`KeySums`), which all
-its products and the shear's recursion read.  The shearing
-recursion solves (g + m_i id)(B_m) = RHS order by order in the weight (B^-1
-by the same loop) in the residue's eigenbasis (`qlin.sylvester_solver`)
-and certifies the gauge's operator-norm bound in valuation form; a failed
-self-check raises `CertificationFailed`.
+connection operator d_i + A^i is one function, `_nabla`, whose products
+are the gathers of a pair plan (`coefficient_maps.PairPlan`).  A module
+lays its maps over the union of their keys, so all its products share one
+plan, and keeps each composition (d_i + A^i) A^j it has computed, which
+integrability and log-convergence share.  The shear solves
+(g + m_i id)(B_m) = RHS order by order in the weight
+(`coefficient_maps.weight_order`, B^-1 by the same loop) in the residue's
+eigenbasis (`qlin.sylvester_solver`) and certifies the gauge's
+operator-norm bound in valuation form; a failed self-check raises
+`CertificationFailed`.
 Constant models, D_l and the homotopy operator are in `constant_models`.
 """
 
@@ -28,7 +30,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .abelian import Elt
 from .coefficient_maps import (
-    DEFAULT_PRIME, CoefficientMap, KeySums, Radius, _add_into, _canonical, _map_mul, coefficient, gauss_valuation,
+    DEFAULT_PRIME, CoefficientMap, Radius, _add_into, _canonical, _map_mul, _rows, coefficient, gauss_valuation,
+    weight_order,
 )
 from .errors import (
     CertificationFailed,
@@ -198,10 +201,9 @@ def _nabla(
     """a b for n x n coefficient maps of the module e, at its truncation, or
     with a direction i (d_i - shift + a) b, d_i scaling t^m by the i-th
     coordinate of m: {key: integer matrix} over the product of the two
-    denominators.  b's terms may be any (key, matrix) pairs; key sums come
-    from the module's table."""
+    denominators.  b's terms may be any (key, matrix) pairs."""
     (ax, da), (bx, db) = a, b
-    out = _map_mul(e.monoid, e.weighting, e.truncation, ax, bx, e.rank, e.key_sums)
+    out = _map_mul(e.monoid, e.weighting, e.truncation, ax, bx, e.rank)
     if i is not None:
         coords = e.coords
         for k, x in bx:
@@ -267,9 +269,14 @@ class LogNablaModule(_LogNablaModuleFields):
         return cache(self.embedding.coords)
 
     @cached_property
-    def key_sums(self) -> KeySums:
-        """The table of key sums every product of the module reads (`KeySums`)."""
-        return KeySums(self.monoid.gp)
+    def padded(self) -> tuple[CoefficientMap, ...]:
+        """The matrices, then the base matrices, each over the union of their
+        keys (a zero matrix where a map has none), so that every product of
+        two of them runs one pair plan (`coefficient_maps.PairPlan`)."""
+        maps = [(dict(terms), den) for terms, den in (*self.matrices, *(self.base_matrices or ()))]
+        zero = (0,) * (self.rank * self.rank)
+        support = sorted(set().union(*(x for x, _ in maps)))
+        return tuple((tuple((k, x.get(k, zero)) for k in support), den) for x, den in maps)
 
     @cached_property
     def _compositions(self) -> dict[tuple[int, int], dict]:
@@ -281,7 +288,7 @@ class LogNablaModule(_LogNablaModuleFields):
         level of log-convergence read it.  Read it, do not modify it."""
         out = self._compositions.get((i, j))
         if out is None:
-            out = self._compositions[i, j] = _nabla(self, self.matrices[i], self.matrices[j], i)
+            out = self._compositions[i, j] = _nabla(self, self.padded[i], self.padded[j], i)
         return out
 
     @cached_property
@@ -293,13 +300,13 @@ class LogNablaModule(_LogNablaModuleFields):
         maps, both over the product of the two denominators (`_nabla`):
         [d_i + A^i, d_j + A^j] = (d_i + A^i) A^j - (d_j + A^j) A^i, both read
         from `composition`, and [d_i + A^i, D] = (d_i + A^i) D - D A^i."""
-        maps, n = self.matrices, self.rank
-        for i, j in itertools.combinations(range(self.embedding.r), 2):
+        r, n = self.embedding.r, self.rank
+        for i, j in itertools.combinations(range(r), 2):
             key = _least_difference(self.composition(i, j), self.composition(j, i), n)
             if key is not None:
                 return ("connection", i, j, key)
-        for k, d in enumerate(self.base_matrices or ()):
-            for i, a in enumerate(maps):
+        for k, d in enumerate(self.padded[r:]):
+            for i, a in enumerate(self.padded[:r]):
                 key = _least_difference(_nabla(self, a, d, i), _nabla(self, d, a), n)
                 if key is not None:
                     return ("base", k, i, key)
@@ -620,7 +627,10 @@ def shear(
     p: int = DEFAULT_PRIME,
 ) -> ShearResult:
     """Gauge B with B_0 = I solving A^i B + d_i B = B A^i_0 for every i,
-    plus the inverse, the norm-bound report and the constant base model."""
+    plus the inverse, the norm-bound report and the constant base model.  B
+    and B^-1 come from `coefficient_maps.weight_order`, each over one running
+    denominator; a key's pairs are one set of gathers for the right-hand
+    sides of all r directions."""
     if e.interval_kind == "annulus":
         raise NotDiskModule("shear acts on disk or point modules; annuli go through twist_reduce")
     _shear_hypotheses(e)
@@ -647,51 +657,18 @@ def shear(
 
     index = m.index.weighted(w.values)
     ball = index.ball(t)
-    keys = index.upto(t)[1:]  # every element of weight 1..t; 0 is the only one of weight 0
+    keys = index.upto(t)  # 0, then every element of weight 1..t; 0 is the only one of weight 0
     coords = e.coords
-    zero = m.gp.zero()
+    zero, size = keys[0], n * n
     # every coefficient is a row-major integer matrix over its denominator;
-    # A^i keeps its terms of weight 1..t, and B, B' only their nonzero terms
-    inside = set(keys)
+    # A^i keeps its terms of weight 1..t, laid out as row planes over the A-keys, lightest first
+    inside = set(keys[1:])
     acoeff = [({k: x for k, x in terms if k in inside}, den) for terms, den in e.matrices]
-    # the A-keys, lightest first, as (m', h(m'), m') for the recursion
-    akeys = [(k, ball[k], k) for k in sorted(dict.fromkeys(k for ac, _ in acoeff for k in ac), key=ball.get)]
-    ident = tuple(int(i == j) for i in range(n) for j in range(n))
-    sums = e.key_sums
+    akeys = sorted(set().union(*(ac for ac, _ in acoeff)), key=ball.get)
+    aflats = [(_rows([(k, ac.get(k, (0,) * size)) for k in akeys], n, n), da) for ac, da in acoeff]
 
-    def recursion(lightest_first, solve) -> dict:
-        """X_0 = I, then in weight order X_m = solve(m, its pairs), kept if nonzero.  A fixed
-        X_q goes, as (y, X_q), to the pairs of q + k for each (k, h(k), y) of lightest_first
-        with h(q) + h(k) <= t: only the pairs that exist (a row-wise sparse product, Gustavson
-        1978).  Each k weighs >= 1, so a key's pairs are all in before it is solved.  The
-        pending pairs are keyed by the ids of the module's key-sum table."""
-        xs: dict = {}
-        pending: dict[int, list] = {}
-        partners = [(sums.id(k), hk, y) for k, hk, y in lightest_first]
-
-        def push(q: Elt, xq) -> None:
-            xs[q] = xq
-            room = t - ball[q]
-            iq = sums.id(q)
-            for k, hk, y in partners:
-                if hk > room:
-                    break
-                pending.setdefault(sums.sum(iq, k), []).append((y, xq))
-
-        push(zero, (ident, 1))
-        for key in keys:
-            # a key with no id is no sum yet, so it has no pairs
-            pairs = pending.pop(sums.ids.get(key), None)
-            if pairs is not None:
-                xm = solve(key, pairs)
-                if any(xm[0]):
-                    push(key, xm)
-        return xs
-
-    def sylvester_step(key: Elt, partners) -> tuple[tuple[int, ...], int]:
-        """B_m from its pairs (m', B_{m - m'}): solved in one direction, checked in all."""
-        rhs = [_neg_convolution([((ac[kp], da), b) for kp, b in partners if kp in ac], n)
-               for ac, da in acoeff]
+    def sylvester_step(key: Elt, rhs) -> tuple[tuple[int, ...], int]:
+        """B_m from its right-hand sides in every direction: solved in one, checked in all."""
         mk = coords(key)
         i0 = next(i for i in range(emb.r) if mk[i] != 0)
         solved = solver(i0, mk[i0])
@@ -709,11 +686,12 @@ def shear(
         return bm, dm
 
     # B_m pairs A^i_{m'} with every fixed B_{m - m'}
-    bmats = recursion(akeys, sylvester_step)
+    bmats, bden = weight_order(index, t, n, akeys, aflats, sylvester_step)
     # the inverse by the convolution identity sum B_{m'} B'_{m''} = delta_{m,0}:
     # B'_m = -sum_{m' != 0} B_{m'} B'_{m - m'} for m != 0; bmats is in weight order
-    bprime = recursion([(k, ball[k], b) for k, b in bmats.items() if k != zero],
-                       lambda key, pairs: _reduced(*_neg_convolution(pairs, n)))
+    bterms = [(k, x) for k, x in bmats.items() if k != zero]
+    bprime = weight_order(index, t, n, [k for k, _ in bterms], [(_rows(bterms, n, n), bden)],
+                          lambda key, rhs: _reduced(*rhs[0]))
 
     # bound constants (log-norm form, base p): e is the nilpotency index of the
     # commutator part g2; C bounds both the resolvent norms and |A^i_m| a^{h(m)}
@@ -741,22 +719,22 @@ def shear(
 
     # logz grows along divisibility (worst >= 0), so the chain max over the
     # nonzero proper divisors of a key is reached at some key - g, g a
-    # generator: each key passes its value on to key + g by the key-sum ids
-    gens = [(ball[g], sums.id(g)) for g in m.generators if g in ball and not m.gp.is_zero(g)]
-    chain: dict[int, int] = {}
-    records = []
-    for key in keys:
-        ik = sums.id(key)
-        logz = min(worst(i, mi) for i, mi in enumerate(coords(key)) if mi) + chain.get(ik, 0)
-        for hg, ig in gens:
+    # generator: each key passes its value on to key + g.  log_p |B_m| is
+    # v_p(den) - v_p(gcd of B_m) over B's one denominator; each distinct
+    # value becomes one Fraction
+    gens = [(ball[g], g) for g in m.generators if g in ball and not m.gp.is_zero(g)]
+    chain: dict[Elt, int] = {}
+    fraction, vden, records = cache(Fraction), padic_valuation(bden, p), []
+    for key in keys[1:]:
+        logz = min(worst(i, mi) for i, mi in enumerate(coords(key)) if mi) + chain.get(key, 0)
+        for hg, g in gens:
             if ball[key] + hg <= t:
-                nxt = sums.sum(ik, ig)
+                nxt = m.gp.add(key, g)
                 chain[nxt] = max(chain.get(nxt, 0), logz)
-        bound = Fraction(e_exp * logz * s_d + ball[key] * s_n, s_d)
-        actual = -gauss_valuation(((key, bmats[key][0]),), bmats[key][1], p) if key in bmats else None
-        records.append(BoundRecord(key, ball[key], actual, bound))
+        actual = fraction(vden - padic_valuation(math.gcd(*bmats[key]), p)) if key in bmats else None
+        records.append(BoundRecord(key, ball[key], actual, fraction(e_exp * logz * s_d + ball[key] * s_n, s_d)))
 
-    gauge, gauge_inv = _over_one_denominator(bmats), _over_one_denominator(bprime)
+    gauge, gauge_inv = _canonical(bmats, bden), _canonical(*bprime)
 
     constant_base = None
     if e.base_matrices is not None:
@@ -784,31 +762,9 @@ def _log_norm(a: RatMatrix, p: int) -> Fraction:
     return Fraction(padic_valuation(a[1], p) - padic_valuation(g, p) if g else 0)
 
 
-def _over_one_denominator(coeffs: dict) -> CoefficientMap:
-    """{key: (x, d)}, x an integer matrix and x / d reduced, as one map."""
-    den = math.lcm(*(d for _, d in coeffs.values()))
-    return _canonical({k: [v * (den // d) for v in x] for k, (x, d) in coeffs.items()}, den)
-
-
 def _reduced(x: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     g = math.gcd(den, *x)
     return tuple(v // g for v in x), den // g
-
-
-def _neg_convolution(pairs, n: int) -> tuple[list[int], int]:
-    """-sum X Y over pairs ((X, dx), (Y, dy)) of row-major integer n x n
-    matrices over their denominators, as one stacked integer product
-    [X | ...] [Y; ...] over the lcm of the dx dy."""
-    den = math.lcm(*(dx * dy for (_, dx), (_, dy) in pairs))
-    left: list[list[int]] = [[] for _ in range(n)]
-    right: list[list[int]] = [[] for _ in range(n)]
-    for (x, dx), (y, dy) in pairs:
-        s = den // (dx * dy)
-        for r, row in enumerate(left):
-            row.extend([v * s for v in x[r * n : r * n + n]] if s > 1 else x[r * n : r * n + n])
-        for c, col in enumerate(right):
-            col.extend(y[c::n])
-    return [-sum(map(mul, row, col)) for row in left for col in right], den
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +869,8 @@ def log_convergence_check(
     Level 1 is the maps themselves, (d_i + A^i) 1 = A^i, and level 2 at
     e_i + e_j, j < i, is the module's composition (d_i + A^i) A^j, which
     integrability has read; only a step with k_i != 0 or at level 3 or
-    more runs `_nabla`, with the shift k_i."""
+    more runs `_nabla`, with the shift k_i, the left factor over the
+    module's union of keys (`LogNablaModule.padded`)."""
     if e.interval_kind not in ("disk", "point"):
         raise NotDiskModule("log-convergence is defined on disks and points")
     if eta.is_zero or eta.value_exponent() <= 0:
@@ -932,14 +889,14 @@ def log_convergence_check(
         if level > 1:
             new = {}
             for k, (sections, den) in frontier.items():
-                for i, a in enumerate(e.matrices):
+                for i, a in enumerate(e.padded[:r]):
                     kk = k[:i] + (k[i] + 1,) + k[i + 1 :]
                     if kk in new:
                         continue
                     if level == 2 and not k[i]:
                         out = e.composition(i, k.index(1))  # (d_i + A^i) A^j for k = e_j, over d_i d_j
-                    else:
-                        out = _nabla(e, a, (sections.items(), den), i, k[i])  # (d_i - k_i + A^i) sections, over d_i den
+                    else:  # (d_i - k_i + A^i) sections, over d_i den; at level 2 the sections are A^i
+                        out = _nabla(e, a, a if level == 2 else (sections.items(), den), i, k[i])
                     new[kk] = ({key: x for key, x in out.items() if any(x)}, a[1] * den)
             frontier = new
         for k, (sections, den) in frontier.items():

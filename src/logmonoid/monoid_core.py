@@ -318,7 +318,8 @@ class WeightedIndex:
     h is kept as integer numerators over one denominator.  On a sharp monoid
     the ball of elements of weight <= bound is grown level by level in
     place; `h` memoizes (h, h+, |h|) per element, searched in that ball, or
-    for a monoid with units in the ball of the sharp quotient."""
+    for a monoid with units in the ball of the sharp quotient.  The pair
+    plans of the products over this weighting are kept here too."""
 
     def __init__(self, index: MonoidIndex, values: tuple[int, ...], lam: QVector):
         self.index = index
@@ -330,6 +331,7 @@ class WeightedIndex:
         self._ball: dict[Elt, int] = {}
         self._gens: Optional[list[tuple[Elt, int]]] = None
         self._h: dict[Elt, tuple[int, int, int]] = {}
+        self.plans: dict = {}  # the plans of `coefficient_maps`, least recently used first
 
     def weight(self, g: Elt) -> Fraction:
         """Group extension h(g) = lam * free(g); integral on the span of M."""

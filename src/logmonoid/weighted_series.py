@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 from .abelian import Elt
 from .coefficient_maps import (
-    DEFAULT_PRIME, CoefficientMap, KeySums, Radius, _canonical, _map_mul, _restricted, coefficient,
+    DEFAULT_PRIME, CoefficientMap, Radius, _canonical, _map_mul, _restricted, coefficient,
     coefficient_map, gauss_valuation, map_sum,
 )
 from .errors import NonInvertibleConstantTerm, NotTorsionFree, checked_make
@@ -132,8 +132,7 @@ def series_sub(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     (a, da), (b, db) = f.coefficients, g.coefficients
     t = min(f.truncation, g.truncation)
-    sums = KeySums(f.monoid.gp)
-    return _combined(f, g, _canonical(_map_mul(f.monoid, f.weighting, t, a, b, 1, sums), da * db))
+    return _combined(f, g, _canonical(_map_mul(f.monoid, f.weighting, t, a, b, 1), da * db))
 
 
 def series_invert(f: TruncatedSeries) -> TruncatedSeries:

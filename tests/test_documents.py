@@ -698,6 +698,28 @@ def test_cold_warm_and_evicted_parses_give_equal_modules(name):
     assert cold == warm == evicted
 
 
+@pytest.mark.parametrize("name", ["rank2_connection.json", "vertex_counterexample.json"])
+def test_two_cold_parses_give_equal_contexts_with_one_repr(name):
+    """A context's maps compare, hash and print by the section's validated
+    fields: two parses from cold caches give equal contexts with one hash
+    and one repr, which holds no memory address, and the maps still act."""
+    doc = _connection_document(name)
+    docs.clear_caches()
+    first = docs.parse_connection(copy.deepcopy(doc))[0]
+    docs.clear_caches()
+    second = docs.parse_connection(copy.deepcopy(doc))[0]
+    assert first.monoid is not second.monoid and first.convert.fn is not second.convert.fn
+    assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
+    assert "0x" not in repr(first)
+    if first.ambient_map is not None:
+        assert first.ambient_map() == second.ambient_map() and first.exponent_map() == second.exponent_map()
+        assert {first.convert, first.exponent_map, first.ambient_map} == {second.convert, second.exponent_map,
+                                                                          second.ambient_map}
+        assert len({first.convert, first.exponent_map, first.ambient_map}) == 3
+    zero = {"free": [0] * len((first.ambient_generators or [first.monoid.gp.zero()[0]])[0])}
+    assert first.parse_element(zero) == second.parse_element(zero) == first.monoid.gp.zero()
+
+
 def test_each_monomial_is_converted_once_in_a_bounded_memo():
     """The memo of converted monomials has a maxsize, misses once per
     distinct monomial of a section, and clear_caches empties it."""

@@ -942,10 +942,11 @@ def test_map_mul_looks_up_a_pair_sum_only_beside_an_annulus_key(monkeypatch, n2)
     assert any(index.h(k)[2] > index.h(k)[0] for k, _ in annulus[0])
     real, calls = mc.WeightedIndex.h, []
     monkeypatch.setattr(mc.WeightedIndex, "h", lambda self, g: calls.append(g) or real(self, g))
+    index.plans.clear()  # the lookups are made while a plan is built
     for a, b in ((disk, disk), (disk, annulus), (annulus, disk)):
         kept = sum(index.h(k1)[0] + index.h(k2)[0] <= t for k1, _ in a[0] for k2, _ in b[0])
         calls.clear()
-        cmaps._map_mul(n2, h, t, a[0], b[0], 1, cmaps.KeySums(n2.gp))
+        cmaps._map_mul(n2, h, t, a[0], b[0], 1)
         keys = len(a[0]) + len(b[0])
         if annulus not in (a, b):
             assert len(calls) == 2 * keys < kept
@@ -962,20 +963,37 @@ def test_unipotence_needs_monoid_support(n2):
 
 # -- integrability is decided once per module -----------------------------------------------------
 
+def _count_plans(monkeypatch) -> dict:
+    """Counts of the pair plans built and of the products gathered through one."""
+    counts = {"builds": 0, "gathers": 0}
+    init, product = cmaps.PairPlan.__init__, cmaps.PairPlan.product
+
+    def counted_init(self, *args):
+        counts["builds"] += 1
+        init(self, *args)
+
+    def counted_product(self, a, b):
+        counts["gathers"] += 1
+        return product(self, a, b)
+
+    monkeypatch.setattr(cmaps.PairPlan, "__init__", counted_init)
+    monkeypatch.setattr(cmaps.PairPlan, "product", counted_product)
+    return counts
+
+
 def test_integrability_is_decided_once(monkeypatch, n2):
-    calls = []
-    map_mul = lc._map_mul
-    monkeypatch.setattr(lc, "_map_mul", lambda *args: calls.append(1) or map_mul(*args))
+    counts = _count_plans(monkeypatch)
     c1 = ((F(0), F(0)), (F(0), F(1, 2)))
     c2 = ((F(1, 3), F(0)), (F(0), F(1, 3)))
     e = gauge_built_module(n2, [c1, c2], {(1, 0): ((0, 1), (0, 0))}, 2, 4)[0]
-    calls.clear()
+    n2.index.weighted(e.weighting.values).plans.clear()
+    counts.update(builds=0, gathers=0)
     assert lc.validate_integrability(e)
-    first = len(calls)
-    assert first > 0
+    first = dict(counts)
+    assert first == {"builds": 1, "gathers": 2}  # both compositions through one plan
     assert lc.validate_integrability(e)
     assert e.integrability_defect is None
-    assert len(calls) == first
+    assert counts == first
 
 
 def test_integrability_and_depth_2_log_convergence_share_their_products(monkeypatch):
@@ -983,48 +1001,49 @@ def test_integrability_and_depth_2_log_convergence_share_their_products(monkeypa
     module: integrability reads both orders, level 1 of log-convergence is
     the maps themselves and level 2 at e_i + e_j reads the stored
     composition, so only the r steps to 2 e_i multiply.  Integrability then
-    a depth-2 check take r (r - 1) + r products, 1 / 4 / 9 for r = 1 / 2 / 3
-    (2 / 7 / 15 when each level multiplied afresh)."""
-    calls = []
-    map_mul = lc._map_mul
-    monkeypatch.setattr(lc, "_map_mul", lambda *args: calls.append(1) or map_mul(*args))
+    a depth-2 check take r (r - 1) + r gathers, 1 / 4 / 9 for r = 1 / 2 / 3
+    (2 / 7 / 15 when each level multiplied afresh), all through the one
+    plan of the module's union of keys."""
+    counts = _count_plans(monkeypatch)
     one, eta = cmaps.Radius.one(), cmaps.Radius.p_power(F(1, 2))
     residues = (((0, 0), (0, F(1, 2))), ((F(1, 3), 0), (0, F(1, 3))), ((F(1, 4), 0), (0, 0)))
     for r, products in ((1, 1), (2, 4), (3, 9)):
         m = mc.free_monoid(r)
         e = gauge_built_module(m, residues[:r], {(1,) + (0,) * (r - 1): ((0, 1), (0, 0))}, 2, 4)[0]
-        calls.clear()
+        m.index.weighted(e.weighting.values).plans.clear()
+        counts.update(builds=0, gathers=0)
         assert lc.validate_integrability(e)
         assert lc.log_convergence_check(e, one, eta, 2)
-        assert len(calls) == products, r
+        assert counts == {"builds": 1, "gathers": products}, r
         # a second check reuses the stored compositions: only the 2 e_i steps multiply again
         assert lc.log_convergence_check(e, one, eta, 2)
-        assert len(calls) == products + r, r
+        assert counts == {"builds": 1, "gathers": products + r}, r
 
 
-def test_a_fresh_copy_of_a_module_builds_its_own_tables(n2):
-    """The key-sum table and the stored compositions belong to one module:
-    every sum in the table is gp.add of its two keys, and a fresh copy of
-    the module starts with empty tables of its own and fills them alike."""
+def test_a_fresh_copy_of_a_module_builds_its_own_tables(monkeypatch, n2):
+    """The stored compositions belong to one module, the pair plans to the
+    weighted index: a fresh copy of the module starts with no compositions,
+    computes equal ones again and builds no plan, and every plan the first
+    copy built stays in the index."""
+    counts = _count_plans(monkeypatch)
     c1 = ((F(0), F(0)), (F(0), F(1, 2)))
     c2 = ((F(1, 3), F(0)), (F(0), F(1, 3)))
     e = gauge_built_module(n2, [c1, c2], {(1, 0): ((0, 1), (0, 0)), (1, 1): ((1, 2), (0, 1))}, 2, 5)[0]
     one, eta = cmaps.Radius.one(), cmaps.Radius.p_power(F(1, 2))
-    tables = []
+    plans = n2.index.weighted(e.weighting.values).plans
+    plans.clear()
+    seen = []
     for f in (e, e._replace()):
-        assert "key_sums" not in f.__dict__ and "_compositions" not in f.__dict__
+        assert "padded" not in f.__dict__ and "_compositions" not in f.__dict__
+        counts.update(builds=0, gathers=0)
         assert lc.validate_integrability(f)
         lc.log_convergence_check(f, one, eta, 3)
         lc.shear(f)
-        sums = f.key_sums
-        pairs = [(i, j, s) for i, row in enumerate(sums.rows) for j, s in row.items()]
-        assert len(pairs) > len(sums.keys) > 1
-        assert all(sums.keys[s] == n2.gp.add(sums.keys[i], sums.keys[j]) for i, j, s in pairs)
-        assert all(sums.ids[k] == i for i, k in enumerate(sums.keys))
-        tables.append((sums, f.composition(0, 1)))
-    (first, c01), (second, d01) = tables
-    assert second is not first and d01 is not c01 and d01 == c01
-    assert second.keys == first.keys and second.rows == first.rows
+        seen.append((dict(counts), dict(plans), f.composition(0, 1)))
+    (first, first_plans, c01), (second, second_plans, d01) = seen
+    assert first["builds"] >= 1 and second == {"builds": 0, "gathers": first["gathers"]}
+    assert second_plans == first_plans and all(p is first_plans[k] for k, p in second_plans.items())
+    assert d01 is not c01 and d01 == c01
 
 
 def test_each_key_is_embedded_once_per_module(monkeypatch):
@@ -1299,12 +1318,11 @@ def test_map_mul_matches_the_sum_of_series_products(n2, m_even):
     monoid of tests/data/torsion.json (M^gp = Z + Z/2); the product of the
     coefficient maps, rendered, is the matrix of summed series products,
     whose key sums the pair loop takes by m.gp.add.  Each monoid's products
-    share one key-sum table, as a module's do."""
+    share one plan cache, as a module's do."""
     rng = random.Random(21)
     seen = set()
     torsion = documents.parse_monoid(json.loads((DATA / "torsion.json").read_text())).monoid
     for m in (n2, m_even, torsion):
-        sums = cmaps.KeySums(m.gp)
         h = ws.default_weighting(m)
         index = m.index.weighted(h.values)
         ball = index.upto(4)
@@ -1333,7 +1351,7 @@ def test_map_mul_matches_the_sum_of_series_products(n2, m_even):
                 b = tuple((k, tuple(-x[r - cols] if r // cols == 1 else x[r] for r in range(n * cols)))
                           for k, x in bx), db
             sa, sb = _series_rows(h, t, a, n, n), _series_rows(h, t, b, n, cols)
-            got = _series_rows(h, t, (cmaps._map_mul(m, h, t, a[0], b[0], cols, sums).items(), a[1] * b[1]), n, cols)
+            got = _series_rows(h, t, (cmaps._map_mul(m, h, t, a[0], b[0], cols).items(), a[1] * b[1]), n, cols)
             want = _smat_mul_by_series(sa, sb)
             assert got == want, (case, n, cols)
             seen.add(f"n={n}")
@@ -1484,7 +1502,7 @@ def _log_convergence_by_columns(e, a_prime, eta, depth, p=5):
                     kk = k[:i] + (k[i] + 1,) + k[i + 1:]
                     if kk in new:
                         continue
-                    out = cmaps._map_mul(m, w, t, ai, col.items(), 1, e.key_sums)
+                    out = cmaps._map_mul(m, w, t, ai, col.items(), 1)
                     for key, x in col.items():
                         cmaps._add_into(out, key, [di * (e.coords(key)[i] - k[i]) * v for v in x])
                     new[kk] = ({key: x for key, x in out.items() if any(x)}, di * den)
@@ -1668,8 +1686,8 @@ def test_shear_builds_each_sylvester_solver_once(monkeypatch):
 
 def test_shear_visits_only_the_key_pairs_that_exist(monkeypatch):
     """Both gauge recursions scatter, and the Z_m chain DP passes each key's
-    value on to key + g through the module's key-sum table: no subtraction,
-    and at most one addition per pushed pair, nnz(A) nnz(B) + nnz(B) nnz(B')."""
+    value on to key + g: no subtraction, and at most one addition per
+    pushed pair, nnz(A) nnz(B) + nnz(B) nnz(B')."""
     t = 20
     e = next(e for name, e, _ in selftest._shear_fixtures(t) if name == "rank2-N2-planted")
     m = e.monoid

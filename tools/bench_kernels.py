@@ -12,10 +12,11 @@ with eigenvalues 0, 1/2, 1/3 (diagonalizable, n = 1, 2, 3) and for
 `_jordan_conjugate`'s P J P^-1 with a 2 x 2 Jordan block (n = 2, 3, drawn
 from their own seeded generator); `weighted_series.series_mul`, `series_add` and `gauss_norm`
 (radius p^-1/2) on dense disk series over N^2 truncated at T = 3..6; `cone.simplex_feasible` on the default weighting's
-LP for k integer rays in Z^3 (k = 4, 6, 9: 2*3 + k columns, k rows); and
-`coefficient_maps._map_mul` on the coefficient maps of n x n matrices of
-those series for n = 2, 3 at T = 4, 6, each call with a fresh key-sum
-table, as `series_mul` takes; and, on an integrable rank-n module
+LP for k integer rays in Z^3 (k = 4, 6, 9: 2*3 + k columns, k rows); and,
+on the coefficient maps of n x n matrices of those series for n = 2, 3 at
+T = 4, 6, the build of their `coefficient_maps.PairPlan` (the symbolic
+phase) and `_map_mul` with that plan kept by the index (the numeric
+phase: the row and column planes and the gathers); and, on an integrable rank-n module
 over N^2 truncated at T (a diagonal constant model rewritten by a gauge
 I + G, G dense up to weight T) for n = 2, 3 and T = 4, 6,
 `validate_integrability`, and for n = 1, 2, 3 and T = 4, 6
@@ -34,12 +35,13 @@ fresh copy of the module and of Sigma (its own exponent set), for a
 constant rank-3 module with a Jordan block over M_even and over N^3 at
 T = 4 (the monoid is not copied, so its face projections, held by its
 index, are computed on the first call only).  The shear rows time a whole `shear` (both gauge recursions, the
-bound records and the checks; the module's integrability, residue
-analysis and key-sum table are kept after the first call) of the selftest fixtures
+bound records and the checks; the module's integrability and residue
+analysis and the index's plans are kept after the first call) of the selftest fixtures
 rank2-N2-planted and rank2-M_even-planted built at T = 8, 12, 20, 30, 40.
 The first-shear rows time `shear` of rank2-N2-planted at T = 40, 60, 80 on
-a fresh copy of the module, so its integrability, residue analysis and
-key-sum table are cold (the monoid's ball is kept).
+a fresh copy of the module with the index's plans emptied, so its
+integrability, residue analysis and plans are cold (the monoid's ball is
+kept); after each of them the process's peak RSS (ru_maxrss) is printed.
 The document rows time `documents.parse_connection` of a rank-2 connection
 document on an embedded monoid (N^2, N^3 and M_even in ambient
 coordinates, identity embedding) with a matrix at every key of weight
@@ -102,6 +104,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import resource
 import statistics
 import sys
 import time
@@ -192,6 +195,12 @@ def _integrability_then_log_convergence(e, one, eta) -> bool:
     """What a ladder job asks of a module before and after its shear:
     integrability, then log-convergence at depth 2."""
     return lc.validate_integrability(e) and lc.log_convergence_check(e, one, eta, 2)
+
+
+def _first_shear(e):
+    """shear of a fresh copy of e, with the index's plans emptied first."""
+    e.monoid.index.weighted(e.weighting.values).plans.clear()
+    return lc.shear(e._replace())
 
 
 def _jordan(rng: random.Random, n: int):
@@ -424,7 +433,10 @@ def main() -> int:
     for n in (2, 3):
         for t in (4, 6):
             (a, _), (b, _) = (_series_matrix_map(rng, n2, h, n, t) for _ in range(2))
-            row(f"_map_mul n={n} N^2 T={t}", lambda: cmaps._map_mul(n2, h, t, a, b, n, cmaps.KeySums(n2.gp)))
+            supports = tuple(k for k, _ in a), tuple(k for k, _ in b)
+            index = n2.index.weighted(h.values)
+            row(f"plan build n={n} N^2 T={t}", lambda: cmaps.PairPlan(index, t, n, *supports))
+            row(f"plan product n={n} N^2 T={t}", lambda: cmaps._map_mul(n2, h, t, a, b, n))
     one, eta = cmaps.Radius.one(), cmaps.Radius.p_power(Fraction(1, 2))
     rank1_rng = random.Random(SEED)
     for n in (1, 2, 3):
@@ -456,7 +468,9 @@ def main() -> int:
                 row(f"shear {name} T={t}", lambda: lc.shear(e))
     for t in FIRST_SHEAR_TRUNCATIONS:
         e = next(e for name, e, _ in selftest._shear_fixtures(t) if name == "rank2-N2-planted")
-        row(f"first shear rank2-N2-planted T={t}", lambda: lc.shear(e._replace()))
+        row(f"first shear rank2-N2-planted T={t}", lambda: _first_shear(e))
+        print(f"{'peak RSS after the first shear T=' + str(t):42s} "
+              f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:10.1f} MB", flush=True)
     doc_rng = random.Random(SEED)
     for name, gens in (("N^2", [[1, 0], [0, 1]]), ("N^3", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
                        ("M_even", [[2, 0], [1, 1], [0, 2]])):
