@@ -4,9 +4,9 @@ their sums, products and p-adic Gauss valuations.  A product is a symbolic
 phase, the pair plan of its two key supports (`PairPlan`), which the
 weighted index keeps among its PLAN_CACHE_SIZE most recent plans, and a
 numeric phase of gathers over flat integer planes; the shear's weight-order
-recursion (`weight_order`) gathers alike and keeps its gathers too.  Radii
-are powers p^{-q} with q rational (q = None encodes radius 0), so every
-norm comparison happens in valuation form.
+recursion (`weight_order`) gathers alike.  Radii are powers p^{-q} with q
+rational (q = None encodes radius 0), so every norm comparison happens in
+valuation form.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def map_sum(a: CoefficientMap, b: CoefficientMap) -> CoefficientMap:
 
 
 # How many plans a weighted index keeps, the least recently used dropped first.
-PLAN_CACHE_SIZE = 32
+PLAN_CACHE_SIZE = 16
 
 
 def _blocks(count: int, inner: int) -> list[list[int]]:
@@ -191,29 +191,21 @@ class PairPlan:
         return out
 
 
-def _cached(index, key: tuple, build: Callable):
-    """index.plans[key], built on first use; the index keeps the most recent ones."""
-    plans = index.plans
-    plan = plans.pop(key, None)
-    if plan is None:
-        plan = build()
-        if len(plans) >= PLAN_CACHE_SIZE:
-            del plans[next(iter(plans))]
-    plans[key] = plan
-    return plan
-
-
 def _map_mul(m: FineMonoid, w: Weighting, t: int, a, b, cols: int) -> dict[Elt, list[int]]:
     """The product of two maps as (key, row-major integer matrix) pairs, b's
     matrices with `cols` columns, at the keys with |h| <= t, as {key:
-    integer matrix} over the product of the two denominators."""
+    integer matrix} over the product of the two denominators, through the
+    pair plan of their keys; the index keeps the most recent plans."""
     a, b = tuple(a), tuple(b)
     if not a or not b:
         return {}
     inner = len(b[0][1]) // cols
     key = (t, inner, tuple(k for k, _ in a), tuple(k for k, _ in b))
     index = m.index.weighted(w.values)
-    plan = _cached(index, key, lambda: PairPlan(index, *key))
+    plans = index.plans
+    plan = plans[key] = plans.pop(key, None) or PairPlan(index, *key)
+    if len(plans) > PLAN_CACHE_SIZE:
+        del plans[next(iter(plans))]
     return plan.product(_rows(a, len(a[0][1]) // inner, inner), _columns(b, cols))
 
 
@@ -225,60 +217,40 @@ def weight_order(index, t: int, n: int, left: list, flats, solve) -> tuple[dict[
     lightest first.  A nonzero X_q goes to the pairs of q + k for each k of
     left with h(q) + h(k) <= t (a row-wise sparse product, Gustavson 1978);
     each k weighs >= 1, so a key's pairs are all in before it is solved,
-    and they make one pair of gathers for every flat.  A key's pairs depend
-    only on which lighter X are nonzero, so while those are nonzero where
-    the index's last complete run for (t, n, left) had them, its gathers
-    are read and no pair is formed.  X is column planes over the lcm of the
-    solved denominators, rescaled by a new factor.  Returns {m: row-major
-    X_m} for the nonzero X_m, and den."""
+    and they make one pair of gathers for every flat.  X is column planes
+    over the lcm of the solved denominators, rescaled by a new factor.
+    Returns {m: row-major X_m} for the nonzero X_m, and den."""
     keys, ball, add = index.upto(t), index.ball(t), index.index.monoid.gp.add
     slot = {k: s for s, k in enumerate(keys)}
     xs = [[int(c == r) for r in range(n)] + [0] * ((len(keys) - 1) * n + 1) for c in range(n)]
-    den = 1
-    # [the nonzero pattern of the last complete run, or None; per slot its gathers, or None]
-    plan = _cached(index, ("weight_order", t, n, tuple(left)), lambda: [None, [None] * len(keys)])
-    (last, gathers), nonzero, pending = plan, [True] + [False] * (len(keys) - 1), {}
+    den, solved, pending = 1, [0], {}
     left_blocks, x_blocks = _blocks(len(left), n), _blocks(len(keys), n)
     partners = [(ball[k], p, k) for p, k in enumerate(left)]
-
-    def push(q: int) -> None:
-        room = t - ball[keys[q]]
-        for hk, p, k in partners:
-            if hk > room:
-                break
-            target = slot[add(keys[q], k)]
-            lefts, rights = pending.get(target) or pending.setdefault(target, ([], []))
-            lefts.append(left_blocks[p])
-            rights.append(x_blocks[q])
-
-    if last is None:
-        push(0)
-    for s in range(1, len(keys)):
-        if last is None:
+    for s in range(len(keys)):
+        if s:  # X_0 = I is fixed; every other X_m is solved from its pairs, if it has any
             pairs = pending.pop(s, None)
-            gathers[s] = pairs and tuple(map(_getter, pairs))
-        if gathers[s] is None:
-            continue
-        lg, rg = gathers[s]
-        ys = list(map(rg, xs))
-        xm, dm = solve(keys[s], [([-sum(map(mul, x, y)) for x in map(lg, a) for y in ys], d * den) for a, d in flats])
-        nonzero[s] = any(xm)
-        if nonzero[s]:
+            if pairs is None:
+                continue
+            lg, rg = map(_getter, pairs)
+            ys = list(map(rg, xs))
+            rhs = [([-sum(map(mul, x, y)) for x in map(lg, a) for y in ys], d * den) for a, d in flats]
+            xm, dm = solve(keys[s], rhs)
+            if not any(xm):
+                continue
             scale = dm // math.gcd(den, dm)
             if scale > 1:
                 xs, den = [[v * scale for v in plane] for plane in xs], den * scale
             for c, plane in enumerate(xs):
                 plane[s * n : s * n + n] = [v * (den // dm) for v in xm[c::n]]
-        if last is not None and last[s] != nonzero[s]:
-            # the pairs of heavier keys differ from the last run's: form them from here on
-            last = plan[0] = None
-            for q in range(s + 1):
-                if nonzero[q]:
-                    push(q)
-        elif last is None and nonzero[s]:
-            push(s)
-    plan[0] = nonzero
-    return {keys[s]: [plane[s * n + r] for r in range(n) for plane in xs] for s in range(len(keys)) if nonzero[s]}, den
+            solved.append(s)
+        room = t - ball[keys[s]]
+        for hk, p, k in partners:
+            if hk > room:
+                break
+            lefts, rights = pending.get(target := slot[add(keys[s], k)]) or pending.setdefault(target, ([], []))
+            lefts.append(left_blocks[p])
+            rights.append(x_blocks[s])
+    return {keys[s]: [plane[s * n + r] for r in range(n) for plane in xs] for s in solved}, den
 
 
 def _add_into(acc: dict, key, x: list[int]) -> None:

@@ -2,8 +2,8 @@
 test-local double loops: the products of disk and annulus maps and of maps
 over a monoid whose group has torsion, square and one-column right
 factors, with cold plans, warm plans and after the document caches are
-emptied; which modules share a plan; and the weight-order recursion's
-reuse of its last run's gathers while the zero pattern of X repeats."""
+emptied; which modules share a plan; and the weight-order recursion
+under several zero patterns of X."""
 
 import json
 import random
@@ -134,6 +134,28 @@ def test_modules_with_equal_supports_share_one_plan(monkeypatch, n2):
     assert plans[0] is plans[1] and plans[2] is not plans[0]
 
 
+def test_the_index_keeps_its_most_recently_used_plans(monkeypatch, n2):
+    """Past PLAN_CACHE_SIZE plans the least recently used one is dropped;
+    a plan read again counts as used last."""
+    monkeypatch.setattr(cmaps, "PLAN_CACHE_SIZE", 3)
+    h = ws.default_weighting(n2)
+    index = n2.index.weighted(h.values)
+    index.plans.clear()
+    keys = index.upto(4)[:5]
+
+    def product(k):
+        return cmaps._map_mul(n2, h, 4, ((k, (1,)),), ((keys[0], (1,)),), 1)
+
+    for k in keys[:3]:
+        product(k)
+    plans = list(index.plans.items())
+    assert [key[2] for key, _ in plans] == [(k,) for k in keys[:3]]
+    product(keys[0])
+    product(keys[3])
+    assert [key[2] for key in index.plans] == [(keys[2],), (keys[0],), (keys[3],)]
+    assert index.plans[plans[0][0]] is plans[0][1]
+
+
 def _reference_order(m, h, t, n, left, flats, solve):
     """The weight-order recursion as a double loop over every solved X_q
     and every left key: X_0 = I, X_m = solve(m, rhs) over the rationals."""
@@ -159,13 +181,12 @@ def _reference_order(m, h, t, n, left, flats, solve):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_weight_order_reuses_its_last_run_only_while_the_zero_pattern_repeats(monkeypatch, n2, n):
+def test_weight_order_matches_a_rational_double_loop(n2, n):
     """weight_order against a rational double loop, on one (t, n, left) in
-    a row: zero patterns that repeat (the gathers are read, none built),
-    that part after the first keys (the pairs are formed from there on),
-    and a run stopped by an exception (the next run builds afresh).  Each
-    solve is rhs_0 scaled by a key's own factor, or 0 at the keys of the
-    pattern, so that new denominators arrive late and rescale X."""
+    a row, with X zero at no key, at one key and at two, and after a run
+    stopped by an exception.  Each solve is rhs_0 scaled by a key's own
+    factor, or 0 at the keys of the pattern, so that new denominators
+    arrive late and rescale X."""
     h = ws.default_weighting(n2)
     index = n2.index.weighted(h.values)
     t, rng = 5, random.Random(36 + n)
@@ -189,25 +210,10 @@ def test_weight_order_reuses_its_last_run_only_while_the_zero_pattern_repeats(mo
             return ([0] * (n * n), 1) if key in zeros else ([v * f.numerator for v in x], d * f.denominator)
         return solve
 
-    built = []
-    getter = cmaps._getter
-    monkeypatch.setattr(cmaps, "_getter", lambda blocks: built.append(1) or getter(blocks))
     planes = [(cmaps._rows(terms, n, n), d) for terms, d in flats]
-    # (the keys where X is 0, the key whose solve raises, whether gathers are built)
-    runs = [(set(), None, True), (set(), None, False), ({keys[5]}, None, True), ({keys[5]}, None, False),
-            ({keys[9]}, None, True), ({keys[2], keys[9]}, keys[7], True), ({keys[9]}, None, True),
-            ({keys[9]}, None, False)]
-    index.plans.clear()
-    for run, (zeros, stop, builds) in enumerate(runs):
-        built.clear()
-        if stop is not None:
-            # the run parts from the last at keys[2] and stops at keys[7]: its gathers in between
-            # lack the pairs of X_2, so the next run, like the last complete one, must not read them
-            with pytest.raises(ArithmeticError):
-                cmaps.weight_order(index, t, n, left, planes, solve_integer(zeros, stop))
-            assert bool(built) == builds, run
-            continue
+    for zeros in (set(), {keys[5]}, {keys[2], keys[9]}, {keys[9]}):
+        with pytest.raises(ArithmeticError):
+            cmaps.weight_order(index, t, n, left, planes, solve_integer(zeros, keys[7]))
         got, den = cmaps.weight_order(index, t, n, left, planes, solve_integer(zeros))
         want = _reference_order(n2, h, t, n, left, flats, solve_rational(zeros))
-        assert {k: [F(v, den) for v in x] for k, x in got.items()} == want, run
-        assert bool(built) == builds, run
+        assert {k: [F(v, den) for v in x] for k, x in got.items()} == want, zeros
