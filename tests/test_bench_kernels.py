@@ -1,0 +1,55 @@
+"""`tools/bench_kernels.py`, the A/B harness: the rule `tools/ab.py` reads
+paired samples by, on synthetic samples, and one cheap row family run in
+fresh child interpreters on this checkout against itself."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+OTHER = [100.0 + i for i in range(10)]  # median 104.5, IQR 5.5
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    return runpy.run_path(str(ROOT / "tools" / "bench_kernels.py"), run_name="bench_kernels")
+
+
+def _runs(this, other, unit="us", outputs=("x", "x")):
+    return [[{"row": (value, unit, out)} for value in side] for side, out in zip((this, other), outputs)]
+
+
+@pytest.mark.parametrize("this, call", [
+    ([x - 20 for x in OTHER[:9]] + [200.0], "faster"),
+    ([x - 20 for x in OTHER[:8]] + [200.0, 201.0], "within noise"),
+    ([x + 20 for x in OTHER[:9]] + [0.0], "slower"),
+    (OTHER, "within noise"),
+    ([x - 1 for x in OTHER], "within noise"),
+], ids=["9 of 10 beyond the IQR", "8 of 10", "9 of 10 slower", "ties", "10 of 10 within the IQR"])
+def test_a_row_is_faster_or_slower_only_with_nine_of_ten_pairs_and_a_gap_past_the_iqr(bench, this, call):
+    assert bench["ab"].verdict(this, OTHER) == call
+
+
+def test_the_report_prints_na_and_fails_on_differing_outputs(bench, capsys):
+    report = bench["ab"].report
+    assert report(_runs(OTHER, OTHER)) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith("within noise")
+    raised = _runs(OTHER, OTHER)
+    raised[1] = [{"row": (None, "", "raised KeyError: 3")}] * 10
+    assert report(raised) == 0
+    assert "n/a: other raised KeyError: 3" in capsys.readouterr().out
+    assert report(_runs(OTHER, OTHER, outputs=("x", "y"))) == 1
+    assert capsys.readouterr().out.splitlines()[1].endswith("OUTPUT DIFFERS")
+    assert report(_runs(OTHER, OTHER, unit="MB"), {"MB": "paths differ"}) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith("not comparable: paths differ")
+
+
+def test_a_row_family_run_in_child_interpreters_agrees_with_itself(bench, tmp_path, capsys):
+    ab, child = bench["ab"], bench["_child"]
+    runs = ab.alternate([str(ROOT)] * 2, lambda tree: child(tree, ["qmat_mul_rows"], str(tmp_path)), rounds=1)
+    assert list(runs[0][0]) == ["qmat_mul n=1", "qmat_mul n=2", "qmat_mul n=3"]
+    assert ab.report(runs) == 0
+    assert "OUTPUT DIFFERS" not in capsys.readouterr().out

@@ -1316,9 +1316,9 @@ def test_map_mul_matches_the_sum_of_series_products(n2, m_even):
     that cancel, and keys off the monoid (annulus matrices, where the |h|
     lookup runs), truncated at T = 2..5, over N^2, M_even and the torsion
     monoid of tests/data/torsion.json (M^gp = Z + Z/2); the product of the
-    coefficient maps, rendered, is the matrix of summed series products,
-    whose key sums the pair loop takes by m.gp.add.  Each monoid's products
-    share one plan cache, as a module's do."""
+    coefficient maps keeps only keys with |h| <= t and, rendered, is the
+    matrix of summed series products, whose key sums the pair loop takes by
+    m.gp.add.  Each monoid's products share one plan cache, as a module's do."""
     rng = random.Random(21)
     seen = set()
     torsion = documents.parse_monoid(json.loads((DATA / "torsion.json").read_text())).monoid
@@ -1351,7 +1351,10 @@ def test_map_mul_matches_the_sum_of_series_products(n2, m_even):
                 b = tuple((k, tuple(-x[r - cols] if r // cols == 1 else x[r] for r in range(n * cols)))
                           for k, x in bx), db
             sa, sb = _series_rows(h, t, a, n, n), _series_rows(h, t, b, n, cols)
-            got = _series_rows(h, t, (cmaps._map_mul(m, h, t, a[0], b[0], cols).items(), a[1] * b[1]), n, cols)
+            raw = cmaps._map_mul(m, h, t, a[0], b[0], cols)
+            # rendering drops keys with |h| > t, so a product that keeps them is caught here
+            assert all(index.h(k)[2] <= t for k in raw), (case, n, cols)
+            got = _series_rows(h, t, (raw.items(), a[1] * b[1]), n, cols)
             want = _smat_mul_by_series(sa, sb)
             assert got == want, (case, n, cols)
             seen.add(f"n={n}")

@@ -1,119 +1,50 @@
-"""Microbenchmark of the exact kernels: host-scaled microseconds per call.
+"""Microbenchmark of the exact kernels, and the A/B harness for two checkouts.
 
-    python3 tools/bench_kernels.py
+    python3 tools/bench_kernels.py [--compare OTHER]
 
-Run from the root of a checkout; the program is imported from ./src.  Times
-`qlin.qmat_mul` on n x n matrices for n = 1, 2, 3; the shear's Sylvester
-solver of A0 X - X A0 + X = RHS (`qlin.sylvester_solver`: the NI divisors'
-lcm and the series factors, built once per direction and coordinate) and
-its per-key solve (`qlin.sylvester_solve`: steps + 1 integer mat-vecs on vec(X)
-in A0's eigenbasis, then the gcd reduction), for an upper triangular A0
-with eigenvalues 0, 1/2, 1/3 (diagonalizable, n = 1, 2, 3) and for
-`_jordan_conjugate`'s P J P^-1 with a 2 x 2 Jordan block (n = 2, 3, drawn
-from their own seeded generator); `weighted_series.series_mul`, `series_add` and `gauss_norm`
-(radius p^-1/2) on dense disk series over N^2 truncated at T = 3..6; `cone.simplex_feasible` on the default weighting's
-LP for k integer rays in Z^3 (k = 4, 6, 9: 2*3 + k columns, k rows); and,
-on the coefficient maps of n x n matrices of those series for n = 2, 3 at
-T = 4, 6, the build of their `coefficient_maps.PairPlan` (the symbolic
-phase) and `_map_mul` with that plan kept by the index (the numeric
-phase: the row and column planes and the gathers); and, on an integrable rank-n module
-over N^2 truncated at T (a diagonal constant model rewritten by a gauge
-I + G, G dense up to weight T) for n = 2, 3 and T = 4, 6,
-`validate_integrability`, and for n = 1, 2, 3 and T = 4, 6
-`log_convergence_check` at depth 2 and 4 (radius 1, eta = p^-1/2), and for
-n = 2 `validate_integrability` then `log_convergence_check` at depth 2, the
-pair that shares the module's compositions (d_i + A^i) A^j, each
-call on a fresh copy of the module, so no cached verdict is reused (the
-rank-1 modules draw from their own seeded generator, so the other rows
-keep their inputs).  The spectral rows time `qlin.integer_roots` of
-`qlin.int_charpoly` on the integer rows b = d A of n x n matrices
-A = P J P^-1 (J in Jordan form with eigenvalues in {0, 1/2, 1/3, 1/4},
-P unipotent) for n = 2, 3, 4, what `_residue_spectrum` runs;
-`exponents` plus `eigenbasis_data` on fresh copies of the rank-n modules
-above (n = 2, 3, T = 4); and `is_sigma_unipotent` over every face, on a
-fresh copy of the module and of Sigma (its own exponent set), for a
-constant rank-3 module with a Jordan block over M_even and over N^3 at
-T = 4 (the monoid is not copied, so its face projections, held by its
-index, are computed on the first call only).  The shear rows time a whole `shear` (both gauge recursions, the
-bound records and the checks; the module's integrability and residue
-analysis and the index's plans are kept after the first call) of the selftest fixtures
-rank2-N2-planted and rank2-M_even-planted built at T = 8, 12, 20, 30, 40.
-The first-shear rows time `shear` of rank2-N2-planted at T = 40, 60, 80 on
-a fresh copy of the module with the index's plans emptied, so its
-integrability, residue analysis and plans are cold (the monoid's ball is
-kept); after each of them the process's peak RSS (ru_maxrss) is printed.
-The document rows time `documents.parse_connection` of a rank-2 connection
-document on an embedded monoid (N^2, N^3 and M_even in ambient
-coordinates, identity embedding) with a matrix at every key of weight
-<= T in every direction, for T = 4, 8, 12; each call empties the caches
-of analysed monoid sections, embeddings and converted monomials first, so
-the Smith forms, the weighting, every |h| and every monomial's conversion
-are cold.  The warm rows time the same parse again with the caches kept:
-the monoid, its index, the embedding and the converted monomials are
-reused, and only the matrix entries are read.  The cold monoid rows time
-`documents.parse_monoid` with the default weighting, the caches of
-analysed monoid sections emptied first, on the monoid-analysis shapes of
-the benchmark (perfbench's `gen`): the cones over the lattice 5- and
-7-gons and over the pyramid on the 5-gon, and N^4 / (2 x_i = 2 x_j),
-whose gp has torsion.  The cold semi-saturation rows time
-`is_semi_saturated` on those four shapes and on tests/data/moment_curve_20.json,
-each call on a fresh copy of the monoid given the original's face list, so
-the verdict and any face quotient it takes are cold but the faces are not
-enumerated again.  The
-pyramid rows time h and `membership` on the cone over the unit square
-(a sharp monoid in Z^3) for the keys of weight <= W (W = 4, 8), and for
-membership also each key minus a generator, with the weighted indices of
-the monoid and of its sharp quotient emptied before each call.  The Smith
-row times `snf.smith_normal_form` per input over the inputs one seeded
-monoid-analysis round of the benchmark (perfbench's `gen.monoid_round` run
-through `workloads.run_monoid`) hands it, in call order; their number n,
-in the row's name, falls when the saturation verdict stops earlier or the
-semi-saturation verdict takes fewer Smith forms, so the per-call figure is
-then taken over different inputs.  The
-saturation rows time `is_saturated_bounded` on the rank-4 moment-curve
-cones over (1, t, t^2, t^3), t = 1..k, for k = 10, 12, 16, 20, 30, 40,
-each call on a fresh copy of the monoid (its cone, triangulation and ball
-cold).  The section row times `monoid_core.section` of each of the five
-selftest surjections, per round of five: the indices of their source and
-target monoids are warm after the first round, while the image monoid and
-the Smith forms of f^gp and of the splitting are built on every call.  The
-saturation invariance rows time `saturation_invariance_check` on [p^-1, 1]
-at the vertex point of N \\ {1} = <2, 3> and of the cone over the pentagon
-pyramid of tests/data/pyramid_pentagon.json, each call on a fresh copy of
-the monoid (its weighting, saturation, balls and h+ memo cold).  The
-D_l rows time what `connection dl` computes, the module's projection
-polynomials and `dl_limit` on each basis section, on a fresh copy of a
-constant rank-n module (n = 2, 3, 4, truncation 4) over N (residue
-P J P^-1, J a Jordan block of size 2 and eigenvalues from {0, 1/2, 1/3,
-1/4}, P unipotent) and over N^2 (that residue and P D P^-1, D half the
-diagonal of J), so the residue analysis is cold; and `dl_constant_term` at
-l = T of a dense disk series over N^2 truncated at T = 4, 8.  They draw
-from their own seeded generator, so the other rows keep their inputs.
-Entries are small rationals (numerators -9..9, denominators up to
-6) or small integers from a fixed seed, so every run measures the same
-inputs.  Each figure is the median over REPEATS repeats of a loop of at
-least 20 ms, in CPU microseconds per call, brought to the benchmark's
-reference host speed by perfbench's `reference.scaled` with the mean of the
-`reference_seconds` taken before and after the row (sensitivity 1): on a
-shared host the CPU speed swings with the other tenants' load, and the raw
-figures of two runs of one tree could differ by 1.5x.  Stdlib only.
+The rows come from the registry FAMILIES: one entry per row family, with a
+one-line description and its own generator seeded with SEED, so every run
+times the same inputs.  A row calls its function in loops of doubling
+length until one takes 20 ms (the first call's result is the row's
+output), then times one more loop of that length between two reference
+timings: its figure is CPU microseconds per call brought to the
+benchmark's reference host speed by perfbench's `reference.scaled` with
+the mean of the two, since a shared host's CPU speed swings with the other
+tenants' load.  A plain run times every row once in this process and
+prints it under its family's description.  With --compare, `ab.alternate`
+runs ten rounds, the two checkouts taking turns to go first; each round
+starts a fresh interpreter per checkout (`ab.child_env`: its src first on
+the path, no bytecode read from the trees) that runs every row once, and
+`ab.report` prints per row both medians, the ratio, wins, both IQRs and a
+verdict by its rule.  A row that raises on one tree prints n/a, and the
+rest of its family does not run there.  A row whose output (the sha256 of
+its result's repr) differs between the trees makes the exit status 1.
+Peak RSS follows the length of the checkout's path, so its rows are
+compared only when both paths have the same length.  Stdlib only.
 """
 
 from __future__ import annotations
 
+import argparse
+import hashlib
 import json
 import os
 import random
 import resource
-import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+CHILD = "bench_kernels_child"  # run_name of a --compare child, whose program comes from PYTHONPATH
+if __name__ != CHILD:
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [HERE, os.path.join(ROOT, "perfbench")]
 
+import ab  # noqa: E402
 from logmonoid import cone  # noqa: E402
 from logmonoid import coefficient_maps as cmaps  # noqa: E402
 from logmonoid import constant_models as cmod  # noqa: E402
@@ -130,19 +61,26 @@ from reference import reference_seconds, scaled  # noqa: E402
 SEED = 1
 MONOID_ROUND_SEED = 7
 MOMENT_CURVE_RAYS = (10, 12, 16, 20, 30, 40)
-REPEATS = 7
 SHEAR_FIXTURES = ("rank2-N2-planted", "rank2-M_even-planted")
 SHEAR_TRUNCATIONS = (8, 12, 20, 30, 40)
 FIRST_SHEAR_TRUNCATIONS = (40, 60, 80)
+LADDER_SEEDS = (41001, 7, 123, 99)
+LADDER_ROUNDS = 8
 DENOMINATORS = (1, 1, 2, 3, 5, 6)
+FAMILIES: dict = {}
+
+
+def family(description: str):
+    """Register a generator of (row name, fn[, calls]) rows, fn making `calls`
+    calls, under its function's name; fn None reads the peak RSS."""
+    def register(rows):
+        FAMILIES[rows.__name__] = description, rows
+        return rows
+    return register
 
 
 def _rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
-
-
-def _matrix(rng: random.Random, n: int):
-    return qmat([[_rational(rng) for _ in range(n)] for _ in range(n)])
 
 
 def _triangular(rng: random.Random, n: int):
@@ -180,9 +118,9 @@ def _series_matrix_map(rng: random.Random, m, h, n: int, t: int):
 
 def _module(rng: random.Random, m, n: int, t: int):
     """An integrable rank-n module over m: diag(0, 1/2, 1/3) and diag(1/3,
-    1/3, 1/3) (cut to n) in the basis e (I + G).  No denominator is divisible
-    by 5, so every P_k is 5-adically integral and log_convergence_check runs
-    its whole frontier."""
+    1/3, 1/3) (cut to n) in the basis e (I + G), G dense up to weight t.  No
+    denominator is divisible by 5, so every P_k is 5-adically integral and
+    log_convergence_check runs its whole frontier."""
     diagonals = ((0, Fraction(1, 2), Fraction(1, 3))[:n], (Fraction(1, 3),) * n)
     model = [[[x if i == j else 0 for j in range(n)] for i, x in enumerate(diag)] for diag in diagonals]
     keys = m.index.weighted(ws.default_weighting(m).values).upto(t)[1:]
@@ -198,7 +136,8 @@ def _integrability_then_log_convergence(e, one, eta) -> bool:
 
 
 def _first_shear(e):
-    """shear of a fresh copy of e, with the index's plans emptied first."""
+    """shear of a fresh copy of e, with the index's plans emptied first (the
+    monoid's ball is kept)."""
     e.monoid.index.weighted(e.weighting.values).plans.clear()
     return lc.shear(e._replace())
 
@@ -211,11 +150,6 @@ def _jordan(rng: random.Random, n: int):
     j = [[eigs[i] if i == k else int((i, k) == (0, 1)) for k in range(n)] for i in range(n)]
     p = [[int(i == k) if k <= i else rng.randint(-2, 2) for k in range(n)] for i in range(n)]
     return p, j
-
-
-def _jordan_conjugate(rng: random.Random, n: int):
-    """P J P^-1 for `_jordan`'s (P, J)."""
-    return _conjugate(*_jordan(rng, n))
 
 
 def _conjugate(p, j):
@@ -266,7 +200,8 @@ def _spectra(e):
 
 
 def _unipotence_on_all_faces(e, sigma, faces):
-    """Every face's verdict, on fresh copies of e and Sigma."""
+    """Every face's verdict, on fresh copies of e and Sigma (the monoid is
+    not copied, so its face projections are computed on the first call only)."""
     f, s = e._replace(), sigma._replace()
     return [lc.is_sigma_unipotent(f, s, face) for face in faces]
 
@@ -299,12 +234,12 @@ def _embedded_document(rng: random.Random, gens, t: int) -> dict:
                                             for k in sorted(keys)]} for i in range(dim)]}
 
 
-def _cold_parse(doc: dict):
-    """parse_connection of doc with the caches of analysed monoid sections,
-    embeddings and converted monomials emptied first, as in a fresh
-    process."""
+def _cold_document(parse, doc: dict):
+    """parse(doc) with the caches of analysed monoid sections, embeddings and
+    converted monomials emptied first, as in a fresh process: the Smith
+    forms, the weighting, every |h| and every monomial's conversion are cold."""
     documents.clear_caches()
-    return documents.parse_connection(doc)
+    return parse(doc)
 
 
 def _cold(m, fn, keys):
@@ -315,30 +250,19 @@ def _cold(m, fn, keys):
     return [fn(k) for k in keys]
 
 
-def _perfbench_gen():
-    import gen
-    return gen
-
-
 def _cold_monoid_documents() -> list:
     """(name, document) for the monoid-analysis shapes of the benchmark: the
     cones over the lattice 5- and 7-gons, the cone over the pyramid on the
     5-gon, and N^4 / (2 x_i = 2 x_j), whose gp has torsion Z/2."""
-    gen = _perfbench_gen()
+    import gen
     return [("polygon k=5", gen.polygon_cone(5, 0, 0)[0]), ("polygon k=7", gen.polygon_cone(7, 0, 0)[0]),
             ("pyramid k=5", gen.pyramid_cone(5, 0)[0]),
             ("torsion Z/2 n=4", gen.torsion_monoid(random.Random(SEED), 4, 2)[0])]
 
 
-def _cold_monoid(doc: dict):
-    """parse_monoid of doc, its default weighting included, with the caches
-    of analysed monoid sections emptied first, as in a fresh process."""
-    documents.clear_caches()
-    return documents.parse_monoid(doc)
-
-
 def _cold_semi_saturation(m) -> bool:
-    """is_semi_saturated on a fresh copy of m that is handed m's faces."""
+    """is_semi_saturated on a fresh copy of m that is handed m's faces, so
+    the verdict and any face quotient it takes are cold."""
     fresh = mc.FineMonoid(m.gp, m.generators)
     fresh.index.faces = tuple(mc.Face(fresh, f.generator_indices) for f in mc.faces(m))
     return mc.is_semi_saturated(fresh)
@@ -346,8 +270,9 @@ def _cold_semi_saturation(m) -> bool:
 
 def _monoid_round_smith_inputs() -> list:
     """The matrices one seeded monoid-analysis round of the benchmark hands
-    `snf.smith_normal_form`, in call order."""
-    gen = _perfbench_gen()
+    `snf.smith_normal_form`, in call order.  Their number falls when the
+    saturation or semi-saturation verdict takes fewer Smith forms."""
+    import gen
     import workloads
     inputs = []
     smith = snf.smith_normal_form
@@ -358,28 +283,6 @@ def _monoid_round_smith_inputs() -> list:
     finally:
         snf.smith_normal_form = smith
     return inputs
-
-
-def _time(fn) -> float:
-    """Median CPU microseconds per call of fn(), scaled to the reference
-    host speed."""
-    loops = 1
-    while True:
-        t0 = time.process_time()
-        for _ in range(loops):
-            fn()
-        if time.process_time() - t0 >= 0.02:
-            break
-        loops *= 2
-    ref = reference_seconds()
-    samples = []
-    for _ in range(REPEATS):
-        t0 = time.process_time()
-        for _ in range(loops):
-            fn()
-        samples.append((time.process_time() - t0) / loops)
-    ref = (ref + reference_seconds()) / 2
-    return scaled(statistics.median(samples), ref, 1.0) * 1e6
 
 
 def _data_monoid(name: str):
@@ -399,120 +302,271 @@ def _saturation_invariance(m) -> bool:
     return ws.saturation_invariance_check(fresh, cmaps.Radius.p_power(1), cmaps.Radius.one(), pts)
 
 
-def main() -> int:
-    def row(name: str, fn, calls: int = 1) -> None:
-        """Print the row's host-scaled microseconds per call of fn, which
-        makes `calls` calls."""
-        print(f"{name:42s} {_time(fn) / calls:10.1f} us", flush=True)
+def _ladder_cell(jobs) -> list:
+    """perfbench's `workloads.run_connection` of each job, the document
+    caches emptied first; the repr of each result without its context."""
+    import workloads
+    documents.clear_caches()
+    return [repr(workloads.run_connection(job)[1:]) for job in jobs]
 
-    rng = random.Random(SEED)
+
+@family("qlin.qmat_mul on n x n small-rational matrices, n = 1..3")
+def qmat_mul_rows(rng):
     for n in (1, 2, 3):
-        a, b = _matrix(rng, n), _matrix(rng, n)
-        row(f"qmat_mul n={n}", lambda: qmat_mul(a, b))
-    jordan_rng = random.Random(SEED)
+        a, b = (qmat([[_rational(rng) for _ in range(n)] for _ in range(n)]) for _ in range(2))
+        yield f"qmat_mul n={n}", lambda: qmat_mul(a, b)
+
+
+@family("the shear's Sylvester solver build and per-key solve, for triangular A0 and for P J P^-1 with a Jordan block")
+def sylvester_rows(rng):
     for n, kind in ((1, "diagonal"), (2, "diagonal"), (3, "diagonal"), (2, "jordan"), (3, "jordan")):
         if kind == "diagonal":
             a0, rhs = _triangular(rng, n)
         else:
-            a0, rhs = _jordan_conjugate(jordan_rng, n), ([jordan_rng.randint(-9, 9) for _ in range(n * n)], 1)
+            a0, rhs = _conjugate(*_jordan(rng, n)), ([rng.randint(-9, 9) for _ in range(n * n)], 1)
         basis, divisors = _sylvester(a0)
         solver = qlin.sylvester_solver(basis, divisors)
-        row(f"sylvester solver {kind} n={n}", lambda: qlin.sylvester_solver(basis, divisors))
-        row(f"sylvester solve {kind} n={n}", lambda: lc._reduced(*qlin.sylvester_solve(solver, rhs)))
+        yield f"sylvester solver {kind} n={n}", lambda: qlin.sylvester_solver(basis, divisors)
+        yield f"sylvester solve {kind} n={n}", lambda: lc._reduced(*qlin.sylvester_solve(solver, rhs))
+
+
+@family("series_mul, series_add and gauss_norm (radius p^-1/2) of dense disk series over N^2, T = 3..6")
+def series_rows(rng):
     n2 = mc.free_monoid(2)
-    h = ws.default_weighting(n2)
-    half = cmaps.Radius.p_power(Fraction(1, 2))
+    h, half = ws.default_weighting(n2), cmaps.Radius.p_power(Fraction(1, 2))
     for t in (3, 4, 5, 6):
         f, g = _series(rng, n2, h, t), _series(rng, n2, h, t)
-        row(f"series_mul N^2 disk T={t}", lambda: ws.series_mul(f, g))
-        row(f"series_add N^2 disk T={t}", lambda: ws.series_add(f, g))
-        row(f"gauss_norm N^2 disk T={t}", lambda: ws.gauss_norm(f, half))
+        yield f"series_mul N^2 disk T={t}", lambda: ws.series_mul(f, g)
+        yield f"series_add N^2 disk T={t}", lambda: ws.series_add(f, g)
+        yield f"gauss_norm N^2 disk T={t}", lambda: ws.gauss_norm(f, half)
+
+
+@family("cone.simplex_feasible on the default weighting's LP of k integer rays in Z^3 (2*3 + k columns)")
+def simplex_rows(rng):
     for k in (4, 6, 9):
-        la, lb = _weighting_lp(rng, k)
-        row(f"simplex_feasible rays={k}", lambda: cone.simplex_feasible(la, lb))
+        a, b = _weighting_lp(rng, k)
+        yield f"simplex_feasible rays={k}", lambda: cone.simplex_feasible(a, b)
+
+
+@family("the pair plan of n x n maps of disk series over N^2: its build, and _map_mul with the index's plan kept")
+def plan_rows(rng):
+    n2 = mc.free_monoid(2)
+    h = ws.default_weighting(n2)
+    index = n2.index.weighted(h.values)
     for n in (2, 3):
         for t in (4, 6):
             (a, _), (b, _) = (_series_matrix_map(rng, n2, h, n, t) for _ in range(2))
             supports = tuple(k for k, _ in a), tuple(k for k, _ in b)
-            index = n2.index.weighted(h.values)
-            row(f"plan build n={n} N^2 T={t}", lambda: cmaps.PairPlan(index, t, n, *supports))
-            row(f"plan product n={n} N^2 T={t}", lambda: cmaps._map_mul(n2, h, t, a, b, n))
+            yield f"plan build n={n} N^2 T={t}", lambda: cmaps.PairPlan(index, t, n, *supports).entries
+            yield f"plan product n={n} N^2 T={t}", lambda: cmaps._map_mul(n2, h, t, a, b, n)
+
+
+@family("validate_integrability and log_convergence_check (eta p^-1/2) on fresh copies of integrable modules over N^2")
+def connection_rows(rng):
+    n2 = mc.free_monoid(2)
     one, eta = cmaps.Radius.one(), cmaps.Radius.p_power(Fraction(1, 2))
-    rank1_rng = random.Random(SEED)
     for n in (1, 2, 3):
         for t in (4, 6):
-            if n == 1:
-                e = _module(rank1_rng, n2, n, t)
-            else:
-                e = _module(rng, n2, n, t)
-                row(f"validate_integrability n={n} N^2 T={t}",
-                    lambda: lc.validate_integrability(e._replace()))
+            e = _module(rng, n2, n, t)
+            if n > 1:
+                yield f"validate_integrability n={n} N^2 T={t}", lambda: lc.validate_integrability(e._replace())
             for depth in (2, 4):
-                row(f"log_convergence_check depth={depth} n={n} N^2 T={t}",
-                    lambda: lc.log_convergence_check(e._replace(), one, eta, depth))
+                yield (f"log_convergence_check depth={depth} n={n} N^2 T={t}",
+                       lambda: lc.log_convergence_check(e._replace(), one, eta, depth))
             if n == 2:
-                row(f"integrability + log_convergence_check depth=2 n=2 N^2 T={t}",
-                    lambda: _integrability_then_log_convergence(e._replace(), one, eta))
+                yield (f"integrability + log_convergence_check depth=2 n=2 N^2 T={t}",
+                       lambda: _integrability_then_log_convergence(e._replace(), one, eta))
+
+
+@family("qlin.integer_roots of int_charpoly of the integer rows of P J P^-1 (what _residue_spectrum runs)")
+def charpoly_rows(rng):
     for n in (2, 3, 4):
-        b, _ = over_lcm(_jordan_conjugate(rng, n))
-        row(f"int_charpoly + integer_roots n={n}", lambda: qlin.integer_roots(qlin.int_charpoly(b)))
+        b, _ = over_lcm(_conjugate(*_jordan(rng, n)))
+        yield f"int_charpoly + integer_roots n={n}", lambda: qlin.integer_roots(qlin.int_charpoly(b))
+
+
+@family("exponents and eigenbasis data of fresh copies of integrable rank-n modules over N^2")
+def spectra_rows(rng):
     for n in (2, 3):
-        e = _module(rng, n2, n, 4)
-        row(f"module spectra n={n} N^2 T=4", lambda: _spectra(e))
+        e = _module(rng, mc.free_monoid(2), n, 4)
+        yield f"module spectra n={n} N^2 T=4", lambda: _spectra(e)
+
+
+@family("is_sigma_unipotent on every face of a constant rank-3 module with a Jordan block, fresh module and Sigma")
+def unipotence_rows(rng):
     for name, m in (("M_even", selftest._m_even()), ("N^3", mc.free_monoid(3))):
         e, sigma, faces = _unipotence_module(rng, m, 4)
-        row(f"is_sigma_unipotent all faces {name} T=4", lambda: _unipotence_on_all_faces(e, sigma, faces))
+        yield f"is_sigma_unipotent all faces {name} T=4", lambda: _unipotence_on_all_faces(e, sigma, faces)
+
+
+@family("shear of selftest fixtures, run again on the same module (integrability, residues and plans warm)")
+def shear_rows(rng):
     for t in SHEAR_TRUNCATIONS:
         for name, e, _ in selftest._shear_fixtures(t):
             if name in SHEAR_FIXTURES:
-                row(f"shear {name} T={t}", lambda: lc.shear(e))
+                yield f"shear {name} T={t}", lambda: lc.shear(e)
+
+
+@family("shear of a fresh rank2-N2-planted with the index's plans emptied, then the process's peak RSS")
+def first_shear_rows(rng):
     for t in FIRST_SHEAR_TRUNCATIONS:
         e = next(e for name, e, _ in selftest._shear_fixtures(t) if name == "rank2-N2-planted")
-        row(f"first shear rank2-N2-planted T={t}", lambda: _first_shear(e))
-        print(f"{'peak RSS after the first shear T=' + str(t):42s} "
-              f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:10.1f} MB", flush=True)
-    doc_rng = random.Random(SEED)
+        yield f"first shear rank2-N2-planted T={t}", lambda: _first_shear(e)
+        yield f"peak RSS after the first shear T={t}", None
+
+
+@family("documents.parse_connection of rank-2 embedded documents, caches emptied (cold) or kept (warm)")
+def parse_connection_rows(rng):
     for name, gens in (("N^2", [[1, 0], [0, 1]]), ("N^3", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
                        ("M_even", [[2, 0], [1, 1], [0, 2]])):
         for t in (4, 8, 12):
-            doc = _embedded_document(doc_rng, gens, t)
-            row(f"parse_connection {name} T={t}", lambda: _cold_parse(doc))
-            row(f"parse_connection {name} T={t} warm", lambda: documents.parse_connection(doc))
+            doc = _embedded_document(rng, gens, t)
+            yield f"parse_connection {name} T={t}", lambda: _cold_document(documents.parse_connection, doc)[1]
+            yield f"parse_connection {name} T={t} warm", lambda: documents.parse_connection(doc)[1]
+
+
+@family("h and membership (keys and keys minus a generator) on the cone over the unit square, indices emptied")
+def pyramid_rows(rng):
     pyramid, _ = mc.from_embedded([[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]])
     h = ws.default_weighting(pyramid)
     for w in (4, 8):
         keys = pyramid.index.weighted(h.values).upto(w)
         shifted = keys + [pyramid.gp.sub(k, pyramid.generators[0]) for k in keys]
-        row(f"cold h pyramid W={w}", lambda: _cold(pyramid, lambda k: ws.h_plus(pyramid, h, k), keys))
-        row(f"cold membership pyramid W={w}",
-            lambda: _cold(pyramid, lambda k: mc.membership(pyramid, k), shifted))
+        yield f"cold h pyramid W={w}", lambda: _cold(pyramid, lambda k: ws.h_plus(pyramid, h, k), keys)
+        yield f"cold membership pyramid W={w}", lambda: _cold(pyramid, lambda k: mc.membership(pyramid, k), shifted)
+
+
+@family("documents.parse_monoid of perfbench's monoid-analysis shapes, caches emptied")
+def parse_monoid_rows(rng):
     for name, doc in _cold_monoid_documents():
-        row(f"cold parse_monoid {name}", lambda: _cold_monoid(doc))
+        yield f"cold parse_monoid {name}", lambda: _cold_document(documents.parse_monoid, doc)[:3]
+
+
+@family("is_semi_saturated on fresh copies of those shapes and of moment_curve_20, given their faces")
+def semi_saturation_rows(rng):
     semi = [(name, documents.parse_monoid(doc).monoid) for name, doc in _cold_monoid_documents()]
     for name, m in semi + [("moment_curve_20", _data_monoid("moment_curve_20"))]:
-        row(f"cold semi-saturation {name}", lambda: _cold_semi_saturation(m))
+        yield f"cold semi-saturation {name}", lambda: _cold_semi_saturation(m)
+
+
+@family("snf.smith_normal_form per input, over the inputs one seeded monoid-analysis round hands it (n of them)")
+def smith_rows(rng):
     inputs = _monoid_round_smith_inputs()
-    row(f"smith_normal_form monoid round (n={len(inputs)})", lambda: [snf.smith_normal_form(a) for a in inputs],
-        len(inputs))
+    yield (f"smith_normal_form monoid round (n={len(inputs)})", lambda: [snf.smith_normal_form(a) for a in inputs],
+           len(inputs))
+
+
+@family("is_saturated_bounded on fresh rank-4 moment-curve cones over (1, t, t^2, t^3), t = 1..k")
+def saturation_rows(rng):
     for k in MOMENT_CURVE_RAYS:
         curve, _ = mc.from_embedded([[1, t, t * t, t ** 3] for t in range(1, k + 1)])
-        row(f"is_saturated_bounded rank-4 curve k={k}",
-            lambda: mc.is_saturated_bounded(mc.FineMonoid(curve.gp, curve.generators)))
+        yield (f"is_saturated_bounded rank-4 curve k={k}",
+               lambda: mc.is_saturated_bounded(mc.FineMonoid(curve.gp, curve.generators)))
+
+
+@family("monoid_core.section of the five selftest surjections per call (their indices warm after the first)")
+def section_rows(rng):
     surjections = selftest._surjections()
-    row("section 5 selftest surjections", lambda: [mc.section(f) for f in surjections])
+    yield "section 5 selftest surjections", lambda: [mc.section(f) for f in surjections]
+
+
+@family("saturation_invariance_check at the vertex point of fresh <2, 3> and pyramid_pentagon monoids")
+def saturation_invariance_rows(rng):
     for name, m in (("N\\{1}", selftest._nm1()), ("pyramid_pentagon", _data_monoid("pyramid_pentagon"))):
-        row(f"saturation_invariance_check {name}", lambda: _saturation_invariance(m))
-    dl_rng = random.Random(SEED)
+        yield f"saturation_invariance_check {name}", lambda: _saturation_invariance(m)
+
+
+@family("dl_limit on the basis sections of fresh constant modules over N and N^2, and dl_constant_term of disk series")
+def dl_rows(rng):
+    n2 = mc.free_monoid(2)
     for name, m in (("N", mc.free_monoid(1)), ("N^2", n2)):
         for n in (2, 3, 4):
-            e = _dl_module(dl_rng, m, n)
-            row(f"dl_limit basis sections n={n} {name} T=4", lambda: _dl_witnesses(e))
+            e = _dl_module(rng, m, n)
+            yield f"dl_limit basis sections n={n} {name} T=4", lambda: _dl_witnesses(e)
     emb, h = lc.facet_embedding(n2), ws.default_weighting(n2)
     for t in (4, 8):
-        f = _series(dl_rng, n2, h, t)
-        row(f"dl_constant_term N^2 disk T={t} l={t}", lambda: cmod.dl_constant_term(f, t, emb))
-    return 0
+        f = _series(rng, n2, h, t)
+        yield f"dl_constant_term N^2 disk T={t} l={t}", lambda: cmod.dl_constant_term(f, t, emb)
+
+
+@family("per job, perfbench's connection-ladder jobs of one cell over seeds 41001, 7, 123, 99 and rounds 0-7")
+def ladder_rows(rng):
+    import gen
+    cells: dict[str, list] = {}
+    for seed in LADDER_SEEDS:
+        for r in range(LADDER_ROUNDS):
+            for job in gen.connection_round(seed, r):
+                cells.setdefault(job["cell"], []).append(job)
+    for cell, jobs in cells.items():
+        yield f"ladder {cell}", lambda: _ladder_cell(jobs), len(jobs)
+
+
+def _time(fn) -> tuple[float, object]:
+    """(host-scaled CPU microseconds per call of fn(), its result): loops of
+    doubling length from one call until one takes 20 ms, then one sample of
+    that many calls between two reference timings."""
+    t0 = time.process_time()
+    out, loops = fn(), 1
+    while time.process_time() - t0 < 0.02:
+        loops *= 2
+        t0 = time.process_time()
+        for _ in range(loops):
+            fn()
+    ref = reference_seconds()
+    t0 = time.process_time()
+    for _ in range(loops):
+        fn()
+    cpu = time.process_time() - t0
+    return scaled(cpu / loops, (ref + reference_seconds()) / 2, 1.0) * 1e6, out
+
+
+def _rows(families):
+    """(row, (value, unit, output)) for each row of the named families, in
+    order; (None, "", error) for a row that raises, which ends its family."""
+    for key in families:
+        name = key  # a family that raises between its rows is reported under its own name
+        try:
+            for name, fn, *calls in FAMILIES[key][1](random.Random(SEED)):
+                if fn is None:
+                    yield name, (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB", "")
+                else:
+                    us, out = _time(fn)
+                    yield name, (us / (calls[0] if calls else 1), "us", hashlib.sha256(repr(out).encode()).hexdigest())
+                name = key
+        except Exception as exc:
+            yield name, (None, "", f"raised {type(exc).__name__}: {exc}")
+
+
+def _child(tree: str, families, pycache: str) -> dict:
+    """The rows of families, run once in a fresh interpreter on tree's program."""
+    boot = f"import runpy; runpy.run_path({__file__!r}, run_name={CHILD!r})"
+    proc = subprocess.run([sys.executable, "-c", boot, *families], env=ab.child_env(tree, pycache),
+                          cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
+    return {name: tuple(row) for name, row in map(json.loads, proc.stdout.splitlines())}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--compare", metavar="OTHER", help="the root of a second checkout to run against this one")
+    args = parser.parse_args(argv)
+    if not args.compare:
+        for key, (description, _) in FAMILIES.items():
+            print(f"# {description}")
+            for name, (value, unit, out) in _rows([key]):
+                print(f"{name:50s} {value:10.1f} {unit}" if value is not None else f"{name:50s} n/a: {out}", flush=True)
+        return 0
+    trees = [ROOT, os.path.abspath(args.compare)]
+    with tempfile.TemporaryDirectory() as pycache:
+        runs = ab.alternate(trees, lambda tree: _child(tree, list(FAMILIES), pycache))
+    for label, tree in zip(ab.LABELS, trees):
+        print(f"{label}: {tree}")
+    lengths = [len(tree) for tree in trees]
+    why = f"the checkouts' paths have lengths {lengths[0]} and {lengths[1]}, and peak RSS follows that length"
+    return ab.report(runs, {"MB": why} if lengths[0] != lengths[1] else None)
 
 
 if __name__ == "__main__":
     sys.exit(main())
+if __name__ == CHILD:
+    for row in _rows(sys.argv[1:]):
+        print(json.dumps(row), flush=True)
