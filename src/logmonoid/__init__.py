@@ -19,10 +19,10 @@ _HOMES = {
     ), "constant_models"),
     **dict.fromkeys((
         "BudgetExceeded", "CertificationFailed", "DenominatorVanishes", "HypothesisError", "IrrationalExponent",
-        "LogMonoidError", "NIViolated", "NonCommutingResidues", "NonConstantModel", "NonInvertibleConstantTerm",
-        "NoPositiveFunctional", "NotDiskModule", "NotInGroupSpan", "NotIntegrable", "NotMonoidSupported",
-        "NotSemiSaturated", "NotSharp", "NotSubmonoid", "NotSurjective", "NotTorsionFree", "ParseError", "SDViolated",
-        "SingularSystem", "TorsionTarget", "ZeroProjection",
+        "LogMonoidError", "NIViolated", "NonCommutingResidues", "NonConstantModel", "NoPositiveFunctional",
+        "NotDiskModule", "NotInGroupSpan", "NotIntegrable", "NotMonoidSupported", "NotSemiSaturated", "NotSharp",
+        "NotSubmonoid", "NotSurjective", "NotTorsionFree", "ParseError", "SDViolated", "SingularSystem",
+        "TorsionTarget", "ZeroProjection",
     ), "errors"),
     **dict.fromkeys((
         "Embedding", "ExponentSet", "LogNablaModule", "ShearResult", "UnipotenceReport", "check_sd", "exponents",
@@ -36,8 +36,8 @@ _HOMES = {
     "EnumerationBudget": "oracle",
     **dict.fromkeys((
         "TruncatedSeries", "ValuationPoint", "default_weighting", "gauss_norm", "gauss_norm_interval", "h_abs",
-        "h_minus", "h_plus", "point_in_polyannulus", "saturation_invariance_check", "series", "series_add",
-        "series_invert", "series_mul", "valuation_point",
+        "h_minus", "h_plus", "point_in_polyannulus", "saturation_invariance_check", "series", "series_mul",
+        "valuation_point",
     ), "weighted_series"),
 }
 __all__ = list(_HOMES)

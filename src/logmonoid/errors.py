@@ -59,10 +59,6 @@ class NotInGroupSpan(HypothesisError):
     """An element does not lie in the group generated by the monoid."""
 
 
-class NonInvertibleConstantTerm(HypothesisError):
-    """A series cannot be inverted because its weight-zero part is not a unit."""
-
-
 class NotSemiSaturated(HypothesisError):
     """The monoid fails semi-saturatedness where it is required."""
 

@@ -698,11 +698,11 @@ def shear(
     e_exp = max([1, *steps])
     log_c = Fraction(0)
     qa = radius.value_exponent()
-    for _eigs, pmat, pinv, nil in eigendata:
-        cand = 2 * (_log_norm(pmat, p) + _log_norm(pinv, p)) + (e_exp - 1) * max(
-            _log_norm(nil, p), Fraction(0)
-        )
-        log_c = max(log_c, cand)
+    for _eigs, *mats in eigendata:
+        # log_p |P|, |P^-1|, |N|: each matrix as a one-key map, N = 0 as no terms (-INF)
+        flat = [(tuple(itertools.chain.from_iterable(a)), d) for a, d in mats]
+        lp, lpinv, lnil = (-gauss_valuation([(zero, x)] if any(x) else (), d, p) for x, d in flat)
+        log_c = max(log_c, 2 * (lp + lpinv) + (e_exp - 1) * max(lnil, Fraction(0)))
     for ac, da in acoeff:
         log_c = max(log_c, -gauss_valuation(ac.items(), da, p, lambda k: qa.numerator * ball[k], qa.denominator))
 
@@ -754,12 +754,6 @@ def shear(
         weighting=w,
         truncation=t,
     )
-
-
-def _log_norm(a: RatMatrix, p: int) -> Fraction:
-    """log_p |a| = -v_p(a) = v_p(den) - v_p(gcd of the entries); 0 for the zero matrix."""
-    g = math.gcd(*itertools.chain.from_iterable(a[0]))
-    return Fraction(padic_valuation(a[1], p) - padic_valuation(g, p) if g else 0)
 
 
 def _reduced(x: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:

@@ -462,11 +462,6 @@ def default_weighting(m: FineMonoid) -> tuple[int, ...]:
     return m.index.default_values
 
 
-def weight_of(m: FineMonoid, values: tuple[int, ...], g: Elt) -> Fraction:
-    """Group extension h(g) = lam * free(g); integral on gp."""
-    return m.index.weighted(values).weight(g)
-
-
 class _WeightingFields(NamedTuple):
     monoid: FineMonoid
     values: tuple[int, ...]
@@ -585,7 +580,7 @@ def saturation(m: FineMonoid) -> FineMonoid:
     for g in [(z, zero_torsion) for z in m.index.hilbert_basis] + m.gp.torsion_generators():
         if g not in gens:
             gens.append(g)
-    wvals = tuple(int(weight_of(m, values, g)) for g in gens)
+    wvals = tuple(int(m.index.weighted(values).weight(g)) for g in gens)
     return FineMonoid(m.gp, tuple(gens), wvals)
 
 

@@ -14,10 +14,10 @@ from typing import NamedTuple, Sequence
 
 from .abelian import Elt
 from .coefficient_maps import (
-    DEFAULT_PRIME, CoefficientMap, Radius, _canonical, _map_mul, _restricted, coefficient,
-    coefficient_map, gauss_valuation, map_sum,
+    DEFAULT_PRIME, CoefficientMap, Radius, _canonical, _map_mul, _restricted, coefficient, coefficient_map,
+    gauss_valuation,
 )
-from .errors import NonInvertibleConstantTerm, NotTorsionFree, checked_make
+from .errors import NotTorsionFree, checked_make
 from .monoid_core import FineMonoid, Weighting, default_weighting as _default_values, membership, saturation
 from .qlin import INF, qmat, qsolve, qvec
 
@@ -100,65 +100,14 @@ def constant_series(monoid, weighting, c, truncation, annulus=False) -> Truncate
     return series(monoid, weighting, {monoid.gp.zero(): Fraction(c)}, truncation, annulus)
 
 
-def monomial(monoid, weighting, g: Elt, truncation, c=1, annulus=False) -> TruncatedSeries:
-    return series(monoid, weighting, {g: Fraction(c)}, truncation, annulus)
-
-
-def _combined(f: TruncatedSeries, g: TruncatedSeries, a: CoefficientMap) -> TruncatedSeries:
-    """The map a, computed from f and g and kept at |h| <= their common
-    truncation, as their series."""
+def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    """f g, kept at |h| <= their common truncation."""
     if f.monoid != g.monoid or f.weighting != g.weighting:
         raise ValueError("series live on different weighted monoids")
-    return TruncatedSeries(f.monoid, f.weighting, a, min(f.truncation, g.truncation), f.annulus or g.annulus)
-
-
-def series_add(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    a = map_sum(f.coefficients, g.coefficients)
-    if f.truncation != g.truncation:
-        a = _restricted(f.weighting, min(f.truncation, g.truncation), a)
-    return _combined(f, g, a)
-
-
-def series_scale(c, f: TruncatedSeries) -> TruncatedSeries:
-    c = Fraction(c)
-    terms, den = f.coefficients
-    return f._replace(coefficients=_canonical({k: (x * c.numerator,) for k, (x,) in terms}, den * c.denominator))
-
-
-def series_sub(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    return series_add(f, series_scale(-1, g))
-
-
-def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     (a, da), (b, db) = f.coefficients, g.coefficients
     t = min(f.truncation, g.truncation)
-    return _combined(f, g, _canonical(_map_mul(f.monoid, f.weighting, t, a, b, 1), da * db))
-
-
-def series_invert(f: TruncatedSeries) -> TruncatedSeries:
-    """Inverse by Neumann series in the positive-weight part.
-
-    Requires the weight-zero part of f to be a single invertible monomial
-    c*t^u (u a unit of M); on sharp monoids that means a nonzero constant term.
-    """
-    m, w, t = f.monoid, f.weighting, f.truncation
-    zero_part = [(k, c) for k, c in f.terms if h_abs(m, w, k) == 0]
-    if len(zero_part) != 1 or zero_part[0][1] == 0:
-        raise NonInvertibleConstantTerm("weight-zero part must be a single nonzero monomial")
-    u, c = zero_part[0]
-    # normalized = (t^-u / c) * f = 1 + (positive weight terms)
-    unit_inverse = monomial(m, w, m.gp.neg(u), t, 1 / c, f.annulus)
-    shifted = series_mul(unit_inverse, f)
-    one = constant_series(m, w, 1, t, f.annulus)
-    g = series_sub(one, shifted)  # g has min weight >= 1
-    acc = one
-    power = one
-    for _ in range(t):
-        power = series_mul(power, g)
-        if power.is_zero():
-            break
-        acc = series_add(acc, power)
-    return series_mul(unit_inverse, acc)
+    return TruncatedSeries(f.monoid, f.weighting, _canonical(_map_mul(f.monoid, f.weighting, t, a, b, 1), da * db),
+                           t, f.annulus or g.annulus)
 
 
 def series_equal(f: TruncatedSeries, g: TruncatedSeries) -> bool:

@@ -62,12 +62,24 @@ def _ident_smat(module):
     return _constant_smat(module, qidentity(module.rank))
 
 
+def _combination(*pairs):
+    """The sum of c f over the (c, f) pairs: their Fraction terms summed and
+    rebuilt by `ws.series` at the lowest truncation, which drops the keys
+    past it."""
+    out = {}
+    for c, f in pairs:
+        for k, x in f.terms:
+            out[k] = out.get(k, 0) + c * x
+    fs = [f for _, f in pairs]
+    return ws.series(fs[0].monoid, fs[0].weighting, out, min(f.truncation for f in fs), any(f.annulus for f in fs))
+
+
 def _smat_add(a, b):
-    return tuple(tuple(ws.series_add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(_combination((1, x), (1, y)) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def _smat_sub(a, b):
-    return tuple(tuple(ws.series_sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(_combination((1, x), (-1, y)) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def _smat_equal(a, b):
@@ -1294,7 +1306,7 @@ def _smat_mul_by_series(a, b):
             acc = None
             for k, x in enumerate(row):
                 term = fraction_reference.series_mul(x, b[k][j])
-                acc = term if acc is None else ws.series_add(acc, term)
+                acc = term if acc is None else _combination((1, acc), (1, term))
             new_row.append(acc)
         out.append(tuple(new_row))
     return tuple(out)
@@ -1415,10 +1427,10 @@ def _log_convergence_by_series(e, a_prime, eta, depth, p=5):
                         continue
                     col = tuple((f,) for f in vec)
                     applied = _smat_add(_smat_partial(col, e.embedding, i), _smat_mul_by_series(a[i], col))
-                    new[kk] = tuple(ws.series_sub(row[0], ws.series_scale(k[i], g)) for row, g in zip(applied, vec))
+                    new[kk] = tuple(_combination((1, row[0]), (-k[i], g)) for row, g in zip(applied, vec))
             frontier = new
             for k, vec in frontier.items():
-                val = valuation(tuple(ws.series_scale(F(1, math.prod(map(math.factorial, k))), f) for f in vec))
+                val = valuation(tuple(_combination((F(1, math.prod(map(math.factorial, k))), f)) for f in vec))
                 if val is not INF and val + level * eta.value_exponent() < base:
                     return False
     return True
@@ -1647,23 +1659,33 @@ def _conjugated(p, j):
 def test_shear_matches_the_rational_recursion_off_a_unimodular_eigenbasis():
     """The selftest fixtures' residues all have eigenbases with den = dinv
     = 1.  Here the engine's P has det 15, so P^-1 = q / 15 (|P^-1|_5 = 5
-    enters log C) and the solver's powers of dinv are live: diag(0, 1/2)
-    conjugated by [[0, -15], [1, 1]] beside the scalar 1/3 over N^2, and a
-    2 x 2 Jordan block at 1/2 beside the eigenvalue 0 over N, where
-    ad(N)^2 != 0 and the series in ad(N) takes three terms.  B is the
-    planted gauge, and gauge, inverse and bound report equal the rational
-    recursion's."""
+    sets log C = 2 at radius 5^-1) and the solver's powers of dinv are
+    live: diag(0, 1/2) conjugated by [[0, -15], [1, 1]] beside the scalar
+    1/3 over N^2, and a 2 x 2 Jordan block at 1/2 beside the eigenvalue 0
+    over N, where ad(N)^2 != 0 and the series in ad(N) takes three terms;
+    with the block's 1 made 1/5, |N|_5 = 5 enters log C too, with factor
+    e - 1 = 2.  B is the planted gauge, and gauge, inverse and bound report
+    equal the rational recursion's."""
     half, third = F(1, 2), F(1, 3)
+
+    def jordan(x):
+        return [_conjugated([[0, -15, 0], [1, 0, 0], [0, 1, 1]], [[half, x, 0], [0, half, 0], [0, 0, 0]])]
+
+    n1_gauge = {(1,): ((0, 1, 2), (3, 0, 1), (0, -1, 0)), (2,): ((0, 0, 3), (F(1, 5), 0, 0), (1, 0, 0))}
     cases = [
         (mc.free_monoid(2), [_conjugated([[0, -15], [1, 1]], [[0, 0], [0, half]]), ((third, 0), (0, third))],
-         {(1, 0): ((1, 2), (0, -1)), (1, 1): ((0, 0), (half, 3)), (0, 2): ((0, F(1, 5)), (7, 0))}, 1),
-        (mc.free_monoid(1), [_conjugated([[0, -15, 0], [1, 0, 0], [0, 1, 1]], [[half, 1, 0], [0, half, 0], [0, 0, 0]])],
-         {(1,): ((0, 1, 2), (3, 0, 1), (0, -1, 0)), (2,): ((0, 0, 3), (F(1, 5), 0, 0), (1, 0, 0))}, 3),
+         {(1, 0): ((1, 2), (0, -1)), (1, 1): ((0, 0), (half, 3)), (0, 2): ((0, F(1, 5)), (7, 0))}, 1, 2),
+        (mc.free_monoid(1), jordan(1), n1_gauge, 3, 2),
+        (mc.free_monoid(1), jordan(F(1, 5)), n1_gauge, 3, 4),
     ]
-    for m, model, gauge, steps in cases:
+    for m, model, gauge, steps, log_c in cases:
         e, _, planted = gauge_built_module(m, model, gauge, len(model[0]), 6)
         _, _, pinv, nil = e.eigenbasis_data[0]
-        assert pinv[1] == 15 and lc._log_norm(pinv, 5) == 1 and lc._ad_nilpotency(nil) == steps
+        assert pinv[1] == 15 and lc._ad_nilpotency(nil) == steps
+        assert -cmaps.gauss_valuation([(m.gp.zero(), [x for row in pinv[0] for x in row])], pinv[1], 5) == 1
+        # at radius 5^-1 no |A^i_m| a^{h(m)} passes 5^2, so log C is
+        # 2 (log_5 |P| + log_5 |P^-1|) + (e - 1) max(log_5 |N|, 0): 2 + 0 or 2 + 2
+        assert lc.shear(e, radius=cmaps.Radius.p_power(1)).norm_constant_log == log_c
         sr = lc.shear(e)
         assert sr.gauge_map == planted and sr.norm_constant_log >= 2
         assert (sr.gauge, sr.gauge_inverse, sr.bound_report) == _shear_by_rational_recursion(e)

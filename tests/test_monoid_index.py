@@ -47,7 +47,7 @@ def test_weight_of_is_the_rational_functional(monoid):
     lam = monoid.index.weighted(values).functional
     for g in _grid(monoid):
         expected = sum((lam[i] * g[0][i] for i in range(len(lam))), Fraction(0))
-        assert mc.weight_of(monoid, values, g) == expected
+        assert monoid.index.weighted(values).weight(g) == expected
 
 
 def test_h_abs_is_two_h_plus_minus_h(monoid):
@@ -93,7 +93,7 @@ def _answers(m, queries):
             mc.membership(m, g),
             ws.h_plus(m, h, g),
             ws.h_abs(m, h, g),
-            mc.weight_of(m, h.values, g),
+            m.index.weighted(h.values).weight(g),
         )
     out["faces"] = [sorted(f.generator_indices) for f in mc.faces(m)]
     return out

@@ -14,7 +14,7 @@ from logmonoid import cone, documents
 from logmonoid import monoid_core as mc
 from logmonoid import oracle as orc
 from logmonoid import weighted_series as ws
-from logmonoid.errors import HypothesisError, NonInvertibleConstantTerm, NotTorsionFree
+from logmonoid.errors import HypothesisError, NotTorsionFree
 from logmonoid.qlin import INF, padic_valuation
 
 import fraction_reference
@@ -111,21 +111,12 @@ def test_difference_of_squares(n1):
     assert ws.series_equal(prod, expected)
 
 
-def test_geometric_series_inverse(n1):
-    h = ws.default_weighting(n1)
-    g = build_series(n1, h, {(0,): 1, (1,): -1}, 6)
-    inv = ws.series_invert(g)
-    expected = build_series(n1, h, {(k,): 1 for k in range(7)}, 6)
-    assert ws.series_equal(inv, expected)
-    assert ws.series_equal(ws.series_mul(inv, g), build_series(n1, h, {(0,): 1}, 6))
-
-
 def test_xy_equals_z_squared(m_even):
     h = ws.default_weighting(m_even)
     g1, g2, g3 = m_even.generators
-    tx = ws.monomial(m_even, h, g1, 8)
-    ty = ws.monomial(m_even, h, g3, 8)
-    tz = ws.monomial(m_even, h, g2, 8)
+    tx = ws.series(m_even, h, {g1: 1}, 8)
+    ty = ws.series(m_even, h, {g3: 1}, 8)
+    tz = ws.series(m_even, h, {g2: 1}, 8)
     assert ws.series_equal(ws.series_mul(tx, ty), ws.series_mul(tz, tz))
 
 
@@ -134,13 +125,6 @@ def test_xy_equals_z_squared(m_even):
 def _ref_terms(m, h, coeffs, t):
     """The nonzero terms of coeffs with |h| <= t."""
     return {k: Fraction(c) for k, c in coeffs.items() if c and ws.h_abs(m, h, k) <= t}
-
-
-def _ref_sum(m, h, x, y, t, sign=1):
-    out = dict(x)
-    for k, c in y.items():
-        out[k] = out.get(k, 0) + sign * c
-    return _ref_terms(m, h, out, t)
 
 
 def _ref_mul(m, h, x, y, t):
@@ -198,8 +182,8 @@ def _units_monoid():
 def test_series_mul_matches_every_pair_product(n1, n2, m_even):
     """Disk and annulus series (negative-h terms), mixed truncations and a
     monoid with units (Z x N) against the unpruned double loop: series,
-    series_mul, series_equal and series_invert against the Fraction dicts,
-    with their coeff and terms views."""
+    series_mul and series_equal against the Fraction dicts, with their
+    coeff and terms views."""
     rng = random.Random(5)
     seen = set()
     for m in (n1, n2, m_even, _units_monoid()):
@@ -215,24 +199,13 @@ def test_series_mul_matches_every_pair_product(n1, n2, m_even):
                 same = _ref_terms(m, h, x, t) == _ref_terms(m, h, y, t)
                 assert ws.series_equal(f, g) == same and ws.series_equal(f, f)
                 seen.add(f"equal={same}")
-                if annulus:
-                    continue
-                # f made invertible: its weight-zero terms replaced by one nonzero monomial
-                u = rng.choice([k for k in x if ws.h_abs(m, h, k) == 0] or [m.gp.zero()])
-                x = {**{k: c for k, c in x.items() if ws.h_abs(m, h, k) > 0}, u: Fraction(rng.choice((-3, 1, 2)), 5)}
-                inv = ws.series_invert(ws.series(m, h, x, f.truncation))
-                one = {m.gp.zero(): 1}
-                assert _ref_mul(m, h, x, dict(inv.terms), f.truncation) == one
-                _assert_matches(inv, dict(inv.terms), f.truncation, False)
-                seen.add("invert")
-    assert seen == {"equal=True", "equal=False", "invert"}
+    assert seen == {"equal=True", "equal=False"}
 
 
-def test_series_sub_matches_adding_the_negation(n1, n2, m_even):
-    """One pass f - g against f + (-1)*g on disk and annulus series with
-    mixed truncations, and series_add, series_sub, series_scale, gauss_norm
-    and gauss_norm_interval (the value and the stale flag) against the
-    Fraction dicts, at p = 2, 3, 5."""
+def test_gauss_norms_match_the_least_term_valuation(n1, n2, m_even):
+    """gauss_norm and gauss_norm_interval (the value and the stale flag) of
+    disk and annulus series with mixed truncations against the term-by-term
+    minimum over the Fraction dicts, at p = 2, 3, 5."""
     rng = random.Random(6)
     seen = set()
     for m in (n1, n2, m_even, _units_monoid()):
@@ -240,13 +213,10 @@ def test_series_sub_matches_adding_the_negation(n1, n2, m_even):
         for annulus in (False, True):
             for _ in range(8):
                 f, x = _random_series(rng, m, h, rng.randint(0, 5), annulus)
-                g, y = _random_series(rng, m, h, rng.randint(0, 5), annulus and rng.random() < 0.7)
-                t, either = min(f.truncation, g.truncation), f.annulus or g.annulus
-                assert ws.series_sub(f, g) == ws.series_add(f, ws.series_scale(-1, g))
-                _assert_matches(ws.series_sub(f, g), _ref_sum(m, h, x, y, t, -1), t, either)
-                _assert_matches(ws.series_add(f, g), _ref_sum(m, h, x, y, t), t, either)
-                c = Fraction(rng.randint(-4, 4), rng.choice((1, 3, 10)))
-                _assert_matches(ws.series_scale(c, g), {k: c * v for k, v in y.items() if c}, g.truncation, g.annulus)
+                # a second series (checked by _random_series) and a scale factor
+                # are drawn, so f, a and b stay the draws seed 6 gives after them
+                _random_series(rng, m, h, rng.randint(0, 5), annulus and rng.random() < 0.7)
+                rng.randint(-4, 4), rng.choice((1, 3, 10))
                 for p in (2, 3, 5):
                     qa, qb = (Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(2))
                     a, b = cmaps.Radius(qa), cmaps.Radius(qb)
@@ -255,13 +225,6 @@ def test_series_sub_matches_adding_the_negation(n1, n2, m_even):
                         assert tuple(got) == want
                         seen.add(f"stale={got.stale}")
     assert seen == {"stale=True", "stale=False"}
-
-
-def test_invert_needs_unit_constant(n1):
-    h = ws.default_weighting(n1)
-    f = build_series(n1, h, {(1,): 1}, 6)
-    with pytest.raises(NonInvertibleConstantTerm):
-        ws.series_invert(f)
 
 
 def test_disk_series_reject_negative_support(n1):

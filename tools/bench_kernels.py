@@ -330,14 +330,13 @@ def sylvester_rows(rng):
         yield f"sylvester solve {kind} n={n}", lambda: lc._reduced(*qlin.sylvester_solve(solver, rhs))
 
 
-@family("series_mul, series_add and gauss_norm (radius p^-1/2) of dense disk series over N^2, T = 3..6")
+@family("series_mul and gauss_norm (radius p^-1/2) of dense disk series over N^2, T = 3..6")
 def series_rows(rng):
     n2 = mc.free_monoid(2)
     h, half = ws.default_weighting(n2), cmaps.Radius.p_power(Fraction(1, 2))
     for t in (3, 4, 5, 6):
         f, g = _series(rng, n2, h, t), _series(rng, n2, h, t)
         yield f"series_mul N^2 disk T={t}", lambda: ws.series_mul(f, g)
-        yield f"series_add N^2 disk T={t}", lambda: ws.series_add(f, g)
         yield f"gauss_norm N^2 disk T={t}", lambda: ws.gauss_norm(f, half)
 
 
