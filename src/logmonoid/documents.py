@@ -297,12 +297,12 @@ def _monoid_section(n: Optional[int], relations: tuple, vectors: Optional[tuple]
 
     @cache
     def exponent_map():
-        from .qlin import over_lcm, qmat_mul, solve_map
+        from .qlin import solve_map
+        from .snf import mat_mul
 
         # solve for the generator coefficients, then sum the generators' gp coordinates
-        to_coeffs, checks = solve_map([[v[i] for v in vectors] for i in range(len(vectors[0]))])
-        gens = [[g[0][i] for g in monoid.generators] for i in range(monoid.gp.free_rank)]
-        return (*over_lcm(qmat_mul(gens, to_coeffs)), checks)
+        to_coeffs, den, checks = solve_map([[v[i] for v in vectors] for i in range(len(vectors[0]))])
+        return mat_mul(tuple(zip(*(g[0] for g in monoid.generators))), to_coeffs), den, checks
 
     @cache
     def ambient_map():

@@ -555,14 +555,6 @@ def _check_ni_coordinatewise(spectra) -> None:
                 )
 
 
-def _ad_nilpotency(nilpotent: RatMatrix) -> int:
-    """Smallest e >= 1 with ad(N)^e = 0 on matrix space: 2k - 1 for k the
-    nilpotency index of N.  ad(N)^j X = sum_i (-1)^i C(j, i) N^(j-i) X N^i,
-    so j = 2k - 1 kills every term, while for j = 2k - 2 only
-    +-C(2k-2, k-1) N^(k-1) X N^(k-1) survives, nonzero for some X over Q."""
-    return 2 * _nilpotency_index(nilpotent) - 1
-
-
 def _nilpotency_index(nil: RatMatrix) -> int:
     """The least k >= 1 with nil^k = 0, read on the integer rows."""
     rows = nil[0]
@@ -635,7 +627,9 @@ def shear(
         raise NotDiskModule("shear acts on disk or point modules; annuli go through twist_reduce")
     _shear_hypotheses(e)
     a0s, eigendata = e.residues, e.eigenbasis_data
-    steps = [_ad_nilpotency(nil) for *_, nil in eigendata]
+    # ad(N)^j X = sum_i (-1)^i C(j, i) N^(j-i) X N^i, N of index q (the largest on a block): j = 2q - 1
+    # kills every term, while for j = 2q - 2 only +-C(2q-2, q-1) N^(q-1) X N^(q-1) survives, nonzero for some X
+    steps = [2 * max(k[i] for k in e.nilpotency_indices) - 1 for i in range(len(a0s))]
     # per direction: its eigenbasis rows, and ad(b) of A^i_0 = b / d for the all-directions check
     bases = [eigenbasis_sylvester(d, pmat, pinv, nil, k)
              for (_, d), (_, pmat, pinv, (nil, _)), k in zip(a0s, eigendata, steps)]

@@ -30,7 +30,7 @@ from .errors import (
     TorsionTarget,
     checked_make,
 )
-from .qlin import QVector, qmat, qsolve, qvec
+from .qlin import over_lcm, qsolve
 
 
 class FineMonoid:
@@ -292,10 +292,10 @@ class MonoidIndex:
         if lam is None:
             raise NoPositiveFunctional("sharp quotient admits no positive functional")
         den = math.lcm(*(x.denominator for x in lam))
-        lam_int = [int(x * den) for x in lam]
+        lam_int = tuple(int(x * den) for x in lam)
         values = tuple(sum(c * x for c, x in zip(lam_int, g[0])) for g in mbar.generators)
         if own and values not in self._weighted:
-            self._weighted[values] = WeightedIndex(self, values, tuple(map(Fraction, lam_int)))
+            self._weighted[values] = WeightedIndex(self, values, lam_int, 1)
         return values
 
     def weighted(self, values: tuple[int, ...]) -> "WeightedIndex":
@@ -304,29 +304,28 @@ class MonoidIndex:
         found = self._weighted.get(values)
         if found is None:
             m = self.monoid
-            lam = qsolve(qmat([[Fraction(x) for x in g[0]] for g in m.generators]), qvec(values))
+            lam = qsolve([g[0] for g in m.generators], values)
             if lam is None:
                 raise ValueError("weights are not induced by a group homomorphism")
-            found = self._weighted[values] = WeightedIndex(self, values, lam)
+            (numerators,), den = over_lcm([lam])
+            found = self._weighted[values] = WeightedIndex(self, values, tuple(numerators), den)
         return found
 
 
 class WeightedIndex:
     """One weighting h of a fine monoid, compiled from its generator values
-    and the rational functional lam with h(g) = lam * free(g).
+    and the functional lam = numerators / denominator with h(g) = lam *
+    free(g), integers over one denominator.  On a sharp monoid the ball of
+    elements of weight <= bound is grown level by level in place; `h`
+    memoizes (h, h+, |h|) per element, searched in that ball, or for a
+    monoid with units in the ball of the sharp quotient.  The pair plans of
+    the products over this weighting are kept here too."""
 
-    h is kept as integer numerators over one denominator.  On a sharp monoid
-    the ball of elements of weight <= bound is grown level by level in
-    place; `h` memoizes (h, h+, |h|) per element, searched in that ball, or
-    for a monoid with units in the ball of the sharp quotient.  The pair
-    plans of the products over this weighting are kept here too."""
-
-    def __init__(self, index: MonoidIndex, values: tuple[int, ...], lam: QVector):
+    def __init__(self, index: MonoidIndex, values: tuple[int, ...], numerators: tuple[int, ...], denominator: int):
         self.index = index
         self.values = values
-        self.functional: QVector = lam
-        self.denominator = math.lcm(*(x.denominator for x in lam))
-        self.numerators = tuple(int(x * self.denominator) for x in lam)
+        self.numerators = numerators
+        self.denominator = denominator
         self._levels: list[list[Elt]] = []  # elements of weight exactly w
         self._ball: dict[Elt, int] = {}
         self._gens: Optional[list[tuple[Elt, int]]] = None

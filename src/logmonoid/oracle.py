@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .abelian import Elt
 from .errors import BudgetExceeded, SingularSystem, checked_make
 from .monoid_core import FineMonoid, default_weighting as _weights
-from .qlin import qmat, qrank, qsolve, qvec
+from .qlin import qrank, qsolve
 
 
 class _EnumerationBudgetFields(NamedTuple):
@@ -38,7 +38,7 @@ class EnumerationBudget(_EnumerationBudgetFields):
 
 def _weight_map(m: FineMonoid):
     values = _weights(m)
-    lam = qsolve(qmat([[Fraction(x) for x in g[0]] for g in m.generators]), qvec(values))
+    lam = qsolve([g[0] for g in m.generators], values)
 
     def weight(g: Elt) -> Fraction:
         return sum((lam[i] * g[0][i] for i in range(len(lam))), Fraction(0))
@@ -197,11 +197,10 @@ def brute_shear_order(e, k: int):
                             row[rbase + t * n + c_i] += amat[r_i][t]
                     rows.append(row)
                     rhs.append(target)
-    mat = qmat(rows)
-    sol = qsolve(mat, qvec(rhs))
+    sol = qsolve(rows, rhs)
     if sol is None:
         raise SingularSystem("full shear system inconsistent")
-    if qrank(mat) < nun:
+    if qrank(rows) < nun:
         raise SingularSystem("full shear system underdetermined")
     out = {}
     for key in keys:

@@ -3,11 +3,11 @@
 A rational matrix is held as integer rows over one positive denominator
 (`over_lcm` reads Fractions onto that form).  Every solve, rank, inverse and
 null space runs one integer elimination (`_gauss`) whose reduced row echelon
-form, being unique, fixes the answer; `inverse_over_lcm` and
-`nullspace_over_lcm` return integer rows over one denominator, and only
-the readers `qmat` and `qvec` and `qsolve`, `solve_map` and `qmat_mul`,
-whose callers read rationals, build Fractions.  A X - X A + m X = R is
-solved in A's eigenbasis by integer mat-vecs, with no elimination
+form, being unique, fixes the answer; `solve_map`, its square case
+`inverse_over_lcm`, and `nullspace_over_lcm` return integer rows over one
+denominator, and only `qmat`, `qvec`, `qsolve` and `qmat_mul`, whose
+callers read rationals, build Fractions.  A X - X A + m X = R is solved in
+A's eigenbasis by integer mat-vecs, with no elimination
 (`sylvester_solver`).  Also the characteristic polynomial and integer roots
 of the spectral layer, and the p-adic valuation shared by the series and
 connection modules.
@@ -96,7 +96,7 @@ def qrank(a: Sequence[Sequence]) -> int:
     return len(_gauss(a, len(a[0]))[1])
 
 
-def qsolve(a: QMatrix, b: Sequence[Fraction]) -> Optional[QVector]:
+def qsolve(a: Sequence[Sequence], b: Sequence) -> Optional[QVector]:
     """A particular solution of a*x = b over Q, or None if inconsistent.
 
     Deterministic: free variables are set to zero.
@@ -111,17 +111,19 @@ def qsolve(a: QMatrix, b: Sequence[Fraction]) -> Optional[QVector]:
     return tuple(x)
 
 
-def solve_map(a: Sequence[Sequence]) -> tuple[QMatrix, list[list[int]]]:
-    """(S, K) for the systems a*x = b: one is solvable iff K*b = 0, and then
-    S*b is the solution qsolve(a, b) returns.  One elimination of [a | I]
-    serves every b: its rows are [R | E] with E*a = R, so E*b is the last
-    column of the reduced row echelon form of [a | b]."""
-    n, ncols = len(a), len(a[0])
+def solve_map(a: Sequence[Sequence]) -> tuple[list[list[int]], int, list[list[int]]]:
+    """(S, d, K) for the systems a*x = b: one is solvable iff K*b = 0, and
+    then S*b / d is the solution qsolve(a, b) returns, S integer rows over d,
+    the lcm of the pivots.  One elimination of [a | I] serves every b: its
+    rows are [R | E] with E*a = R, so E*b is the last column of the reduced
+    row echelon form of [a | b]."""
+    n, ncols = len(a), len(a[0]) if a else 0
     m, pivots = _gauss([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)], ncols)
-    s = [(Fraction(0),) * n] * ncols
+    den = math.lcm(*(row[col] for row, col in zip(m, pivots)))
+    s = [[0] * n for _ in range(ncols)]
     for row, col in zip(m, pivots):
-        s[col] = tuple(Fraction(x, row[col]) for x in row[ncols:])
-    return tuple(s), [row[ncols:] for row in m[len(pivots):]]
+        s[col] = [x * (den // row[col]) for x in row[ncols:]]
+    return s, den, [row[ncols:] for row in m[len(pivots):]]
 
 
 def nullspace_over_lcm(a: Sequence[Sequence], ncols: int) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -141,13 +143,10 @@ def nullspace_over_lcm(a: Sequence[Sequence], ncols: int) -> tuple[tuple[tuple[i
 
 
 def inverse_over_lcm(a: Sequence[Sequence]) -> Optional[tuple[list[list[int]], int]]:
-    """(integer rows, d) with a^-1 = rows / d, or None if a is singular."""
-    n = len(a)
-    m, pivots = _gauss([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)], n)
-    if len(pivots) < n:
-        return None
-    den = math.lcm(*(row[col] for row, col in zip(m, pivots)))
-    return [[x * (den // row[col]) for x in row[n:]] for row, col in zip(m, pivots)], den
+    """(integer rows, d) with a^-1 = rows / d, or None if a is singular:
+    the square case of `solve_map`."""
+    s, den, checks = solve_map(a)
+    return None if checks else (s, den)
 
 
 def vec_rows(left: Sequence[Sequence[int]], right: Sequence[Sequence[int]]) -> list[list[int]]:

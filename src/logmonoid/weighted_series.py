@@ -19,7 +19,7 @@ from .coefficient_maps import (
 )
 from .errors import NotTorsionFree, checked_make
 from .monoid_core import FineMonoid, Weighting, default_weighting as _default_values, membership, saturation
-from .qlin import INF, qmat, qsolve, qvec
+from .qlin import INF, qsolve
 
 
 def default_weighting(m: FineMonoid) -> Weighting:
@@ -297,8 +297,7 @@ def _correction_weight(m: FineMonoid, sat: FineMonoid, h: Weighting) -> int:
 
 
 def _valuation_functional(m: FineMonoid, x: ValuationPoint):
-    rows = [[Fraction(v) for v in g[0]] for g in m.generators]
-    sol = qsolve(qmat(rows), qvec([Fraction(v) for v in x.log_values]))
+    sol = qsolve([g[0] for g in m.generators], x.log_values)
     if sol is None:
         raise ValueError("point valuations are not induced by a linear functional")
     return sol

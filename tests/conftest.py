@@ -93,7 +93,8 @@ def quotient_route_weighting(m):
     M/M* by `group_quotient`, the LP on the quotient's generator vectors,
     and the functional solved again from the values.  The reference for a
     sharp monoid with torsion-free gp, which skips all three.  Returns
-    (values, functional, denominator, numerators)."""
+    (values, denominator, numerators), the functional being numerators /
+    denominator."""
     q, project = group_quotient(m.gp, [m.generators[i] for i in sorted(mc.unit_generator_indices(m))])
     images = [project(g) for g in m.generators]
     zero_set = [i for i, g in enumerate(images) if q.is_zero(g)]
@@ -103,7 +104,7 @@ def quotient_route_weighting(m):
     values = tuple(sum(int(x * den) * y for x, y in zip(lam, g[0])) for g in images)
     functional = qsolve(qmat([[Fraction(x) for x in g[0]] for g in m.generators]), qvec(values))
     denominator = math.lcm(*(x.denominator for x in functional))
-    return values, functional, denominator, tuple(int(x * denominator) for x in functional)
+    return values, denominator, tuple(int(x * denominator) for x in functional)
 
 
 def face_quotient_route_semi_saturated(m):

@@ -32,7 +32,7 @@ from logmonoid.errors import (
     NotSharp,
     SDViolated,
 )
-from logmonoid.qlin import INF, over_lcm, padic_valuation, qmat, qmat_mul, qrank, qsolve, qvec
+from logmonoid.qlin import INF, padic_valuation, qmat, qmat_mul, qrank, qsolve, qvec
 
 import fraction_reference
 from fraction_reference import matrix_valuation, qidentity, qinverse, qmat_sub
@@ -1237,8 +1237,10 @@ def _ad_nilpotency_by_powers(nil):
 
 
 def test_ad_nilpotency_closed_form_matches_the_powers():
-    """e = 2k - 1 on conjugates P U P^-1 of strictly upper triangular U, n <= 4."""
+    """e = 2k - 1 on conjugates P U P^-1 of strictly upper triangular U, n <= 4,
+    as the shear reads it from the residue's nilpotency indices."""
     rng = random.Random(8)
+    n1 = mc.free_monoid(1)
     seen = set()
     for _ in range(60):
         n = rng.randint(1, 4)
@@ -1250,7 +1252,8 @@ def test_ad_nilpotency_closed_form_matches_the_powers():
             if p_inv is not None:
                 break
         nil = qmat_mul(qmat_mul(p, qmat(u)), p_inv)
-        e = lc._ad_nilpotency(over_lcm(nil))
+        module = cmod.apply_ui(lc.facet_embedding(n1), ws.default_weighting(n1), [nil], 1)
+        e = lc.shear(module).nilpotency_exponent
         assert e == _ad_nilpotency_by_powers(nil)
         seen.add(e)
     assert seen == {1, 3, 5, 7}
@@ -1680,14 +1683,14 @@ def test_shear_matches_the_rational_recursion_off_a_unimodular_eigenbasis():
     ]
     for m, model, gauge, steps, log_c in cases:
         e, _, planted = gauge_built_module(m, model, gauge, len(model[0]), 6)
-        _, _, pinv, nil = e.eigenbasis_data[0]
-        assert pinv[1] == 15 and lc._ad_nilpotency(nil) == steps
+        pinv = e.eigenbasis_data[0][2]
+        assert pinv[1] == 15
         assert -cmaps.gauss_valuation([(m.gp.zero(), [x for row in pinv[0] for x in row])], pinv[1], 5) == 1
         # at radius 5^-1 no |A^i_m| a^{h(m)} passes 5^2, so log C is
         # 2 (log_5 |P| + log_5 |P^-1|) + (e - 1) max(log_5 |N|, 0): 2 + 0 or 2 + 2
         assert lc.shear(e, radius=cmaps.Radius.p_power(1)).norm_constant_log == log_c
         sr = lc.shear(e)
-        assert sr.gauge_map == planted and sr.norm_constant_log >= 2
+        assert sr.gauge_map == planted and sr.nilpotency_exponent == steps and sr.norm_constant_log >= 2
         assert (sr.gauge, sr.gauge_inverse, sr.bound_report) == _shear_by_rational_recursion(e)
 
 

@@ -44,7 +44,9 @@ def monoid(request):
 
 def test_weight_of_is_the_rational_functional(monoid):
     values = mc.default_weighting(monoid)
-    lam = monoid.index.weighted(values).functional
+    index = monoid.index.weighted(values)
+    lam = [Fraction(x, index.denominator) for x in index.numerators]
+    assert tuple(sum((x * y for x, y in zip(lam, g[0])), Fraction(0)) for g in monoid.generators) == values
     for g in _grid(monoid):
         expected = sum((lam[i] * g[0][i] for i in range(len(lam))), Fraction(0))
         assert monoid.index.weighted(values).weight(g) == expected
@@ -147,13 +149,13 @@ SHARP_TORSION_FREE = ("N^2", "M_even", "<2,3>", "pyramid")
 
 @pytest.mark.parametrize("name", sorted(GRID_MONOIDS))
 def test_default_weighting_equals_the_quotient_route(name):
-    """The default values and the weighted index's functional, denominator
-    and numerators, on a fresh monoid, equal a fresh copy's read off its
-    sharp quotient and solved again."""
+    """The default values and the weighted index's functional, as its
+    denominator and numerators, on a fresh monoid, equal a fresh copy's
+    read off its sharp quotient and solved again."""
     m = GRID_MONOIDS[name]()
     values = mc.default_weighting(m)
     index = m.index.weighted(values)
-    got = (values, index.functional, index.denominator, index.numerators)
+    got = (values, index.denominator, index.numerators)
     assert got == quotient_route_weighting(GRID_MONOIDS[name]())
 
 
@@ -191,7 +193,7 @@ def test_a_document_weighting_equal_to_the_default_shares_its_index(gens):
         index = m.index.weighted(first.weighting.values)
         assert m.index.weighted(second.weighting.values) is index
         grid = _grid(m, 1)
-        outcomes.append((index.functional, index.denominator, index.numerators,
+        outcomes.append((index.denominator, index.numerators,
                          [index.h(g) for g in grid], [mc.membership(m, g) for g in grid]))
     assert outcomes[0] == outcomes[1]
 

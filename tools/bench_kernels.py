@@ -99,7 +99,7 @@ def _sylvester(a0, m: int = 1):
     eigenbasis, once per direction, and the NI divisors of m."""
     b, d = over_lcm(a0)
     eigs, p, q, nil = lc._eigenbasis_data((b, d), lc._residue_spectrum((b, d)))
-    basis = qlin.eigenbasis_sylvester(d, p, q, nil[0], lc._ad_nilpotency(nil))
+    basis = qlin.eigenbasis_sylvester(d, p, q, nil[0], 2 * lc._nilpotency_index(nil) - 1)
     return basis, [x - y + m * d for x in eigs for y in eigs]
 
 
