@@ -3,7 +3,9 @@
 Exit codes: 0 ok, 1 selftest failure, 2 parse error, 3 failed self-check of
 a computed result (a fault of the program; the message names the check),
 4 violated algorithm hypothesis (the message names the hypothesis).
-All numeric output is exact rationals.
+A reader that closes stdout early changes none of these: the run ends
+quietly with the status it computed.  All numeric output is exact
+rationals.
 
 Each subcommand imports the engine modules it runs, a connection
 subcommand once its document is read, so start-up loads only `errors` and
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools as it
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -305,15 +308,18 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    code = 0
     try:
         if args.command == "monoid-analyze":
-            report = cmd_monoid_analyze(args.input)
+            text = _render(cmd_monoid_analyze(args.input), args.output_format)
         elif args.command == "connection":
-            report = cmd_connection(args)
+            text = _render(cmd_connection(args), args.output_format)
         elif args.command == "selftest":
             from . import selftest
 
-            return selftest.main(args.prime)
+            results = selftest.run(args.prime)
+            text = "\n".join(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}" for name, ok, detail in results)
+            code = 0 if all(ok for _, ok, _ in results) else 1
         else:  # pragma: no cover
             parser.error("unknown command")
     except ParseError as exc:
@@ -325,8 +331,13 @@ def main(argv=None) -> int:
     except CertificationFailed as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 3
-    print(_render(report, args.output_format))
-    return 0
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: what is left goes to the null device, so the flush at exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,7 +3,8 @@
 Monoids come in two forms: a presentation {"generators": n, "relations":
 [[[u...],[v...]], ...]} whose gp elements are written in the normalized
 coordinates, or {"embedded_generators": [[int,...], ...]} whose elements
-are written in the ambient coordinates Z^k and converted on the way in
+are written in the ambient coordinates Z^k and read through the section's
+`monoid_core.AmbientMap`, one integer map computed with the monoid
 (reports carry both coordinate systems).  An embedded monoid has a
 torsion-free group, so its "torsion" field, if given, is empty; torsion
 needs a presentation.
@@ -15,9 +16,9 @@ the form `coefficient_map` stores, without a Fraction per entry.
 
 Equal monoid sections share one analysed monoid (`_monoid_section`) and
 equal (context, embedding rows) one `Embedding` (`_embedding`), in two
-bounded caches of the SECTION_CACHE_SIZE most recently used entries; each
-section's converter reads a distinct monomial once (`_converted`, a memo
-of the MONOMIAL_CACHE_SIZE most recent).
+bounded caches of the SECTION_CACHE_SIZE most recently used entries; an
+embedded section's map reads a distinct monomial once (`_converted`, a
+memo of the MONOMIAL_CACHE_SIZE most recent).
 Every entry of a monoid's index is a function of the monoid alone, so no
 answer depends on what the caches hold or on the order documents come in.
 
@@ -33,9 +34,9 @@ import json
 import math
 import sys
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from operator import mul
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import ParseError
 
@@ -43,7 +44,7 @@ if TYPE_CHECKING:
     from .abelian import Elt
     from .coefficient_maps import Radius
     from .log_connection import Embedding, ExponentSet, LogNablaModule
-    from .monoid_core import FineMonoid, Weighting
+    from .monoid_core import AmbientMap, FineMonoid, Weighting
 
 
 # How many analysed monoid sections, and as many embeddings, stay cached.
@@ -144,82 +145,48 @@ def render_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-class SectionMap:
-    """A section's map, called as `fn` but equal, hashed and printed by its
-    name and the section's validated fields, so that two parses of one
-    document give equal contexts with one repr."""
-
-    __slots__ = ("name", "section", "fn")
-
-    def __init__(self, name: str, section: tuple, fn: Callable):
-        self.name, self.section, self.fn = name, section, fn
-
-    def __call__(self, *args):
-        return self.fn(*args)
-
-    def __eq__(self, other):
-        return isinstance(other, SectionMap) and (self.name, self.section) == (other.name, other.section)
-
-    def __hash__(self):
-        return hash((self.name, self.section))
-
-    def __repr__(self):
-        return f"{self.name}{self.section!r}"
-
-
 class MonoidContext(NamedTuple):
     monoid: FineMonoid
     weighting: Weighting
     ambient_generators: Optional[tuple[tuple[int, ...], ...]]
-    # (free, torsion) as written in the document -> gp element; for embedded
-    # monoids the converter of `from_embedded`: one Smith-coordinate step and
-    # one integer mat-vec per element.  parse_element calls it through
-    # `_converted`, once per distinct monomial of this build of the section.
-    # It and the maps below are `SectionMap`s
-    convert: Callable[[tuple], Elt]
-    # for embedded monoids, ambient -> M^gp tensor Q as integer (rows, d,
-    # checks): v lies in the span of the generators iff every check row is
-    # orthogonal to it, and then maps to rows * v / d; one solve for them
-    # all, on the first call
-    exponent_map: Optional[Callable[[], tuple[list[list[int]], int, list[list[int]]]]] = None
-    # for embedded monoids, gp -> ambient as an integer matrix, one row per
-    # ambient coordinate (gp is torsion-free and injects into Z^k): one solve
-    # per gp basis vector, on the first call
-    ambient_map: Optional[Callable[[], list[list[int]]]] = None
+    # for embedded monoids, ambient -> gp and its lift as integer rows
+    # computed with the monoid; None for presented monoids
+    ambient: Optional[AmbientMap]
 
     def parse_element(self, obj) -> Elt:
-        return self.element(_read_element(obj, self.ambient_generators is not None))
+        return self.element(_read_element(obj, self.ambient is not None))
 
     def element(self, x: tuple) -> Elt:
-        """The gp element of read (free, torsion) fields (`_read_element`)."""
+        """The gp element of read (free, torsion) fields (`_read_element`);
+        an embedded monoid's through `_converted`."""
         try:
-            return _converted(self.convert.fn, x)
+            return self.monoid.gp.element(*x) if self.ambient is None else _converted(self.ambient, x)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
 
     def render_element(self, g: Elt) -> dict:
         out = {"free": list(g[0]), "torsion": list(g[1])}
-        if self.ambient_map is not None:
-            out["ambient"] = [sum(map(mul, row, g[0])) for row in self.ambient_map()]
+        if self.ambient is not None:
+            out["ambient"] = [sum(map(mul, row, g[0])) for row in self.ambient.lift]
         return out
 
     def parse_exponent_vector(self, obj) -> tuple[Fraction, ...]:
         """A rational vector in M^gp tensor Q; ambient coordinates for
-        embedded monoids (torsion dies after tensoring)."""
+        embedded monoids (torsion dies after tensoring), which lie in it iff
+        every check row is orthogonal to them and map to rows * v / den."""
         parts = [_rational_parts(x) for x in obj]
         d = self.monoid.gp.free_rank
-        if self.ambient_generators is None:
+        if self.ambient is None:
             if len(parts) != d:
                 raise ParseError(f"exponent vector must have length {d}")
             return tuple(Fraction(*x) for x in parts)
         dim = len(self.ambient_generators[0])
         if len(parts) != dim:
             raise ParseError(f"exponent vector must have ambient length {dim}")
-        rows, den, checks = self.exponent_map()
         (vec,), dv = _numerators([parts])
-        if any(sum(map(mul, row, vec)) for row in checks):
+        if any(sum(map(mul, row, vec)) for row in self.ambient.checks):
             raise ParseError("exponent vector outside M^gp tensor Q")
-        return tuple(Fraction(sum(map(mul, row, vec)), den * dv) for row in rows)
+        return tuple(Fraction(sum(map(mul, row, vec)), self.ambient.den * dv) for row in self.ambient.rows)
 
 
 def _read_element(obj, embedded: bool) -> tuple:
@@ -263,7 +230,7 @@ def _build_monoid(section: tuple, weights: Optional[tuple]) -> MonoidContext:
     """The context of a read monoid section (`_read_monoid`)."""
     from .monoid_core import Weighting, default_weighting
 
-    monoid, ambient, convert, exponent_map, ambient_map = _monoid_section(*section)
+    monoid, ambient = _monoid_section(*section)
     if weights is None:
         w = Weighting(monoid, default_weighting(monoid))
     else:
@@ -271,57 +238,36 @@ def _build_monoid(section: tuple, weights: Optional[tuple]) -> MonoidContext:
             w = Weighting(monoid, weights)
         except ValueError as exc:
             raise ParseError(f"bad weighting: {exc}") from exc
-    return MonoidContext(monoid, w, ambient, convert, exponent_map, ambient_map)
+    return MonoidContext(monoid, w, section[2], ambient)
 
 
 @lru_cache(maxsize=SECTION_CACHE_SIZE)
 def _monoid_section(n: Optional[int], relations: tuple, vectors: Optional[tuple]) -> tuple:
     """The analysed monoid of validated fields, a presentation (n, relations)
-    or embedded generators (vectors), with the fields of its MonoidContext
-    but the weighting.  Every entry of the monoid's index is a function of
-    the monoid alone, so documents sharing it get the answers a fresh one
-    would give; a section that fails is not cached."""
+    or embedded generators (vectors), with its `AmbientMap`, or None for a
+    presentation.  Every entry of the monoid's index is a function of the
+    monoid alone, so documents sharing it get the answers a fresh one would
+    give; a section that fails is not cached."""
     from .monoid_core import from_embedded, from_presentation
 
-    section = (n, relations, vectors)
     if vectors is None:
         try:
-            monoid = from_presentation(n, relations)
+            return from_presentation(n, relations), None
         except ValueError as exc:
             raise ParseError(f"bad presentation: {exc}") from exc
-        return monoid, None, SectionMap("convert", section, lambda x: monoid.gp.element(*x)), None, None
     try:
-        monoid, convert = from_embedded(vectors)
+        return from_embedded(vectors)
     except ValueError as exc:
         raise ParseError(f"bad embedded generators: {exc}") from exc
 
-    @cache
-    def exponent_map():
-        from .qlin import solve_map
-        from .snf import mat_mul
-
-        # solve for the generator coefficients, then sum the generators' gp coordinates
-        to_coeffs, den, checks = solve_map([[v[i] for v in vectors] for i in range(len(vectors[0]))])
-        return mat_mul(tuple(zip(*(g[0] for g in monoid.generators))), to_coeffs), den, checks
-
-    @cache
-    def ambient_map():
-        # the generator coefficients of each gp basis vector, summed on the ambient generators
-        d, span = monoid.gp.free_rank, monoid.index.span
-        basis = [span.coefficients(monoid.gp.element([int(i == k) for i in range(d)])) for k in range(d)]
-        return [[sum(c * v[i] for c, v in zip(coeffs, vectors)) for coeffs in basis]
-                for i in range(len(vectors[0]))]
-
-    return monoid, vectors, *(SectionMap(f.__name__, section, f) for f in (convert, exponent_map, ambient_map))
-
 
 @lru_cache(maxsize=MONOMIAL_CACHE_SIZE)
-def _converted(convert: Callable[[tuple], Elt], x: tuple) -> Elt:
-    """convert(x) for a section's converter function and a validated (free,
-    torsion) pair: each distinct monomial is converted once per build of the
-    section.  Keyed by one build's function, so an entry is never handed to
-    an equal monoid rebuilt after that build left the section cache."""
-    return convert(x)
+def _converted(ambient: AmbientMap, x: tuple) -> Elt:
+    """ambient(x) for an embedded section's map and a validated (free,
+    torsion) pair: each distinct monomial is converted once.  Keyed by the
+    map, a value, so equal sections share their entries however often
+    they are rebuilt."""
+    return ambient(x)
 
 
 def clear_caches() -> None:
@@ -356,7 +302,7 @@ def _embedding(ctx: MonoidContext, rows: Optional[tuple]) -> Embedding:
     if rows is None:
         return facet_embedding(ctx.monoid)
     d = ctx.monoid.gp.free_rank
-    if ctx.ambient_map is None:
+    if ctx.ambient is None:
         if any(len(row) != d for row in rows):
             raise ParseError(f"embedding rows must have length {d}")
         out_rows = rows
@@ -365,7 +311,7 @@ def _embedding(ctx: MonoidContext, rows: Optional[tuple]) -> Embedding:
         if any(len(row) != dim for row in rows):
             raise ParseError(f"embedding rows must have ambient length {dim}")
         # a functional on the ambient coordinates, read on gp through gp -> ambient
-        basis = list(zip(*ctx.ambient_map()))
+        basis = list(zip(*ctx.ambient.lift))
         out_rows = [tuple(sum(map(mul, row, amb)) for amb in basis) for row in rows]
     try:
         return Embedding(ctx.monoid, tuple(out_rows))

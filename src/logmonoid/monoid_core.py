@@ -30,7 +30,7 @@ from .errors import (
     TorsionTarget,
     checked_make,
 )
-from .qlin import over_lcm, qsolve
+from .qlin import inverse_over_lcm, over_lcm, qsolve
 
 
 class FineMonoid:
@@ -154,15 +154,51 @@ def from_presentation(generator_count: int, relations: Sequence[tuple[Sequence[i
     return FineMonoid(g, gens)
 
 
-def from_embedded(vectors: Sequence[Sequence[int]]):
+class _AmbientMapFields(NamedTuple):
+    ambient: AbelianGroup
+    rows: _snf.IntMatrix
+    den: int
+    checks: _snf.IntMatrix
+
+
+class AmbientMap(_AmbientMapFields):
+    """Z^k -> M^gp on the lattice L that a monoid's generators span in Z^k,
+    as integers computed once (`from_embedded`): b lies in L iff checks b =
+    0 and den divides rows b, and then maps to (rows b / den, ()).  A
+    rational b passing the checks maps to rows b / den in M^gp tensor Q.
+    `lift` is the inverse, M^gp -> L."""
+
+    # no __slots__: the instance dict holds the cached lift
+
+    def __call__(self, x) -> Elt:
+        """The gp element of an ambient element, a (free, torsion) pair or a
+        plain vector; ValueError outside L."""
+        pair = isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], tuple)
+        b = (self.ambient.element(*x) if pair else self.ambient.element(x))[0]
+        image = _snf.mat_vec(self.rows, b)
+        if any(_snf.mat_vec(self.checks, b)) or any(y % self.den for y in image):
+            raise ValueError("element lies outside the group generated by the monoid")
+        return tuple(y // self.den for y in image), ()
+
+    @cached_property
+    def lift(self) -> _snf.IntMatrix:
+        """M^gp -> Z^k as integer rows, one per ambient coordinate: column j
+        is den times column j of the inverse of the rows stacked on the
+        checks, the point of L that maps to the j-th basis vector."""
+        inverse, d = inverse_over_lcm(self.rows + self.checks)
+        return tuple(tuple(self.den * x // d for x in row[:len(self.rows)]) for row in inverse)
+
+
+def from_embedded(vectors: Sequence[Sequence[int]]) -> tuple[FineMonoid, AmbientMap]:
     """Monoid generated by integer vectors inside Z^k; a group with torsion
     needs a presentation (`from_presentation`).
 
-    Returns (monoid, convert) where convert maps an ambient element (free
-    tuple, empty torsion tuple) to the normalized gp coordinates.  One Smith form
-    u a v = d of the ambient generators gives the relations; a convert is
-    one Smith-coordinate step and one mat-vec with u' v[:count, :rank], u'
-    the quotient map's, composed once.
+    Returns the monoid and the `AmbientMap` of the lattice L the vectors
+    span.  One Smith form u a v = d of the ambient generators, of rank r,
+    gives the relations and the map: b in L has Smith coordinates (u b)_i /
+    d_i, zero past r, which the quotient map's rows q send to gp through
+    the unimodular q v[:, :r].  So, with den the lcm of the d_i, rows =
+    q v[:, :r] diag(den / d_i) u[:r] and checks = u[r:].
     """
     if not vectors:
         raise ValueError("at least one generator required")
@@ -171,20 +207,11 @@ def from_embedded(vectors: Sequence[Sequence[int]]):
     span = GroupSpan(ambient, [ambient.element(v) for v in vectors])
     g, qmap = quotient_presented(count, span.relations())
     gens = tuple(qmap(tuple(1 if i == j else 0 for i in range(count))) for j in range(count))
-    monoid = FineMonoid(g, gens)
     smith, rank = span.smith, span.smith.rank
-    # the Smith coordinates past the rank are zero; the quotient map's rows
-    # give gp's cover coordinates
-    to_gp = _snf.mat_mul(qmap.rows, tuple(row[:rank] for row in smith.v[:count]))
-
-    def convert(x) -> Elt:
-        elt = ambient.element(x[0], x[1]) if isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], tuple) else ambient.element(x)
-        y = smith.smith_coordinates(ambient.lift(elt))
-        if y is None:
-            raise ValueError("element lies outside the group generated by the monoid")
-        return g.from_cover(_snf.mat_vec(to_gp, y[:rank]))
-
-    return monoid, convert
+    den = math.lcm(*smith.diagonal[:rank])
+    to_gp = _snf.mat_mul(qmap.rows, tuple(row[:rank] for row in smith.v))
+    scaled = tuple(tuple(den // d * x for x in row) for row, d in zip(smith.u, smith.diagonal[:rank]))
+    return FineMonoid(g, gens), AmbientMap(ambient, _snf.mat_mul(to_gp, scaled), den, smith.u[rank:])
 
 
 def free_monoid(n: int) -> FineMonoid:

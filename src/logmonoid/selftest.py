@@ -1,7 +1,7 @@
 """The ten acceptance criteria as one ordered registry of named checks.
 
 `CHECKS` maps a criterion name to a function of the prime returning
-(ok, detail).  `logmonoid selftest` runs it through `main`, and
+(ok, detail).  `logmonoid selftest` runs it through `run`, and
 tests/test_acceptance.py runs each entry as its own test.  Every check is
 exact; the prime only enters through p-adic norms, so the suite must pass
 for any prime.  The connection builders here are shared with the tests.
@@ -399,10 +399,3 @@ def run(prime: int = 5) -> list[tuple[str, bool, str]]:
         except Exception as exc:
             results.append((name, False, f"{type(exc).__name__}: {exc}"))
     return results
-
-
-def main(prime: int = 5) -> int:
-    results = run(prime)
-    for name, ok, detail in results:
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    return 0 if all(ok for _, ok, _ in results) else 1

@@ -49,7 +49,7 @@ def test_the_report_prints_na_and_fails_on_differing_outputs(bench, capsys):
 
 def test_a_row_family_run_in_child_interpreters_agrees_with_itself(bench, tmp_path, capsys):
     ab, child = bench["ab"], bench["_child"]
-    runs = ab.alternate([str(ROOT)] * 2, lambda tree: child(tree, ["qmat_mul_rows"], str(tmp_path)), rounds=1)
-    assert list(runs[0][0]) == ["qmat_mul n=1", "qmat_mul n=2", "qmat_mul n=3"]
+    runs = ab.alternate([str(ROOT)] * 2, lambda tree: child(tree, ["charpoly_rows"], str(tmp_path)), rounds=1)
+    assert list(runs[0][0]) == [f"int_charpoly + integer_roots n={n}" for n in (2, 3, 4)]
     assert ab.report(runs) == 0
     assert "OUTPUT DIFFERS" not in capsys.readouterr().out

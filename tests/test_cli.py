@@ -320,6 +320,22 @@ def test_weight_bound_is_a_parse_error():
     assert "usage: logmonoid" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["monoid-analyze", DATA / "m_even.json"], ["selftest"],
+                                  ["connection", "shear", DATA / "rank2_connection.json"]])
+def test_a_closed_stdout_ends_quietly_with_the_computed_status(argv):
+    """A child whose stdout is a pipe with its read end already closed
+    exits with the status it computed (0 here, a report or selftest's own)
+    and writes nothing to stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "logmonoid", *map(str, argv)], stdout=write_end,
+                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_text_format_renders(capsys):
     code, out, _ = run(capsys, "monoid-analyze", DATA / "m_even.json")
     assert code == 0

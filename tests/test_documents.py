@@ -166,9 +166,9 @@ def _exponent_vector_by_solve(ctx, vals):
 
 
 def test_exponent_vectors_convert_through_one_map(monkeypatch):
-    """Seeded vectors on embedded monoids of full and partial rank: the map,
-    built on the first vector, gives what a solve per vector gave; a monoid
-    that parses no vector builds none."""
+    """Seeded vectors on embedded monoids of full and partial rank: the
+    section's AmbientMap, built with the monoid, gives what a solve per
+    vector gave, with no elimination at all."""
     rng = random.Random(5)
     calls = []
     solve_map = qlin.solve_map
@@ -192,7 +192,7 @@ def test_exponent_vectors_convert_through_one_map(monkeypatch):
                     ctx.parse_exponent_vector([str(x) for x in vals])
             else:
                 assert ctx.parse_exponent_vector([str(x) for x in vals]) == expected
-        assert len(calls) == 1
+        assert not calls
     assert seen == {True, False}
 
 
@@ -312,15 +312,17 @@ def _converter_by_solve(vectors):
     return convert
 
 
+_CONVERTER_CASES = [[[2, 0], [1, 1], [0, 2]], [[2], [3]], [[1, 2, 0], [0, 3, 1], [1, 5, 1], [2, 1, 1]],
+                    [[2, 4], [1, 2], [3, 6]], [[0, 0]], [[4, 6, 2], [2, 0, 4], [6, 6, 6]]]
+
+
 def test_compiled_converter_matches_the_smith_solve():
     """Seeded ambient elements, half of them combinations of the generators:
     the compiled converter returns what the solve returned, and raises the
     same error outside the group; full and partial rank, a trivial group."""
     rng = random.Random(14)
-    cases = [[[2, 0], [1, 1], [0, 2]], [[2], [3]], [[1, 2, 0], [0, 3, 1], [1, 5, 1], [2, 1, 1]],
-             [[2, 4], [1, 2], [3, 6]], [[0, 0]], [[4, 6, 2], [2, 0, 4], [6, 6, 6]]]
     seen = set()
-    for vectors in cases:
+    for vectors in _CONVERTER_CASES:
         _, convert = mc.from_embedded(vectors)
         reference = _converter_by_solve(vectors)
         for _ in range(200):
@@ -340,11 +342,24 @@ def test_compiled_converter_matches_the_smith_solve():
     assert seen == {True, False}
 
 
+def test_the_lift_is_inverted_by_the_ambient_map():
+    """On the cases above: the lift sends each generator to its ambient
+    vector, and the map reads seeded gp elements back from their lifts."""
+    rng = random.Random(15)
+    for vectors in _CONVERTER_CASES:
+        m, convert = mc.from_embedded(vectors)
+        assert [snf.mat_vec(convert.lift, g[0]) for g in m.generators] == [tuple(v) for v in vectors]
+        for _ in range(50):
+            g = m.gp.element([rng.randint(-9, 9) for _ in range(m.gp.free_rank)])
+            b = snf.mat_vec(convert.lift, g[0])
+            assert convert(b) == convert((b, ())) == g
+
+
 def test_gp_to_ambient_is_solved_once_per_document(monkeypatch):
     """The embedding rows and every rendered key read one gp -> ambient
-    matrix: one generator-coefficient solve per gp basis vector, however
-    many rows and keys, giving the rows and ambient vectors of a solve per
-    row and per key."""
+    matrix, the AmbientMap's lift: one inverse, however many rows and keys
+    (the Embedding's own inverse is another), giving the rows and ambient
+    vectors of a solve per row and per key."""
     gens = [[1, 2, 0], [0, 3, 1], [1, 5, 1], [2, 1, 1]]
     points = [[0, 0, 0], [1, 2, 0], [2, 4, 0], [1, 5, 1], [3, 6, 2], [1, 8, 2]]
     rows = [[1, 0, 0], [0, 1, -1], [1, 1, 1]]
@@ -352,17 +367,17 @@ def test_gp_to_ambient_is_solved_once_per_document(monkeypatch):
            "matrices": [{"i": i, "terms": [{"m": {"free": p}, "entries": [["1"]]} for p in points]}
                         for i in range(3)]}
     calls = []
-    coefficients = GroupSpan.coefficients
-    monkeypatch.setattr(GroupSpan, "coefficients", lambda self, g: calls.append(g) or coefficients(self, g))
+    inverse = mc.inverse_over_lcm
+    monkeypatch.setattr(mc, "inverse_over_lcm", lambda a: calls.append(a) or inverse(a))
     ctx, e = docs.parse_connection(doc)
     keys = [k for k, _ in e.matrices[0][0]]
     rendered = [ctx.render_element(k)["ambient"] for k in keys]
     d = ctx.monoid.gp.free_rank
-    assert len(calls) == d and len(keys) == len(points)
+    assert len(calls) == 1 and len(keys) == len(points)
     monkeypatch.undo()
 
     def ambient(g):
-        c = coefficients(ctx.monoid.index.span, g)
+        c = ctx.monoid.index.span.coefficients(g)
         return [sum(ci * v[i] for ci, v in zip(c, gens)) for i in range(3)]
 
     assert sorted(rendered) == sorted(points) and rendered == [ambient(k) for k in keys]
@@ -451,7 +466,7 @@ def test_rational_and_radius_integers_are_integer_fields():
 
 def test_equal_sections_share_one_monoid_however_written():
     """Sections equal after their fields are read share one FineMonoid and
-    one converter: integer strings, an empty relation list or torsion list,
+    one AmbientMap: integer strings, an empty relation list or torsion list,
     and another weighting do not split them."""
     n2 = docs.parse_monoid({"generators": 2})
     assert docs.parse_monoid({"generators": "2", "relations": []}).monoid is n2.monoid
@@ -460,7 +475,7 @@ def test_equal_sections_share_one_monoid_however_written():
     written = docs.parse_monoid({"embedded_generators": [["2", 0], [1, "1"], [0, 2]], "torsion": []})
     weighted = docs.parse_monoid({"embedded_generators": gens, "weighting": [2, 2, 2]})
     assert written.monoid is plain.monoid and weighted.monoid is plain.monoid
-    assert written.convert is plain.convert and written == plain
+    assert written.ambient is plain.ambient and written == plain
     assert weighted.weighting.values == (2, 2, 2) != plain.weighting.values
     assert plain.monoid is not n2.monoid
     assert docs._monoid_section.cache_info().currsize == 2
@@ -684,53 +699,55 @@ def _connection_document(name):
 def test_cold_warm_and_evicted_parses_give_equal_modules(name):
     """A parse from cold caches, one from warm caches, and one after the
     section was pushed out of the section cache give equal modules; the
-    rebuilt section has its own converter, so no memoized monomial of the
-    old build is reused."""
+    rebuilt section has its own, equal map, so it reads its monomials from
+    the memo, which is keyed by the map's value."""
     doc = _connection_document(name)
     cold_ctx, cold = docs.parse_connection(copy.deepcopy(doc))
     misses = docs._converted.cache_info().misses
     warm_ctx, warm = docs.parse_connection(copy.deepcopy(doc))
-    assert warm_ctx.convert is cold_ctx.convert and docs._converted.cache_info().misses == misses
+    assert warm_ctx.ambient is cold_ctx.ambient and docs._converted.cache_info().misses == misses
     for k in range(docs.SECTION_CACHE_SIZE):
         docs.parse_monoid({"generators": 20 + k})
     evicted_ctx, evicted = docs.parse_connection(copy.deepcopy(doc))
-    assert evicted_ctx.monoid is not cold_ctx.monoid and evicted_ctx.convert is not cold_ctx.convert
-    assert cold == warm == evicted
+    assert evicted_ctx.monoid is not cold_ctx.monoid and evicted_ctx.ambient == cold_ctx.ambient
+    assert cold_ctx.ambient is None or evicted_ctx.ambient is not cold_ctx.ambient
+    assert docs._converted.cache_info().misses == misses and cold == warm == evicted
 
 
 @pytest.mark.parametrize("name", ["rank2_connection.json", "vertex_counterexample.json"])
 def test_two_cold_parses_give_equal_contexts_with_one_repr(name):
-    """A context's maps compare, hash and print by the section's validated
-    fields: two parses from cold caches give equal contexts with one hash
-    and one repr, which holds no memory address, and the maps still act."""
+    """A context holds only data: two parses from cold caches give equal
+    contexts with one hash and one repr, which holds no memory address;
+    an embedded section's two maps are equal, distinct, and both act."""
     doc = _connection_document(name)
     docs.clear_caches()
     first = docs.parse_connection(copy.deepcopy(doc))[0]
     docs.clear_caches()
     second = docs.parse_connection(copy.deepcopy(doc))[0]
-    assert first.monoid is not second.monoid and first.convert.fn is not second.convert.fn
+    assert first.monoid is not second.monoid
     assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
     assert "0x" not in repr(first)
-    if first.ambient_map is not None:
-        assert first.ambient_map() == second.ambient_map() and first.exponent_map() == second.exponent_map()
-        assert {first.convert, first.exponent_map, first.ambient_map} == {second.convert, second.exponent_map,
-                                                                          second.ambient_map}
-        assert len({first.convert, first.exponent_map, first.ambient_map}) == 3
+    if first.ambient is not None:
+        assert first.ambient is not second.ambient and first.ambient.lift == second.ambient.lift
+        point = first.ambient_generators[-1]
+        assert first.ambient(point) == second.ambient(point) == first.monoid.generators[-1]
     zero = {"free": [0] * len((first.ambient_generators or [first.monoid.gp.zero()[0]])[0])}
     assert first.parse_element(zero) == second.parse_element(zero) == first.monoid.gp.zero()
 
 
 def test_each_monomial_is_converted_once_in_a_bounded_memo():
     """The memo of converted monomials has a maxsize, misses once per
-    distinct monomial of a section, and clear_caches empties it."""
+    distinct monomial of an embedded section, and clear_caches empties it."""
     info = docs._converted.cache_info()
     assert info.maxsize == docs.MONOMIAL_CACHE_SIZE is not None and info.currsize == 0
-    doc = _connection_document("rank2_connection.json")
-    monomials = {json.dumps(term["m"]) for item in doc["matrices"] for term in item["terms"]}
+    doc = _connection_document("plane_m_even_connection.json")
+    written = [json.dumps(term["m"]) for item in doc["matrices"] for term in item["terms"]]
+    monomials = set(written)
     docs.parse_connection(doc)
     docs.parse_connection(copy.deepcopy(doc))
     info = docs._converted.cache_info()
-    assert info.misses == info.currsize == len(monomials) and info.hits == len(monomials)
+    assert len(written) > len(monomials)
+    assert info.misses == info.currsize == len(monomials) and info.hits == 2 * len(written) - len(monomials)
     docs.clear_caches()
     assert docs._converted.cache_info().currsize == 0
 

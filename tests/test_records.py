@@ -27,7 +27,7 @@ RECORDS = (
     "AbelianGroup", "QuotientMap", "MonoidContext", "Embedding", "ExponentSet",
     "LogNablaModule", "ResidueDecomposition", "BoundRecord", "ShearResult", "UnipotenceReport",
     "HomotopyReport", "FineMonoid", "Face", "MonoidHom", "SectionData", "EnumerationBudget",
-    "Weighting", "Radius", "TruncatedSeries", "NormResult", "ValuationPoint",
+    "Weighting", "Radius", "TruncatedSeries", "NormResult", "ValuationPoint", "AmbientMap",
 )
 
 
@@ -48,7 +48,7 @@ def records():
                           [{(n2.element((1, 0)), ()): F(1)}]),
         n2, mc.faces(n2)[1], hom, mc.section(hom), EnumerationBudget(3), ctx.weighting,
         cmaps.Radius.p_power(F(1, 2)), series, ws.gauss_norm(series, cmaps.Radius.one()),
-        ws.valuation_point(n2, [1, INF]),
+        ws.valuation_point(n2, [1, INF]), mc.from_embedded([[2, 0], [1, 1], [0, 2]])[1],
     ]
     out = {type(r).__name__: r for r in found}
     assert sorted(out) == sorted(RECORDS)

@@ -55,7 +55,7 @@ from logmonoid import selftest  # noqa: E402
 from logmonoid import snf  # noqa: E402
 from logmonoid import weighted_series as ws  # noqa: E402
 from logmonoid import qlin  # noqa: E402
-from logmonoid.qlin import inverse_over_lcm, over_lcm, qmat, qmat_mul  # noqa: E402
+from logmonoid.qlin import inverse_over_lcm, over_lcm  # noqa: E402
 from reference import reference_seconds, scaled  # noqa: E402
 
 SEED = 1
@@ -155,7 +155,8 @@ def _jordan(rng: random.Random, n: int):
 def _conjugate(p, j):
     """P J P^-1 as Fraction rows, for an invertible integer P."""
     rows, den = inverse_over_lcm(p)
-    return qmat_mul(qmat_mul(qmat(p), qmat(j)), qmat([[Fraction(x, den) for x in row] for row in rows]))
+    j_rows, j_den = over_lcm(j)
+    return tuple(tuple(Fraction(x, den * j_den) for x in row) for row in snf.mat_mul(snf.mat_mul(p, j_rows), rows))
 
 
 def _unipotence_module(rng: random.Random, m, t: int):
@@ -308,13 +309,6 @@ def _ladder_cell(jobs) -> list:
     import workloads
     documents.clear_caches()
     return [repr(workloads.run_connection(job)[1:]) for job in jobs]
-
-
-@family("qlin.qmat_mul on n x n small-rational matrices, n = 1..3")
-def qmat_mul_rows(rng):
-    for n in (1, 2, 3):
-        a, b = (qmat([[_rational(rng) for _ in range(n)] for _ in range(n)]) for _ in range(2))
-        yield f"qmat_mul n={n}", lambda: qmat_mul(a, b)
 
 
 @family("the shear's Sylvester solver build and per-key solve, for triangular A0 and for P J P^-1 with a Jordan block")
