@@ -253,6 +253,21 @@ def weight_order(index, t: int, n: int, left: list, flats, solve) -> tuple[dict[
     return {keys[s]: [plane[s * n + r] for r in range(n) for plane in xs] for s in solved}, den
 
 
+def inverse_map(index, t: int, a: CoefficientMap, n: int) -> CoefficientMap:
+    """The inverse up to weight t of the n x n map a with a_0 = I by the
+    convolution identity: X_m = -sum over m' != 0 of a_{m'} X_{m - m'}, a
+    `weight_order` recursion over a's nonzero keys, lightest first."""
+    (terms, den), ball = a, index.ball(t)
+    rest = sorted(((k, x) for k, x in terms if ball[k]), key=lambda term: ball[term[0]])
+    return _canonical(*weight_order(index, t, n, [k for k, _ in rest], [(_rows(rest, n, n), den)],
+                                    lambda key, rhs: _reduced(*rhs[0])))
+
+
+def _reduced(x, den: int) -> tuple[tuple[int, ...], int]:
+    g = math.gcd(den, *x)
+    return tuple(v // g for v in x), den // g
+
+
 def _add_into(acc: dict, key, x: list[int]) -> None:
     """acc[key] += x, for the fresh list x."""
     y = acc.get(key)

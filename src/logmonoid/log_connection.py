@@ -12,10 +12,10 @@ lays its maps over the union of their keys, so all its products share one
 plan, and keeps each composition (d_i + A^i) A^j it has computed, which
 integrability and log-convergence share.  The shear solves
 (g + m_i id)(B_m) = RHS order by order in the weight
-(`coefficient_maps.weight_order`, B^-1 by the same loop) in the residue's
-eigenbasis (`qlin.sylvester_solver`) and certifies the gauge's
-operator-norm bound in valuation form; a failed self-check raises
-`CertificationFailed`.
+(`coefficient_maps.weight_order`) in the residue's eigenbasis
+(`qlin.sylvester_solver`) and certifies the gauge's operator-norm bound in
+valuation form; a failed self-check raises `CertificationFailed`.  B^-1
+is computed when a `ShearResult`'s `gauge_inverse_map` is first read.
 Constant models, D_l and the homotopy operator are in `constant_models`.
 """
 
@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .abelian import Elt
 from .coefficient_maps import (
-    DEFAULT_PRIME, CoefficientMap, Radius, _add_into, _canonical, _map_mul, _rows, coefficient, gauss_valuation,
-    weight_order,
+    DEFAULT_PRIME, CoefficientMap, Radius, _add_into, _canonical, _map_mul, _reduced, _rows, coefficient,
+    gauss_valuation, inverse_map, weight_order,
 )
 from .errors import (
     CertificationFailed,
@@ -515,7 +515,6 @@ class BoundRecord(NamedTuple):
 
 class _ShearResultFields(NamedTuple):
     gauge_map: CoefficientMap  # B, with B_0 = I
-    gauge_inverse_map: CoefficientMap  # B^-1
     constant_model: tuple[QMatrix, ...]
     bound_report: tuple[BoundRecord, ...]
     constant_base_model: Optional[tuple[QMatrix, ...]]
@@ -526,13 +525,20 @@ class _ShearResultFields(NamedTuple):
 
 
 class ShearResult(_ShearResultFields):
-    # no __slots__: the instance dict holds the gauges rendered as series
+    # no __slots__: the instance dict holds B^-1 and the gauges rendered as series
 
     def _render(self, a: CoefficientMap) -> SeriesMatrix:
         from .weighted_series import series_matrix
 
         n = math.isqrt(len(a[0][0][1]))  # B_0 = I: no gauge map is empty
         return series_matrix(self.weighting, self.truncation, a, n)
+
+    @cached_property
+    def gauge_inverse_map(self) -> CoefficientMap:
+        """B^-1 (`coefficient_maps.inverse_map`), computed on first read; `shear`
+        sets it for a module with base matrices, whose base model needs it."""
+        w, n = self.weighting, math.isqrt(len(self.gauge_map[0][0][1]))
+        return inverse_map(w.monoid.index.weighted(w.values), self.truncation, self.gauge_map, n)
 
     @cached_property
     def gauge(self) -> SeriesMatrix:
@@ -619,10 +625,10 @@ def shear(
     p: int = DEFAULT_PRIME,
 ) -> ShearResult:
     """Gauge B with B_0 = I solving A^i B + d_i B = B A^i_0 for every i,
-    plus the inverse, the norm-bound report and the constant base model.  B
-    and B^-1 come from `coefficient_maps.weight_order`, each over one running
-    denominator; a key's pairs are one set of gathers for the right-hand
-    sides of all r directions."""
+    plus the norm-bound report and the constant base model.  B comes from
+    `coefficient_maps.weight_order` over one running denominator, a key's
+    pairs one set of gathers for the right-hand sides of all r directions;
+    B^-1 is computed on the first read of the result's `gauge_inverse_map`."""
     if e.interval_kind == "annulus":
         raise NotDiskModule("shear acts on disk or point modules; annuli go through twist_reduce")
     _shear_hypotheses(e)
@@ -681,11 +687,6 @@ def shear(
 
     # B_m pairs A^i_{m'} with every fixed B_{m - m'}
     bmats, bden = weight_order(index, t, n, akeys, aflats, sylvester_step)
-    # the inverse by the convolution identity sum B_{m'} B'_{m''} = delta_{m,0}:
-    # B'_m = -sum_{m' != 0} B_{m'} B'_{m - m'} for m != 0; bmats is in weight order
-    bterms = [(k, x) for k, x in bmats.items() if k != zero]
-    bprime = weight_order(index, t, n, [k for k, _ in bterms], [(_rows(bterms, n, n), bden)],
-                          lambda key, rhs: _reduced(*rhs[0]))
 
     # bound constants (log-norm form, base p): e is the nilpotency index of the
     # commutator part g2; C bounds both the resolvent norms and |A^i_m| a^{h(m)}
@@ -728,31 +729,20 @@ def shear(
         actual = fraction(vden - padic_valuation(math.gcd(*bmats[key]), p)) if key in bmats else None
         records.append(BoundRecord(key, ball[key], actual, fraction(e_exp * logz * s_d + ball[key] * s_n, s_d)))
 
-    gauge, gauge_inv = _canonical(bmats, bden), _canonical(*bprime)
-
-    constant_base = None
+    gauge, gauge_inv, constant_base = _canonical(bmats, bden), None, None
     if e.base_matrices is not None:
+        gauge_inv = inverse_map(index, t, gauge, n)
         prods = [map_product(e, gauge_inv, map_product(e, d, gauge)) for d in e.base_matrices]
         if any(k != zero for terms, _ in prods for k, _ in terms):
             raise CertificationFailed("shear base model: a base matrix is not constant after the gauge")
         constant_base = tuple(coefficient(prod, zero, n) for prod in prods)
 
-    return ShearResult(
-        gauge_map=gauge,
-        gauge_inverse_map=gauge_inv,
-        constant_model=tuple(map(_fractions, a0s)),
-        bound_report=tuple(records),
-        constant_base_model=constant_base,
-        norm_constant_log=log_c,
-        nilpotency_exponent=e_exp,
-        weighting=w,
-        truncation=t,
-    )
-
-
-def _reduced(x: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
-    g = math.gcd(den, *x)
-    return tuple(v // g for v in x), den // g
+    result = ShearResult(gauge_map=gauge, constant_model=tuple(map(_fractions, a0s)), bound_report=tuple(records),
+                         constant_base_model=constant_base, norm_constant_log=log_c, nilpotency_exponent=e_exp,
+                         weighting=w, truncation=t)
+    if gauge_inv is not None:
+        result.__dict__["gauge_inverse_map"] = gauge_inv
+    return result
 
 
 # ---------------------------------------------------------------------------

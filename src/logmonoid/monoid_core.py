@@ -88,7 +88,7 @@ class _MonoidHomFields(NamedTuple):
 
 
 class MonoidHom(_MonoidHomFields):
-    # no __slots__: the instance dict holds the cached _smith_images
+    # no __slots__: the instance dict holds the cached _smith_images and image
 
     _make = checked_make
 
@@ -104,6 +104,11 @@ class MonoidHom(_MonoidHomFields):
             if not tg.is_zero(acc):
                 raise ValueError("images do not respect the source presentation")
         return self
+
+    @cached_property
+    def image(self) -> FineMonoid:
+        """f(N), the submonoid of the target generated by the images."""
+        return FineMonoid(self.target.gp, self.images)
 
     @cached_property
     def _smith_images(self) -> _snf.IntMatrix:
@@ -661,9 +666,8 @@ def section(f: MonoidHom) -> SectionData:
         section_images_cover.append(x)
     # f^gp is onto M^gp, so the images generate M^gp as a group, and f is
     # onto iff every target generator lies in the image submonoid f(N)
-    image = FineMonoid(m.gp, f.images)
     for tgt in m.generators:
-        if not membership(image, tgt):
+        if not membership(f.image, tgt):
             raise NotSurjective(f"target generator {tgt} is not in the image of the source")
 
     def s_gp(x: Elt) -> Elt:

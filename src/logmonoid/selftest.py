@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 from . import coefficient_maps as cmaps
@@ -173,16 +174,17 @@ def _face_census(prime):
     return "4 faces, 2 facets, oracle census equal"
 
 
+@cache
 def _surjections():
-    """The five fixture surjections of the section criterion."""
+    """The five fixture surjections of the section criterion, built once per process."""
     n1, n2, n3, m_even = mc.free_monoid(1), mc.free_monoid(2), mc.free_monoid(3), _m_even()
-    return [
+    return (
         mc.MonoidHom(n2, n1, (n1.element((1,)), n1.element((1,)))),
         mc.MonoidHom(n3, m_even, m_even.generators),
         mc.MonoidHom(n1, n1, (n1.element((1,)),)),
         mc.MonoidHom(n2, n1, (n1.element((1,)), n1.element((2,)))),
         mc.MonoidHom(n3, n2, (n2.element((1, 0)), n2.element((0, 1)), n2.element((1, 1)))),
-    ]
+    )
 
 
 @_criterion("03_section_invariants")

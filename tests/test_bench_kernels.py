@@ -47,6 +47,27 @@ def test_the_report_prints_na_and_fails_on_differing_outputs(bench, capsys):
     assert capsys.readouterr().out.splitlines()[1].endswith("not comparable: paths differ")
 
 
+def test_a_call_stands_only_when_a_second_pass_over_the_flagged_rows_agrees(bench, capsys):
+    """Rows called faster by a first pass run again, alone: "fast" is faster
+    in both passes and is called, "fluke" only in the first and is not."""
+    ab, first = bench["ab"], [x - 20 for x in OTHER]
+    samples = {"this": {"fast": first * 2, "fluke": first + OTHER, "even": list(OTHER)},
+               "other": {name: OTHER * 2 for name in ("fast", "fluke", "even")}}
+    asked = []
+
+    def run(names):
+        asked.append(names)
+        return lambda tree: {name: (xs.pop(0), "us", "x") for name, xs in samples[tree].items()
+                             if names is None or name in names}
+
+    runs, again = ab.two_passes(["this", "other"], run)
+    assert asked == [None, ["fast", "fluke"]]
+    assert ab.report(runs, again=again) == 0
+    assert [line.rsplit("  ", 1)[1] for line in capsys.readouterr().out.splitlines()[1:]] == [
+        "faster, confirmed", "within noise (faster, then within noise)", "within noise"]
+    assert ab.two_passes(["this", "other"], lambda names: lambda tree: {"even": (100.0, "us", "x")})[1] is None
+
+
 def test_a_row_family_run_in_child_interpreters_agrees_with_itself(bench, tmp_path, capsys):
     ab, child = bench["ab"], bench["_child"]
     runs = ab.alternate([str(ROOT)] * 2, lambda tree: child(tree, ["charpoly_rows"], str(tmp_path)), rounds=1)

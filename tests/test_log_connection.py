@@ -1712,6 +1712,34 @@ def test_shear_builds_each_sylvester_solver_once(monkeypatch):
     assert built < solves / 2
 
 
+def test_the_inverse_gauge_is_computed_once_and_only_when_read(monkeypatch):
+    """`shear` runs one `weight_order` recursion, for B, and one for B^-1
+    only on a module with base matrices, whose base model needs it; else B^-1
+    is computed on the first read of `gauge_inverse_map` and kept.  B B^-1 =
+    I = B^-1 B on every connection document and planted module."""
+    calls = []
+    weight_order = cmaps.weight_order
+
+    def counted(*args):
+        calls.append(1)
+        return weight_order(*args)
+
+    monkeypatch.setattr(lc, "weight_order", counted)
+    monkeypatch.setattr(cmaps, "weight_order", counted)
+    modules = [(name, e._replace(interval_kind="disk") if e.interval_kind == "annulus" else e)
+               for name, e in CONNECTION_FIXTURES]
+    modules += [(name, e) for name, e, _ in selftest._shear_fixtures(8)]
+    assert sum(e.base_matrices is not None for _, e in modules) == 1
+    for name, e in modules:
+        calls.clear()
+        sr = lc.shear(e)
+        assert len(calls) == (1 if e.base_matrices is None else 2), name
+        b, b_inv = sr.gauge_map, sr.gauge_inverse_map
+        assert len(calls) == 2 and sr.gauge_inverse_map is b_inv, name
+        ident = selftest._identity(e.weighting, e.truncation, e.rank)
+        assert lc.map_product(e, b, b_inv) == ident == lc.map_product(e, b_inv, b), name
+
+
 def test_shear_visits_only_the_key_pairs_that_exist(monkeypatch):
     """Both gauge recursions scatter, and the Z_m chain DP passes each key's
     value on to key + g: no subtraction, and at most one addition per

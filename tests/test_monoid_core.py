@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from logmonoid import cone
 from logmonoid import monoid_core as mc
 from logmonoid import selftest
 from logmonoid import snf
@@ -360,6 +361,21 @@ def test_section_takes_one_smith_form_per_matrix(monkeypatch, n2, n3, m_even):
         own = [call for call in calls if call[0] in ("section", "_verify_section")]
         assert own == [("section", fgp), ("_verify_section", splitting)]
         assert [a for _, a in calls].count(splitting) == 1
+
+
+def test_a_warm_section_criterion_solves_no_lp(monkeypatch):
+    """The section criterion's five surjections are built once per process,
+    and each keeps its image monoid f(N), so a second run of the criterion
+    finds every weighting it needs: no simplex solve."""
+    assert selftest.CHECKS["03_section_invariants"](5)[0]
+    assert selftest._surjections() is selftest._surjections()
+    calls = []
+    feasible = cone.simplex_feasible
+    monkeypatch.setattr(cone, "simplex_feasible", lambda *args: calls.append(1) or feasible(*args))
+    assert selftest.CHECKS["03_section_invariants"](5)[0]
+    assert calls == []
+    f = selftest._surjections()[0]
+    assert f.image is f.image and f.image == mc.FineMonoid(f.target.gp, f.images)
 
 
 def test_the_section_check_rejects_a_splitting_that_leaves_a_quotient(n2, n3):

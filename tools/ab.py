@@ -7,8 +7,10 @@ row that raised.  `report` prints per row both medians, their ratio
 this/other, the pairs this checkout won, each side's interquartile range
 (IQR) and a verdict: faster or slower only when one side wins at least nine
 tenths of the pairs and the medians differ by more than the other
-checkout's IQR, else within noise.  A row one side did not run prints n/a,
-and a row whose outputs differ between the sides makes the exit status 1.
+checkout's IQR, else within noise; after `two_passes`, only when a second
+pass over the rows so flagged agrees.  A row one side did not run prints
+n/a, and a row whose outputs differ between the sides makes the exit
+status 1.
 Stdlib only.
 """
 
@@ -58,11 +60,26 @@ def verdict(this: list[float], other: list[float]) -> str:
     return "within noise"
 
 
-def report(runs: list[list[dict]], incomparable: dict | None = None) -> int:
+def _names(runs: list[list[dict]]) -> list[str]:
+    return list(dict.fromkeys(name for side in runs for run in side for name in run))
+
+
+def two_passes(trees: list[str], run, rounds: int = ROUNDS) -> tuple:
+    """(first, second): `alternate` of run(None), every row, then of run(names), only
+    the rows the first pass calls faster or slower (None if it calls none)."""
+    first = alternate(trees, run(None), rounds)
+    values = {name: [[r.get(name, (None,))[0] for r in side] for side in first] for name in _names(first)}
+    flagged = [name for name, v in values.items()
+               if len(v) == 2 and None not in v[0] + v[1] and verdict(*v) != "within noise"]
+    return first, alternate(trees, run(flagged), rounds) if flagged else None
+
+
+def report(runs: list[list[dict]], incomparable: dict | None = None, again=None) -> int:
     """Print a line per row of the runs of one or two trees; 1 if a row's
     outputs differ between the trees, else 0.  A row whose unit is a key of
-    incomparable prints that value in place of a verdict."""
-    names = list(dict.fromkeys(name for side in runs for run in side for name in run))
+    incomparable prints that value in place of a verdict.  With again (`two_passes`'
+    second pass), a row is faster or slower only when both passes call it so."""
+    names = _names(runs)
     two, status, w = len(runs) == 2, 0, max(map(len, names), default=3)
     print(f"{'row':{w}s} unit " + (f"{'this':>10s} {'other':>10s} {'ratio':>6s} {'wins':>5s} {'IQR this':>9s} "
                                   f"{'IQR other':>9s}  verdict" if two else f"{'median':>10s} {'IQR':>9s}"))
@@ -84,6 +101,9 @@ def report(runs: list[list[dict]], incomparable: dict | None = None) -> int:
             call = f"not comparable: {incomparable[unit]}"
         else:
             call = verdict(*values)
+            if again and call != "within noise":
+                second = verdict(*([run[name][0] for run in side] for side in again))
+                call = f"{call}, confirmed" if second == call else f"within noise ({call}, then {second})"
         wins = sum(a < b for a, b in zip(*values))
         print(f"{name:{w}s} {unit:4s} {medians[0]:10.1f} {medians[1]:10.1f} {medians[0] / medians[1]:6.2f} "
               f"{wins:2d}/{len(values[0]):<2d} {_iqr(values[0]):9.1f} {_iqr(values[1]):9.1f}  {call}")

@@ -1,6 +1,6 @@
 """Microbenchmark of the exact kernels, and the A/B harness for two checkouts.
 
-    python3 tools/bench_kernels.py [--compare OTHER]
+    python3 tools/bench_kernels.py [--compare OTHER] [--rows PATTERN]
 
 The rows come from the registry FAMILIES: one entry per row family, with a
 one-line description and its own generator seeded with SEED, so every run
@@ -16,9 +16,12 @@ runs ten rounds, the two checkouts taking turns to go first; each round
 starts a fresh interpreter per checkout (`ab.child_env`: its src first on
 the path, no bytecode read from the trees) that runs every row once, and
 `ab.report` prints per row both medians, the ratio, wins, both IQRs and a
-verdict by its rule.  A row that raises on one tree prints n/a, and the
-rest of its family does not run there.  A row whose output (the sha256 of
-its result's repr) differs between the trees makes the exit status 1.
+verdict by its rule, which ten more rounds of the rows it flags must
+confirm (`ab.two_passes`).  --rows runs only the rows whose names match
+PATTERN (`re.search`), so that a claim names its rows before the run.  A
+row that raises on one tree prints n/a, and the rest of its family does not
+run there.  A row whose output (the sha256 of `_text` of its result, made
+after the timing) differs between the trees makes the exit status 1.
 Peak RSS follows the length of the checkout's path, so its rows are
 compared only when both paths have the same length.  Stdlib only.
 """
@@ -30,6 +33,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -305,10 +309,23 @@ def _saturation_invariance(m) -> bool:
 
 def _ladder_cell(jobs) -> list:
     """perfbench's `workloads.run_connection` of each job, the document
-    caches emptied first; the repr of each result without its context."""
+    caches emptied first; each result without its context."""
     import workloads
     documents.clear_caches()
-    return [repr(workloads.run_connection(job)[1:]) for job in jobs]
+    return [workloads.run_connection(job)[1:] for job in jobs]
+
+
+def _text(out) -> str:
+    """repr(out), with each shear result in it, at any depth of lists and
+    tuples, printed with B^-1 after B as when B^-1 was a field.  A result's
+    B^-1 is computed here, after its row is timed, if it is not yet."""
+    if type(out) in (list, tuple):
+        inner = ", ".join(map(_text, out)) + ("," if type(out) is tuple and len(out) == 1 else "")
+        return f"[{inner}]" if type(out) is list else f"({inner})"
+    if isinstance(out, lc.ShearResult):
+        fields = dict.fromkeys(("gauge_map", "gauge_inverse_map", *out._fields))
+        return f"{type(out).__name__}({', '.join(f'{f}={getattr(out, f)!r}' for f in fields)})"
+    return repr(out)
 
 
 @family("the shear's Sylvester solver build and per-key solve, for triangular A0 and for P J P^-1 with a Jordan block")
@@ -513,27 +530,28 @@ def _time(fn) -> tuple[float, object]:
     return scaled(cpu / loops, (ref + reference_seconds()) / 2, 1.0) * 1e6, out
 
 
-def _rows(families):
-    """(row, (value, unit, output)) for each row of the named families, in
-    order; (None, "", error) for a row that raises, which ends its family."""
+def _rows(families, pattern: str = ""):
+    """(row, (value, unit, output)) for each row of the named families that matches
+    pattern, in order; (None, "", error) for a row that raises, which ends its family."""
     for key in families:
         name = key  # a family that raises between its rows is reported under its own name
         try:
-            for name, fn, *calls in FAMILIES[key][1](random.Random(SEED)):
+            rows = FAMILIES[key][1](random.Random(SEED))
+            for name, fn, *calls in (row for row in rows if re.search(pattern, row[0])):
                 if fn is None:
                     yield name, (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB", "")
                 else:
                     us, out = _time(fn)
-                    yield name, (us / (calls[0] if calls else 1), "us", hashlib.sha256(repr(out).encode()).hexdigest())
+                    yield name, (us / (calls[0] if calls else 1), "us", hashlib.sha256(_text(out).encode()).hexdigest())
                 name = key
         except Exception as exc:
             yield name, (None, "", f"raised {type(exc).__name__}: {exc}")
 
 
-def _child(tree: str, families, pycache: str) -> dict:
-    """The rows of families, run once in a fresh interpreter on tree's program."""
+def _child(tree: str, families, pycache: str, pattern: str = "") -> dict:
+    """The rows of families that match pattern, run once in a fresh interpreter on tree's program."""
     boot = f"import runpy; runpy.run_path({__file__!r}, run_name={CHILD!r})"
-    proc = subprocess.run([sys.executable, "-c", boot, *families], env=ab.child_env(tree, pycache),
+    proc = subprocess.run([sys.executable, "-c", boot, pattern, *families], env=ab.child_env(tree, pycache),
                           cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
     return {name: tuple(row) for name, row in map(json.loads, proc.stdout.splitlines())}
 
@@ -541,25 +559,27 @@ def _child(tree: str, families, pycache: str) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--compare", metavar="OTHER", help="the root of a second checkout to run against this one")
+    parser.add_argument("--rows", metavar="PATTERN", default="", help="run only the rows whose names match PATTERN")
     args = parser.parse_args(argv)
     if not args.compare:
         for key, (description, _) in FAMILIES.items():
             print(f"# {description}")
-            for name, (value, unit, out) in _rows([key]):
+            for name, (value, unit, out) in _rows([key], args.rows):
                 print(f"{name:50s} {value:10.1f} {unit}" if value is not None else f"{name:50s} n/a: {out}", flush=True)
         return 0
     trees = [ROOT, os.path.abspath(args.compare)]
     with tempfile.TemporaryDirectory() as pycache:
-        runs = ab.alternate(trees, lambda tree: _child(tree, list(FAMILIES), pycache))
+        runs, again = ab.two_passes(trees, lambda names: lambda tree: _child(
+            tree, list(FAMILIES), pycache, args.rows if names is None else f"^({'|'.join(map(re.escape, names))})$"))
     for label, tree in zip(ab.LABELS, trees):
         print(f"{label}: {tree}")
     lengths = [len(tree) for tree in trees]
     why = f"the checkouts' paths have lengths {lengths[0]} and {lengths[1]}, and peak RSS follows that length"
-    return ab.report(runs, {"MB": why} if lengths[0] != lengths[1] else None)
+    return ab.report(runs, {"MB": why} if lengths[0] != lengths[1] else None, again)
 
 
 if __name__ == "__main__":
     sys.exit(main())
 if __name__ == CHILD:
-    for row in _rows(sys.argv[1:]):
+    for row in _rows(sys.argv[2:], sys.argv[1]):
         print(json.dumps(row), flush=True)

@@ -14,11 +14,12 @@ PYTHONPYCACHEPREFIX made for the run, and the trees' own bytecode is then
 removed from it, so each timed process compiles the program from source and
 reads the stdlib's bytecode, as perfbench cli-batch processes do.  A run's
 figure is its process's CPU ms (user + system, from RUSAGE_CHILDREN), which
-leaves out other tenants' time.  `ab.alternate` runs N rounds (20 by
+leaves out other tenants' time.  `ab.two_passes` runs N rounds (20 by
 default; 10 could not resolve a 4-9 % change), the trees taking turns to go
-first, and `ab.report` prints each case's medians and IQRs, and with
---compare the ratio, wins and verdict; an exit code that differs between
-the trees makes the exit status 1.  Last come each case's exit code and the
+first, and N more of the cases it flags; `ab.report` prints each case's
+medians and IQRs, and with --compare the ratio, wins and a verdict that
+both passes must make.  An exit code that differs between the trees makes
+the exit status 1.  Last come each case's exit code and the
 `logmonoid.*` modules it loads, from one more run under `-X importtime`.
 Stdlib only.
 """
@@ -115,11 +116,12 @@ def main() -> int:
         pycache = os.path.join(scratch, "pycache")
         cases = _cases(scratch)
         _warm_stdlib(trees, cases, pycache)
-        runs = ab.alternate(trees, lambda tree: _round(tree, cases, pycache), args.rounds)
+        runs, again = ab.two_passes(trees, lambda names: lambda tree: _round(
+            tree, [case for case in cases if names is None or case[0] in names], pycache), args.rounds)
         print(f"CPU ms per cold process over {args.rounds} rounds")
         for label, tree in zip(ab.LABELS, trees):
             print(f"  {label}: {tree}")
-        status = ab.report(runs)
+        status = ab.report(runs, again=again)
         for name, argv in cases:
             for label, tree, side in zip(ab.LABELS, trees, runs):
                 print(f"{name} {label}: {side[0][name][2]}, loads {' '.join(_loaded(tree, argv, pycache))}")
