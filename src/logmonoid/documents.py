@@ -14,9 +14,8 @@ of Fraction(str)'s grammar less exponent notation; never floats.  A
 connection matrix is read straight onto integer numerators over their lcm,
 the form `coefficient_map` stores, without a Fraction per entry.
 
-Equal monoid sections share one analysed monoid (`_monoid_section`) and
-equal (context, embedding rows) one `Embedding` (`_embedding`), in two
-bounded caches of the SECTION_CACHE_SIZE most recently used entries; an
+Equal monoid sections share one analysed monoid (`_monoid_section`, a
+bounded cache of the SECTION_CACHE_SIZE most recently used sections); an
 embedded section's map reads a distinct monomial once (`_converted`, a
 memo of the MONOMIAL_CACHE_SIZE most recent).
 Every entry of a monoid's index is a function of the monoid alone, so no
@@ -47,7 +46,7 @@ if TYPE_CHECKING:
     from .monoid_core import AmbientMap, FineMonoid, Weighting
 
 
-# How many analysed monoid sections, and as many embeddings, stay cached.
+# How many analysed monoid sections stay cached.
 SECTION_CACHE_SIZE = 16
 # How many converted monomials stay cached, over every section.
 MONOMIAL_CACHE_SIZE = 4096
@@ -271,11 +270,9 @@ def _converted(ambient: AmbientMap, x: tuple) -> Elt:
 
 
 def clear_caches() -> None:
-    """Forget every cached monoid section, embedding and converted
-    monomial, so the next parse analyses its monoid afresh, as in a new
-    process."""
+    """Forget every cached monoid section and converted monomial, so the
+    next parse analyses its monoid afresh, as in a new process."""
     _monoid_section.cache_clear()
-    _embedding.cache_clear()
     _converted.cache_clear()
 
 
@@ -291,12 +288,9 @@ def parse_radius(obj) -> Radius:
     return Radius(parse_rational(obj))
 
 
-@lru_cache(maxsize=SECTION_CACHE_SIZE)
 def _embedding(ctx: MonoidContext, rows: Optional[tuple]) -> Embedding:
     """The embedding with these validated rows, or the facet embedding when
-    rows is None.  Keyed by the whole context, a value: a section rebuilt
-    after it left the section cache may get the embedding of its earlier,
-    equal monoid."""
+    rows is None."""
     from .log_connection import Embedding, facet_embedding
 
     if rows is None:

@@ -715,19 +715,18 @@ def shear(
     # logz grows along divisibility (worst >= 0), so the chain max over the
     # nonzero proper divisors of a key is reached at some key - g, g a
     # generator: each key passes its value on to key + g.  log_p |B_m| is
-    # v_p(den) - v_p(gcd of B_m) over B's one denominator; each distinct
-    # value becomes one Fraction
+    # v_p(den) - v_p(gcd of B_m) over B's one denominator
     gens = [(ball[g], g) for g in m.generators if g in ball and not m.gp.is_zero(g)]
     chain: dict[Elt, int] = {}
-    fraction, vden, records = cache(Fraction), padic_valuation(bden, p), []
+    vden, records = padic_valuation(bden, p), []
     for key in keys[1:]:
         logz = min(worst(i, mi) for i, mi in enumerate(coords(key)) if mi) + chain.get(key, 0)
         for hg, g in gens:
             if ball[key] + hg <= t:
                 nxt = m.gp.add(key, g)
                 chain[nxt] = max(chain.get(nxt, 0), logz)
-        actual = fraction(vden - padic_valuation(math.gcd(*bmats[key]), p)) if key in bmats else None
-        records.append(BoundRecord(key, ball[key], actual, fraction(e_exp * logz * s_d + ball[key] * s_n, s_d)))
+        actual = Fraction(vden - padic_valuation(math.gcd(*bmats[key]), p)) if key in bmats else None
+        records.append(BoundRecord(key, ball[key], actual, Fraction(e_exp * logz * s_d + ball[key] * s_n, s_d)))
 
     gauge, gauge_inv, constant_base = _canonical(bmats, bden), None, None
     if e.base_matrices is not None:

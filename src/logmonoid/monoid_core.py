@@ -88,7 +88,7 @@ class _MonoidHomFields(NamedTuple):
 
 
 class MonoidHom(_MonoidHomFields):
-    # no __slots__: the instance dict holds the cached _smith_images and image
+    # no __slots__: the instance dict holds the cached image
 
     _make = checked_make
 
@@ -110,22 +110,15 @@ class MonoidHom(_MonoidHomFields):
         """f(N), the submonoid of the target generated by the images."""
         return FineMonoid(self.target.gp, self.images)
 
-    @cached_property
-    def _smith_images(self) -> _snf.IntMatrix:
-        """Cover coordinates of the images of the Smith basis vectors of the
-        source generators: column j is sum_i v[i][j] * lift(images[i])."""
-        v = self.source.index.span.smith.v
-        lifts = [self.target.gp.lift(im) for im in self.images]
-        return tuple(
-            tuple(sum(v[i][j] * lift[r] for i, lift in enumerate(lifts)) for j in range(len(v)))
-            for r in range(self.target.gp.cover_dim)
-        )
-
     def gp_apply(self, x: Elt) -> Elt:
-        y = self.source.index.span.smith.smith_coordinates(self.source.gp.lift(x))
-        if y is None:
+        """sum c_i images_i for x = sum c_i generators_i, the c_i read by one
+        solve (`GroupSpan.coefficients`); ValueError outside the source group."""
+        c = self.source.index.span.coefficients(x)
+        if c is None:
             raise ValueError("element outside the source group")
-        return self.target.gp.from_cover(_snf.mat_vec(self._smith_images, y))
+        tg = self.target.gp
+        lifts = [tg.lift(im) for im in self.images]
+        return tg.from_cover([sum(k * lift[r] for k, lift in zip(c, lifts)) for r in range(tg.cover_dim)])
 
     def __call__(self, x: Elt) -> Elt:
         return self.gp_apply(x)
@@ -180,10 +173,10 @@ class AmbientMap(_AmbientMapFields):
         plain vector; ValueError outside L."""
         pair = isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], tuple)
         b = (self.ambient.element(*x) if pair else self.ambient.element(x))[0]
-        image = _snf.mat_vec(self.rows, b)
-        if any(_snf.mat_vec(self.checks, b)) or any(y % self.den for y in image):
+        image = _snf.apply_solution_map(self.rows, self.den, self.checks, b)
+        if image is None:
             raise ValueError("element lies outside the group generated by the monoid")
-        return tuple(y // self.den for y in image), ()
+        return image, ()
 
     @cached_property
     def lift(self) -> _snf.IntMatrix:
@@ -199,11 +192,10 @@ def from_embedded(vectors: Sequence[Sequence[int]]) -> tuple[FineMonoid, Ambient
     needs a presentation (`from_presentation`).
 
     Returns the monoid and the `AmbientMap` of the lattice L the vectors
-    span.  One Smith form u a v = d of the ambient generators, of rank r,
-    gives the relations and the map: b in L has Smith coordinates (u b)_i /
-    d_i, zero past r, which the quotient map's rows q send to gp through
-    the unimodular q v[:, :r].  So, with den the lcm of the d_i, rows =
-    q v[:, :r] diag(den / d_i) u[:r] and checks = u[r:].
+    span: the solution map (rows, den, checks) of the ambient generators'
+    Smith form (`snf.SmithForm.solution_map`) reads b in L as generator
+    coefficients rows b / den, which the quotient map's rows q send to gp.
+    So the map is (q rows, den, checks).
     """
     if not vectors:
         raise ValueError("at least one generator required")
@@ -212,11 +204,8 @@ def from_embedded(vectors: Sequence[Sequence[int]]) -> tuple[FineMonoid, Ambient
     span = GroupSpan(ambient, [ambient.element(v) for v in vectors])
     g, qmap = quotient_presented(count, span.relations())
     gens = tuple(qmap(tuple(1 if i == j else 0 for i in range(count))) for j in range(count))
-    smith, rank = span.smith, span.smith.rank
-    den = math.lcm(*smith.diagonal[:rank])
-    to_gp = _snf.mat_mul(qmap.rows, tuple(row[:rank] for row in smith.v))
-    scaled = tuple(tuple(den // d * x for x in row) for row, d in zip(smith.u, smith.diagonal[:rank]))
-    return FineMonoid(g, gens), AmbientMap(ambient, _snf.mat_mul(to_gp, scaled), den, smith.u[rank:])
+    rows, den, checks = span.smith.solution_map
+    return FineMonoid(g, gens), AmbientMap(ambient, _snf.mat_mul(qmap.rows, rows), den, checks)
 
 
 def free_monoid(n: int) -> FineMonoid:
@@ -649,21 +638,15 @@ def section(f: MonoidHom) -> SectionData:
     d_m = m.gp.free_rank
     d_n = n.gp.free_rank
     # matrix of f^gp restricted to free parts: image of free basis vectors of N^gp
-    basis_images = []
-    for k in range(d_n):
-        e = n.gp.element(tuple(1 if i == k else 0 for i in range(d_n)))
-        basis_images.append(f.gp_apply(e)[0])
+    basis_images = [f.gp_apply(n.gp.element(e))[0] for e in _snf.identity(d_n)]
     a = _snf.as_matrix([[basis_images[j][i] for j in range(d_n)] for i in range(d_m)])
     # one Smith form of a gives every lift and the kernel; with no rows it is all of N^gp
     smith = _snf.SmithForm(a, d_n)
 
-    # lexicographically-first lifts of the free basis of M^gp through a (Smith basis)
-    section_images_cover = []
-    for k in range(d_m):
-        x = smith.solve(tuple(1 if i == k else 0 for i in range(d_m)))
-        if x is None:
-            raise NotSurjective("f^gp is not surjective on free parts")
-        section_images_cover.append(x)
+    # the lifts of the free basis of M^gp through a with zero Smith coordinates past the rank
+    section_images_cover = [smith.solve(e) for e in _snf.identity(d_m)]
+    if None in section_images_cover:
+        raise NotSurjective("f^gp is not surjective on free parts")
     # f^gp is onto M^gp, so the images generate M^gp as a group, and f is
     # onto iff every target generator lies in the image submonoid f(N)
     for tgt in m.generators:

@@ -69,13 +69,7 @@ def gauge_built_module(monoid, constant_model, gauge_terms, rank, truncation,
                     base_model=base_model)
     zero = (0,) * monoid.gp.free_rank
     g = _coefficients(monoid, h, {zero: identity(rank), **gauge_terms}, truncation)
-    # G^{-1} = sum of the powers of I - G, which has no term of weight 0
-    minus = _coefficients(monoid, h, {k: [[-x for x in row] for row in mat] for k, mat in gauge_terms.items()},
-                          truncation)
-    g_inv = power = _identity(h, truncation, rank)
-    for _ in range(truncation):
-        power = lc.map_product(u, power, minus)
-        g_inv = cmaps.map_sum(g_inv, power)
+    g_inv = cmaps.inverse_map(monoid.index.weighted(h.values), truncation, g, rank)
     return cmod.gauge_transform(u, g, g_inv), g, g_inv
 
 

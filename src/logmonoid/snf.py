@@ -6,6 +6,8 @@ unimodular, so every result is exact.
 
 from __future__ import annotations
 
+import math
+from functools import cached_property
 from operator import mul
 from typing import Optional, Sequence
 
@@ -163,31 +165,41 @@ class SmithForm:
         self.diagonal = tuple(d[i][i] if i < r else 0 for i in range(rows))
         self.rank = sum(1 for x in self.diagonal if x != 0)
 
+    @cached_property
+    def solution_map(self) -> tuple[IntMatrix, int, IntMatrix]:
+        """(rows, den, checks) for the systems a*x = b: with r the rank and
+        den = lcm(d_1..d_r), rows = v[:, :r] diag(den / d_i) u[:r] and checks =
+        u[r:].  a*x = b is solvable iff checks*b = 0 and den divides rows*b
+        (v is unimodular, so den | rows*b iff every Smith coordinate
+        (u b)_i / d_i is an integer), and rows*b / den is then the solution
+        with zero Smith coordinates past the rank.  When checks*b = 0,
+        rows*b / den is a rational solution."""
+        r, d = self.rank, self.diagonal
+        den = math.lcm(*d[:r])
+        if r:
+            scaled = tuple(tuple(den // di * x for x in row) for row, di in zip(self.u[:r], d))
+            rows = mat_mul(tuple(row[:r] for row in self.v), scaled)
+        else:
+            rows = ((0,) * len(self.u),) * self.cols
+        return rows, den, self.u[r:]
+
     def solve(self, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-        """A particular integer solution x of a*x = b, or None.
-
-        Deterministic: the solution with zero coordinates along the kernel
-        directions of the Smith basis (lexicographically-first lift).
-        """
-        y = self.smith_coordinates(b)
-        return None if y is None else mat_vec(self.v, y)
-
-    def smith_coordinates(self, b: Sequence[int]) -> Optional[list[int]]:
-        """y with a*(v*y) = b and y zero past the rank, or None."""
-        c = mat_vec(self.u, tuple(b))
-        y = [0] * self.cols
-        for i, (ci, di) in enumerate(zip(c, self.diagonal)):
-            if di == 0:
-                if ci != 0:
-                    return None
-            elif ci % di != 0:
-                return None
-            else:
-                y[i] = ci // di
-        return y
+        """A particular integer solution x of a*x = b, or None: the one with
+        zero Smith coordinates past the rank (`solution_map`)."""
+        return apply_solution_map(*self.solution_map, b)
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Basis of the integer kernel {x : a*x = 0} (columns of v past the rank)."""
         return [
             tuple(self.v[i][j] for i in range(self.cols)) for j in range(self.rank, self.cols)
         ]
+
+
+def apply_solution_map(rows: IntMatrix, den: int, checks: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """rows*b / den when checks*b = 0 and den divides rows*b, else None."""
+    if any(mat_vec(checks, b)):
+        return None
+    x = mat_vec(rows, b)
+    if any(y % den for y in x):
+        return None
+    return tuple(y // den for y in x)

@@ -2,6 +2,7 @@
 paired samples by, on synthetic samples, and one cheap row family run in
 fresh child interpreters on this checkout against itself."""
 
+import importlib
 import runpy
 import sys
 from pathlib import Path
@@ -74,3 +75,30 @@ def test_a_row_family_run_in_child_interpreters_agrees_with_itself(bench, tmp_pa
     assert list(runs[0][0]) == [f"int_charpoly + integer_roots n={n}" for n in (2, 3, 4)]
     assert ab.report(runs) == 0
     assert "OUTPUT DIFFERS" not in capsys.readouterr().out
+
+
+def test_a_family_with_no_matching_row_builds_nothing(bench):
+    """Each family names its rows before it calls into the engine or the
+    benchmark's generators, so --rows skips a family none of whose row names
+    match having built nothing; a family's names and rows agree in number."""
+    roots = (str(ROOT / "src" / "logmonoid"), str(ROOT / "perfbench"))
+    calls = []
+    importlib.import_module("gen")  # what perfbench's generator module builds on import is not a family's
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name != "<module>" and code.co_filename.startswith(roots):
+            calls.append(code.co_name)
+
+    for key, (_, family) in bench["FAMILIES"].items():
+        rows = family(bench["random"].Random(bench["SEED"]))
+        sys.setprofile(profile)
+        try:
+            names = next(rows)
+        finally:
+            sys.setprofile(None)
+        assert names and calls == [], (key, calls)
+        rows.close()
+    assert list(bench["_rows"](list(bench["FAMILIES"]), "^no such row$")) == []
+    names = [name for name, _ in bench["_rows"](["charpoly_rows"], "n=3")]
+    assert names == ["int_charpoly + integer_roots n=3"]

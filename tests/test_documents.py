@@ -481,15 +481,6 @@ def test_equal_sections_share_one_monoid_however_written():
     assert docs._monoid_section.cache_info().currsize == 2
 
 
-def test_embeddings_are_shared_by_equal_contexts_and_rows():
-    doc = {"monoid": {"embedded_generators": [[2, 0], [1, 1], [0, 2]]}, "rank": 1, "truncation": 2}
-    given = {**doc, "embedding": [[1, 0], [0, 1]]}
-    assert docs.parse_connection(doc)[1].embedding is docs.parse_connection(copy.deepcopy(doc))[1].embedding
-    written = {**given, "embedding": [["1", 0], [0, 1]]}
-    assert docs.parse_connection(given)[1].embedding is docs.parse_connection(written)[1].embedding
-    assert docs._embedding.cache_info().currsize == 2
-
-
 @pytest.mark.parametrize("section, message", [
     ({"generators": 2, "relations": [[[1, -1], [0, 1]]]}, "bad presentation: relation vectors must be non-negative"),
     ({"embedded_generators": []}, "bad embedded generators: at least one generator required"),
@@ -623,7 +614,7 @@ def test_answers_do_not_depend_on_the_cache_or_the_order():
     """Seeded documents over shared sections, T = 2..8 on each (a later
     document meets a ball an earlier one grew), disk, annulus and point,
     given and facet embeddings: the answers from cold caches equal those of
-    two shuffled runs that share the cached monoids and embeddings."""
+    two shuffled runs that share the cached monoids."""
     rng = random.Random(23)
     cases = []
     for section, rows in SHARED_SECTIONS:
@@ -641,7 +632,6 @@ def test_answers_do_not_depend_on_the_cache_or_the_order():
         for i in order:
             assert _document_answers(cases[i]) == cold[i], i
         assert docs._monoid_section.cache_info().currsize == 4
-        assert docs._embedding.cache_info().hits > 0
     shown = {doc["interval_kind"] for doc in cases} | {"shear" if len(a[2]) > 2 else a[2][0] for a in cold}
     shown |= {verdict for a in cold for verdict in a[4] if isinstance(verdict, bool)}
     assert shown == {"disk", "annulus", "point", "shear", "NotDiskModule", True, False}, shown

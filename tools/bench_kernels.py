@@ -18,9 +18,10 @@ the path, no bytecode read from the trees) that runs every row once, and
 `ab.report` prints per row both medians, the ratio, wins, both IQRs and a
 verdict by its rule, which ten more rounds of the rows it flags must
 confirm (`ab.two_passes`).  --rows runs only the rows whose names match
-PATTERN (`re.search`), so that a claim names its rows before the run.  A
-row that raises on one tree prints n/a, and the rest of its family does not
-run there.  A row whose output (the sha256 of `_text` of its result, made
+PATTERN (`re.search`), so that a claim names its rows before the run; a
+family names its rows before it builds their inputs, so a family with no
+matching row builds nothing.  A row that raises on one tree prints n/a, and
+the rest of its family does not run there.  A row whose output (the sha256 of `_text` of its result, made
 after the timing) differs between the trees makes the exit status 1.
 Peak RSS follows the length of the checkout's path, so its rows are
 compared only when both paths have the same length.  Stdlib only.
@@ -75,8 +76,10 @@ FAMILIES: dict = {}
 
 
 def family(description: str):
-    """Register a generator of (row name, fn[, calls]) rows, fn making `calls`
-    calls, under its function's name; fn None reads the peak RSS."""
+    """Register a row family under its function's name: a generator that
+    yields the list of its row names before it builds anything, then one row
+    per name, in order: fn, or (fn, calls) for an fn making `calls` calls;
+    fn None reads the peak RSS."""
     def register(rows):
         FAMILIES[rows.__name__] = description, rows
         return rows
@@ -240,7 +243,7 @@ def _embedded_document(rng: random.Random, gens, t: int) -> dict:
 
 
 def _cold_document(parse, doc: dict):
-    """parse(doc) with the caches of analysed monoid sections, embeddings and
+    """parse(doc) with the caches of analysed monoid sections and
     converted monomials emptied first, as in a fresh process: the Smith
     forms, the weighting, every |h| and every monomial's conversion are cold."""
     documents.clear_caches()
@@ -256,13 +259,13 @@ def _cold(m, fn, keys):
 
 
 def _cold_monoid_documents() -> list:
-    """(name, document) for the monoid-analysis shapes of the benchmark: the
-    cones over the lattice 5- and 7-gons, the cone over the pyramid on the
-    5-gon, and N^4 / (2 x_i = 2 x_j), whose gp has torsion Z/2."""
+    """(name, document builder) for the monoid-analysis shapes of the
+    benchmark: the cones over the lattice 5- and 7-gons, the cone over the
+    pyramid on the 5-gon, and N^4 / (2 x_i = 2 x_j), whose gp has torsion Z/2."""
     import gen
-    return [("polygon k=5", gen.polygon_cone(5, 0, 0)[0]), ("polygon k=7", gen.polygon_cone(7, 0, 0)[0]),
-            ("pyramid k=5", gen.pyramid_cone(5, 0)[0]),
-            ("torsion Z/2 n=4", gen.torsion_monoid(random.Random(SEED), 4, 2)[0])]
+    return [("polygon k=5", lambda: gen.polygon_cone(5, 0, 0)[0]), ("polygon k=7", lambda: gen.polygon_cone(7, 0, 0)[0]),
+            ("pyramid k=5", lambda: gen.pyramid_cone(5, 0)[0]),
+            ("torsion Z/2 n=4", lambda: gen.torsion_monoid(random.Random(SEED), 4, 2)[0])]
 
 
 def _cold_semi_saturation(m) -> bool:
@@ -330,185 +333,221 @@ def _text(out) -> str:
 
 @family("the shear's Sylvester solver build and per-key solve, for triangular A0 and for P J P^-1 with a Jordan block")
 def sylvester_rows(rng):
-    for n, kind in ((1, "diagonal"), (2, "diagonal"), (3, "diagonal"), (2, "jordan"), (3, "jordan")):
+    cases = ((1, "diagonal"), (2, "diagonal"), (3, "diagonal"), (2, "jordan"), (3, "jordan"))
+    yield [f"sylvester {part} {kind} n={n}" for n, kind in cases for part in ("solver", "solve")]
+    for n, kind in cases:
         if kind == "diagonal":
             a0, rhs = _triangular(rng, n)
         else:
             a0, rhs = _conjugate(*_jordan(rng, n)), ([rng.randint(-9, 9) for _ in range(n * n)], 1)
         basis, divisors = _sylvester(a0)
         solver = qlin.sylvester_solver(basis, divisors)
-        yield f"sylvester solver {kind} n={n}", lambda: qlin.sylvester_solver(basis, divisors)
-        yield f"sylvester solve {kind} n={n}", lambda: lc._reduced(*qlin.sylvester_solve(solver, rhs))
+        yield lambda: qlin.sylvester_solver(basis, divisors)
+        yield lambda: lc._reduced(*qlin.sylvester_solve(solver, rhs))
 
 
 @family("series_mul and gauss_norm (radius p^-1/2) of dense disk series over N^2, T = 3..6")
 def series_rows(rng):
+    truncations = (3, 4, 5, 6)
+    yield [f"{kernel} N^2 disk T={t}" for t in truncations for kernel in ("series_mul", "gauss_norm")]
     n2 = mc.free_monoid(2)
     h, half = ws.default_weighting(n2), cmaps.Radius.p_power(Fraction(1, 2))
-    for t in (3, 4, 5, 6):
+    for t in truncations:
         f, g = _series(rng, n2, h, t), _series(rng, n2, h, t)
-        yield f"series_mul N^2 disk T={t}", lambda: ws.series_mul(f, g)
-        yield f"gauss_norm N^2 disk T={t}", lambda: ws.gauss_norm(f, half)
+        yield lambda: ws.series_mul(f, g)
+        yield lambda: ws.gauss_norm(f, half)
 
 
 @family("cone.simplex_feasible on the default weighting's LP of k integer rays in Z^3 (2*3 + k columns)")
 def simplex_rows(rng):
-    for k in (4, 6, 9):
+    rays = (4, 6, 9)
+    yield [f"simplex_feasible rays={k}" for k in rays]
+    for k in rays:
         a, b = _weighting_lp(rng, k)
-        yield f"simplex_feasible rays={k}", lambda: cone.simplex_feasible(a, b)
+        yield lambda: cone.simplex_feasible(a, b)
 
 
 @family("the pair plan of n x n maps of disk series over N^2: its build, and _map_mul with the index's plan kept")
 def plan_rows(rng):
+    cases = [(n, t) for n in (2, 3) for t in (4, 6)]
+    yield [f"plan {part} n={n} N^2 T={t}" for n, t in cases for part in ("build", "product")]
     n2 = mc.free_monoid(2)
     h = ws.default_weighting(n2)
     index = n2.index.weighted(h.values)
-    for n in (2, 3):
-        for t in (4, 6):
-            (a, _), (b, _) = (_series_matrix_map(rng, n2, h, n, t) for _ in range(2))
-            supports = tuple(k for k, _ in a), tuple(k for k, _ in b)
-            yield f"plan build n={n} N^2 T={t}", lambda: cmaps.PairPlan(index, t, n, *supports).entries
-            yield f"plan product n={n} N^2 T={t}", lambda: cmaps._map_mul(n2, h, t, a, b, n)
+    for n, t in cases:
+        (a, _), (b, _) = (_series_matrix_map(rng, n2, h, n, t) for _ in range(2))
+        supports = tuple(k for k, _ in a), tuple(k for k, _ in b)
+        yield lambda: cmaps.PairPlan(index, t, n, *supports).entries
+        yield lambda: cmaps._map_mul(n2, h, t, a, b, n)
 
 
 @family("validate_integrability and log_convergence_check (eta p^-1/2) on fresh copies of integrable modules over N^2")
 def connection_rows(rng):
+    cases = [(n, t) for n in (1, 2, 3) for t in (4, 6)]
+    yield [name for n, t in cases for name in (
+        [f"validate_integrability n={n} N^2 T={t}"] * (n > 1)
+        + [f"log_convergence_check depth={depth} n={n} N^2 T={t}" for depth in (2, 4)]
+        + [f"integrability + log_convergence_check depth=2 n=2 N^2 T={t}"] * (n == 2))]
     n2 = mc.free_monoid(2)
     one, eta = cmaps.Radius.one(), cmaps.Radius.p_power(Fraction(1, 2))
-    for n in (1, 2, 3):
-        for t in (4, 6):
-            e = _module(rng, n2, n, t)
-            if n > 1:
-                yield f"validate_integrability n={n} N^2 T={t}", lambda: lc.validate_integrability(e._replace())
-            for depth in (2, 4):
-                yield (f"log_convergence_check depth={depth} n={n} N^2 T={t}",
-                       lambda: lc.log_convergence_check(e._replace(), one, eta, depth))
-            if n == 2:
-                yield (f"integrability + log_convergence_check depth=2 n=2 N^2 T={t}",
-                       lambda: _integrability_then_log_convergence(e._replace(), one, eta))
+    for n, t in cases:
+        e = _module(rng, n2, n, t)
+        if n > 1:
+            yield lambda: lc.validate_integrability(e._replace())
+        for depth in (2, 4):
+            yield lambda: lc.log_convergence_check(e._replace(), one, eta, depth)
+        if n == 2:
+            yield lambda: _integrability_then_log_convergence(e._replace(), one, eta)
 
 
 @family("qlin.integer_roots of int_charpoly of the integer rows of P J P^-1 (what _residue_spectrum runs)")
 def charpoly_rows(rng):
-    for n in (2, 3, 4):
+    ranks = (2, 3, 4)
+    yield [f"int_charpoly + integer_roots n={n}" for n in ranks]
+    for n in ranks:
         b, _ = over_lcm(_conjugate(*_jordan(rng, n)))
-        yield f"int_charpoly + integer_roots n={n}", lambda: qlin.integer_roots(qlin.int_charpoly(b))
+        yield lambda: qlin.integer_roots(qlin.int_charpoly(b))
 
 
 @family("exponents and eigenbasis data of fresh copies of integrable rank-n modules over N^2")
 def spectra_rows(rng):
-    for n in (2, 3):
+    ranks = (2, 3)
+    yield [f"module spectra n={n} N^2 T=4" for n in ranks]
+    for n in ranks:
         e = _module(rng, mc.free_monoid(2), n, 4)
-        yield f"module spectra n={n} N^2 T=4", lambda: _spectra(e)
+        yield lambda: _spectra(e)
 
 
 @family("is_sigma_unipotent on every face of a constant rank-3 module with a Jordan block, fresh module and Sigma")
 def unipotence_rows(rng):
-    for name, m in (("M_even", selftest._m_even()), ("N^3", mc.free_monoid(3))):
-        e, sigma, faces = _unipotence_module(rng, m, 4)
-        yield f"is_sigma_unipotent all faces {name} T=4", lambda: _unipotence_on_all_faces(e, sigma, faces)
+    monoids = (("M_even", selftest._m_even), ("N^3", lambda: mc.free_monoid(3)))
+    yield [f"is_sigma_unipotent all faces {name} T=4" for name, _ in monoids]
+    for _, monoid in monoids:
+        e, sigma, faces = _unipotence_module(rng, monoid(), 4)
+        yield lambda: _unipotence_on_all_faces(e, sigma, faces)
 
 
 @family("shear of selftest fixtures, run again on the same module (integrability, residues and plans warm)")
 def shear_rows(rng):
+    yield [f"shear {name} T={t}" for t in SHEAR_TRUNCATIONS for name in SHEAR_FIXTURES]
     for t in SHEAR_TRUNCATIONS:
         for name, e, _ in selftest._shear_fixtures(t):
             if name in SHEAR_FIXTURES:
-                yield f"shear {name} T={t}", lambda: lc.shear(e)
+                yield lambda: lc.shear(e)
 
 
 @family("shear of a fresh rank2-N2-planted with the index's plans emptied, then the process's peak RSS")
 def first_shear_rows(rng):
+    yield [name for t in FIRST_SHEAR_TRUNCATIONS
+           for name in (f"first shear rank2-N2-planted T={t}", f"peak RSS after the first shear T={t}")]
     for t in FIRST_SHEAR_TRUNCATIONS:
         e = next(e for name, e, _ in selftest._shear_fixtures(t) if name == "rank2-N2-planted")
-        yield f"first shear rank2-N2-planted T={t}", lambda: _first_shear(e)
-        yield f"peak RSS after the first shear T={t}", None
+        yield lambda: _first_shear(e)
+        yield None
 
 
 @family("documents.parse_connection of rank-2 embedded documents, caches emptied (cold) or kept (warm)")
 def parse_connection_rows(rng):
-    for name, gens in (("N^2", [[1, 0], [0, 1]]), ("N^3", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-                       ("M_even", [[2, 0], [1, 1], [0, 2]])):
-        for t in (4, 8, 12):
-            doc = _embedded_document(rng, gens, t)
-            yield f"parse_connection {name} T={t}", lambda: _cold_document(documents.parse_connection, doc)[1]
-            yield f"parse_connection {name} T={t} warm", lambda: documents.parse_connection(doc)[1]
+    cases = [(name, gens, t) for name, gens in (("N^2", [[1, 0], [0, 1]]), ("N^3", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                                                ("M_even", [[2, 0], [1, 1], [0, 2]])) for t in (4, 8, 12)]
+    yield [f"parse_connection {name} T={t}{warm}" for name, _, t in cases for warm in ("", " warm")]
+    for _, gens, t in cases:
+        doc = _embedded_document(rng, gens, t)
+        yield lambda: _cold_document(documents.parse_connection, doc)[1]
+        yield lambda: documents.parse_connection(doc)[1]
 
 
 @family("h and membership (keys and keys minus a generator) on the cone over the unit square, indices emptied")
 def pyramid_rows(rng):
+    weights = (4, 8)
+    yield [f"cold {kernel} pyramid W={w}" for w in weights for kernel in ("h", "membership")]
     pyramid, _ = mc.from_embedded([[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]])
     h = ws.default_weighting(pyramid)
-    for w in (4, 8):
+    for w in weights:
         keys = pyramid.index.weighted(h.values).upto(w)
         shifted = keys + [pyramid.gp.sub(k, pyramid.generators[0]) for k in keys]
-        yield f"cold h pyramid W={w}", lambda: _cold(pyramid, lambda k: ws.h_plus(pyramid, h, k), keys)
-        yield f"cold membership pyramid W={w}", lambda: _cold(pyramid, lambda k: mc.membership(pyramid, k), shifted)
+        yield lambda: _cold(pyramid, lambda k: ws.h_plus(pyramid, h, k), keys)
+        yield lambda: _cold(pyramid, lambda k: mc.membership(pyramid, k), shifted)
 
 
 @family("documents.parse_monoid of perfbench's monoid-analysis shapes, caches emptied")
 def parse_monoid_rows(rng):
-    for name, doc in _cold_monoid_documents():
-        yield f"cold parse_monoid {name}", lambda: _cold_document(documents.parse_monoid, doc)[:3]
+    shapes = _cold_monoid_documents()
+    yield [f"cold parse_monoid {name}" for name, _ in shapes]
+    for _, make in shapes:
+        doc = make()
+        yield lambda: _cold_document(documents.parse_monoid, doc)[:3]
 
 
 @family("is_semi_saturated on fresh copies of those shapes and of moment_curve_20, given their faces")
 def semi_saturation_rows(rng):
-    semi = [(name, documents.parse_monoid(doc).monoid) for name, doc in _cold_monoid_documents()]
-    for name, m in semi + [("moment_curve_20", _data_monoid("moment_curve_20"))]:
-        yield f"cold semi-saturation {name}", lambda: _cold_semi_saturation(m)
+    shapes = _cold_monoid_documents() + [("moment_curve_20", None)]
+    yield [f"cold semi-saturation {name}" for name, _ in shapes]
+    for _, make in shapes:
+        m = documents.parse_monoid(make()).monoid if make else _data_monoid("moment_curve_20")
+        yield lambda: _cold_semi_saturation(m)
 
 
-@family("snf.smith_normal_form per input, over the inputs one seeded monoid-analysis round hands it (n of them)")
+@family("snf.smith_normal_form per input, over the inputs one seeded monoid-analysis round hands it")
 def smith_rows(rng):
+    yield ["smith_normal_form monoid round"]
     inputs = _monoid_round_smith_inputs()
-    yield (f"smith_normal_form monoid round (n={len(inputs)})", lambda: [snf.smith_normal_form(a) for a in inputs],
-           len(inputs))
+    yield lambda: [snf.smith_normal_form(a) for a in inputs], len(inputs)
 
 
 @family("is_saturated_bounded on fresh rank-4 moment-curve cones over (1, t, t^2, t^3), t = 1..k")
 def saturation_rows(rng):
+    yield [f"is_saturated_bounded rank-4 curve k={k}" for k in MOMENT_CURVE_RAYS]
     for k in MOMENT_CURVE_RAYS:
         curve, _ = mc.from_embedded([[1, t, t * t, t ** 3] for t in range(1, k + 1)])
-        yield (f"is_saturated_bounded rank-4 curve k={k}",
-               lambda: mc.is_saturated_bounded(mc.FineMonoid(curve.gp, curve.generators)))
+        yield lambda: mc.is_saturated_bounded(mc.FineMonoid(curve.gp, curve.generators))
 
 
 @family("monoid_core.section of the five selftest surjections per call (their indices warm after the first)")
 def section_rows(rng):
+    yield ["section 5 selftest surjections"]
     surjections = selftest._surjections()
-    yield "section 5 selftest surjections", lambda: [mc.section(f) for f in surjections]
+    yield lambda: [mc.section(f) for f in surjections]
 
 
 @family("saturation_invariance_check at the vertex point of fresh <2, 3> and pyramid_pentagon monoids")
 def saturation_invariance_rows(rng):
-    for name, m in (("N\\{1}", selftest._nm1()), ("pyramid_pentagon", _data_monoid("pyramid_pentagon"))):
-        yield f"saturation_invariance_check {name}", lambda: _saturation_invariance(m)
+    monoids = (("N\\{1}", selftest._nm1), ("pyramid_pentagon", lambda: _data_monoid("pyramid_pentagon")))
+    yield [f"saturation_invariance_check {name}" for name, _ in monoids]
+    for _, monoid in monoids:
+        m = monoid()
+        yield lambda: _saturation_invariance(m)
 
 
 @family("dl_limit on the basis sections of fresh constant modules over N and N^2, and dl_constant_term of disk series")
 def dl_rows(rng):
+    cases, truncations = [(name, n) for name in ("N", "N^2") for n in (2, 3, 4)], (4, 8)
+    yield ([f"dl_limit basis sections n={n} {name} T=4" for name, n in cases]
+           + [f"dl_constant_term N^2 disk T={t} l={t}" for t in truncations])
     n2 = mc.free_monoid(2)
-    for name, m in (("N", mc.free_monoid(1)), ("N^2", n2)):
-        for n in (2, 3, 4):
-            e = _dl_module(rng, m, n)
-            yield f"dl_limit basis sections n={n} {name} T=4", lambda: _dl_witnesses(e)
+    monoids = {"N": mc.free_monoid(1), "N^2": n2}
+    for name, n in cases:
+        e = _dl_module(rng, monoids[name], n)
+        yield lambda: _dl_witnesses(e)
     emb, h = lc.facet_embedding(n2), ws.default_weighting(n2)
-    for t in (4, 8):
+    for t in truncations:
         f = _series(rng, n2, h, t)
-        yield f"dl_constant_term N^2 disk T={t} l={t}", lambda: cmod.dl_constant_term(f, t, emb)
+        yield lambda: cmod.dl_constant_term(f, t, emb)
 
 
 @family("per job, perfbench's connection-ladder jobs of one cell over seeds 41001, 7, 123, 99 and rounds 0-7")
 def ladder_rows(rng):
     import gen
-    cells: dict[str, list] = {}
+    # gen.connection_round's cell names, in the order its jobs first meet them
+    cells = list(dict.fromkeys(f"{monoid}/r{n}/T{t}" for monoid, n, t, _ in gen.CONNECTION_CELLS))
+    yield [f"ladder {cell}" for cell in cells]
+    jobs: dict[str, list] = {cell: [] for cell in cells}
     for seed in LADDER_SEEDS:
         for r in range(LADDER_ROUNDS):
             for job in gen.connection_round(seed, r):
-                cells.setdefault(job["cell"], []).append(job)
-    for cell, jobs in cells.items():
-        yield f"ladder {cell}", lambda: _ladder_cell(jobs), len(jobs)
+                jobs[job["cell"]].append(job)
+    for cell in cells:
+        yield lambda: _ladder_cell(jobs[cell]), len(jobs[cell])
 
 
 def _time(fn) -> tuple[float, object]:
@@ -532,12 +571,19 @@ def _time(fn) -> tuple[float, object]:
 
 def _rows(families, pattern: str = ""):
     """(row, (value, unit, output)) for each row of the named families that matches
-    pattern, in order; (None, "", error) for a row that raises, which ends its family."""
+    pattern, in order; (None, "", error) for a row that raises, which ends its family.
+    A family none of whose row names match builds nothing."""
     for key in families:
         name = key  # a family that raises between its rows is reported under its own name
         try:
             rows = FAMILIES[key][1](random.Random(SEED))
-            for name, fn, *calls in (row for row in rows if re.search(pattern, row[0])):
+            names = next(rows)
+            if not any(re.search(pattern, n) for n in names):
+                continue
+            for name, row in zip(names, rows, strict=True):
+                if not re.search(pattern, name):
+                    continue
+                fn, *calls = row if isinstance(row, tuple) else (row,)
                 if fn is None:
                     yield name, (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB", "")
                 else:
