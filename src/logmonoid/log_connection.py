@@ -58,6 +58,7 @@ if TYPE_CHECKING:
 
 # a rational matrix inside this module: integer rows over one positive denominator
 RatMatrix = tuple[IntMatrix, int]
+_NOT_INTEGRABLE = "connection is not integrable; shearing undefined"
 
 
 def _fractions(a: RatMatrix) -> QMatrix:
@@ -406,12 +407,14 @@ class LogNablaModule(_LogNablaModuleFields):
     def sheared_exponents(self) -> ExponentSet:
         """The exponent set of the sheared constant model.  The shearing
         gauge has B_0 = I, so that model is the residue; a non-constant
-        module must pass shear's hypothesis checks, and on an annulus be
-        M-supported."""
+        module must pass shear's hypothesis checks, then, with no shear to
+        certify it, integrability, and on an annulus be M-supported."""
         if not smat_is_constant_all(self):
             if self.interval_kind == "annulus":
                 _require_monoid_support(self)
             _shear_hypotheses(self)
+            if not validate_integrability(self):
+                raise NotIntegrable(_NOT_INTEGRABLE)
         return self.decomposition.exponent_set(self.monoid)
 
 
@@ -549,16 +552,13 @@ class ShearResult(_ShearResultFields):
         return self._render(self.gauge_inverse_map)
 
 
-def _check_ni_coordinatewise(spectra) -> None:
-    """locally (NI-D) under the module's embedding: no nonzero integer
-    difference of eigenvalues in any coordinate; spectra holds per residue
-    its distinct eigenvalues as integers over its denominator d."""
-    for eigs, d in spectra:
-        for x, y in itertools.product(eigs, repeat=2):
+def _check_ni_coordinatewise(e: LogNablaModule) -> None:
+    """locally (NI-D) under the module's embedding: no two eigenvalues y / d
+    of a residue, read from its spectrum, differ by a nonzero integer."""
+    for spectrum, (_, d) in zip(e.residue_spectra, e.residues):
+        for (x, *_), (y, *_) in itertools.product(spectrum, repeat=2):
             if x != y and (x - y) % d == 0:
-                raise NIViolated(
-                    f"exponent difference {(x - y) // d} is a nonzero integer (NI violated)"
-                )
+                raise NIViolated(f"exponent difference {(x - y) // d} is a nonzero integer (NI violated)")
 
 
 def _nilpotency_index(nil: RatMatrix) -> int:
@@ -608,15 +608,16 @@ def _eigenbasis_data(a: RatMatrix, spectrum: list) -> tuple:
 
 
 def _shear_hypotheses(e: LogNablaModule) -> None:
-    """Check what shearing needs beyond a disk or point interval -- a sharp
-    monoid, integrability, commuting residues with rational eigenvalues and
-    locally (NI-D), read from the residue spectra."""
+    """Check, in order, what shearing needs beyond a disk or point interval:
+    a sharp monoid, commuting residues (the curvature at weight 0, so
+    `NotIntegrable` if not) with rational eigenvalues, and (NI-D)."""
     if not is_sharp(e.monoid):
         raise NotSharp("shearing requires a sharp monoid")
-    if not validate_integrability(e):
-        raise NotIntegrable("connection is not integrable; shearing undefined")
-    _check_ni_coordinatewise([([y for y, *_ in spectrum], d)
-                              for spectrum, (_, d) in zip(e.residue_spectra, e.residues)])
+    try:
+        e.residues  # noqa: B018 -- reading the residues checks that they commute
+    except NonCommutingResidues:
+        raise NotIntegrable(_NOT_INTEGRABLE) from None
+    _check_ni_coordinatewise(e)
 
 
 def shear(
@@ -628,7 +629,8 @@ def shear(
     plus the norm-bound report and the constant base model.  B comes from
     `coefficient_maps.weight_order` over one running denominator, a key's
     pairs one set of gathers for the right-hand sides of all r directions;
-    B^-1 is computed on the first read of the result's `gauge_inverse_map`."""
+    B^-1 is computed on the first read of the result's `gauge_inverse_map`.
+    The recursion certifies integrability, with no map product, or raises `NotIntegrable`."""
     if e.interval_kind == "annulus":
         raise NotDiskModule("shear acts on disk or point modules; annuli go through twist_reduce")
     _shear_hypotheses(e)
@@ -649,11 +651,7 @@ def shear(
 
     solver = cache(lambda i, mi: sylvester_solver(bases[i], divisors(i, mi)))  # None if singular
 
-    m = e.monoid
-    t = e.truncation
-    w = e.weighting
-    emb = e.embedding
-    n = e.rank
+    m, t, w, n = e.monoid, e.truncation, e.weighting, e.rank
 
     index = m.index.weighted(w.values)
     ball = index.ball(t)
@@ -670,19 +668,20 @@ def shear(
     def sylvester_step(key: Elt, rhs) -> tuple[tuple[int, ...], int]:
         """B_m from its right-hand sides in every direction: solved in one, checked in all."""
         mk = coords(key)
-        i0 = next(i for i in range(emb.r) if mk[i] != 0)
+        i0 = next(i for i in range(len(a0s)) if mk[i] != 0)
         solved = solver(i0, mk[i0])
         if solved is None:
             raise CertificationFailed(f"Sylvester solve: the operator of direction {i0} at m_i = {mk[i0]} "
                                       "is singular although NI holds")
         bm, dm = _reduced(*sylvester_solve(solved, rhs[i0]))
-        # integrability forces the single-index solution to satisfy all
-        # directions: (ad(b) + m_i d) B_m = d rhs_i, cross-multiplied
-        for i, (ri, di) in enumerate(rhs):
-            d = a0s[i][1]
+        # (ad(b) + m_i d) B_m = d rhs_i, cross-multiplied, i0 first: a failure there is the solver's fault; in a
+        # direction i, past every lighter key, B_m's error E_i is zero iff the curvature (ad A^i0_0 + m_i0) E_i is (NI)
+        for i in sorted(range(len(a0s)), key=i0.__ne__):
+            (ri, di), d = rhs[i], a0s[i][1]
             if any((sum(map(mul, row, bm)) + mk[i] * d * b) * di != x * d * dm for row, b, x in zip(ads[i], bm, ri)):
-                raise CertificationFailed(f"shear all-directions identity: B_m solved in direction {i0} "
-                                          f"fails the equation of direction {i} at m = {key}")
+                if i == i0:
+                    raise CertificationFailed(f"shear all-directions identity: B_m fails direction {i0} at m = {key}")
+                raise NotIntegrable(_NOT_INTEGRABLE)
         return bm, dm
 
     # B_m pairs A^i_{m'} with every fixed B_{m - m'}
@@ -728,15 +727,17 @@ def shear(
         actual = Fraction(vden - padic_valuation(math.gcd(*bmats[key]), p)) if key in bmats else None
         records.append(BoundRecord(key, ball[key], actual, Fraction(e_exp * logz * s_d + ball[key] * s_n, s_d)))
 
-    gauge, gauge_inv, constant_base = _canonical(bmats, bden), None, None
+    gauge, gauge_inv, constant_base, model = _canonical(bmats, bden), None, None, tuple(map(_fractions, a0s))
     if e.base_matrices is not None:
         gauge_inv = inverse_map(index, t, gauge, n)
         prods = [map_product(e, gauge_inv, map_product(e, d, gauge)) for d in e.base_matrices]
-        if any(k != zero for terms, _ in prods for k, _ in terms):
-            raise CertificationFailed("shear base model: a base matrix is not constant after the gauge")
         constant_base = tuple(coefficient(prod, zero, n) for prod in prods)
+        # B^-1 [d_i + A^i, D] B = (d_i + ad A^i_0) D' = 0 for all i iff (NI) D' is constant and commutes with all A^i_0
+        if any(k != zero for terms, _ in prods for k, _ in terms) or any(
+                mat_mul(c, a) != mat_mul(a, c) for c in constant_base for a in model):
+            raise NotIntegrable(_NOT_INTEGRABLE)
 
-    result = ShearResult(gauge_map=gauge, constant_model=tuple(map(_fractions, a0s)), bound_report=tuple(records),
+    result = ShearResult(gauge_map=gauge, constant_model=model, bound_report=tuple(records),
                          constant_base_model=constant_base, norm_constant_log=log_c, nilpotency_exponent=e_exp,
                          weighting=w, truncation=t)
     if gauge_inv is not None:

@@ -776,14 +776,16 @@ def test_log_convergence_counts_the_shifts_and_the_factorial(n1):
 
 def test_log_convergence_refuses_a_non_integrable_module(n2, monkeypatch):
     """t^(0,1) (1/5) E_12 in A^0 alone leaves d_1 A^0 in the bracket: logconv
-    refuses the module as the shear does, from the cached integrability
-    verdict, whatever the order of the directions."""
+    refuses the module as the shear does, from the integrability verdict
+    that `validate_integrability` cached, whatever the order of the
+    directions."""
     e = build_module(n2, [{(0, 1): ((0, F(1, 5)), (0, 0))}, {}], 2, 3, embedding=lc.Embedding(n2, ((1, 0), (0, 1))))
     assert e.integrability_defect == ("connection", 0, 1, n2.gp.element((0, 1)))
     swapped = e._replace(embedding=lc.Embedding(n2, ((0, 1), (1, 0))), matrices=e.matrices[::-1])
     for module in (e, swapped):
         with pytest.raises(NotIntegrable):
             lc.shear(module)
+        lc.validate_integrability(module)
     monkeypatch.setattr(lc, "_map_mul", None)  # the verdicts are cached: no product runs
     for module in (e, swapped):
         for depth in (1, 2, 3):
