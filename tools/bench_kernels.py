@@ -69,6 +69,7 @@ MOMENT_CURVE_RAYS = (10, 12, 16, 20, 30, 40)
 SHEAR_FIXTURES = ("rank2-N2-planted", "rank2-M_even-planted")
 SHEAR_TRUNCATIONS = (8, 12, 20, 30, 40)
 FIRST_SHEAR_TRUNCATIONS = (40, 60, 80)
+FIRST_SHEAR_JORDAN = (("N^2", 2, 4, 20), ("N^2", 2, 4, 30), ("N^3", 3, 2, 12))  # (monoid, its rank, n, T)
 LADDER_SEEDS = (41001, 7, 123, 99)
 LADDER_ROUNDS = 8
 DENOMINATORS = (1, 1, 2, 3, 5, 6)
@@ -133,6 +134,19 @@ def _module(rng: random.Random, m, n: int, t: int):
     keys = m.index.weighted(ws.default_weighting(m).values).upto(t)[1:]
     gauge = {k[0]: [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(n)]
              for k in keys}
+    return selftest.gauge_built_module(m, model, gauge, n, t)[0]
+
+
+def _planted_jordan(rng: random.Random, m, n: int, t: int):
+    """A rank-n module over m, shear's input at scale: residues P J P^-1 for
+    `_jordan`'s (P, J), then P D_k P^-1 with D_k the diagonal of J over k + 2
+    (constant on J's block, so they commute), in the basis e (I + G), G a
+    random integer matrix at each generator of m."""
+    p, j = _jordan(rng, n)
+    r = lc.facet_embedding(m).r
+    model = [_conjugate(p, j)] + [_conjugate(p, [[Fraction(j[i][i], k + 2) if i == c else 0 for c in range(n)]
+                                                 for i in range(n)]) for k in range(r - 1)]
+    gauge = {g[0]: [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)] for g in m.generators}
     return selftest.gauge_built_module(m, model, gauge, n, t)[0]
 
 
@@ -436,14 +450,19 @@ def shear_rows(rng):
                 yield lambda: lc.shear(e)
 
 
-@family("shear of a fresh rank2-N2-planted with the index's plans emptied, then the process's peak RSS")
+@family("shear of a fresh rank2-N2-planted with the index's plans emptied, then the process's peak RSS; "
+        "then of fresh planted Jordan modules (`_planted_jordan`)")
 def first_shear_rows(rng):
     yield [name for t in FIRST_SHEAR_TRUNCATIONS
-           for name in (f"first shear rank2-N2-planted T={t}", f"peak RSS after the first shear T={t}")]
+           for name in (f"first shear rank2-N2-planted T={t}", f"peak RSS after the first shear T={t}")] + [
+        f"first shear Jordan {name} n={n} T={t}" for name, _, n, t in FIRST_SHEAR_JORDAN]
     for t in FIRST_SHEAR_TRUNCATIONS:
         e = next(e for name, e, _ in selftest._shear_fixtures(t) if name == "rank2-N2-planted")
         yield lambda: _first_shear(e)
         yield None
+    for _, rank, n, t in FIRST_SHEAR_JORDAN:
+        e = _planted_jordan(rng, mc.free_monoid(rank), n, t)
+        yield lambda: _first_shear(e)
 
 
 @family("documents.parse_connection of rank-2 embedded documents, caches emptied (cold) or kept (warm)")
