@@ -916,6 +916,9 @@ def _hypothesis_breaking_modules():
         ("non_commuting", build_module(
             n2, [{(0, 0): ((0, 1), (0, 0)), (1, 0): ((1, 0), (0, 0))}, {(0, 0): ((0, 0), (1, 0))}], 2, 3)),
         ("ni_violated", build_module(n1, [{(0,): ((0, 0), (0, 1)), (1,): ((0, 1), (0, 0))}], 2, 6)),
+        # NI is checked before integrability: the t^(1,0) term of A^0 leaves a bracket, as in not_integrable
+        ("ni_violated_not_integrable", build_module(
+            n2, [{(0, 0): ((0, 0), (0, 1)), (1, 0): ((0, 1), (0, 0))}, {}], 2, 3)),
         ("irrational", build_module(n1, [{(0,): ((0, 2), (1, 0)), (1,): ((1, 0), (0, 0))}], 2, 4)),
         ("not_sharp", _torsion_unit_module()),
     ]
@@ -925,6 +928,7 @@ def _hypothesis_breaking_modules():
     ("not_integrable", NotIntegrable),
     ("non_commuting", NotIntegrable),
     ("ni_violated", NIViolated),
+    ("ni_violated_not_integrable", NIViolated),
     ("irrational", IrrationalExponent),
     ("not_sharp", NotSharp),
 ])
