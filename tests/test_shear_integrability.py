@@ -4,6 +4,7 @@
 overwritten entry."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -88,14 +89,14 @@ def _cut(e, t):
 
 
 def test_the_shear_succeeds_iff_the_module_is_integrable():
-    """About 200 seeded planted modules, cut at every T' <= T: past its
+    """200 seeded planted modules, cut at every T' <= T: past its
     hypotheses (sharp, commuting residues, rational eigenvalues, NI) the
     shear succeeds iff `integrability_defect` is None, and raises
     `NotIntegrable` otherwise, a base-bracket defect included; unipotence
     raises what the shear raises on every non-constant module."""
     rng = random.Random(41)
     monoids = [mc.free_monoid(2), mc.free_monoid(3), selftest._m_even()]
-    seen: dict = {}
+    seen: Counter = Counter()
     for case in range(200):
         full, how = _planted(rng, case, monoids)
         for t in range(1, full.truncation + 1):
@@ -104,8 +105,7 @@ def test_the_shear_succeeds_iff_the_module_is_integrable():
             # a connection defect at key 0 is a pair of non-commuting residues
             kind = defect and ("residues" if defect[0] == "connection" and e.monoid.gp.is_zero(defect[3])
                                else defect[0])
-            label = (how, kind, raised and raised.__name__)
-            seen[label] = seen.get(label, 0) + 1
+            seen[how, kind, raised and raised.__name__] += 1
             if raised in (NIViolated, IrrationalExponent):  # a hypothesis before integrability
                 continue
             assert raised is (None if defect is None else NotIntegrable), (case, t, defect)
