@@ -120,15 +120,6 @@ def coefficient(a: CoefficientMap, key: Elt, n: int) -> QMatrix:
     return tuple(tuple(Fraction(v, den) for v in x[r : r + n]) for r in range(0, n * n, n))
 
 
-def map_sum(a: CoefficientMap, b: CoefficientMap) -> CoefficientMap:
-    """a + b for coefficient maps of one shape."""
-    (ax, da), (bx, db) = a, b
-    out = {k: [v * db for v in x] for k, x in ax}
-    for k, x in bx:
-        _add_into(out, k, [v * da for v in x])
-    return _canonical(out, da * db)
-
-
 # How many plans a weighted index keeps, the least recently used dropped first.
 PLAN_CACHE_SIZE = 16
 

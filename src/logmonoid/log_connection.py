@@ -552,13 +552,16 @@ class ShearResult(_ShearResultFields):
         return self._render(self.gauge_inverse_map)
 
 
-def _check_ni_coordinatewise(e: LogNablaModule) -> None:
-    """locally (NI-D) under the module's embedding: no two eigenvalues y / d
-    of a residue, read from its spectrum, differ by a nonzero integer."""
-    for spectrum, (_, d) in zip(e.residue_spectra, e.residues):
-        for (x, *_), (y, *_) in itertools.product(spectrum, repeat=2):
+def _check_ni_coordinatewise(spectra) -> None:
+    """locally (NI-D) under the module's embedding: no nonzero integer
+    difference of eigenvalues in any coordinate; spectra holds per residue
+    its distinct eigenvalues as integers over its denominator d."""
+    for eigs, d in spectra:
+        for x, y in itertools.product(eigs, repeat=2):
             if x != y and (x - y) % d == 0:
-                raise NIViolated(f"exponent difference {(x - y) // d} is a nonzero integer (NI violated)")
+                raise NIViolated(
+                    f"exponent difference {(x - y) // d} is a nonzero integer (NI violated)"
+                )
 
 
 def _nilpotency_index(nil: RatMatrix) -> int:
@@ -617,7 +620,8 @@ def _shear_hypotheses(e: LogNablaModule) -> None:
         e.residues  # noqa: B018 -- reading the residues checks that they commute
     except NonCommutingResidues:
         raise NotIntegrable(_NOT_INTEGRABLE) from None
-    _check_ni_coordinatewise(e)
+    _check_ni_coordinatewise([([y for y, *_ in spectrum], d)
+                              for spectrum, (_, d) in zip(e.residue_spectra, e.residues)])
 
 
 def shear(
@@ -651,7 +655,10 @@ def shear(
 
     solver = cache(lambda i, mi: sylvester_solver(bases[i], divisors(i, mi)))  # None if singular
 
-    m, t, w, n = e.monoid, e.truncation, e.weighting, e.rank
+    m = e.monoid
+    t = e.truncation
+    w = e.weighting
+    n = e.rank
 
     index = m.index.weighted(w.values)
     ball = index.ball(t)
@@ -727,7 +734,8 @@ def shear(
         actual = Fraction(vden - padic_valuation(math.gcd(*bmats[key]), p)) if key in bmats else None
         records.append(BoundRecord(key, ball[key], actual, Fraction(e_exp * logz * s_d + ball[key] * s_n, s_d)))
 
-    gauge, gauge_inv, constant_base, model = _canonical(bmats, bden), None, None, tuple(map(_fractions, a0s))
+    gauge, gauge_inv, constant_base = _canonical(bmats, bden), None, None
+    model = tuple(map(_fractions, a0s))
     if e.base_matrices is not None:
         gauge_inv = inverse_map(index, t, gauge, n)
         prods = [map_product(e, gauge_inv, map_product(e, d, gauge)) for d in e.base_matrices]

@@ -207,6 +207,7 @@ def _shear_suite(prime):
     fixtures = _shear_fixtures(12)
     orders = 0
     for k, (name, e, planted) in enumerate(fixtures):
+        _require(lc.validate_integrability(e), f"{name}: not integrable")
         sr = lc.shear(e, p=prime)
         m, n = e.monoid, e.rank
         b, b_inv = sr.gauge_map, sr.gauge_inverse_map

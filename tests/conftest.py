@@ -8,12 +8,22 @@ from fractions import Fraction
 import pytest
 
 from logmonoid import cone, documents
+from logmonoid.coefficient_maps import _add_into, _canonical
 from logmonoid import monoid_core as mc
 from logmonoid import weighted_series as ws
 from logmonoid.abelian import group_quotient
 from logmonoid.qlin import INF, qmat, qsolve, qvec
 # the connection builders live with the selftest registry, which uses them too
 from logmonoid.selftest import build_module, gauge_built_module  # noqa: F401
+
+
+def map_sum(a, b):
+    """a + b for coefficient maps of one shape."""
+    (ax, da), (bx, db) = a, b
+    out = {k: [v * db for v in x] for k, x in ax}
+    for k, x in bx:
+        _add_into(out, k, [v * da for v in x])
+    return _canonical(out, da * db)
 
 
 @pytest.fixture(autouse=True)

@@ -26,7 +26,7 @@ from logmonoid.errors import (
     ZeroProjection,
 )
 
-from conftest import build_module, build_series
+from conftest import build_module, build_series, map_sum
 
 F = Fraction
 
@@ -559,7 +559,7 @@ def _shared_section_document(rng, section, rows, t, n, kind):
     if kind == "annulus":
         diffs = [ctx.monoid.gp.sub(x, y) for x in ball for y in ball[:3]]
         extra = [cmaps.coefficient_map(h, t, {rng.choice(diffs): mat() for _ in range(2)}, True) for _ in range(emb.r)]
-        e = e._replace(matrices=tuple(cmaps.map_sum(a, b) for a, b in zip(e.matrices, extra)))
+        e = e._replace(matrices=tuple(map_sum(a, b) for a, b in zip(e.matrices, extra)))
     else:
         ident = cmaps.coefficient_map(h, t, {zero: [int(i == j) for i in range(n) for j in range(n)]})
         gauge = {rng.choice(ball[1:]): mat() for _ in range(2)}
@@ -567,8 +567,8 @@ def _shared_section_document(rng, section, rows, t, n, kind):
         g_inv = power = ident
         for _ in range(t):
             power = lc.map_product(e, power, minus)
-            g_inv = cmaps.map_sum(g_inv, power)
-        e = cmod.gauge_transform(e, cmaps.map_sum(ident, cmaps.coefficient_map(h, t, gauge)), g_inv)
+            g_inv = map_sum(g_inv, power)
+        e = cmod.gauge_transform(e, map_sum(ident, cmaps.coefficient_map(h, t, gauge)), g_inv)
 
     def key(k):
         rendered = ctx.render_element(k)
