@@ -30,13 +30,13 @@ _HOMES = {
     ), "log_connection"),
     **dict.fromkeys((
         "Face", "FineMonoid", "MonoidHom", "SectionData", "Weighting", "divides", "faces", "facets", "free_monoid",
-        "from_embedded", "from_presentation", "is_semi_saturated", "is_sharp", "is_saturated_bounded", "is_vertical",
-        "localize", "membership", "quotient", "saturation", "section", "sharp_quotient", "units",
+        "from_embedded", "from_presentation", "is_semi_saturated", "is_sharp", "is_saturated_bounded",
+        "membership", "saturation", "section", "units",
     ), "monoid_core"),
     "EnumerationBudget": "oracle",
     **dict.fromkeys((
         "TruncatedSeries", "ValuationPoint", "default_weighting", "gauss_norm", "gauss_norm_interval", "h_abs",
-        "h_minus", "h_plus", "point_in_polyannulus", "saturation_invariance_check", "series", "series_mul",
+        "h_plus", "point_in_polyannulus", "saturation_invariance_check", "series", "series_mul",
         "valuation_point",
     ), "weighted_series"),
 }

@@ -405,17 +405,20 @@ class LogNablaModule(_LogNablaModuleFields):
 
     @cached_property
     def sheared_exponents(self) -> ExponentSet:
-        """The exponent set of the sheared constant model.  The shearing
-        gauge has B_0 = I, so that model is the residue; a non-constant
-        module must pass shear's hypothesis checks, then, with no shear to
-        certify it, integrability, and on an annulus be M-supported."""
+        """The exponent set of the sheared constant model, the residue (the
+        shearing gauge has B_0 = I).  A non-constant module must pass
+        shear's hypothesis checks and on an annulus be M-supported; then
+        every module, with no shear to certify it, must be integrable.  A
+        constant module is its own sheared model: NI, which only the shear
+        recursion needs, is not asked of it."""
         if not smat_is_constant_all(self):
             if self.interval_kind == "annulus":
                 _require_monoid_support(self)
             _shear_hypotheses(self)
-            if not validate_integrability(self):
-                raise NotIntegrable(_NOT_INTEGRABLE)
-        return self.decomposition.exponent_set(self.monoid)
+        exponents = self.decomposition.exponent_set(self.monoid)
+        if not validate_integrability(self):
+            raise NotIntegrable(_NOT_INTEGRABLE)
+        return exponents
 
 
 def validate_integrability(e: LogNablaModule) -> bool:
@@ -793,7 +796,7 @@ def is_sigma_unipotent(e: LogNablaModule, sigma: ExponentSet, face: Face) -> Uni
     lattice on annuli, exactly on disks/points).
 
     The shearing gauge has B_0 = I, so the sheared constant model is the
-    residue; a non-constant module must pass shear's hypothesis checks.
+    residue; the module must pass the checks of `sheared_exponents`.
     Annulus modules must be M-supported; the twist-reduce normalization is
     realized by the modulo-lattice comparison of the exponent images, which
     are integer vectors over one denominator d until the report.

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import cone as _cone
 from . import snf as _snf
@@ -256,8 +256,8 @@ class MonoidIndex:
         return {Face(self.monoid, s): lam for s, lam in pairs}
 
     def face_projection(self, face: Face) -> tuple[tuple[int, ...], ...]:
-        """gp^free -> (M/F)^gp free, the free part of the projection of
-        `face_quotient_group`, as integer rows kept for the face."""
+        """gp^free -> (M/F)^gp free, the free part of the projection
+        gp -> gp / F^gp, as integer rows kept for the face."""
         found = self._face_projections.get(face.generator_indices)
         if found is None:
             gp = self.monoid.gp
@@ -469,11 +469,6 @@ def is_sharp(m: FineMonoid) -> bool:
     return all(m.gp.is_zero(m.generators[i]) for i in unit_generator_indices(m))
 
 
-def sharp_quotient(m: FineMonoid) -> tuple[FineMonoid, MonoidHom]:
-    """M / M* together with the projection homomorphism."""
-    return m.index.sharp
-
-
 def default_weighting(m: FineMonoid) -> tuple[int, ...]:
     """Integer weights h(g_i), zero exactly on units.
 
@@ -552,31 +547,8 @@ def facets(m: FineMonoid) -> tuple[Face, ...]:
 
 
 # ---------------------------------------------------------------------------
-# quotients, localization, semi-saturatedness
+# semi-saturatedness
 # ---------------------------------------------------------------------------
-
-def quotient(m: FineMonoid, n_sub: Sequence[Elt]) -> tuple[FineMonoid, MonoidHom]:
-    """M/N: the image of M in gp/N^gp."""
-    for x in n_sub:
-        if not membership(m, x):
-            raise NotSubmonoid(f"{x} is not an element of the monoid")
-    q, project = group_quotient(m.gp, list(n_sub))
-    images = tuple(project(g) for g in m.generators)
-    result = FineMonoid(q, images)
-    return result, MonoidHom(m, result, images)
-
-
-def face_quotient_group(m: FineMonoid, face: Face) -> tuple[AbelianGroup, Callable[[Elt], Elt]]:
-    """(M/F)^gp = gp / F^gp with its projection (group level only), built
-    afresh on each call."""
-    return group_quotient(m.gp, face.generators())
-
-
-def localize(m: FineMonoid, face: Face) -> FineMonoid:
-    """F^{-1}M: adjoin the negatives of the face generators."""
-    extra = tuple(m.gp.neg(g) for g in face.generators())
-    return FineMonoid(m.gp, m.generators + extra)
-
 
 def is_semi_saturated(m: FineMonoid) -> bool:
     """True iff (M/F)^gp is torsion-free for every face F (equivalent to the
@@ -694,19 +666,3 @@ def _verify_section(data: SectionData) -> None:
     basis = [s.gp_apply(m.gp.element(e)) for e in _snf.identity(m.gp.free_rank)]
     if group_quotient(n.gp, basis + list(data.kernel_basis))[0] != AbelianGroup(0):
         raise CertificationFailed("section splitting: s(M^gp) + Ker(f^gp) does not span N^gp")
-
-
-# ---------------------------------------------------------------------------
-# verticality
-# ---------------------------------------------------------------------------
-
-def is_vertical(f: MonoidHom) -> bool:
-    """f(N) lies in no proper face of M, i.e. every target generator m admits
-    n with m <= f(n): every facet normal of M is positive on some image, and
-    a monoid without facets is a group (Ogus, Lectures on Logarithmic
-    Algebraic Geometry, I.4.3)."""
-    images = [x[0] for x in f.images]
-    return all(
-        any(sum(map(mul, lam, x)) > 0 for x in images)
-        for lam in f.target.index.facet_normals.values()
-    )

@@ -36,11 +36,6 @@ def h_plus(m: FineMonoid, h: Weighting, g: Elt) -> int:
     return m.index.weighted(h.values).h(g)[1]
 
 
-def h_minus(m: FineMonoid, h: Weighting, g: Elt) -> int:
-    hg, hp, _ = m.index.weighted(h.values).h(g)
-    return hp - hg
-
-
 def h_abs(m: FineMonoid, h: Weighting, g: Elt) -> int:
     return m.index.weighted(h.values).h(g)[2]
 

@@ -98,6 +98,14 @@ def cone_member(rays, target):
     return cone.simplex_feasible([[r[i] for r in rays] for i in range(len(target))], target)
 
 
+def quotient_hom(m, sub):
+    """The projection M -> M/N for N generated by sub: the image of M in
+    gp / N^gp, by `group_quotient`."""
+    q, project = group_quotient(m.gp, list(sub))
+    images = tuple(project(g) for g in m.generators)
+    return mc.MonoidHom(m, mc.FineMonoid(q, images), images)
+
+
 def quotient_route_weighting(m):
     """The default weighting of m by the quotient route, for any monoid:
     M/M* by `group_quotient`, the LP on the quotient's generator vectors,

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from logmonoid import log_connection as lc
 from logmonoid import weighted_series as ws
-from logmonoid.monoid_core import face_quotient_group, is_semi_saturated
+from logmonoid.abelian import group_quotient
+from logmonoid.monoid_core import is_semi_saturated
 from logmonoid.errors import DenominatorVanishes, ZeroProjection
 from logmonoid.qlin import INF, inverse_over_lcm, padic_valuation, qmat, qmat_mul, qsolve, qvec
 
@@ -283,7 +284,7 @@ def check_sd(sigma):
 
 
 def face_projection(m, face):
-    q, project = face_quotient_group(m, face)
+    q, project = group_quotient(m.gp, face.generators())
     d = m.gp.free_rank
     return tuple(tuple(Fraction(project(m.gp.element(tuple(int(x == k) for x in range(d))))[0][i]) for k in range(d))
                  for i in range(q.free_rank))

@@ -1,8 +1,8 @@
 """The facet layer of `cone`: faces, facets, units and cone membership read
 from one double description, against the subset-LP enumeration they
-replace, on a seeded grid of monoids of cone rank 0 and 2-4; verticality
-and surjectivity of seeded homomorphisms into that grid, against the
-bounded searches they replace and the oracle."""
+replace, on a seeded grid of monoids of cone rank 0 and 2-4; surjectivity
+of seeded homomorphisms into that grid, against the bounded search it
+replaces and the oracle."""
 
 import itertools
 import math
@@ -260,23 +260,6 @@ def _sums(gens, gp, count):
         yield from sorted(frontier)
 
 
-def _searched_vertical(f, bound=6):
-    """The bounded search is_vertical made before the facet criterion: True
-    when a sum of at most `bound` images dominates every target generator,
-    False when for some generator m the rational relaxation m + M ni f(n)
-    is infeasible, None otherwise."""
-    m = f.target
-    rays = [im[0] for im in f.images] + [tuple(-v for v in g[0]) for g in m.generators]
-    undecided = False
-    for tgt in m.generators:
-        if any(mc.divides(m, tgt, x) for x in _sums(f.images, m.gp, bound)):
-            continue
-        if cone_member(rays, tgt[0]) is None:
-            return False
-        undecided = True
-    return None if undecided else True
-
-
 def _searched_onto(f, bound=8):
     """The bounded surjectivity search section made before membership in the
     image submonoid: every target generator is a sum of at most `bound`
@@ -320,19 +303,13 @@ HOM_SEED = GRID_SEED + 2
 
 
 def test_homs_into_the_grid_match_the_old_searches_and_the_oracle():
-    """is_vertical equals the old bounded search wherever it decided, and
-    section's surjectivity equals the old search and the oracle's membership
-    of each target generator in the image submonoid."""
-    seen = {"vertical": set(), "undecided": 0, "onto": set(), "oracle": 0, "torsion": 0, "units": 0}
+    """section's surjectivity equals the old bounded search and the oracle's
+    membership of each target generator in the image submonoid."""
+    seen = {"onto": set(), "oracle": 0, "torsion": 0, "units": 0}
     for case, (kind, m) in enumerate(GRID):
         rng = random.Random(HOM_SEED + case)
         for f in _homs(rng, m):
             where = (case, kind, f.images)
-            vertical = mc.is_vertical(f)
-            old = _searched_vertical(f)
-            assert vertical in (True, False) and old in (vertical, None), where
-            seen["vertical"].add(vertical)
-            seen["undecided"] += old is None
             if m.gp.torsion_invariants:
                 with pytest.raises(TorsionTarget):
                     mc.section(f)
@@ -350,24 +327,20 @@ def test_homs_into_the_grid_match_the_old_searches_and_the_oracle():
                 seen["oracle"] += 1
             else:
                 seen["units"] += 1
-    assert seen["vertical"] == seen["onto"] == {True, False}
-    assert min(seen["undecided"], seen["oracle"], seen["torsion"], seen["units"]) > 0, seen
+    assert seen["onto"] == {True, False}
+    assert min(seen["oracle"], seen["torsion"], seen["units"]) > 0, seen
 
 
 def test_vertical_and_onto_past_the_old_search_bounds():
     """N -> <1, 9>: 9 is a sum of 9 images, past the old searches' bounds
-    (section raised NotSurjective, is_vertical gave None).  The hom from the
-    trivial monoid is vertical exactly onto a group."""
+    (section raised NotSurjective).  The hom from the trivial monoid is onto
+    the trivial monoid only."""
     m, _ = mc.from_embedded([[1], [9]])
     f = mc.MonoidHom(mc.free_monoid(1), m, (m.element((1,)),))
-    assert mc.is_vertical(f) is True and _searched_vertical(f) is None
     sd = mc.section(f)
     assert sd.kernel.free_rank == 0 and sd.section.images == m.generators
     assert _oracle_onto(f) and not _searched_onto(f)
     trivial = mc.free_monoid(0)
-    finite_group = next(g for kind, g in GRID if kind == "rank0")
-    for target, vertical in ((m, False), (trivial, True), (finite_group, True)):
-        assert mc.is_vertical(mc.MonoidHom(trivial, target, ())) is vertical
     with pytest.raises(NotSurjective):
         mc.section(mc.MonoidHom(trivial, m, ()))
     assert mc.section(mc.MonoidHom(trivial, trivial, ())).kernel.free_rank == 0

@@ -1,4 +1,4 @@
-"""Structure theory of fine monoids: presentations, faces, quotients,
+"""Structure theory of fine monoids: presentations, faces, units,
 sections, semi-saturatedness."""
 
 import random
@@ -10,8 +10,10 @@ from logmonoid import cone
 from logmonoid import monoid_core as mc
 from logmonoid import selftest
 from logmonoid import snf
-from logmonoid.abelian import AbelianGroup, GroupSpan
+from logmonoid.abelian import AbelianGroup
 from logmonoid.errors import CertificationFailed, NotSubmonoid, NotSurjective, TorsionTarget
+
+from conftest import quotient_hom
 
 
 # -- constructors -----------------------------------------------------------
@@ -95,39 +97,11 @@ def test_divides_examples(n2, m_even):
 
 def test_units_sharp_cases(n2, z_monoid):
     assert mc.units(n2) == []
-    q, _ = mc.sharp_quotient(n2)
+    q, _ = n2.index.sharp
     assert q.generators == n2.generators
     assert mc.units(z_monoid) != []
-    qz, _ = mc.sharp_quotient(z_monoid)
+    qz, _ = z_monoid.index.sharp
     assert qz.gp.free_rank == 0 and all(qz.gp.is_zero(g) for g in qz.generators)
-
-
-def test_localize_n2_along_axis(n2):
-    face = next(
-        f for f in mc.faces(n2)
-        if len(f.generator_indices) == 1 and 0 in f.generator_indices
-    )
-    loc = mc.localize(n2, face)
-    e1 = loc.element((1, 0))
-    assert mc.membership(loc, loc.gp.neg(e1))
-    assert e1 in [u for u in mc.units(loc)] or loc.gp.neg(e1) in mc.units(loc)
-    q, _ = mc.sharp_quotient(loc)
-    assert q.gp.free_rank == 1  # quotient isomorphic to N
-
-
-def test_localize_trivial_face(n2):
-    trivial = next(f for f in mc.faces(n2) if not f.generator_indices)
-    loc = mc.localize(n2, trivial)
-    assert loc.generators == n2.generators
-
-
-def test_localize_m_even_facet(m_even):
-    f = next(f for f in mc.facets(m_even) if 0 in f.generator_indices)
-    loc = mc.localize(m_even, f)
-    g1 = m_even.generators[0]
-    assert mc.membership(loc, loc.gp.neg(g1))
-    q, _ = mc.sharp_quotient(loc)
-    assert q.gp.free_rank == 1 and not q.gp.torsion_invariants
 
 
 # -- faces -------------------------------------------------------------------
@@ -179,69 +153,6 @@ def test_faces_collinear_generators():
     assert mc.membership(sat, witness)
 
 
-# -- quotients ----------------------------------------------------------------
-
-def test_quotient_m_even_by_facet(m_even):
-    g1, g2, g3 = m_even.generators
-    q, proj = mc.quotient(m_even, [g3])
-    assert q.gp.free_rank == 1 and not q.gp.torsion_invariants
-    assert q.gp.is_zero(proj(g3))
-    # (2,0) = 2*(1,1) modulo (0,2)
-    assert proj(g1) == q.gp.scale(2, proj(g2))
-
-
-def test_quotient_by_self_is_trivial(m_even):
-    q, _ = mc.quotient(m_even, list(m_even.generators))
-    assert q.gp.free_rank == 0 and not q.gp.torsion_invariants
-
-
-def test_quotient_by_zero_is_identity(torsion_monoid):
-    m = torsion_monoid
-    q, proj = mc.quotient(m, [m.gp.zero()])
-    assert q.gp.free_rank == m.gp.free_rank
-    assert q.gp.torsion_invariants == m.gp.torsion_invariants
-
-
-def test_quotient_rejects_non_elements(n2):
-    with pytest.raises(NotSubmonoid):
-        mc.quotient(n2, [n2.element((-1, 0))])
-
-
-def _lattices_equal(l1, l2, k):
-    """Two generating sets span the same sublattice of Z^k."""
-    if not l1 and not l2:
-        return True
-    a1 = snf.SmithForm(snf.as_matrix([[row[i] for row in l1] for i in range(k)])) if l1 else None
-    a2 = snf.SmithForm(snf.as_matrix([[row[i] for row in l2] for i in range(k)])) if l2 else None
-    for v in l2:
-        if a1 is None or a1.solve(v) is None:
-            return False
-    for v in l1:
-        if a2 is None or a2.solve(v) is None:
-            return False
-    return True
-
-
-def test_quotient_composition(m_even, n2):
-    """(M/N1)/image(N2) = M/(N1+N2) as quotients of the common gp."""
-    cases = [
-        (n2, [n2.element((1, 0))], [n2.element((0, 1))]),
-        (m_even, [m_even.generators[0]], [m_even.generators[2]]),
-        (m_even, [m_even.generators[1]], [m_even.generators[1]]),
-    ]
-    for m, sub1, sub2 in cases:
-        q1, proj1 = mc.quotient(m, sub1)
-        q12, _ = mc.quotient(q1, [proj1(x) for x in sub2])
-        direct, _ = mc.quotient(m, sub1 + sub2)
-        assert q12.gp.free_rank == direct.gp.free_rank
-        assert q12.gp.torsion_invariants == direct.gp.torsion_invariants
-        # same kernel: the generator relation lattices agree
-        k = len(m.generators)
-        l1 = GroupSpan(q12.gp, q12.generators).relations()
-        l2 = GroupSpan(direct.gp, direct.generators).relations()
-        assert _lattices_equal(l1, l2, k)
-
-
 # -- semi-saturatedness --------------------------------------------------------
 
 def test_semi_saturated_suite(n1, nm1, m_even, torsion_monoid):
@@ -261,7 +172,7 @@ def test_prop_1_2_properties(n1, n2, nm1, m_even, torsion_monoid):
             assert not m.gp.torsion_invariants  # sharp semi-saturated: torsion-free gp
         if mc.is_semi_saturated(m):
             for f in mc.faces(m):
-                q, _ = mc.quotient(m, f.generators())
+                q = quotient_hom(m, f.generators()).target
                 assert mc.is_semi_saturated(q)  # quotients stay semi-saturated
 
 
@@ -329,7 +240,6 @@ def test_section_onto_the_trivial_monoid(n2):
     f = mc.MonoidHom(n2, trivial, (trivial.gp.zero(),) * 2)
     sd = mc.section(f)
     assert sd.kernel.free_rank == 2 and sd.ntilde.gp == n2.gp
-    assert mc.is_vertical(f) is True
 
 
 def test_section_takes_one_smith_form_per_matrix(monkeypatch, n2, n3, m_even):
@@ -426,27 +336,3 @@ def test_section_rejects_torsion_target(torsion_monoid, n2):
     with pytest.raises(TorsionTarget):
         mc.section(f)
 
-
-# -- verticality ----------------------------------------------------------------------
-
-def test_vertical_diagonal(n1, n2):
-    f = mc.MonoidHom(n1, n2, (n2.element((1, 1)),))
-    assert mc.is_vertical(f) is True
-
-
-def test_vertical_from_trivial(n1):
-    trivial = mc.FineMonoid(mc.AbelianGroup(0, ()), ())
-    f = mc.MonoidHom(trivial, n1, ())
-    assert mc.is_vertical(f) is False
-
-
-def test_vertical_identity(n2):
-    f = mc.MonoidHom(n2, n2, n2.generators)
-    assert mc.is_vertical(f) is True
-
-
-def test_vertical_cone_certificate(n1, n2):
-    # 1 |-> (1, 0): the facet normal (0, 1) vanishes on the image, so (0, 1)
-    # is never dominated
-    f = mc.MonoidHom(n1, n2, (n2.element((1, 0)),))
-    assert mc.is_vertical(f) is False

@@ -14,7 +14,7 @@ from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
 from logmonoid import selftest
 from logmonoid import weighted_series as ws
-from logmonoid.errors import HypothesisError, IrrationalExponent, NIViolated, NotIntegrable
+from logmonoid.errors import HypothesisError, IrrationalExponent, NIViolated, NonCommutingResidues, NotIntegrable
 
 F = Fraction
 # rational eigenvalues; 1/2 and 3/2 differ by an integer, so a few models break NI
@@ -93,10 +93,12 @@ def test_the_shear_succeeds_iff_the_module_is_integrable():
     hypotheses (sharp, commuting residues, rational eigenvalues, NI) the
     shear succeeds iff `integrability_defect` is None, and raises
     `NotIntegrable` otherwise, a base-bracket defect included; unipotence
-    raises what the shear raises on every non-constant module."""
+    raises what the shear raises, on constant modules too, where
+    non-commuting residues stay `NonCommutingResidues`."""
     rng = random.Random(41)
     monoids = [mc.free_monoid(2), mc.free_monoid(3), selftest._m_even()]
     seen: Counter = Counter()
+    constants: Counter = Counter()  # (defect kind, unipotence outcome) of the constant modules
     for case in range(200):
         full, how = _planted(rng, case, monoids)
         for t in range(1, full.truncation + 1):
@@ -109,11 +111,14 @@ def test_the_shear_succeeds_iff_the_module_is_integrable():
             if raised in (NIViolated, IrrationalExponent):  # a hypothesis before integrability
                 continue
             assert raised is (None if defect is None else NotIntegrable), (case, t, defect)
-            if not lc.smat_is_constant_all(e):
-                zero = tuple(F(0) for _ in range(e.monoid.gp.free_rank))
-                face = mc.faces(e.monoid)[-1]
-                unipotent = _outcome(lambda: lc.is_sigma_unipotent(e, lc.ExponentSet(e.monoid, (zero,)), face))
-                assert unipotent is raised, (case, t)
+            zero = tuple(F(0) for _ in range(e.monoid.gp.free_rank))
+            face = mc.faces(e.monoid)[-1]
+            unipotent = _outcome(lambda: lc.is_sigma_unipotent(e, lc.ExponentSet(e.monoid, (zero,)), face))
+            constant = lc.smat_is_constant_all(e)
+            # a constant module's residue analysis runs first and keeps its own class
+            assert unipotent is (NonCommutingResidues if constant and kind == "residues" else raised), (case, t)
+            if constant:
+                constants[kind, unipotent and unipotent.__name__] += 1
     count = lambda pred: sum(v for k, v in seen.items() if pred(*k))  # noqa: E731
     assert count(lambda how, d, r: d == "connection" and r == "NotIntegrable") >= 100
     assert count(lambda how, d, r: d == "residues" and r == "NotIntegrable") >= 5
@@ -121,6 +126,7 @@ def test_the_shear_succeeds_iff_the_module_is_integrable():
     assert count(lambda how, d, r: how == "base_matrices" and d == "base" and r == "NotIntegrable") >= 20
     assert count(lambda how, d, r: d is None and r is None) >= 200
     assert count(lambda how, d, r: r == "NIViolated") >= 1
+    assert constants["base", "NotIntegrable"] >= 20 and constants[None, None] >= 100, constants
 
 
 def test_the_shear_runs_no_composition(monkeypatch):
@@ -136,3 +142,19 @@ def test_the_shear_runs_no_composition(monkeypatch):
     assert lc.shear(e).gauge_map[1] > 0
     with pytest.raises(AssertionError, match="compared"):
         lc.validate_integrability(e)
+
+
+def test_a_constant_module_with_a_base_defect_is_not_sigma_unipotent():
+    """Rank 2 over N, residue diag(0, 1/2), base matrix E_12, T = 3: the
+    base bracket [d + A, D] = [A, D] = -1/2 E_12 is nonzero, so unipotence,
+    along every face and against the module's own exponents, raises the
+    `NotIntegrable` the shear raises."""
+    n1 = mc.free_monoid(1)
+    e = selftest.build_module(n1, [{(0,): ((0, 0), (0, F(1, 2)))}], 2, 3, base_terms=[{(0,): ((0, 1), (0, 0))}])
+    assert lc.smat_is_constant_all(e) and e.integrability_defect == ("base", 0, 0, ((0,), ()))
+    with pytest.raises(NotIntegrable):
+        lc.shear(e)
+    own = lc.ExponentSet(n1, ((F(0),), (F(1, 2),)))
+    for face in mc.faces(n1):
+        with pytest.raises(NotIntegrable):
+            lc.is_sigma_unipotent(e, own, face)

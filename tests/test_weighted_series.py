@@ -65,7 +65,7 @@ def test_h_plus_n2(n2):
     h = ws.default_weighting(n2)
     g = n2.element((1, -1))
     assert ws.h_plus(n2, h, g) == 1  # y = (1, 0)
-    assert ws.h_minus(n2, h, g) == 1
+    assert ws.h_plus(n2, h, g) - h(g) == 1
     assert ws.h_abs(n2, h, g) == 2
 
 
@@ -73,7 +73,6 @@ def test_h_plus_on_monoid_elements(n2, m_even):
     for m in (n2, m_even):
         h = ws.default_weighting(m)
         for g in m.generators:
-            assert ws.h_minus(m, h, g) == 0
             assert ws.h_plus(m, h, g) == h(g)
 
 
@@ -82,11 +81,12 @@ def test_h_plus_m_even_coordinate_sum(m_even):
     g1, _, g3 = m_even.generators
     diff = m_even.gp.sub(g1, g3)  # ambient (2, -2)
     assert ws.h_plus(m_even, h, diff) == 2  # y = (2, 0)
-    assert ws.h_minus(m_even, h, diff) == 2
+    assert ws.h_plus(m_even, h, diff) - h(diff) == 2
 
 
 def test_h_identities_on_grid(n2, m_even):
-    """h- = h+ - h everywhere; bounded search equals the oracle for |h| <= 10."""
+    """|h| = h+ + h- = 2 h+ - h everywhere; bounded search equals the oracle
+    for |h| <= 10."""
     budget = orc.EnumerationBudget(10)
     for m in (n2, m_even):
         h = ws.default_weighting(m)
@@ -95,7 +95,7 @@ def test_h_identities_on_grid(n2, m_even):
             for y in ball:
                 g = m.gp.sub(x, y)
                 hp = ws.h_plus(m, h, g)
-                assert ws.h_minus(m, h, g) == hp - h(g)  # h- = h+ - h
+                assert ws.h_abs(m, h, g) == 2 * hp - h(g)
                 if ws.h_abs(m, h, g) <= 10:
                     assert hp == orc.brute_h_plus(m, g, budget)
 
@@ -139,7 +139,8 @@ def _ref_mul(m, h, x, y, t):
 
 def _ref_norm(m, h, x, t, qa, qb, p):
     """(min over terms of v_p(c) - qa h^-(k) + qb h^+(k), stale), term by term."""
-    vals = {k: padic_valuation(c, p) - qa * ws.h_minus(m, h, k) + qb * ws.h_plus(m, h, k) for k, c in x.items()}
+    vals = {k: padic_valuation(c, p) - qa * (ws.h_plus(m, h, k) - h(k)) + qb * ws.h_plus(m, h, k)
+            for k, c in x.items()}
     best = min(vals.values(), default=INF)
     return best, any(v == best and ws.h_abs(m, h, k) == t for k, v in vals.items())
 
