@@ -41,13 +41,13 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from numbers import Rational
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from . import snf as _snf
 from .qlin import QVector
+from .snf import primitive
 
 
 def simplex_feasible(
@@ -70,10 +70,10 @@ def simplex_feasible(
         ints = [sign * den // x.denominator * x.numerator for x in row] + [0] * (m + 1)
         ints[n + i] = den
         ints[total] = sign * den // rhs.denominator * rhs.numerator
-        tab.append(_primitive(ints))
+        tab.append(primitive(ints))
     # phase-1 objective: minimize the sum of artificials
     scale = math.lcm(*(row[n + i] for i, row in enumerate(tab)))
-    cost = _primitive([sum(scale // row[n + i] * row[j] for i, row in enumerate(tab)) for j in range(total + 1)])
+    cost = primitive([sum(scale // row[n + i] * row[j] for i, row in enumerate(tab)) for j in range(total + 1)])
     basis = list(range(n, total))
     while True:
         # Bland: first original variable with positive reduced cost
@@ -97,9 +97,9 @@ def simplex_feasible(
         for i, row in enumerate(tab):
             f = row[enter]
             if i != leave and f:
-                tab[i] = _primitive([p * x - f * y for x, y in zip(row, pivot)])
+                tab[i] = primitive([p * x - f * y for x, y in zip(row, pivot)])
         f = cost[enter]
-        cost = _primitive([p * x - f * y for x, y in zip(cost, pivot)])
+        cost = primitive([p * x - f * y for x, y in zip(cost, pivot)])
         basis[leave] = enter
     if cost[total]:
         return None
@@ -137,13 +137,6 @@ def support_functional(
     return tuple(sol[i] - sol[dim + i] for i in range(dim))
 
 
-def _primitive(v: Sequence[int]) -> tuple[int, ...]:
-    g = gcd(*v)
-    if g <= 1:
-        return tuple(v)
-    return tuple(x // g for x in v)
-
-
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
@@ -174,7 +167,7 @@ def _double_description(
 
             def onto(w):
                 t = _dot(a, w)
-                return _primitive([s * x - t * y for x, y in zip(w, pivot)])
+                return primitive([s * x - t * y for x, y in zip(w, pivot)])
 
             lines = [onto(line) for line in lines]
             rays = [onto(r) for r in rays] + [pivot]
@@ -192,7 +185,7 @@ def _double_description(
                 common = tight[p] & tight[n]
                 if any(t & common == common for j, t in enumerate(tight) if j != p and j != n):
                     continue
-                new_rays.append(_primitive([vp * x - vn * y for x, y in zip(rays[n], rays[p])]))
+                new_rays.append(primitive([vp * x - vn * y for x, y in zip(rays[n], rays[p])]))
                 new_tight.append(common | bit)
         rays, tight = new_rays, new_tight
     return rays, lines
@@ -235,12 +228,12 @@ class Cone:
         out, seen = [], set()
         everything = frozenset(range(len(self.vectors)))
         for i, v in enumerate(self.vectors):
-            ray = _primitive(v)
+            ray = primitive(v)
             if i in self.lineality or ray in seen:
                 continue
             seen.add(ray)
             smallest = everything.intersection(*(s for s in self.supports if i in s))
-            if all(j in self.lineality or _primitive(self.vectors[j]) == ray for j in smallest):
+            if all(j in self.lineality or primitive(self.vectors[j]) == ray for j in smallest):
                 out.append(i)
         return tuple(out)
 
@@ -287,7 +280,7 @@ def candidates(cone: Cone) -> Iterator[tuple[int, ...]]:
     is computed."""
     if not cone.extreme:
         return
-    prim = {i: _primitive(cone.vectors[i]) for i in cone.extreme}
+    prim = {i: primitive(cone.vectors[i]) for i in cone.extreme}
     yield from prim.values()
     for simplex in cone.triangulation():
         yield from itertools.islice(_parallelepiped_points([prim[i] for i in simplex]), 1, None)

@@ -42,7 +42,7 @@ def apply_ui(
     given as rationals (read by `qmat`).  The built module's residues must
     commute (`NonCommutingResidues`); a scalar twist does not change that."""
     n = len(constant_model[0]) if constant_model else 0
-    phi, dphi = embedding.rational_coords(qvec(xi_twist)) if xi_twist is not None else ((0,) * len(constant_model), 1)
+    phi, dphi = _phi(embedding, xi_twist) if xi_twist is not None else ((0,) * len(constant_model), 1)
     zero = embedding.monoid.gp.zero()
 
     def stored(a, shift: int = 0) -> CoefficientMap:
@@ -55,6 +55,12 @@ def apply_ui(
     e = LogNablaModule(n, embedding, weighting, truncation, mats, base, interval_kind)
     e.residues  # noqa: B018 -- reading the residues checks that they commute
     return e
+
+
+def _phi(embedding: Embedding, xi: QVector) -> tuple[tuple[int, ...], int]:
+    """phi(xi) as integers over the least common denominator of xi."""
+    (v,), den = over_lcm([qvec(xi)])
+    return embedding.phi.rational(v, den)
 
 
 def gauge_transform(e: LogNablaModule, b: CoefficientMap, b_inv: CoefficientMap) -> LogNablaModule:
@@ -73,8 +79,8 @@ def twist_reduce(embedding: Embedding, xi: QVector) -> tuple[QVector, Elt]:
     The unique integer candidate is floor(phi(xi)) componentwise; the shift is
     applied only when that candidate lies in phi(M^gp)."""
     xi = qvec(xi)
-    phi_xi, den = embedding.rational_coords(xi)
-    y, dy = embedding.inverse_coords([x // den for x in phi_xi])
+    phi_xi, den = _phi(embedding, xi)
+    y, dy = embedding.phi.inverse.rational([x // den for x in phi_xi])
     if all(c % dy == 0 for c in y):
         shift = tuple(c // dy for c in y)
         return tuple(a - b for a, b in zip(xi, shift)), embedding.monoid.gp.element(shift)
@@ -269,7 +275,7 @@ def homotopy_check(
 ) -> HomotopyReport:
     """residual of nabla_F phi + phi nabla_F - (id - g1 g2) on each test form
     for F = C_{xi' - xi}; identically zero when the denominators are nonzero."""
-    phi, den = embedding.rational_coords(tuple(a - b for a, b in zip(qvec(xi_prime), qvec(xi))))
+    phi, den = _phi(embedding, tuple(a - b for a, b in zip(qvec(xi_prime), qvec(xi))))
     delta = tuple(Fraction(x, den) for x in phi)
     gp = embedding.monoid.gp
     residuals = []

@@ -4,7 +4,7 @@ Monoids come in two forms: a presentation {"generators": n, "relations":
 [[[u...],[v...]], ...]} whose gp elements are written in the normalized
 coordinates, or {"embedded_generators": [[int,...], ...]} whose elements
 are written in the ambient coordinates Z^k and read through the section's
-`monoid_core.AmbientMap`, one integer map computed with the monoid
+`snf.LatticeMap` that `monoid_core.from_embedded` computes with the monoid
 (reports carry both coordinate systems).  An embedded monoid has a
 torsion-free group, so its "torsion" field, if given, is empty; torsion
 needs a presentation.
@@ -43,7 +43,8 @@ if TYPE_CHECKING:
     from .abelian import Elt
     from .coefficient_maps import Radius
     from .log_connection import Embedding, ExponentSet, LogNablaModule
-    from .monoid_core import AmbientMap, FineMonoid, Weighting
+    from .monoid_core import FineMonoid, Weighting
+    from .snf import LatticeMap
 
 
 # How many analysed monoid sections stay cached.
@@ -148,9 +149,9 @@ class MonoidContext(NamedTuple):
     monoid: FineMonoid
     weighting: Weighting
     ambient_generators: Optional[tuple[tuple[int, ...], ...]]
-    # for embedded monoids, ambient -> gp and its lift as integer rows
-    # computed with the monoid; None for presented monoids
-    ambient: Optional[AmbientMap]
+    # for embedded monoids, ambient -> gp computed with the monoid (its
+    # inverse is the lift gp -> ambient); None for presented monoids
+    ambient: Optional[LatticeMap]
 
     def parse_element(self, obj) -> Elt:
         return self.element(_read_element(obj, self.ambient is not None))
@@ -159,20 +160,24 @@ class MonoidContext(NamedTuple):
         """The gp element of read (free, torsion) fields (`_read_element`);
         an embedded monoid's through `_converted`."""
         try:
-            return self.monoid.gp.element(*x) if self.ambient is None else _converted(self.ambient, x)
+            if self.ambient is None:
+                return self.monoid.gp.element(*x)
+            if len(x[0]) != len(self.ambient_generators[0]):
+                raise ValueError("element has wrong shape for this group")
+            return _converted(self.ambient, x[0])
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
 
     def render_element(self, g: Elt) -> dict:
         out = {"free": list(g[0]), "torsion": list(g[1])}
         if self.ambient is not None:
-            out["ambient"] = [sum(map(mul, row, g[0])) for row in self.ambient.lift]
+            out["ambient"] = list(self.ambient.inverse(g[0]))
         return out
 
     def parse_exponent_vector(self, obj) -> tuple[Fraction, ...]:
         """A rational vector in M^gp tensor Q; ambient coordinates for
-        embedded monoids (torsion dies after tensoring), which lie in it iff
-        every check row is orthogonal to them and map to rows * v / den."""
+        embedded monoids (torsion dies after tensoring), read by the
+        ambient map's `rational`."""
         parts = [_rational_parts(x) for x in obj]
         d = self.monoid.gp.free_rank
         if self.ambient is None:
@@ -183,9 +188,10 @@ class MonoidContext(NamedTuple):
         if len(parts) != dim:
             raise ParseError(f"exponent vector must have ambient length {dim}")
         (vec,), dv = _numerators([parts])
-        if any(sum(map(mul, row, vec)) for row in self.ambient.checks):
+        image = self.ambient.rational(vec, dv)
+        if image is None:
             raise ParseError("exponent vector outside M^gp tensor Q")
-        return tuple(Fraction(sum(map(mul, row, vec)), self.ambient.den * dv) for row in self.ambient.rows)
+        return tuple(Fraction(x, image[1]) for x in image[0])
 
 
 def _read_element(obj, embedded: bool) -> tuple:
@@ -243,7 +249,7 @@ def _build_monoid(section: tuple, weights: Optional[tuple]) -> MonoidContext:
 @lru_cache(maxsize=SECTION_CACHE_SIZE)
 def _monoid_section(n: Optional[int], relations: tuple, vectors: Optional[tuple]) -> tuple:
     """The analysed monoid of validated fields, a presentation (n, relations)
-    or embedded generators (vectors), with its `AmbientMap`, or None for a
+    or embedded generators (vectors), with its ambient map, or None for a
     presentation.  Every entry of the monoid's index is a function of the
     monoid alone, so documents sharing it get the answers a fresh one would
     give; a section that fails is not cached."""
@@ -261,12 +267,15 @@ def _monoid_section(n: Optional[int], relations: tuple, vectors: Optional[tuple]
 
 
 @lru_cache(maxsize=MONOMIAL_CACHE_SIZE)
-def _converted(ambient: AmbientMap, x: tuple) -> Elt:
-    """ambient(x) for an embedded section's map and a validated (free,
-    torsion) pair: each distinct monomial is converted once.  Keyed by the
+def _converted(ambient: LatticeMap, free: tuple) -> Elt:
+    """The gp element of validated ambient coordinates under an embedded
+    section's map: each distinct monomial is converted once.  Keyed by the
     map, a value, so equal sections share their entries however often
     they are rebuilt."""
-    return ambient(x)
+    image = ambient(free)
+    if image is None:
+        raise ValueError("element lies outside the group generated by the monoid")
+    return image, ()
 
 
 def clear_caches() -> None:
@@ -292,6 +301,7 @@ def _embedding(ctx: MonoidContext, rows: Optional[tuple]) -> Embedding:
     """The embedding with these validated rows, or the facet embedding when
     rows is None."""
     from .log_connection import Embedding, facet_embedding
+    from .snf import identity
 
     if rows is None:
         return facet_embedding(ctx.monoid)
@@ -305,7 +315,7 @@ def _embedding(ctx: MonoidContext, rows: Optional[tuple]) -> Embedding:
         if any(len(row) != dim for row in rows):
             raise ParseError(f"embedding rows must have ambient length {dim}")
         # a functional on the ambient coordinates, read on gp through gp -> ambient
-        basis = list(zip(*ctx.ambient.lift))
+        basis = [ctx.ambient.inverse(e) for e in identity(d)]
         out_rows = [tuple(sum(map(mul, row, amb)) for amb in basis) for row in rows]
     try:
         return Embedding(ctx.monoid, tuple(out_rows))

@@ -48,10 +48,10 @@ from .errors import (
 )
 from .monoid_core import Face, FineMonoid, Weighting, is_semi_saturated, is_sharp, membership
 from .qlin import (
-    QMatrix, QVector, commutator_rows, eigenbasis_sylvester, int_charpoly, integer_roots, inverse_over_lcm,
-    nullspace_over_lcm, over_lcm, padic_valuation, qrank, sylvester_solve, sylvester_solver,
+    QMatrix, QVector, commutator_rows, eigenbasis_sylvester, int_charpoly, integer_roots, nullspace_over_lcm,
+    over_lcm, padic_valuation, qrank, solve_map, sylvester_solve, sylvester_solver,
 )
-from .snf import IntMatrix, identity, mat_mul, mat_vec
+from .snf import IntMatrix, LatticeMap, identity, mat_mul
 
 if TYPE_CHECKING:
     from .weighted_series import SeriesMatrix
@@ -77,7 +77,7 @@ class _EmbeddingFields(NamedTuple):
 
 
 class Embedding(_EmbeddingFields):
-    # no __slots__: the instance dict holds the cached inverse
+    # no __slots__: the instance dict holds the cached phi
 
     _make = checked_make
 
@@ -87,7 +87,7 @@ class Embedding(_EmbeddingFields):
         r = len(self.matrix)
         if any(len(row) != d for row in self.matrix):
             raise ValueError("embedding rows must have length free_rank")
-        if r != d or self.inverse is None:
+        if r != d or self.phi.inverse.checks:
             raise ValueError("embedding must be a rational isomorphism (square, invertible)")
         for g in self.monoid.generators:
             if any(c < 0 for c in self.coords(g)):
@@ -101,20 +101,11 @@ class Embedding(_EmbeddingFields):
     def coords(self, g: Elt) -> tuple[int, ...]:
         return tuple(sum(row[k] * g[0][k] for k in range(len(row))) for row in self.matrix)
 
-    def rational_coords(self, xi: QVector) -> tuple[tuple[int, ...], int]:
-        """phi(xi) as integers over the least common denominator of xi."""
-        (v,), den = over_lcm([xi])
-        return mat_vec(self.matrix, v), den
-
     @cached_property
-    def inverse(self) -> Optional[RatMatrix]:
-        """The rational inverse of the matrix, or None if it is singular."""
-        return inverse_over_lcm(self.matrix)
-
-    def inverse_coords(self, v: Sequence[int], den: int = 1) -> tuple[tuple[int, ...], int]:
-        """phi^-1(v / den) as integers over one denominator."""
-        rows, d = self.inverse
-        return mat_vec(rows, v), d * den
+    def phi(self) -> LatticeMap:
+        """The matrix as a lattice map over 1 with no checks; its `inverse`
+        is phi^-1, with checks exactly when the matrix is singular."""
+        return LatticeMap(self.matrix, 1, ())
 
 
 def _facet_rows(m: FineMonoid) -> list[tuple[int, ...]]:
@@ -351,7 +342,7 @@ class LogNablaModule(_LogNablaModuleFields):
         eigentuples, exps = [], []
         for eigs, _ in self.joint_blocks:
             eigentuples.append(tuple(Fraction(y, d) for y, d in zip(eigs, dens)))
-            xi, dxi = self.embedding.inverse_coords([y * (den // d) for y, d in zip(eigs, dens)], den)
+            xi, dxi = self.embedding.phi.inverse.rational([y * (den // d) for y, d in zip(eigs, dens)], den)
             exps.append(tuple(Fraction(x, dxi) for x in xi))
         blocks = tuple(basis for _, basis in self.joint_blocks)
         return ResidueDecomposition(self.rank, tuple(eigentuples), tuple(exps), blocks)
@@ -607,7 +598,7 @@ def _eigenbasis_data(a: RatMatrix, spectrum: list) -> tuple:
         cols += [[x * (den // vden) for x in v] for v in vecs]
         eigs += [y] * len(vecs)
     p = tuple(zip(*cols))
-    pinv, dinv = inverse_over_lcm(p)
+    pinv, dinv, _ = solve_map(p)
     conj = mat_mul(mat_mul(pinv, b), p)
     nil = tuple(tuple(x - eigs[i] * dinv * (i == j) for j, x in enumerate(row)) for i, row in enumerate(conj))
     return eigs, (p, den), (tuple(tuple(x * den for x in row) for row in pinv), dinv), (nil, dinv * d)

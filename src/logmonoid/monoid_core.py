@@ -30,7 +30,7 @@ from .errors import (
     TorsionTarget,
     checked_make,
 )
-from .qlin import inverse_over_lcm, over_lcm, qsolve
+from .qlin import over_lcm, qsolve
 
 
 class FineMonoid:
@@ -152,50 +152,16 @@ def from_presentation(generator_count: int, relations: Sequence[tuple[Sequence[i
     return FineMonoid(g, gens)
 
 
-class _AmbientMapFields(NamedTuple):
-    ambient: AbelianGroup
-    rows: _snf.IntMatrix
-    den: int
-    checks: _snf.IntMatrix
-
-
-class AmbientMap(_AmbientMapFields):
-    """Z^k -> M^gp on the lattice L that a monoid's generators span in Z^k,
-    as integers computed once (`from_embedded`): b lies in L iff checks b =
-    0 and den divides rows b, and then maps to (rows b / den, ()).  A
-    rational b passing the checks maps to rows b / den in M^gp tensor Q.
-    `lift` is the inverse, M^gp -> L."""
-
-    # no __slots__: the instance dict holds the cached lift
-
-    def __call__(self, x) -> Elt:
-        """The gp element of an ambient element, a (free, torsion) pair or a
-        plain vector; ValueError outside L."""
-        pair = isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], tuple)
-        b = (self.ambient.element(*x) if pair else self.ambient.element(x))[0]
-        image = _snf.apply_solution_map(self.rows, self.den, self.checks, b)
-        if image is None:
-            raise ValueError("element lies outside the group generated by the monoid")
-        return image, ()
-
-    @cached_property
-    def lift(self) -> _snf.IntMatrix:
-        """M^gp -> Z^k as integer rows, one per ambient coordinate: column j
-        is den times column j of the inverse of the rows stacked on the
-        checks, the point of L that maps to the j-th basis vector."""
-        inverse, d = inverse_over_lcm(self.rows + self.checks)
-        return tuple(tuple(self.den * x // d for x in row[:len(self.rows)]) for row in inverse)
-
-
-def from_embedded(vectors: Sequence[Sequence[int]]) -> tuple[FineMonoid, AmbientMap]:
+def from_embedded(vectors: Sequence[Sequence[int]]) -> tuple[FineMonoid, _snf.LatticeMap]:
     """Monoid generated by integer vectors inside Z^k; a group with torsion
     needs a presentation (`from_presentation`).
 
-    Returns the monoid and the `AmbientMap` of the lattice L the vectors
-    span: the solution map (rows, den, checks) of the ambient generators'
-    Smith form (`snf.SmithForm.solution_map`) reads b in L as generator
-    coefficients rows b / den, which the quotient map's rows q send to gp.
-    So the map is (q rows, den, checks).
+    Returns the monoid and its ambient coordinates Z^k -> M^gp, the
+    `snf.LatticeMap` defined on the lattice L the vectors span: the solution
+    map (rows, den, checks) of the ambient generators' Smith form reads b in
+    L as generator coefficients rows b / den, which the quotient map's rows
+    q send to gp.  So the map is (q rows, den, checks), an ambient b in L
+    maps to (map(b), ()), and the map's `inverse` is M^gp -> L.
     """
     if not vectors:
         raise ValueError("at least one generator required")
@@ -205,7 +171,7 @@ def from_embedded(vectors: Sequence[Sequence[int]]) -> tuple[FineMonoid, Ambient
     g, qmap = quotient_presented(count, span.relations())
     gens = tuple(qmap(tuple(1 if i == j else 0 for i in range(count))) for j in range(count))
     rows, den, checks = span.smith.solution_map
-    return FineMonoid(g, gens), AmbientMap(ambient, _snf.mat_mul(qmap.rows, rows), den, checks)
+    return FineMonoid(g, gens), _snf.LatticeMap(_snf.mat_mul(qmap.rows, rows), den, checks)
 
 
 def free_monoid(n: int) -> FineMonoid:

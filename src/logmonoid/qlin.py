@@ -3,10 +3,10 @@
 A rational matrix is held as integer rows over one positive denominator
 (`over_lcm` reads Fractions onto that form).  Every solve, rank, inverse and
 null space runs one integer elimination (`_gauss`) whose reduced row echelon
-form, being unique, fixes the answer; `solve_map`, its square case
-`inverse_over_lcm`, and `nullspace_over_lcm` return integer rows over one
-denominator, and only `qmat`, `qvec`, `qsolve` and `qmat_mul`, whose
-callers read rationals, build Fractions.  A X - X A + m X = R is solved in
+form, being unique, fixes the answer; `solve_map` (an `snf.LatticeMap`,
+an inverse when a is invertible) and `nullspace_over_lcm` return integer
+rows over one denominator, and only `qmat`, `qvec`, `qsolve` and
+`qmat_mul`, whose callers read rationals, build Fractions.  A X - X A + m X = R is solved in
 A's eigenbasis by integer mat-vecs, with no elimination
 (`sylvester_solver`).  Also the characteristic polynomial and integer roots
 of the spectral layer, and the p-adic valuation shared by the series and
@@ -20,6 +20,8 @@ import operator
 from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
+
+from .snf import LatticeMap, mat_vec, primitive
 
 QMatrix = tuple[tuple[Fraction, ...], ...]
 QVector = tuple[Fraction, ...]
@@ -54,12 +56,7 @@ def qmat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
     return tuple(tuple(Fraction(sum(map(operator.mul, row, col)), den) for col in cols) for row in ia)
 
 
-def _primitive(row: list[int]) -> list[int]:
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
-def _gauss(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], list[int]]:
+def _gauss(rows: Sequence[Sequence], ncols: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """Gauss-Jordan elimination of rows whose first ncols entries are the
     matrix (pivots are sought there) and the rest right-hand sides.
 
@@ -68,7 +65,7 @@ def _gauss(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], list[
     every other pivot column, and divided by its entry at pivots[i] it is
     row i of the reduced row echelon form; the later rows are zero on the
     first ncols entries."""
-    m = [_primitive(row) for row in over_lcm(rows)[0]]
+    m = [primitive(row) for row in over_lcm(rows)[0]]
     nrows = len(m)
     pivots: list[int] = []
     row = 0
@@ -82,7 +79,7 @@ def _gauss(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], list[
             if i != row and m[i][col]:
                 g = math.gcd(prow[col], m[i][col])
                 p, f = prow[col] // g, m[i][col] // g
-                m[i] = _primitive([p * x - f * y for x, y in zip(m[i], prow)])
+                m[i] = primitive([p * x - f * y for x, y in zip(m[i], prow)])
         pivots.append(col)
         row += 1
         if row == nrows:
@@ -111,19 +108,19 @@ def qsolve(a: Sequence[Sequence], b: Sequence) -> Optional[QVector]:
     return tuple(x)
 
 
-def solve_map(a: Sequence[Sequence]) -> tuple[list[list[int]], int, list[list[int]]]:
-    """(S, d, K) for the systems a*x = b: one is solvable iff K*b = 0, and
-    then S*b / d is the solution qsolve(a, b) returns, S integer rows over d,
-    the lcm of the pivots.  One elimination of [a | I] serves every b: its
-    rows are [R | E] with E*a = R, so E*b is the last column of the reduced
-    row echelon form of [a | b]."""
+def solve_map(a: Sequence[Sequence]) -> LatticeMap:
+    """The map b -> x for the systems a*x = b: one is solvable iff checks*b =
+    0, and then rows*b / den is the solution qsolve(a, b) returns, den the
+    lcm of the pivots (a's inverse when a is invertible).  One elimination
+    of [a | I] serves every b: its rows are [R | E] with E*a = R, so E*b is
+    the last column of the reduced row echelon form of [a | b]."""
     n, ncols = len(a), len(a[0]) if a else 0
     m, pivots = _gauss([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)], ncols)
     den = math.lcm(*(row[col] for row, col in zip(m, pivots)))
-    s = [[0] * n for _ in range(ncols)]
+    s = [(0,) * n] * ncols
     for row, col in zip(m, pivots):
-        s[col] = [x * (den // row[col]) for x in row[ncols:]]
-    return s, den, [row[ncols:] for row in m[len(pivots):]]
+        s[col] = tuple([x * (den // row[col]) for x in row[ncols:]])
+    return LatticeMap(tuple(s), den, tuple(row[ncols:] for row in m[len(pivots):]))
 
 
 def nullspace_over_lcm(a: Sequence[Sequence], ncols: int) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -140,13 +137,6 @@ def nullspace_over_lcm(a: Sequence[Sequence], ncols: int) -> tuple[tuple[tuple[i
             v[col] = -row[j] * (den // row[col])
         basis.append(tuple(v))
     return tuple(basis), den
-
-
-def inverse_over_lcm(a: Sequence[Sequence]) -> Optional[tuple[list[list[int]], int]]:
-    """(integer rows, d) with a^-1 = rows / d, or None if a is singular:
-    the square case of `solve_map`."""
-    s, den, checks = solve_map(a)
-    return None if checks else (s, den)
 
 
 def vec_rows(left: Sequence[Sequence[int]], right: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -183,21 +173,17 @@ def sylvester_solver(basis: tuple, divisors: Sequence[int]) -> Optional[tuple]:
     return into, ad, back, factors, den * lcm
 
 
-def _mat_vec(rows: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    return [sum(map(operator.mul, row, v)) for row in rows]
-
-
 def sylvester_solve(solver: tuple, rhs: tuple) -> tuple[list[int], int]:
     """X with A X - X A + m X = x / dx, rhs = (x, dx), as integers over a
     denominator: W = q x p, Y = sum_k factor_k ad(nil)^k W entrywise and
     X = p Y q / (den^2 dinv^(steps+1) L dx), steps + 1 mat-vecs."""
     (into, ad, back, factors, den), (x, dx) = solver, rhs
-    w = _mat_vec(into, x)
+    w = mat_vec(into, x)
     y = list(map(operator.mul, factors[0], w))
     for f in factors[1:]:
-        w = _mat_vec(ad, w)
+        w = mat_vec(ad, w)
         y = list(map(operator.add, y, map(operator.mul, f, w)))
-    return _mat_vec(back, y), den * dx
+    return mat_vec(back, y), den * dx
 
 
 def int_charpoly(b: Sequence[Sequence[int]]) -> list[int]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -28,7 +28,13 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def mat_vec(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(map(mul, row, v)) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
+
+
+def primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """v divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return tuple([x // g for x in v]) if g > 1 else tuple(v)
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -149,6 +155,48 @@ def cokernel_is_torsion_free(cols: Sequence[Sequence[int]]) -> bool:
     return True
 
 
+class _LatticeMapFields(NamedTuple):
+    rows: IntMatrix
+    den: int
+    checks: IntMatrix
+
+
+class LatticeMap(_LatticeMapFields):
+    """The exact integer map b -> rows b / den on {b : checks b = 0}: a
+    solution map (`SmithForm.solution_map`, `qlin.solve_map`), an embedded
+    monoid's ambient coordinates (`monoid_core.from_embedded`) or an
+    embedding phi (`log_connection.Embedding.phi`).  Only its methods apply it."""
+
+    # no __slots__: the instance dict holds the cached inverse
+
+    def __call__(self, b: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """rows b / den when checks b = 0 and den divides rows b, else None."""
+        if any(mat_vec(self.checks, b)):
+            return None
+        x = mat_vec(self.rows, b)
+        if any(y % self.den for y in x):
+            return None
+        return tuple(y // self.den for y in x)
+
+    def rational(self, b: Sequence[int], bden: int = 1) -> Optional[tuple[tuple[int, ...], int]]:
+        """The image of b / bden as (rows b, den bden) when checks b = 0, else None."""
+        if any(mat_vec(self.checks, b)):
+            return None
+        return mat_vec(self.rows, b), self.den * bden
+
+    @cached_property
+    def inverse(self) -> LatticeMap:
+        """y -> the b with rows b = den y and checks b = 0, from one solve of
+        the rows stacked on the checks (`qlin.solve_map`): rows den S[:, :n]
+        over the solve's d, checks K[:, :n].  When the stacked matrix has
+        full column rank, inverse(self(b)) = b on the lattice."""
+        from . import qlin
+
+        n = len(self.rows)
+        s, d, k = qlin.solve_map(self.rows + self.checks)
+        return LatticeMap(tuple(tuple(self.den * x for x in row[:n]) for row in s), d, tuple(row[:n] for row in k))
+
+
 class SmithForm:
     """The Smith form u*a*v = d of one matrix, kept to answer many solves:
     the one reader of `smith_normal_form`.  A matrix with no rows or no
@@ -166,9 +214,9 @@ class SmithForm:
         self.rank = sum(1 for x in self.diagonal if x != 0)
 
     @cached_property
-    def solution_map(self) -> tuple[IntMatrix, int, IntMatrix]:
-        """(rows, den, checks) for the systems a*x = b: with r the rank and
-        den = lcm(d_1..d_r), rows = v[:, :r] diag(den / d_i) u[:r] and checks =
+    def solution_map(self) -> LatticeMap:
+        """The map b -> x for the systems a*x = b: with r the rank and den =
+        lcm(d_1..d_r), rows = v[:, :r] diag(den / d_i) u[:r] and checks =
         u[r:].  a*x = b is solvable iff checks*b = 0 and den divides rows*b
         (v is unimodular, so den | rows*b iff every Smith coordinate
         (u b)_i / d_i is an integer), and rows*b / den is then the solution
@@ -181,25 +229,15 @@ class SmithForm:
             rows = mat_mul(tuple(row[:r] for row in self.v), scaled)
         else:
             rows = ((0,) * len(self.u),) * self.cols
-        return rows, den, self.u[r:]
+        return LatticeMap(rows, den, self.u[r:])
 
     def solve(self, b: Sequence[int]) -> Optional[tuple[int, ...]]:
         """A particular integer solution x of a*x = b, or None: the one with
         zero Smith coordinates past the rank (`solution_map`)."""
-        return apply_solution_map(*self.solution_map, b)
+        return self.solution_map(b)
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Basis of the integer kernel {x : a*x = 0} (columns of v past the rank)."""
         return [
             tuple(self.v[i][j] for i in range(self.cols)) for j in range(self.rank, self.cols)
         ]
-
-
-def apply_solution_map(rows: IntMatrix, den: int, checks: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """rows*b / den when checks*b = 0 and den divides rows*b, else None."""
-    if any(mat_vec(checks, b)):
-        return None
-    x = mat_vec(rows, b)
-    if any(y % den for y in x):
-        return None
-    return tuple(y // den for y in x)

@@ -50,7 +50,7 @@ def n3():
 
 @pytest.fixture(scope="session")
 def nm1():
-    """N \\ {1} embedded as <2, 3>, with the ambient converter."""
+    """N \\ {1} embedded as <2, 3>, with its ambient map."""
     return mc.from_embedded([[2], [3]])
 
 

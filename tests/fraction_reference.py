@@ -19,7 +19,7 @@ from logmonoid import weighted_series as ws
 from logmonoid.abelian import group_quotient
 from logmonoid.monoid_core import is_semi_saturated
 from logmonoid.errors import DenominatorVanishes, ZeroProjection
-from logmonoid.qlin import INF, inverse_over_lcm, padic_valuation, qmat, qmat_mul, qsolve, qvec
+from logmonoid.qlin import INF, padic_valuation, qmat, qmat_mul, qsolve, qvec
 
 
 # -- Fraction matrices -----------------------------------------------------------
@@ -44,14 +44,11 @@ def qmat_scale(c, a):
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def qnullspace(a):
-    """The null-space basis of the reduced row echelon form, one vector per
-    non-pivot column j: e_j minus column j at the pivots."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if nrows == 0:
-        return [tuple(Fraction(1 if i == j else 0) for i in range(ncols)) for j in range(ncols)]
+def qrref(a, ncols):
+    """Gauss-Jordan over Fractions, pivots sought in the first ncols entries:
+    (the reduced row echelon form as lists, the pivot columns)."""
     m = [list(row) for row in qmat(a)]
+    nrows = len(m)
     pivots, row = [], 0
     for col in range(ncols):
         sel = next((i for i in range(row, nrows) if m[i][col] != 0), None)
@@ -67,6 +64,17 @@ def qnullspace(a):
         row += 1
         if row == nrows:
             break
+    return m, pivots
+
+
+def qnullspace(a):
+    """The null-space basis of the reduced row echelon form, one vector per
+    non-pivot column j: e_j minus column j at the pivots."""
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    if nrows == 0:
+        return [tuple(Fraction(1 if i == j else 0) for i in range(ncols)) for j in range(ncols)]
+    m, pivots = qrref(a, ncols)
     basis = []
     for j in (j for j in range(ncols) if j not in pivots):
         v = [Fraction(0)] * ncols
@@ -78,10 +86,10 @@ def qnullspace(a):
 
 
 def qinverse(a):
-    inv = inverse_over_lcm(a)
-    if inv is None:
-        return None
-    return tuple(tuple(Fraction(x, inv[1]) for x in row) for row in inv[0])
+    """a^-1 from the reduced row echelon form of [a | I], or None if a is singular."""
+    n = len(a)
+    m, pivots = qrref([tuple(row) + e for row, e in zip(a, qidentity(n))], n)
+    return tuple(tuple(row[n:]) for row in m) if len(pivots) == n else None
 
 
 def matrix_valuation(a, p):

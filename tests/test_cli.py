@@ -462,6 +462,8 @@ SIGMA = {"elements": [[0, 0]]}
     (["connection", "homotopy"], _document(N2_DOC), {"elements": [[0, 0, 0]]}, "exponent vector must have length 2"),
     (["connection", "homotopy"], _document(EMBEDDED_DOC), {"elements": [[0, 0, 0]]},
      "exponent vector must have ambient length 2"),
+    (["connection", "exponents"], _document(EMBEDDED_DOC, matrices=_matrix([{"m": {"free": [2, 0, 0]}, "entries": [["1"]]}])),
+     None, "element has wrong shape"),
 ])
 def test_malformed_documents_exit_2_naming_the_cause(capsys, tmp_path, argv, connection, sigma, message):
     """Each ParseError of the document layer, at the monoid, connection and

@@ -14,6 +14,7 @@ import test_spectral
 from logmonoid import constant_models as cmod
 from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
+from logmonoid import qlin
 from logmonoid import weighted_series as ws
 from logmonoid.errors import CertificationFailed, HypothesisError
 
@@ -96,11 +97,12 @@ def test_coordinates_and_twist_reduce_match_the_fraction_code():
         d = emb.monoid.gp.free_rank
         for _ in range(40):
             xi = tuple(F(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 4, 6))) for _ in range(d))
-            ints, den = emb.rational_coords(xi)
+            (v,), vden = qlin.over_lcm([xi])
+            ints, den = emb.phi.rational(v, vden)
             assert tuple(F(x, den) for x in ints) == ref.rational_coords(emb, xi)
             y = tuple(rng.randint(-9, 9) for _ in range(d))
             for scale in (1, rng.choice((2, 3, 5))):
-                ints, den = emb.inverse_coords(y, scale)
+                ints, den = emb.phi.inverse.rational(y, scale)
                 assert tuple(F(x, den) for x in ints) == ref.inverse_coords(emb, tuple(F(c, scale) for c in y))
             got = cmod.twist_reduce(emb, xi)
             assert got == ref.twist_reduce(emb, xi) and repr(got) == repr(ref.twist_reduce(emb, xi))

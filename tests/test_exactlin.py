@@ -420,9 +420,9 @@ def test_integer_kernels_match_fraction_references():
         assert [tuple(F(x, den) for x in v) for v in null] == _ref_nullspace(a)
         assert qlin.qrank(a) == (len(_ref_gauss(a)[2]) if a else 0)
         if a and len(a) == len(a[0]):
-            inv = qlin.inverse_over_lcm(a)
-            assert (None if inv is None else tuple(tuple(F(x, inv[1]) for x in row) for row in inv[0])) == _ref_inverse(a)
-            singular += inv is None
+            rows, den, checks = qlin.solve_map(a)
+            assert (None if checks else tuple(tuple(F(x, den) for x in row) for row in rows)) == _ref_inverse(a)
+            singular += bool(checks)
     assert inconsistent > 5 and singular > 5  # the grid reaches both outcomes
 
 

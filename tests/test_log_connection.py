@@ -14,7 +14,7 @@ import pytest
 from logmonoid import cli, documents, selftest
 from logmonoid import coefficient_maps as cmaps
 from logmonoid import constant_models as cmod
-from logmonoid import snf
+from logmonoid import qlin, snf
 from logmonoid.abelian import AbelianGroup, group_quotient
 from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
@@ -209,8 +209,8 @@ def test_embedding_inverts_its_matrix_once(monkeypatch, n2):
     """Construction, the module's decomposition and twist_reduce read one
     cached inverse."""
     calls = []
-    inverse = lc.inverse_over_lcm
-    monkeypatch.setattr(lc, "inverse_over_lcm", lambda a: calls.append(a) or inverse(a))
+    solve_map = qlin.solve_map
+    monkeypatch.setattr(qlin, "solve_map", lambda a: calls.append(a) or solve_map(a))
     emb = lc.Embedding(n2, ((1, 0), (1, 1)))
     e = cmod.apply_ui(emb, ws.default_weighting(n2), [((F(1, 2),),), ((F(1, 3),),)], 4)
     assert e.decomposition.exponents == ((F(1, 2), F(-1, 6)),)

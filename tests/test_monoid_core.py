@@ -74,8 +74,8 @@ def test_m_even_presentation_matches_embedding(m_even):
 
 def test_membership_n_minus_one(nm1):
     m, conv = nm1
-    one = conv(((1,), ()))
-    seven = conv(((7,), ()))
+    one = m.gp.element(conv((1,)))
+    seven = m.gp.element(conv((7,)))
     assert not mc.membership(m, one)
     assert mc.membership(m, seven)  # 7 = 2 + 2 + 3
     assert mc.membership(m, m.gp.zero())
@@ -148,7 +148,7 @@ def test_faces_collinear_generators():
         assert (0 in f.generator_indices) == (1 in f.generator_indices)
     assert mc.is_saturated_bounded(m) is False
     sat = mc.saturation(m)
-    witness = conv(((1, 0, 0), ()))
+    witness = m.gp.element(conv((1, 0, 0)))
     assert not mc.membership(m, witness)
     assert mc.membership(sat, witness)
 
@@ -181,7 +181,7 @@ def test_prop_1_2_properties(n1, n2, nm1, m_even, torsion_monoid):
 def test_saturation_n_minus_one(nm1):
     m, conv = nm1
     sat = mc.saturation(m)
-    one = conv(((1,), ()))
+    one = m.gp.element(conv((1,)))
     assert mc.membership(sat, one)  # saturation is all of N
     assert mc.is_saturated_bounded(m) is False
     # witness: g = 1 with 2g = 2 in M

@@ -28,7 +28,7 @@ def test_budget_validation():
 def test_enumerate_nm1(nm1):
     m, conv = nm1
     ball = orc.enumerate_monoid(m, orc.EnumerationBudget(6))
-    expected = sorted(conv(((k,), ())) for k in (0, 2, 3, 4, 5, 6))
+    expected = sorted(m.gp.element(conv((k,))) for k in (0, 2, 3, 4, 5, 6))
     assert ball == expected
 
 

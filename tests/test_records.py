@@ -27,7 +27,7 @@ RECORDS = (
     "AbelianGroup", "QuotientMap", "MonoidContext", "Embedding", "ExponentSet",
     "LogNablaModule", "ResidueDecomposition", "BoundRecord", "ShearResult", "UnipotenceReport",
     "HomotopyReport", "FineMonoid", "Face", "MonoidHom", "SectionData", "EnumerationBudget",
-    "Weighting", "Radius", "TruncatedSeries", "NormResult", "ValuationPoint", "AmbientMap",
+    "Weighting", "Radius", "TruncatedSeries", "NormResult", "ValuationPoint", "LatticeMap",
 )
 
 

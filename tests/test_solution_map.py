@@ -1,15 +1,19 @@
-"""A Smith form's one integer map against the Smith-coordinate solve it
-replaced: `SmithForm.solve` and `MonoidHom.gp_apply` give, on seeded random
-inputs, exactly what solving through the Smith coordinates y = (u b)_i / d_i
-and mapping v y (or the images of the Smith basis vectors) gives."""
+"""The one integer map, `snf.LatticeMap`, against what it replaced:
+`SmithForm.solve` and `MonoidHom.gp_apply` give, on seeded random inputs,
+exactly what solving through the Smith coordinates y = (u b)_i / d_i and
+mapping v y (or the images of the Smith basis vectors) gives; and the
+record from either producer (`SmithForm.solution_map`, `qlin.solve_map`)
+calls, reads rationally and inverts as Fractions do."""
 
 import itertools
 import random
+from fractions import Fraction as F
 
 import pytest
 
+import fraction_reference as ref
 from logmonoid import monoid_core as mc
-from logmonoid import selftest
+from logmonoid import qlin, selftest
 from logmonoid import snf
 from logmonoid.abelian import AbelianGroup, group_quotient
 
@@ -152,3 +156,84 @@ def test_gp_apply_equals_the_smith_basis_images(homs):
             inside += 1
             assert f.gp_apply(x) == expected, (f, x)
     assert inside > 50 and (outside > 10 or homs == "surjections"), (inside, outside)
+
+
+# -- the record against Fractions ---------------------------------------------------------
+
+def _fraction_solve(a, b, ncols):
+    """The solution of a x = b with every free variable zero, from the
+    reduced row echelon form of [a | b] over Fractions, or None."""
+    m, pivots = ref.qrref([tuple(row) + (x,) for row, x in zip(a, b)], ncols)
+    if any(row[ncols] for row in m[len(pivots):]):
+        return None
+    x = [F(0)] * ncols
+    for row, col in zip(m, pivots):
+        x[col] = row[ncols]
+    return tuple(x)
+
+
+def _fraction_smith_solve(smith, b):
+    """The solution of a x = b with zero Smith coordinates past the rank,
+    y_i = (u b)_i / d_i over Fractions and x = v y, or None."""
+    c = [sum((x * y for x, y in zip(row, b)), F(0)) for row in smith.u]
+    if any(c[smith.rank:]):
+        return None
+    y = [c[i] / smith.diagonal[i] for i in range(smith.rank)] + [0] * (smith.cols - smith.rank)
+    return tuple(sum((x * z for x, z in zip(row, y)), F(0)) for row in smith.v)
+
+
+def _records(rng):
+    """(kind, a, producer, record, the Fraction solve of a x = b) for seeded
+    square, wide, tall, singular and den > 1 matrices, each from the Smith
+    form and from the elimination."""
+    for rows, cols in itertools.product(range(1, 5), repeat=2):
+        for _ in range(2):
+            shapes = [("wide" if rows < cols else "tall" if rows > cols else "square", _matrix(rng, rows, cols, 3))]
+            if min(rows, cols) > 1:
+                inner = rng.randint(1, min(rows, cols) - 1)
+                shapes.append(("singular", snf.mat_mul(_matrix(rng, rows, inner, 2), _matrix(rng, inner, cols, 2))))
+            for kind, a in shapes:
+                smith = snf.SmithForm(a, cols)
+                yield kind, a, "smith", smith.solution_map, lambda b, s=smith: _fraction_smith_solve(s, b)
+                yield kind, a, "gauss", qlin.solve_map(a), lambda b, a=a, c=cols: _fraction_solve(a, b, c)
+
+
+def test_the_record_equals_the_fraction_computation():
+    """The record's call, rational read and inverse give what Fractions
+    give: the call the Fraction solution when it is integral and None
+    otherwise, the rational read the solution for b / bden, and the inverse
+    the solution z of (rows / den) z = y, checks z = 0; and the inverse
+    undoes the call on the lattice."""
+    rng = random.Random(44)
+    seen = {"solved": 0, "checks": 0, "divisibility": 0, "den > 1": 0, "inverse refused": 0}
+    kinds = set()
+    for kind, a, producer, record, solve in _records(rng):
+        kinds.add((kind, producer))
+        rows, den, checks = record
+        cols, n = len(rows), len(a)
+        seen["den > 1"] += den > 1
+        inverse = record.inverse
+        stack = [tuple(F(x, den) for x in row) for row in rows] + [tuple(map(F, row)) for row in checks]
+        for _ in range(6):
+            x = [rng.randint(-3, 3) for _ in range(cols)]
+            image = snf.mat_vec(a, x)
+            for b in (image, tuple(y + (i == 0) for i, y in enumerate(image)), tuple(rng.randint(-5, 5) for _ in range(n))):
+                bden = rng.choice((1, 2, 3))
+                expected = solve(tuple(F(y, bden) for y in b))
+                read = record.rational(b, bden)
+                assert (None if read is None else tuple(F(y, read[1]) for y in read[0])) == expected, (a, b, bden)
+                expected = solve(tuple(map(F, b)))
+                integral = expected is not None and all(y.denominator == 1 for y in expected)
+                assert record(b) == (tuple(map(int, expected)) if integral else None), (producer, a, b)
+                seen["solved" if integral else "divisibility" if expected is not None else "checks"] += 1
+                if integral:
+                    assert inverse(record(b)) == b
+            y = tuple(rng.randint(-4, 4) for _ in range(cols))
+            z = _fraction_solve(stack, y + (0,) * len(checks), n)
+            read = inverse.rational(y)
+            assert (None if read is None else tuple(F(v, read[1]) for v in read[0])) == z, (producer, a, y)
+            integral = z is not None and all(v.denominator == 1 for v in z)
+            assert inverse(y) == (tuple(map(int, z)) if integral else None)
+            seen["inverse refused"] += z is None
+    assert {kind for kind, _ in kinds} == {"square", "wide", "tall", "singular"} and len(kinds) == 8
+    assert min(seen.values()) > 20, seen

@@ -60,7 +60,7 @@ from logmonoid import selftest  # noqa: E402
 from logmonoid import snf  # noqa: E402
 from logmonoid import weighted_series as ws  # noqa: E402
 from logmonoid import qlin  # noqa: E402
-from logmonoid.qlin import inverse_over_lcm, over_lcm  # noqa: E402
+from logmonoid.qlin import over_lcm, solve_map  # noqa: E402
 from reference import reference_seconds, scaled  # noqa: E402
 
 SEED = 1
@@ -175,7 +175,7 @@ def _jordan(rng: random.Random, n: int):
 
 def _conjugate(p, j):
     """P J P^-1 as Fraction rows, for an invertible integer P."""
-    rows, den = inverse_over_lcm(p)
+    rows, den, _ = solve_map(p)
     j_rows, j_den = over_lcm(j)
     return tuple(tuple(Fraction(x, den * j_den) for x in row) for row in snf.mat_mul(snf.mat_mul(p, j_rows), rows))
 

@@ -19,9 +19,10 @@ default; 10 could not resolve a 4-9 % change), the trees taking turns to go
 first, and N more of the cases it flags; `ab.report` prints each case's
 medians and IQRs, and with --compare the ratio, wins and a verdict that
 both passes must make.  An exit code that differs between the trees makes
-the exit status 1.  Last come each case's exit code and the
-`logmonoid.*` modules it loads, from one more run under `-X importtime`.
-Stdlib only.
+the exit status 1.  Last come each case's exit code, the
+`logmonoid.*` modules it loads, from one more run under `-X importtime`,
+and the source lines of the package files those are, with `__init__` and
+`__main__`: what the process compiles when no bytecode is read.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -106,6 +107,15 @@ def _loaded(tree: str, argv: list[str], pycache: str) -> list[str]:
     return sorted(n.split(".", 1)[1] for n in names if n.startswith("logmonoid."))
 
 
+def _lines(tree: str, modules: list[str]) -> int:
+    """Source lines of the package's __init__, __main__ and these modules."""
+    total = 0
+    for name in ("__init__", "__main__", *modules):
+        with open(os.path.join(tree, "src", "logmonoid", f"{name}.py"), encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--rounds", type=int, default=20, help="runs per case and tree (default 20)")
@@ -124,7 +134,9 @@ def main() -> int:
         status = ab.report(runs, again=again)
         for name, argv in cases:
             for label, tree, side in zip(ab.LABELS, trees, runs):
-                print(f"{name} {label}: {side[0][name][2]}, loads {' '.join(_loaded(tree, argv, pycache))}")
+                modules = _loaded(tree, argv, pycache)
+                print(f"{name} {label}: {side[0][name][2]}, {_lines(tree, modules)} package lines, "
+                      f"loads {' '.join(modules)}")
     return status
 
 
