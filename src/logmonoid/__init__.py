@@ -25,15 +25,18 @@ _HOMES = {
         "TorsionTarget", "ZeroProjection",
     ), "errors"),
     **dict.fromkeys((
-        "Embedding", "ExponentSet", "LogNablaModule", "ShearResult", "UnipotenceReport", "check_sd", "exponents",
-        "facet_embedding", "is_sigma_unipotent", "log_convergence_check", "residue", "shear", "validate_integrability",
+        "Embedding", "ExponentSet", "LogNablaModule", "check_sd", "exponents", "facet_embedding", "residue",
+        "validate_integrability",
     ), "log_connection"),
+    "log_convergence_check": "log_convergence",
     **dict.fromkeys((
         "Face", "FineMonoid", "MonoidHom", "SectionData", "Weighting", "divides", "faces", "facets", "free_monoid",
         "from_embedded", "from_presentation", "is_semi_saturated", "is_sharp", "is_saturated_bounded",
         "membership", "saturation", "section", "units",
     ), "monoid_core"),
     "EnumerationBudget": "oracle",
+    **dict.fromkeys(("ShearResult", "shear"), "shearing"),
+    **dict.fromkeys(("UnipotenceReport", "is_sigma_unipotent"), "unipotence"),
     **dict.fromkeys((
         "TruncatedSeries", "ValuationPoint", "default_weighting", "gauss_norm", "gauss_norm_interval", "h_abs",
         "h_plus", "point_in_polyannulus", "saturation_invariance_check", "series", "series_mul",

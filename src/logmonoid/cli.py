@@ -153,8 +153,9 @@ def cmd_connection(args) -> dict:
         }
     if sub == "shear":
         from .coefficient_maps import coefficient
+        from .shearing import shear
 
-        result = lc.shear(module, p=args.prime)
+        result = shear(module, p=args.prime)
         gauge_terms = [
             {
                 "m": ctx.render_element(key),
@@ -185,6 +186,8 @@ def cmd_connection(args) -> dict:
             "nilpotency_e": result.nilpotency_exponent,
         }
     if sub == "unipotent":
+        from .unipotence import is_sigma_unipotent
+
         sigma = _load_sigma(ctx, args.sigma)
         faces = mc.faces(ctx.monoid)
         chosen: list
@@ -198,7 +201,7 @@ def cmd_connection(args) -> dict:
             chosen = [faces[args.face]]
         table = []
         for f in chosen:
-            rep = lc.is_sigma_unipotent(module, sigma, f)
+            rep = is_sigma_unipotent(module, sigma, f)
             table.append(
                 {
                     "face": sorted(f.generator_indices),
@@ -250,6 +253,7 @@ def cmd_connection(args) -> dict:
         }
     if sub == "logconv":
         from .coefficient_maps import Radius
+        from .log_convergence import log_convergence_check
 
         radius = parse_radius(args.radius) if args.radius else Radius.p_power(1)
         eta = parse_radius(args.eta) if args.eta else Radius.p_power(Fraction(1, 2))
@@ -259,7 +263,7 @@ def cmd_connection(args) -> dict:
             raise ParseError("--eta must be a positive rational exponent q (eta = p^-q in (0,1))")
         if args.depth < 1:
             raise ParseError(f"--depth must be at least 1, got {args.depth}")
-        verdict = lc.log_convergence_check(module, radius, eta, args.depth, args.prime)
+        verdict = log_convergence_check(module, radius, eta, args.depth, args.prime)
         return {
             "radius_log": render_rational(radius.value_exponent()),
             "eta_log": render_rational(eta.value_exponent()),

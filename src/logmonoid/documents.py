@@ -219,6 +219,9 @@ def _read_monoid(doc) -> tuple[tuple, Optional[tuple]]:
         raise ParseError("monoid document must be an object")
     if "generators" in doc:
         n = _integer(doc["generators"], "generators")
+        if n > 0 and n * n > sys.maxsize:
+            raise ParseError(f"generators: {n} unit vectors of length {n} have more entries than a list holds "
+                             f"({sys.maxsize})")
         section = (n, _integers(doc.get("relations", []), "relations", 3), None)
     elif "embedded_generators" in doc:
         vectors = _integers(doc["embedded_generators"], "embedded_generators", 2)

@@ -21,7 +21,9 @@ from . import log_connection as lc
 from . import monoid_core as mc
 from . import oracle as orc
 from . import weighted_series as ws
+from .shearing import shear
 from .snf import identity, mat_vec
+from .unipotence import is_sigma_unipotent
 
 F = Fraction
 
@@ -208,7 +210,7 @@ def _shear_suite(prime):
     orders = 0
     for k, (name, e, planted) in enumerate(fixtures):
         _require(lc.validate_integrability(e), f"{name}: not integrable")
-        sr = lc.shear(e, p=prime)
+        sr = shear(e, p=prime)
         m, n = e.monoid, e.rank
         b, b_inv = sr.gauge_map, sr.gauge_inverse_map
         u = cmod.apply_ui(e.embedding, e.weighting, sr.constant_model, e.truncation)
@@ -243,7 +245,7 @@ def _vertex_counterexample(prime):
                     xi_twist=xi, interval_kind="annulus")
     sigma = lc.ExponentSet(m, ((F(0), F(0)),))
     verdicts = {
-        tuple(sorted(f.generator_indices)): lc.is_sigma_unipotent(e, sigma, f).verdict
+        tuple(sorted(f.generator_indices)): is_sigma_unipotent(e, sigma, f).verdict
         for f in mc.faces(m)
     }
     _require(verdicts == {(): False, (0,): True, (2,): True, (0, 1, 2): True}, str(verdicts))

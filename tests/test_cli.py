@@ -11,7 +11,7 @@ import pytest
 
 from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
-from logmonoid import selftest
+from logmonoid import selftest, shearing
 from logmonoid.cli import _check_prime, main
 from logmonoid.documents import parse_connection
 from logmonoid.errors import CertificationFailed
@@ -464,6 +464,9 @@ SIGMA = {"elements": [[0, 0]]}
      "exponent vector must have ambient length 2"),
     (["connection", "exponents"], _document(EMBEDDED_DOC, matrices=_matrix([{"m": {"free": [2, 0, 0]}, "entries": [["1"]]}])),
      None, "element has wrong shape"),
+    (["monoid-analyze"], {"generators": 10 ** 40}, None, f"generators: {10 ** 40} unit vectors of length"),
+    (["connection", "exponents"], _document(N2_DOC, monoid={"generators": 10 ** 40}), None,
+     f"generators: {10 ** 40} unit vectors of length"),
 ])
 def test_malformed_documents_exit_2_naming_the_cause(capsys, tmp_path, argv, connection, sigma, message):
     """Each ParseError of the document layer, at the monoid, connection and
@@ -508,13 +511,13 @@ def test_a_failed_self_check_is_exit_3_naming_it(capsys, monkeypatch):
     """A B_m that misses the all-directions identity (a perturbed Sylvester
     solve) is a CertificationFailed: exit 3 naming the check, where it was a
     bare AssertionError escaping as a traceback with exit 1."""
-    solve = lc.sylvester_solve
+    solve = shearing.sylvester_solve
 
     def perturbed(solver, rhs):
         bm, dm = solve(solver, rhs)
         return (bm[0] + dm, *bm[1:]), dm
 
-    monkeypatch.setattr(lc, "sylvester_solve", perturbed)
+    monkeypatch.setattr(shearing, "sylvester_solve", perturbed)
     code, out, err = run(capsys, "connection", "shear", DATA / "rank2_connection.json")
     assert (code, out) == (3, "") and "Traceback" not in err
     assert err.startswith("certification failed: shear all-directions identity")
@@ -534,7 +537,7 @@ def test_a_singular_sylvester_operator_past_the_ni_check_is_exit_3(capsys, monke
     monkeypatch.setattr(lc, "_check_ni_coordinatewise", lambda spectra: None)
     _, e = parse_connection(doc)
     with pytest.raises(CertificationFailed, match="Sylvester"):
-        lc.shear(e)
+        shearing.shear(e)
     code, out, err = run(capsys, "connection", "shear", path)
     assert (code, out) == (3, "") and "Traceback" not in err
     assert err.startswith("certification failed: Sylvester")
@@ -645,8 +648,9 @@ def test_monoid_analyze_a_monoid_with_units(capsys, tmp_path):
 
 
 # Run under -S in a fresh process: the logmonoid modules loaded by `import
-# logmonoid`, by `import logmonoid.cli`, and by each argv of the JSON list
-# argv[1] run through `cli.main` after a fresh `import logmonoid.cli`.
+# logmonoid`, by `import logmonoid.cli`, by each argv of the JSON list
+# argv[1] run through `cli.main` after a fresh `import logmonoid.cli`, and
+# last by a fresh `import logmonoid.log_connection`.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 def loaded():
@@ -663,6 +667,10 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = logmonoid.cli.main(argv)
     print(argv[1] if argv[0] == "connection" else argv[0], code, loaded())
+for name in [m for m in sys.modules if m.startswith("logmonoid")]:
+    del sys.modules[name]
+import logmonoid.log_connection
+print(loaded())
 """
 
 
@@ -679,8 +687,11 @@ def test_cli_process_imports_only_what_it_runs(tmp_path):
     paths of exponents (an irrational exponent) and shear (a connection
     that is not integrable), load neither weighted_series nor
     constant_models; homotopy loads constant_models, and dl also
-    weighted_series for its constant sections.  -S keeps site-packages .pth
-    files out of sys.modules."""
+    weighted_series for its constant sections.  Of the three stage modules,
+    shear loads only shearing (on its exit-4 path too), unipotent only
+    unipotence and logconv only log_convergence; exponents, homotopy and dl
+    load none, and nor does `import logmonoid.log_connection`.  -S keeps
+    site-packages .pth files out of sys.modules."""
     good = (DATA / "rank2_connection.json").read_text()
     bad_rational, bad_shape, missing_rank, irrational = (json.loads(good) for _ in range(4))
     bad_rational["matrices"][0]["terms"][0]["entries"][0][0] = "1/0"
@@ -715,13 +726,16 @@ def test_cli_process_imports_only_what_it_runs(tmp_path):
     monoid = sorted(front + ["abelian", "cone", "monoid_core", "qlin", "snf"])
     engine = sorted(monoid + ["coefficient_maps", "log_connection"])
     models = sorted(engine + ["constant_models"])
+    stage = {sub: sorted(engine + [module]) for sub, module in [
+        ("shear", "shearing"), ("unipotent", "unipotence"), ("logconv", "log_convergence")]}
     assert proc.stdout.splitlines() == [
         "[]", f"{front} []", "EnumerationBudget(weight_bound=3, element_cap=100000)",
         *[f"shear 2 {front}"] * 4,
         f"monoid-analyze 0 {monoid}",
-        *(f"{sub} 0 {engine}" for sub in ("exponents", "shear", "unipotent", "logconv")),
-        f"exponents 4 {engine}", f"shear 4 {engine}",
+        f"exponents 0 {engine}", *(f"{sub} 0 {stage[sub]}" for sub in ("shear", "unipotent", "logconv")),
+        f"exponents 4 {engine}", f"shear 4 {stage['shear']}",
         f"homotopy 0 {models}", f"dl 0 {sorted(models + ['weighted_series'])}",
+        f"{sorted(set(engine) - {'cli', 'documents'})}",
     ]
 
 

@@ -25,6 +25,9 @@ from logmonoid.errors import (
     ParseError,
     ZeroProjection,
 )
+from logmonoid.log_convergence import log_convergence_check
+from logmonoid.shearing import shear
+from logmonoid.unipotence import is_sigma_unipotent
 
 from conftest import build_module, build_series, map_sum
 
@@ -590,16 +593,16 @@ def _document_answers(doc):
             return type(exc).__name__, str(exc)
 
     def sheared():
-        s = lc.shear(e)
+        s = shear(e)
         return (s.gauge_map, s.gauge_inverse_map, s.bound_report, s.constant_model, s.constant_base_model,
                 s.norm_constant_log, s.nilpotency_exponent)
 
     def unipotence():
         exps = lc.exponents(e).exponents
         sigma = lc.ExponentSet(ctx.monoid, tuple(dict.fromkeys([(F(0),) * len(exps[0]), exps[0]])))
-        return [lc.is_sigma_unipotent(e, sigma, f).verdict for f in mc.faces(ctx.monoid)]
+        return [is_sigma_unipotent(e, sigma, f).verdict for f in mc.faces(ctx.monoid)]
 
-    logconv = [attempt(lambda: lc.log_convergence_check(e, cmaps.Radius.p_power(q), cmaps.Radius.p_power(eta), depth))
+    logconv = [attempt(lambda: log_convergence_check(e, cmaps.Radius.p_power(q), cmaps.Radius.p_power(eta), depth))
                for q, eta, depth in ((1, F(1, 2), 2), (0, 1, 3), (F(1, 3), F(1, 2), 1))]
     return (e.integrability_defect, attempt(lambda: lc.exponents(e).exponents), attempt(sheared),
             attempt(unipotence), logconv)

@@ -14,7 +14,7 @@ import pytest
 from logmonoid import cli, documents, selftest
 from logmonoid import coefficient_maps as cmaps
 from logmonoid import constant_models as cmod
-from logmonoid import qlin, snf
+from logmonoid import qlin, shearing, snf, unipotence
 from logmonoid.abelian import AbelianGroup, group_quotient
 from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
@@ -33,6 +33,9 @@ from logmonoid.errors import (
     SDViolated,
 )
 from logmonoid.qlin import INF, padic_valuation, qmat, qmat_mul, qrank, qsolve, qvec
+from logmonoid.log_convergence import log_convergence_check
+from logmonoid.shearing import BoundRecord, shear
+from logmonoid.unipotence import is_sigma_unipotent
 
 import fraction_reference
 from fraction_reference import matrix_valuation, qidentity, qinverse, qmat_sub
@@ -266,7 +269,7 @@ def test_unipotence_refuses_a_sigma_that_fails_sd(m_even):
     e = cmod.apply_ui(lc.facet_embedding(m_even), ws.default_weighting(m_even), [((F(1, 2),),), ((F(0),),)], 4)
     for face in mc.faces(m_even):
         with pytest.raises(SDViolated, match="facet condition"):
-            lc.is_sigma_unipotent(e, sigma, face)
+            is_sigma_unipotent(e, sigma, face)
 
 
 # -- integrability ----------------------------------------------------------------
@@ -361,13 +364,13 @@ def _rank2_n_module(truncation=12):
 
 def test_shear_constant_module_gauge_is_identity(n2):
     e = build_module(n2, [{(0, 0): ((F(1, 2),),)}, {(0, 0): ((F(1, 3),),)}], 1, 8)
-    sr = lc.shear(e)
+    sr = shear(e)
     assert _smat_equal(sr.gauge, _ident_smat(e))
 
 
 def test_shear_rank2_example():
     e = _rank2_n_module(10)
-    sr = lc.shear(e)
+    sr = shear(e)
     one = e.monoid.element((1,))
     assert _smat_coefficient(sr.gauge, one) == ((F(0), F(-2)), (F(0), F(0)))
     assert sr.constant_model == (((F(0), F(0)), (F(0), F(1, 2))),)
@@ -379,7 +382,7 @@ def test_shear_rank2_example():
 
 def test_shear_round_trip():
     e = _rank2_n_module(8)
-    sr = lc.shear(e)
+    sr = shear(e)
     u = cmod.apply_ui(e.embedding, e.weighting, sr.constant_model, e.truncation)
     back = cmod.gauge_transform(u, sr.gauge_inverse_map, sr.gauge_map)
     assert back.matrices == e.matrices
@@ -392,7 +395,7 @@ def test_shear_recovers_planted_gauge(n2):
     gauge_terms = {(1, 0): ((0, 1), (0, 0)), (1, 1): ((0, 0), (F(1, 2), 0))}
     e, g, g_inv = gauge_built_module(n2, [c1, c2], gauge_terms, 2, 8)
     assert lc.validate_integrability(e)
-    sr = lc.shear(e)
+    sr = shear(e)
     # the shear gauge undoes the planted basis change: B = G^{-1}
     assert _smat_equal(sr.gauge, _render(e, g_inv))
     assert _smat_equal(sr.gauge_inverse, _render(e, g))
@@ -405,7 +408,7 @@ def test_shear_rank3_with_jordan_block(n1):
     c = ((F(0), F(0), F(0)), (F(0), F(1, 2), F(1)), (F(0), F(0), F(1, 2)))
     gauge_terms = {(1,): ((0, 1, 0), (0, 0, 0), (1, 0, 0)), (2,): ((0, 0, 2), (0, 0, 0), (0, 0, 0))}
     e, g, g_inv = gauge_built_module(n1, [c], gauge_terms, 3, 9)
-    sr = lc.shear(e)
+    sr = shear(e)
     assert _smat_equal(sr.gauge, _render(e, g_inv))
     assert _shear_identity_holds(e, sr)
     assert all(r.ok for r in sr.bound_report)
@@ -417,7 +420,7 @@ def test_shear_m_even_rank1(m_even):
     g1 = m_even.generators[0]
     xi = tuple(F(c, 2) for c in g1[0])
     e = cmod.apply_ui(emb, h, [((F(0),),)] * 2, 8, xi_twist=xi)
-    sr = lc.shear(e)
+    sr = shear(e)
     assert _smat_equal(sr.gauge, _ident_smat(e))
     assert all(r.ok for r in sr.bound_report)
 
@@ -428,14 +431,14 @@ def test_shear_base_direction_becomes_constant(n1):
     gauge_terms = {(1,): ((0, 1), (0, 0))}
     e, g, g_inv = gauge_built_module(n1, [c], gauge_terms, 2, 8, base_model=[d])
     assert lc.validate_integrability(e)
-    sr = lc.shear(e)
+    sr = shear(e)
     assert sr.constant_base_model == (qmat(d),)
 
 
 def test_shear_rejects_integer_difference(n1):
     e = build_module(n1, [{(0,): ((0, 0), (0, 1)), (1,): ((0, 1), (0, 0))}], 2, 6)
     with pytest.raises(NIViolated):
-        lc.shear(e)
+        shear(e)
 
 
 def test_unipotence_builds_no_eigenbasis(monkeypatch):
@@ -443,19 +446,19 @@ def test_unipotence_builds_no_eigenbasis(monkeypatch):
     non-constant NI module build none of shear's P, P^-1 and P^-1 b P;
     shear then builds one per residue."""
     calls = []
-    eigenbasis = lc._eigenbasis_data
-    monkeypatch.setattr(lc, "_eigenbasis_data", lambda *a: calls.append(a) or eigenbasis(*a))
+    eigenbasis = shearing._eigenbasis_data
+    monkeypatch.setattr(shearing, "_eigenbasis_data", lambda *a: calls.append(a) or eigenbasis(*a))
     _, e = documents.parse_connection(documents.load_json(DATA / "rank2_connection.json"))
     sigma = lc.ExponentSet(e.monoid, ((F(0),), (F(1, 2),)))
-    assert [lc.is_sigma_unipotent(e, sigma, f).verdict for f in mc.faces(e.monoid)] == [True, True]
+    assert [is_sigma_unipotent(e, sigma, f).verdict for f in mc.faces(e.monoid)] == [True, True]
     assert calls == []
-    lc.shear(e)
+    shear(e)
     assert len(calls) == e.embedding.r
 
 
 def test_shear_agrees_with_brute_oracle():
     e = _rank2_n_module(6)
-    sr = lc.shear(e)
+    sr = shear(e)
     brute = orc.brute_shear_order(e, 3)
     for key, bm in brute.items():
         assert _smat_coefficient(sr.gauge, key) == bm
@@ -498,7 +501,7 @@ def test_unipotence_nilpotent_constant(n2):
     )
     sigma = lc.ExponentSet(n2, ((F(0), F(0)),))
     for f in mc.faces(n2):
-        rep = lc.is_sigma_unipotent(e, sigma, f)
+        rep = is_sigma_unipotent(e, sigma, f)
         assert rep.verdict
         assert rep.filtration_ranks == (1, 1)
         assert sum(rep.filtration_ranks) == e.rank
@@ -512,7 +515,7 @@ def test_unipotence_vertex_counterexample(m_even):
     e = cmod.apply_ui(emb, h, [((F(0),),)] * 2, 8, xi_twist=xi, interval_kind="annulus")
     sigma = lc.ExponentSet(m_even, ((F(0), F(0)),))
     verdicts = {
-        tuple(sorted(f.generator_indices)): lc.is_sigma_unipotent(e, sigma, f)
+        tuple(sorted(f.generator_indices)): is_sigma_unipotent(e, sigma, f)
         for f in mc.faces(m_even)
     }
     assert verdicts[()].verdict is False  # the vertex
@@ -533,8 +536,8 @@ def test_unipotence_invariant_under_monomial_twist(n2):
         xi_m = tuple(F(x) for x in shift)
         e_twist = cmod.apply_ui(emb, h, base, 6, xi_twist=xi_m, interval_kind="annulus")
         for f in mc.faces(n2):
-            r1 = lc.is_sigma_unipotent(e, sigma, f)
-            r2 = lc.is_sigma_unipotent(e_twist, sigma, f)
+            r1 = is_sigma_unipotent(e, sigma, f)
+            r2 = is_sigma_unipotent(e_twist, sigma, f)
             assert r1.verdict == r2.verdict
 
 
@@ -546,13 +549,13 @@ def test_unipotence_disk_is_exact_comparison(n1):
     sigma_exact = lc.ExponentSet(n1, ((F(1),),))
     sigma_zero = lc.ExponentSet(n1, ((F(0),),))
     full = next(f for f in mc.faces(n1) if len(f.generator_indices) == len(n1.generators))
-    assert lc.is_sigma_unipotent(e, sigma_exact, full).verdict
+    assert is_sigma_unipotent(e, sigma_exact, full).verdict
     vertex = next(f for f in mc.faces(n1) if not f.generator_indices)
-    assert lc.is_sigma_unipotent(e, sigma_exact, vertex).verdict
-    assert not lc.is_sigma_unipotent(e, sigma_zero, vertex).verdict
+    assert is_sigma_unipotent(e, sigma_exact, vertex).verdict
+    assert not is_sigma_unipotent(e, sigma_zero, vertex).verdict
     # on the annulus the same module is {0}-unipotent: 1 = 0 mod Z
     e_ann = cmod.apply_ui(emb, h, [((F(1),),)], 6, interval_kind="annulus")
-    assert lc.is_sigma_unipotent(e_ann, sigma_zero, vertex).verdict
+    assert is_sigma_unipotent(e_ann, sigma_zero, vertex).verdict
 
 
 # -- D_l operators -----------------------------------------------------------------------
@@ -742,14 +745,14 @@ def test_log_convergence_trivial(n1):
     h = ws.default_weighting(n1)
     emb = lc.facet_embedding(n1)
     e = cmod.apply_ui(emb, h, [((F(0),),)], 6)
-    assert lc.log_convergence_check(e, cmaps.Radius.p_power(1), cmaps.Radius.p_power(F(1, 2)), 6)
+    assert log_convergence_check(e, cmaps.Radius.p_power(1), cmaps.Radius.p_power(F(1, 2)), 6)
 
 
 def test_log_convergence_half(n1):
     h = ws.default_weighting(n1)
     emb = lc.facet_embedding(n1)
     e = cmod.apply_ui(emb, h, [((F(0), F(0)), (F(0), F(1, 2)))], 6)
-    assert lc.log_convergence_check(e, cmaps.Radius.p_power(1), cmaps.Radius.p_power(F(1, 2)), 8)
+    assert log_convergence_check(e, cmaps.Radius.p_power(1), cmaps.Radius.p_power(F(1, 2)), 8)
 
 
 def test_log_convergence_false_instance(n1):
@@ -757,7 +760,7 @@ def test_log_convergence_false_instance(n1):
     h = ws.default_weighting(n1)
     emb = lc.facet_embedding(n1)
     e = cmod.apply_ui(emb, h, [((F(1, 5),),)], 6)
-    assert not lc.log_convergence_check(e, cmaps.Radius.p_power(1), cmaps.Radius.p_power(F(1, 2)), 8)
+    assert not log_convergence_check(e, cmaps.Radius.p_power(1), cmaps.Radius.p_power(F(1, 2)), 8)
 
 
 def test_log_convergence_counts_the_shifts_and_the_factorial(n1):
@@ -767,11 +770,11 @@ def test_log_convergence_counts_the_shifts_and_the_factorial(n1):
     valuation -1; for d + t, P_5 e carries t^5 / 5!, of valuation -1."""
     h, emb = ws.default_weighting(n1), lc.facet_embedding(n1)
     one, eta = cmaps.Radius.one(), cmaps.Radius.p_power(F(1, 10))
-    assert lc.log_convergence_check(cmod.apply_ui(emb, h, [((F(1, 2),),)], 6), one, eta, 5)
-    assert lc.log_convergence_check(cmod.apply_ui(emb, h, [((F(1),),)], 6), one, eta, 3, p=2)
+    assert log_convergence_check(cmod.apply_ui(emb, h, [((F(1, 2),),)], 6), one, eta, 5)
+    assert log_convergence_check(cmod.apply_ui(emb, h, [((F(1),),)], 6), one, eta, 3, p=2)
     e = build_module(n1, [{(1,): ((1,),)}], 1, 6)
-    assert lc.log_convergence_check(e, one, eta, 4)
-    assert not lc.log_convergence_check(e, one, eta, 5)
+    assert log_convergence_check(e, one, eta, 4)
+    assert not log_convergence_check(e, one, eta, 5)
 
 
 def test_log_convergence_refuses_a_non_integrable_module(n2, monkeypatch):
@@ -784,13 +787,13 @@ def test_log_convergence_refuses_a_non_integrable_module(n2, monkeypatch):
     swapped = e._replace(embedding=lc.Embedding(n2, ((0, 1), (1, 0))), matrices=e.matrices[::-1])
     for module in (e, swapped):
         with pytest.raises(NotIntegrable):
-            lc.shear(module)
+            shear(module)
         lc.validate_integrability(module)
     monkeypatch.setattr(lc, "_map_mul", None)  # the verdicts are cached: no product runs
     for module in (e, swapped):
         for depth in (1, 2, 3):
             with pytest.raises(NotIntegrable):
-                lc.log_convergence_check(module, cmaps.Radius.one(), cmaps.Radius.p_power(F(1, 2)), depth)
+                log_convergence_check(module, cmaps.Radius.one(), cmaps.Radius.p_power(F(1, 2)), depth)
 
 
 def test_shear_randomized_planted_gauges():
@@ -824,7 +827,7 @@ def test_shear_randomized_planted_gauges():
             gauge_terms[key] = tuple(tuple(r) for r in mat)
         e, g, g_inv = gauge_built_module(n1, [model], gauge_terms, n, 6)
         assert lc.validate_integrability(e)
-        sr = lc.shear(e)
+        sr = shear(e)
         assert _smat_equal(sr.gauge, _render(e, g_inv))
         assert all(r.ok for r in sr.bound_report)
         checked += 1
@@ -871,7 +874,7 @@ CONNECTION_FIXTURES = _connection_fixtures()
 
 def _sheared_model(e):
     disk = e._replace(interval_kind="disk") if e.interval_kind == "annulus" else e
-    return lc.shear(disk).constant_model
+    return shear(disk).constant_model
 
 
 @pytest.mark.parametrize("name,e", CONNECTION_FIXTURES, ids=[n for n, _ in CONNECTION_FIXTURES])
@@ -897,7 +900,7 @@ def test_unipotence_matches_shear_then_decompose(name, e):
         if not lc.check_sd(sigma):
             continue
         for f in mc.faces(e.monoid):
-            rep = lc.is_sigma_unipotent(e, sigma, f)
+            rep = is_sigma_unipotent(e, sigma, f)
             got = (rep.verdict, rep.face_images, rep.filtration_ranks, rep.sheared_exponents)
             assert got == _unipotence_by_shearing(e, sigma, f)
             compared += 1
@@ -938,18 +941,18 @@ def _hypothesis_breaking_modules():
 def test_unipotence_raises_what_shear_raises(name, expected):
     e = dict(_hypothesis_breaking_modules())[name]
     with pytest.raises(expected):
-        lc.shear(e)
+        shear(e)
     zero = tuple(F(0) for _ in range(e.monoid.gp.free_rank))
     sigma = lc.ExponentSet(e.monoid, (zero,))
     for f in mc.faces(e.monoid):
         with pytest.raises(expected):
-            lc.is_sigma_unipotent(e, sigma, f)
+            is_sigma_unipotent(e, sigma, f)
 
 
 def test_shear_rejects_annulus_module():
     e = dict(CONNECTION_FIXTURES)["m_even_planted_annulus"]
     with pytest.raises(NotDiskModule):
-        lc.shear(e)
+        shear(e)
 
 
 def test_map_mul_looks_up_a_pair_sum_only_beside_an_annulus_key(monkeypatch, n2):
@@ -981,7 +984,7 @@ def test_unipotence_needs_monoid_support(n2):
     e = build_module(n2, [{(0, 0): ((F(1, 2),),), ((-1, 1), ()): ((1,),)}, {}], 1, 4, kind="annulus")
     sigma = lc.ExponentSet(n2, ((F(1, 2), F(0)),))
     with pytest.raises(NotMonoidSupported):
-        lc.is_sigma_unipotent(e, sigma, mc.faces(n2)[0])
+        is_sigma_unipotent(e, sigma, mc.faces(n2)[0])
 
 
 # -- integrability is decided once per module -----------------------------------------------------
@@ -1036,10 +1039,10 @@ def test_integrability_and_depth_2_log_convergence_share_their_products(monkeypa
         m.index.weighted(e.weighting.values).plans.clear()
         counts.update(builds=0, gathers=0)
         assert lc.validate_integrability(e)
-        assert lc.log_convergence_check(e, one, eta, 2)
+        assert log_convergence_check(e, one, eta, 2)
         assert counts == {"builds": 1, "gathers": products}, r
         # a second check reuses the stored compositions: only the 2 e_i steps multiply again
-        assert lc.log_convergence_check(e, one, eta, 2)
+        assert log_convergence_check(e, one, eta, 2)
         assert counts == {"builds": 1, "gathers": products + r}, r
 
 
@@ -1060,8 +1063,8 @@ def test_a_fresh_copy_of_a_module_builds_its_own_tables(monkeypatch, n2):
         assert "padded" not in f.__dict__ and "_compositions" not in f.__dict__
         counts.update(builds=0, gathers=0)
         assert lc.validate_integrability(f)
-        lc.log_convergence_check(f, one, eta, 3)
-        lc.shear(f)
+        log_convergence_check(f, one, eta, 3)
+        shear(f)
         seen.append((dict(counts), dict(plans), f.composition(0, 1)))
     (first, first_plans, c01), (second, second_plans, d01) = seen
     assert first["builds"] >= 1 and second == {"builds": 0, "gathers": first["gathers"]}
@@ -1084,9 +1087,9 @@ def test_each_key_is_embedded_once_per_module(monkeypatch):
         for f in (e._replace(), e._replace()):
             calls.clear()
             assert lc.validate_integrability(f)
-            lc.log_convergence_check(f, one, eta, 2)
-            lc.log_convergence_check(f, one, eta, 3)
-            lc.shear(f)
+            log_convergence_check(f, one, eta, 2)
+            log_convergence_check(f, one, eta, 3)
+            shear(f)
             assert calls and len(calls) == len(set(calls)) == f.coords.cache_info().currsize, name
             assert first in (None, sorted(calls))
             first = sorted(calls)
@@ -1130,9 +1133,9 @@ def test_the_connection_path_builds_no_series_until_the_gauge_is_read(monkeypatc
     for e in modules:
         assert lc.validate_integrability(e)
         sigma = lc.exponents(e).exponent_set(e.monoid)
-        results.append(lc.shear(e))
-        assert all(lc.is_sigma_unipotent(e, sigma, f).verdict for f in mc.faces(e.monoid))
-        lc.log_convergence_check(e, one, eta, 3)
+        results.append(shear(e))
+        assert all(is_sigma_unipotent(e, sigma, f).verdict for f in mc.faces(e.monoid))
+        log_convergence_check(e, one, eta, 3)
     assert cli.main(["connection", "shear", str(DATA / "rank2_connection.json")]) == 0
     assert "gauge_terms" in capsys.readouterr().out
     assert calls == []
@@ -1153,21 +1156,21 @@ def test_unipotence_analyses_the_module_once(monkeypatch, n2):
     h = ws.default_weighting(n2)  # fresh copies above and a new module here: nothing cached yet
     modules.append(cmod.apply_ui(lc.facet_embedding(n2), h, [((0, 1), (0, 0)), ((F(1, 5), 0), (0, F(1, 5)))], 4))
     counts = {}
-    spectrum, filtration, facet_rows = lc._residue_spectrum, lc._block_filtration_ranks, lc._facet_rows
+    spectrum, filtration, facet_rows = lc._residue_spectrum, unipotence._block_filtration_ranks, lc._facet_rows
 
     def count(key, fn):
         return lambda *a: counts.__setitem__(key, counts.get(key, 0) + 1) or fn(*a)
 
     monkeypatch.setattr(lc, "_residue_spectrum", count("spectrum", spectrum))
-    monkeypatch.setattr(lc, "_block_filtration_ranks", count("filtration", filtration))
+    monkeypatch.setattr(unipotence, "_block_filtration_ranks", count("filtration", filtration))
     monkeypatch.setattr(lc, "_facet_rows", count("sd", facet_rows))
     for e in modules:
         counts.clear()
         sigma = lc.exponents(e).exponent_set(e.monoid)
         assert counts == {"spectrum": e.embedding.r}
         faces = mc.faces(e.monoid)
-        reports = [lc.is_sigma_unipotent(e, sigma, f) for f in faces]
-        lc.shear(e)
+        reports = [is_sigma_unipotent(e, sigma, f) for f in faces]
+        shear(e)
         if lc.smat_is_constant_all(e):
             v = (build_series(n2, h, {(0, 0): 1, (1, 0): 2}, 4), build_series(n2, h, {(0, 0): 5}, 4))
             cmod.dl_projection(e, v, 4)
@@ -1192,12 +1195,12 @@ def test_unipotence_smith_forms_each_face_projection_once(monkeypatch):
     per_face = []
     for f in faces:
         before = len(calls)
-        lc.is_sigma_unipotent(e, sigma, f)
+        is_sigma_unipotent(e, sigma, f)
         per_face.append(len(calls) - before)
     assert len(faces) == 4 and max(per_face) == 1
     calls.clear()
     for f in faces:
-        lc.is_sigma_unipotent(e, sigma, f)
+        is_sigma_unipotent(e, sigma, f)
     assert not calls
 
 
@@ -1264,7 +1267,7 @@ def test_ad_nilpotency_closed_form_matches_the_powers():
                 break
         nil = qmat_mul(qmat_mul(p, qmat(u)), p_inv)
         module = cmod.apply_ui(lc.facet_embedding(n1), ws.default_weighting(n1), [nil], 1)
-        e = lc.shear(module).nilpotency_exponent
+        e = shear(module).nilpotency_exponent
         assert e == _ad_nilpotency_by_powers(nil)
         seen.add(e)
     assert seen == {1, 3, 5, 7}
@@ -1303,7 +1306,7 @@ def test_bound_report_matches_the_walk_over_every_lighter_key():
     for name, e, _ in selftest._shear_fixtures(12):
         for p in (2, 3, 5):
             for qa in (F(0), F(1, 2), F(2)):
-                sr = lc.shear(e, radius=cmaps.Radius.p_power(qa), p=p)
+                sr = shear(e, radius=cmaps.Radius.p_power(qa), p=p)
                 got = [(r.key, r.bound) for r in sr.bound_report]
                 assert got == _bound_report_by_walking_every_lighter_key(e, sr, p, qa), (name, p, qa)
 
@@ -1494,14 +1497,14 @@ def test_integrability_and_log_convergence_match_the_series_evaluation(n2, m_eve
                 args = (e, cmaps.Radius.p_power(a), cmaps.Radius.p_power(eta), depth)
                 if defect is not None:  # P_k along one path is meaningless without integrability
                     with pytest.raises(NotIntegrable):
-                        lc.log_convergence_check(*args)
+                        log_convergence_check(*args)
                     continue
-                verdict = lc.log_convergence_check(*args)
+                verdict = log_convergence_check(*args)
                 assert verdict == _log_convergence_by_series(*args), (case, a, eta, depth)
                 seen |= {verdict, f"a'={a}", f"eta={eta}", f"depth={depth}"}
             if e.base_matrices and defect is None:
                 try:
-                    sr = lc.shear(e)
+                    sr = shear(e)
                 except NIViolated:  # the random model broke NI
                     continue
                 moved = [_smat_mul_by_series(sr.gauge_inverse, _smat_mul_by_series(_render(e, d), sr.gauge))
@@ -1561,7 +1564,7 @@ def test_log_convergence_matches_the_per_column_frontier(n2, m_even):
     for e in modules:
         for a, eta, depth in itertools.product((0, F(1, 3), 1, 2), (F(1, 2), 1, 3), (1, 2, 4)):
             args = (e, cmaps.Radius.p_power(a), cmaps.Radius.p_power(eta), depth)
-            verdict = lc.log_convergence_check(*args)
+            verdict = log_convergence_check(*args)
             assert verdict == _log_convergence_by_columns(*args), (e.rank, a, eta, depth)
             verdicts.append((e.rank, verdict))
     assert {rank for rank, _ in verdicts} == {1, 2, 3}
@@ -1646,7 +1649,7 @@ def _shear_by_rational_recursion(e):
         )
         logz[key] = wmin + max((logz.get(m.gp.sub(key, g), 0) for g in gens), default=0)
         v = matrix_valuation(bmats[key], p)
-        records.append(lc.BoundRecord(key, ball[key], None if v is INF else F(-v),
+        records.append(BoundRecord(key, ball[key], None if v is INF else F(-v),
                                       e_exp * logz[key] + 2 * ball[key] * log_c))
 
     def smat(coeffs):
@@ -1661,7 +1664,7 @@ def _shear_by_rational_recursion(e):
 def test_shear_matches_the_rational_recursion():
     for t in range(2, 9):
         for name, e, _ in selftest._shear_fixtures(t):
-            sr = lc.shear(e)
+            sr = shear(e)
             assert (sr.gauge, sr.gauge_inverse, sr.bound_report) == _shear_by_rational_recursion(e), (name, t)
 
 
@@ -1699,8 +1702,8 @@ def test_shear_matches_the_rational_recursion_off_a_unimodular_eigenbasis():
         assert -cmaps.gauss_valuation([(m.gp.zero(), [x for row in pinv[0] for x in row])], pinv[1], 5) == 1
         # at radius 5^-1 no |A^i_m| a^{h(m)} passes 5^2, so log C is
         # 2 (log_5 |P| + log_5 |P^-1|) + (e - 1) max(log_5 |N|, 0): 2 + 0 or 2 + 2
-        assert lc.shear(e, radius=cmaps.Radius.p_power(1)).norm_constant_log == log_c
-        sr = lc.shear(e)
+        assert shear(e, radius=cmaps.Radius.p_power(1)).norm_constant_log == log_c
+        sr = shear(e)
         assert sr.gauge_map == planted and sr.nilpotency_exponent == steps and sr.norm_constant_log >= 2
         assert (sr.gauge, sr.gauge_inverse, sr.bound_report) == _shear_by_rational_recursion(e)
 
@@ -1709,13 +1712,13 @@ def test_shear_builds_each_sylvester_solver_once(monkeypatch):
     """One solver per direction and coordinate that a solve uses; on these
     fixtures every coordinate is at most the weight, so at most r t of them."""
     calls = []
-    solver = lc.sylvester_solver
-    monkeypatch.setattr(lc, "sylvester_solver", lambda *args: calls.append(repr(args)) or solver(*args))
+    solver = shearing.sylvester_solver
+    monkeypatch.setattr(shearing, "sylvester_solver", lambda *args: calls.append(repr(args)) or solver(*args))
     solves = built = 0
     for t in (4, 8):
         for name, e, _ in selftest._shear_fixtures(t):
             calls.clear()
-            lc.shear(e)
+            shear(e)
             assert 0 < len(calls) <= e.embedding.r * t, name
             assert len(set(calls)) == len(calls), name
             solves += len(e.monoid.index.weighted(e.weighting.values).upto(t)) - 1
@@ -1735,7 +1738,7 @@ def test_the_inverse_gauge_is_computed_once_and_only_when_read(monkeypatch):
         calls.append(1)
         return weight_order(*args)
 
-    monkeypatch.setattr(lc, "weight_order", counted)
+    monkeypatch.setattr(shearing, "weight_order", counted)
     monkeypatch.setattr(cmaps, "weight_order", counted)
     modules = [(name, e._replace(interval_kind="disk") if e.interval_kind == "annulus" else e)
                for name, e in CONNECTION_FIXTURES]
@@ -1743,7 +1746,7 @@ def test_the_inverse_gauge_is_computed_once_and_only_when_read(monkeypatch):
     assert sum(e.base_matrices is not None for _, e in modules) == 1
     for name, e in modules:
         calls.clear()
-        sr = lc.shear(e)
+        sr = shear(e)
         assert len(calls) == (1 if e.base_matrices is None else 2), name
         b, b_inv = sr.gauge_map, sr.gauge_inverse_map
         assert len(calls) == 2 and sr.gauge_inverse_map is b_inv, name
@@ -1766,7 +1769,7 @@ def test_shear_visits_only_the_key_pairs_that_exist(monkeypatch):
             calls[op] += 1
             return f(self, x, y)
         monkeypatch.setattr(AbelianGroup, op, counted)
-    sr = lc.shear(e)
+    sr = shear(e)
     assert calls["sub"] == 0
     nnz_a = len({k for terms, _ in e.matrices for k, _ in terms})
     nnz_b, nnz_b_inv = len(sr.gauge_map[0]), len(sr.gauge_inverse_map[0])

@@ -14,12 +14,12 @@ import pytest
 
 from logmonoid import coefficient_maps as cmaps
 from logmonoid import documents
-from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
 from logmonoid import oracle as orc
 from logmonoid import snf
 from logmonoid import weighted_series as ws
 from logmonoid.abelian import AbelianGroup, group_quotient, solve_in_group
+from logmonoid.shearing import shear
 
 from conftest import face_quotient_route_semi_saturated, gauge_built_module, quotient_hom, quotient_route_weighting
 
@@ -121,7 +121,7 @@ def _shear_fresh_monoid():
     n2 = mc.free_monoid(2)
     c = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1, 2)))
     e, _, _ = gauge_built_module(n2, [c, c], {(1, 0): ((0, 1), (0, 0))}, 2, 4)
-    assert lc.shear(e).bound_report
+    assert shear(e).bound_report
     assert n2.__dict__.get("index") is not None  # the shear filled the index
     return weakref.ref(n2)
 

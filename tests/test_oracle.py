@@ -11,6 +11,7 @@ from logmonoid import log_connection as lc
 from logmonoid import monoid_core as mc
 from logmonoid import oracle as orc
 from logmonoid import weighted_series as ws
+from logmonoid.shearing import shear
 
 from conftest import build_module
 
@@ -167,7 +168,7 @@ def test_brute_shear_grid():
     ]
     for e in fixtures:
         assert lc.validate_integrability(e)
-        sr = lc.shear(e)
+        sr = shear(e)
         brute = orc.brute_shear_order(e, 3)
         assert brute, "oracle produced no orders"
         for key, bm in brute.items():

@@ -16,6 +16,7 @@ from logmonoid import coefficient_maps as cmaps
 from logmonoid import documents
 from logmonoid import log_connection as lc
 from logmonoid import weighted_series as ws
+from logmonoid.log_convergence import log_convergence_check
 
 from conftest import gauge_built_module
 
@@ -128,7 +129,7 @@ def test_modules_with_equal_supports_share_one_plan(monkeypatch, n2):
     for e in modules:
         used.clear()
         assert lc.validate_integrability(e)
-        assert lc.log_convergence_check(e, cmaps.Radius.one(), cmaps.Radius.p_power(F(1, 2)), 2)
+        assert log_convergence_check(e, cmaps.Radius.one(), cmaps.Radius.p_power(F(1, 2)), 2)
         assert len(used) == 4 and all(p is used[0] for p in used)
         plans.append(used[0])
     assert plans[0] is plans[1] and plans[2] is not plans[0]

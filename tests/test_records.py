@@ -19,6 +19,8 @@ from logmonoid import weighted_series as ws
 from logmonoid.abelian import AbelianGroup, quotient_presented
 from logmonoid.oracle import EnumerationBudget
 from logmonoid.qlin import INF
+from logmonoid.shearing import shear
+from logmonoid.unipotence import is_sigma_unipotent
 
 DATA = Path(__file__).parent / "data"
 F = Fraction
@@ -38,12 +40,12 @@ def records():
     sigma = docs.parse_sigma(ctx, docs.load_json(DATA / "sigma_pair.json"))
     n2, n1 = ctx.monoid, mc.free_monoid(1)
     hom = mc.MonoidHom(n2, n1, (n1.element((1,)), n1.element((1,))))
-    sheared = lc.shear(e)
+    sheared = shear(e)
     series = sheared.gauge[0][0]
     found = [
         AbelianGroup(1, (2,)), quotient_presented(2, [])[1], ctx, e.embedding,
         sigma, e, lc.exponents(e), sheared.bound_report[0], sheared,
-        lc.is_sigma_unipotent(e, sigma, mc.faces(n2)[0]),
+        is_sigma_unipotent(e, sigma, mc.faces(n2)[0]),
         cmod.homotopy_check(e.embedding, sigma.elements[1], sigma.elements[1],
                           [{(n2.element((1, 0)), ()): F(1)}]),
         n2, mc.faces(n2)[1], hom, mc.section(hom), EnumerationBudget(3), ctx.weighting,

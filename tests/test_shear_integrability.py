@@ -15,6 +15,8 @@ from logmonoid import monoid_core as mc
 from logmonoid import selftest
 from logmonoid import weighted_series as ws
 from logmonoid.errors import HypothesisError, IrrationalExponent, NIViolated, NonCommutingResidues, NotIntegrable
+from logmonoid.shearing import shear
+from logmonoid.unipotence import is_sigma_unipotent
 
 F = Fraction
 # rational eigenvalues; 1/2 and 3/2 differ by an integer, so a few models break NI
@@ -103,7 +105,7 @@ def test_the_shear_succeeds_iff_the_module_is_integrable():
         full, how = _planted(rng, case, monoids)
         for t in range(1, full.truncation + 1):
             e = _cut(full, t)
-            defect, raised = e.integrability_defect, _outcome(lambda: lc.shear(e))
+            defect, raised = e.integrability_defect, _outcome(lambda: shear(e))
             # a connection defect at key 0 is a pair of non-commuting residues
             kind = defect and ("residues" if defect[0] == "connection" and e.monoid.gp.is_zero(defect[3])
                                else defect[0])
@@ -113,7 +115,7 @@ def test_the_shear_succeeds_iff_the_module_is_integrable():
             assert raised is (None if defect is None else NotIntegrable), (case, t, defect)
             zero = tuple(F(0) for _ in range(e.monoid.gp.free_rank))
             face = mc.faces(e.monoid)[-1]
-            unipotent = _outcome(lambda: lc.is_sigma_unipotent(e, lc.ExponentSet(e.monoid, (zero,)), face))
+            unipotent = _outcome(lambda: is_sigma_unipotent(e, lc.ExponentSet(e.monoid, (zero,)), face))
             constant = lc.smat_is_constant_all(e)
             # a constant module's residue analysis runs first and keeps its own class
             assert unipotent is (NonCommutingResidues if constant and kind == "residues" else raised), (case, t)
@@ -139,7 +141,7 @@ def test_the_shear_runs_no_composition(monkeypatch):
     e = next(e for name, e, _ in selftest._shear_fixtures(6) if name == "rank2-N2-planted")
     monkeypatch.setattr(lc.LogNablaModule, "composition", refuse)
     assert e.base_matrices is None
-    assert lc.shear(e).gauge_map[1] > 0
+    assert shear(e).gauge_map[1] > 0
     with pytest.raises(AssertionError, match="compared"):
         lc.validate_integrability(e)
 
@@ -153,8 +155,8 @@ def test_a_constant_module_with_a_base_defect_is_not_sigma_unipotent():
     e = selftest.build_module(n1, [{(0,): ((0, 0), (0, F(1, 2)))}], 2, 3, base_terms=[{(0,): ((0, 1), (0, 0))}])
     assert lc.smat_is_constant_all(e) and e.integrability_defect == ("base", 0, 0, ((0,), ()))
     with pytest.raises(NotIntegrable):
-        lc.shear(e)
+        shear(e)
     own = lc.ExponentSet(n1, ((F(0),), (F(1, 2),)))
     for face in mc.faces(n1):
         with pytest.raises(NotIntegrable):
-            lc.is_sigma_unipotent(e, own, face)
+            is_sigma_unipotent(e, own, face)

@@ -17,6 +17,8 @@ from logmonoid import monoid_core as mc
 from logmonoid import qlin
 from logmonoid import weighted_series as ws
 from logmonoid.errors import IrrationalExponent, NonCommutingResidues
+from logmonoid.shearing import shear
+from logmonoid.unipotence import is_sigma_unipotent
 
 F = Fraction
 EIGENVALUES = (F(0), F(0), F(1, 2), F(1, 3), F(-2, 3), F(1), F(5, 4), F(-7, 6))
@@ -161,7 +163,7 @@ def test_spectral_layer_matches_the_fraction_code(case, r, n, mats):
         for module in (e, e._replace(interval_kind="annulus")):
             annulus = module.interval_kind == "annulus"
             for face in mc.faces(e.monoid):
-                rep = lc.is_sigma_unipotent(module, sigma, face)
+                rep = is_sigma_unipotent(module, sigma, face)
                 assert (rep.verdict, rep.face_images) == ref.unipotence(decomp, sigma, face, annulus)
                 assert rep.filtration_ranks == e.filtration_ranks
 
@@ -182,7 +184,7 @@ def test_irrational_exponent_is_refused(n1):
     with pytest.raises(IrrationalExponent):
         lc.exponents(e)
     with pytest.raises(IrrationalExponent):
-        lc.shear(e)
+        shear(e)
 
 
 def test_non_commuting_residues_are_refused(n2):
@@ -190,4 +192,4 @@ def test_non_commuting_residues_are_refused(n2):
     with pytest.raises(NonCommutingResidues):
         lc.exponents(e)
     with pytest.raises(NonCommutingResidues):
-        lc.is_sigma_unipotent(e, lc.ExponentSet(n2, ((F(0), F(0)),)), mc.faces(n2)[0])
+        is_sigma_unipotent(e, lc.ExponentSet(n2, ((F(0), F(0)),)), mc.faces(n2)[0])

@@ -61,6 +61,9 @@ from logmonoid import snf  # noqa: E402
 from logmonoid import weighted_series as ws  # noqa: E402
 from logmonoid import qlin  # noqa: E402
 from logmonoid.qlin import over_lcm, solve_map  # noqa: E402
+from logmonoid.log_convergence import log_convergence_check  # noqa: E402
+from logmonoid.shearing import ShearResult, _eigenbasis_data, shear  # noqa: E402
+from logmonoid.unipotence import is_sigma_unipotent  # noqa: E402
 from reference import reference_seconds, scaled  # noqa: E402
 
 SEED = 1
@@ -106,7 +109,7 @@ def _sylvester(a0, m: int = 1):
     """What shear builds for A0: the rows of its Sylvester equations in its
     eigenbasis, once per direction, and the NI divisors of m."""
     b, d = over_lcm(a0)
-    eigs, p, q, nil = lc._eigenbasis_data((b, d), lc._residue_spectrum((b, d)))
+    eigs, p, q, nil = _eigenbasis_data((b, d), lc._residue_spectrum((b, d)))
     basis = qlin.eigenbasis_sylvester(d, p, q, nil[0], 2 * lc._nilpotency_index(nil) - 1)
     return basis, [x - y + m * d for x in eigs for y in eigs]
 
@@ -153,14 +156,14 @@ def _planted_jordan(rng: random.Random, m, n: int, t: int):
 def _integrability_then_log_convergence(e, one, eta) -> bool:
     """What a ladder job asks of a module before and after its shear:
     integrability, then log-convergence at depth 2."""
-    return lc.validate_integrability(e) and lc.log_convergence_check(e, one, eta, 2)
+    return lc.validate_integrability(e) and log_convergence_check(e, one, eta, 2)
 
 
 def _first_shear(e):
     """shear of a fresh copy of e, with the index's plans emptied first (the
     monoid's ball is kept)."""
     e.monoid.index.weighted(e.weighting.values).plans.clear()
-    return lc.shear(e._replace())
+    return shear(e._replace())
 
 
 def _jordan(rng: random.Random, n: int):
@@ -225,7 +228,7 @@ def _unipotence_on_all_faces(e, sigma, faces):
     """Every face's verdict, on fresh copies of e and Sigma (the monoid is
     not copied, so its face projections are computed on the first call only)."""
     f, s = e._replace(), sigma._replace()
-    return [lc.is_sigma_unipotent(f, s, face) for face in faces]
+    return [is_sigma_unipotent(f, s, face) for face in faces]
 
 
 def _weighting_lp(rng: random.Random, k: int):
@@ -339,7 +342,7 @@ def _text(out) -> str:
     if type(out) in (list, tuple):
         inner = ", ".join(map(_text, out)) + ("," if type(out) is tuple and len(out) == 1 else "")
         return f"[{inner}]" if type(out) is list else f"({inner})"
-    if isinstance(out, lc.ShearResult):
+    if isinstance(out, ShearResult):
         fields = dict.fromkeys(("gauge_map", "gauge_inverse_map", *out._fields))
         return f"{type(out).__name__}({', '.join(f'{f}={getattr(out, f)!r}' for f in fields)})"
     return repr(out)
@@ -357,7 +360,7 @@ def sylvester_rows(rng):
         basis, divisors = _sylvester(a0)
         solver = qlin.sylvester_solver(basis, divisors)
         yield lambda: qlin.sylvester_solver(basis, divisors)
-        yield lambda: lc._reduced(*qlin.sylvester_solve(solver, rhs))
+        yield lambda: cmaps._reduced(*qlin.sylvester_solve(solver, rhs))
 
 
 @family("series_mul and gauss_norm (radius p^-1/2) of dense disk series over N^2, T = 3..6")
@@ -409,7 +412,7 @@ def connection_rows(rng):
         if n > 1:
             yield lambda: lc.validate_integrability(e._replace())
         for depth in (2, 4):
-            yield lambda: lc.log_convergence_check(e._replace(), one, eta, depth)
+            yield lambda: log_convergence_check(e._replace(), one, eta, depth)
         if n == 2:
             yield lambda: _integrability_then_log_convergence(e._replace(), one, eta)
 
@@ -447,7 +450,7 @@ def shear_rows(rng):
     for t in SHEAR_TRUNCATIONS:
         for name, e, _ in selftest._shear_fixtures(t):
             if name in SHEAR_FIXTURES:
-                yield lambda: lc.shear(e)
+                yield lambda: shear(e)
 
 
 @family("shear of a fresh rank2-N2-planted with the index's plans emptied, then the process's peak RSS; "

@@ -13,8 +13,9 @@ document, is left out.  One untimed process per case and tree fills a
 PYTHONPYCACHEPREFIX made for the run, and the trees' own bytecode is then
 removed from it, so each timed process compiles the program from source and
 reads the stdlib's bytecode, as perfbench cli-batch processes do.  A run's
-figure is its process's CPU ms (user + system, from RUSAGE_CHILDREN), which
-leaves out other tenants' time.  `ab.two_passes` runs N rounds (20 by
+figures are its process's CPU ms (user + system), which leaves out other
+tenants' time, and its peak RSS in MB, the row "<case> rss": both are the
+child's own rusage, read by `os.wait4` on it.  `ab.two_passes` runs N rounds (20 by
 default; 10 could not resolve a 4-9 % change), the trees taking turns to go
 first, and N more of the cases it flags; `ab.report` prints each case's
 medians and IQRs, and with --compare the ratio, wins and a verdict that
@@ -30,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import resource
 import shutil
 import subprocess
 import sys
@@ -87,15 +87,16 @@ def _warm_stdlib(trees: list[str], cases: list, pycache: str) -> None:
 
 
 def _round(tree: str, cases: list, pycache: str) -> dict:
-    """{case: (CPU ms, "ms", exit code)}, one cold process per case."""
+    """{case: (CPU ms, "ms", exit code), case rss: (peak RSS, "MB", exit code)},
+    one cold process per case, each figure from that process's own rusage."""
     out = {}
     for name, argv in cases:
-        before = resource.getrusage(resource.RUSAGE_CHILDREN)
-        proc = subprocess.run([sys.executable, "-m", "logmonoid", "--format", "json", *argv],
-                              env=ab.child_env(tree, pycache), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        after = resource.getrusage(resource.RUSAGE_CHILDREN)
-        cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
-        out[name] = 1000 * cpu, "ms", f"exit {proc.returncode}"
+        proc = subprocess.Popen([sys.executable, "-m", "logmonoid", "--format", "json", *argv],
+                                env=ab.child_env(tree, pycache), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out[name] = 1000 * (usage.ru_utime + usage.ru_stime), "ms", f"exit {proc.returncode}"
+        out[f"{name} rss"] = usage.ru_maxrss / 1024, "MB", f"exit {proc.returncode}"  # ru_maxrss is in KB on Linux
     return out
 
 
@@ -127,8 +128,9 @@ def main() -> int:
         cases = _cases(scratch)
         _warm_stdlib(trees, cases, pycache)
         runs, again = ab.two_passes(trees, lambda names: lambda tree: _round(
-            tree, [case for case in cases if names is None or case[0] in names], pycache), args.rounds)
-        print(f"CPU ms per cold process over {args.rounds} rounds")
+            tree, [case for case in cases if names is None or {case[0], f"{case[0]} rss"} & set(names)], pycache),
+            args.rounds)
+        print(f"CPU ms and peak RSS per cold process over {args.rounds} rounds")
         for label, tree in zip(ab.LABELS, trees):
             print(f"  {label}: {tree}")
         status = ab.report(runs, again=again)

@@ -23,10 +23,10 @@ import sys
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from logmonoid import log_connection as lc  # noqa: E402
 from logmonoid import selftest  # noqa: E402
 from logmonoid.documents import load_json, parse_connection  # noqa: E402
 from logmonoid.errors import LogMonoidError  # noqa: E402
+from logmonoid.shearing import shear  # noqa: E402
 
 DATA = "tests/data"
 TRUNCATIONS = range(2, 41)
@@ -34,7 +34,7 @@ TRUNCATIONS = range(2, 41)
 
 def _fingerprint(e) -> str:
     try:
-        r = lc.shear(e)
+        r = shear(e)
     except LogMonoidError as exc:
         return f"raised {type(exc).__name__}: {exc}"
     fields = dict.fromkeys(("gauge_map", "gauge_inverse_map", *r._fields))
