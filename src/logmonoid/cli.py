@@ -30,7 +30,7 @@ from .documents import (
     parse_sigma,
     render_rational,
 )
-from .errors import CertificationFailed, HypothesisError, ParseError
+from .errors import CertificationFailed, HypothesisError, NotSharp, ParseError
 
 
 # Miller-Rabin to the first 13 prime bases decides primality exactly below
@@ -237,18 +237,17 @@ def cmd_connection(args) -> dict:
         if len(sigma.elements) < 2:
             raise ParseError("homotopy needs a --sigma document with two elements (xi, xi')")
         xi, xi_p = sigma.elements[0], sigma.elements[1]
+        if not mc.is_sharp(module.monoid):
+            raise NotSharp("homotopy's test keys, the weight <= 4 ball, need a sharp monoid")
         emb = module.embedding
         ball = module.monoid.index.weighted(module.weighting.values).upto(4)
-        forms = []
-        for key in sorted(ball):
-            for size in range(0, min(emb.r, 2) + 1):
-                for wedge in it.combinations(range(emb.r), size):
-                    forms.append({(key, wedge): Fraction(1)})
-        rep = homotopy_check(emb, xi, xi_p, forms)
+        monomials = [(key, wedge) for key in sorted(ball)
+                     for size in range(min(emb.r, 2) + 1) for wedge in it.combinations(range(emb.r), size)]
+        rep = homotopy_check(emb, xi, xi_p, monomials)
         return {
             "xi": _describe_vector(xi),
             "xi_prime": _describe_vector(xi_p),
-            "forms_checked": len(forms),
+            "forms_checked": len(monomials),
             "residuals_zero": rep.all_zero,
         }
     if sub == "logconv":

@@ -2,7 +2,10 @@
 twisting and gauge transport, the generization operators D_l and the
 homotopy operator of the Ext isomorphism.  D_l's factors are integer rows
 over one denominator (`log_connection.RatMatrix`); Fractions are built only
-for the reported Q_i, the D_l outputs, `twist_reduce` and the homotopy forms.
+for the reported Q_i, the D_l outputs and `twist_reduce`.  The homotopy
+identity is checked on monomials t^m dlog t_w, in integers over one
+denominator per monomial: both operators keep the key and the identity is
+linear, so the monomials check every form.
 """
 
 from __future__ import annotations
@@ -217,81 +220,53 @@ def dl_limit(e: LogNablaModule, v: Sequence[TruncatedSeries]) -> QVector:
 # homotopy operator of the Ext isomorphism
 # ---------------------------------------------------------------------------
 
-LogForm = dict  # {(key, wedge index tuple): Fraction}
-
-
 class HomotopyReport(NamedTuple):
-    residuals: tuple[LogForm, ...]
+    """Per test monomial, the residual's nonzero (wedge, numerator) pairs over one positive denominator."""
+
+    residuals: tuple[tuple[tuple[tuple[tuple[int, ...], int], ...], int], ...]
 
     @property
     def all_zero(self) -> bool:
-        return all(not r for r in self.residuals)
+        return all(not pairs for pairs, _ in self.residuals)
 
 
-def _nabla_f(form: LogForm, emb: Embedding, delta: QVector) -> LogForm:
-    """nabla_F(t^m wedge) = sum_{i'} (m_{i'} + delta_{i'}) t^m dlog t_{i'} ^ wedge."""
-    out: LogForm = {}
-    for (key, wedge), c in form.items():
-        coords = emb.coords(key)
-        for ip in range(emb.r):
-            if ip in wedge:
-                continue
-            coeff = (Fraction(coords[ip]) + delta[ip]) * c
-            if coeff == 0:
-                continue
-            pos = sum(1 for w in wedge if w < ip)
-            sign = Fraction(-1) ** pos
-            new_wedge = tuple(sorted(wedge + (ip,)))
-            out[(key, new_wedge)] = out.get((key, new_wedge), Fraction(0)) + sign * coeff
-    return {k: v for k, v in out.items() if v != 0}
+def _insertion(terms: list, c: Sequence[int]) -> list:
+    """den nabla_F on [(coefficient, wedge)] at one key: dlog t_i ^ each term, weight c_i."""
+    return [((-1) ** sum(j < i for j in w) * c[i] * x, tuple(sorted((*w, i))))
+            for x, w in terms for i in range(len(c)) if i not in w]
 
 
-def _phi_op(form: LogForm, emb: Embedding, delta: QVector) -> LogForm:
-    out: LogForm = {}
-    gp = emb.monoid.gp
-    for (key, wedge), c in form.items():
-        if gp.is_zero(key):
-            continue
-        coords = emb.coords(key)
-        l = next((i for i in range(emb.r) if coords[i] != 0), None)
-        if l is None or l not in wedge:
-            continue
-        den = Fraction(coords[l]) + delta[l]
-        if den == 0:
-            raise DenominatorVanishes("m_l + xi'_l - xi_l = 0: NI hypothesis violated")
-        s = wedge.index(l) + 1
-        sign = Fraction(-1) ** (s - 1)
-        new_wedge = tuple(w for w in wedge if w != l)
-        val = sign * c / den
-        out[(key, new_wedge)] = out.get((key, new_wedge), Fraction(0)) + val
-    return {k: v for k, v in out.items() if v != 0}
+def _contraction(terms: list, l: int) -> list:
+    """c_l / den phi on [(coefficient, wedge)] at one key: contraction by dlog t_l."""
+    return [((-1) ** w.index(l) * x, tuple(j for j in w if j != l)) for x, w in terms if l in w]
 
 
 def homotopy_check(
     embedding: Embedding,
     xi: QVector,
     xi_prime: QVector,
-    test_forms: Sequence[LogForm],
+    monomials: Sequence[tuple[Elt, tuple[int, ...]]],
 ) -> HomotopyReport:
-    """residual of nabla_F phi + phi nabla_F - (id - g1 g2) on each test form
-    for F = C_{xi' - xi}; identically zero when the denominators are nonzero."""
-    phi, den = _phi(embedding, tuple(a - b for a, b in zip(qvec(xi_prime), qvec(xi))))
-    delta = tuple(Fraction(x, den) for x in phi)
-    gp = embedding.monoid.gp
+    """The residual of nabla_F phi + phi nabla_F - (id - g1 g2), F = C_{xi' - xi},
+    on each monomial t^m dlog t_w given as (m, w), w increasing.  At m != 0,
+    with c = den (m + phi(xi' - xi)) and l the first nonzero coordinate of m,
+    phi is den / c_l times the contraction by dlog t_l, so c_l times the
+    residual is integral.  DenominatorVanishes where c_l = 0; at a torsion
+    key phi is 0 and the residual is -t^m dlog t_w."""
+    delta, den = _phi(embedding, tuple(a - b for a, b in zip(qvec(xi_prime), qvec(xi))))
     residuals = []
-    for form in test_forms:
-        lhs = _merge(
-            _nabla_f(_phi_op(form, embedding, delta), embedding, delta),
-            _phi_op(_nabla_f(form, embedding, delta), embedding, delta),
-        )
-        rhs = {k: v for k, v in form.items() if not gp.is_zero(k[0])}
-        residual = _merge(lhs, {k: -v for k, v in rhs.items()})
-        residuals.append(residual)
+    for key, w in monomials:
+        coords = embedding.coords(key)
+        l = next((i for i, x in enumerate(coords) if x), None)
+        if l is None:  # phi is 0, and id - g1 g2 kills only the constants
+            residuals.append(((), 1) if embedding.monoid.gp.is_zero(key) else (((w, -1),), 1))
+            continue
+        c = [den * x + y for x, y in zip(coords, delta)]
+        if c[l] == 0:
+            raise DenominatorVanishes("m_l + xi'_l - xi_l = 0: NI hypothesis violated")
+        one, out = [(1, w)], {}
+        for x, v in _insertion(_contraction(one, l), c) + _contraction(_insertion(one, c), l) + [(-c[l], w)]:
+            out[v] = out.get(v, 0) + x
+        g = math.gcd(c[l], *out.values()) * (1 if c[l] > 0 else -1)
+        residuals.append((tuple((v, x // g) for v, x in sorted(out.items()) if x), c[l] // g))
     return HomotopyReport(tuple(residuals))
-
-
-def _merge(a: LogForm, b: LogForm) -> LogForm:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
-    return {k: v for k, v in out.items() if v != 0}

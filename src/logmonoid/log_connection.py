@@ -559,7 +559,7 @@ def _require_monoid_support(e: LogNablaModule) -> None:
 # perfbench/tracer.py, perfbench/workloads.py and tests/test_benchmark_names.py
 # look the three stage functions up here.  Each is imported from its own module
 # on first access (PEP 562) and kept as a global, where the tracer finds and
-# wraps it.  ROADMAP item 1b points the benchmark at the stage modules and
+# wraps it.  ROADMAP item 22 points the benchmark at the stage modules and
 # deletes this lookup.
 _STAGES = {"shear": "shearing", "is_sigma_unipotent": "unipotence", "log_convergence_check": "log_convergence"}
 

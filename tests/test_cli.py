@@ -412,7 +412,7 @@ def test_every_fixture_exits_with_a_documented_code(capsys, doc):
     assert not failures
 
 
-def test_exit_codes_on_the_connection_path(capsys):
+def test_exit_codes_on_the_connection_path(capsys, tmp_path):
     annulus = DATA / "vertex_counterexample.json"
     code, out, err = run(capsys, "connection", "shear", annulus)
     assert (code, out) == (4, "")
@@ -426,6 +426,15 @@ def test_exit_codes_on_the_connection_path(capsys):
         code, out, err = run(capsys, "connection", "logconv", disk, flag, value)
         assert (code, out) == (2, "")
         assert flag in err
+    # a monoid with a nonzero unit: homotopy's weight <= 4 ball needs a sharp
+    # monoid, and building it ended in a ValueError traceback (exit 1)
+    units = tmp_path / "units.json"
+    units.write_text(json.dumps({
+        "monoid": {"generators": 2, "relations": [[[2, 0], [0, 0]]]}, "embedding": [[1]], "rank": 1,
+        "truncation": 3, "matrices": [{"i": 0, "terms": [{"m": {"free": [0]}, "entries": [["1/2"]]}]}]}))
+    (tmp_path / "sigma.json").write_text(json.dumps({"elements": [["0"], ["1/3"]]}))
+    code, out, err = run(capsys, "connection", "homotopy", units, "--sigma", tmp_path / "sigma.json")
+    assert (code, out) == (4, "") and "homotopy's test keys" in err and "Traceback" not in err
 
 
 def _document(name, **fields):

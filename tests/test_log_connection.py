@@ -693,26 +693,22 @@ def test_dl_limit_fails_its_stabilization_check_without_the_pairs(monkeypatch, n
 
 # -- homotopy ---------------------------------------------------------------------------------
 
-def _all_forms(n2, emb, bound=3):
+def _all_monomials(n2, emb, bound=3):
     ball = n2.index.weighted(ws.default_weighting(n2).values).upto(bound)
-    forms = []
-    for key in sorted(ball):
-        for size in range(emb.r + 1):
-            for wedge in itertools.combinations(range(emb.r), size):
-                forms.append({(key, wedge): F(1)})
-    return forms
+    return [(key, wedge) for key in sorted(ball)
+            for size in range(emb.r + 1) for wedge in itertools.combinations(range(emb.r), size)]
 
 
 def test_homotopy_identity_three_pairs(n2):
     emb = lc.facet_embedding(n2)
-    forms = _all_forms(n2, emb)
+    monomials = _all_monomials(n2, emb)
     pairs = [
         ((F(0), F(0)), (F(1, 2), F(1, 3))),
         ((F(0), F(0)), (F(0), F(0))),
         ((F(1, 5), F(0)), (F(0), F(2, 5))),
     ]
     for xi, xi_p in pairs:
-        rep = cmod.homotopy_check(emb, xi, xi_p, forms)
+        rep = cmod.homotopy_check(emb, xi, xi_p, monomials)
         assert rep.all_zero
 
 
@@ -720,23 +716,36 @@ def test_homotopy_specific_forms(n2):
     emb = lc.facet_embedding(n2)
     zero = (F(0), F(0))
     # 0-form t^m with xi = xi' = 0: phi nabla t^m = t^m = (id - g1 g2) t^m
-    rep = cmod.homotopy_check(emb, zero, zero, [{(n2.element((1, 0)), ()): F(1)}])
+    rep = cmod.homotopy_check(emb, zero, zero, [(n2.element((1, 0)), ())])
     assert rep.all_zero
     # constant forms: both sides vanish
-    rep = cmod.homotopy_check(emb, zero, (F(1, 2), F(1, 2)), [{(n2.gp.zero(), (0,)): F(1)}])
+    rep = cmod.homotopy_check(emb, zero, (F(1, 2), F(1, 2)), [(n2.gp.zero(), (0,))])
     assert rep.all_zero
 
 
 def test_homotopy_denominator_vanishes(n2):
+    """m_l + xi'_l - xi_l = 0, l the first nonzero coordinate of m, makes phi
+    undefined at every wedge, whether or not dlog t_l divides the form: at m
+    = (1, 0) with xi' - xi = -(1, 0), and at m = (1, 1) with xi' - xi =
+    -(0, 1), where only the first coordinate's denominator vanishes."""
     emb = lc.facet_embedding(n2)
-    # m_l + xi'_l - xi_l = 0 for m = (1, 0) and xi' - xi = (-1, 0)
-    coords_one = emb.coords(n2.element((1, 0)))
-    delta = tuple(-F(c) for c in coords_one)
-    with pytest.raises(DenominatorVanishes):
-        cmod.homotopy_check(
-            emb, (F(0), F(0)), fraction_reference.inverse_coords(emb, delta),
-            [{(n2.element((1, 0)), (0, 1)): F(1)}],
-        )
+    for m, d in (((1, 0), (1, 0)), ((1, 1), (0, 1))):
+        delta = tuple(-F(c) for c in emb.coords(n2.element(d)))
+        xi_p = fraction_reference.inverse_coords(emb, delta)
+        for wedge in ((), (0,), (1,), (0, 1)):
+            with pytest.raises(DenominatorVanishes):
+                cmod.homotopy_check(emb, (F(0), F(0)), xi_p, [(n2.element(m), wedge)])
+
+
+def test_homotopy_residual_at_a_torsion_key():
+    """gp = Z + Z/2 for <g0, g1 | 2 g0 = 2 g1>: at the torsion key g0 - g1,
+    whose coordinates vanish, phi is 0 and the residual is -t^m dlog t_w."""
+    m = mc.from_presentation(2, [((2, 0), (0, 2))])
+    emb = lc.Embedding(m, ((1,),))
+    torsion = m.gp.sub(m.generators[0], m.generators[1])
+    rep = cmod.homotopy_check(emb, (F(0),), (F(1, 2),), [(torsion, ()), (torsion, (0,)), (m.generators[0], (0,))])
+    assert rep.residuals == (((((), -1),), 1), ((((0,), -1),), 1), ((), 1))
+    assert not rep.all_zero
 
 
 # -- log-convergence ----------------------------------------------------------------------------

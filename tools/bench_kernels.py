@@ -50,7 +50,7 @@ if __name__ != CHILD:
 sys.path[:0] = [HERE, os.path.join(ROOT, "perfbench")]
 
 import ab  # noqa: E402
-from logmonoid import cone  # noqa: E402
+from logmonoid import cli, cone  # noqa: E402
 from logmonoid import coefficient_maps as cmaps  # noqa: E402
 from logmonoid import constant_models as cmod  # noqa: E402
 from logmonoid import documents  # noqa: E402
@@ -555,6 +555,19 @@ def dl_rows(rng):
     for t in truncations:
         f = _series(rng, n2, h, t)
         yield lambda: cmod.dl_constant_term(f, t, emb)
+
+
+@family("the homotopy identity: selftest's 07_homotopy check at p = 5, and `connection homotopy` in-process "
+        "(documents cached after the first call)")
+def homotopy_rows(rng):
+    fixtures = (("n2_sigma_pair", "sigma_pair"), ("plane_m_even", "sigma_plane"))
+    yield ["homotopy selftest 07_homotopy p=5"] + [f"connection homotopy {doc} + {sigma}" for doc, sigma in fixtures]
+    yield lambda: selftest.CHECKS["07_homotopy"](5)
+    data = os.path.join(ROOT, "tests", "data")
+    for doc, sigma in fixtures:
+        args = cli.build_parser().parse_args(["connection", "homotopy", os.path.join(data, f"{doc}_connection.json"),
+                                              "--sigma", os.path.join(data, f"{sigma}.json")])
+        yield lambda: cli.cmd_connection(args)
 
 
 @family("per job, perfbench's connection-ladder jobs of one cell over seeds 41001, 7, 123, 99 and rounds 0-7")
