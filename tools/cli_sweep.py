@@ -6,7 +6,8 @@ Run from the root of a checkout; the program is imported from ./src and
 `logmonoid.cli.main` runs in this process.  The runs are every `connection`
 subcommand on every connection document of tests/data, once with each
 exponent-set document as `--sigma` (and `--all-faces`), in `--format json`
-and `text`; `monoid-analyze` on every monoid document in both formats; and
+and `text`; `monoid-analyze` on every monoid document in both formats;
+`logconv` on every connection document with `--radius 1/2 --eta 0.25`; and
 `selftest` at p = 2, 3, 5, 7, 11.  Each line holds the argv, the exit code
 and the sha256 of stdout and of stderr, so two checkouts give the same
 output iff every run prints the same bytes and exits the same way: diff the
@@ -61,6 +62,8 @@ def _argvs() -> list[list[str]]:
                     out.append(["--format", fmt, "connection", sub, doc, "--sigma", sigma, "--all-faces"])
         for doc in monoids:
             out.append(["--format", fmt, "monoid-analyze", doc])
+    out += [["--format", "json", "connection", "logconv", doc, "--radius", "1/2", "--eta", "0.25"]
+            for doc in connections]
     out += [["--prime", str(p), "selftest"] for p in PRIMES]
     return out
 
