@@ -26,7 +26,7 @@ from .documents import (
     load_json,
     parse_connection,
     parse_monoid,
-    parse_radius,
+    parse_rational,
     parse_sigma,
     render_rational,
 )
@@ -136,6 +136,16 @@ def _load_sigma(ctx: MonoidContext, path):
     if path is None:
         raise ParseError("this subcommand needs --sigma")
     return parse_sigma(ctx, load_json(path))
+
+
+def _flag_rational(value, flag: str, default: Fraction) -> Fraction:
+    """A flag's value read by `parse_rational`, or default if the flag is not given; a ParseError names it."""
+    if value is None:
+        return default
+    try:
+        return parse_rational(value)
+    except ParseError as exc:
+        raise ParseError(f"{flag}: {exc}") from exc
 
 
 def cmd_connection(args) -> dict:
@@ -254,18 +264,16 @@ def cmd_connection(args) -> dict:
         from .coefficient_maps import Radius
         from .log_convergence import log_convergence_check
 
-        radius = parse_radius(args.radius) if args.radius else Radius.p_power(1)
-        eta = parse_radius(args.eta) if args.eta else Radius.p_power(Fraction(1, 2))
-        if radius.is_zero:
-            raise ParseError("--radius must be a rational exponent q (radius p^-q), not zero")
-        if eta.is_zero or eta.value_exponent() <= 0:
+        radius = _flag_rational(args.radius, "--radius", Fraction(1))
+        eta = _flag_rational(args.eta, "--eta", Fraction(1, 2))
+        if eta <= 0:
             raise ParseError("--eta must be a positive rational exponent q (eta = p^-q in (0,1))")
         if args.depth < 1:
             raise ParseError(f"--depth must be at least 1, got {args.depth}")
-        verdict = log_convergence_check(module, radius, eta, args.depth, args.prime)
+        verdict = log_convergence_check(module, Radius(radius), Radius(eta), args.depth, args.prime)
         return {
-            "radius_log": render_rational(radius.value_exponent()),
-            "eta_log": render_rational(eta.value_exponent()),
+            "radius_log": render_rational(radius),
+            "eta_log": render_rational(eta),
             "depth": args.depth,
             "log_convergent": verdict,
         }

@@ -10,9 +10,10 @@ torsion-free group, so its "torsion" field, if given, is empty; torsion
 needs a presentation.
 Every rational goes through one reader, `_rational_parts`, onto an integer
 numerator over a positive denominator: ints, [num, den] pairs, and strings
-of Fraction(str)'s grammar less exponent notation; never floats.  A
-connection matrix is read straight onto integer numerators over their lcm,
-the form `coefficient_map` stores, without a Fraction per entry.
+of one pattern, `_RATIONAL`, Fraction(str)'s grammar less exponent
+notation; never floats.  The CLI reads `--radius` and `--eta` with it too.
+A connection matrix is read straight onto integer numerators over their
+lcm, the form `coefficient_map` stores, without a Fraction per entry.
 
 Equal monoid sections share one analysed monoid (`_monoid_section`, a
 bounded cache of the SECTION_CACHE_SIZE most recently used sections); an
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -41,7 +43,6 @@ from .errors import ParseError
 
 if TYPE_CHECKING:
     from .abelian import Elt
-    from .coefficient_maps import Radius
     from .log_connection import Embedding, ExponentSet, LogNablaModule
     from .monoid_core import FineMonoid, Weighting
     from .snf import LatticeMap
@@ -76,20 +77,31 @@ def _integers(xs, field: str, depth: int = 1) -> tuple:
     return tuple(_integers(x, field, depth - 1) if depth > 1 else _integer(x, field) for x in xs)
 
 
+# Fraction(str)'s grammar less exponent notation; groups: sign, whole digits, denominator, decimals
+_DIGITS = r"\d+(?:_\d+)*"
+_RATIONAL = re.compile(rf"\s*([+-]?)(?=\.?\d)({_DIGITS})?(?:/({_DIGITS})|\.({_DIGITS})?)?\s*")
+
+
 def _rational_parts(obj) -> tuple[int, int]:
     """(num, den) with den > 0, not reduced, of a rational entry: an int,
-    integer fields as [num, den] or {"num": .., "den": ..}, or a string in
-    Fraction(str)'s grammar less exponent notation: optional spaces at
-    either end, a sign, then digits (single "_" between them) over "/" and
-    a denominator ("-3/4", "1_000/3"), or with a decimal part ("0.5", ".5",
-    "5.").  Anything else, bool and float included, a zero denominator, or
-    a part past int's digit limit, is a ParseError naming the entry."""
+    integer fields as [num, den] or {"num": .., "den": ..}, or a string
+    `_RATIONAL` matches: optional spaces at either end, a sign, then digits
+    (single "_" between them) over "/" and a denominator ("-3/4",
+    "1_000/3"), or with a decimal part ("0.5", ".5", "5.").  Anything else,
+    bool and float included, a zero denominator, or a part past int's digit
+    limit, is a ParseError naming the entry."""
     if isinstance(obj, str):
+        match = _RATIONAL.fullmatch(obj)
         try:
-            num, den = _string_parts(obj)
+            if match is None:
+                raise ValueError("no rational string")
+            sign, whole, den, frac = match.groups()
+            scale = 10 ** len(frac.replace("_", "")) if frac else 1
+            num, den = int(whole or 0) * scale + int(frac or 0), int(den or scale)
         except ValueError as exc:
             raise ParseError(f"not a rational: {obj!r} (expected an integer, a/b or a decimal, without "
                              f"exponent notation, each part of at most {sys.get_int_max_str_digits()} digits)") from exc
+        num = -num if sign == "-" else num
     elif isinstance(obj, int) and not isinstance(obj, bool):
         return obj, 1
     elif isinstance(obj, (list, tuple)) and len(obj) == 2:
@@ -101,33 +113,6 @@ def _rational_parts(obj) -> tuple[int, int]:
     if den == 0:
         raise ParseError(f"not a rational: {obj!r} (zero denominator)")
     return (num, den) if den > 0 else (-num, -den)
-
-
-def _string_parts(s: str) -> tuple[int, int]:
-    """(num, den) of a rational string (`_rational_parts`); ValueError if
-    it is not one."""
-    body = s.strip()
-    sign = -1 if body[:1] == "-" else 1
-    if body[:1] in ("-", "+"):
-        body = body[1:]
-    whole, slash, den = body.partition("/")
-    if slash:
-        return sign * _digits(whole), _digits(den)
-    whole, point, frac = body.partition(".")
-    if not point:
-        return sign * _digits(whole), 1
-    if not whole and not frac:
-        raise ValueError("no digits")
-    scale = 10 ** len(frac.replace("_", ""))
-    return sign * ((_digits(whole) if whole else 0) * scale + (_digits(frac) if frac else 0)), scale
-
-
-def _digits(part: str) -> int:
-    """A run of decimal digits with single "_" between them, read by int():
-    it starts and ends with a digit, so int() finds no sign or space."""
-    if not (part[:1].isdecimal() and part[-1:].isdecimal()):
-        raise ValueError(f"not digits: {part!r}")
-    return int(part)
 
 
 def _numerators(parts: list[list[tuple[int, int]]]) -> tuple[list[list[int]], int]:
@@ -286,18 +271,6 @@ def clear_caches() -> None:
     next parse analyses its monoid afresh, as in a new process."""
     _monoid_section.cache_clear()
     _converted.cache_clear()
-
-
-def parse_radius(obj) -> Radius:
-    from .coefficient_maps import Radius
-
-    if obj in ("zero", 0):
-        return Radius.zero()
-    if isinstance(obj, dict):
-        if obj.get("zero"):
-            return Radius.zero()
-        return Radius(parse_rational([_integer(obj["q_num"], "q_num"), _integer(obj.get("q_den", 1), "q_den")]))
-    return Radius(parse_rational(obj))
 
 
 def _embedding(ctx: MonoidContext, rows: Optional[tuple]) -> Embedding:

@@ -83,28 +83,24 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             m[t] = prow = [-x for x in prow]
             u[t] = [-x for x in u[t]]
         urow = u[t]
-        p = prow[t]
+        p = prow[t]  # the least nonzero |entry| of the block, so x // p != 0 for its entries below
         dirty = False
         for i in range(t + 1, rows):
             x = m[i][t]
             if x:
                 q = x // p
-                if q:
-                    m[i] = row = [x - q * y for x, y in zip(m[i], prow)]
-                    u[i] = [x - q * y for x, y in zip(u[i], urow)]
-                    if row[t]:
-                        dirty = True
-                else:
+                m[i] = row = [x - q * y for x, y in zip(m[i], prow)]
+                u[i] = [x - q * y for x, y in zip(u[i], urow)]
+                if row[t]:
                     dirty = True
         for j in range(t + 1, cols):
             x = prow[j]
             if x:
                 q = x // p
-                if q:
-                    for r in m:
-                        r[j] -= q * r[t]
-                    for r in v:
-                        r[j] -= q * r[t]
+                for r in m:
+                    r[j] -= q * r[t]
+                for r in v:
+                    r[j] -= q * r[t]
                 if prow[j]:
                     dirty = True
         if dirty:

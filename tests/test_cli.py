@@ -422,10 +422,13 @@ def test_exit_codes_on_the_connection_path(capsys, tmp_path):
     assert "disks" in err
     disk = DATA / "n2_sigma_pair_connection.json"
     for flag, value in (("--eta", "0"), ("--eta", "zero"), ("--radius", "zero"), ("--depth", "0"),
-                        ("--depth", "-3")):
+                        ("--depth", "-3"), ("--radius", ""), ("--eta", ""), ("--radius", "abc"), ("--eta", "1e3")):
         code, out, err = run(capsys, "connection", "logconv", disk, flag, value)
         assert (code, out) == (2, "")
         assert flag in err
+    # an empty value is a value: it ran with the default radii (exit 0)
+    code, out, err = run(capsys, "connection", "logconv", disk, "--radius", "", "--eta", "")
+    assert (code, out) == (2, "") and err.startswith("parse error: --radius: not a rational: ''")
     # a monoid with a nonzero unit: homotopy's weight <= 4 ball needs a sharp
     # monoid, and building it ended in a ValueError traceback (exit 1)
     units = tmp_path / "units.json"

@@ -3,6 +3,7 @@
 import copy
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -454,10 +455,6 @@ def test_rational_and_radius_integers_are_integer_fields():
     for obj in ([1.5, 2], [True, 2], [1, None], {"num": 2.5}, {"num": 1, "den": False}):
         with pytest.raises(ParseError):
             docs.parse_rational(obj)
-    assert docs.parse_radius({"q_num": "1", "q_den": 2}) == cmaps.Radius(F(1, 2))
-    for obj in ({"q_num": 0.5}, {"q_num": 1, "q_den": 2.0}, {"q_num": True}):
-        with pytest.raises(ParseError, match="q_"):
-            docs.parse_radius(obj)
 
 
 # -- the monoid-section cache -------------------------------------------------------------
@@ -674,6 +671,65 @@ def test_the_reader_rejects_these_entries_naming_them(obj):
         docs.parse_rational(obj)
     message = str(caught.value)
     assert repr(obj) in message or "rational numerator" in message or "num:" in message
+
+
+def _string_parts_by_partition(s):
+    """(num, den) of a rational string as the reader computed it before its
+    grammar was one pattern, by partitioning at "/" and "."; ValueError if
+    s is not one."""
+    body = s.strip()
+    sign = -1 if body[:1] == "-" else 1
+    if body[:1] in ("-", "+"):
+        body = body[1:]
+    whole, slash, den = body.partition("/")
+    if slash:
+        return sign * _digits_by_partition(whole), _digits_by_partition(den)
+    whole, point, frac = body.partition(".")
+    if not point:
+        return sign * _digits_by_partition(whole), 1
+    if not whole and not frac:
+        raise ValueError("no digits")
+    scale = 10 ** len(frac.replace("_", ""))
+    return sign * ((_digits_by_partition(whole) if whole else 0) * scale
+                   + (_digits_by_partition(frac) if frac else 0)), scale
+
+
+def _digits_by_partition(part):
+    if not (part[:1].isdecimal() and part[-1:].isdecimal()):
+        raise ValueError(f"not digits: {part!r}")
+    return int(part)
+
+
+def test_the_pattern_reads_strings_as_the_partition_reader_did():
+    """On seeded strings of length 1-7 over digits, the grammar's symbols,
+    Unicode spaces, exponent and hex letters and a non-ASCII digit, and on
+    edge cases, `_rational_parts` gives the (num, den) or the ParseError
+    message of the partition reader it replaced; below int's digit limit
+    `_RATIONAL` matches exactly the strings that reader read."""
+    alphabet = "0123456789_+-./ \t\n\xa0ex\u0663"
+    rng = random.Random(5)
+    strings = ["".join(rng.choices(alphabet, k=rng.randint(1, 7))) for _ in range(20000)]
+    strings += ["", ".", "+.", "5.", ".5", "1__0", "1/-2", "1" * 5000]
+    refused = ("not a rational: {!r} (expected an integer, a/b or a decimal, without exponent notation, "
+               f"each part of at most {sys.get_int_max_str_digits()} digits)")
+    read = 0
+    for s in strings:
+        try:
+            parts = _string_parts_by_partition(s)
+        except ValueError:
+            parts = None
+        try:
+            got = docs._rational_parts(s)
+        except ParseError as exc:
+            got = str(exc)
+        if parts is None:
+            assert got == refused.format(s), s
+        else:
+            read += 1
+            assert got == (f"not a rational: {s!r} (zero denominator)" if parts[1] == 0 else parts), s
+        if len(s) < 5000:
+            assert (docs._RATIONAL.fullmatch(s) is not None) == (parts is not None), s
+    assert read > 1000
 
 
 # -- the document caches -------------------------------------------------------------------
