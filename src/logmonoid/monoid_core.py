@@ -30,7 +30,7 @@ from .errors import (
     TorsionTarget,
     checked_make,
 )
-from .qlin import over_lcm, qsolve
+from .qlin import solve_map
 
 
 class FineMonoid:
@@ -194,6 +194,11 @@ class MonoidIndex:
         self._face_projections: dict[frozenset[int], tuple[tuple[int, ...], ...]] = {}
 
     @cached_property
+    def functionals(self) -> _snf.LatticeMap:
+        """Generator values -> lam with h(g) = lam * free(g): one solve of the free parts."""
+        return solve_map([g[0] for g in self.monoid.generators])
+
+    @cached_property
     def span(self) -> GroupSpan:
         """The generators inside gp, with one Smith form for every solve."""
         return GroupSpan(self.monoid.gp, self.monoid.generators)
@@ -286,16 +291,16 @@ class MonoidIndex:
         return values
 
     def weighted(self, values: tuple[int, ...]) -> "WeightedIndex":
-        """The index of the weighting with these generator values; its
-        functional is solved from them unless `default_values` gave it."""
+        """The index of the weighting with these generator values; its functional
+        is read from `functionals`, in lowest terms, unless `default_values` gave it."""
         found = self._weighted.get(values)
         if found is None:
-            m = self.monoid
-            lam = qsolve([g[0] for g in m.generators], values)
+            lam = self.functionals.rational(values)
             if lam is None:
                 raise ValueError("weights are not induced by a group homomorphism")
-            (numerators,), den = over_lcm([lam])
-            found = self._weighted[values] = WeightedIndex(self, values, tuple(numerators), den)
+            nums, den = lam
+            g = math.gcd(den, *nums)
+            found = self._weighted[values] = WeightedIndex(self, values, tuple(x // g for x in nums), den // g)
         return found
 
 

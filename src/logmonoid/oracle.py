@@ -3,12 +3,13 @@
 These certify the derived constants used in the tests and cross-check the
 fast algorithms on small instances.  They deliberately share no search
 logic with the main modules: plain breadth-first closure, no pruning, and
-one global dense linear solve for the shear gauge.
+one Smith form of the whole dense shear system; no solve runs `qlin`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -17,7 +18,7 @@ from typing import NamedTuple
 from .abelian import Elt
 from .errors import BudgetExceeded, SingularSystem, checked_make
 from .monoid_core import FineMonoid, default_weighting as _weights
-from .qlin import qrank, qsolve
+from .snf import SmithForm
 
 
 class _EnumerationBudgetFields(NamedTuple):
@@ -36,12 +37,13 @@ class EnumerationBudget(_EnumerationBudgetFields):
         return self
 
 
+@lru_cache(maxsize=64)
 def _weight_map(m: FineMonoid):
     values = _weights(m)
-    lam = qsolve([g[0] for g in m.generators], values)
+    lam, den = SmithForm(tuple(g[0] for g in m.generators), m.gp.free_rank).solution_map.rational(values)
 
     def weight(g: Elt) -> Fraction:
-        return sum((lam[i] * g[0][i] for i in range(len(lam))), Fraction(0))
+        return Fraction(sum(x * y for x, y in zip(lam, g[0])), den)
 
     return values, weight
 
@@ -197,15 +199,15 @@ def brute_shear_order(e, k: int):
                             row[rbase + t * n + c_i] += amat[r_i][t]
                     rows.append(row)
                     rhs.append(target)
-    sol = qsolve(rows, rhs)
+    den = math.lcm(*(x.denominator for row in (*rows, rhs) for x in row))
+    smith = SmithForm(tuple(tuple(int(x * den) for x in row) for row in rows), nun)
+    sol = smith.solution_map.rational([int(x * den) for x in rhs])
     if sol is None:
         raise SingularSystem("full shear system inconsistent")
-    if qrank(rows) < nun:
+    if smith.rank < nun:
         raise SingularSystem("full shear system underdetermined")
     out = {}
     for key in keys:
         base = index[key] * n * n
-        out[key] = tuple(
-            tuple(sol[base + i * n + j] for j in range(n)) for i in range(n)
-        )
+        out[key] = tuple(tuple(Fraction(sol[0][base + i * n + j], sol[1]) for j in range(n)) for i in range(n))
     return out

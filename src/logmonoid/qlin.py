@@ -5,12 +5,12 @@ A rational matrix is held as integer rows over one positive denominator
 null space runs one integer elimination (`_gauss`) whose reduced row echelon
 form, being unique, fixes the answer; `solve_map` (an `snf.LatticeMap`,
 an inverse when a is invertible) and `nullspace_over_lcm` return integer
-rows over one denominator, and only `qmat`, `qvec`, `qsolve` and
-`qmat_mul`, whose callers read rationals, build Fractions.  A X - X A + m X = R is solved in
-A's eigenbasis by integer mat-vecs, with no elimination
-(`sylvester_solver`).  Also the characteristic polynomial and integer roots
-of the spectral layer, and the p-adic valuation shared by the series and
-connection modules.
+rows over one denominator.  Only `qmat`, `qvec` (read by `constant_models`),
+`qsolve` and `qmat_mul` build Fractions, and only the tests and perfbench's tracer
+call the last two.  A X - X A + m X = R is solved in A's eigenbasis by integer
+mat-vecs, with no elimination (`sylvester_solver`).  Also the characteristic
+polynomial and integer roots of the spectral layer, and the p-adic valuation
+shared by the series and connection modules.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import count
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .abelian import Elt
@@ -17,9 +18,9 @@ from .coefficient_maps import (
     DEFAULT_PRIME, CoefficientMap, Radius, _canonical, _map_mul, _restricted, coefficient, coefficient_map,
     gauss_valuation,
 )
-from .errors import NotTorsionFree, checked_make
+from .errors import CertificationFailed, NotTorsionFree, checked_make
 from .monoid_core import FineMonoid, Weighting, default_weighting as _default_values, membership, saturation
-from .qlin import INF, qsolve
+from .qlin import INF, over_lcm
 
 
 def default_weighting(m: FineMonoid) -> Weighting:
@@ -252,11 +253,12 @@ def saturation_invariance_check(
         if any(v is INF for v in x.log_values):
             in_sat = False  # a > 0 excludes vanishing coordinates on both sides
         else:
-            lam = _valuation_functional(m, x)
-            vals = tuple(
-                sum((lam[i] * g[0][i] for i in range(len(lam))), Fraction(0))
-                for g in sat.generators
-            )
+            # solvable: ValuationPoint checked M's relations, and kernel vectors of the free parts scale to relations
+            (values,), den = over_lcm([x.log_values])
+            lam = m.index.functionals.rational(values, den)
+            if lam is None:
+                raise CertificationFailed("saturation invariance check: a point's functional solve is inconsistent")
+            vals = tuple(Fraction(sum(map(mul, lam[0], g[0])), lam[1]) for g in sat.generators)
             in_sat = point_in_polyannulus(ValuationPoint(sat, vals), hsat, a, b)
         if in_m != in_sat:
             return False
@@ -289,10 +291,3 @@ def _correction_weight(m: FineMonoid, sat: FineMonoid, h: Weighting) -> int:
             n_g = next(n for n in count(2) if membership(m, gp.scale(n, g)))
             total += (n_g - 1) * h_plus(m, h, gp.neg(g))
     return total
-
-
-def _valuation_functional(m: FineMonoid, x: ValuationPoint):
-    sol = qsolve([g[0] for g in m.generators], x.log_values)
-    if sol is None:
-        raise ValueError("point valuations are not induced by a linear functional")
-    return sol

@@ -166,13 +166,13 @@ def test_a_sharp_torsion_free_default_weighting_builds_no_quotient(monkeypatch, 
     quotient route, which the counters see."""
     m = GRID_MONOIDS[name]()
     calls = []
-    for attr in ("group_quotient", "MonoidHom", "qsolve"):
+    for attr in ("group_quotient", "MonoidHom", "solve_map"):
         original = getattr(mc, attr)
         monkeypatch.setattr(mc, attr, lambda *a, _f=original, _n=attr: calls.append(_n) or _f(*a))
     h = ws.default_weighting(m)
     assert h.values == mc.default_weighting(m) and m.index.weighted(h.values).values == h.values
     own = name in SHARP_TORSION_FREE
-    assert calls == ([] if own else ["group_quotient", "MonoidHom", "qsolve"])
+    assert calls == ([] if own else ["group_quotient", "MonoidHom", "solve_map"])
     assert ("sharp" in vars(m.index)) != own
 
 

@@ -1,6 +1,7 @@
 """The brute-force reference implementations and their agreement with the
 fast paths across the fixture grid."""
 
+import ast
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,20 @@ from conftest import build_module
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
+
+
+def test_the_oracle_imports_nothing_from_the_engine_elimination():
+    """A checker must not share the code it checks: every solve of the
+    oracle reads a Smith form, and oracle.py binds no name of `qlin`, whose
+    elimination runs every engine solve."""
+    tree = ast.parse(Path(orc.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported and not [name for name in imported if "qlin" in name.split(".")]
 
 
 def test_budget_validation():

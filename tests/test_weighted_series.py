@@ -13,6 +13,7 @@ from logmonoid import coefficient_maps as cmaps
 from logmonoid import cone, documents
 from logmonoid import monoid_core as mc
 from logmonoid import oracle as orc
+from logmonoid import selftest
 from logmonoid import weighted_series as ws
 from logmonoid.errors import HypothesisError, NotTorsionFree
 from logmonoid.qlin import INF, padic_valuation
@@ -403,6 +404,17 @@ def test_saturation_invariance_nm1(nm1):
     ]
     assert ws.saturation_invariance_check(m, cmaps.Radius.p_power(2), cmaps.Radius.p_power(1), pts)
     assert ws.saturation_invariance_check(m, cmaps.Radius.p_power(1), cmaps.Radius.one(), pts)
+
+
+def test_saturation_invariance_solves_the_generator_rows_once(monkeypatch):
+    """Selftest 09's inputs (N \\ {1}, its six valuation points and ten
+    seeded intervals) read every point's functional from the one solve of
+    the generator rows that the monoid's index holds."""
+    solved = []
+    original = mc.solve_map
+    monkeypatch.setattr(mc, "solve_map", lambda a: solved.append(list(a)) or original(a))
+    assert selftest.CHECKS["09_saturation_invariance"](P)[0]
+    assert solved.count([g[0] for g in selftest._nm1().generators]) == 1
 
 
 def test_saturation_invariance_builds_the_hilbert_basis_once(monkeypatch):

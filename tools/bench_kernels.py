@@ -56,6 +56,7 @@ from logmonoid import constant_models as cmod  # noqa: E402
 from logmonoid import documents  # noqa: E402
 from logmonoid import log_connection as lc  # noqa: E402
 from logmonoid import monoid_core as mc  # noqa: E402
+from logmonoid import oracle  # noqa: E402
 from logmonoid import selftest  # noqa: E402
 from logmonoid import snf  # noqa: E402
 from logmonoid import weighted_series as ws  # noqa: E402
@@ -70,6 +71,7 @@ SEED = 1
 MONOID_ROUND_SEED = 7
 MOMENT_CURVE_RAYS = (10, 12, 16, 20, 30, 40)
 SHEAR_FIXTURES = ("rank2-N2-planted", "rank2-M_even-planted")
+ORACLE_SHEAR_FIXTURES = ("rank2-N", "rank1-N", "rank2-N2-planted")  # the fixtures selftest 04 checks against the oracle
 SHEAR_TRUNCATIONS = (8, 12, 20, 30, 40)
 FIRST_SHEAR_TRUNCATIONS = (40, 60, 80)
 FIRST_SHEAR_JORDAN = (("N^2", 2, 4, 20), ("N^2", 2, 4, 30), ("N^3", 3, 2, 12))  # (monoid, its rank, n, T)
@@ -327,6 +329,13 @@ def _saturation_invariance(m) -> bool:
     return ws.saturation_invariance_check(fresh, cmaps.Radius.p_power(1), cmaps.Radius.one(), pts)
 
 
+def _cold_weighted(m, values) -> tuple:
+    """(numerators, denominator) of MonoidIndex.weighted(values) on a fresh
+    copy of m, so the functional is solved afresh."""
+    index = mc.FineMonoid(m.gp, m.generators).index.weighted(values)
+    return index.numerators, index.denominator
+
+
 def _ladder_cell(jobs) -> list:
     """perfbench's `workloads.run_connection` of each job, the document
     caches emptied first; each result without its context."""
@@ -539,6 +548,26 @@ def saturation_invariance_rows(rng):
     for _, monoid in monoids:
         m = monoid()
         yield lambda: _saturation_invariance(m)
+
+
+@family("the functional solves: selftest's 09 check at p = 5 (60 point functionals), the oracle's shear "
+        "solve at order 3 on the first three selftest shear fixtures (T = 12), and a cold MonoidIndex.weighted")
+def functional_rows(rng):
+    import gen
+    shapes = (("units_cone c=2", lambda: gen.units_cone(2)[0]),
+              ("torsion Z/2 n=4", lambda: gen.torsion_monoid(random.Random(SEED), 4, 2)[0]))
+    yield (["saturation_invariance_check selftest 09 p=5"]
+           + [f"brute_shear_order {name} k=3" for name in ORACLE_SHEAR_FIXTURES]
+           + [f"cold weighted {name}" for name, _ in shapes])
+    yield lambda: selftest.CHECKS["09_saturation_invariance"](5)
+    fixtures = {name: e for name, e, _ in selftest._shear_fixtures(12)}
+    for name in ORACLE_SHEAR_FIXTURES:
+        e = fixtures[name]
+        yield lambda: oracle.brute_shear_order(e, 3)
+    for _, doc in shapes:
+        m = documents.parse_monoid(doc()).monoid
+        values = mc.default_weighting(m)
+        yield lambda: _cold_weighted(m, values)
 
 
 @family("dl_limit on the basis sections of fresh constant modules over N and N^2, and dl_constant_term of disk series")
